@@ -24,9 +24,12 @@ backend                concurrency                 demonstrates
                                                    same pool core
 =====================  ==========================  =========================
 
-Both process backends are thin update methods over the solver-agnostic
-pool core in :mod:`repro.execution.pool`; :func:`make_solver` maps the
-wire-level ``method`` names (``"asyrgs"``/``"asyrk"``) to them.
+Both process backends, and every shard of :class:`ShardedSolver`, run
+the one row kernel of the solver-agnostic pool core in
+:mod:`repro.execution.pool` (gather row ``r``, form ``γ``, scatter):
+AsyRGS scatters into coordinate ``r``, AsyRK into the row's support, a
+shard into its owned row at an offset. :func:`make_solver` maps the
+wire-level ``method`` names (``"asyrgs"``/``"asyrk"``) to the backends.
 """
 
 from ..exceptions import ModelError
@@ -48,17 +51,15 @@ from .halo import (
     WireHalo,
     split_address,
 )
-from .kaczmarz import AsyRK, KaczmarzUpdate, LeastSquaresTracker
+from .kaczmarz import AsyRK, LeastSquaresTracker
 from .pool import PoolSolver
 from .processes import (
-    AsyRGSUpdate,
     DelayStats,
     ProcessAsyRGS,
     ProcessRunResult,
     available_cpus,
 )
 from .sharded import (
-    ShardedAsyRGSUpdate,
     ShardedRunResult,
     ShardedSolver,
     balanced_partition,
@@ -98,7 +99,6 @@ def make_solver(method: str, A, b, **kwargs):
 
 __all__ = [
     "AdversarialDelay",
-    "AsyRGSUpdate",
     "AsyRK",
     "AsyncSimulator",
     "AtomicWrites",
@@ -109,7 +109,6 @@ __all__ = [
     "HaloTransport",
     "InconsistentAdversarial",
     "InconsistentUniform",
-    "KaczmarzUpdate",
     "LocalBoard",
     "NodeShard",
     "WireHalo",
@@ -122,7 +121,6 @@ __all__ = [
     "ProcessRunResult",
     "ProcessorPhaseDelay",
     "SOLVER_METHODS",
-    "ShardedAsyRGSUpdate",
     "ShardedRunResult",
     "ShardedSolver",
     "SharedVector",

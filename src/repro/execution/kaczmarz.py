@@ -13,10 +13,12 @@ the shared iterate inconsistently — the same regime the source paper
 proves convergent for AsyRGS — and the expected update direction is a
 uniformly random row, so the whole pool apparatus (per-worker strided
 Philox streams, epoch/barrier scheme, write-log staleness measurement,
-per-column retirement) transfers unchanged. The update method is the
-only new arithmetic; :mod:`repro.execution.pool` supplies everything
-else. The layout geometry differs from AsyRGS: directions and the RHS
-live in row space (``m``), the iterate in column space (``n``).
+per-column retirement) transfers unchanged. Even the arithmetic is
+shared: AsyRK runs the pool's one row kernel,
+:class:`~repro.execution.pool.RowUpdate`, with its projection scatter
+(``project=True``). The layout geometry differs from AsyRGS: directions
+and the RHS live in row space (``m``), the iterate in column space
+(``n``).
 
 Consistency and the convergence horizon
 ---------------------------------------
@@ -54,57 +56,9 @@ from ..exceptions import ModelError
 from ..rng import DirectionStream
 from ..sparse import CSRMatrix
 from ..validation import check_rhs
-from .pool import PoolSolver
+from .pool import PoolSolver, RowUpdate
 
-__all__ = ["AsyRK", "KaczmarzUpdate", "LeastSquaresTracker"]
-
-
-class KaczmarzUpdate:
-    """The Kaczmarz row projection as a pool update method.
-
-    Draw equation ``r``, gather its sparse support once, and project
-    every active column of the iterate block: the single row gather
-    serves all ``k`` right-hand sides exactly as AsyRGS's row gather
-    does (the paper's block amortization carried over to row space).
-    """
-
-    @staticmethod
-    def make_updater(v, *, k, act, locks, nlocks, beta):
-        indptr, indices, data = v["indptr"], v["indices"], v["data"]
-        x, b, norms = v["x"], v["b"], v["norms"]
-        x1, b1 = x[:, 0], b[:, 0]  # scalar fast path for single-RHS pools
-        nact = int(act.size)
-        full = nact == k
-        single = nact == 1
-        j0 = int(act[0]) if nact else 0
-        head = nact > 1 and int(act[-1]) == nact - 1
-        xh, bh = (x[:, :nact], b[:, :nact]) if head else (x, b)
-
-        def update(r: int) -> int:
-            s, e = int(indptr[r]), int(indptr[r + 1])
-            cols = indices[s:e]
-            vals = data[s:e]
-            # γ from the live shared iterate (inconsistent read), then
-            # scatter β·γ·a_r into the active columns. No lock variant:
-            # AsyRK rejects atomic mode at construction.
-            if k == 1:
-                gamma = (b1[r] - float(vals @ x1[cols])) / norms[r]
-                x1[cols] += (beta * gamma) * vals
-            elif full:
-                gamma = (b[r] - vals @ x[cols, :]) / norms[r]
-                x[cols, :] += (beta * vals)[:, None] * gamma
-            elif single:
-                gamma = (b[r, j0] - float(vals @ x[cols, j0])) / norms[r]
-                x[cols, j0] += (beta * gamma) * vals
-            elif head:
-                gamma = (bh[r] - vals @ xh[cols, :]) / norms[r]
-                xh[cols, :] += (beta * vals)[:, None] * gamma
-            else:
-                gamma = (b[r, act] - vals @ x[cols[:, None], act]) / norms[r]
-                x[cols[:, None], act] += (beta * vals)[:, None] * gamma
-            return e - s
-
-        return update
+__all__ = ["AsyRK", "LeastSquaresTracker"]
 
 
 class LeastSquaresTracker:
@@ -197,7 +151,7 @@ class AsyRK(PoolSolver):
     """
 
     method_name = "asyrk"
-    update_method = KaczmarzUpdate
+    update_method = RowUpdate(project=True)
 
     def __init__(
         self,

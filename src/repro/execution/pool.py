@@ -8,26 +8,33 @@ for pool reuse), per-worker Philox direction streams, the delay
 write-log, per-column retirement, and the persistent-pool lifecycle
 (:class:`PoolSolver`).
 
-What a concrete solver contributes is an **update method** — a class
-with the small static surface below — plus its system geometry:
+What a concrete solver contributes is its system geometry, its per-row
+normalizers, and a :class:`RowUpdate` — the one per-draw kernel, with
+two knobs ``RowUpdate(offset, project)``:
 
 ``make_updater(views, *, k, act, locks, nlocks, beta)``
     Called once per epoch segment, right after the start gate, with the
     live shared views and the active-column set sampled for this
-    segment. Returns a per-draw closure ``update(r) -> touched_nnz``
-    that performs the method's arithmetic on the shared iterate. The
-    pool core owns everything around the call: direction draws,
-    progress ticketing, the staleness write-log, and both barriers.
+    segment. It picks the column selection once (a lone column, a
+    leading prefix, or a mask) and returns a per-draw closure
+    ``update(r) -> touched_nnz``: gather row ``r``, form
+    ``γ = (b[r] − A_r·x)/norms[r]``, scatter. The pool core owns
+    everything around the call: direction draws, progress ticketing,
+    the staleness write-log, and both barriers.
 
-Two methods ship with the library:
+Three methods run it, differing only in the two knobs:
 
-* :class:`~repro.execution.processes.AsyRGSUpdate` — the paper's
-  asynchronous randomized Gauss-Seidel coordinate update (square,
-  positive-diagonal systems; ``x[r] += β·(b[r] − A_r·x)/A_rr``).
-* :class:`~repro.execution.kaczmarz.KaczmarzUpdate` — asynchronous
-  randomized Kaczmarz row projections (rectangular least-squares
-  systems, Liu/Wright/Sridhar arXiv 1401.4780;
-  ``x += β·a_r·(b[r] − a_r·x)/‖a_r‖²``).
+* :class:`~repro.execution.processes.ProcessAsyRGS` — ``RowUpdate()``:
+  the paper's asynchronous randomized Gauss-Seidel relaxes coordinate
+  ``r`` (square, positive-diagonal systems;
+  ``x[r] += β·(b[r] − A_r·x)/A_rr``).
+* :class:`~repro.execution.kaczmarz.AsyRK` — ``RowUpdate(project=True)``:
+  asynchronous randomized Kaczmarz projects onto equation ``r``
+  (rectangular least-squares systems, Liu/Wright/Sridhar arXiv
+  1401.4780; ``x += β·a_r·(b[r] − a_r·x)/‖a_r‖²``).
+* each shard of :class:`~repro.execution.sharded.ShardedSolver` —
+  ``RowUpdate(offset=r0)``: AsyRGS on the shard's owned rows, which sit
+  at offset ``r0`` of its full-height iterate.
 
 Geometry
 --------
@@ -48,8 +55,10 @@ dedicated shared slot. Workers map each uniform Philox draw ``d`` over
 streams is untouched (same words, same positions), only the *meaning*
 of a draw changes, and ``adaptive=False`` runs the exact uniform code
 path bit for bit. The quantization means a row needs roughly
-``1/n_rows`` of the total weight to be drawn at all — the floor weight
-below guarantees every row keeps nonzero mass. This is the
+``1/n_rows`` of the total weight to be drawn at all, so the residual
+weights are blended with a uniform component (``_UNIFORM_BLEND`` times
+the mean weight, added to every row): each row keeps at least its share
+of that uniform mass however concentrated the residual is. This is the
 residual-weighted sampling of Patel–Jahangoshahi–Maldonado (arXiv
 2104.04816) adapted to the counter-based stream.
 """
@@ -76,6 +85,7 @@ __all__ = [
     "DelayStats",
     "PoolSolver",
     "ProcessRunResult",
+    "RowUpdate",
     "available_cpus",
     "residual_weights",
 ]
@@ -92,12 +102,103 @@ _CMD_STOP = 1
 
 _ALIGN = 64  # cache-line alignment for every shared array
 
-#: Relative floor on adaptive sampling weights: no row's mass ever
-#: drops below this fraction of the mean weight, so coverage of the
-#: whole row space survives however skewed the residual is.
-#: Uniform mass blended into the adaptive sampling weights, as a
-#: multiple of the mean residual weight. See ``refresh_sampling``.
+#: Uniform mass added to every adaptive sampling weight, as a multiple
+#: of the mean residual weight. See ``refresh_sampling``.
 _UNIFORM_BLEND = 1.0
+
+
+class RowUpdate:
+    """The row-action step every pool method runs per draw.
+
+    Lines 5–7 of Algorithm 1: draw row ``r``, gather it from the live
+    shared iterate (no snapshot — the inconsistent-read regime), form
+    ``γ = (b[r] − A_r·x) / norms[r]`` over the active columns, scatter.
+    One row gather serves every active column (the paper's 51-RHS
+    amortization). Two knobs pick the method:
+
+    * ``offset`` — draw ``r`` names iterate row ``offset + r``: a shard's
+      owned rows inside its full-height iterate (0 for a plain pool).
+    * ``project`` — ``False`` relaxes one coordinate,
+      ``x[offset+r] += β·γ`` (AsyRGS; ``norms`` holds the diagonal).
+      ``True`` projects onto the equation, ``x[cols] += β·γ·a_r``
+      (Kaczmarz, Liu/Wright/Sridhar; ``norms`` holds ``‖a_r‖²``).
+
+    A picklable instance: it travels to the workers with the pool spawn.
+    """
+
+    def __init__(self, offset: int = 0, project: bool = False):
+        self.offset = int(offset)
+        self.project = bool(project)
+
+    def make_updater(self, v, *, k, act, locks, nlocks, beta):
+        """Bind the kernel to one segment's shared views and active
+        columns; returns ``update(r) -> touched_nnz``."""
+        indptr, indices, data = v["indptr"], v["indices"], v["data"]
+        x, b, norms = v["x"], v["b"], v["norms"]
+        offset = self.offset
+        nact = int(act.size)
+        # The column selection is fixed for the whole segment: the
+        # parent changes the active set only while it owns the segment.
+        if k == 1 or nact <= 1 or int(act[-1]) == nact - 1:
+            if k == 1 or nact == 1:
+                # A lone column (a k=1 pool, a single request on a wide
+                # pool, a block down to its last live column): 1-D
+                # views, scalar γ, no 2-D fancy indexing.
+                j = int(act[0]) if nact else 0
+                xs, bs = x[:, j], b[:, j]
+            else:
+                # The leading columns (the full block, or a narrower
+                # request before any retirement): request-width slices.
+                # With no live column the slices are empty: no writes.
+                xs, bs = x[:, :nact], b[:, :nact]
+
+            def gather(r, cols, vals):
+                return bs[r] - vals @ xs[cols]
+
+            if not self.project:
+                def scatter(g, cols, vals, gamma):
+                    xs[g] += beta * gamma
+            elif xs.ndim == 1:
+                def scatter(g, cols, vals, gamma):
+                    xs[cols] += (beta * gamma) * vals
+            else:
+                def scatter(g, cols, vals, gamma):
+                    xs[cols] += (beta * vals)[:, None] * gamma
+        else:
+            # Any other set is masked. While most columns are live, one
+            # contiguous gather of the whole row beats the 2-D masked
+            # gather; retired columns are never written either way.
+            bs = b[:, act]  # b is constant for the segment
+            if 2 * nact >= k:
+                def gather(r, cols, vals):
+                    return bs[r] - (vals @ x[cols])[act]
+            else:
+                def gather(r, cols, vals):
+                    return bs[r] - vals @ x[cols[:, None], act]
+
+            if not self.project:
+                def scatter(g, cols, vals, gamma):
+                    x[g, act] += beta * gamma
+            else:
+                def scatter(g, cols, vals, gamma):
+                    x[cols[:, None], act] += (beta * vals)[:, None] * gamma
+
+        if nlocks:
+            # Atomic mode: the write goes through stripe (offset+r) mod
+            # nlocks; the gather stays unlocked (inconsistent reads).
+            bare = scatter
+
+            def scatter(g, cols, vals, gamma):
+                with locks[g % nlocks]:
+                    bare(g, cols, vals, gamma)
+
+        def update(r: int) -> int:
+            s, e = int(indptr[r]), int(indptr[r + 1])
+            cols, vals = indices[s:e], data[s:e]
+            scatter(offset + r, cols, vals, gather(r, cols, vals) / norms[r])
+            return e - s
+
+        return update
 
 
 def _layout(geom, nproc: int, log_capacity: int):
@@ -285,7 +386,7 @@ def _worker_loop(
     The loop outlives any single ``run()``/``solve()`` call: a change of
     the generation stamp at the start gate rewinds the worker's position
     in the direction stream to 0, so one pool serves many calls. All
-    per-draw arithmetic is delegated to the closure the update method
+    per-draw arithmetic is delegated to the closure the row kernel
     builds per epoch segment; everything else — direction draws,
     progress ticketing, the staleness write-log, the gates — is method
     independent.
@@ -555,8 +656,10 @@ class _WorkerPool:
         """Recompute and publish the adaptive-sampling CDF.
 
         Called only while the parent owns the segment (between gates);
-        no-op for uniform pools. The floor keeps every row's mass
-        strictly positive however concentrated the residual is.
+        no-op for uniform pools. The weights are the residual weights
+        plus ``_UNIFORM_BLEND`` times their mean on every row, so every
+        row keeps strictly positive mass however concentrated the
+        residual is (all rows weigh the same when the residual is zero).
         """
         if not self.backend.adaptive:
             return
@@ -686,8 +789,8 @@ class PoolSolver:
     free-running :meth:`run`, and the epoch-synchronized :meth:`solve`
     with per-column tracking and retirement.
 
-    Subclass contract: set :attr:`method_name` and
-    :attr:`update_method`, call ``__init__`` with the prepared system,
+    Subclass contract: set :attr:`method_name` and :attr:`update_method`
+    (a :class:`RowUpdate`), call ``__init__`` with the prepared system,
     and implement :meth:`_tracker` returning a per-column convergence
     tracker with the ``ColumnTracker`` surface (``value``,
     ``converged``, ``col``, ``done_mask``, ``column_sweeps``,
@@ -695,7 +798,7 @@ class PoolSolver:
     """
 
     method_name = "pool"
-    update_method: type | None = None
+    update_method: RowUpdate | None = None
 
     def __init__(
         self,

@@ -12,12 +12,13 @@ The machinery that is *not* specific to Gauss-Seidel — the one-segment
 ``SharedMemory`` layout, the worker lifecycle (control word,
 generations, epochs/barriers, crash attribution), the per-worker Philox
 direction streams, per-column retirement, and the persistent-pool
-plumbing — lives in :mod:`repro.execution.pool`. This module contributes
-only the AsyRGS coordinate update (:class:`AsyRGSUpdate`) and the
-system preparation (:class:`ProcessAsyRGS`); the asynchronous Kaczmarz
+plumbing — lives in :mod:`repro.execution.pool`, and so does the per-draw
+kernel, :class:`~repro.execution.pool.RowUpdate`. This module contributes
+only the system preparation (:class:`ProcessAsyRGS`) and picks the
+kernel's coordinate scatter, ``x[r] += β·γ``. The asynchronous Kaczmarz
 method for rectangular least-squares systems
-(:class:`~repro.execution.kaczmarz.AsyRK`) is a sibling on the same
-core.
+(:class:`~repro.execution.kaczmarz.AsyRK`) is a sibling on the same core
+with the projection scatter.
 
 Per-column convergence and retirement
 -------------------------------------
@@ -123,8 +124,8 @@ Cross-process ``x[r] += δ`` is *not* atomic. By default the backend runs
 unlocked — the non-atomic regime the paper tests experimentally in
 Section 9 and finds indistinguishable. ``atomic=True`` routes updates
 through a striped lock array (Assumption A-1 honored at the cost of some
-scaling); in block mode the lock covers the whole row slice
-``x[r, :]``.
+scaling); in block mode one lock covers the write of every active
+column of row ``r``.
 """
 
 from __future__ import annotations
@@ -137,98 +138,12 @@ from .pool import (  # noqa: F401  (re-exported: the public result types live he
     DelayStats,
     PoolSolver,
     ProcessRunResult,
+    RowUpdate,
     available_cpus,
 )
 from .simulator import _prepare_system
 
-__all__ = ["AsyRGSUpdate", "ProcessAsyRGS", "ProcessRunResult", "DelayStats"]
-
-
-class AsyRGSUpdate:
-    """The AsyRGS coordinate update as a pool update method.
-
-    Lines 5–7 of Algorithm 1: draw coordinate ``r``, gather row ``r``
-    from the live shared iterate (no snapshot — the inconsistent-read
-    regime), and relax ``x[r] += β·(b[r] − A_r·x)/A_rr`` across the
-    active columns. One row gather serves all active columns (the
-    paper's 51-RHS amortization).
-    """
-
-    @staticmethod
-    def make_updater(v, *, k, act, locks, nlocks, beta):
-        indptr, indices, data = v["indptr"], v["indices"], v["data"]
-        x, b, diag = v["x"], v["b"], v["norms"]
-        x1, b1 = x[:, 0], b[:, 0]  # scalar fast path for single-RHS pools
-        nact = int(act.size)
-        full = nact == k
-        # A lone active column (a single-RHS request on a capacity-k
-        # pool, or a block down to its last unretired column) takes the
-        # scalar gather of the k=1 layout — same arithmetic, no 2-D
-        # fancy indexing.
-        single = nact == 1
-        j0 = int(act[0]) if nact else 0
-        # An active set that is exactly the leading columns (a k <
-        # capacity_k request before any retirement) gathers the prefix
-        # slice — request-width arithmetic, no per-row masking, the
-        # spare capacity costs nothing.
-        head = nact > 1 and int(act[-1]) == nact - 1
-        xh, bh = (x[:, :nact], b[:, :nact]) if head else (x, b)
-        # With most columns still active, one contiguous row gather over
-        # all k columns beats the 2-D masked gather; the masked gather
-        # wins once the active set is genuinely narrow. Retired columns
-        # are never *written* either way.
-        wide = 2 * nact >= k
-
-        def update(r: int) -> int:
-            s, e = int(indptr[r]), int(indptr[r + 1])
-            cols = indices[s:e]
-            # Lines 5-6 of Algorithm 1 — the read is live shared
-            # memory, no snapshot: the inconsistent-read regime. In
-            # block mode one gather of row r serves all k columns
-            # (the paper's 51-RHS amortization), or only the active
-            # ones once the parent starts retiring columns.
-            if k == 1:
-                gamma = (b1[r] - float(data[s:e] @ x1[cols])) / diag[r]
-                # Line 7: the update.
-                if nlocks:
-                    with locks[r % nlocks]:
-                        x1[r] += beta * gamma
-                else:
-                    x1[r] += beta * gamma
-            elif full:
-                gamma = (b[r] - data[s:e] @ x[cols, :]) / diag[r]
-                if nlocks:
-                    with locks[r % nlocks]:
-                        x[r] += beta * gamma
-                else:
-                    x[r] += beta * gamma
-            elif single:
-                gamma = (b[r, j0] - float(data[s:e] @ x[cols, j0])) / diag[r]
-                if nlocks:
-                    with locks[r % nlocks]:
-                        x[r, j0] += beta * gamma
-                else:
-                    x[r, j0] += beta * gamma
-            elif head:
-                gamma = (bh[r] - data[s:e] @ xh[cols, :]) / diag[r]
-                if nlocks:
-                    with locks[r % nlocks]:
-                        xh[r] += beta * gamma
-                else:
-                    xh[r] += beta * gamma
-            else:
-                if wide:
-                    gamma = (b[r, act] - (data[s:e] @ x[cols, :])[act]) / diag[r]
-                else:
-                    gamma = (b[r, act] - data[s:e] @ x[cols[:, None], act]) / diag[r]
-                if nlocks:
-                    with locks[r % nlocks]:
-                        x[r, act] += beta * gamma
-                else:
-                    x[r, act] += beta * gamma
-            return e - s
-
-        return update
+__all__ = ["ProcessAsyRGS", "ProcessRunResult", "DelayStats"]
 
 
 class ProcessAsyRGS(PoolSolver):
@@ -288,7 +203,7 @@ class ProcessAsyRGS(PoolSolver):
     """
 
     method_name = "asyrgs"
-    update_method = AsyRGSUpdate
+    update_method = RowUpdate()
 
     def __init__(
         self,

@@ -28,9 +28,10 @@ agnostic layout of :mod:`repro.execution.pool`:
 
 The shard's CSR is the row slice ``A[r0:r1, :]`` with global column
 indices; its ``norms`` slot carries the owned rows' diagonal. The
-update method is :class:`ShardedAsyRGSUpdate` — the AsyRGS relaxation
-with the shard's row offset folded into the write target, so workers
-scatter only into rows they own.
+update method is the pool's row kernel with the shard's row offset,
+``RowUpdate(offset=r0)``: local draw ``r`` gathers CSR row ``r`` and
+relaxes global row ``r0 + r``, so workers scatter only into rows they
+own (the sole-updater property distributed memory needs).
 
 Halo exchange (no global barrier)
 ---------------------------------
@@ -120,12 +121,11 @@ from ..sparse import CSRMatrix
 from ..validation import check_rhs, check_x0
 from .halo import LocalBoard, NodeShard, split_address
 from .kaczmarz import AsyRK
-from .pool import DelayStats, PoolSolver, ProcessRunResult, _layout
+from .pool import DelayStats, PoolSolver, ProcessRunResult, RowUpdate, _layout
 from .processes import ProcessAsyRGS
 from .simulator import _prepare_system
 
 __all__ = [
-    "ShardedAsyRGSUpdate",
     "ShardedRunResult",
     "ShardedSolver",
     "balanced_partition",
@@ -140,11 +140,10 @@ __all__ = [
 _SHARD_STREAM_BASE = 0x5A4D
 
 
-# -- owner-block partitions (lifted from extensions.block_partitioned) --
+# -- owner-block partitions ----------------------------------------------
 #
-# These used to live in the extensions module; the sharded solver is
-# their production consumer, so they moved here and the extensions
-# module re-exports them. Both reject nproc > n explicitly: silently
+# The sharded solver and extensions.block_partitioned both cut owner
+# blocks with these. Both reject nproc > n explicitly: silently
 # producing zero-size owner blocks would give some "owner" an empty
 # direction space (a uniform draw over nothing) downstream.
 
@@ -212,78 +211,6 @@ def segment_bytes(
     return int(_layout(geom, int(nproc), int(log_capacity))[2])
 
 
-class ShardedAsyRGSUpdate:
-    """The AsyRGS relaxation restricted to a shard's owned rows.
-
-    A picklable *instance* (it travels to the shard's workers with the
-    pool spawn) carrying the shard's global row offset: local draw ``r``
-    names global row ``offset + r``, whose CSR slice lives at local
-    position ``r`` and whose iterate row lives at global position
-    ``offset + r`` in the full-height shared block. The gather reads the
-    live shared iterate — owned rows current, halo rows as stale as the
-    last exchange — and the scatter touches only the owned row: the
-    sole-updater property distributed memory needs.
-    """
-
-    def __init__(self, offset: int):
-        self.offset = int(offset)
-
-    def make_updater(self, v, *, k, act, locks, nlocks, beta):
-        indptr, indices, data = v["indptr"], v["indices"], v["data"]
-        x, b, diag = v["x"], v["b"], v["norms"]
-        x1, b1 = x[:, 0], b[:, 0]  # scalar fast path for single-RHS pools
-        offset = self.offset
-        nact = int(act.size)
-        full = nact == k
-        head = nact > 1 and int(act[-1]) == nact - 1
-        xh, bh = (x[:, :nact], b[:, :nact]) if head else (x, b)
-        single = nact == 1
-        j0 = int(act[0]) if nact else 0
-
-        def update(r: int) -> int:
-            s, e = int(indptr[r]), int(indptr[r + 1])
-            cols = indices[s:e]
-            g = offset + r  # the owned global row this local draw names
-            if k == 1:
-                gamma = (b1[r] - float(data[s:e] @ x1[cols])) / diag[r]
-                if nlocks:
-                    with locks[g % nlocks]:
-                        x1[g] += beta * gamma
-                else:
-                    x1[g] += beta * gamma
-            elif full:
-                gamma = (b[r] - data[s:e] @ x[cols, :]) / diag[r]
-                if nlocks:
-                    with locks[g % nlocks]:
-                        x[g] += beta * gamma
-                else:
-                    x[g] += beta * gamma
-            elif single:
-                gamma = (b[r, j0] - float(data[s:e] @ x[cols, j0])) / diag[r]
-                if nlocks:
-                    with locks[g % nlocks]:
-                        x[g, j0] += beta * gamma
-                else:
-                    x[g, j0] += beta * gamma
-            elif head:
-                gamma = (bh[r] - data[s:e] @ xh[cols, :]) / diag[r]
-                if nlocks:
-                    with locks[g % nlocks]:
-                        xh[g] += beta * gamma
-                else:
-                    xh[g] += beta * gamma
-            else:
-                gamma = (b[r, act] - data[s:e] @ x[cols[:, None], act]) / diag[r]
-                if nlocks:
-                    with locks[g % nlocks]:
-                        x[g, act] += beta * gamma
-                else:
-                    x[g, act] += beta * gamma
-            return e - s
-
-        return update
-
-
 class _ShardPool(PoolSolver):
     """One shard's pool: a rectangular-geometry :class:`PoolSolver` over
     the shard's row slice. Driven through its ``_WorkerPool`` directly
@@ -298,7 +225,7 @@ class _ShardPool(PoolSolver):
         self.offset = int(offset)
         # Instance attribute shadows the class-level slot: the pool
         # spawn pickles exactly this offset-carrying method to workers.
-        self.update_method = ShardedAsyRGSUpdate(offset)
+        self.update_method = RowUpdate(offset=offset)
         super().__init__(A_s, b_s, norms_s, **kwargs)
 
 

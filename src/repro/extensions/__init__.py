@@ -9,8 +9,6 @@
 from .block_partitioned import (
     BlockPartitionedDirections,
     OwnerComputesResult,
-    balanced_partition,
-    contiguous_partition,
     owner_computes_solve,
 )
 from .fault_injection import (
@@ -26,8 +24,6 @@ __all__ = [
     "DeadProcessorStudy",
     "OwnerComputesResult",
     "RowCostDelay",
-    "balanced_partition",
-    "contiguous_partition",
     "dead_processor_study",
     "effective_tau",
     "owner_computes_solve",

@@ -41,19 +41,12 @@ import numpy as np
 
 from ..core.residuals import ConvergenceHistory, relative_residual
 from ..exceptions import ModelError, ShapeError
-from ..execution import PhasedSimulator
-
-# The owner-block partitions graduated to the execution layer when the
-# sharded solver became their production consumer; they are re-exported
-# here (and from the extensions package) for the existing import sites.
-from ..execution.sharded import balanced_partition, contiguous_partition
+from ..execution import PhasedSimulator, balanced_partition, contiguous_partition
 from ..rng import CounterRNG
 from ..sparse import CSRMatrix
 
 __all__ = [
     "BlockPartitionedDirections",
-    "balanced_partition",
-    "contiguous_partition",
     "OwnerComputesResult",
     "owner_computes_solve",
 ]

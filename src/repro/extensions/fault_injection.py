@@ -29,10 +29,10 @@ import numpy as np
 
 from ..core.residuals import relative_residual
 from ..exceptions import ModelError, ShapeError
-from ..execution import PhasedSimulator
+from ..execution import PhasedSimulator, balanced_partition
 from ..rng import DirectionStream
 from ..sparse import CSRMatrix
-from .block_partitioned import BlockPartitionedDirections, balanced_partition
+from .block_partitioned import BlockPartitionedDirections
 
 __all__ = ["DeadProcessorDirections", "DeadProcessorStudy", "dead_processor_study"]
 

@@ -44,7 +44,7 @@ def diagonal_csr(d: np.ndarray) -> CSRMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Owner-block partitions (lifted out of extensions.block_partitioned)
+# Owner-block partitions
 # ---------------------------------------------------------------------------
 
 
@@ -81,15 +81,6 @@ class TestPartitions:
             np.testing.assert_array_equal(
                 blk, np.arange(blk[0], blk[-1] + 1)
             )
-
-    def test_extensions_reexport_is_the_same_object(self):
-        """The partitions graduated to the execution layer; the old
-        extensions import path must keep working and resolve to the
-        very same functions."""
-        from repro.extensions import block_partitioned as bp
-
-        assert bp.balanced_partition is balanced_partition
-        assert bp.contiguous_partition is contiguous_partition
 
 
 # ---------------------------------------------------------------------------

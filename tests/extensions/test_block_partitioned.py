@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ModelError
-from repro.extensions import (
-    BlockPartitionedDirections,
-    balanced_partition,
-    contiguous_partition,
-    owner_computes_solve,
-)
+from repro.execution import balanced_partition, contiguous_partition
+from repro.extensions import BlockPartitionedDirections, owner_computes_solve
 from repro.workloads import random_unit_diagonal_spd
 
 from ..conftest import manufactured_system
@@ -48,44 +44,6 @@ class TestPartitions:
             balanced_partition(3, 5)
         with pytest.raises(ModelError):
             contiguous_partition(3, 0)
-
-
-class TestGraduatedReexports:
-    """The owner-block partitions graduated to ``execution.sharded``
-    when the sharded solver became their production consumer;
-    ``extensions.block_partitioned`` keeps re-export shims for the
-    pre-graduation import sites. Pin that the shim stays the same
-    object (not a copy that could drift) and rejects identically."""
-
-    def test_shim_exports_the_graduated_objects(self):
-        import repro.execution.sharded as sharded
-        import repro.extensions.block_partitioned as bp
-        from repro.extensions import (
-            balanced_partition as pkg_balanced,
-            contiguous_partition as pkg_contiguous,
-        )
-
-        assert bp.balanced_partition is sharded.balanced_partition
-        assert bp.contiguous_partition is sharded.contiguous_partition
-        assert pkg_balanced is sharded.balanced_partition
-        assert pkg_contiguous is sharded.contiguous_partition
-        assert "balanced_partition" in bp.__all__
-        assert "contiguous_partition" in bp.__all__
-
-    @pytest.mark.parametrize(
-        "name", ["balanced_partition", "contiguous_partition"]
-    )
-    def test_nproc_gt_n_rejected_identically_via_either_path(self, name):
-        import repro.execution.sharded as sharded
-        import repro.extensions.block_partitioned as bp
-
-        messages = []
-        for module in (bp, sharded):
-            with pytest.raises(ModelError) as excinfo:
-                getattr(module, name)(3, 5)
-            messages.append(str(excinfo.value))
-        assert messages[0] == messages[1]
-        assert "need nproc <= n" in messages[0]
 
 
 class TestDirections:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ModelError
+from repro.execution import balanced_partition
 from repro.extensions import (
     BlockPartitionedDirections,
     DeadProcessorDirections,
-    balanced_partition,
     dead_processor_study,
 )
 from repro.rng import DirectionStream
