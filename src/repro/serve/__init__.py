@@ -45,7 +45,7 @@ from .protocol import (
     parse_line,
     parse_request,
 )
-from .registry import MatrixRegistry, merge_stats
+from .registry import MatrixRegistry
 from .runtime import THREAD_RUNTIME, ThreadRuntime
 from .server import RequestHandle, ServedResult, ServerStats, SolverServer
 from .shardhost import ShardHost
@@ -71,7 +71,6 @@ __all__ = [
     "make_http_server",
     "make_policy",
     "make_tcp_server",
-    "merge_stats",
     "mint_trace_id",
     "parse_line",
     "parse_request",

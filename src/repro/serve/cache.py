@@ -51,9 +51,11 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
+from dataclasses import asdict, replace
 
 import numpy as np
 
+from .metrics import CacheStats
 from .runtime import THREAD_RUNTIME
 
 __all__ = ["SolutionCache", "rhs_fingerprint"]
@@ -128,20 +130,12 @@ class SolutionCache:
             )
         self._lock = (THREAD_RUNTIME if runtime is None else runtime).lock()
         self._entries: OrderedDict[tuple, _CacheEntry] = OrderedDict()
-        self._hits_exact = 0
-        self._hits_near = 0
-        self._misses = 0
-        self._stores = 0
-        self._evictions = 0
-        self._invalidations = 0
-        # Warm-start payoff accounting, recorded by the server per
-        # *successfully served* request: sweep totals for warm-seeded
-        # vs cold requests, the numbers the metrics endpoint exposes
-        # and the SLO bench's --cache comparison summarizes.
-        self._warm_requests = 0
-        self._warm_sweeps = 0
-        self._cold_requests = 0
-        self._cold_sweeps = 0
+        # Lookup/store/invalidation counters plus the warm-start payoff
+        # accounting the server records per *successfully served*
+        # request (sweep totals for warm-seeded vs cold requests).
+        self._counts = CacheStats(
+            max_entries=self.max_entries, similarity=self.similarity
+        )
 
     def __len__(self) -> int:
         with self._lock:
@@ -157,7 +151,7 @@ class SolutionCache:
             entry = self._entries.get((matrix, fingerprint))
             if entry is not None:
                 self._entries.move_to_end((matrix, fingerprint))
-                self._hits_exact += 1
+                self._counts.hits_exact += 1
                 return entry.x.copy()
             best = None
             if self.similarity > 0.0:
@@ -174,10 +168,10 @@ class SolutionCache:
                     ):
                         best = (distance, key, cand)
             if best is None:
-                self._misses += 1
+                self._counts.misses += 1
                 return None
             self._entries.move_to_end(best[1])
-            self._hits_near += 1
+            self._counts.hits_near += 1
             return best[2].x.copy()
 
     def store(self, matrix, b, x) -> None:
@@ -190,10 +184,10 @@ class SolutionCache:
         with self._lock:
             self._entries[key] = entry
             self._entries.move_to_end(key)
-            self._stores += 1
+            self._counts.stores += 1
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
-                self._evictions += 1
+                self._counts.evictions += 1
 
     def invalidate(self, matrix=None) -> int:
         """Drop one matrix's entries (all matrices when ``None``).
@@ -209,7 +203,7 @@ class SolutionCache:
                 dropped = len(doomed)
                 for k in doomed:
                     del self._entries[k]
-            self._invalidations += dropped
+            self._counts.invalidations += dropped
             return dropped
 
     def record_outcome(self, *, warm: bool, sweeps: int) -> None:
@@ -218,27 +212,13 @@ class SolutionCache:
         the metrics endpoint exposes."""
         with self._lock:
             if warm:
-                self._warm_requests += 1
-                self._warm_sweeps += int(sweeps)
+                self._counts.warm_requests += 1
+                self._counts.warm_sweeps += int(sweeps)
             else:
-                self._cold_requests += 1
-                self._cold_sweeps += int(sweeps)
+                self._counts.cold_requests += 1
+                self._counts.cold_sweeps += int(sweeps)
 
     def stats(self) -> dict:
         """A consistent snapshot of the cache counters (JSON-ready)."""
         with self._lock:
-            return {
-                "entries": len(self._entries),
-                "max_entries": self.max_entries,
-                "similarity": self.similarity,
-                "hits_exact": self._hits_exact,
-                "hits_near": self._hits_near,
-                "misses": self._misses,
-                "stores": self._stores,
-                "evictions": self._evictions,
-                "invalidations": self._invalidations,
-                "warm_requests": self._warm_requests,
-                "warm_sweeps": self._warm_sweeps,
-                "cold_requests": self._cold_requests,
-                "cold_sweeps": self._cold_sweeps,
-            }
+            return asdict(replace(self._counts, entries=len(self._entries)))

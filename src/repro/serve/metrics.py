@@ -1,35 +1,32 @@
-"""Prometheus text rendering of the serving counters.
+"""The serving numbers: declared once, then counted, folded and rendered.
 
-The server and registry have always *kept* the numbers a production
-gateway needs — request/batch counters, queue high-water marks,
-latency, pool spawns, per-shard update balance, and (with
-``--cache-solutions``) the warm-start cache's hit/miss/savings
-counters — but only behind ad-hoc ``stats`` verbs. This module renders
-those same snapshots in the Prometheus text exposition format
-(version 0.0.4: ``# HELP`` / ``# TYPE`` comment lines followed by the
-family's samples), which is what ``GET /v1/metrics`` and the
-``metrics`` wire verb return, so any scrape-based monitoring stack can
-watch a ``repro serve`` gateway without bespoke glue.
+Every number the serving stack reports is a field of
+:class:`ServerStats` (one matrix's pools) or :class:`CacheStats` (the
+warm-start cache), and the field's metadata holds everything done with
+it: its Prometheus family and help text, its ``fold`` (how
+:func:`fold_stats` combines snapshots across a matrix's pool lifetimes
+and across a gateway's matrices), and whether it is ``live`` state of
+the running pool rather than history. A new serving counter is
+therefore one field: the server counts it, ``/v1/stats`` carries it,
+the registry folds it and ``/v1/metrics`` exports it.
 
-Naming scheme
--------------
-Every family is ``repro_``-prefixed. Request/batch/spawn counters are
-``_total``-suffixed counters labeled by resident matrix
-(``repro_requests_served_total{matrix="lap"}``) — a bare
-:class:`~repro.serve.SolverServer` reports its single anonymous matrix
-as ``matrix="default"``. High-water marks and latency are per-matrix
-gauges. Shard balance is ``repro_shard_updates_total{matrix=...,
-shard=...}``, one series per row shard. Gateway-level gauges
-(``repro_matrices_registered``, ``repro_live_pools``) and the cache
-family (``repro_cache_*``) are unlabeled — there is one registry and
-one cache per process. ``repro_matrix_info`` carries the
-non-numeric identity bits (update method, batching policy) as labels
-on a constant ``1``, the standard info-metric idiom. A shard host
-(``repro serve --shard-of``) renders the ``repro_halo_*`` exchange
-families instead — pushes/failures/reconnects per peer, pulls and
-pull serves per shard, and the ``repro_halo_age`` staleness gauge —
-plus its epoch counter and a ``repro_shard_host_info`` identity
-metric.
+:func:`render_metrics` writes the Prometheus text exposition format
+(version 0.0.4: ``# HELP`` / ``# TYPE`` lines, then the family's
+samples), which ``GET /v1/metrics`` and the ``metrics`` wire verb
+return. Every family is ``repro_``-prefixed; counters are
+``_total``-suffixed, everything else is a gauge. Per-matrix families
+are labeled by resident matrix (``matrix="lap"``; a bare
+:class:`~repro.serve.SolverServer` reports ``matrix="default"``), and
+list-valued fields render one sample per element (``shard="0"``, ...).
+Gateway gauges (``repro_matrices_registered``, ``repro_live_pools``)
+and the ``repro_cache_*`` families are unlabeled by matrix: there is
+one registry and one cache per process. ``repro_matrix_info`` carries
+the update method and batching policy as labels on a constant ``1``,
+the standard info-metric idiom. A shard host (``repro serve
+--shard-of``) renders the ``repro_halo_*`` exchange families instead
+(pushes/failures/reconnects per peer, pulls and pull serves per shard,
+the ``repro_halo_age`` staleness gauge), plus its epoch and pool-spawn
+counters and a ``repro_shard_host_info`` identity metric.
 
 Everything is rendered from one consistent snapshot per section: the
 registry's ``stats_payload`` snapshots every matrix under its lock, so
@@ -38,7 +35,18 @@ a scrape never mixes counters from two moments.
 
 from __future__ import annotations
 
-__all__ = ["render_metrics", "CONTENT_TYPE"]
+from collections import Counter
+from copy import copy
+from dataclasses import dataclass, field, fields
+from itertools import zip_longest
+
+__all__ = [
+    "CONTENT_TYPE",
+    "CacheStats",
+    "ServerStats",
+    "fold_stats",
+    "render_metrics",
+]
 
 #: The content type ``GET /v1/metrics`` answers with.
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -58,6 +66,217 @@ def _format_value(value) -> str:
     if number == int(number) and abs(number) < 1e15:
         return str(int(number))
     return repr(number)
+
+
+def _stat(
+    family=None, help_text=None, fold=None, *, default=0, live=False,
+    per=None, **labels,
+):
+    """Declare one serving number: its Prometheus family and help text
+    (constant ``labels``, or one sample per list element labeled
+    ``per``), its fold rule, its liveness and its zero value (copied
+    per record, so no two records share a list)."""
+    if family is not None:
+        kind = "counter" if family.endswith("_total") else "gauge"
+        family = (family, kind, help_text)
+    return field(default_factory=lambda: copy(default), metadata={
+        "family": family, "fold": fold, "live": live, "per": per,
+        "labels": labels,
+    })
+
+
+# Fold rules, ``rule(values, served)``: one field's values across the
+# snapshots, and each snapshot's requests served.
+
+
+def _sum(values, served):
+    return sum(values)
+
+
+def _max(values, served):
+    return max(values)
+
+
+def _served_mean(values, served):
+    total = sum(served)
+    return sum(v * n for v, n in zip(values, served)) / total if total else 0.0
+
+
+def _concat(values, served):
+    return [item for value in values for item in value]
+
+
+def _elementwise(values, served):
+    return [sum(column) for column in zip_longest(*values, fillvalue=0)]
+
+
+def _tally(key: str, plural: str):
+    """The breakdown rule. One value passes through, and a value every
+    pool agrees on stays a plain scalar (a method name, a shard count).
+    Otherwise the fold names the value, or ``"mixed"`` with a per-value
+    pool tally under ``plural``. A dict value is one pool's state (the
+    batching policy's EWMAs), which does not fold: several pools report
+    only its name and the pool count."""
+
+    def fold(values, served):
+        if len(values) == 1:
+            return values[0]
+        state = isinstance(values[0], dict)
+        names = [v.get(key, "?") if state else v for v in values]
+        counts = dict(Counter(names))
+        if len(counts) == 1 and not state:
+            return names[0]
+        out = {key: names[0] if len(counts) == 1 else "mixed"}
+        if state:
+            out["pools"] = len(values)
+        if len(counts) > 1:
+            out[plural] = counts
+        return out
+
+    return fold
+
+
+@dataclass
+class ServerStats:
+    """One matrix's serving counters: a pool's snapshot, or a fold of
+    several by :func:`fold_stats`. A gateway aggregate over matrices
+    that differ reports ``policy``, ``method`` and ``shards`` as
+    ``"mixed"`` breakdowns. ``max_queue_depth`` counts the request
+    stashed between batches too; ``worker_pids`` lists live workers
+    only; ``shard_updates`` is empty at ``shards=1``."""
+
+    requests_submitted: int = _stat(
+        "repro_requests_submitted_total",
+        "Solve requests accepted by the matrix's server.", _sum,
+    )
+    requests_served: int = _stat(
+        "repro_requests_served_total",
+        "Solve requests completed successfully.", _sum,
+    )
+    requests_failed: int = _stat(
+        "repro_requests_failed_total",
+        "Solve requests that failed (crashed batch, drained queue).", _sum,
+    )
+    batches: int = _stat(
+        "repro_batches_total",
+        "Solve calls dispatched to the matrix's pool.", _sum,
+    )
+    batched_singles: int = _stat(
+        "repro_batched_singles_total",
+        "Single-RHS requests that rode a coalesced batch of size > 1.", _sum,
+    )
+    max_batch_size: int = _stat(
+        "repro_max_batch_size",
+        "Largest coalesced batch the matrix's pools ever ran.", _max,
+    )
+    max_queue_depth: int = _stat(
+        "repro_max_queue_depth",
+        "High-water mark of requests waiting on the matrix's queue.", _max,
+    )
+    latency_mean: float = _stat(
+        "repro_latency_mean_seconds",
+        "Mean request latency (submission to completion) in seconds.",
+        _served_mean, default=0.0,
+    )
+    latency_max: float = _stat(
+        "repro_latency_max_seconds",
+        "Worst request latency in seconds.", _max, default=0.0,
+    )
+    spawn_count: int = _stat(
+        "repro_pool_spawns_total",
+        "Worker-pool spawns over the matrix's lifetime (>1 means respawn "
+        "after a crash or eviction).", _sum,
+    )
+    worker_pids: list[int] = _stat(fold=_concat, default=[], live=True)
+    policy: dict = _stat(
+        fold=_tally("policy", "policies"), default={}, live=True
+    )
+    method: str | dict = _stat(
+        fold=_tally("method", "methods"), default="asyrgs"
+    )
+    shards: int | dict = _stat(
+        "repro_matrix_shards",
+        "Row-shard pools backing the matrix (1 = the classic single pool).",
+        _tally("shards", "counts"), default=1,
+    )
+    shard_updates: list[int] = _stat(
+        "repro_shard_updates_total",
+        "Committed updates per row shard over the pools' lifetime.",
+        _elementwise, default=[], per="shard",
+    )
+
+    @property
+    def mean_batch_size(self) -> float:
+        done = self.requests_served + self.requests_failed
+        return done / self.batches if self.batches else float("nan")
+
+
+def fold_stats(snapshots, *, lifetimes: bool = False) -> ServerStats:
+    """Fold :class:`ServerStats` snapshots into one, each field by its
+    declared rule; no snapshots fold to the zero record.
+    ``lifetimes=True`` folds one matrix's pool lifetimes, oldest first:
+    its ``live`` fields come from the newest snapshot alone."""
+    snapshots = list(snapshots)
+    if not snapshots:
+        return ServerStats()
+    served = [s.requests_served for s in snapshots]
+    folded = {}
+    for f in fields(ServerStats):
+        values = [getattr(s, f.name) for s in snapshots]
+        if lifetimes and f.metadata["live"]:
+            folded[f.name] = values[-1]
+        else:
+            folded[f.name] = f.metadata["fold"](values, served)
+    return ServerStats(**folded)
+
+
+_HITS = (
+    "repro_cache_hits_total",
+    "Warm-start cache hits by kind (exact fingerprint vs "
+    "nearest-fingerprint).",
+)
+_STARTS = (
+    "repro_cache_requests_total",
+    "Served requests by start kind (warm = x0 seeded from the cache).",
+)
+_SWEEPS = (
+    "repro_cache_sweeps_total",
+    "Total solve sweeps by start kind — the warm-start savings signal "
+    "(compare sweeps/request across the two series).",
+)
+
+
+@dataclass
+class CacheStats:
+    """The warm-start cache's counters (``SolutionCache.stats()`` is
+    their ``asdict``); ``warm_*``/``cold_*`` account served requests by
+    whether the cache seeded their ``x0``."""
+
+    entries: int = _stat("repro_cache_entries", "Solutions currently cached.")
+    max_entries: int = _stat()
+    similarity: float = _stat(default=0.0)
+    hits_exact: int = _stat(*_HITS, kind="exact")
+    hits_near: int = _stat(*_HITS, kind="near")
+    misses: int = _stat(
+        "repro_cache_misses_total",
+        "Warm-start cache lookups that found no seed (cold solves).",
+    )
+    stores: int = _stat(
+        "repro_cache_stores_total",
+        "Solutions written into the warm-start cache.",
+    )
+    evictions: int = _stat(
+        "repro_cache_evictions_total",
+        "Cache entries dropped by the LRU bound.",
+    )
+    invalidations: int = _stat(
+        "repro_cache_invalidations_total",
+        "Cache entries dropped by register/evict invalidation.",
+    )
+    warm_requests: int = _stat(*_STARTS, start="warm")
+    warm_sweeps: int = _stat(*_SWEEPS, start="warm")
+    cold_requests: int = _stat(*_STARTS, start="cold")
+    cold_sweeps: int = _stat(*_SWEEPS, start="cold")
 
 
 class _Families:
@@ -88,124 +307,19 @@ class _Families:
         return "\n".join(lines) + "\n"
 
 
-_COUNTERS = (
-    ("requests_submitted", "repro_requests_submitted_total",
-     "Solve requests accepted by the matrix's server."),
-    ("requests_served", "repro_requests_served_total",
-     "Solve requests completed successfully."),
-    ("requests_failed", "repro_requests_failed_total",
-     "Solve requests that failed (crashed batch, drained queue)."),
-    ("batches", "repro_batches_total",
-     "Solve calls dispatched to the matrix's pool."),
-    ("batched_singles", "repro_batched_singles_total",
-     "Single-RHS requests that rode a coalesced batch of size > 1."),
-    ("spawn_count", "repro_pool_spawns_total",
-     "Worker-pool spawns over the matrix's lifetime (>1 means respawn "
-     "after a crash or eviction)."),
-)
-
-_GAUGES = (
-    ("max_batch_size", "repro_max_batch_size",
-     "Largest coalesced batch the matrix's pools ever ran."),
-    ("max_queue_depth", "repro_max_queue_depth",
-     "High-water mark of requests waiting on the matrix's queue."),
-    ("latency_mean", "repro_latency_mean_seconds",
-     "Mean request latency (submission to completion) in seconds."),
-    ("latency_max", "repro_latency_max_seconds",
-     "Worst request latency in seconds."),
-)
-
-_CACHE_COUNTERS = (
-    ("hits_exact", "repro_cache_hits_total", "exact"),
-    ("hits_near", "repro_cache_hits_total", "near"),
-)
-
-
-def _per_matrix(out: _Families, name: str, stats: dict) -> None:
-    labels = {"matrix": name}
-    for field, metric, help_text in _COUNTERS:
-        out.add(metric, "counter", help_text, stats.get(field, 0), labels)
-    for field, metric, help_text in _GAUGES:
-        out.add(metric, "gauge", help_text, stats.get(field, 0.0), labels)
-    for shard, updates in enumerate(stats.get("shard_updates", []) or []):
-        out.add(
-            "repro_shard_updates_total", "counter",
-            "Committed updates per row shard over the pools' lifetime.",
-            updates, {"matrix": name, "shard": str(shard)},
-        )
-    shards = stats.get("shards", 1)
-    if isinstance(shards, int):
-        out.add(
-            "repro_matrix_shards", "gauge",
-            "Row-shard pools backing the matrix (1 = the classic "
-            "single pool).",
-            shards, labels,
-        )
-    method = stats.get("method", "asyrgs")
-    policy = stats.get("policy", {})
-    policy_name = (
-        policy.get("policy", "?") if isinstance(policy, dict) else "?"
-    )
-    out.add(
-        "repro_matrix_info", "gauge",
-        "Constant 1; the matrix's update method and batching policy "
-        "ride as labels.",
-        1,
-        {
-            "matrix": name,
-            "method": method if isinstance(method, str) else "mixed",
-            "policy": str(policy_name),
-        },
-    )
-
-
-def _cache_section(out: _Families, cache_stats: dict) -> None:
-    for field, metric, kind in _CACHE_COUNTERS:
-        out.add(
-            metric, "counter",
-            "Warm-start cache hits by kind (exact fingerprint vs "
-            "nearest-fingerprint).",
-            cache_stats.get(field, 0), {"kind": kind},
-        )
-    out.add(
-        "repro_cache_misses_total", "counter",
-        "Warm-start cache lookups that found no seed (cold solves).",
-        cache_stats.get("misses", 0),
-    )
-    out.add(
-        "repro_cache_stores_total", "counter",
-        "Solutions written into the warm-start cache.",
-        cache_stats.get("stores", 0),
-    )
-    out.add(
-        "repro_cache_evictions_total", "counter",
-        "Cache entries dropped by the LRU bound.",
-        cache_stats.get("evictions", 0),
-    )
-    out.add(
-        "repro_cache_invalidations_total", "counter",
-        "Cache entries dropped by register/evict invalidation.",
-        cache_stats.get("invalidations", 0),
-    )
-    out.add(
-        "repro_cache_entries", "gauge",
-        "Solutions currently cached.",
-        cache_stats.get("entries", 0),
-    )
-    for start in ("warm", "cold"):
-        labels = {"start": start}
-        out.add(
-            "repro_cache_requests_total", "counter",
-            "Served requests by start kind (warm = x0 seeded from the "
-            "cache).",
-            cache_stats.get(f"{start}_requests", 0), labels,
-        )
-        out.add(
-            "repro_cache_sweeps_total", "counter",
-            "Total solve sweeps by start kind — the warm-start savings "
-            "signal (compare sweeps/request across the two series).",
-            cache_stats.get(f"{start}_sweeps", 0), labels,
-        )
+def _add_declared(out: _Families, cls, record: dict, labels: dict) -> None:
+    """Every declared family of ``cls``, valued from ``record`` (an
+    ``asdict`` snapshot of it) and labeled with ``labels``."""
+    for f in fields(cls):
+        meta = f.metadata
+        family = meta["family"]
+        if family is None:
+            continue
+        if meta["per"] is None:
+            out.add(*family, record[f.name], {**labels, **meta["labels"]})
+        else:
+            for i, item in enumerate(record[f.name]):
+                out.add(*family, item, {**labels, meta["per"]: str(i)})
 
 
 def _shard_host_section(out: _Families, payload: dict) -> None:
@@ -277,12 +391,12 @@ def _shard_host_section(out: _Families, payload: dict) -> None:
         "shard_begin calls accepted (each rebuilds the shard's pool).",
         payload.get("begins", 0), {"matrix": matrix},
     )
-    out.add(
-        "repro_pool_spawns_total", "counter",
-        "Worker-pool spawns over the matrix's lifetime (>1 means respawn "
-        "after a crash or eviction).",
-        payload.get("spawn_count", 0), {"matrix": matrix},
-    )
+    (spawns,) = [
+        f.metadata["family"]
+        for f in fields(ServerStats)
+        if f.name == "spawn_count"
+    ]
+    out.add(*spawns, payload.get("spawn_count", 0), {"matrix": matrix})
     out.add(
         "repro_shard_host_info", "gauge",
         "Constant 1; the shard host's identity (matrix, shard index, "
@@ -302,7 +416,7 @@ def render_metrics(server) -> str:
     gateway gauges), a bare :class:`~repro.serve.SolverServer` (its
     single matrix reported as ``matrix="default"``), or a
     :class:`~repro.serve.ShardHost` (the ``repro_halo_*`` exchange
-    families). Includes the ``repro_cache_*`` family whenever
+    families). Includes the ``repro_cache_*`` families whenever
     warm-start caching is enabled."""
     out = _Families()
     payload = server.stats_payload()
@@ -323,11 +437,22 @@ def render_metrics(server) -> str:
             "not evicted).",
             len(live),
         )
-        for name, stats in matrices.items():
-            _per_matrix(out, name, stats)
     else:
-        _per_matrix(out, "default", payload)
+        matrices = {"default": payload}
+    for name, stats in matrices.items():
+        _add_declared(out, ServerStats, stats, {"matrix": name})
+        out.add(
+            "repro_matrix_info", "gauge",
+            "Constant 1; the matrix's update method and batching policy "
+            "ride as labels.",
+            1,
+            {
+                "matrix": name,
+                "method": stats["method"],
+                "policy": stats["policy"].get("policy", "?"),
+            },
+        )
     cache_stats = getattr(server, "cache_stats", lambda: None)()
     if cache_stats is not None:
-        _cache_section(out, cache_stats)
+        _add_declared(out, CacheStats, cache_stats, {})
     return out.render()

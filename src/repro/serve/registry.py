@@ -36,137 +36,25 @@ eviction races impossible).
 from __future__ import annotations
 
 import itertools
+from dataclasses import asdict, replace
 
 from ..exceptions import ServeError
 from ..execution import SOLVER_METHODS
 from .cache import SolutionCache
 from .runtime import THREAD_RUNTIME
-from .server import ServerStats, SolverServer
+from .metrics import ServerStats, fold_stats
+from .server import SolverServer
 
-__all__ = ["MatrixRegistry", "merge_stats"]
-
-
-def _merge_policy(snapshots: list[ServerStats]) -> dict:
-    """The ``policy`` field of a merged snapshot. A single pool's
-    snapshot passes through untouched (full policy state). Several
-    pools cannot share one state dict honestly — EWMAs from different
-    pools do not average, and the pools may run *different* policies —
-    so the merge reports a breakdown: the unanimous policy name with
-    the pool count, or ``"mixed"`` with per-policy pool counts. (The
-    old behavior — whichever pool's snapshot came last, i.e. whichever
-    matrix registered last — reported one arbitrary pool's policy as
-    the aggregate's.)"""
-    policies = [s.policy for s in snapshots]
-    if not policies:
-        return {}
-    if len(policies) == 1:
-        return dict(policies[0])
-    counts: dict = {}
-    for p in policies:
-        name = p.get("policy", "?")
-        counts[name] = counts.get(name, 0) + 1
-    if len(counts) == 1:
-        return {"policy": next(iter(counts)), "pools": len(policies)}
-    return {"policy": "mixed", "pools": len(policies), "policies": counts}
-
-
-def _merge_methods(snapshots: list[ServerStats]):
-    """The ``method`` field of a merged snapshot, per-policy-style: the
-    unanimous method name passes through as a plain string (the common
-    case — one matrix's pools all run one method, and a homogeneous
-    gateway stays homogeneous), while a merge across pools running
-    *different* update methods reports ``"mixed"`` with per-method pool
-    counts rather than pretending one method speaks for all. Nested
-    breakdowns (an aggregate of aggregates) fold their counts in."""
-    counts: dict = {}
-    for s in snapshots:
-        m = s.method
-        if isinstance(m, dict):
-            for name, c in m.get("methods", {}).items():
-                counts[name] = counts.get(name, 0) + int(c)
-        else:
-            counts[m] = counts.get(m, 0) + 1
-    if not counts:
-        return "none"
-    if len(counts) == 1:
-        return next(iter(counts))
-    return {"method": "mixed", "methods": counts}
-
-
-def _merge_shards(snapshots: list[ServerStats]):
-    """The ``shards`` field of a merged snapshot, per-method-style: the
-    unanimous shard count passes through as a plain int (one matrix's
-    pool lifetimes all carry the same count, so a single matrix's
-    lifetime merge stays a scalar), while a merge across matrices
-    sharded differently reports ``"mixed"`` with per-count pool tallies.
-    Nested breakdowns fold their tallies in."""
-    counts: dict = {}
-    for s in snapshots:
-        sh = s.shards
-        if isinstance(sh, dict):
-            for count, c in sh.get("counts", {}).items():
-                counts[int(count)] = counts.get(int(count), 0) + int(c)
-        else:
-            counts[int(sh)] = counts.get(int(sh), 0) + 1
-    if not counts:
-        return 1
-    if len(counts) == 1:
-        return next(iter(counts))
-    return {"shards": "mixed", "counts": counts}
-
-
-def _merge_shard_updates(snapshots: list[ServerStats]) -> list[int]:
-    """The ``shard_updates`` field of a merged snapshot: elementwise
-    sums, shorter breakdowns padded with zeros. Exact for the common
-    case this field exists for — one sharded matrix's pool lifetimes,
-    where slot ``s`` is the same row block in every snapshot; across
-    *different* matrices slot ``s`` is just "each matrix's shard s",
-    still a faithful per-slot load view."""
-    width = max((len(s.shard_updates) for s in snapshots), default=0)
-    merged = [0] * width
-    for s in snapshots:
-        for i, c in enumerate(s.shard_updates):
-            merged[i] += int(c)
-    return merged
-
-
-def merge_stats(snapshots) -> ServerStats:
-    """Fold per-pool :class:`ServerStats` snapshots into one: counters
-    add, high-water marks take the max, the latency mean is recomputed
-    from the served-weighted sums, ``worker_pids`` concatenates
-    (live pools only report PIDs; retired snapshots keep theirs),
-    ``policy`` becomes a per-policy breakdown unless there is exactly
-    one snapshot (see ``_merge_policy``), and ``method`` stays the
-    unanimous method name or becomes a per-method breakdown (see
-    ``_merge_methods``)."""
-    snapshots = list(snapshots)
-    served = sum(s.requests_served for s in snapshots)
-    latency_sum = sum(s.latency_mean * s.requests_served for s in snapshots)
-    return ServerStats(
-        requests_submitted=sum(s.requests_submitted for s in snapshots),
-        requests_served=served,
-        requests_failed=sum(s.requests_failed for s in snapshots),
-        batches=sum(s.batches for s in snapshots),
-        batched_singles=sum(s.batched_singles for s in snapshots),
-        max_batch_size=max((s.max_batch_size for s in snapshots), default=0),
-        max_queue_depth=max((s.max_queue_depth for s in snapshots), default=0),
-        latency_mean=latency_sum / served if served else 0.0,
-        latency_max=max((s.latency_max for s in snapshots), default=0.0),
-        spawn_count=sum(s.spawn_count for s in snapshots),
-        worker_pids=[pid for s in snapshots for pid in s.worker_pids],
-        policy=_merge_policy(snapshots),
-        method=_merge_methods(snapshots),
-        shards=_merge_shards(snapshots),
-        shard_updates=_merge_shard_updates(snapshots),
-    )
+__all__ = ["MatrixRegistry"]
 
 
 class _Entry:
     """One registered matrix: its CSR, per-matrix server overrides, the
-    live server (or ``None``), and the stats its retired pools left
-    behind."""
+    live server (or ``None``), and ``history``, the running total of
+    its retired pools' counters (the zero record, carrying the matrix's
+    method and shard count, until a pool retires)."""
 
-    __slots__ = ("name", "A", "overrides", "server", "last_used", "retired")
+    __slots__ = ("name", "A", "overrides", "server", "last_used", "history")
 
     def __init__(self, name: str, A, overrides: dict):
         self.name = name
@@ -174,16 +62,12 @@ class _Entry:
         self.overrides = overrides
         self.server: SolverServer | None = None
         self.last_used = 0
-        self.retired: list[ServerStats] = []
+        self.history = ServerStats()
 
     def stats(self) -> ServerStats:
-        """Lifetime stats: every retired pool plus the live one."""
-        snapshots = list(self.retired)
-        if self.server is not None:
-            snapshots.append(self.server.stats())
-        if not snapshots:
-            return merge_stats([])
-        return merge_stats(snapshots)
+        """Lifetime stats: the retired pools' total plus the live pool."""
+        live = [] if self.server is None else [self.server.stats()]
+        return fold_stats([self.history, *live], lifetimes=True)
 
 
 class MatrixRegistry:
@@ -291,7 +175,11 @@ class MatrixRegistry:
                 # live re-registration, but ids do get reused across
                 # registry generations in tests and restarts).
                 self._cache.invalidate(name)
-            self._entries[name] = _Entry(name, A, dict(overrides))
+            entry = _Entry(name, A, dict(overrides))
+            entry.history = ServerStats(
+                method=self._method_of(entry), shards=self._shards_of(entry)
+            )
+            self._entries[name] = entry
 
     def register_spec(
         self,
@@ -418,9 +306,9 @@ class MatrixRegistry:
         for entry in idle:
             if pools < self.max_live_pools:
                 break
-            entry.retired.append(entry.server.stats())
-            entry.server.close()
-            entry.server = None
+            server = entry.server
+            server.close()
+            self._retire(entry, server)
             pools -= self._pool_weight_of(entry)
             if self._cache is not None:
                 # LRU eviction is the memory-pressure signal: a matrix
@@ -430,6 +318,16 @@ class MatrixRegistry:
                 # SolverServer, which keeps entries — the matrix did not
                 # change, so they are still valid seeds.
                 self._cache.invalidate(entry.name)
+
+    def _retire(self, entry: _Entry, server: SolverServer) -> None:
+        """Fold a closed pool into its matrix's history and drop it.
+        Under the registry lock, so a concurrent :meth:`stats` counts
+        the pool exactly once: live, or retired. A retired pool has no
+        workers; its counters and last policy state stay."""
+        with self._lock:
+            if entry.server is server:
+                entry.history = replace(entry.stats(), worker_pids=[])
+                entry.server = None
 
     def _ensure_live(self, entry: _Entry) -> SolverServer:
         if entry.server is None:
@@ -481,7 +379,7 @@ class MatrixRegistry:
         with self._lock:
             if matrix is not None:
                 return self._entry_for(matrix).stats()
-            return merge_stats(
+            return fold_stats(
                 entry.stats() for entry in self._entries.values()
             )
 
@@ -491,8 +389,6 @@ class MatrixRegistry:
         breakdown is snapshotted once and the aggregate merged from
         those same snapshots, so the two sections of one response
         always agree even while dispatchers are completing batches."""
-        from dataclasses import asdict
-
         with self._lock:
             if matrix is not None:
                 entry = self._entry_for(matrix)
@@ -501,7 +397,7 @@ class MatrixRegistry:
                 name: entry.stats() for name, entry in self._entries.items()
             }
             return {
-                "aggregate": asdict(merge_stats(snapshots.values())),
+                "aggregate": asdict(fold_stats(snapshots.values())),
                 "matrices": {
                     name: asdict(snap) for name, snap in snapshots.items()
                 },
@@ -587,27 +483,26 @@ class MatrixRegistry:
 
     def close(self, timeout: float = 60.0) -> None:
         """Stop accepting requests and shut every live pool down
-        (idempotent). Each pool is drained *before* its counters are
-        snapshotted, so requests completing during the drain stay in
-        the lifetime stats, which keep answering after close. A pool
-        that fails to drain within ``timeout`` is left live and
-        un-snapshotted (calling ``close`` again retries it) without
-        stopping the other pools from closing; the first failure is
-        re-raised at the end."""
+        (idempotent). Each pool is drained *before* it retires, so
+        requests completing during the drain stay in the lifetime
+        stats, which keep answering after close. A pool that fails to
+        drain within ``timeout`` is left live (calling ``close`` again
+        retries it) without stopping the other pools from closing; the
+        first failure is re-raised at the end."""
         with self._lock:
             self._closed = True
             entries = list(self._entries.values())
         first_error = None
         for entry in entries:
-            if entry.server is None:
+            server = entry.server
+            if server is None:
                 continue
             try:
-                entry.server.close(timeout)
+                server.close(timeout)
             except ServeError as exc:
                 if first_error is None:
                     first_error = exc
                 continue
-            entry.retired.append(entry.server.stats())
-            entry.server = None
+            self._retire(entry, server)
         if first_error is not None:
             raise first_error

@@ -50,10 +50,15 @@ respawns it (visible in :attr:`SolverServer.spawn_count`, honestly).
 
 Observability
 -------------
-:meth:`SolverServer.stats` snapshots request/batch counters, queue
-depth high-water mark, per-request latency (mean/max), and the pool's
-spawn count — the numbers ``bench/fig_serve.py`` plots and the stress
-suite asserts on.
+The server keeps its counters (requests, batches, queue-depth
+high-water mark, latency mean/max) in one
+:class:`~repro.serve.metrics.ServerStats` record, written under the
+lock it already takes per request and per batch.
+:meth:`SolverServer.stats` copies that record and adds the live pool's
+state: spawn count, worker PIDs, batching-policy snapshot and
+per-shard updates. Each field is declared once, in
+:mod:`repro.serve.metrics`, together with how snapshots fold and how
+``GET /v1/metrics`` renders it.
 
 Testability
 -----------
@@ -71,8 +76,7 @@ from __future__ import annotations
 
 import itertools
 import queue
-from dataclasses import asdict as dataclasses_asdict
-from dataclasses import dataclass, field as dataclasses_field
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -82,6 +86,7 @@ from ..rng import DirectionStream
 from ..sparse import CSRMatrix
 from ..validation import check_rhs, check_x0
 from .batching import make_policy
+from .metrics import ServerStats
 from .protocol import mint_trace_id
 from .runtime import THREAD_RUNTIME
 
@@ -196,48 +201,6 @@ class ServedResult:
     column_sweeps: np.ndarray | None = None
     column_residuals: np.ndarray | None = None
     trace_id: object = None
-
-
-@dataclass
-class ServerStats:
-    """A consistent snapshot of the server's counters.
-
-    ``max_queue_depth`` is the high-water mark of requests waiting
-    (including the one being stashed between batches); ``spawn_count``
-    counts worker-pool spawns over the server's lifetime — it stays at 1
-    unless a batch crashed and the pool had to be rebuilt.
-    """
-
-    requests_submitted: int
-    requests_served: int
-    requests_failed: int
-    batches: int
-    batched_singles: int
-    max_batch_size: int
-    max_queue_depth: int
-    latency_mean: float
-    latency_max: float
-    spawn_count: int
-    worker_pids: list[int]
-    policy: dict = dataclasses_field(default_factory=dict)
-    #: The pool's update method (``"asyrgs"``/``"asyrk"``). A merged
-    #: snapshot over pools running different methods carries a
-    #: ``{"method": "mixed", ...}`` breakdown instead (see
-    #: :func:`~repro.serve.registry.merge_stats`).
-    method: str | dict = "asyrgs"
-    #: Row shards backing the matrix (1 = the classic single pool). A
-    #: merged snapshot over matrices with different shard counts carries
-    #: a ``{"shards": "mixed", ...}`` breakdown instead.
-    shards: int | dict = 1
-    #: Cumulative committed updates per shard over the pools' lifetime
-    #: (one entry at ``shards=1``) — the per-shard balance view the
-    #: sharded bench and ``GET /v1/stats`` report.
-    shard_updates: list[int] = dataclasses_field(default_factory=list)
-
-    @property
-    def mean_batch_size(self) -> float:
-        done = self.requests_served + self.requests_failed
-        return done / self.batches if self.batches else float("nan")
 
 
 class RequestHandle:
@@ -474,16 +437,8 @@ class SolverServer:
         self._stashed = 0  # lock-protected mirror of `_stash is not None`
         self._stop_after = False
         self._ids = itertools.count()
-        # Raw counters; stats() derives the means under the lock.
-        self._submitted = 0
-        self._served = 0
-        self._failed = 0
-        self._batches = 0
-        self._batched_singles = 0
-        self._max_batch_seen = 0
-        self._max_depth = 0
-        self._latency_sum = 0.0
-        self._latency_max = 0.0
+        # The counters, written under the lock; stats() copies them.
+        self._counts = ServerStats(method=method, shards=shards)
         self._solver.open()  # spawn workers + copy the CSR exactly once
         self._dispatcher = self._runtime.spawn(
             self._loop, name="asyrgs-serve-dispatch"
@@ -568,13 +523,15 @@ class SolverServer:
                 request_id, b, x0, key, self._runtime.event(),
                 self._clock(), trace_id, warm,
             )
-            self._submitted += 1
+            self._counts.requests_submitted += 1
             # `_stash` itself is dispatcher-private; `_stashed` is its
             # lock-protected occupancy mirror, so this read is ordered
             # against the dispatcher's stash transitions instead of
             # racing a foreign thread's plain attribute write.
             depth = self._queue.qsize() + 1 + self._stashed
-            self._max_depth = max(self._max_depth, depth)
+            self._counts.max_queue_depth = max(
+                self._counts.max_queue_depth, depth
+            )
             self._queue.put(pending)
         return RequestHandle(pending)
 
@@ -583,36 +540,18 @@ class SolverServer:
         return self.submit(b, **kwargs).result(timeout)
 
     def stats(self) -> ServerStats:
-        """A consistent snapshot of the serving counters."""
+        """A consistent snapshot: the counters plus the live pool's
+        spawn count, workers, policy state and per-shard updates (kept
+        by the sharded coordinator; other pools report none)."""
+        shard_counts = getattr(self._solver, "shard_update_counts", list)
         with self._lock:
-            return ServerStats(
-                requests_submitted=self._submitted,
-                requests_served=self._served,
-                requests_failed=self._failed,
-                batches=self._batches,
-                batched_singles=self._batched_singles,
-                max_batch_size=self._max_batch_seen,
-                max_queue_depth=self._max_depth,
-                latency_mean=(
-                    self._latency_sum / self._served if self._served else 0.0
-                ),
-                latency_max=self._latency_max,
+            return replace(
+                self._counts,
                 spawn_count=self._solver.spawn_count,
                 worker_pids=self._solver.worker_pids(),
                 policy=self.policy.snapshot(),
-                method=self.method,
-                shards=self.shards,
-                shard_updates=self._shard_updates(),
+                shard_updates=[int(c) for c in shard_counts()],
             )
-
-    def _shard_updates(self) -> list[int]:
-        """Per-shard cumulative update counts, when the backing solver
-        keeps them (the sharded coordinator does; plain pools and the
-        simulation fakes do not — those report an empty breakdown)."""
-        counts = getattr(self._solver, "shard_update_counts", None)
-        if counts is None:
-            return []
-        return [int(c) for c in counts()]
 
     def stats_payload(self, matrix: str | None = None) -> dict:
         """The :meth:`stats` snapshot as a JSON-ready dict (the shape
@@ -622,7 +561,7 @@ class SolverServer:
                 f"unknown matrix {matrix!r}: this server hosts a single "
                 "resident matrix"
             )
-        return dataclasses_asdict(self.stats())
+        return asdict(self.stats())
 
     def matrices_payload(self) -> list[dict]:
         """The single resident matrix as a one-entry listing (the shape
@@ -707,10 +646,13 @@ class SolverServer:
                 try:
                     self._run_batch(batch)
                 except BaseException as exc:
-                    # Safety net for failures outside the solve call
-                    # (batch assembly, result slicing): the waiters of
-                    # this batch must be released — a client blocked in
-                    # result() with no timeout would otherwise hang
+                    # Only this batch fails. A worker crash surfaces as
+                    # the backend's ModelError naming the worker id; the
+                    # backend already dropped the broken pool, and the
+                    # next batch respawns it (spawn_count records that
+                    # honestly). Batch assembly and result slicing fail
+                    # here too. The waiters must be released — a client
+                    # blocked in result() with no timeout would hang
                     # forever — and the dispatcher must survive.
                     self._fail_batch(batch, exc)
                     if not isinstance(exc, Exception):
@@ -765,12 +707,11 @@ class SolverServer:
         err.__cause__ = exc if isinstance(exc, Exception) else None
         pending = [r for r in batch if not r.event.is_set()]
         with self._lock:
-            self._failed += len(pending)
-            # _run_batch only counts a batch on its own completion paths
-            # (success, or the solve-call failure branch); a batch that
-            # died before/after those must still be counted once, or
-            # mean_batch_size over-reports.
-            self._batches += 1
+            self._counts.requests_failed += len(pending)
+            # _run_batch counts only the batches it completes; a failed
+            # one must still be counted once, or mean_batch_size
+            # over-reports.
+            self._counts.batches += 1
         for r in pending:
             r.error = err
             r.event.set()
@@ -822,33 +763,13 @@ class SolverServer:
                     ]
                 )
         key = batch[0].key
-        try:
-            res = self._solver.solve(
-                tol=key.tol,
-                max_sweeps=key.max_sweeps,
-                sync_every_sweeps=key.sync_every_sweeps,
-                b=B,
-                x0=X0,
-            )
-        except Exception as exc:
-            # Only this batch fails — a worker crash surfaces here as the
-            # backend's ModelError naming the worker id, and any
-            # parent-side failure lands here too. The backend already
-            # dropped the broken pool; the next batch respawns it
-            # (spawn_count records that honestly). The dispatcher itself
-            # must outlive every batch, or one bad request would wedge
-            # the whole server.
-            err = ServeError(
-                f"batch of {len(batch)} request(s) failed: {exc}"
-            )
-            err.__cause__ = exc
-            with self._lock:
-                self._batches += 1
-                self._failed += len(batch)
-            for r in batch:
-                r.error = err
-                r.event.set()
-            return
+        res = self._solver.solve(
+            tol=key.tol,
+            max_sweeps=key.max_sweeps,
+            sync_every_sweeps=key.sync_every_sweeps,
+            b=B,
+            x0=X0,
+        )
         finish = self._clock()
         wall = finish - started
         # Feedback for adaptive policies: the queue depth left behind a
@@ -893,15 +814,19 @@ class SolverServer:
                     trace_id=r.trace_id,
                 )
             )
+        latencies = [out.latency for out in results]
         with self._lock:
-            self._batches += 1
-            self._served += len(batch)
+            c = self._counts
+            c.batches += 1
+            c.requests_served += len(batch)
             if not block and len(batch) > 1:
-                self._batched_singles += len(batch)
-            self._max_batch_seen = max(self._max_batch_seen, len(batch))
-            for out in results:
-                self._latency_sum += out.latency
-                self._latency_max = max(self._latency_max, out.latency)
+                c.batched_singles += len(batch)
+            c.max_batch_size = max(c.max_batch_size, len(batch))
+            # The running mean, served-weighted like fold_stats's.
+            c.latency_mean += (
+                sum(latencies) - len(batch) * c.latency_mean
+            ) / c.requests_served
+            c.latency_max = max(c.latency_max, *latencies)
         if self._cache is not None:
             # Store before releasing the waiters: a client that observes
             # its result done can rely on its solution being cached.
@@ -937,7 +862,7 @@ class SolverServer:
                 "server closed before this request was served"
             )
             with self._lock:
-                self._failed += len(leftovers)
+                self._counts.requests_failed += len(leftovers)
             for r in leftovers:
                 r.error = err
                 r.event.set()

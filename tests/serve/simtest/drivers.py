@@ -411,7 +411,7 @@ def run_adaptive_linger(
 def run_registry_policies(seed: int):
     """Two matrices running *different* batching policies behind one
     registry; returns the ``/v1/stats`` payload. Pre-fix,
-    ``merge_stats`` stamped the whole aggregate with whichever pool's
+    the stats fold stamped the whole aggregate with whichever pool's
     snapshot came last."""
     sched = SimScheduler(seed)
     registry = MatrixRegistry(

