@@ -176,9 +176,8 @@ class MatrixRegistry:
                 # registry generations in tests and restarts).
                 self._cache.invalidate(name)
             entry = _Entry(name, A, dict(overrides))
-            entry.history = ServerStats(
-                method=self._method_of(entry), shards=self._shards_of(entry)
-            )
+            entry.history.method = self._method_of(entry)
+            entry.history.shards = self._shards_of(entry)
             self._entries[name] = entry
 
     def register_spec(
