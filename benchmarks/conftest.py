@@ -1,9 +1,8 @@
 """Shared configuration for the benchmark suite.
 
-Every benchmark regenerates one table or figure of the paper (see
-DESIGN.md's per-experiment index), prints the same rows/series the paper
-reports, and persists the rendered table plus a JSON payload under
-``results/`` for EXPERIMENTS.md.
+Every benchmark regenerates one table or figure of the paper, prints
+the same rows/series the paper reports, and persists the rendered table
+plus a JSON payload under ``results/``.
 
 The drivers are deterministic end to end (Philox everywhere), so a single
 measured round per benchmark is meaningful; pytest-benchmark is used in

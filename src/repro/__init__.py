@@ -14,13 +14,13 @@ Quick start::
     solver = AsyRGS(prob.G, prob.B, nproc=16)
     result = solver.solve(tol=1e-4, max_sweeps=50)
 
-Package map (see DESIGN.md for the full inventory):
+Package map (the README's "Layout" section maps the source tree):
 
 * :mod:`repro.core` — randomized Gauss-Seidel, AsyRGS, least squares,
   step-size control, and the computable convergence theory;
 * :mod:`repro.execution` — delay models, the bounded-delay simulators,
-  real-threads and real-process (shared-memory) backends, and the
-  machine cost model;
+  the real-process (shared-memory) pool backends, and the machine cost
+  model;
 * :mod:`repro.sparse` — the CSR sparse-matrix substrate;
 * :mod:`repro.rng` — counter-based (Philox) random numbers;
 * :mod:`repro.krylov` — CG, flexible CG, preconditioners;
@@ -35,7 +35,6 @@ from .core import (
     AsyRGS,
     AsyRGSResult,
     AsyncLeastSquares,
-    AsyncSolver,
     ConvergenceHistory,
     randomized_gauss_seidel,
     rcd_least_squares,
@@ -47,7 +46,6 @@ from .execution import (
     MachineModel,
     PhasedSimulator,
     ProcessAsyRGS,
-    ThreadedAsyRGS,
     make_solver,
 )
 from .krylov import (
@@ -74,7 +72,6 @@ __all__ = [
     "AsyRK",
     "AsyncLeastSquares",
     "AsyncSimulator",
-    "AsyncSolver",
     "COOBuilder",
     "CSRMatrix",
     "ConvergenceHistory",
@@ -83,7 +80,6 @@ __all__ = [
     "MachineModel",
     "PhasedSimulator",
     "ProcessAsyRGS",
-    "ThreadedAsyRGS",
     "block_conjugate_gradient",
     "condest",
     "conjugate_gradient",

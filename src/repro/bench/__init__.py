@@ -1,5 +1,6 @@
 """Experiment drivers behind ``benchmarks/`` — one per paper table/figure
-plus the ablation studies. See DESIGN.md's per-experiment index."""
+plus the ablation studies. The README's "CLI" section lists the
+``repro experiment`` commands that run them."""
 
 from .ablations import (
     SamplingAblationResult,

@@ -1,7 +1,7 @@
 """The paper's contribution: randomized Gauss-Seidel, its asynchronous
 variants, step-size control, least squares, and the convergence theory."""
 
-from .asyrgs import AsyRGS, AsyRGSResult, AsyncSolver
+from .asyrgs import AsyRGS, AsyRGSResult
 from .directions import (
     CyclicDirections,
     PermutedCyclicDirections,
@@ -62,7 +62,6 @@ __all__ = [
     "AsyRGS",
     "AsyRGSResult",
     "AsyncLeastSquares",
-    "AsyncSolver",
     "BoundReport",
     "ConvergenceHistory",
     "CyclicDirections",

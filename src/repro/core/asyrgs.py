@@ -60,32 +60,7 @@ from ..execution import (
 from .residuals import ColumnTracker, ConvergenceHistory, relative_residual
 from .stepsize import auto_step_size
 
-__all__ = ["AsyRGSResult", "AsyRGS", "AsyncSolver"]
-
-
-def AsyncSolver(A: CSRMatrix, b: np.ndarray, *, method: str = "asyrgs", **kwargs):
-    """One entry point for every pool-backed asynchronous solver.
-
-    Picks the engine by wire-level ``method`` name — the same names the
-    serve protocol and the CLI accept — and returns the pool solver
-    directly (:class:`~repro.execution.ProcessAsyRGS` or
-    :class:`~repro.execution.AsyRK`), with the shared surface: context-
-    manager pool persistence, ``run()``, ``solve()`` with per-column
-    tracking/retirement, capacity-k layouts, and the
-    ``directions``/``adaptive`` sampling options::
-
-        with AsyncSolver(A, b, method="asyrk", nproc=4) as solver:
-            result = solver.solve(tol=1e-3, max_sweeps=200)
-
-    ``method="asyrgs"`` requires a square positive-diagonal system;
-    ``method="asyrk"`` accepts any rectangle with nonzero rows and
-    judges convergence on the normal-equations residual. The
-    :class:`AsyRGS` façade below remains the front-end for the
-    *simulated* engines (modeled delays, write races, ``beta="auto"``).
-    """
-    from ..execution import make_solver
-
-    return make_solver(method, A, b, **kwargs)
+__all__ = ["AsyRGSResult", "AsyRGS"]
 
 
 @dataclass

@@ -114,8 +114,8 @@ class ColumnTracker:
     """Per-column convergence bookkeeping shared by every solve loop.
 
     Initialized at the start of a solve and updated once per epoch
-    boundary, it owns the pieces all three backends (simulated, threads,
-    processes) would otherwise reimplement: the per-column relative
+    boundary, it owns the pieces every backend (the simulators and the
+    process pools) would otherwise reimplement: the per-column relative
     residuals (``col``), their first-below-``tol`` epochs
     (``column_sweeps``), the converged/retired mask (``done_mask``), and
     the aggregate Frobenius residual derived from the same matrix pass

@@ -1,7 +1,7 @@
 """Asynchronous execution substrate.
 
 Delay models (the paper's ``k(j)``/``K(j)`` schedules), write-race models,
-the per-update and vectorized phased simulators, two real-concurrency
+the per-update and vectorized phased simulators, the real-process pool
 backends, execution traces, and the machine cost model that converts
 measured operation counts into modeled wall-clock shapes.
 
@@ -12,7 +12,6 @@ backend                concurrency                 demonstrates
 =====================  ==========================  =========================
 :class:`AsyncSimulator`   simulated (per update)   arbitrary delay models
 :class:`PhasedSimulator`  simulated (rounds of P)  vectorized scaling runs
-:class:`ThreadedAsyRGS`   real threads (GIL)       correctness under races
 :class:`ProcessAsyRGS`    real OS processes        wall-clock speedup,
                                                    measured ``tau_observed``,
                                                    block (n, k) right-hand
@@ -66,9 +65,8 @@ from .sharded import (
     contiguous_partition,
     segment_bytes,
 )
-from .shared_memory import AtomicWrites, LossyWrites, SharedVector, WriteModel
+from .shared_memory import AtomicWrites, LossyWrites, WriteModel
 from .simulator import AsyncSimulator, PhasedSimulator, SimulationResult
-from .threads import ThreadedAsyRGS, ThreadedRunResult
 from .trace import ExecutionTrace, replay_trace
 
 #: Wire-level method names → pool-backed solver classes. This is the
@@ -120,13 +118,9 @@ __all__ = [
     "ProcessAsyRGS",
     "ProcessRunResult",
     "ProcessorPhaseDelay",
-    "SOLVER_METHODS",
     "ShardedRunResult",
     "ShardedSolver",
-    "SharedVector",
     "SimulationResult",
-    "ThreadedAsyRGS",
-    "ThreadedRunResult",
     "UniformDelay",
     "WriteModel",
     "ZeroDelay",

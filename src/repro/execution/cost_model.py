@@ -2,10 +2,10 @@
 
 The paper reports wall-clock times measured on one BlueGene/Q node (16
 cores × 4-way SMT, up to 64 hardware threads). A Python reproduction
-cannot re-measure that silicon, so — per the substitution policy in
-DESIGN.md — every "time" this library reports is produced by an explicit,
-documented machine model that converts *operation counts measured from the
-actual runs* into modeled seconds. The claims the benches make against the
+cannot re-measure that silicon, so every "time" the experiment drivers
+report (the README's "CLI" section, ``repro experiment``) is produced by
+an explicit, documented machine model that converts *operation counts
+measured from the actual runs* into modeled seconds. The claims the benches make against the
 paper are therefore about **shape**: speedup curves, serial ratios,
 crossovers — never absolute seconds.
 

@@ -3,10 +3,10 @@
 This executes Algorithm 1 of the paper on genuine OS *processes* — each
 with its own CPython interpreter and therefore its own GIL — sharing one
 iterate through :mod:`multiprocessing.shared_memory`. It is the backend
-the simulators and the threaded backend structurally cannot replace: the
-threaded backend is serialized by the GIL (correctness only), and the
-simulators model delays instead of incurring them. Here delays are real,
-reads are genuinely inconsistent, and wall-clock speedup is measurable.
+the simulators structurally cannot replace: they model delays instead of
+incurring them, and CPython threads would be serialized by the GIL. Here
+delays are real, reads are genuinely inconsistent, and wall-clock
+speedup is measurable.
 
 The machinery that is *not* specific to Gauss-Seidel — the one-segment
 ``SharedMemory`` layout, the worker lifecycle (control word,

@@ -12,22 +12,17 @@ models both:
   ``loss_prob`` the later write overwrites the earlier one, destroying
   ``δ_t``. This is exactly the failure mode hardware atomics prevent.
 
-:class:`SharedVector` is the thin wrapper the real ``threading`` backend
-uses: a NumPy array plus an optional lock and an update counter, letting
-tests compare locked (atomic) and unlocked (racy) execution on actual
-threads.
+The simulators consume these models (Figure 2's non-atomic panel). On
+real cores the same two regimes are the multiprocess backend's
+``atomic=True|False`` modes (:mod:`repro.execution.processes`).
 """
 
 from __future__ import annotations
 
-import threading
-
-import numpy as np
-
 from ..exceptions import ModelError
 from ..rng import CounterRNG
 
-__all__ = ["WriteModel", "AtomicWrites", "LossyWrites", "SharedVector"]
+__all__ = ["WriteModel", "AtomicWrites", "LossyWrites"]
 
 
 class WriteModel:
@@ -82,73 +77,3 @@ class LossyWrites(WriteModel):
     def __repr__(self) -> str:
         return f"LossyWrites(loss_prob={self.loss_prob})"
 
-
-class SharedVector:
-    """A NumPy vector shared by real threads, with selectable write safety.
-
-    Parameters
-    ----------
-    values:
-        Initial contents (copied). May be a vector ``(n,)`` or a block
-        iterate ``(n, k)`` — with a block, :meth:`add` commits a whole
-        row ``x[index, :] += delta`` as one update (the multi-RHS
-        convention shared with the simulators and the multiprocess
-        backend), and :meth:`gather` returns rows.
-    atomic:
-        When ``True``, updates take a lock, making the read-modify-write
-        indivisible — the faithful implementation of Assumption A-1 in
-        CPython. When ``False``, updates are plain ``x[r] += d``
-        (GIL-serialized bytecode, but the read and write are separate
-        operations, so genuine lost updates are possible under preemption).
-    """
-
-    def __init__(self, values: np.ndarray, *, atomic: bool = True):
-        self._x = np.array(values, dtype=np.float64)
-        self._atomic = bool(atomic)
-        self._lock = threading.Lock() if self._atomic else None
-        self._updates = 0
-        self._count_lock = threading.Lock()
-
-    @property
-    def atomic(self) -> bool:
-        return self._atomic
-
-    @property
-    def update_count(self) -> int:
-        """Total number of committed updates across all threads."""
-        return self._updates
-
-    def snapshot(self) -> np.ndarray:
-        """A copy of the current contents (not linearized w.r.t. writers)."""
-        return self._x.copy()
-
-    def view(self) -> np.ndarray:
-        """The live array. Readers get whatever is in memory — this is the
-        inconsistent-read path by construction."""
-        return self._x
-
-    def add(self, index: int, delta, cols: np.ndarray | None = None) -> None:
-        """Commit ``x[index] += delta`` under the configured write model
-        (``delta`` is a scalar for vectors, a length-k row for blocks).
-
-        For block iterates, ``cols`` restricts the commit to a subset of
-        columns (``x[index, cols] += delta``) — the retirement path:
-        retired columns are never written again."""
-        if self._atomic:
-            with self._lock:
-                if cols is None:
-                    self._x[index] += delta
-                else:
-                    self._x[index, cols] += delta
-        else:
-            if cols is None:
-                self._x[index] += delta
-            else:
-                self._x[index, cols] += delta
-        with self._count_lock:
-            self._updates += 1
-
-    def gather(self, indices: np.ndarray) -> np.ndarray:
-        """Read a set of entries (no snapshot: entries may interleave with
-        concurrent writes, exactly the paper's read model)."""
-        return self._x[indices]

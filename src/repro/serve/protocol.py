@@ -31,6 +31,13 @@ correlate the error with the request that caused it. ``id: null`` is
 reserved for lines that could not be parsed at all (there is nothing
 trustworthy to echo); either way the stream stays alive.
 
+Every number must be finite. The ``NaN`` / ``Infinity`` literals that
+Python's ``json`` accepts are not JSON (RFC 8259), so a line carrying
+one is unparseable; a literal too large for a double (``1e400``) in
+``b``, ``x0``, ``tol`` or a shard verb's ``rows`` / ``x0`` / ``b`` is
+a protocol violation. A solve fed either would answer with a
+non-finite ``x`` that strict clients cannot read back.
+
 Control verbs
 -------------
 A request may carry an ``"op"`` field selecting a verb other than the
@@ -94,6 +101,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 
 import numpy as np
@@ -146,18 +154,51 @@ def mint_trace_id() -> str:
 _METHODS = ("asyrgs", "asyrk")
 
 
+def _reject_constant(name: str):
+    raise ProtocolError(
+        f"request is not valid JSON: {name} is not a number "
+        "(every number must be finite)"
+    )
+
+
+# ``json.loads`` turns the non-JSON literals NaN / Infinity / -Infinity
+# into floats. This decoder refuses them instead; its hook runs only
+# when such a literal appears, so ordinary lines pay nothing.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def _load_object(line: str) -> dict:
     """Parse a request line to a JSON object, or raise with ``id: null``
     semantics (nothing trustworthy to echo)."""
     try:
-        obj = json.loads(line)
+        obj = _DECODER.decode(line)
     except json.JSONDecodeError as exc:
         raise ProtocolError(f"request is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ProtocolError(
             f"request must be a JSON object, got {type(obj).__name__}"
         )
+    request_id = obj.get("id")
+    if isinstance(request_id, float) and not math.isfinite(request_id):
+        raise ProtocolError(f'"id" must be finite, got {request_id!r}')
     return obj
+
+
+def _check_finite(value, key: str, request_id) -> None:
+    """Reject a numeric array field holding NaN or ±inf. A value that
+    does not convert to float64 is left for the consumer, whose shape
+    check words that rejection."""
+    try:
+        finite = np.isfinite(np.asarray(value, dtype=np.float64)).all()
+    except OverflowError:  # an integer literal beyond double range
+        finite = False
+    except (TypeError, ValueError):
+        return
+    if not finite:
+        raise ProtocolError(
+            f'"{key}" holds a number that is not finite',
+            request_id=request_id,
+        )
 
 
 def _matrix_id(obj: dict, request_id) -> str | None:
@@ -201,6 +242,7 @@ def _solve_kwargs(obj: dict, trace_id: str) -> dict:
             'request is missing the required "b" field',
             request_id=request_id,
         )
+    _check_finite(obj["b"], "b", request_id)
     kwargs = {"b": obj["b"], "trace_id": trace_id}
     if "id" in obj:
         kwargs["request_id"] = request_id
@@ -208,6 +250,7 @@ def _solve_kwargs(obj: dict, trace_id: str) -> dict:
     if matrix is not None:
         kwargs["matrix"] = matrix
     if obj.get("x0") is not None:
+        _check_finite(obj["x0"], "x0", request_id)
         kwargs["x0"] = obj["x0"]
     try:
         if obj.get("tol") is not None:
@@ -216,10 +259,15 @@ def _solve_kwargs(obj: dict, trace_id: str) -> dict:
             kwargs["max_sweeps"] = int(obj["max_sweeps"])
         if obj.get("sync_every_sweeps") is not None:
             kwargs["sync_every_sweeps"] = int(obj["sync_every_sweeps"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(
             f"ill-typed solve parameter: {exc}", request_id=request_id
         ) from exc
+    if not math.isfinite(kwargs.get("tol", 0.0)):
+        raise ProtocolError(
+            f'"tol" must be finite, got {kwargs["tol"]!r}',
+            request_id=request_id,
+        )
     return kwargs
 
 
@@ -444,6 +492,7 @@ def _parse_shard_verb(op: str, obj: dict, request_id, payload: dict) -> dict:
                 f"{type(rows).__name__}",
                 request_id=request_id,
             )
+        _check_finite(rows, "rows", request_id)
         payload["rows"] = rows
     elif op == "halo_pull":
         rows = obj.get("rows")
@@ -470,6 +519,8 @@ def _parse_shard_verb(op: str, obj: dict, request_id, payload: dict) -> dict:
                     request_id=request_id,
                 )
             payload[key] = value
+        for key in ("x0", "b"):
+            _check_finite(payload[key], key, request_id)
         payload["nproc"] = _int_field(
             obj, "nproc", request_id, minimum=1, default=1
         )

@@ -1,7 +1,7 @@
 """Shared shape/dtype validation for right-hand sides and iterates.
 
-Every engine (the two simulators, the threaded backend, the multiprocess
-backend, and the :class:`~repro.core.asyrgs.AsyRGS` façade) accepts the
+Every engine (the two simulators, the multiprocess pool backends, and
+the :class:`~repro.core.asyrgs.AsyRGS` façade) accepts the
 same ``b``/``x0`` contract, so the checks and — importantly — the error
 *wording* live in exactly one place. Before this module each path failed
 at a different depth with engine-specific phrasing; now a malformed

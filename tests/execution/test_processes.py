@@ -105,9 +105,10 @@ class TestDirectionStreams:
         assert touched == expected
         np.testing.assert_allclose(out.x[sorted(touched)], b[sorted(touched)])
 
-    def test_matches_threaded_backend_streams(self, system):
-        """Process and threaded backends split one stream the same way:
-        identical per-worker shares for identical (total, P)."""
+    def test_per_worker_shares_follow_interleave_counts(self, system):
+        """Workers split one stream round-robin: worker ``p`` of ``P``
+        applies exactly its :func:`interleave_counts` share of the
+        total."""
         from repro.rng import interleave_counts
 
         A, b, _ = system

@@ -1,10 +1,10 @@
-"""Unit tests for write models and the shared vector."""
+"""Unit tests for the write models."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ModelError
-from repro.execution import AtomicWrites, LossyWrites, SharedVector
+from repro.execution import AtomicWrites, LossyWrites
 
 
 class TestAtomicWrites:
@@ -45,50 +45,3 @@ class TestLossyWrites:
 
     def test_repr(self):
         assert "0.25" in repr(LossyWrites(loss_prob=0.25))
-
-
-class TestSharedVector:
-    def test_add_and_snapshot(self):
-        v = SharedVector(np.zeros(4))
-        v.add(2, 1.5)
-        v.add(2, 0.5)
-        np.testing.assert_array_equal(v.snapshot(), [0, 0, 2.0, 0])
-        assert v.update_count == 2
-
-    def test_snapshot_is_a_copy(self):
-        v = SharedVector(np.zeros(2))
-        snap = v.snapshot()
-        v.add(0, 1.0)
-        assert snap[0] == 0.0
-
-    def test_view_is_live(self):
-        v = SharedVector(np.zeros(2))
-        live = v.view()
-        v.add(1, 3.0)
-        assert live[1] == 3.0
-
-    def test_gather(self):
-        v = SharedVector(np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(v.gather(np.array([2, 0])), [3.0, 1.0])
-
-    def test_atomic_flag(self):
-        assert SharedVector(np.zeros(1), atomic=True).atomic
-        assert not SharedVector(np.zeros(1), atomic=False).atomic
-
-    def test_initial_values_copied(self):
-        src = np.ones(3)
-        v = SharedVector(src)
-        src[0] = 99.0
-        assert v.snapshot()[0] == 1.0
-
-    def test_block_iterate_row_updates(self):
-        """A (n, k) block iterate commits whole rows per update — the
-        multi-RHS convention shared with the multiprocess backend."""
-        v = SharedVector(np.zeros((3, 2)))
-        v.add(1, np.array([0.5, -0.5]))
-        v.add(1, np.array([0.5, -0.5]))
-        np.testing.assert_array_equal(v.view()[1], [1.0, -1.0])
-        assert v.update_count == 2
-        rows = v.gather(np.array([1, 0]))
-        assert rows.shape == (2, 2)
-        np.testing.assert_array_equal(rows[0], [1.0, -1.0])

@@ -12,7 +12,6 @@ from repro import (
 )
 from repro.core import relative_residual
 from repro.estimation import spectrum_estimate
-from repro.execution import ThreadedAsyRGS
 from repro.rng import DirectionStream
 from repro.sparse import apply_unit_diagonal_map, symmetric_rescale
 from repro.workloads import get_problem, social_media_problem
@@ -124,23 +123,6 @@ class TestSocialPipeline:
         A_unit, _ = symmetric_rescale(prob.G)
         est = spectrum_estimate(A_unit, steps=60, seed=1)
         assert est.kappa > 50
-
-
-class TestThreadedAgainstSimulated:
-    def test_threaded_and_simulated_solve_same_system(self):
-        prob = get_problem("unitdiag")
-        n = prob.n
-        threaded = ThreadedAsyRGS(
-            prob.A, prob.b, nthreads=4, directions=DirectionStream(n, seed=9)
-        ).run(np.zeros(n), 80 * n)
-        simulated = AsyRGS(
-            prob.A, prob.b, nproc=4, directions=DirectionStream(n, seed=9)
-        ).run_sweeps(80, record_history=False)
-        assert prob.x_star is not None
-        err_threaded = np.abs(threaded.x - prob.x_star).max()
-        err_sim = np.abs(simulated.x - prob.x_star).max()
-        assert err_threaded < 1e-4
-        assert err_sim < 1e-4
 
 
 class TestTraceRoundTrip:

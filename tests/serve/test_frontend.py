@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.serve import SolverServer, make_tcp_server, serve_stream
+from repro.serve import (
+    MatrixRegistry,
+    SolverServer,
+    make_tcp_server,
+    serve_stream,
+)
+from repro.serve.frontend import handle_line
 
 from .conftest import WAIT
 
@@ -145,6 +151,67 @@ class TestStream:
         handled = serve_stream(server, iter(lines), out)
         assert handled == 1
         assert len(out.getvalue().splitlines()) == 1
+
+
+def _strict_loads(text: str):
+    """RFC 8259 parsing: NaN and Infinity are not JSON."""
+
+    def _refuse(name):
+        raise ValueError(f"non-JSON constant {name} in reply")
+
+    return json.loads(text, parse_constant=_refuse)
+
+
+def _list_with_first(values, literal: str) -> str:
+    """A JSON list whose first entry is the raw ``literal``."""
+    rest = [json.dumps(float(v)) for v in values[1:]]
+    return "[" + ", ".join([literal, *rest]) + "]"
+
+
+@pytest.fixture(scope="module")
+def registry(system):
+    A, _, _ = system
+    with MatrixRegistry(nproc=1, tol=1e-8, max_sweeps=300) as reg:
+        reg.register("m", A)
+        yield reg
+
+
+class TestNonFiniteNumbers:
+    """Non-finite numbers are refused on the way in, so every reply
+    stays strict JSON and the connection keeps serving."""
+
+    @staticmethod
+    def lines(b):
+        n = len(b)
+        b_json = json.dumps(b.tolist())
+        return {
+            "nan-in-b": '{"id": "q", "b": %s}' % _list_with_first(b, "NaN"),
+            "infinity-in-x0": '{"id": "q", "b": %s, "x0": %s}'
+            % (b_json, _list_with_first(np.zeros(n), "Infinity")),
+            "overflow-in-b": '{"id": "q", "b": %s}'
+            % _list_with_first(b, "1e400"),
+            "huge-int-in-b": '{"id": "q", "b": %s}'
+            % _list_with_first(b, "1" + "0" * 400),
+            "nan-tol": '{"id": "q", "b": %s, "tol": NaN}' % b_json,
+            "nan-in-halo-rows": '{"id": "q", "op": "halo_push", "shard": 0, '
+            '"r0": 0, "r1": 1, "generation": 1, "rows": [[NaN]]}',
+        }
+
+    @pytest.mark.parametrize(
+        "case",
+        ["nan-in-b", "infinity-in-x0", "overflow-in-b", "huge-int-in-b",
+         "nan-tol", "nan-in-halo-rows"],
+    )
+    def test_rejected_with_strict_json_reply(self, registry, system, case):
+        _, b, _ = system
+        reply = _strict_loads(handle_line(registry, self.lines(b)[case])())
+        assert reply["ok"] is False
+        assert isinstance(reply["trace_id"], str) and reply["trace_id"]
+        assert "finite" in reply["error"]
+        if case in ("overflow-in-b", "huge-int-in-b"):  # valid JSON lines
+            assert reply["id"] == "q"
+        good = _strict_loads(handle_line(registry, request_line("ok", b))())
+        assert good["ok"] and good["id"] == "ok"
 
 
 class TestTCP:

@@ -283,6 +283,9 @@ class TestProtocol:
             ("[1, 2]", "must be a JSON object"),
             ('{"tol": 1.0}', 'required "b"'),
             ('{"b": [1], "bogus": 2}', "unknown request field"),
+            ('{"b": [1], "tol": 1e400}', '"tol" must be finite'),
+            ('{"b": [1], "max_sweeps": 1e400}', "ill-typed solve parameter"),
+            ('{"id": 1e400, "b": [1]}', '"id" must be finite'),
         ],
     )
     def test_parse_rejects_malformed(self, line, match):

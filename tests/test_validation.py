@@ -23,7 +23,7 @@ from repro.execution import (
     AsyncSimulator,
     AsyRK,
     PhasedSimulator,
-    ThreadedAsyRGS,
+    ProcessAsyRGS,
     ZeroDelay,
 )
 from repro.rng import DirectionStream
@@ -43,13 +43,15 @@ def system():
 
 
 def entry_points(A):
-    """Every constructor that applies the shared b contract."""
+    """Every constructor that applies the shared b contract. The pool
+    backends validate in the constructor and spawn no worker there."""
     return {
         "facade-phased": lambda b: AsyRGS(A, b, nproc=2, engine="phased"),
         "facade-general": lambda b: AsyRGS(A, b, nproc=2, engine="general"),
         "phased": lambda b: PhasedSimulator(A, b, nproc=2),
         "general": lambda b: AsyncSimulator(A, b, delay_model=ZeroDelay()),
-        "threads": lambda b: ThreadedAsyRGS(A, b, nthreads=2),
+        "processes": lambda b: ProcessAsyRGS(A, b, nproc=2),
+        "asyrk": lambda b: AsyRK(A, b, nproc=2),
     }
 
 
@@ -65,7 +67,7 @@ class TestWordingTable:
     )
     def test_same_message_from_every_entry_point(self, system, bad):
         """One malformed b, one message — byte-identical across the
-        façade, both simulators, and the threaded backend."""
+        façade, both simulators, and both pool backends."""
         A, _ = system
         messages = set()
         for name, make in entry_points(A).items():
@@ -95,8 +97,6 @@ class TestWordingTable:
             AsyRGS(A, [[1.0], [1.0, 2.0]])
 
     def test_capacity_wording_names_the_fix(self, system):
-        from repro.execution import ProcessAsyRGS
-
         A, B = system
         solver = ProcessAsyRGS(A, B[:, 0], nproc=1, capacity_k=2)
         with pytest.raises(ShapeError) as err:
@@ -107,15 +107,14 @@ class TestWordingTable:
         A, B = system
         wrong = np.zeros(5)
         messages = set()
-        for solver in (
-            AsyRGS(A, B[:, 0], nproc=2, engine="phased"),
-            ThreadedAsyRGS(A, B[:, 0], nthreads=2),
-        ):
-            with pytest.raises(ShapeError) as err:
-                solver.run_sweeps(1, wrong) if isinstance(
-                    solver, AsyRGS
-                ) else solver.run(wrong, 10)
-            messages.add(str(err.value))
+        with pytest.raises(ShapeError) as err:
+            AsyRGS(A, B[:, 0], nproc=2, engine="phased").run_sweeps(1, wrong)
+        messages.add(str(err.value))
+        pool = ProcessAsyRGS(A, B[:, 0], nproc=2)
+        with pytest.raises(ShapeError) as err:
+            pool.run(wrong, 10)
+        messages.add(str(err.value))
+        assert pool.spawn_count == 0  # rejected before any worker starts
         assert len(messages) == 1, messages
         assert "x0 has shape" in messages.pop()
 
@@ -201,18 +200,6 @@ class TestNonContiguousBlocks:
         res_c = AsyRGS(
             A, np.ascontiguousarray(B), nproc=2, engine=engine
         ).run_sweeps(2, record_history=False)
-        np.testing.assert_array_equal(res_s.x, res_c.x)
-
-    def test_threaded_engine(self, system):
-        A, B = system
-        n = A.shape[0]
-        strided = self.strided_copy(B)
-        res_s = ThreadedAsyRGS(A, strided, nthreads=1).run(
-            np.zeros(B.shape), 2 * n
-        )
-        res_c = ThreadedAsyRGS(A, B.copy(), nthreads=1).run(
-            np.zeros(B.shape), 2 * n
-        )
         np.testing.assert_array_equal(res_s.x, res_c.x)
 
 
