@@ -40,7 +40,9 @@ active set (the paper's 51-label regime with skewed label difficulty)::
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -57,6 +59,7 @@ from ..execution import (
     ProcessorPhaseDelay,
     WriteModel,
 )
+from ..execution.epochs import SimulatorEngine, solve_epochs
 from .residuals import ColumnTracker, ConvergenceHistory, relative_residual
 from .stepsize import auto_step_size
 
@@ -299,18 +302,7 @@ class AsyRGS:
             self.beta = float(beta)
             if not 0.0 < self.beta < 2.0:
                 raise ModelError(f"step size beta must lie in (0, 2), got {self.beta}")
-        if engine == "phased":
-            self._sim = PhasedSimulator(
-                A,
-                self.b,
-                nproc=self.nproc,
-                directions=self.directions,
-                beta=self.beta,
-                atomic=atomic,
-                jitter=int(jitter),
-                seed=seed,
-            )
-        elif engine == "processes":
+        if engine == "processes":
             self._sim = ProcessAsyRGS(
                 A,
                 self.b,
@@ -322,14 +314,7 @@ class AsyRGS:
                 capacity_k=capacity_k,
             )
         else:
-            self._sim = AsyncSimulator(
-                A,
-                self.b,
-                delay_model=self.delay_model,
-                directions=self.directions,
-                beta=self.beta,
-                write_model=write_model,
-            )
+            self._sim = self._make_engine(self.b)
 
     # ------------------------------------------------------------------
 
@@ -344,9 +329,11 @@ class AsyRGS:
         return np.array(check_x0(x0, self.b.shape))
 
     def _make_engine(self, b_sub: np.ndarray):
-        """A simulated engine for a column sub-block, sharing this
-        solver's directions/step/delay configuration — the realized row
-        sequence is identical, only the columns written shrink."""
+        """The simulated engine for ``b_sub`` (the whole block, or a
+        column sub-block of it), sharing this solver's
+        directions/step/delay configuration — on a sub-block the
+        realized row sequence is identical, only the columns written
+        shrink."""
         if self.engine == "phased":
             return PhasedSimulator(
                 self.A,
@@ -397,7 +384,8 @@ class AsyRGS:
         )
         if history is not None:
             history.record(0, metric(x))
-        if self.engine == "processes":
+        measured = self.engine == "processes"
+        if measured:
             if start_iteration:
                 raise ModelError(
                     "the processes engine always consumes the direction stream "
@@ -407,31 +395,20 @@ class AsyRGS:
             # Workers cannot be observed mid-segment without synchronizing
             # them (that is the point of this backend), so the history has
             # endpoints only: the run is one asynchronous segment.
-            if history is not None:
-                history.record(sweeps, metric(result.x))
-            return AsyRGSResult(
-                x=result.x,
-                iterations=result.iterations,
-                sweeps=sweeps,
-                converged=False,
-                history=history,
-                total_row_nnz=result.total_row_nnz,
-                sync_points=0,
-                lost_writes=0,
-                beta=self.beta,
-                tau_observed=result.tau_observed,
-                wall_time=result.wall_time,
-                column_updates=result.column_updates,
+            checkpoints = []
+            if record_history:
+                checkpoints.append((sweeps * self.n, metric(result.x)))
+        else:
+            result = self._sim.run(
+                x,
+                sweeps * self.n,
+                start_iteration=start_iteration,
+                checkpoint_every=self.n if record_history else None,
+                checkpoint_metric=metric if record_history else None,
             )
-        result = self._sim.run(
-            x,
-            sweeps * self.n,
-            start_iteration=start_iteration,
-            checkpoint_every=self.n if record_history else None,
-            checkpoint_metric=metric if record_history else None,
-        )
+            checkpoints = result.checkpoints
         if history is not None:
-            for it, value in result.checkpoints:
+            for it, value in checkpoints:
                 history.record((it - start_iteration) // self.n, value)
         return AsyRGSResult(
             x=result.x,
@@ -441,9 +418,11 @@ class AsyRGS:
             history=history,
             total_row_nnz=result.total_row_nnz,
             sync_points=0,
-            lost_writes=result.lost_writes,
+            lost_writes=0 if measured else result.lost_writes,
             beta=self.beta,
-            column_updates=result.iterations * k,
+            tau_observed=result.tau_observed if measured else None,
+            wall_time=result.wall_time if measured else None,
+            column_updates=result.column_updates if measured else result.iterations * k,
         )
 
     def solve(
@@ -482,178 +461,53 @@ class AsyRGS:
         per-column tracking is off and combining it with an explicit
         ``retire=True`` raises.
         """
-        tol = float(tol)
-        max_sweeps = int(max_sweeps)
-        sync_every = int(sync_every_sweeps)
-        if sync_every < 1:
-            raise ModelError("sync_every_sweeps must be at least 1")
-        if retire is None:
-            retire = metric is None
-        elif retire and metric is not None:
-            raise ModelError(
-                "column retirement tracks the built-in per-column relative "
-                "residual; a custom metric cannot be decomposed per column"
-            )
         x = self._zero_like_b() if x0 is None else self._check_x0(x0)
-        history = (
-            ConvergenceHistory(label="AsyRGS-epochs", unit="sweep", metric="metric")
-            if record_history
-            else None
+        epochs = dict(
+            sync_every_sweeps=sync_every_sweeps, metric=metric, retire=retire
         )
-        multi = self.b.ndim == 2
-        if self.engine == "processes":
-            result = self._sim.solve(
+        measured = self.engine == "processes"
+        if measured:
+            result = self._sim.solve(tol, max_sweeps, x, **epochs)
+            lost = 0
+        else:
+            engine = SimulatorEngine(self._sim, narrow=self._make_engine)
+            result = solve_epochs(
+                nullcontext(engine),
+                partial(ColumnTracker, self.A),
+                x,
+                self.b,
                 tol=tol,
                 max_sweeps=max_sweeps,
-                x0=x,
-                sync_every_sweeps=sync_every,
-                metric=metric,
-                retire=retire,
+                n_rows=self.n,
+                **epochs,
             )
-            if history is not None:
-                columns = dict(result.column_checkpoints) if multi else {}
-                for it, value in result.checkpoints:
-                    history.record(it // self.n, value, columns=columns.get(it))
-            return AsyRGSResult(
-                x=result.x,
-                # Same quantity as the simulated path below: epochs of n
-                # updates actually executed, not a ratio re-derived from
-                # the commit count.
-                sweeps=result.sweeps_done,
-                iterations=result.iterations,
-                converged=result.converged,
-                history=history,
-                total_row_nnz=result.total_row_nnz,
-                sync_points=result.sync_points,
-                lost_writes=0,
-                beta=self.beta,
-                tau_observed=result.tau_observed,
-                wall_time=result.wall_time,
-                column_updates=result.column_updates,
-                converged_columns=result.converged_columns,
-                column_sweeps=result.column_sweeps,
-                column_residuals=result.column_residuals,
+            lost = engine.lost_writes
+        history = None
+        if record_history:
+            history = ConvergenceHistory(
+                label="AsyRGS-epochs", unit="sweep", metric="metric"
             )
-        if metric is not None:
-            return self._solve_simulated_metric(
-                tol, max_sweeps, x, sync_every, metric, history
-            )
-        return self._solve_simulated_columns(
-            tol, max_sweeps, x, sync_every, retire, history
-        )
-
-    def _solve_simulated_columns(
-        self, tol, max_sweeps, x, sync_every, retire, history
-    ) -> AsyRGSResult:
-        """Column-aware epoch loop for the simulated engines.
-
-        Each RHS column evolves independently (a row update touches only
-        that column's data), so freezing retired columns and running the
-        engine on the active sub-block realizes exactly the same
-        per-column trajectories as the full run — with fewer writes.
-        """
-        multi = self.b.ndim == 2
-        k = int(self.b.shape[1]) if multi else 1
-        tracker = ColumnTracker(self.A, x, self.b, tol)
-        if history is not None:
-            history.record(0, tracker.value, columns=tracker.col if multi else None)
-        iterations = 0
-        total_nnz = 0
-        lost = 0
-        sync_points = 0
-        sweeps_done = 0
-        column_updates = 0
-        # The sub-engine for a narrowed block is rebuilt only when the
-        # active set actually changes (retirements are rare relative to
-        # epochs); in between, the previous epoch's result block is fed
-        # straight back in — no per-epoch copies or diagonal re-scans.
-        sub_engine = None
-        sub_live = None
-        sub_x = None
-        while not tracker.converged and sweeps_done < max_sweeps:
-            take = min(sync_every, max_sweeps - sweeps_done)
-            live = tracker.active() if (retire and multi) else None
-            if live is None or live.size == k:
-                result = self._sim.run(x, take * self.n, start_iteration=iterations)
-                x = result.x
-                active_count = k
-            else:
-                if sub_live is None or not np.array_equal(live, sub_live):
-                    sub_engine = self._make_engine(
-                        np.ascontiguousarray(self.b[:, live])
-                    )
-                    sub_live = live
-                    sub_x = np.ascontiguousarray(x[:, live])
-                result = sub_engine.run(
-                    sub_x, take * self.n, start_iteration=iterations
-                )
-                sub_x = result.x
-                x[:, live] = result.x
-                active_count = int(live.size)
-            iterations += result.iterations
-            total_nnz += result.total_row_nnz
-            lost += result.lost_writes
-            column_updates += result.iterations * active_count
-            sweeps_done += take
-            sync_points += 1
-            tracker.update(x, sweeps_done, retire)
-            if history is not None:
-                history.record(
-                    sweeps_done, tracker.value, columns=tracker.col if multi else None
-                )
+            columns = dict(result.column_checkpoints) if self.b.ndim == 2 else {}
+            for it, value in result.checkpoints:
+                history.record(it // self.n, value, columns=columns.get(it))
         return AsyRGSResult(
-            x=x,
-            iterations=iterations,
-            sweeps=sweeps_done,
-            converged=tracker.converged,
+            x=result.x,
+            iterations=result.iterations,
+            sweeps=result.sweeps_done,
+            converged=result.converged,
             history=history,
-            total_row_nnz=total_nnz,
-            sync_points=sync_points,
+            total_row_nnz=result.total_row_nnz,
+            sync_points=result.sync_points,
             lost_writes=lost,
             beta=self.beta,
-            column_updates=column_updates,
-            converged_columns=tracker.done_mask.copy(),
-            column_sweeps=tracker.column_sweeps,
-            column_residuals=tracker.col.copy(),
-        )
-
-    def _solve_simulated_metric(
-        self, tol, max_sweeps, x, sync_every, metric, history
-    ) -> AsyRGSResult:
-        """Aggregate-only epoch loop for caller-supplied metrics (no
-        per-column tracking, no retirement)."""
-        value = metric(x)
-        if history is not None:
-            history.record(0, value)
-        converged = value < tol
-        iterations = 0
-        total_nnz = 0
-        lost = 0
-        sync_points = 0
-        sweeps_done = 0
-        while not converged and sweeps_done < max_sweeps:
-            take = min(sync_every, max_sweeps - sweeps_done)
-            result = self._sim.run(
-                x, take * self.n, start_iteration=iterations
-            )
-            x = result.x
-            iterations += result.iterations
-            total_nnz += result.total_row_nnz
-            lost += result.lost_writes
-            sweeps_done += take
-            sync_points += 1
-            value = metric(x)
-            if history is not None:
-                history.record(sweeps_done, value)
-            converged = value < tol
-        return AsyRGSResult(
-            x=x,
-            iterations=iterations,
-            sweeps=sweeps_done,
-            converged=converged,
-            history=history,
-            total_row_nnz=total_nnz,
-            sync_points=sync_points,
-            lost_writes=lost,
-            beta=self.beta,
+            # The simulators model their delays and time nothing real;
+            # with a custom metric they keep no column accounting.
+            tau_observed=result.tau_observed if measured else None,
+            wall_time=result.wall_time if measured else None,
+            column_updates=(
+                result.column_updates if measured or metric is None else None
+            ),
+            converged_columns=result.converged_columns,
+            column_sweeps=result.column_sweeps,
+            column_residuals=result.column_residuals,
         )

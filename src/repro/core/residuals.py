@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..exceptions import ShapeError
+from ..execution.epochs import ColumnFold
 from ..sparse import CSRMatrix
 
 __all__ = [
@@ -110,52 +111,33 @@ def column_relative_residuals(A: CSRMatrix, x: np.ndarray, b: np.ndarray) -> np.
     return block_residual_state(A, x, b)[0]
 
 
-class ColumnTracker:
-    """Per-column convergence bookkeeping shared by every solve loop.
+class ColumnTracker(ColumnFold):
+    """Per-column relative residuals ``‖b_j − A x_j‖ / ‖b_j‖`` of a
+    square system, tracked across the epochs of one solve.
 
-    Initialized at the start of a solve and updated once per epoch
-    boundary, it owns the pieces every backend (the simulators and the
-    process pools) would otherwise reimplement: the per-column relative
-    residuals (``col``), their first-below-``tol`` epochs
-    (``column_sweeps``), the converged/retired mask (``done_mask``), and
-    the aggregate Frobenius residual derived from the same matrix pass
-    (``value``). The caller decides *what* to re-measure and *when* —
-    the tracker never touches the iterate.
+    The measure the AsyRGS engines judge convergence by (the
+    least-squares counterpart is
+    :class:`~repro.execution.kaczmarz.LeastSquaresTracker`). The
+    bookkeeping it shares with that tracker lives in
+    :class:`~repro.execution.epochs.ColumnFold`: ``col``,
+    ``column_sweeps``, ``done_mask`` and the aggregate Frobenius
+    ``value`` derived from the same matrix pass. The epoch driver decides
+    *when* to measure; the tracker never touches the iterate.
     """
 
     def __init__(self, A: CSRMatrix, x0: np.ndarray, b: np.ndarray, tol: float):
         self.A = A
         self.b = b
-        self.tol = float(tol)
-        self.col, self.num, denom = block_residual_state(A, x0, b)
-        self.k = int(self.col.shape[0])
-        self._denom_total = float(np.linalg.norm(denom))
-        self.done_mask = self.col < self.tol
-        self.column_sweeps = np.where(self.done_mask, 0, -1).astype(np.int64)
-
-    @property
-    def value(self) -> float:
-        """The aggregate Frobenius relative residual at the last update
-        (``‖num‖₂ / ‖b‖_F``, absolute when ``b`` is zero)."""
-        num_total = float(np.linalg.norm(self.num))
-        return num_total / self._denom_total if self._denom_total > 0 else num_total
-
-    @property
-    def converged(self) -> bool:
-        return bool(self.done_mask.all())
-
-    def active(self) -> np.ndarray:
-        """Indices of the columns still in the active set."""
-        return np.flatnonzero(~self.done_mask)
+        col, num, denom = block_residual_state(A, x0, b)
+        super().__init__(col, num, np.linalg.norm(denom), tol)
 
     def update(self, x: np.ndarray, sweeps_done: int, retire: bool) -> np.ndarray:
         """Fold one synchronization point into the masks.
 
         Re-measures the active columns when ``retire`` (retired columns
         are frozen, their residuals cannot have moved) or every column
-        otherwise, stamps ``column_sweeps`` for columns newly below
-        ``tol``, and returns the indices retired *by this update* (empty
-        when ``retire`` is off).
+        otherwise, and returns the indices retired *by this update*
+        (empty when ``retire`` is off).
         """
         recheck = self.active() if retire else np.arange(self.k)
         if recheck.size:
@@ -164,16 +146,7 @@ class ColumnTracker:
             sub_col, sub_num, _ = block_residual_state(self.A, sub_x, sub_b)
             self.col[recheck] = sub_col
             self.num[recheck] = sub_num
-        below = self.col < self.tol
-        newly_below = np.flatnonzero(below & (self.column_sweeps < 0))
-        self.column_sweeps[newly_below] = int(sweeps_done)
-        if retire:
-            newly_retired = np.flatnonzero(below & ~self.done_mask)
-            self.done_mask |= below
-        else:
-            newly_retired = np.empty(0, dtype=np.int64)
-            self.done_mask = below
-        return newly_retired
+        return self.fold(sweeps_done, retire)
 
 
 def a_norm(A: CSRMatrix, v: np.ndarray) -> float:

@@ -29,6 +29,8 @@ the one row kernel of the solver-agnostic pool core in
 AsyRGS scatters into coordinate ``r``, AsyRK into the row's support, a
 shard into its owned row at an offset. :func:`make_solver` maps the
 wire-level ``method`` names (``"asyrgs"``/``"asyrk"``) to the backends.
+Every solve to a tolerance, on the simulators and the pools alike, runs
+the one epoch driver of :mod:`repro.execution.epochs`.
 """
 
 from ..exceptions import ModelError

@@ -56,20 +56,21 @@ from ..exceptions import ModelError
 from ..rng import DirectionStream
 from ..sparse import CSRMatrix
 from ..validation import check_rhs
+from .epochs import ColumnFold
 from .pool import PoolSolver, RowUpdate
 
 __all__ = ["AsyRK", "LeastSquaresTracker"]
 
 
-class LeastSquaresTracker:
+class LeastSquaresTracker(ColumnFold):
     """Per-column normal-equations convergence for rectangular systems.
 
     The rectangular counterpart of
-    :class:`~repro.core.residuals.ColumnTracker` — same surface
-    (``value``, ``converged``, ``col``, ``done_mask``, ``column_sweeps``,
-    ``active()``, ``update()``), different measure: column ``j`` is
-    converged when ``‖Aᵀ(b_j − A x_j)‖ / ‖Aᵀ b_j‖ < tol`` (absolute when
-    the denominator is zero). The plain residual ``‖b_j − A x_j‖`` cannot
+    :class:`~repro.core.residuals.ColumnTracker`, sharing its
+    bookkeeping (:class:`~repro.execution.epochs.ColumnFold`) and
+    differing only in the measure: column ``j`` is converged when
+    ``‖Aᵀ(b_j − A x_j)‖ / ‖Aᵀ b_j‖ < tol`` (absolute when the
+    denominator is zero). The plain residual ``‖b_j − A x_j‖`` cannot
     reach zero on an inconsistent system; the normal-equations residual
     vanishes exactly at the least-squares solution.
     """
@@ -77,18 +78,16 @@ class LeastSquaresTracker:
     def __init__(self, A: CSRMatrix, At: CSRMatrix, x0, b, tol: float):
         self.A = A
         self.At = At
-        self.tol = float(tol)
         b2 = b if b.ndim == 2 else b[:, None]
         self._b2 = b2
-        self.k = int(b2.shape[1])
         denom_block = At.matmat(b2)
         self._denom = np.sqrt((denom_block * denom_block).sum(axis=0))
-        self._denom_total = float(np.linalg.norm(denom_block))
         x2 = x0 if x0.ndim == 2 else x0[:, None]
-        self.num = self._measure(x2, np.arange(self.k))
-        self.col = np.where(self._denom > 0, self.num / np.where(self._denom > 0, self._denom, 1.0), self.num)
-        self.done_mask = self.col < self.tol
-        self.column_sweeps = np.where(self.done_mask, 0, -1).astype(np.int64)
+        num = self._measure(x2, np.arange(b2.shape[1]))
+        super().__init__(
+            self._relative(num, self._denom), num,
+            np.linalg.norm(denom_block), tol,
+        )
 
     def _measure(self, x2: np.ndarray, which: np.ndarray) -> np.ndarray:
         """``‖Aᵀ(b_j − A x_j)‖`` for the requested columns (``x2`` holds
@@ -97,18 +96,9 @@ class LeastSquaresTracker:
         G = self.At.matmat(R)
         return np.sqrt((G * G).sum(axis=0))
 
-    @property
-    def value(self) -> float:
-        """The aggregate (Frobenius) relative normal-equations residual."""
-        total = float(np.linalg.norm(self.num))
-        return total / self._denom_total if self._denom_total > 0 else total
-
-    @property
-    def converged(self) -> bool:
-        return bool(self.done_mask.all())
-
-    def active(self) -> np.ndarray:
-        return np.flatnonzero(~self.done_mask)
+    @staticmethod
+    def _relative(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
+        return np.where(denom > 0, num / np.where(denom > 0, denom, 1.0), num)
 
     def update(self, x, sweeps_done: int, retire: bool) -> np.ndarray:
         """Re-measure, stamp newly converged columns, return the ones to
@@ -119,18 +109,8 @@ class LeastSquaresTracker:
             x2 = x if x.ndim == 2 else x[:, None]
             num = self._measure(x2[:, recheck], recheck)
             self.num[recheck] = num
-            denom = self._denom[recheck]
-            self.col[recheck] = np.where(denom > 0, num / np.where(denom > 0, denom, 1.0), num)
-        below = self.col < self.tol
-        newly_below = np.flatnonzero(below & (self.column_sweeps < 0))
-        self.column_sweeps[newly_below] = sweeps_done
-        if retire:
-            newly_retired = np.flatnonzero(below & ~self.done_mask)
-            self.done_mask |= below
-        else:
-            newly_retired = np.empty(0, dtype=np.int64)
-            self.done_mask = below
-        return newly_retired
+            self.col[recheck] = self._relative(num, self._denom[recheck])
+        return self.fold(sweeps_done, retire)
 
 
 class AsyRK(PoolSolver):

@@ -70,7 +70,7 @@ import signal
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from contextlib import contextmanager
 
 import multiprocessing
 from multiprocessing import shared_memory
@@ -80,6 +80,13 @@ import numpy as np
 from ..exceptions import ModelError, ShapeError
 from ..rng import DirectionStream, interleave_counts
 from ..validation import check_rhs, check_x0, rhs_empty_message
+from .epochs import (
+    DelayStats,
+    ProcessRunResult,
+    engine_counts,
+    request_view,
+    solve_epochs,
+)
 
 __all__ = [
     "DelayStats",
@@ -268,30 +275,9 @@ def _attach(name: str) -> shared_memory.SharedMemory:
     return shared_memory.SharedMemory(name=name)
 
 
-def _row_block_products(data, indices, indptr, X) -> np.ndarray:
-    """``(A X)`` from the raw shared CSR triplet — one vectorized pass.
-
-    ``X`` is ``(x_rows, c)``; the result is ``(n_rows, c)``. Rows with
-    no stored entries contribute exact zeros (``np.add.reduceat`` is
-    wrong on empty slices, so they are masked out explicitly).
-    """
-    n_rows = indptr.shape[0] - 1
-    prod = data[:, None] * X[indices, :]
-    starts = np.asarray(indptr[:-1])
-    lengths = np.diff(indptr)
-    out = np.zeros((n_rows, X.shape[1]))
-    nonempty = lengths > 0
-    if prod.shape[0]:
-        # reduceat needs strictly valid start offsets; clip the starts
-        # of empty rows to a safe index and mask their bogus sums away.
-        safe = np.minimum(starts, prod.shape[0] - 1)
-        sums = np.add.reduceat(prod, safe, axis=0)
-        out[nonempty] = sums[nonempty]
-    return out
-
-
-def residual_weights(v: dict[str, np.ndarray]) -> np.ndarray:
-    """Per-row adaptive sampling weights from the live shared segment.
+def residual_weights(A, v: dict[str, np.ndarray]) -> np.ndarray:
+    """Per-row adaptive sampling weights from the live shared segment
+    (``A`` is the pool's operator, whose CSR the segment holds).
 
     The weight of row ``r`` is ``Σ_j |b[r,j] − (A x_j)[r]|`` over the
     active columns — the residual mass a draw of ``r`` can remove. The
@@ -303,8 +289,7 @@ def residual_weights(v: dict[str, np.ndarray]) -> np.ndarray:
     act = np.flatnonzero(v["active"] != 0)
     if act.size == 0:
         return np.ones(v["norms"].shape[0])
-    S = _row_block_products(v["data"], v["indices"], v["indptr"], v["x"][:, act])
-    return np.abs(v["b"][:, act] - S).sum(axis=1)
+    return np.abs(v["b"][:, act] - A.matmat(v["x"][:, act])).sum(axis=1)
 
 
 def _worker_main(
@@ -456,95 +441,6 @@ def _worker_loop(
         barrier.wait()  # end gate: all updates of the epoch are visible
 
 
-@dataclass
-class DelayStats:
-    """Empirical staleness recovered from the shared write-log.
-
-    Each sample counts the foreign commits that landed between one
-    update's read of the shared iterate and its own commit — the measured
-    counterpart of the paper's bounded delay ``τ`` (Assumptions A-3/A-4).
-    """
-
-    count: int
-    mean: float
-    max: int
-    samples: np.ndarray = field(repr=False)
-
-    @property
-    def tau_observed(self) -> int:
-        """The empirical delay bound: the largest staleness witnessed."""
-        return self.max
-
-
-@dataclass
-class ProcessRunResult:
-    """Outcome of a multiprocess run.
-
-    Attributes
-    ----------
-    x:
-        Final iterate (a private copy; ``(x_rows,)`` or ``(x_rows, k)``
-        following the request's ``b``).
-    iterations:
-        Total row updates committed across all workers (a block update
-        of all ``k`` columns counts once, as in the simulators).
-    per_worker_iterations:
-        Commit counts per worker process.
-    sync_points:
-        Barrier crossings executed (epoch boundaries).
-    converged:
-        Whether the tolerance was reached (``False`` without one).
-    wall_time:
-        Wall-clock seconds spent inside the worker session (excludes
-        process startup, includes barrier waits — the honest number a
-        strong-scaling plot should use).
-    tau_observed:
-        :class:`DelayStats` from the shared write-log.
-    checkpoints:
-        ``(cumulative_updates, metric)`` pairs recorded at epoch
-        boundaries by the parent.
-    atomic:
-        Whether updates went through the striped locks.
-    sweeps_done:
-        Completed sweeps of ``n_rows`` row updates — the quantity the
-        epoch loop actually executed, reported identically by every
-        engine.
-    column_updates:
-        Σ over commits of the number of columns actually refreshed —
-        ``iterations · k`` without retirement, strictly less once
-        columns start retiring (the work the retirement saves).
-    converged_columns:
-        Per-column convergence mask at the final synchronization point
-        (``None`` for runs without a tolerance or with a custom metric).
-    column_sweeps:
-        Sweep count at which each column first reached the tolerance
-        (its retirement epoch when retirement is on); ``-1`` for columns
-        that never got there. ``None`` like ``converged_columns``.
-    column_residuals:
-        Final per-column residual measures (``None`` like the above).
-    column_checkpoints:
-        ``(cumulative_updates, per-column residuals)`` pairs recorded at
-        epoch boundaries alongside ``checkpoints``.
-    """
-
-    x: np.ndarray
-    iterations: int
-    per_worker_iterations: list[int]
-    sync_points: int
-    converged: bool
-    wall_time: float
-    tau_observed: DelayStats
-    checkpoints: list[tuple[int, float]] = field(default_factory=list)
-    atomic: bool = False
-    total_row_nnz: int = 0
-    sweeps_done: int = 0
-    column_updates: int = 0
-    converged_columns: np.ndarray | None = None
-    column_sweeps: np.ndarray | None = None
-    column_residuals: np.ndarray | None = None
-    column_checkpoints: list[tuple[int, np.ndarray]] = field(default_factory=list)
-
-
 class _WorkerPool:
     """A live worker pool over one shared segment (epoch-stepped).
 
@@ -663,7 +559,7 @@ class _WorkerPool:
         """
         if not self.backend.adaptive:
             return
-        w = residual_weights(self.views)
+        w = residual_weights(self.backend.A, self.views)
         mean = float(w.mean())
         if mean > 0:
             # Blend with a uniform component: the weights go stale over
@@ -786,15 +682,21 @@ class PoolSolver:
     hands everything here. This class owns the pool lifecycle
     (context-manager persistence, one-shot fallback, crash recovery),
     request plumbing (capacity-k checks, request-shaped views), the
-    free-running :meth:`run`, and the epoch-synchronized :meth:`solve`
-    with per-column tracking and retirement.
+    free-running :meth:`run`, and :meth:`solve`, which runs the shared
+    epoch driver (:func:`~repro.execution.epochs.solve_epochs`) on the
+    pool.
 
-    Subclass contract: set :attr:`method_name` and :attr:`update_method`
-    (a :class:`RowUpdate`), call ``__init__`` with the prepared system,
-    and implement :meth:`_tracker` returning a per-column convergence
-    tracker with the ``ColumnTracker`` surface (``value``,
-    ``converged``, ``col``, ``done_mask``, ``column_sweeps``,
-    ``update(x, sweeps_done, retire)``).
+    The pool is an epoch engine in the driver's sense: ``begin(x0, b)``
+    arms one call, ``advance(updates)`` runs one segment between two
+    barriers, ``x()`` is the shared iterate block, ``retire_columns``
+    clears slots of the shared active mask, and the counters
+    (``per_worker()``, ``sync_points``, ``wall_time``,
+    ``total_row_nnz()``, ``column_updates()``, ``delay_stats()``) come
+    from the segment. A subclass sets :attr:`method_name` and
+    :attr:`update_method` (a :class:`RowUpdate`), calls ``__init__``
+    with the prepared system, and implements :meth:`_tracker`, its
+    per-column convergence measure (a
+    :class:`~repro.execution.epochs.ColumnFold`).
     """
 
     method_name = "pool"
@@ -958,6 +860,18 @@ class PoolSolver:
                 self._pool = None
             pool.stop()
 
+    @contextmanager
+    def _engine(self):
+        """The pool serving one call, released (and dropped on failure)
+        when the call ends."""
+        pool, oneshot = self._acquire_pool()
+        failed = True
+        try:
+            yield pool
+            failed = False
+        finally:
+            self._release_pool(pool, oneshot, failed)
+
     # -- per-call plumbing ----------------------------------------------
 
     def _check_b(self, b: np.ndarray | None) -> np.ndarray:
@@ -974,16 +888,6 @@ class PoolSolver:
         if x0 is None:
             return np.zeros(shape)
         return check_x0(x0, shape)
-
-    @staticmethod
-    def _request_view(x_shared: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The slice of the shared ``(x_rows, capacity_k)`` iterate this
-        request occupies, shaped like its ``b`` (no copy)."""
-        return x_shared[:, 0] if b.ndim == 1 else x_shared[:, : b.shape[1]]
-
-    def _out(self, x_shared: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """A private, request-shaped copy of the shared iterate."""
-        return self._request_view(x_shared, b).copy()
 
     def run(
         self,
@@ -1004,29 +908,17 @@ class PoolSolver:
             raise ModelError("num_iterations must be non-negative")
         b = self._check_b(b)
         x0 = self._check_x0(x0, b)
-        pool, oneshot = self._acquire_pool()
-        failed = True
-        try:
+        with self._engine() as pool:
             pool.begin(x0, b)
             if num_iterations:
                 pool.advance(num_iterations)
-            result = ProcessRunResult(
-                x=self._out(pool.x(), b),
-                iterations=sum(pool.per_worker()),
-                per_worker_iterations=pool.per_worker(),
-                sync_points=pool.sync_points,
+            return ProcessRunResult(
+                x=request_view(pool.x(), b).copy(),
                 converged=False,
-                total_row_nnz=pool.total_row_nnz(),
-                wall_time=pool.wall_time,
-                tau_observed=pool.delay_stats(),
                 atomic=self.atomic,
                 sweeps_done=num_iterations // self.n_rows,
-                column_updates=pool.column_updates(),
+                **engine_counts(pool),
             )
-            failed = False
-        finally:
-            self._release_pool(pool, oneshot, failed)
-        return result
 
     def solve(
         self,
@@ -1061,147 +953,22 @@ class PoolSolver:
         ``b=`` overrides the right-hand side for this call only; any
         width ``k ≤ capacity_k`` reuses the live pool, and ``x0``/the
         result are shaped to ``x_rows`` rows at the ``b``'s width."""
-        tol = float(tol)
-        max_sweeps = int(max_sweeps)
-        sync_every = int(sync_every_sweeps)
-        if sync_every < 1:
-            raise ModelError("sync_every_sweeps must be at least 1")
-        if retire is None:
-            retire = metric is None
-        elif retire and metric is not None:
-            raise ModelError(
-                "column retirement tracks the built-in per-column "
-                "residual; a custom metric cannot be decomposed per column"
-            )
         b = self._check_b(b)
         x0 = self._check_x0(x0, b)
-        if metric is not None:
-            return self._solve_metric(
-                tol, max_sweeps, x0, sync_every, metric, b
-            )
-        tracker = self._tracker(x0, b, tol)
-        checkpoints = [(0, tracker.value)]
-        column_checkpoints = [(0, tracker.col.copy())]
-        if tracker.converged or max_sweeps == 0:
-            return ProcessRunResult(
-                x=x0.copy(),
-                iterations=0,
-                per_worker_iterations=[0] * self.nproc,
-                sync_points=0,
-                converged=tracker.converged,
-                wall_time=0.0,
-                tau_observed=DelayStats(0, 0.0, 0, np.empty(0, dtype=np.int64)),
-                checkpoints=checkpoints,
-                atomic=self.atomic,
-                sweeps_done=0,
-                converged_columns=tracker.done_mask,
-                column_sweeps=tracker.column_sweeps,
-                column_residuals=tracker.col,
-                column_checkpoints=column_checkpoints,
-            )
-        pool, oneshot = self._acquire_pool()
-        failed = True
-        try:
-            pool.begin(x0, b)
-            if retire and tracker.done_mask.any():
-                # Columns converged before the first epoch never enter
-                # the active set at all.
-                pool.retire_columns(np.flatnonzero(tracker.done_mask))
-            sweeps_done = 0
-            while not tracker.converged and sweeps_done < max_sweeps:
-                take = min(sync_every, max_sweeps - sweeps_done)
-                pool.advance(take * self.n_rows)
-                sweeps_done += take
-                # The barrier just crossed is a paper-sense sync point:
-                # the parent's read below sees every worker's writes.
-                # The tracker re-measures only the active columns when
-                # retiring (retired ones are frozen); newly converged
-                # columns leave the shared mask while the parent owns
-                # the segment, never mid-epoch.
-                xv = self._request_view(pool.x(), b)
-                newly_retired = tracker.update(xv, sweeps_done, retire)
-                if newly_retired.size:
-                    pool.retire_columns(newly_retired)
-                checkpoints.append((pool.target, tracker.value))
-                column_checkpoints.append((pool.target, tracker.col.copy()))
-            result = ProcessRunResult(
-                x=self._out(pool.x(), b),
-                iterations=sum(pool.per_worker()),
-                per_worker_iterations=pool.per_worker(),
-                sync_points=pool.sync_points,
-                converged=tracker.converged,
-                total_row_nnz=pool.total_row_nnz(),
-                wall_time=pool.wall_time,
-                tau_observed=pool.delay_stats(),
-                checkpoints=checkpoints,
-                atomic=self.atomic,
-                sweeps_done=sweeps_done,
-                column_updates=pool.column_updates(),
-                converged_columns=tracker.done_mask.copy(),
-                column_sweeps=tracker.column_sweeps,
-                column_residuals=tracker.col.copy(),
-                column_checkpoints=column_checkpoints,
-            )
-            failed = False
-        finally:
-            self._release_pool(pool, oneshot, failed)
-        return result
-
-    def _solve_metric(
-        self, tol, max_sweeps, x0, sync_every, metric, b
-    ) -> ProcessRunResult:
-        """The aggregate-only epoch loop for caller-supplied metrics
-        (no per-column tracking, no retirement)."""
-        value = metric(x0)
-        checkpoints = [(0, value)]
-        converged = value < tol
-        if converged or max_sweeps == 0:
-            return ProcessRunResult(
-                x=x0.copy(),
-                iterations=0,
-                per_worker_iterations=[0] * self.nproc,
-                sync_points=0,
-                converged=converged,
-                wall_time=0.0,
-                tau_observed=DelayStats(0, 0.0, 0, np.empty(0, dtype=np.int64)),
-                checkpoints=checkpoints,
-                atomic=self.atomic,
-                sweeps_done=0,
-            )
-        pool, oneshot = self._acquire_pool()
-        failed = True
-        try:
-            pool.begin(x0, b)
-            sweeps_done = 0
-            while not converged and sweeps_done < max_sweeps:
-                take = min(sync_every, max_sweeps - sweeps_done)
-                pool.advance(take * self.n_rows)
-                sweeps_done += take
-                # The barrier just crossed is a paper-sense sync point:
-                # the parent's read below sees every worker's writes
-                # (request-shaped view, no copy).
-                xv = self._request_view(pool.x(), b)
-                value = metric(xv)
-                checkpoints.append((pool.target, value))
-                converged = value < tol
-            result = ProcessRunResult(
-                x=self._out(pool.x(), b),
-                iterations=sum(pool.per_worker()),
-                per_worker_iterations=pool.per_worker(),
-                sync_points=pool.sync_points,
-                converged=converged,
-                total_row_nnz=pool.total_row_nnz(),
-                wall_time=pool.wall_time,
-                tau_observed=pool.delay_stats(),
-                checkpoints=checkpoints,
-                atomic=self.atomic,
-                sweeps_done=sweeps_done,
-                column_updates=pool.column_updates(),
-            )
-            failed = False
-        finally:
-            self._release_pool(pool, oneshot, failed)
-        return result
+        return solve_epochs(
+            self._engine(),
+            self._tracker,
+            x0,
+            b,
+            tol=tol,
+            max_sweeps=max_sweeps,
+            sync_every_sweeps=sync_every_sweeps,
+            metric=metric,
+            retire=retire,
+            n_rows=self.n_rows,
+            workers=self.nproc,
+            atomic=self.atomic,
+        )
 
 
 def available_cpus() -> int:

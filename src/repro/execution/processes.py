@@ -100,8 +100,9 @@ bit the paper's sampling.
 
 Epochs
 ------
-:meth:`ProcessAsyRGS.solve` implements the synchronization scheme of
-Theorem 2's discussion: run asynchronously for ``sync_every_sweeps · n``
+:meth:`ProcessAsyRGS.solve` runs the synchronization scheme of
+Theorem 2's discussion through the shared epoch driver
+(:mod:`repro.execution.epochs`): run asynchronously for ``sync_every_sweeps · n``
 updates, meet at a barrier (every worker's writes are visible — a
 segment boundary in the paper's sense), let the parent evaluate the
 residual on the shared iterate, and either continue or stop. The number

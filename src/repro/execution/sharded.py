@@ -97,13 +97,10 @@ Fake shards
 -----------
 ``shard_factory`` replaces the per-shard pool construction for tests:
 it is called as ``factory(index, A_s, b_s, norms_s, offset=r0,
-**pool_kwargs)`` and must return an object with the small driving
-surface the coordinator uses — ``open()``/``close()``,
-``_ensure_pool()`` returning a pool with ``begin(x0, b)``,
-``advance(n)``, ``x()``, ``retire_columns(cols)``, ``per_worker()``,
-``column_updates()``, ``total_row_nnz()``, ``delay_stats()``, and
-``sync_points``/``wall_time`` attributes — plus ``spawn_count``,
-``worker_pids()``, and ``n_rows``. The simulation-test harness drives
+**pool_kwargs)`` and must return an object with ``open()``/``close()``,
+``_ensure_pool()`` returning an engine of the epoch driver's protocol
+(:mod:`repro.execution.epochs`), ``spawn_count``, ``worker_pids()``,
+and ``n_rows``. The simulation-test harness drives
 the coordinator through scripted shard deaths this way without
 spawning a single OS process.
 """
@@ -119,6 +116,7 @@ from ..exceptions import ModelError
 from ..rng import DirectionStream
 from ..sparse import CSRMatrix
 from ..validation import check_rhs, check_x0
+from .epochs import EpochRecord, check_epoch_args
 from .halo import LocalBoard, NodeShard, split_address
 from .kaczmarz import AsyRK
 from .pool import DelayStats, PoolSolver, ProcessRunResult, RowUpdate, _layout
@@ -687,13 +685,9 @@ class ShardedSolver:
                 "sharded solves judge convergence on the assembled global "
                 "residual; a custom metric cannot be decomposed per shard"
             )
-        tol = float(tol)
-        max_sweeps = int(max_sweeps)
-        sync_every = int(sync_every_sweeps)
-        if sync_every < 1:
-            raise ModelError("sync_every_sweeps must be at least 1")
-        if retire is None:
-            retire = True
+        tol, max_sweeps, sync_every, retire = check_epoch_args(
+            tol, max_sweeps, sync_every_sweeps, retire=retire
+        )
         b = check_rhs(
             self.b if b is None else b, self.n, capacity=self.capacity_k
         )
@@ -702,25 +696,14 @@ class ShardedSolver:
         from ..core.residuals import ColumnTracker  # deferred: core imports execution
 
         tracker = ColumnTracker(self.A, x0, b, tol)
-        checkpoints = [(0, tracker.value)]
-        column_checkpoints = [(0, tracker.col.copy())]
+        record = EpochRecord(tracker, retire)
         S = self.shards
         if tracker.converged or max_sweeps == 0:
-            return ShardedRunResult(
-                x=x0.copy(),
-                iterations=0,
+            return record.result(
+                x0.copy(),
                 per_worker_iterations=[0] * (S * self.nproc),
-                sync_points=0,
-                converged=tracker.converged,
-                wall_time=0.0,
-                tau_observed=DelayStats(0, 0.0, 0, np.empty(0, dtype=np.int64)),
-                checkpoints=checkpoints,
                 atomic=self.atomic,
-                sweeps_done=0,
-                converged_columns=tracker.done_mask,
-                column_sweeps=tracker.column_sweeps,
-                column_residuals=tracker.col,
-                column_checkpoints=column_checkpoints,
+                cls=ShardedRunResult,
                 shards=S,
                 shard_updates=[0] * S,
                 shard_sweeps=[0] * S,
@@ -818,13 +801,11 @@ class ShardedSolver:
                     seen = esum
                     snap = transport.snapshot()
                     xg = snap[:, 0].copy() if b.ndim == 1 else snap
-                    newly = tracker.update(xg, max(epochs), retire)
+                    updates = sum(e * w for e, w in zip(epochs, sizes))
+                    newly = record.boundary(xg, max(epochs), updates)
                     if newly.size:
                         with cond:
                             retired_cols.extend(int(c) for c in newly)
-                    updates = sum(e * w for e, w in zip(epochs, sizes))
-                    checkpoints.append((updates, tracker.value))
-                    column_checkpoints.append((updates, tracker.col.copy()))
                     if tracker.converged:
                         stop.set()
                         break
@@ -848,34 +829,27 @@ class ShardedSolver:
             # are frozen in the tracker and cannot un-converge).
             snap = transport.snapshot()
             xg = snap[:, 0].copy() if b.ndim == 1 else snap
-            tracker.update(xg, max(epochs), retire)
             updates = sum(e * w for e, w in zip(epochs, sizes))
-            checkpoints.append((updates, tracker.value))
-            column_checkpoints.append((updates, tracker.col.copy()))
+            record.boundary(xg, max(epochs), updates)
             shard_updates = [sum(p.per_worker()) for p in pools]
             for s, u in enumerate(shard_updates):
                 self._shard_total_updates[s] += u
-            result = ShardedRunResult(
-                x=xg,
+            result = record.result(
+                xg,
                 iterations=sum(shard_updates),
                 per_worker_iterations=[
                     c for p in pools for c in p.per_worker()
                 ],
                 sync_points=sum(p.sync_points for p in pools),
-                converged=tracker.converged,
                 wall_time=max((p.wall_time for p in pools), default=0.0),
                 tau_observed=_merge_delay_stats(
                     [p.delay_stats() for p in pools]
                 ),
-                checkpoints=checkpoints,
-                atomic=self.atomic,
                 total_row_nnz=sum(p.total_row_nnz() for p in pools),
-                sweeps_done=max(epochs),
                 column_updates=sum(p.column_updates() for p in pools),
-                converged_columns=tracker.done_mask.copy(),
-                column_sweeps=tracker.column_sweeps,
-                column_residuals=tracker.col.copy(),
-                column_checkpoints=column_checkpoints,
+                sweeps_done=max(epochs),
+                atomic=self.atomic,
+                cls=ShardedRunResult,
                 shards=S,
                 shard_updates=shard_updates,
                 shard_sweeps=list(epochs),
@@ -894,8 +868,4 @@ class ShardedSolver:
                         sh.close()
                     except Exception:
                         pass
-                if failed and self._persistent:
-                    # Keep serving: close() above dropped the pools but
-                    # the solver stays in persistent mode for respawn.
-                    self._persistent = True
         return result

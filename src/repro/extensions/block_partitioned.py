@@ -35,6 +35,7 @@ trade-off the paper deferred.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,7 @@ import numpy as np
 from ..core.residuals import ConvergenceHistory, relative_residual
 from ..exceptions import ModelError, ShapeError
 from ..execution import PhasedSimulator, balanced_partition, contiguous_partition
+from ..execution.epochs import SimulatorEngine, solve_epochs
 from ..rng import CounterRNG
 from ..sparse import CSRMatrix
 
@@ -164,23 +166,27 @@ def owner_computes_solve(
         raise ModelError(f"unknown partition {partition!r}")
     directions = BlockPartitionedDirections(blocks, seed=seed)
     sim = PhasedSimulator(A, b, nproc=int(nproc), directions=directions, beta=beta)
-    x = np.zeros(n)
-    history = (
-        ConvergenceHistory(label="owner-computes", unit="sweep", metric="relative_residual")
-        if record_history
-        else None
+    # One epoch per sweep; the residual is judged as a single aggregate.
+    result = solve_epochs(
+        nullcontext(SimulatorEngine(sim)),
+        None,
+        np.zeros(n),
+        b,
+        tol=tol,
+        max_sweeps=max_sweeps,
+        metric=lambda x: relative_residual(A, x, b),
+        n_rows=n,
     )
-    value = relative_residual(A, x, b)
-    if history is not None:
-        history.record(0, value)
-    converged = value < tol
-    sweeps = 0
-    while not converged and sweeps < int(max_sweeps):
-        out = sim.run(x, n, start_iteration=sweeps * n)
-        x = out.x
-        sweeps += 1
-        value = relative_residual(A, x, b)
-        if history is not None:
-            history.record(sweeps, value)
-        converged = value < tol
-    return OwnerComputesResult(x=x, sweeps=sweeps, converged=converged, history=history)
+    history = None
+    if record_history:
+        history = ConvergenceHistory(
+            label="owner-computes", unit="sweep", metric="relative_residual"
+        )
+        for it, value in result.checkpoints:
+            history.record(it // n, value)
+    return OwnerComputesResult(
+        x=result.x,
+        sweeps=result.sweeps_done,
+        converged=result.converged,
+        history=history,
+    )
