@@ -82,6 +82,7 @@ import numpy as np
 
 from ..exceptions import ServeError
 from ..execution import SOLVER_METHODS, ShardedSolver, make_solver
+from ..execution.epochs import check_epoch_args
 from ..rng import DirectionStream
 from ..sparse import CSRMatrix
 from ..validation import check_rhs, check_x0
@@ -479,6 +480,10 @@ class SolverServer:
         caller (wire traffic mints at
         :func:`~repro.serve.protocol.parse_line`) did not supply one.
 
+        ``b``, ``x0`` and the epoch arguments are checked here, with the
+        solvers' own checks: a bad request raises before it is counted
+        or queued, and never fails a batch.
+
         The payload is copied at submission: the request is not read
         until its batch launches (possibly much later), and a caller
         reusing its buffer must not retroactively change what is solved.
@@ -492,6 +497,13 @@ class SolverServer:
         if trace_id is None:
             trace_id = mint_trace_id()
         b = np.array(check_rhs(b, self.n, capacity=self.capacity_k))
+        tol, max_sweeps, sync_every, _ = check_epoch_args(
+            self.default_tol if tol is None else tol,
+            self.default_max_sweeps if max_sweeps is None else max_sweeps,
+            self.default_sync_every
+            if sync_every_sweeps is None
+            else sync_every_sweeps,
+        )
         if x0 is not None:
             x0 = np.array(check_x0(x0, (self.x_rows,) + b.shape[1:]))
         # Warm-start seeding: only when the caller brought no x0 of its
@@ -502,15 +514,7 @@ class SolverServer:
             x0 = self._cache.lookup(self._cache_key, b)
             warm = x0 is not None
         key = _BatchKey(
-            tol=self.default_tol if tol is None else float(tol),
-            max_sweeps=(
-                self.default_max_sweeps if max_sweeps is None else int(max_sweeps)
-            ),
-            sync_every_sweeps=(
-                self.default_sync_every
-                if sync_every_sweeps is None
-                else int(sync_every_sweeps)
-            ),
+            tol=tol, max_sweeps=max_sweeps, sync_every_sweeps=sync_every
         )
         with self._lock:
             if self._broken is not None:

@@ -214,6 +214,28 @@ class TestNonFiniteNumbers:
         assert good["ok"] and good["id"] == "ok"
 
 
+class TestEpochArguments:
+    """An out-of-range epoch argument is refused at submission: the
+    reply names the parameter, and the request is never counted,
+    batched or failed."""
+
+    @pytest.mark.parametrize(
+        "field,value", [("sync_every_sweeps", 0), ("max_sweeps", -3)]
+    )
+    def test_refused_before_counting(self, registry, system, field, value):
+        _, b, _ = system
+        before = registry.stats_payload()["aggregate"]
+        line = request_line("q", b, **{field: value})
+        reply = _strict_loads(handle_line(registry, line)())
+        assert reply["ok"] is False
+        assert reply["id"] == "q"
+        assert reply["trace_id"].startswith("t-")
+        assert field in reply["error"]
+        after = registry.stats_payload()["aggregate"]
+        for counter in ("requests_submitted", "requests_failed", "batches"):
+            assert after[counter] == before[counter], counter
+
+
 class TestTCP:
     def test_roundtrip_over_socket(self, server, system):
         A, b, _ = system
