@@ -28,6 +28,7 @@ from .fig2_scaling import (
     run_fig2_left,
     run_fig2_right,
 )
+from .fig_kernel import KERNEL_MATRICES, KernelResult, run_kernel
 from .fig_block import (
     BlockBenchResult,
     BlockRetirementResult,
@@ -59,6 +60,8 @@ __all__ = [
     "DEFAULT_THREADS",
     "ExtensionsResult",
     "FCGRun",
+    "KERNEL_MATRICES",
+    "KernelResult",
     "Fig1Result",
     "MotivationResult",
     "run_extensions",
@@ -85,6 +88,7 @@ __all__ = [
     "run_fig2_left",
     "run_fig2_right",
     "run_fig3",
+    "run_kernel",
     "run_multinode",
     "MultinodeBenchResult",
     "run_serve",

@@ -4,8 +4,12 @@ This is the storage format every solver in the library operates on. It is
 implemented from scratch on top of NumPy arrays (``indptr`` / ``indices`` /
 ``data``) with vectorized kernels:
 
-* matrix–vector products via a ``reduceat`` segmented sum,
-* matrix–(dense)matrix products for multi-right-hand-side solves,
+* matrix–vector and matrix–(dense)matrix products (the latter for
+  multi-right-hand-side solves and every residual check), on one of two
+  paths: the native C kernel of :mod:`repro._native` when the data is
+  float64 and the operand casts to it safely, else a NumPy
+  gather-multiply and ``reduceat`` segmented sum (the fallback when no
+  compiler is available, and the test oracle),
 * transposition via a counting sort,
 * O(log nnz(row)) random element access via binary search — the access
   pattern the asynchronous simulator relies on to apply delayed-write
@@ -22,6 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .. import _native
 from ..exceptions import ShapeError, StructureError
 
 __all__ = ["CSRMatrix"]
@@ -311,6 +316,9 @@ class CSRMatrix:
             raise ShapeError(
                 f"matvec operand has shape {x.shape}, expected ({self.shape[1]},)"
             )
+        out = _native.csr_matmat(self.indptr, self.indices, self.data, x[:, None])
+        if out is not None:
+            return out[:, 0]
         products = self.data * x[self.indices]
         return self._segment_sums(products)
 
@@ -333,6 +341,9 @@ class CSRMatrix:
             raise ShapeError(
                 f"matmat operand has shape {X.shape}, expected ({self.shape[1]}, k)"
             )
+        out = _native.csr_matmat(self.indptr, self.indices, self.data, X)
+        if out is not None:
+            return out
         products = self.data[:, None] * X[self.indices, :]
         return self._segment_sums(products)
 

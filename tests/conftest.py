@@ -28,6 +28,7 @@ def pytest_addoption(parser):
         "sweep runs (CI turns this up; quick local runs turn it down)",
     )
 
+from repro import _native
 from repro.rng import CounterRNG
 from repro.sparse import CSRMatrix
 from repro.workloads import (
@@ -44,6 +45,12 @@ def to_scipy(A: CSRMatrix):
     return sp.csr_matrix(
         (A.data.copy(), A.indices.copy(), A.indptr.copy()), shape=A.shape
     )
+
+
+#: Skips a test that needs the native kernel where it cannot be built.
+needs_native = pytest.mark.skipif(
+    not _native.loaded(), reason="the native CSR kernel cannot be built here"
+)
 
 
 def random_dense(nrows: int, ncols: int, seed: int = 0, density: float = 0.4):

@@ -12,10 +12,19 @@ the per-column series, ``column_sweeps``, ``converged_columns``, the
 sweep, sync-point, update, column-update, lost-write and row-nnz counts,
 and the final iterate.
 
-A refactor of how the epoch loop is written must not move any of it.
-Regenerate the file only for a deliberate change of the numbers::
+The CSR product behind every residual check has two paths that round
+differently (see ``repro._native``), so each path has its own file:
+``epoch_golden.json`` pins the NumPy path and
+``epoch_golden_native.json`` the native kernel, both bitwise. The
+right-hand sides ``B = A·X*`` are computed on the path under test. The
+two files must agree exactly on every count and mask, and to
+``rtol=1e-12`` on every float (``atol=1e-12`` on these unit-scale
+quantities).
 
-    PYTHONPATH=src python tests/execution/test_epoch_golden.py
+A refactor of how the epoch loop is written must not move any of it.
+Regenerate the files only for a deliberate change of the numbers::
+
+    PYTHONPATH=src python -m tests.execution.test_epoch_golden
 """
 
 import json
@@ -24,28 +33,32 @@ import pathlib
 import numpy as np
 import pytest
 
+from repro import _native
 from repro.core import AsyRGS
 from repro.execution import AsyRK, ProcessAsyRGS
 from repro.extensions import owner_computes_solve
 from repro.rng import DirectionStream
 from repro.workloads import random_least_squares, random_unit_diagonal_spd
 
-GOLDEN = pathlib.Path(__file__).with_name("epoch_golden.json")
+from ..conftest import needs_native
+
+#: The golden file of each product path.
+GOLDEN = {
+    False: pathlib.Path(__file__).with_name("epoch_golden.json"),
+    True: pathlib.Path(__file__).with_name("epoch_golden_native.json"),
+}
 
 N = 24
 A = random_unit_diagonal_spd(N, nnz_per_row=4, offdiag_scale=0.6, seed=1)
 _rng = np.random.default_rng(7)
 X_STAR = _rng.standard_normal((N, 3))
 X_STAR[:, 2] = 0.0  # a zero column of b is converged from the start
-B = A.matmat(X_STAR)
 #: Column 1 starts close to its solution, so it retires epochs early.
 X0 = np.zeros((N, 3))
 X0[:, 1] = X_STAR[:, 1] + 1e-4 * _rng.standard_normal(N)
-B_VEC = B[:, 0].copy()
 
 LSQ = random_least_squares(60, 20, nnz_per_row=4, noise_scale=0.0, seed=3)
 LSQ_X = np.random.default_rng(11).standard_normal((20, 3))
-LSQ_B = LSQ.A.matmat(LSQ_X)
 LSQ_X0 = np.zeros((20, 3))
 LSQ_X0[:, 1] = LSQ_X[:, 1] + 1e-4
 
@@ -92,7 +105,8 @@ def _square_kwargs(case, x_star):
     if kw.get("metric") == "error":
         kw["metric"] = _error_metric(x_star[:, 0] if vector else x_star)
     x0 = None if vector else X0
-    return tol, max_sweeps, x0, kw, (B_VEC if vector else B)
+    B = A.matmat(X_STAR)
+    return tol, max_sweeps, x0, kw, (B[:, 0].copy() if vector else B)
 
 
 def _asyrgs_record(res):
@@ -154,7 +168,8 @@ def _run_asyrk(case):
     x_star = LSQ_X[:, 0] if vector else LSQ_X
     if kw.get("metric") == "error":
         kw["metric"] = _error_metric(x_star)
-    b = LSQ_B[:, 0].copy() if vector else LSQ_B
+    lsq_b = LSQ.A.matmat(LSQ_X)
+    b = lsq_b[:, 0].copy() if vector else lsq_b
     solver = AsyRK(
         LSQ.A, b, nproc=1, beta=0.8,
         directions=DirectionStream(LSQ.A.shape[0], seed=0),
@@ -173,7 +188,8 @@ OWNER_CASES = {
 def _run_owner(case):
     tol, max_sweeps = OWNER_CASES[case]
     res = owner_computes_solve(
-        A, B_VEC, nproc=4, tol=tol, max_sweeps=max_sweeps, seed=5
+        A, A.matmat(X_STAR)[:, 0].copy(), nproc=4, tol=tol,
+        max_sweeps=max_sweeps, seed=5,
     )
     return {
         "history_iterations": res.history.iterations,
@@ -200,27 +216,79 @@ def _runs():
 
 
 RUNS = _runs()
+PARAMS = [pytest.param(i, r, id=i, marks=m) for i, r, m in RUNS]
+
+
+def _load(native):
+    return json.loads(GOLDEN[native].read_text())
 
 
 @pytest.fixture(scope="module")
 def golden():
-    return json.loads(GOLDEN.read_text())
+    return _load(False)
 
 
-@pytest.mark.parametrize(
-    "run_id,runner",
-    [pytest.param(i, r, id=i, marks=m) for i, r, m in RUNS],
-)
+@pytest.fixture(scope="module")
+def golden_native():
+    return _load(True)
+
+
+@pytest.mark.parametrize("run_id,runner", PARAMS)
 def test_epoch_record_matches_golden(golden, run_id, runner):
     # Exact equality: JSON floats round-trip bit for bit.
-    assert _plain(runner()) == golden[run_id]
+    with _native.forced(False):
+        assert _plain(runner()) == golden[run_id]
 
 
-def test_golden_covers_every_run(golden):
-    assert sorted(golden) == sorted(i for i, _, _ in RUNS)
+@needs_native
+@pytest.mark.parametrize("run_id,runner", PARAMS)
+def test_epoch_record_matches_native_golden(golden_native, run_id, runner):
+    with _native.forced(True):
+        assert _plain(runner()) == golden_native[run_id]
+
+
+def test_golden_covers_every_run(golden, golden_native):
+    ids = sorted(i for i, _, _ in RUNS)
+    assert sorted(golden) == ids
+    assert sorted(golden_native) == ids
+
+
+def _assert_agree(numpy_side, native_side, where):
+    """Counts, flags and structure equal; floats within ``rtol=1e-12``.
+
+    Every float in a record is of unit scale (an iterate entry, or a
+    residual or error relative to ``‖b‖`` or ``‖x*‖``), so ``1e-12`` is
+    also the absolute floor: a relative residual near ``1e-12`` is a
+    cancellation whose rounding is ``~1e-16`` of that scale, which no
+    relative bar on the residual itself survives.
+    """
+    if isinstance(numpy_side, float) or isinstance(native_side, float):
+        assert isinstance(numpy_side, float) and isinstance(native_side, float), where
+        assert np.isclose(native_side, numpy_side, rtol=1e-12, atol=1e-12), where
+    elif isinstance(numpy_side, dict):
+        assert numpy_side.keys() == native_side.keys(), where
+        for key in numpy_side:
+            _assert_agree(numpy_side[key], native_side[key], f"{where}.{key}")
+    elif isinstance(numpy_side, list):
+        assert len(numpy_side) == len(native_side), where
+        for i, (a, b) in enumerate(zip(numpy_side, native_side)):
+            _assert_agree(a, b, f"{where}[{i}]")
+    else:
+        assert type(numpy_side) is type(native_side), where
+        assert numpy_side == native_side, where
+
+
+def test_paths_agree_on_counts_and_to_rtol_on_floats(golden, golden_native):
+    for run_id in golden:
+        _assert_agree(golden[run_id], golden_native[run_id], run_id)
 
 
 if __name__ == "__main__":
-    records = {run_id: _plain(runner()) for run_id, runner, _ in RUNS}
-    GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(records)} records to {GOLDEN}")
+    for native, path in GOLDEN.items():
+        if native and not _native.loaded():
+            print(f"native kernel unavailable; {path} left as it is")
+            continue
+        with _native.forced(native):
+            records = {run_id: _plain(runner()) for run_id, runner, _ in RUNS}
+        path.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(records)} records to {path}")
