@@ -14,19 +14,9 @@ from repro.bench import KERNEL_MATRICES, run_kernel
 from conftest import persist_and_print
 
 
-def _scipy(A):
-    import scipy.sparse as sp
-
-    S = sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
-    return S.dot
-
-
 def test_kernel_smoke(benchmark):
     pytest.importorskip("scipy")
-    result = benchmark.pedantic(
-        run_kernel, kwargs=dict(reference=("scipy", _scipy)),
-        rounds=1, iterations=1,
-    )
+    result = benchmark.pedantic(run_kernel, rounds=1, iterations=1)
     persist_and_print("fig_kernel", result.table())
 
     paths = ["native", "numpy", "scipy"] if result.native else ["numpy", "scipy"]

@@ -8,10 +8,10 @@ row in index order, built with ``-O2 -ffp-contract=off``.
 The first product builds the module in a child interpreter (cffi API
 mode), so the calling process never imports setuptools. The shared
 object is cached under ``$XDG_CACHE_HOME/repro/native/`` (else
-``~/.cache/repro/native/``), named by a hash of the C source: a build
-lands in a temporary directory beside it and is moved into place with
-``os.replace``, so concurrent first loads never map a half-written
-file. Nothing is built or mapped at ``import repro``.
+``~/.cache/repro/native/``), named by a hash of the C source and of the
+build script that holds the compile flags: a build lands in a temporary
+directory beside it and is moved into place with ``os.replace``, so
+concurrent first loads never map a half-written file. Nothing is built or mapped at ``import repro``.
 
 Without cffi or a working compiler, or when the build or load fails
 for any other reason, one warning is logged and every product stays on

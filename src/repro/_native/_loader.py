@@ -36,7 +36,10 @@ def _cache_dir() -> Path:
 
 def _module_name(cffi_version: str) -> str:
     digest = hashlib.sha256()
-    for part in (_SOURCE.read_bytes(), _CDEF.encode(), cffi_version.encode()):
+    for part in (
+        _SOURCE.read_bytes(), _BUILD.read_bytes(), _CDEF.encode(),
+        cffi_version.encode(),
+    ):
         digest.update(part)
     return f"_repro_native_{digest.hexdigest()[:16]}"
 
@@ -46,25 +49,15 @@ def _build(name: str, target: Path) -> None:
     import tempfile
 
     target.parent.mkdir(parents=True, exist_ok=True)
-    # A vfork()ed child reports the parent's peak RSS so far as its own
-    # (Linux carries the mark across exec); a fork()ed one reports what
-    # the parent holds now, as the pool workers do. So that a one-off
-    # build does not raise the caller's children's peak RSS, it is
-    # forked: CPython documents this switch for turning vfork off.
-    use_vfork = getattr(subprocess, "_USE_VFORK", True)
-    subprocess._USE_VFORK = False
-    try:
-        with tempfile.TemporaryDirectory(dir=target.parent, prefix=".build-") as tmp:
-            proc = subprocess.run(
-                [sys.executable, str(_BUILD), name, str(_SOURCE), _CDEF, tmp],
-                capture_output=True, text=True, timeout=_BUILD_TIMEOUT_S,
-            )
-            if proc.returncode != 0:
-                lines = (proc.stderr or proc.stdout).strip().splitlines()
-                raise RuntimeError(lines[-1] if lines else f"exit {proc.returncode}")
-            os.replace(proc.stdout.strip().splitlines()[-1], target)
-    finally:
-        subprocess._USE_VFORK = use_vfork
+    with tempfile.TemporaryDirectory(dir=target.parent, prefix=".build-") as tmp:
+        proc = subprocess.run(
+            [sys.executable, str(_BUILD), name, str(_SOURCE), _CDEF, tmp],
+            capture_output=True, text=True, timeout=_BUILD_TIMEOUT_S,
+        )
+        if proc.returncode != 0:
+            lines = (proc.stderr or proc.stdout).strip().splitlines()
+            raise RuntimeError(lines[-1] if lines else f"exit {proc.returncode}")
+        os.replace(proc.stdout.strip().splitlines()[-1], target)
 
 
 def _load():

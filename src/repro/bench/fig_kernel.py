@@ -5,10 +5,10 @@ the product behind each synchronization point. It is timed on the
 matrices of the four ``perfbench/`` workloads (built with the same
 arguments as ``perfbench/workloads.py``), on ``social-small`` and on
 ``laplace2d``, at widths 1, 8 and 51 (the paper's label-block width),
-on both paths of :meth:`~repro.sparse.CSRMatrix.matmat`: the native C
-kernel and the NumPy oracle. A caller may add a reference path
-(``benchmarks/test_bench_kernel.py`` adds scipy). Each cell is the best
-of 20 timed products, in nanoseconds.
+on both paths of :meth:`~repro.sparse.CSRMatrix.matmat` (the native C
+kernel and the NumPy oracle) and on scipy's CSR product as a reference,
+where scipy is installed. Each cell is the best of 20 timed products,
+in nanoseconds.
 """
 
 from __future__ import annotations
@@ -107,19 +107,19 @@ def _best_ns(product: Callable[[np.ndarray], np.ndarray], X, repeats: int) -> in
     return int(best)
 
 
-def run_kernel(
-    *,
-    reference: tuple[str, Callable[[CSRMatrix], Callable]] | None = None,
-    persist: bool = True,
-) -> KernelResult:
-    """Time ``A.matmat(X)`` on both paths for every matrix and width.
+def run_kernel(*, persist: bool = True) -> KernelResult:
+    """Time ``A.matmat(X)`` on both paths, and scipy's product, for
+    every matrix and width.
 
-    ``reference`` is an optional ``(name, factory)`` pair: ``factory(A)``
-    returns a callable ``X -> A @ X`` timed as one more path. The native
-    rows are left out where the kernel cannot be built (``native`` is
-    then ``False`` in the payload).
+    The native rows are left out where the kernel cannot be built
+    (``native`` is then ``False`` in the payload), the scipy rows where
+    scipy is not installed.
     """
     native = _native.loaded()
+    try:
+        import scipy.sparse as sp
+    except ImportError:
+        sp = None
     rng = np.random.default_rng(0)
     rows = []
     for name in KERNEL_MATRICES:
@@ -128,8 +128,9 @@ def run_kernel(
         if native:
             paths["native"] = (True, A.matmat)
         paths["numpy"] = (False, A.matmat)
-        if reference is not None:
-            paths[reference[0]] = (True, reference[1](A))
+        if sp is not None:
+            S = sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+            paths["scipy"] = (True, S.dot)
         for k in WIDTHS:
             X = rng.standard_normal((A.shape[1], k))
             for path, (native_path, product) in paths.items():
