@@ -6,8 +6,9 @@ shared-memory segment does not fit the configured budget** while each
 of the N shards' rectangular segments does:
 
 1. *The refusal*: building the single-pool solver under ``shm_limit``
-   raises :class:`~repro.exceptions.ModelError` naming the overrun and
-   the sharding escape hatch. The bench records the exact byte
+   (:func:`~repro.execution.make_solver` at ``shards=1``) raises
+   :class:`~repro.exceptions.ModelError` naming the overrun and the
+   sharding escape hatch. The bench records the exact byte
    accounting (:func:`~repro.execution.segment_bytes` per layout).
 2. *The sharded solve*: the same system under the same budget, split
    across ``shards`` pools, converges below ``tol`` on the assembled
@@ -19,10 +20,11 @@ of the N shards' rectangular segments does:
    setting's convergence trajectory (cumulative updates vs. assembled
    residual, straight from the coordinator's checkpoints) plus
    per-shard update counts and measured in-pool delays.
-4. *The control*: ``shards=1`` (without the budget) is run against the
-   plain single-pool solver on the same stream and verified
-   bit-identical — the refactor's serial-equivalence invariant, asserted
-   in the payload, not just in the test suite.
+4. *The control*: :func:`~repro.execution.make_solver` at ``shards=1``
+   (without the budget) is run against the plain single-pool solver on
+   the same stream and verified bit-identical — the serial-equivalence
+   invariant of the one solver factory, asserted in the payload, not
+   just in the test suite.
 
 The payload lands in ``results/BENCH_shard.json`` (the first serve-side
 BENCH artifact; CI uploads it from the benchmarks job).
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..exceptions import ModelError
-from ..execution import ProcessAsyRGS, ShardedSolver, segment_bytes
+from ..execution import ProcessAsyRGS, ShardedSolver, make_solver, segment_bytes
 from ..rng import DirectionStream
 from ..workloads import laplacian_2d
 from .reporting import render_table, save_json
@@ -65,7 +67,7 @@ class ShardBenchResult:
     shard_bytes: list[int]
     #: The single-pool refusal message under ``shm_limit``.
     refusal: str
-    #: ``shards=1`` vs the plain pool: bitwise-equal iterates.
+    #: ``make_solver(shards=1)`` vs the plain pool: bitwise-equal iterates.
     serial_equivalent: bool
     #: One entry per ``sync_every_sweeps`` setting.
     curves: list[dict] = field(default_factory=list)
@@ -188,9 +190,9 @@ def run_shard(
         )
 
     try:
-        ShardedSolver(
-            A, b, shards=1, nproc=nproc, capacity_k=capacity_k,
-            seed=seed, shm_limit=shm_limit,
+        make_solver(
+            "asyrgs", A, b, shards=1, nproc=nproc, capacity_k=capacity_k,
+            directions=DirectionStream(n, seed=seed), shm_limit=shm_limit,
         )
         refusal = ""
     except ModelError as exc:
@@ -232,17 +234,18 @@ def run_shard(
             }
         )
 
-    # Serial equivalence: shards=1 delegates to the classic pool.
+    # Serial equivalence: the factory's one shard is the classic pool.
     small = laplacian_2d(12)
     bs = np.arange(1.0, small.shape[0] + 1.0)
-    r_del = ShardedSolver(small, bs, shards=1, nproc=1, seed=seed).solve(
-        tol=tol, max_sweeps=200, sync_every_sweeps=2
-    )
+    r_one = make_solver(
+        "asyrgs", small, bs, shards=1, nproc=1,
+        directions=DirectionStream(small.shape[0], seed=seed),
+    ).solve(tol=tol, max_sweeps=200, sync_every_sweeps=2)
     r_ref = ProcessAsyRGS(
         small, bs, nproc=1,
         directions=DirectionStream(small.shape[0], seed=seed),
     ).solve(tol=tol, max_sweeps=200, sync_every_sweeps=2)
-    serial_equivalent = bool(np.array_equal(r_del.x, r_ref.x))
+    serial_equivalent = bool(np.array_equal(r_one.x, r_ref.x))
 
     out = ShardBenchResult(
         nx=int(nx),

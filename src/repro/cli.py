@@ -407,25 +407,17 @@ def _cmd_solve(args) -> int:
     if args.shards > 1 or nodes is not None:
         from .execution import ShardedSolver
 
-        if args.method != "asyrgs":
-            print(
-                f"error: --shards partitions the AsyRGS row space; "
-                f"--method {args.method} has no sharded path"
-            )
-            return 2
         if beta == "auto":
             print(
                 "error: --beta auto is resolved per pool; give a numeric "
                 "--beta for a sharded solve"
             )
             return 2
-        shards = args.shards
-        if nodes is not None and shards == 1:
-            shards = len(nodes)
         try:
             solver = ShardedSolver(
-                A, b, shards=shards, nproc=args.nproc, beta=beta,
-                seed=args.seed, nodes=nodes, node_matrix=args.node_matrix,
+                A, b, shards=args.shards, method=args.method,
+                nproc=args.nproc, beta=beta, seed=args.seed, nodes=nodes,
+                node_matrix=args.node_matrix,
             )
             result = solver.solve(
                 tol=args.tol, max_sweeps=args.max_sweeps,
@@ -438,9 +430,9 @@ def _cmd_solve(args) -> int:
         rhs_note = f", {n_rhs} RHS columns" if n_rhs > 1 else ""
         final = result.checkpoints[-1][1] if result.checkpoints else float("nan")
         where = (
-            f"{shards} node(s) [{', '.join(nodes)}]"
+            f"{solver.shards} node(s) [{', '.join(nodes)}]"
             if nodes is not None
-            else f"{shards} shards"
+            else f"{solver.shards} shards"
         )
         print(
             f"sharded AsyRGS ({where} x {args.nproc} "
@@ -610,9 +602,8 @@ def _serve_sources(args):
     matrix (file or --problem) under the id ``"default"``, or every
     repeated ``--matrix NAME=SPEC[,method=asyrgs|asyrk]`` — trailing
     comma-separated ``key=value`` options become per-matrix server
-    overrides."""
+    overrides, which registration checks."""
     from .exceptions import ReproError
-    from .execution import SOLVER_METHODS
     from .sparse import read_matrix_market
     from .workloads import available_problems, get_problem
 
@@ -631,23 +622,14 @@ def _serve_sources(args):
                     "(supported: method=asyrgs|asyrk, shards=N)"
                 )
             if key == "method":
-                if value not in SOLVER_METHODS:
-                    known = "|".join(sorted(SOLVER_METHODS))
-                    raise ReproError(
-                        f"--matrix method must be one of {known}, got {value!r}"
-                    )
                 overrides["method"] = value
             else:
                 try:
-                    shards = int(value)
+                    overrides["shards"] = int(value)
                 except ValueError:
-                    shards = 0
-                if shards < 1:
                     raise ReproError(
-                        f"--matrix shards must be an integer >= 1, "
-                        f"got {value!r}"
-                    )
-                overrides["shards"] = shards
+                        f"--matrix shards must be an integer, got {value!r}"
+                    ) from None
         return overrides
 
     legacy = [s for s in (args.matrix, args.problem) if s is not None]
@@ -824,8 +806,14 @@ def _cmd_serve(args) -> int:
         cache_similarity=args.cache_similarity,
         seed=args.seed,
     ) as server:
-        for name, A, _, overrides in sources:
-            server.register(name, A, **overrides)
+        try:
+            # Registration checks each matrix's (method, shards)
+            # backing, so one that could never serve stops here.
+            for name, A, _, overrides in sources:
+                server.register(name, A, **overrides)
+        except ReproError as exc:
+            print(f"error: {exc}")
+            return 2
         roster = ", ".join(
             f"{name}={label} (n={A.shape[0]}, nnz={A.nnz}"
             + (

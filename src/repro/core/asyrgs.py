@@ -60,6 +60,7 @@ from ..execution import (
     WriteModel,
 )
 from ..execution.epochs import SimulatorEngine, solve_epochs
+from ..execution.pool import resolve_directions
 from .residuals import ColumnTracker, ConvergenceHistory, relative_residual
 from .stepsize import auto_step_size
 
@@ -217,19 +218,11 @@ class AsyRGS:
             raise ModelError(
                 f"unknown engine {engine!r}; use 'phased', 'general', or 'processes'"
             )
-        if isinstance(directions, str):
-            # The string forms ("uniform"/"adaptive") are resolved here so
-            # self.directions is always a real stream; the simulated
-            # engines have no adaptive mode, so the string is a
-            # processes-engine option like capacity_k.
-            if directions == "adaptive":
-                adaptive = True
-            elif directions != "uniform":
-                raise ModelError(
-                    "directions must be a DirectionStream, 'uniform', or "
-                    f"'adaptive', got {directions!r}"
-                )
-            directions = None
+        # The string forms ("uniform"/"adaptive") are resolved here so
+        # self.directions is always a real stream; the simulated engines
+        # have no adaptive mode, so the string is a processes-engine
+        # option like capacity_k.
+        directions, adaptive = resolve_directions(directions, adaptive)
         if adaptive and engine != "processes":
             raise ModelError(
                 "adaptive direction sampling reweights draws on the shared-"

@@ -62,7 +62,7 @@ import threading
 import numpy as np
 
 from ..exceptions import ModelError
-from .pool import DelayStats
+from .epochs import DelayStats, _no_delays
 
 __all__ = [
     "HaloTransport",
@@ -411,10 +411,6 @@ class WireHalo(HaloTransport):
                 pass
 
 
-def _default_delay() -> DelayStats:
-    return DelayStats(0, 0.0, 0, np.empty(0, dtype=np.int64))
-
-
 class NodeShard:
     """A coordinator-side proxy for a shard hosted on a remote
     ``repro serve --shard-of`` instance.
@@ -479,7 +475,7 @@ class NodeShard:
         self.wall_time = 0.0
         self._column_updates = 0
         self._total_row_nnz = 0
-        self._delay = _default_delay()
+        self._delay = _no_delays()
 
     # -- wire plumbing --------------------------------------------------
 

@@ -53,7 +53,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import ModelError
-from ..rng import DirectionStream
 from ..sparse import CSRMatrix
 from ..validation import check_rhs
 from .epochs import ColumnFold
@@ -133,26 +132,10 @@ class AsyRK(PoolSolver):
     method_name = "asyrk"
     update_method = RowUpdate(project=True)
 
-    def __init__(
-        self,
-        A: CSRMatrix,
-        b: np.ndarray,
-        *,
-        nproc: int,
-        beta: float = 1.0,
-        atomic: bool = False,
-        directions: DirectionStream | str | None = None,
-        adaptive: bool = False,
-        start_method: str | None = None,
-        log_capacity: int = 4096,
-        lock_stripes: int = 64,
-        block: int = 512,
-        barrier_timeout: float = 300.0,
-        capacity_k: int | None = None,
-    ):
+    def __init__(self, A: CSRMatrix, b: np.ndarray, **pool):
         m, n = A.shape
         b = check_rhs(b, m)
-        if atomic:
+        if pool.get("atomic"):
             raise ModelError(
                 "AsyRK does not support atomic=True: a Kaczmarz row "
                 "projection scatters into the row's whole column support, "
@@ -166,25 +149,7 @@ class AsyRK(PoolSolver):
                 f"row {bad} of A is identically zero; Kaczmarz projects "
                 "onto equations and needs every row to have a nonzero norm"
             )
-        super().__init__(
-            A,
-            b,
-            norms,
-            n_rows=m,
-            x_rows=n,
-            b_rows=m,
-            nproc=nproc,
-            beta=beta,
-            atomic=False,
-            directions=directions,
-            adaptive=adaptive,
-            start_method=start_method,
-            log_capacity=log_capacity,
-            lock_stripes=lock_stripes,
-            block=block,
-            barrier_timeout=barrier_timeout,
-            capacity_k=capacity_k,
-        )
+        super().__init__(A, b, norms, n_rows=m, x_rows=n, b_rows=m, **pool)
         self.m = m
         self.n = n  # unknown count — the solution/iterate row count
         self._at: CSRMatrix | None = None

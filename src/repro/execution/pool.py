@@ -113,6 +113,18 @@ _ALIGN = 64  # cache-line alignment for every shared array
 #: of the mean residual weight. See ``refresh_sampling``.
 _UNIFORM_BLEND = 1.0
 
+#: Directions are gathered from the Philox stream in blocks of this size
+#: (hot-loop amortization; no effect on results).
+BLOCK = 512
+#: Locks in atomic mode: coordinate ``r`` maps to stripe
+#: ``r mod LOCK_STRIPES`` (fewer when the pool has fewer rows).
+LOCK_STRIPES = 64
+#: Per-worker bound on retained write-log staleness samples; the
+#: aggregate sum/max/count are always exact.
+LOG_CAPACITY = 4096
+#: Default seconds before a barrier wait declares a pool wedged.
+BARRIER_TIMEOUT = 300.0
+
 
 class RowUpdate:
     """The row-action step every pool method runs per draw.
@@ -208,7 +220,7 @@ class RowUpdate:
         return update
 
 
-def _layout(geom, nproc: int, log_capacity: int):
+def _layout(geom, nproc: int):
     """Offsets and dtypes of every shared array inside the one segment.
 
     ``geom`` is ``(n_rows, x_rows, b_rows, nnz, k)`` — see the module
@@ -234,7 +246,7 @@ def _layout(geom, nproc: int, log_capacity: int):
         "delay_sum": (np.int64, (nproc,)),
         "delay_max": (np.int64, (nproc,)),
         "delay_count": (np.int64, (nproc,)),
-        "delay_log": (np.int64, (nproc, log_capacity)),
+        "delay_log": (np.int64, (nproc, LOG_CAPACITY)),
     }
     offsets = {}
     cursor = 0
@@ -246,10 +258,10 @@ def _layout(geom, nproc: int, log_capacity: int):
 
 
 def _views(
-    shm: shared_memory.SharedMemory, geom, nproc: int, log_capacity: int
+    shm: shared_memory.SharedMemory, geom, nproc: int
 ) -> dict[str, np.ndarray]:
     """Zero-copy NumPy views of every shared array in the segment."""
-    specs, offsets, _ = _layout(geom, nproc, log_capacity)
+    specs, offsets, _ = _layout(geom, nproc)
     return {
         name: np.ndarray(shape, dtype=dtype, buffer=shm.buf, offset=offsets[name])
         for name, (dtype, shape) in specs.items()
@@ -275,6 +287,20 @@ def _attach(name: str) -> shared_memory.SharedMemory:
     return shared_memory.SharedMemory(name=name)
 
 
+def resolve_directions(directions, adaptive: bool):
+    """Split a ``directions`` option into ``(stream or None, adaptive)``:
+    the strings ``"uniform"`` and ``"adaptive"`` name the default stream,
+    the latter with residual-weighted sampling switched on."""
+    if not isinstance(directions, str):
+        return directions, bool(adaptive)
+    if directions not in ("uniform", "adaptive"):
+        raise ModelError(
+            "directions must be a DirectionStream, 'uniform', or "
+            f"'adaptive', got {directions!r}"
+        )
+    return None, bool(adaptive) or directions == "adaptive"
+
+
 def residual_weights(A, v: dict[str, np.ndarray]) -> np.ndarray:
     """Per-row adaptive sampling weights from the live shared segment
     (``A`` is the pool's operator, whose CSR the segment holds).
@@ -298,14 +324,12 @@ def _worker_main(
     shm_name: str,
     geom,
     method,
-    log_capacity: int,
     beta: float,
     seed: int,
     stream: int,
     adaptive: bool,
     barrier,
     locks,
-    block: int,
 ) -> None:
     """Worker entry point: attach, run the epoch loop, clean up."""
     # Workers are torn down by the parent through the control word,
@@ -324,8 +348,8 @@ def _worker_main(
     shm = _attach(shm_name)
     try:
         _worker_loop(
-            wid, nproc, shm, geom, method, log_capacity, beta, seed, stream,
-            adaptive, barrier, locks, block,
+            wid, nproc, shm, geom, method, beta, seed, stream, adaptive,
+            barrier, locks,
         )
     except threading.BrokenBarrierError:
         # A sibling crashed and aborted the barrier; it already reported
@@ -337,7 +361,7 @@ def _worker_main(
             # Record *which* worker crashed (wid + 1 so 0 keeps meaning
             # "no error"). First reporter wins; two genuine crashers
             # racing is fine — either id is attributable.
-            ctrl = _views(shm, geom, nproc, log_capacity)["control"]
+            ctrl = _views(shm, geom, nproc)["control"]
             if ctrl[_CTRL_ERROR] == 0:
                 ctrl[_CTRL_ERROR] = wid + 1
         except Exception:
@@ -357,14 +381,12 @@ def _worker_loop(
     shm: shared_memory.SharedMemory,
     geom,
     method,
-    log_capacity: int,
     beta: float,
     seed: int,
     stream: int,
     adaptive: bool,
     barrier,
     locks,
-    block: int,
 ) -> None:
     """Worker body: epochs of randomized updates on the shared iterate.
 
@@ -377,7 +399,7 @@ def _worker_loop(
     independent.
     """
     n_rows, x_rows, b_rows, nnz, k = geom
-    v = _views(shm, geom, nproc, log_capacity)
+    v = _views(shm, geom, nproc)
     progress, control = v["progress"], v["control"]
     row_nnz, active = v["row_nnz"], v["active"]
     col_updates = v["col_updates"]
@@ -407,7 +429,7 @@ def _worker_loop(
             v, k=k, act=act, locks=locks, nlocks=nlocks, beta=beta
         )
         while done < target:
-            take = min(block, target - done)
+            take = min(BLOCK, target - done)
             rows = view.directions(done, take)
             if adaptive:
                 # Inverse-CDF through the stratified quantile of the
@@ -435,7 +457,7 @@ def _worker_loop(
                 if sample > delay_max[wid]:
                     delay_max[wid] = sample
                 j = int(delay_count[wid])
-                if j < log_capacity:
+                if j < LOG_CAPACITY:
                     delay_log[wid, j] = sample
                 delay_count[wid] = j + 1
         barrier.wait()  # end gate: all updates of the epoch are visible
@@ -458,7 +480,7 @@ class _WorkerPool:
         A = backend.A
         self._shm = shared_memory.SharedMemory(
             create=True,
-            size=_layout(backend._geom(), P, backend.log_capacity)[2],
+            size=_layout(backend._geom(), P)[2],
         )
         self.target = 0
         self.generation = 0
@@ -482,7 +504,7 @@ class _WorkerPool:
             raise
 
     def _setup(self, backend: "PoolSolver", P: int, A) -> None:
-        self.views = _views(self._shm, backend._geom(), P, backend.log_capacity)
+        self.views = _views(self._shm, backend._geom(), P)
         self.views["data"][:] = A.data
         self.views["indices"][:] = A.indices
         self.views["indptr"][:] = A.indptr
@@ -492,7 +514,7 @@ class _WorkerPool:
         ctx = backend._ctx
         self.barrier = ctx.Barrier(P + 1)
         locks = (
-            [ctx.Lock() for _ in range(min(backend.n_rows, backend.lock_stripes))]
+            [ctx.Lock() for _ in range(min(backend.n_rows, LOCK_STRIPES))]
             if backend.atomic
             else []
         )
@@ -501,9 +523,9 @@ class _WorkerPool:
                 target=_worker_main,
                 args=(
                     wid, P, self._shm.name, backend._geom(),
-                    backend.update_method, backend.log_capacity, backend.beta,
+                    backend.update_method, backend.beta,
                     backend.directions.seed, backend.directions.stream,
-                    backend.adaptive, self.barrier, locks, backend.block,
+                    backend.adaptive, self.barrier, locks,
                 ),
                 name=f"{backend.method_name}-proc-{wid}",
                 daemon=True,
@@ -621,9 +643,8 @@ class _WorkerPool:
     def delay_stats(self) -> DelayStats:
         counts = self.views["delay_count"].copy()
         total = int(counts.sum())
-        cap = self.backend.log_capacity
         samples = np.concatenate(
-            [self.views["delay_log"][w, : min(int(c), cap)] for w, c in enumerate(counts)]
+            [self.views["delay_log"][w, : min(int(c), LOG_CAPACITY)] for w, c in enumerate(counts)]
         ) if total else np.empty(0, dtype=np.int64)
         return DelayStats(
             count=total,
@@ -697,6 +718,46 @@ class PoolSolver:
     with the prepared system, and implements :meth:`_tracker`, its
     per-column convergence measure (a
     :class:`~repro.execution.epochs.ColumnFold`).
+
+    The pool options are declared here once; every solver built on the
+    pool forwards them unchanged.
+
+    Parameters
+    ----------
+    nproc:
+        Number of worker processes sharing the iterate.
+    beta:
+        Step size in ``(0, 2)``.
+    atomic:
+        ``True`` routes updates through striped locks (Assumption A-1);
+        the default runs unlocked — the paper's non-atomic experiment.
+    directions:
+        Shared direction stream; defaults to seed 0. The union of
+        directions consumed by the workers equals this stream's serial
+        prefix, epoch by epoch. The strings ``"uniform"`` (the default
+        stream) and ``"adaptive"`` (residual-weighted row selection on
+        the default stream) are also accepted.
+    adaptive:
+        ``True`` reweights direction draws by per-row residual mass at
+        every epoch boundary (composes with a custom ``directions``
+        stream); the default uniform mode is the paper's sampling,
+        bit for bit.
+    start_method:
+        ``multiprocessing`` start method; default prefers ``fork`` (fast,
+        POSIX) and falls back to the platform default.
+    barrier_timeout:
+        Seconds before a barrier wait declares the pool wedged.
+    capacity_k:
+        Column capacity of the shared iterate/RHS layout (default: the
+        constructor ``b``'s width). Any ``run()``/``solve()`` call may
+        pass a ``b=`` of width ``k ≤ capacity_k`` and the live pool
+        serves it without a respawn — spare columns are masked out of
+        the shared active set. Must be at least the constructor ``b``'s
+        width.
+
+    The direction block size, the lock-stripe count and the write-log
+    capacity are the module constants :data:`BLOCK`,
+    :data:`LOCK_STRIPES` and :data:`LOG_CAPACITY`.
     """
 
     method_name = "pool"
@@ -717,10 +778,7 @@ class PoolSolver:
         directions: DirectionStream | str | None = None,
         adaptive: bool = False,
         start_method: str | None = None,
-        log_capacity: int = 4096,
-        lock_stripes: int = 64,
-        block: int = 512,
-        barrier_timeout: float = 300.0,
+        barrier_timeout: float = BARRIER_TIMEOUT,
         capacity_k: int | None = None,
     ):
         nproc = int(nproc)
@@ -754,16 +812,7 @@ class PoolSolver:
         if not 0.0 < self.beta < 2.0:
             raise ModelError(f"step size beta must lie in (0, 2), got {self.beta}")
         self.atomic = bool(atomic)
-        self.adaptive = bool(adaptive)
-        if isinstance(directions, str):
-            if directions == "adaptive":
-                self.adaptive = True
-            elif directions != "uniform":
-                raise ModelError(
-                    "directions must be a DirectionStream, 'uniform', or "
-                    f"'adaptive', got {directions!r}"
-                )
-            directions = None
+        directions, self.adaptive = resolve_directions(directions, adaptive)
         self.directions = (
             directions if directions is not None
             else DirectionStream(self.n_rows, seed=0)
@@ -773,15 +822,6 @@ class PoolSolver:
         if start_method is None:
             start_method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
         self._ctx = multiprocessing.get_context(start_method)
-        self.log_capacity = int(log_capacity)
-        if self.log_capacity < 1:
-            raise ModelError("log_capacity must be at least 1")
-        self.lock_stripes = int(lock_stripes)
-        if self.lock_stripes < 1:
-            raise ModelError("lock_stripes must be at least 1")
-        self.block = int(block)
-        if self.block < 1:
-            raise ModelError("block must be at least 1")
         self.barrier_timeout = float(barrier_timeout)
         self._pool: _WorkerPool | None = None
         self._persistent = False

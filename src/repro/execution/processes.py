@@ -133,7 +133,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..rng import DirectionStream
 from ..sparse import CSRMatrix
 from .pool import (  # noqa: F401  (re-exported: the public result types live here)
     DelayStats,
@@ -156,45 +155,11 @@ class ProcessAsyRGS(PoolSolver):
         The system (positive diagonal required). ``b`` may be a vector
         ``(n,)`` or a block of right-hand sides ``(n, k)`` — the block
         is solved simultaneously, one row gather serving all columns.
-    nproc:
-        Number of worker processes sharing the iterate.
-    capacity_k:
-        Column capacity of the shared iterate/RHS layout (default: the
-        constructor ``b``'s width). Any ``run()``/``solve()`` call may
-        pass a ``b=`` of width ``k ≤ capacity_k`` and the live pool
-        serves it without a respawn — spare columns are masked out of
-        the shared active set. Must be at least the constructor ``b``'s
-        width.
-    beta:
-        Step size in ``(0, 2)``.
-    atomic:
-        ``True`` routes updates through striped locks (Assumption A-1);
-        the default runs unlocked — the paper's non-atomic experiment.
-    directions:
-        Shared coordinate stream; defaults to seed 0. The union of
-        directions consumed by the workers equals this stream's serial
-        prefix, epoch by epoch. The strings ``"uniform"`` (the default
-        stream) and ``"adaptive"`` (residual-weighted row selection on
-        the default stream) are also accepted.
-    adaptive:
-        ``True`` reweights direction draws by per-row residual mass at
-        every epoch boundary (composes with a custom ``directions``
-        stream); the default uniform mode is the paper's sampling,
-        bit for bit.
-    start_method:
-        ``multiprocessing`` start method; default prefers ``fork`` (fast,
-        POSIX) and falls back to the platform default.
-    log_capacity:
-        Per-worker bound on retained write-log staleness samples
-        (aggregate sum/max/count are always exact).
-    lock_stripes:
-        Number of locks in atomic mode (coordinate ``r`` maps to stripe
-        ``r mod lock_stripes``).
-    block:
-        Directions are gathered from the Philox stream in blocks of this
-        size (hot-loop amortization; no effect on results).
-    barrier_timeout:
-        Seconds before a barrier wait declares the pool wedged.
+    nproc, beta, atomic, directions, adaptive, start_method,
+    barrier_timeout, capacity_k:
+        The pool options, declared and documented on
+        :class:`~repro.execution.pool.PoolSolver` and forwarded
+        unchanged.
 
     Used as a context manager, the worker pool persists across calls:
     processes are spawned once and the CSR is copied into shared memory
@@ -206,43 +171,9 @@ class ProcessAsyRGS(PoolSolver):
     method_name = "asyrgs"
     update_method = RowUpdate()
 
-    def __init__(
-        self,
-        A: CSRMatrix,
-        b: np.ndarray,
-        *,
-        nproc: int,
-        beta: float = 1.0,
-        atomic: bool = False,
-        directions: DirectionStream | str | None = None,
-        adaptive: bool = False,
-        start_method: str | None = None,
-        log_capacity: int = 4096,
-        lock_stripes: int = 64,
-        block: int = 512,
-        barrier_timeout: float = 300.0,
-        capacity_k: int | None = None,
-    ):
+    def __init__(self, A: CSRMatrix, b: np.ndarray, **pool):
         b, diag, n = _prepare_system(A, b)
-        super().__init__(
-            A,
-            b,
-            diag,
-            n_rows=n,
-            x_rows=n,
-            b_rows=n,
-            nproc=nproc,
-            beta=beta,
-            atomic=atomic,
-            directions=directions,
-            adaptive=adaptive,
-            start_method=start_method,
-            log_capacity=log_capacity,
-            lock_stripes=lock_stripes,
-            block=block,
-            barrier_timeout=barrier_timeout,
-            capacity_k=capacity_k,
-        )
+        super().__init__(A, b, diag, n_rows=n, x_rows=n, b_rows=n, **pool)
         self.n = n
         self._diag = diag
 

@@ -79,19 +79,22 @@ crash.
 Shared-memory budget
 --------------------
 ``shm_limit`` (bytes) bounds the segment any single pool may allocate:
-a one-pool solve whose ``(n, k)`` layout exceeds the limit refuses
-with a :class:`~repro.exceptions.ModelError` that names the sharding
-escape hatch, while each shard's rectangular segment — ``nnz/S`` CSR
-entries and ``n_s`` RHS/norm rows, though still ``n`` iterate rows —
-fits. :func:`segment_bytes` exposes the exact accounting.
+a one-pool solve built by :func:`~repro.execution.make_solver` whose
+``(n, k)`` layout exceeds the limit refuses with a
+:class:`~repro.exceptions.ModelError` that names the sharding escape
+hatch, while each shard's rectangular segment — ``nnz/S`` CSR entries
+and ``n_s`` RHS/norm rows, though still ``n`` iterate rows — fits.
+:func:`segment_bytes` exposes the exact accounting.
 
-``shards=1`` delegates
-----------------------
-With ``shards=1`` there is nothing to exchange, so the constructor
-returns to the plain single-pool path (:class:`ProcessAsyRGS` /
-:class:`AsyRK`) by composition: every call forwards verbatim, making
-``shards=1`` **bit-identical** to the unsharded solver by construction
-— the property the serving layer's serial-equivalence tests pin.
+One pool or many
+----------------
+With one shard there is nothing to exchange, so :class:`ShardedSolver`
+needs at least two. :func:`~repro.execution.make_solver` is the one
+place that picks the backing: at ``shards=1`` it builds the plain
+single-pool solver (:class:`ProcessAsyRGS` / :class:`AsyRK`) itself,
+which is therefore **bit-identical** to the unsharded solver by
+construction — the property the serving layer's serial-equivalence
+tests pin — and at two or more shards, or with ``nodes``, this class.
 
 Fake shards
 -----------
@@ -117,10 +120,16 @@ from ..rng import DirectionStream
 from ..sparse import CSRMatrix
 from ..validation import check_rhs, check_x0
 from .epochs import EpochRecord, check_epoch_args
-from .halo import LocalBoard, NodeShard, split_address
-from .kaczmarz import AsyRK
-from .pool import DelayStats, PoolSolver, ProcessRunResult, RowUpdate, _layout
-from .processes import ProcessAsyRGS
+from .halo import LocalBoard, NodeShard
+from .pool import (
+    BARRIER_TIMEOUT,
+    DelayStats,
+    PoolSolver,
+    ProcessRunResult,
+    RowUpdate,
+    _layout,
+    resolve_directions,
+)
 from .simulator import _prepare_system
 
 __all__ = [
@@ -199,14 +208,13 @@ def segment_bytes(
     nnz: int,
     capacity_k: int,
     nproc: int,
-    log_capacity: int = 4096,
 ) -> int:
     """Exact shared-memory segment size (bytes) of one pool with this
     geometry — the number ``shm_limit`` is checked against. The bench
     uses it to demonstrate a system whose single-pool layout exceeds a
     budget that every shard's layout fits."""
     geom = (int(n_rows), int(x_rows), int(b_rows), int(nnz), int(capacity_k))
-    return int(_layout(geom, int(nproc), int(log_capacity))[2])
+    return int(_layout(geom, int(nproc))[2])
 
 
 class _ShardPool(PoolSolver):
@@ -286,21 +294,28 @@ class ShardedSolver:
     Parameters
     ----------
     A, b:
-        The square system (positive diagonal — the AsyRGS requirement;
-        ``method="asyrk"`` is only accepted at ``shards=1``, where this
-        class delegates to the plain pool path).
+        The square system (positive diagonal — the AsyRGS requirement).
     shards:
-        Number of contiguous row shards. ``1`` delegates to the
-        unsharded solver — bit-identical by construction.
+        Number of contiguous row shards, at least 2 (one pool is
+        :func:`~repro.execution.make_solver`'s ``shards=1``). With
+        ``nodes`` it defaults to ``len(nodes)``.
     nproc:
         Worker processes **per shard** (total workers =
         ``shards · nproc``).
+    method:
+        Must be ``"asyrgs"``: rectangular Kaczmarz systems have no
+        row-ownership structure to shard on. The rules are those of
+        :func:`~repro.execution.check_solver`.
+    directions, seed:
+        A stream (its seed is reused), ``"uniform"``, or
+        ``"adaptive"``; otherwise the seed. Shard ``s`` draws from the
+        independent Philox sub-stream ``_SHARD_STREAM_BASE + s`` of
+        that seed.
     shm_limit:
-        Optional per-pool shared-memory budget in bytes. Any single
-        pool (the ``shards=1`` delegate included) whose segment would
-        exceed it refuses to spawn with a :class:`ModelError` naming
-        the overrun — the bench's "one matrix too big for one box"
-        gate.
+        Optional per-pool shared-memory budget in bytes. Any shard's
+        pool whose segment would exceed it refuses to spawn with a
+        :class:`ModelError` naming the overrun — the bench's "one
+        matrix too big for one box" gate.
     shard_factory:
         Test seam replacing per-shard pool construction (see module
         docstring).
@@ -323,12 +338,11 @@ class ShardedSolver:
         :class:`~repro.execution.halo.HaloTransport` builder for the
         coordinator's board (default
         :class:`~repro.execution.halo.LocalBoard`).
-    seed, beta, atomic, directions, adaptive, start_method,
-    log_capacity, lock_stripes, block, barrier_timeout, capacity_k:
-        As on :class:`~repro.execution.ProcessAsyRGS`. ``directions``
-        may be a stream (its seed is reused), ``"uniform"``, or
-        ``"adaptive"``; shard ``s`` draws from the independent Philox
-        sub-stream ``_SHARD_STREAM_BASE + s`` of that seed.
+    **pool:
+        The remaining pool options (``beta``, ``atomic``, ``adaptive``,
+        ``start_method``, ``barrier_timeout``, ``capacity_k``), as on
+        :class:`~repro.execution.pool.PoolSolver`, forwarded to every
+        shard.
     """
 
     method_name = "asyrgs"
@@ -341,16 +355,7 @@ class ShardedSolver:
         shards: int,
         nproc: int = 1,
         method: str = "asyrgs",
-        beta: float = 1.0,
-        atomic: bool = False,
         directions: DirectionStream | str | None = None,
-        adaptive: bool = False,
-        start_method: str | None = None,
-        log_capacity: int = 4096,
-        lock_stripes: int = 64,
-        block: int = 512,
-        barrier_timeout: float = 300.0,
-        capacity_k: int | None = None,
         seed: int = 0,
         shm_limit: int | None = None,
         shard_factory=None,
@@ -358,131 +363,54 @@ class ShardedSolver:
         node_matrix: str = "default",
         node_client_factory=None,
         transport_factory=None,
+        **pool,
     ):
-        shards = int(shards)
-        if shards < 1:
-            raise ModelError(f"shards must be at least 1, got {shards}")
-        if nodes is not None:
-            nodes = [str(a) for a in nodes]
-            for address in nodes:
-                split_address(address)  # fail fast on malformed rings
-            if shards != len(nodes):
-                raise ModelError(
-                    f"shards={shards} does not match the {len(nodes)} "
-                    "node(s) given; with nodes=[...] every shard lives "
-                    "on exactly one peer"
-                )
-            if shards == 1:
-                raise ModelError(
-                    "a single-node solve has nothing to distribute; "
-                    "run the pool locally or pass 2+ nodes"
-                )
-            if shard_factory is not None:
-                raise ModelError(
-                    "shard_factory and nodes are mutually exclusive: "
-                    "node-backed shards build their own wire proxies"
-                )
-        self.nodes = nodes
+        from . import check_solver  # deferred: the package imports this module
+
+        shards = check_solver(method, shards, nodes)
+        if shards < 2:
+            raise ModelError(
+                "a sharded solve needs at least 2 shards; build one pool "
+                "with make_solver(..., shards=1)"
+            )
+        if nodes is not None and shard_factory is not None:
+            raise ModelError(
+                "shard_factory and nodes are mutually exclusive: "
+                "node-backed shards build their own wire proxies"
+            )
+        self.nodes = None if nodes is None else [str(a) for a in nodes]
         self.node_matrix = str(node_matrix)
         self._transport_factory = (
             transport_factory if transport_factory is not None else LocalBoard
         )
         self.shards = shards
         self.shm_limit = None if shm_limit is None else int(shm_limit)
-        self._delegate = None
         self._shards: list = []
         self._persistent = False
-        # Resolve the seed/adaptive flags the same way PoolSolver does,
-        # so shards and the shards=1 delegate agree on semantics.
-        if isinstance(directions, str):
-            if directions == "adaptive":
-                adaptive = True
-            elif directions != "uniform":
-                raise ModelError(
-                    "directions must be a DirectionStream, 'uniform', or "
-                    f"'adaptive', got {directions!r}"
-                )
-            directions = None
+        # Resolve the seed/adaptive flags the way PoolSolver does, so
+        # every shard agrees on semantics.
+        directions, pool["adaptive"] = resolve_directions(
+            directions, pool.get("adaptive")
+        )
         if directions is not None:
             seed = directions.seed
-        if shards == 1:
-            # Nothing to exchange: the plain single-pool path, verbatim.
-            # Composition (not reimplementation) is what makes shards=1
-            # bit-identical to the unsharded solver.
-            if self.shm_limit is not None:
-                m = A.shape[0]
-                need = segment_bytes(
-                    n_rows=m,
-                    x_rows=A.shape[1],
-                    b_rows=m,
-                    nnz=A.nnz,
-                    capacity_k=(
-                        (1 if b.ndim == 1 else b.shape[1])
-                        if capacity_k is None
-                        else int(capacity_k)
-                    ),
-                    nproc=nproc,
-                    log_capacity=log_capacity,
-                )
-                if need > self.shm_limit:
-                    raise ModelError(
-                        f"single-pool layout needs {need} bytes of shared "
-                        f"memory, over the {self.shm_limit}-byte budget; "
-                        "partition the matrix across pools with shards > 1"
-                    )
-            cls = {"asyrgs": ProcessAsyRGS, "asyrk": AsyRK}.get(method)
-            if cls is None:
-                raise ModelError(
-                    f"unknown solver method {method!r}; expected one of: "
-                    "asyrgs, asyrk"
-                )
-            self._delegate = cls(
-                A,
-                b,
-                nproc=nproc,
-                beta=beta,
-                atomic=atomic,
-                directions=(
-                    directions
-                    if directions is not None
-                    else DirectionStream(A.shape[0], seed=seed)
-                ),
-                adaptive=adaptive,
-                start_method=start_method,
-                log_capacity=log_capacity,
-                lock_stripes=lock_stripes,
-                block=block,
-                barrier_timeout=barrier_timeout,
-                capacity_k=capacity_k,
-            )
-            self.A = A
-            self.n = A.shape[0]
-            self.capacity_k = self._delegate.capacity_k
-            self.nproc = int(nproc)
-            self._shard_total_updates = [0]
-            return
-        if method != "asyrgs":
-            raise ModelError(
-                f"sharded solves support method 'asyrgs' only (got "
-                f"{method!r}); rectangular Kaczmarz systems have no "
-                "row-ownership structure to shard on yet"
-            )
         b, diag, n = _prepare_system(A, b)
         self.A = A
         self.b = b
         self.n = n
         self.k = 1 if b.ndim == 1 else int(b.shape[1])
+        capacity_k = pool.pop("capacity_k", None)
         self.capacity_k = self.k if capacity_k is None else int(capacity_k)
         self.nproc = int(nproc)
-        self.atomic = bool(atomic)
-        self.barrier_timeout = float(barrier_timeout)
+        self.atomic = bool(pool.get("atomic"))
+        self.barrier_timeout = float(pool.get("barrier_timeout", BARRIER_TIMEOUT))
         blocks = contiguous_partition(n, shards)  # raises on shards > n
         self._bounds = [
             (int(blk[0]), int(blk[-1]) + 1) for blk in blocks
         ]
         factory = shard_factory if shard_factory is not None else _default_shard_factory
-        if nodes is not None:
-            factory = self._node_factory(nodes, node_client_factory)
+        if self.nodes is not None:
+            factory = self._node_factory(self.nodes, node_client_factory)
         self._halos: list[np.ndarray] = []
         budget_note = []
         for s, (r0, r1) in enumerate(self._bounds):
@@ -490,7 +418,7 @@ class ShardedSolver:
             n_s = r1 - r0
             # Node-backed shards budget shared memory on their own
             # hosts; shm_limit bounds *local* pools only.
-            if self.shm_limit is not None and nodes is None:
+            if self.shm_limit is not None and self.nodes is None:
                 need = segment_bytes(
                     n_rows=n_s,
                     x_rows=n,
@@ -498,7 +426,6 @@ class ShardedSolver:
                     nnz=A_s.nnz,
                     capacity_k=self.capacity_k,
                     nproc=nproc,
-                    log_capacity=log_capacity,
                 )
                 if need > self.shm_limit:
                     raise ModelError(
@@ -523,18 +450,11 @@ class ShardedSolver:
                     x_rows=n,
                     b_rows=n_s,
                     nproc=nproc,
-                    beta=beta,
-                    atomic=atomic,
                     directions=DirectionStream(
                         n_s, seed=seed, stream=_SHARD_STREAM_BASE + s
                     ),
-                    adaptive=adaptive,
-                    start_method=start_method,
-                    log_capacity=log_capacity,
-                    lock_stripes=lock_stripes,
-                    block=block,
-                    barrier_timeout=barrier_timeout,
                     capacity_k=self.capacity_k,
+                    **pool,
                 )
             )
         self.segment_bytes_per_shard = budget_note
@@ -552,9 +472,6 @@ class ShardedSolver:
     def open(self):
         """Spawn every shard's pool now and keep them across calls."""
         self._persistent = True
-        if self._delegate is not None:
-            self._delegate.open()
-            return self
         for sh in self._shards:
             sh.open()
         return self
@@ -562,35 +479,26 @@ class ShardedSolver:
     def close(self) -> None:
         """Shut every shard's pool down together (idempotent)."""
         self._persistent = False
-        if self._delegate is not None:
-            self._delegate.close()
-            return
         for sh in self._shards:
             sh.close()
 
     @property
     def spawn_count(self) -> int:
         """Pool spawns summed over shards (``shards`` per cold start)."""
-        if self._delegate is not None:
-            return self._delegate.spawn_count
         return sum(sh.spawn_count for sh in self._shards)
 
     def worker_pids(self) -> list[int]:
         """Live worker PIDs across every shard's pool."""
-        if self._delegate is not None:
-            return self._delegate.worker_pids()
         return [pid for sh in self._shards for pid in sh.worker_pids()]
 
     @property
     def pool_active(self) -> bool:
-        if self._delegate is not None:
-            return self._delegate.pool_active
         return all(sh.pool_active for sh in self._shards)
 
     def shard_update_counts(self) -> list[int]:
         """Cumulative committed updates per shard over this solver's
-        lifetime (one entry for the ``shards=1`` delegate). The serving
-        layer surfaces these as the per-shard stats breakdown."""
+        lifetime. The serving layer surfaces these as the per-shard
+        stats breakdown."""
         return list(self._shard_total_updates)
 
     def _node_factory(self, nodes: list[str], client_factory):
@@ -598,27 +506,12 @@ class ShardedSolver:
         shard ``s`` lives on ``nodes[s]``, a ``repro serve --shard-of``
         host whose peer ring exchanges halos node-to-node. The
         coordinator keeps its own :class:`LocalBoard` purely for
-        residual assembly."""
+        residual assembly. The pool options travel to the host as the
+        ``shard_begin`` params."""
 
         def build(
-            s,
-            A_s,
-            b_s,
-            norms_s,
-            *,
-            offset,
-            nproc,
-            beta,
-            atomic,
-            directions,
-            adaptive,
-            start_method,
-            log_capacity,
-            lock_stripes,
-            block,
-            barrier_timeout,
-            capacity_k,
-            **_geometry,
+            s, A_s, b_s, norms_s, *, offset, n_rows, x_rows, b_rows,
+            nproc, directions, capacity_k, **pool,
         ):
             return NodeShard(
                 s,
@@ -630,17 +523,8 @@ class ShardedSolver:
                 nproc=nproc,
                 capacity_k=capacity_k,
                 seed=directions.seed,
-                params={
-                    "beta": beta,
-                    "atomic": atomic,
-                    "adaptive": adaptive,
-                    "start_method": start_method,
-                    "log_capacity": log_capacity,
-                    "lock_stripes": lock_stripes,
-                    "block": block,
-                    "barrier_timeout": barrier_timeout,
-                },
-                timeout=barrier_timeout,
+                params=pool,
+                timeout=self.barrier_timeout,
                 client_factory=client_factory,
             )
 
@@ -668,18 +552,6 @@ class ShardedSolver:
         exactly as on the single pool, measured on the assembled
         iterate; retirement decisions propagate to each shard at its
         next boundary."""
-        if self._delegate is not None:
-            result = self._delegate.solve(
-                tol,
-                max_sweeps,
-                x0,
-                sync_every_sweeps=sync_every_sweeps,
-                metric=metric,
-                b=b,
-                retire=retire,
-            )
-            self._shard_total_updates[0] += result.iterations
-            return result
         if metric is not None:
             raise ModelError(
                 "sharded solves judge convergence on the assembled global "

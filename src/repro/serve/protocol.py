@@ -149,8 +149,8 @@ def mint_trace_id() -> str:
 
 # The wire-level method names the register verb accepts. Kept as a
 # literal (not imported from the execution layer) so the protocol
-# module stays a pure parsing layer; the serve-layer registry performs
-# the authoritative check against SOLVER_METHODS.
+# module stays a pure parsing layer; the registry's ``register`` runs
+# the authoritative check (``repro.execution.check_solver``).
 _METHODS = ("asyrgs", "asyrk")
 
 

@@ -38,8 +38,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import asdict, replace
 
-from ..exceptions import ServeError
-from ..execution import SOLVER_METHODS
+from ..exceptions import ModelError, ServeError
+from ..execution import check_solver
 from .cache import SolutionCache
 from .runtime import THREAD_RUNTIME
 from .metrics import ServerStats, fold_stats
@@ -50,19 +50,25 @@ __all__ = ["MatrixRegistry"]
 
 class _Entry:
     """One registered matrix: its CSR, per-matrix server overrides, the
-    live server (or ``None``), and ``history``, the running total of
-    its retired pools' counters (the zero record, carrying the matrix's
-    method and shard count, until a pool retires)."""
+    update method and shard count its pool runs, the live server (or
+    ``None``), and ``history``, the running total of its retired pools'
+    counters (the zero record, carrying the matrix's method and shard
+    count, until a pool retires)."""
 
-    __slots__ = ("name", "A", "overrides", "server", "last_used", "history")
+    __slots__ = (
+        "name", "A", "overrides", "method", "shards", "server",
+        "last_used", "history",
+    )
 
-    def __init__(self, name: str, A, overrides: dict):
+    def __init__(self, name: str, A, overrides: dict, method: str, shards: int):
         self.name = name
         self.A = A
         self.overrides = overrides
+        self.method = method
+        self.shards = shards
         self.server: SolverServer | None = None
         self.last_used = 0
-        self.history = ServerStats()
+        self.history = ServerStats(method=method, shards=shards)
 
     def stats(self) -> ServerStats:
         """Lifetime stats: the retired pools' total plus the live pool."""
@@ -156,11 +162,23 @@ class MatrixRegistry:
         """Register matrix ``A`` under ``name``. Costs nothing until the
         first request routed to it spawns the pool. ``overrides`` adjust
         this matrix's :class:`SolverServer` construction (``capacity_k``,
-        ``tol``, ``policy``, ...)."""
+        ``tol``, ``policy``, ``method``, ``shards``, ``nodes``, ...).
+        The ``(method, shards, nodes)`` backing is checked here, by
+        :func:`~repro.execution.check_solver`, so a registration that
+        could never serve raises :class:`ServeError` now rather than
+        failing every later solve."""
         if not isinstance(name, str) or not name:
             raise ServeError(
                 f"matrix id must be a non-empty string, got {name!r}"
             )
+        options = {**self._defaults, **overrides}
+        method = options.get("method", "asyrgs")
+        try:
+            shards = check_solver(
+                method, options.get("shards", 1), options.get("nodes")
+            )
+        except ModelError as exc:
+            raise ServeError(str(exc)) from exc
         with self._lock:
             if self._closed:
                 raise ServeError("registry is closed; no new matrices accepted")
@@ -175,10 +193,9 @@ class MatrixRegistry:
                 # live re-registration, but ids do get reused across
                 # registry generations in tests and restarts).
                 self._cache.invalidate(name)
-            entry = _Entry(name, A, dict(overrides))
-            entry.history.method = self._method_of(entry)
-            entry.history.shards = self._shards_of(entry)
-            self._entries[name] = entry
+            self._entries[name] = _Entry(
+                name, A, dict(overrides), method, shards
+            )
 
     def register_spec(
         self,
@@ -197,32 +214,14 @@ class MatrixRegistry:
         (``None`` inherits the registry default for either), and
         ``nodes`` a list of ``"HOST:PORT"`` shard hosts backing the
         matrix remotely (one per shard; ``shards`` then defaults to
-        ``len(nodes)`` and must match it otherwise). Returns the info
-        payload echoed to the client."""
+        ``len(nodes)`` and must match it otherwise); :meth:`register`
+        checks the three together. Returns the info payload echoed to
+        the client."""
         if (problem is None) == (path is None):
             raise ServeError(
                 "register requires exactly one of a named problem or a "
                 "MatrixMarket path"
             )
-        if method is not None and method not in SOLVER_METHODS:
-            known = ", ".join(sorted(SOLVER_METHODS))
-            raise ServeError(
-                f"unknown solver method {method!r}; expected one of: {known}"
-            )
-        if shards is not None:
-            shards = int(shards)
-            if shards < 1:
-                raise ServeError(f"shards must be at least 1, got {shards}")
-        if nodes is not None:
-            nodes = [str(a) for a in nodes]
-            if shards is None:
-                shards = len(nodes)
-            elif shards != len(nodes):
-                raise ServeError(
-                    f"shards={shards} does not match the {len(nodes)} "
-                    "node(s) given; with nodes=[...] every shard lives "
-                    "on exactly one peer"
-                )
         if problem is not None:
             from ..workloads import get_problem
 
@@ -240,15 +239,16 @@ class MatrixRegistry:
         if shards is not None:
             overrides["shards"] = shards
         if nodes is not None:
-            overrides["nodes"] = nodes
+            overrides["nodes"] = list(nodes)
         self.register(name, A, **overrides)
+        entry = self._entries[name]
         info = {
             "registered": name,
             "n": A.shape[0],
             "nnz": A.nnz,
             "source": problem if problem is not None else path,
-            "method": self._method_of(self._entries[name]),
-            "shards": self._shards_of(self._entries[name]),
+            "method": entry.method,
+            "shards": entry.shards,
         }
         if nodes is not None:
             info["nodes"] = list(nodes)
@@ -410,24 +410,6 @@ class MatrixRegistry:
             return None
         return self._cache.stats()
 
-    def _method_of(self, entry: _Entry) -> str:
-        """The update method ``entry``'s pool runs (its override, or the
-        registry default, or the server default)."""
-        return entry.overrides.get(
-            "method", self._defaults.get("method", "asyrgs")
-        )
-
-    def _shards_of(self, entry: _Entry) -> int:
-        """How many row-shard pools back ``entry`` (its override, or the
-        registry default, or the classic single pool). A node-backed
-        entry's shard count is its host count."""
-        nodes = entry.overrides.get("nodes")
-        if nodes is not None and "shards" not in entry.overrides:
-            return len(nodes)
-        return int(
-            entry.overrides.get("shards", self._defaults.get("shards", 1))
-        )
-
     def _pool_weight_of(self, entry: _Entry) -> int:
         """What ``entry`` weighs against ``max_live_pools``. A local
         sharded matrix really holds N pools; a node-backed one holds no
@@ -435,7 +417,7 @@ class MatrixRegistry:
         it weighs 1 (a dispatcher thread and a few sockets)."""
         if entry.overrides.get("nodes") is not None:
             return 1
-        return self._shards_of(entry)
+        return entry.shards
 
     def matrices_payload(self) -> list[dict]:
         """The ``matrices`` verb / ``GET /v1/matrices`` payload; each
@@ -455,8 +437,8 @@ class MatrixRegistry:
                         "capacity_k",
                         self._defaults.get("capacity_k", 8),
                     ),
-                    "method": self._method_of(entry),
-                    "shards": self._shards_of(entry),
+                    "method": entry.method,
+                    "shards": entry.shards,
                     "live": entry.server is not None,
                     "requests_submitted": stats.requests_submitted,
                     "requests_served": stats.requests_served,

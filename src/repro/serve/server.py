@@ -80,8 +80,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ..exceptions import ServeError
-from ..execution import SOLVER_METHODS, ShardedSolver, make_solver
+from ..exceptions import ModelError, ServeError
+from ..execution import check_solver, make_solver
 from ..execution.epochs import check_epoch_args
 from ..rng import DirectionStream
 from ..sparse import CSRMatrix
@@ -94,28 +94,6 @@ from .runtime import THREAD_RUNTIME
 __all__ = ["SolverServer", "RequestHandle", "ServedResult", "ServerStats"]
 
 _SHUTDOWN = object()
-
-
-def _default_factory(A, b, *, method, shards=1, nodes=None, node_matrix="default", **kwargs):
-    """The default ``solver_factory``: dispatch by wire-level method
-    name through the execution layer's registry.
-
-    ``shards=1`` (the default) takes the exact single-pool path that has
-    always existed — :class:`~repro.execution.ShardedSolver` is not even
-    in the loop, which is what keeps unsharded serving bit-identical
-    across this refactor. ``shards>1`` builds the row-partitioned
-    multi-pool coordinator instead; its public surface (``open``,
-    ``close``, ``solve``, ``spawn_count``, ``worker_pids``) matches the
-    single-pool solvers, so the dispatcher cannot tell the difference.
-    """
-    if nodes is not None:
-        return ShardedSolver(
-            A, b, shards=int(shards), method=method, nodes=list(nodes),
-            node_matrix=node_matrix, **kwargs,
-        )
-    if int(shards) == 1:
-        return make_solver(method, A, b, **kwargs)
-    return ShardedSolver(A, b, shards=int(shards), method=method, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -282,15 +260,17 @@ class SolverServer:
         coalescing, retirement, and failure-containment machinery is
         identical — one pool core serves both.
     shards:
-        Row shards backing the matrix (default 1 — one pool, the
-        classic path, untouched by this option). ``N > 1`` splits the
-        matrix into N contiguous row blocks, each its own persistent
-        pool (``nproc`` workers *per shard*), coordinated by the
-        asynchronous halo-exchange loop of
+        Row shards backing the matrix (default 1 — one plain pool,
+        which :func:`~repro.execution.make_solver` builds directly).
+        ``N > 1`` splits the matrix into N contiguous row blocks, each
+        its own persistent pool (``nproc`` workers *per shard*),
+        coordinated by the asynchronous halo-exchange loop of
         :class:`~repro.execution.ShardedSolver` — for matrices whose
         single-pool shared-memory segment is too big for one box.
         Sharding requires ``method="asyrgs"``; the pools live and die
-        together on eviction and crash.
+        together on eviction and crash. A ``(method, shards, nodes)``
+        choice that :func:`~repro.execution.check_solver` refuses
+        raises :class:`ServeError` here, before any pool exists.
     nodes:
         ``["HOST:PORT", ...]`` — back each shard with a remote
         ``repro serve --shard-of`` host instead of a local pool (see
@@ -325,13 +305,14 @@ class SolverServer:
         simulation harness substitutes a virtual-clock scheduler here.
     solver_factory:
         Builds the backing pool; defaults to
-        :func:`~repro.execution.make_solver` dispatch, called as
-        ``factory(A, zeros_block, method=..., nproc=..., beta=...,
-        atomic=..., directions=..., start_method=...,
-        barrier_timeout=..., capacity_k=...)`` — the ``method`` kwarg
-        is always passed explicitly. The simulation harness substitutes
-        an in-process fake so dispatcher/gather/eviction logic runs
-        under seeded schedules without spawning worker processes.
+        :func:`~repro.execution.make_solver`, with its signature:
+        ``factory(method, A, zeros_block, shards=..., nproc=...,
+        beta=..., atomic=..., directions=..., start_method=...,
+        barrier_timeout=..., capacity_k=...)``, plus ``nodes`` and
+        ``node_matrix`` for a node-backed matrix. The simulation
+        harness substitutes an in-process fake so dispatcher/gather/
+        eviction logic runs under seeded schedules without spawning
+        worker processes.
 
     Use as a context manager, or call :meth:`close` explicitly.
     """
@@ -363,25 +344,11 @@ class SolverServer:
         solver_factory=None,
     ):
         capacity_k = int(capacity_k)
-        if method not in SOLVER_METHODS:
-            known = ", ".join(sorted(SOLVER_METHODS))
-            raise ServeError(
-                f"unknown solver method {method!r}; expected one of: {known}"
-            )
-        shards = int(shards)
-        if shards < 1:
-            raise ServeError(f"shards must be at least 1, got {shards}")
-        if nodes is not None:
-            nodes = [str(a) for a in nodes]
-            if shards == 1:
-                shards = len(nodes)
-            if shards != len(nodes):
-                raise ServeError(
-                    f"shards={shards} does not match the {len(nodes)} "
-                    "node(s) given; with nodes=[...] every shard lives "
-                    "on exactly one peer"
-                )
-        self.nodes = nodes
+        try:
+            shards = check_solver(method, shards, nodes)
+        except ModelError as exc:
+            raise ServeError(str(exc)) from exc
+        self.nodes = None if nodes is None else [str(a) for a in nodes]
         self._runtime = THREAD_RUNTIME if runtime is None else runtime
         self._clock = self._runtime.monotonic
         self.method = method
@@ -406,20 +373,20 @@ class SolverServer:
             directions = DirectionStream(self.n, seed=seed)
         self._cache = cache
         self._cache_key = "default" if cache_key is None else cache_key
-        factory = _default_factory if solver_factory is None else solver_factory
+        factory = make_solver if solver_factory is None else solver_factory
         # Node-backed matrices address their shard hosts by the matrix
         # name (the registry's entry name doubles as the cache key);
         # the kwargs only exist when nodes are given, so custom
         # factories (the simulation fakes included) never see them.
         node_kwargs = (
-            {"nodes": nodes, "node_matrix": self._cache_key}
+            {"nodes": self.nodes, "node_matrix": self._cache_key}
             if nodes is not None
             else {}
         )
         self._solver = factory(
+            method,
             A,
             np.zeros((self.n, capacity_k)),
-            method=method,
             shards=shards,
             nproc=nproc,
             beta=beta,

@@ -168,7 +168,10 @@ class ShardHost:
                 f"{b.shape} against rows [{r0}, {r1}) of an "
                 f"n={self.n} system"
             )
+        # The pool options, forwarded as given; the host's own start
+        # method fills in when the coordinator names none.
         params = dict(payload.get("params") or {})
+        params["start_method"] = params.get("start_method") or self.start_method
         nproc = int(payload.get("nproc") or self.nproc)
         capacity_k = int(payload.get("capacity_k") or x0.shape[1])
         seed = int(payload.get("seed") or 0)
@@ -190,18 +193,11 @@ class ShardHost:
                 x_rows=self.n,
                 b_rows=n_s,
                 nproc=nproc,
-                beta=float(params.get("beta", 1.0)),
-                atomic=bool(params.get("atomic", False)),
                 directions=DirectionStream(
                     n_s, seed=seed, stream=_SHARD_STREAM_BASE + shard
                 ),
-                adaptive=bool(params.get("adaptive", False)),
-                start_method=params.get("start_method") or self.start_method,
-                log_capacity=int(params.get("log_capacity", 4096)),
-                lock_stripes=int(params.get("lock_stripes", 64)),
-                block=int(params.get("block", 512)),
-                barrier_timeout=float(params.get("barrier_timeout", 300.0)),
                 capacity_k=capacity_k,
+                **params,
             )
             solver.open()
             try:

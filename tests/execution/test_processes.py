@@ -12,6 +12,7 @@ import pytest
 from repro.core import AsyRGS, randomized_gauss_seidel
 from repro.exceptions import ModelError, ShapeError
 from repro.execution import ProcessAsyRGS, available_cpus
+from repro.execution.pool import LOG_CAPACITY
 from repro.rng import DirectionStream
 from repro.sparse import CSRMatrix
 from repro.workloads import laplacian_2d, random_unit_diagonal_spd, social_media_problem
@@ -198,15 +199,19 @@ class TestDelayMeasurement:
         assert stats.count == res.iterations == 10 * n
         assert stats.max >= 0
         assert stats.mean >= 0.0
-        assert stats.samples.size == min(stats.count, 2 * 4096)
+        assert stats.samples.size == min(stats.count, 2 * LOG_CAPACITY)
         assert stats.tau_observed == stats.max
 
     def test_log_capacity_bounds_samples(self, system):
         A, b, _ = system
-        res = ProcessAsyRGS(A, b, nproc=2, log_capacity=16).solve(
-            tol=0.0, max_sweeps=5, sync_every_sweeps=5
+        sweeps = 2 * LOG_CAPACITY // A.shape[0] + 2
+        res = ProcessAsyRGS(A, b, nproc=2).solve(
+            tol=0.0, max_sweeps=sweeps, sync_every_sweeps=sweeps
         )
-        assert res.tau_observed.samples.size == 32  # 16 per worker
+        # Every worker ran past the capacity, so each kept exactly
+        # LOG_CAPACITY samples.
+        assert min(res.per_worker_iterations) > LOG_CAPACITY
+        assert res.tau_observed.samples.size == 2 * LOG_CAPACITY
         assert res.tau_observed.count == res.iterations  # aggregate stays exact
 
     def test_total_row_nnz_exact(self, system):

@@ -6,9 +6,9 @@ Split by cost, not by topic:
   regressions, budget refusals, crash attribution, coordinator
   bookkeeping — runs fake shards in-process and stays in tier-1.
 * The properties that only mean anything against real pools — the
-  ``shards=1`` bit-identity delegation and sharded convergence to the
-  direct solution across pool reuse — spawn OS workers and carry the
-  ``multiprocess`` marker.
+  bit-identity of ``make_solver(..., shards=1)`` with the plain pool and
+  sharded convergence to the direct solution across pool reuse — spawn
+  OS workers and carry the ``multiprocess`` marker.
 
 Both halves carry the ``shard`` marker (CI's sharded slice).
 """
@@ -18,11 +18,13 @@ import pytest
 
 from repro.exceptions import ModelError
 from repro.execution import (
+    AsyRK,
     ProcessAsyRGS,
     ShardedRunResult,
     ShardedSolver,
     balanced_partition,
     contiguous_partition,
+    make_solver,
     segment_bytes,
 )
 from repro.execution.pool import DelayStats
@@ -142,6 +144,29 @@ class TestContracts:
         with pytest.raises(ModelError, match="method 'asyrgs' only"):
             ShardedSolver(A, b, shards=2, method="asyrk")
 
+    def test_sharded_solver_needs_two_shards(self, lap_system):
+        """One shard is make_solver's plain pool, never a coordinator."""
+        A, b = lap_system
+        with pytest.raises(ModelError, match="at least 2 shards"):
+            ShardedSolver(A, b, shards=1)
+
+    @pytest.mark.parametrize(
+        "method, kwargs, cls",
+        [
+            ("asyrgs", {}, ProcessAsyRGS),
+            ("asyrk", {}, AsyRK),
+            ("asyrgs", {"shards": 2}, ShardedSolver),
+            ("asyrgs", {"nodes": ["h:1", "h:2"]}, ShardedSolver),
+        ],
+        ids=["asyrgs", "asyrk", "shards", "nodes"],
+    )
+    def test_make_solver_picks_the_backing(self, lap_system, method, kwargs, cls):
+        A, b = lap_system
+        solver = make_solver(method, A, b, nproc=1, **kwargs)
+        assert type(solver) is cls
+        if cls is ShardedSolver:
+            assert solver.shards == 2
+
     def test_rejects_custom_metric(self, lap_system):
         A, b = lap_system
         solver = ShardedSolver(A, b, shards=2)
@@ -161,7 +186,7 @@ class TestContracts:
             nnz=A.nnz, capacity_k=1, nproc=1,
         )
         with pytest.raises(ModelError) as err:
-            ShardedSolver(A, b, shards=1, shm_limit=need - 1)
+            make_solver("asyrgs", A, b, shards=1, nproc=1, shm_limit=need - 1)
         msg = str(err.value)
         assert f"needs {need} bytes" in msg
         assert "shards > 1" in msg
@@ -358,30 +383,32 @@ class TestFakeShards:
 
 
 # ---------------------------------------------------------------------------
-# Real pools: delegation bit-identity and sharded convergence
+# Real pools: one-shard bit-identity and sharded convergence
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.multiprocess
 class TestRealPools:
     def test_shards1_is_bit_identical_to_the_plain_pool(self):
-        """shards=1 delegates by composition, so at nproc=1 (the only
-        deterministic regime) its iterate must equal the unsharded
-        solver's bit for bit — same stream, same schedule, same floats.
+        """make_solver builds the plain pool at shards=1, so at nproc=1
+        (the only deterministic regime) its iterate must equal the
+        unsharded solver's bit for bit — same stream, same schedule,
+        same floats.
         """
         A = laplacian_2d(10)
         n = A.shape[0]
         x_star = np.sin(np.linspace(0.0, 2.0 * np.pi, n))
         b = A.matvec(x_star)
-        r_del = ShardedSolver(A, b, shards=1, nproc=1, seed=5).solve(
-            1e-8, 300, sync_every_sweeps=2
-        )
+        r_one = make_solver(
+            "asyrgs", A, b, shards=1, nproc=1,
+            directions=DirectionStream(n, seed=5),
+        ).solve(1e-8, 300, sync_every_sweeps=2)
         r_ref = ProcessAsyRGS(
             A, b, nproc=1, directions=DirectionStream(n, seed=5)
         ).solve(1e-8, 300, sync_every_sweeps=2)
-        assert np.array_equal(r_del.x, r_ref.x)
-        assert r_del.iterations == r_ref.iterations
-        assert r_del.converged == r_ref.converged
+        assert np.array_equal(r_one.x, r_ref.x)
+        assert r_one.iterations == r_ref.iterations
+        assert r_one.converged == r_ref.converged
 
     def test_sharded_nproc1_converges_across_pool_reuse(self):
         """Sharded solves at nproc=1 reach the direct solution on the

@@ -469,13 +469,13 @@ def run_shard_crash(seed: int, *, shards: int = 3):
     sched = SimScheduler(seed)
     pools: list = []
 
-    def factory(A, x_block, **kwargs):
+    def factory(method, A, x_block, **kwargs):
         opts = {}
         if int(kwargs.get("shards", 1)) > 1:
             # First batch on the sharded matrix: shard 1 dies.
             opts["fail_shard_on"] = {1: 1}
         pool = FakePool(
-            A, x_block, sleep=sched.sleep, solve_time=0.01,
+            A, x_block, method=method, sleep=sched.sleep, solve_time=0.01,
             **opts, **kwargs,
         )
         pools.append(pool)

@@ -157,7 +157,7 @@ class FakePool:
         """Per-shard load, the real coordinator's shape: every shard
         participates in every solve (each owns a row block of each
         column), so each slot carries the pool's total solved columns.
-        Empty at ``shards=1`` — the delegated single pool has no such
+        Empty at ``shards=1`` — the plain single pool has no such
         attribute, and the server maps that to ``[]``."""
         if self.shards == 1:
             return []
@@ -223,10 +223,11 @@ def fake_factory(
     call, and (when ``made`` is a list) records each pool it builds so
     drivers can assert on call counts afterwards."""
 
-    def build(A, x_block, **kwargs):
+    def build(method, A, x_block, **kwargs):
         pool = FakePool(
             A,
             x_block,
+            method=method,
             sleep=sleep,
             solve_time=solve_time,
             fail_on=fail_on,

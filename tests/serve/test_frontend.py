@@ -415,6 +415,20 @@ class TestCLI:
         assert rc == 2
         assert "NAME=SPEC" in capsys.readouterr().out
 
+    def test_unservable_matrix_backing_is_a_clean_error(
+        self, monkeypatch, capsys
+    ):
+        """Registration refuses a sharded AsyRK matrix before serving:
+        one ``error:`` line and exit code 2, not a server that answers
+        nothing and exits 0."""
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        rc = main(["serve", "--matrix", "a=laplace2d,method=asyrk,shards=2"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        errors = [ln for ln in captured.out.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and "asyrgs" in errors[0]
+        assert "Traceback" not in captured.out + captured.err
+
     def test_duplicate_matrix_name_is_a_clean_error(self, capsys):
         rc = main([
             "serve", "--matrix", "a=social-small",

@@ -153,8 +153,8 @@ class TestBareServer:
 class TestRegistry:
     @pytest.fixture()
     def registry(self):
-        def factory(A, x_block, **kwargs):
-            return FakePool(A, x_block, **kwargs)
+        def factory(method, A, x_block, **kwargs):
+            return FakePool(A, x_block, method=method, **kwargs)
 
         with MatrixRegistry(
             nproc=1,

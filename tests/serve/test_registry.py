@@ -202,6 +202,50 @@ class TestRegistration:
             reg.register("one", A1)
 
 
+#: Backings that could never serve, and the rule each one breaks.
+UNSERVABLE = [
+    ({"method": "asyrk", "shards": 2}, "'asyrgs' only"),
+    ({"nodes": ["127.0.0.1:1"]}, "nothing to distribute"),
+]
+
+
+class TestUnservableBackingRefused:
+    """A ``(method, shards, nodes)`` backing that could never serve is
+    refused at registration — on the wire and through ``register`` —
+    instead of failing every later solve on that matrix."""
+
+    @pytest.mark.parametrize(
+        "fields, message", UNSERVABLE, ids=["asyrk-sharded", "one-node"]
+    )
+    def test_wire_register_fails_with_a_trace_id(self, registry, fields, message):
+        lines = [
+            json.dumps(
+                {"op": "register", "id": "reg", "matrix": "bad",
+                 "problem": "laplace2d", **fields}
+            ),
+            json.dumps({"op": "matrices", "id": "mx"}),
+        ]
+        out = io.StringIO()
+        serve_stream(registry, iter(lines), out)
+        reg, mx = [json.loads(ln) for ln in out.getvalue().splitlines()]
+        assert reg["ok"] is False and reg["id"] == "reg"
+        assert reg["trace_id"].startswith("t-")
+        assert message in reg["error"]
+        assert mx["ok"]
+        assert {m["matrix"] for m in mx["matrices"]} == {"one", "two"}
+
+    @pytest.mark.parametrize(
+        "fields, message", UNSERVABLE, ids=["asyrk-sharded", "one-node"]
+    )
+    def test_register_raises_serve_error(
+        self, registry, two_systems, fields, message
+    ):
+        (A1, _, _), _ = two_systems
+        with pytest.raises(ServeError, match=message):
+            registry.register("bad", A1, **fields)
+        assert registry.matrices() == ["one", "two"]
+
+
 class TestRouting:
     def test_requests_reach_the_matrix_they_name(self, registry, two_systems):
         (A1, b1, _), (A2, b2, _) = two_systems
