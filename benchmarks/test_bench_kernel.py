@@ -1,10 +1,13 @@
-"""Benchmark: the CSR × dense block product on both paths, plus scipy.
+"""Benchmark: the CSR × dense block product and the pool's row update,
+each on both paths, plus scipy.
 
 Writes ``results/BENCH_kernel.json`` (committed: it is the per-kernel
 trajectory the native-module work is measured by). The assertions are
-hardware-independent except one: where the native kernel builds, it
-must beat the NumPy path on the 51-column label block, the regime the
-kernel exists for (measured at >10x).
+hardware-independent except two, where the native module builds: the
+product must beat the NumPy path on the 51-column label block, the
+regime that kernel exists for (measured at >10x), and the segment
+kernel must beat the NumPy row update on the sparse single right-hand
+side, where interpreter overhead is the whole cost (measured at >100x).
 """
 
 import pytest
@@ -21,7 +24,11 @@ def test_kernel_smoke(benchmark):
 
     paths = ["native", "numpy", "scipy"] if result.native else ["numpy", "scipy"]
     assert len(result.rows) == len(KERNEL_MATRICES) * 3 * len(paths)
+    assert len(result.updates) == len(KERNEL_MATRICES) * 3 * len(paths)
     assert all(row["ns"] > 0 for row in result.rows)
+    assert all(row["ns"] >= 0 for row in result.updates)
     if result.native:
         assert (result.ns("labels-block", 51, "native")
                 < result.ns("labels-block", 51, "numpy"))
+        assert (result.ns("sparse-singles", 1, "native", kernel="updates")
+                < result.ns("sparse-singles", 1, "numpy", kernel="updates"))

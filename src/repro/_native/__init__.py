@@ -1,11 +1,18 @@
 """Native kernels: one C source, compiled with cffi on first use.
 
-``csr.c`` holds one function, ``csr_matmat``, the CSR × dense block
-product behind :meth:`~repro.sparse.CSRMatrix.matmat` and ``matvec``
-(the epoch-boundary ``B − A·X`` of every residual check). It sums each
-row in index order, built with ``-O2 -ffp-contract=off``.
+``csr.c`` holds the two hot loops of the solver, both summing every row
+in index order, built with ``-O2 -ffp-contract=off``:
 
-The first product builds the module in a child interpreter (cffi API
+* ``csr_matmat``, the CSR × dense block product behind
+  :meth:`~repro.sparse.CSRMatrix.matmat` and ``matvec`` (the
+  epoch-boundary ``B − A·X`` of every residual check);
+* ``row_segment``, a pool worker's whole epoch segment (draw the row
+  from the Philox stream, gather, form ``γ``, scatter, commit the
+  progress ticket and log the staleness sample), bound to the worker's
+  shared arrays by :class:`RowSegment`. Its draws are exposed on their
+  own as :func:`row_directions`.
+
+The first use builds the module in a child interpreter (cffi API
 mode), so the calling process never imports setuptools. The shared
 object is cached under ``$XDG_CACHE_HOME/repro/native/`` (else
 ``~/.cache/repro/native/``), named by a hash of the C source and of the
@@ -15,8 +22,10 @@ concurrent first loads never map a half-written file. Nothing is built or mapped
 
 Without cffi or a working compiler, or when the build or load fails
 for any other reason, one warning is logged and every product stays on
-the NumPy path. Tests force the NumPy path by setting :data:`enabled`
-to ``False``, or with ``forced(False)`` around a block.
+the NumPy path, every pool on its Python loop. Tests force those paths
+by setting :data:`enabled` to ``False``, or with ``forced(False)``
+around a block; a pool reads the switch once, when it spawns its
+workers.
 """
 
 from __future__ import annotations
@@ -26,9 +35,17 @@ import threading
 
 import numpy as np
 
-__all__ = ["enabled", "forced", "loaded", "csr_matmat"]
+__all__ = [
+    "RowSegment",
+    "csr_matmat",
+    "enabled",
+    "forced",
+    "loaded",
+    "row_directions",
+]
 
-#: Module-level switch: ``False`` sends every product to the NumPy path.
+#: Module-level switch: ``False`` sends every product to the NumPy path
+#: and every pool spawned while it is off to the Python loop.
 enabled = True
 
 _lock = threading.Lock()
@@ -94,3 +111,138 @@ def csr_matmat(indptr, indices, data, X):
             buf("double[]", data), buf("double[]", X), buf("double[]", out),
         )
     return out
+
+
+def row_directions(key, n_rows, wid, nproc, start, count, cdf=None):
+    """The rows worker ``wid`` of ``nproc`` draws at its local positions
+    ``start .. start+count−1``, computed by the routine
+    :class:`RowSegment` draws with; ``None`` when the module cannot be
+    loaded. ``key`` is the stream's Philox key
+    (:attr:`~repro.rng.DirectionStream.key`); with a ``cdf`` each
+    uniform draw goes through the adaptive inverse-CDF map."""
+    n_rows, wid, nproc = int(n_rows), int(wid), int(nproc)
+    if not (0 < n_rows <= 0xFFFFFFFF and 0 <= wid < nproc
+            and start >= 0 and count >= 0):
+        raise ValueError("no such draws")
+    if cdf is not None:
+        cdf = np.ascontiguousarray(cdf, dtype=np.float64)
+        if cdf.shape != (n_rows,):
+            raise ValueError(f"cdf must hold {n_rows} values")
+    module = _module if _module is not None else _library()
+    if not module:
+        return None
+    out = np.empty(int(count), dtype=np.int64)
+    buf = module.ffi.from_buffer
+    cdf_ptr = module.ffi.NULL if cdf is None else buf("double[]", cdf)
+    module.lib.row_directions(
+        int(key[0]), int(key[1]), n_rows, wid, nproc,
+        cdf_ptr, int(start), int(count), buf("int64_t[]", out),
+    )
+    return out
+
+
+#: ``struct row_segment``'s array fields, in the C order, by dtype.
+_SEGMENT_ARRAYS = {
+    "indptr": np.int64, "indices": np.int64, "data": np.float64,
+    "b": np.float64, "norms": np.float64, "cdf": np.float64,
+    "x": np.float64, "acc": np.float64, "progress": np.int64,
+    "row_nnz": np.int64, "col_updates": np.int64, "delay_sum": np.int64,
+    "delay_max": np.int64, "delay_count": np.int64, "delay_log": np.int64,
+}
+
+
+def _check_segment(a, *, offset, project, wid, nproc):
+    """Raise ``ValueError`` unless the arrays ``a`` have the dtypes,
+    contiguity and shapes every pointer ``row_segment`` follows stays
+    inside them under."""
+    for name, dtype in _SEGMENT_ARRAYS.items():
+        if a[name].dtype != dtype or not a[name].flags.c_contiguous:
+            raise ValueError(f"{name} must be C-contiguous {np.dtype(dtype)}")
+    n_rows, (x_rows, k) = a["norms"].shape[0], a["x"].shape
+    indptr, indices = a["indptr"], a["indices"]
+    per_worker = ("progress", "row_nnz", "col_updates", "delay_sum",
+                  "delay_max", "delay_count")
+    shapes_ok = (
+        0 < n_rows <= 0xFFFFFFFF  # the multiply-shift draw
+        and indptr.shape == (n_rows + 1,)
+        and indices.shape == a["data"].shape
+        and a["b"].shape == (n_rows, k)
+        and a["cdf"].shape == (n_rows,)
+        and all(a[name].shape == (nproc,) for name in per_worker)
+        and a["delay_log"].ndim == 2 and a["delay_log"].shape[0] == nproc
+        and 0 <= wid < nproc
+        and (project or 0 <= offset <= x_rows - n_rows)
+    )
+    if not shapes_ok:
+        raise ValueError("segment arrays do not fit one pool layout")
+    if (indptr[0] != 0 or indptr[-1] != indices.size
+            or np.any(np.diff(indptr) < 0)
+            or (indices.size and not 0 <= indices.min() <= indices.max() < x_rows)):
+        raise ValueError("CSR rows must address the iterate's rows")
+
+
+class RowSegment:
+    """``row_segment`` bound to one pool worker's shared arrays.
+
+    ``v`` holds the pool segment's arrays by their layout names (see
+    ``repro.execution.pool._layout``). They are checked and their
+    buffers bound once, here, and held until :meth:`release`, which
+    must run before the shared memory under them is closed. Calling the
+    instance runs one epoch segment: ``segment(act, done, target)``
+    makes the worker's draws ``done .. target−1`` on the sorted active
+    columns ``act`` and returns ``target``.
+
+    Build it with :meth:`bind`, which returns ``None`` when the module
+    cannot be loaded; it does not read :data:`enabled` (the pool decided
+    that).
+    """
+
+    def __init__(self, module, v, *, offset, project, beta, adaptive,
+                 key, wid, nproc):
+        arrays = dict(v, acc=np.empty(v["x"].shape[1]))
+        _check_segment(arrays, offset=offset, project=project, wid=wid,
+                       nproc=nproc)
+        ffi = module.ffi
+        self._lib, self._ffi = module.lib, ffi
+        self._k = arrays["x"].shape[1]
+        s = ffi.new("struct row_segment *")
+        self._buffers = []
+        for name, dtype in _SEGMENT_ARRAYS.items():
+            ctype = "int64_t[]" if dtype is np.int64 else "double[]"
+            buffer = ffi.from_buffer(ctype, arrays[name])
+            self._buffers.append(buffer)
+            setattr(s, name, buffer)
+        s.n_rows = arrays["norms"].shape[0]
+        s.k = self._k
+        s.offset = int(offset)
+        s.project = bool(project)
+        s.adaptive = bool(adaptive)
+        s.wid = int(wid)
+        s.nproc = int(nproc)
+        s.log_capacity = arrays["delay_log"].shape[1]
+        s.beta = float(beta)
+        s.key0, s.key1 = int(key[0]), int(key[1])
+        self._s = s
+
+    @classmethod
+    def bind(cls, v, **params):
+        """The bound kernel, or ``None`` when the module cannot be loaded."""
+        module = _module if _module is not None else _library()
+        return cls(module, v, **params) if module else None
+
+    def __call__(self, act, done, target):
+        if self._s is None:
+            raise ValueError("the segment kernel was released")
+        act = np.ascontiguousarray(act, dtype=np.int64)
+        if act.size and not 0 <= act.min() <= act.max() < self._k:
+            raise ValueError(f"active columns must lie in [0, {self._k})")
+        with self._ffi.from_buffer("int64_t[]", act) as ptr:
+            return self._lib.row_segment(self._s, ptr, act.size, done, target)
+
+    def release(self):
+        """Drop the buffer bindings (idempotent); the kernel is unusable
+        afterwards."""
+        for buffer in self._buffers:
+            self._ffi.release(buffer)
+        self._buffers = []
+        self._s = None

@@ -18,11 +18,36 @@ from pathlib import Path
 
 _SOURCE = Path(__file__).with_name("csr.c")
 _BUILD = Path(__file__).with_name("_build.py")
-_CDEF = (
-    "void csr_matmat(int64_t nrows, int64_t k, const int64_t *indptr,"
-    " const int64_t *indices, const double *data, const double *X,"
-    " double *out);"
-)
+_CDEF = """
+void csr_matmat(int64_t nrows, int64_t k, const int64_t *indptr,
+                const int64_t *indices, const double *data, const double *X,
+                double *out);
+struct row_segment {
+    const int64_t *indptr;
+    const int64_t *indices;
+    const double *data;
+    const double *b;
+    const double *norms;
+    const double *cdf;
+    double *x;
+    double *acc;
+    int64_t *progress;
+    int64_t *row_nnz;
+    int64_t *col_updates;
+    int64_t *delay_sum;
+    int64_t *delay_max;
+    int64_t *delay_count;
+    int64_t *delay_log;
+    int64_t n_rows, k, offset, project, adaptive, wid, nproc, log_capacity;
+    double beta;
+    uint32_t key0, key1;
+};
+void row_directions(uint32_t key0, uint32_t key1, int64_t n_rows,
+                    int64_t wid, int64_t nproc, const double *cdf,
+                    int64_t start, int64_t count, int64_t *out);
+int64_t row_segment(const struct row_segment *s, const int64_t *act,
+                    int64_t nact, int64_t done, int64_t target);
+"""
 #: A build that takes longer than this is treated as failed.
 _BUILD_TIMEOUT_S = 120.0
 

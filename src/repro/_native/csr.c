@@ -53,3 +53,244 @@ void csr_matmat(int64_t nrows, int64_t k,
         }
     }
 }
+
+/* One worker's epoch segment of the pool (Algorithm 1, lines 5-7, plus
+ * the pool's bookkeeping), the native twin of the Python loop in
+ * repro/execution/pool.py that RowUpdate.make_updater serves.
+ *
+ * Each draw takes the worker's next direction from the Philox stream,
+ * gathers row r from the live shared iterate, forms
+ * gamma = (b[r] - A_r x) / norms[r] over the active columns and
+ * scatters: into iterate row offset + r (the coordinate rule, AsyRGS
+ * and its shards) or into the row's support (the projection rule,
+ * Kaczmarz). It then commits its progress ticket and logs how many
+ * foreign commits landed during its span, exactly as the Python loop.
+ *
+ * x is deliberately not restrict: other processes write it while this
+ * one reads, and those reads are the paper's inconsistent reads.
+ */
+
+/* The pool's shared arrays and a worker's fixed parameters, bound once
+ * per worker (see repro._native.RowSegment). */
+struct row_segment {
+    const int64_t *indptr;
+    const int64_t *indices;
+    const double *data;
+    const double *b;        /* (n_rows, k), row-major */
+    const double *norms;    /* (n_rows,) */
+    const double *cdf;      /* (n_rows,), read in adaptive mode only */
+    double *x;              /* (x_rows, k), row-major, shared */
+    double *acc;            /* (k,) scratch: per-column sums, then gamma */
+    int64_t *progress;      /* (nproc,) commit tickets, shared */
+    int64_t *row_nnz;       /* (nproc,) */
+    int64_t *col_updates;   /* (nproc,) */
+    int64_t *delay_sum;     /* (nproc,) */
+    int64_t *delay_max;     /* (nproc,) */
+    int64_t *delay_count;   /* (nproc,) */
+    int64_t *delay_log;     /* (nproc, log_capacity) */
+    int64_t n_rows, k, offset, project, adaptive, wid, nproc, log_capacity;
+    double beta;
+    uint32_t key0, key1;
+};
+
+/* Philox-4x32-10 (Salmon et al., SC'11), as repro.rng.philox4x32. */
+static void philox4x32_10(uint32_t c[4], uint32_t k0, uint32_t k1)
+{
+    for (int round = 0; round < 10; ++round) {
+        if (round) {
+            k0 += 0x9E3779B9u;
+            k1 += 0xBB67AE85u;
+        }
+        const uint64_t p0 = (uint64_t)0xD2511F53u * c[0];
+        const uint64_t p1 = (uint64_t)0xCD9E8D57u * c[2];
+        const uint32_t c0 = (uint32_t)(p1 >> 32) ^ c[1] ^ k0;
+        const uint32_t c2 = (uint32_t)(p0 >> 32) ^ c[3] ^ k1;
+        c[0] = c0;
+        c[1] = (uint32_t)p1;
+        c[2] = c2;
+        c[3] = (uint32_t)p0;
+    }
+}
+
+/* The last Philox block evaluated: consecutive stream positions share
+ * a block of four words. */
+struct philox_block {
+    int64_t index;
+    uint32_t words[4];
+};
+
+/* Word `position` of the keyed stream: block position / 4 as a 64-bit
+ * counter in the first two lanes, the word at position mod 4. */
+static uint32_t stream_word(struct philox_block *blk, uint32_t k0,
+                            uint32_t k1, int64_t position)
+{
+    const int64_t index = position >> 2;
+    if (index != blk->index) {
+        blk->words[0] = (uint32_t)index;
+        blk->words[1] = (uint32_t)((uint64_t)index >> 32);
+        blk->words[2] = 0;
+        blk->words[3] = 0;
+        philox4x32_10(blk->words, k0, k1);
+        blk->index = index;
+    }
+    return blk->words[position & 3];
+}
+
+/* The row a worker draws at its local position `done`: global stream
+ * position wid + done * nproc, mapped to {0..n_rows-1} by the
+ * multiply-shift (w * n_rows) >> 32. With a CDF, that uniform draw d is
+ * mapped through the inverse CDF at the stratified quantile
+ * (d + 1/2) / n_rows: the first index whose CDF value exceeds it
+ * (NumPy's searchsorted side="right"), clamped to n_rows - 1. */
+static int64_t draw_row(struct philox_block *blk, uint32_t k0, uint32_t k1,
+                        int64_t n_rows, int64_t wid, int64_t nproc,
+                        const double *cdf, int64_t done)
+{
+    const uint32_t w = stream_word(blk, k0, k1, wid + done * nproc);
+    int64_t d = (int64_t)(((uint64_t)w * (uint64_t)n_rows) >> 32);
+    if (cdf) {
+        const double u = ((double)d + 0.5) / (double)n_rows;
+        int64_t lo = 0, hi = n_rows;
+        while (lo < hi) {
+            const int64_t mid = lo + ((hi - lo) >> 1);
+            if (u < cdf[mid])
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        d = lo < n_rows - 1 ? lo : n_rows - 1;
+    }
+    return d;
+}
+
+/* Rows drawn at local positions start .. start + count - 1, into out
+ * (cdf is NULL for uniform sampling): the draws row_segment makes. */
+void row_directions(uint32_t key0, uint32_t key1, int64_t n_rows,
+                    int64_t wid, int64_t nproc, const double *cdf,
+                    int64_t start, int64_t count, int64_t *out)
+{
+    struct philox_block blk = {-1, {0, 0, 0, 0}};
+    for (int64_t i = 0; i < count; ++i)
+        out[i] = draw_row(&blk, key0, key1, n_rows, wid, nproc, cdf,
+                          start + i);
+}
+
+static int64_t committed(const struct row_segment *s)
+{
+    int64_t total = 0;
+    for (int64_t w = 0; w < s->nproc; ++w)
+        total += __atomic_load_n(&s->progress[w], __ATOMIC_RELAXED);
+    return total;
+}
+
+/* One update of row r on a lone column j: a register accumulator. */
+static void update_lone(const struct row_segment *s, int64_t r, int64_t j)
+{
+    const int64_t start = s->indptr[r], end = s->indptr[r + 1], k = s->k;
+    double *x = s->x;
+    double dot = 0.0;
+    for (int64_t p = start; p < end; ++p)
+        dot += s->data[p] * x[s->indices[p] * k + j];
+    const double gamma = (s->b[r * k + j] - dot) / s->norms[r];
+    if (!s->project) {
+        x[(s->offset + r) * k + j] += s->beta * gamma;
+        return;
+    }
+    const double step = s->beta * gamma;
+    for (int64_t p = start; p < end; ++p)
+        x[s->indices[p] * k + j] += step * s->data[p];
+}
+
+/* One update of row r on nact >= 2 active columns act[0..nact): the
+ * row entries outside, the columns inside, one accumulator per column
+ * in acc. Each column still sums in index order. `prefix` says act is
+ * 0..nact-1, so column j is read at j without the indirection. */
+static void update_block(const struct row_segment *s, int64_t r,
+                         const int64_t *act, int64_t nact, int prefix)
+{
+    const int64_t start = s->indptr[r], end = s->indptr[r + 1], k = s->k;
+    double *x = s->x;
+    double *restrict acc = s->acc;
+    for (int64_t j = 0; j < nact; ++j)
+        acc[j] = 0.0;
+    for (int64_t p = start; p < end; ++p) {
+        const double a = s->data[p];
+        const double *xr = x + s->indices[p] * k;
+        int64_t j = 0;
+        /* Four columns per step, as in csr_matmat. */
+        if (prefix) {
+            for (; j + 4 <= nact; j += 4) {
+                acc[j] += a * xr[j];
+                acc[j + 1] += a * xr[j + 1];
+                acc[j + 2] += a * xr[j + 2];
+                acc[j + 3] += a * xr[j + 3];
+            }
+            for (; j < nact; ++j)
+                acc[j] += a * xr[j];
+        } else {
+            for (; j + 4 <= nact; j += 4) {
+                acc[j] += a * xr[act[j]];
+                acc[j + 1] += a * xr[act[j + 1]];
+                acc[j + 2] += a * xr[act[j + 2]];
+                acc[j + 3] += a * xr[act[j + 3]];
+            }
+            for (; j < nact; ++j)
+                acc[j] += a * xr[act[j]];
+        }
+    }
+    const double *br = s->b + r * k;
+    const double norm = s->norms[r];
+    for (int64_t j = 0; j < nact; ++j)
+        acc[j] = (br[act[j]] - acc[j]) / norm;
+    if (!s->project) {
+        double *xg = x + (s->offset + r) * k;
+        for (int64_t j = 0; j < nact; ++j)
+            xg[act[j]] += s->beta * acc[j];
+        return;
+    }
+    for (int64_t p = start; p < end; ++p) {
+        const double step = s->beta * s->data[p];
+        double *xr = x + s->indices[p] * k;
+        for (int64_t j = 0; j < nact; ++j)
+            xr[act[j]] += step * acc[j];
+    }
+}
+
+/* Run the worker's draws at local positions done .. target - 1 on the
+ * active columns act[0..nact) (sorted, fixed for the segment); returns
+ * target, the worker's new position. With no active column a draw
+ * still commits and counts its row, but writes nothing. */
+int64_t row_segment(const struct row_segment *s, const int64_t *act,
+                    int64_t nact, int64_t done, int64_t target)
+{
+    struct philox_block blk = {-1, {0, 0, 0, 0}};
+    const double *cdf = s->adaptive ? s->cdf : NULL;
+    const int64_t wid = s->wid;
+    const int prefix = nact > 0 && act[nact - 1] == nact - 1;
+    int64_t *log = s->delay_log + wid * s->log_capacity;
+    for (; done < target; ) {
+        const int64_t r = draw_row(&blk, s->key0, s->key1, s->n_rows, wid,
+                                   s->nproc, cdf, done);
+        /* Ticket before the read: everything committed after this and
+         * before our own commit raced with us. */
+        const int64_t before = committed(s);
+        if (nact == 1)
+            update_lone(s, r, act[0]);
+        else if (nact > 1)
+            update_block(s, r, act, nact, prefix);
+        ++done;
+        __atomic_store_n(&s->progress[wid], done, __ATOMIC_RELAXED);
+        s->row_nnz[wid] += s->indptr[r + 1] - s->indptr[r];
+        s->col_updates[wid] += nact;
+        /* Write-log entry: foreign commits during our span. */
+        const int64_t sample = committed(s) - before - 1;
+        s->delay_sum[wid] += sample;
+        if (sample > s->delay_max[wid])
+            s->delay_max[wid] = sample;
+        const int64_t j = s->delay_count[wid];
+        if (j < s->log_capacity)
+            log[j] = sample;
+        s->delay_count[wid] = j + 1;
+    }
+    return done;
+}

@@ -9,18 +9,32 @@ write-log, per-column retirement, and the persistent-pool lifecycle
 (:class:`PoolSolver`).
 
 What a concrete solver contributes is its system geometry, its per-row
-normalizers, and a :class:`RowUpdate` — the one per-draw kernel, with
-two knobs ``RowUpdate(offset, project)``:
+normalizers, and a :class:`RowUpdate` — the one per-draw step, with
+two knobs ``RowUpdate(offset, project)``: gather row ``r``, form
+``γ = (b[r] − A_r·x)/norms[r]``, scatter. The pool core owns
+everything around it: direction draws, progress ticketing, the
+staleness write-log, and both barriers.
 
-``make_updater(views, *, k, act, locks, nlocks, beta)``
-    Called once per epoch segment, right after the start gate, with the
-    live shared views and the active-column set sampled for this
-    segment. It picks the column selection once (a lone column, a
-    leading prefix, or a mask) and returns a per-draw closure
-    ``update(r) -> touched_nnz``: gather row ``r``, form
-    ``γ = (b[r] − A_r·x)/norms[r]``, scatter. The pool core owns
-    everything around the call: direction draws, progress ticketing,
-    the staleness write-log, and both barriers.
+Which path runs the step
+------------------------
+Each worker runs one epoch segment (its draws between a start gate and
+an end gate) per call of a runner it binds once (``_segment_runner``):
+
+* **The native kernel** (``row_segment`` in ``repro/_native/csr.c``,
+  bound by :class:`repro._native.RowSegment`): one C call per segment
+  draws, updates and logs every draw of it. Pools run it whenever the
+  parent, before forking, finds the module switched on and loaded
+  (``_native.enabled and _native.loaded()``); a pool keeps that choice
+  for its lifetime, and its workers use the module the parent loaded
+  (inherited through ``fork``, read from the cache under ``spawn``).
+* **The Python loop** over :meth:`RowUpdate.make_updater`'s per-draw
+  closure, drawing in blocks of :data:`BLOCK`: the fallback where the
+  module cannot be built or is switched off, the oracle the kernel is
+  pinned against (``tests/execution/test_row_segment.py``), and the
+  only path for ``atomic=True``, whose striped locks are Python
+  objects. Its bits are those of the NumPy ``@`` row dot; the kernel
+  sums each column in index order, so the two agree to rounding, not
+  bitwise, and every count and draw exactly.
 
 Three methods run it, differing only in the two knobs:
 
@@ -77,6 +91,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
+from .. import _native
 from ..exceptions import ModelError, ShapeError
 from ..rng import DirectionStream, interleave_counts
 from ..validation import check_rhs, check_x0, rhs_empty_message
@@ -113,8 +128,9 @@ _ALIGN = 64  # cache-line alignment for every shared array
 #: of the mean residual weight. See ``refresh_sampling``.
 _UNIFORM_BLEND = 1.0
 
-#: Directions are gathered from the Philox stream in blocks of this size
-#: (hot-loop amortization; no effect on results).
+#: The Python loop gathers directions from the Philox stream in blocks
+#: of this size (hot-loop amortization; no effect on results). The
+#: native kernel draws one at a time.
 BLOCK = 512
 #: Locks in atomic mode: coordinate ``r`` maps to stripe
 #: ``r mod LOCK_STRIPES`` (fewer when the pool has fewer rows).
@@ -127,7 +143,8 @@ BARRIER_TIMEOUT = 300.0
 
 
 class RowUpdate:
-    """The row-action step every pool method runs per draw.
+    """The row-action step every pool method runs per draw (in the
+    Python loop; the native kernel implements the same step in C).
 
     Lines 5–7 of Algorithm 1: draw row ``r``, gather it from the live
     shared iterate (no snapshot — the inconsistent-read regime), form
@@ -150,8 +167,13 @@ class RowUpdate:
         self.project = bool(project)
 
     def make_updater(self, v, *, k, act, locks, nlocks, beta):
-        """Bind the kernel to one segment's shared views and active
-        columns; returns ``update(r) -> touched_nnz``."""
+        """Bind the step to one segment's shared views and active
+        columns; returns ``update(r) -> touched_nnz``.
+
+        The Python loop calls it once per epoch segment, right after the
+        start gate, with the active-column set sampled for the segment;
+        it picks the column selection once (a lone column, a leading
+        prefix, or a mask)."""
         indptr, indices, data = v["indptr"], v["indices"], v["data"]
         x, b, norms = v["x"], v["b"], v["norms"]
         offset = self.offset
@@ -325,9 +347,9 @@ def _worker_main(
     geom,
     method,
     beta: float,
-    seed: int,
-    stream: int,
+    directions: DirectionStream,
     adaptive: bool,
+    native: bool,
     barrier,
     locks,
 ) -> None:
@@ -348,8 +370,8 @@ def _worker_main(
     shm = _attach(shm_name)
     try:
         _worker_loop(
-            wid, nproc, shm, geom, method, beta, seed, stream, adaptive,
-            barrier, locks,
+            wid, nproc, shm, geom, method, beta, directions, adaptive,
+            native, barrier, locks,
         )
     except threading.BrokenBarrierError:
         # A sibling crashed and aborted the barrier; it already reported
@@ -375,55 +397,44 @@ def _worker_main(
             pass
 
 
-def _worker_loop(
-    wid: int,
-    nproc: int,
-    shm: shared_memory.SharedMemory,
-    geom,
-    method,
-    beta: float,
-    seed: int,
-    stream: int,
-    adaptive: bool,
-    barrier,
-    locks,
-) -> None:
-    """Worker body: epochs of randomized updates on the shared iterate.
+@contextmanager
+def _segment_runner(
+    v, method, *, directions, wid, nproc, beta, adaptive, locks, native
+):
+    """Yield worker ``wid``'s segment runner, ``run(act, done, target)
+    -> target``: it makes the worker's draws ``done .. target−1`` on the
+    active columns ``act``, with the progress ticketing and the
+    staleness write-log around each.
 
-    The loop outlives any single ``run()``/``solve()`` call: a change of
-    the generation stamp at the start gate rewinds the worker's position
-    in the direction stream to 0, so one pool serves many calls. All
-    per-draw arithmetic is delegated to the closure the row kernel
-    builds per epoch segment; everything else — direction draws,
-    progress ticketing, the staleness write-log, the gates — is method
-    independent.
+    With ``native`` the runner is the C kernel
+    (:class:`repro._native.RowSegment`), bound to ``v`` until the block
+    exits; otherwise, or when the module cannot be loaded here, it is
+    the Python loop over :meth:`RowUpdate.make_updater`'s per-draw
+    closure, drawing in blocks of :data:`BLOCK`: the fallback, the
+    oracle of the kernel, and the only path for atomic (locked) writes.
     """
-    n_rows, x_rows, b_rows, nnz, k = geom
-    v = _views(shm, geom, nproc)
-    progress, control = v["progress"], v["control"]
-    row_nnz, active = v["row_nnz"], v["active"]
-    col_updates = v["col_updates"]
+    kernel = None
+    if native and not locks:
+        kernel = _native.RowSegment.bind(
+            v, offset=method.offset, project=method.project, beta=beta,
+            adaptive=adaptive, key=directions.key, wid=wid, nproc=nproc,
+        )
+    if kernel is not None:
+        try:
+            yield kernel
+        finally:
+            kernel.release()
+        return
+
+    n_rows, k = v["norms"].shape[0], v["x"].shape[1]
+    progress, row_nnz = v["progress"], v["row_nnz"]
+    col_updates, cdf = v["col_updates"], v["cdf"]
     delay_sum, delay_max = v["delay_sum"], v["delay_max"]
     delay_count, delay_log = v["delay_count"], v["delay_log"]
-    cdf = v["cdf"]
-    view = DirectionStream(n_rows, seed=seed, stream=stream).for_processor(wid, nproc)
+    view = directions.for_processor(wid, nproc)
     nlocks = len(locks) if locks else 0
-    done = 0
-    generation = 0
-    while True:
-        barrier.wait()  # start gate: parent has published the control word
-        if control[_CTRL_COMMAND] == _CMD_STOP:
-            break
-        if control[_CTRL_GENERATION] != generation:
-            generation = int(control[_CTRL_GENERATION])
-            done = 0  # new call on the same pool: rewind the stream
-        target = int(interleave_counts(int(control[_CTRL_TARGET]), nproc)[wid])
-        # The active-column set is sampled once per epoch, right after
-        # the start gate: the parent retires columns only while it owns
-        # the segment (between the end gate and the next start gate), so
-        # the set never changes mid-segment — Theorem 2's segment
-        # structure is preserved, the segments just narrow.
-        act = np.flatnonzero(active != 0)
+
+    def run(act, done, target):
         nact = int(act.size)
         update = method.make_updater(
             v, k=k, act=act, locks=locks, nlocks=nlocks, beta=beta
@@ -434,9 +445,7 @@ def _worker_loop(
             if adaptive:
                 # Inverse-CDF through the stratified quantile of the
                 # uniform draw: same Philox words, same stream
-                # positions, only the row they name changes. The CDF is
-                # stable for the whole segment (the parent republishes
-                # it only while it owns the segment).
+                # positions, only the row they name changes.
                 u = (rows.astype(np.float64) + 0.5) / n_rows
                 rows = np.minimum(
                     np.searchsorted(cdf, u, side="right"), n_rows - 1
@@ -460,7 +469,57 @@ def _worker_loop(
                 if j < LOG_CAPACITY:
                     delay_log[wid, j] = sample
                 delay_count[wid] = j + 1
-        barrier.wait()  # end gate: all updates of the epoch are visible
+        return done
+
+    yield run
+
+
+def _worker_loop(
+    wid: int,
+    nproc: int,
+    shm: shared_memory.SharedMemory,
+    geom,
+    method,
+    beta: float,
+    directions: DirectionStream,
+    adaptive: bool,
+    native: bool,
+    barrier,
+    locks,
+) -> None:
+    """Worker body: epochs of randomized updates on the shared iterate.
+
+    The loop outlives any single ``run()``/``solve()`` call: a change of
+    the generation stamp at the start gate rewinds the worker's position
+    in the direction stream to 0, so one pool serves many calls. Each
+    epoch segment is one call of the runner :func:`_segment_runner`
+    binds once per worker; the gates and the segment's target are
+    method independent.
+    """
+    v = _views(shm, geom, nproc)
+    control, active = v["control"], v["active"]
+    done = 0
+    generation = 0
+    with _segment_runner(
+        v, method, directions=directions, wid=wid, nproc=nproc, beta=beta,
+        adaptive=adaptive, locks=locks, native=native,
+    ) as run:
+        while True:
+            barrier.wait()  # start gate: parent has published the control word
+            if control[_CTRL_COMMAND] == _CMD_STOP:
+                break
+            if control[_CTRL_GENERATION] != generation:
+                generation = int(control[_CTRL_GENERATION])
+                done = 0  # new call on the same pool: rewind the stream
+            target = int(interleave_counts(int(control[_CTRL_TARGET]), nproc)[wid])
+            # The active-column set and the adaptive CDF are sampled once
+            # per epoch, right after the start gate: the parent changes
+            # them only while it owns the segment (between the end gate
+            # and the next start gate), so they never change
+            # mid-segment — Theorem 2's segment structure is preserved,
+            # the segments just narrow.
+            done = run(np.flatnonzero(active != 0), done, target)
+            barrier.wait()  # end gate: all updates of the epoch are visible
 
 
 class _WorkerPool:
@@ -513,6 +572,11 @@ class _WorkerPool:
         backend.csr_copies += 1
         ctx = backend._ctx
         self.barrier = ctx.Barrier(P + 1)
+        # Decided once, before the fork: the parent builds or loads the
+        # module, and a pool keeps the path it was spawned on.
+        self.native = (
+            not backend.atomic and _native.enabled and _native.loaded()
+        )
         locks = (
             [ctx.Lock() for _ in range(min(backend.n_rows, LOCK_STRIPES))]
             if backend.atomic
@@ -523,9 +587,8 @@ class _WorkerPool:
                 target=_worker_main,
                 args=(
                     wid, P, self._shm.name, backend._geom(),
-                    backend.update_method, backend.beta,
-                    backend.directions.seed, backend.directions.stream,
-                    backend.adaptive, self.barrier, locks,
+                    backend.update_method, backend.beta, backend.directions,
+                    backend.adaptive, self.native, self.barrier, locks,
                 ),
                 name=f"{backend.method_name}-proc-{wid}",
                 daemon=True,
@@ -755,8 +818,8 @@ class PoolSolver:
         the shared active set. Must be at least the constructor ``b``'s
         width.
 
-    The direction block size, the lock-stripe count and the write-log
-    capacity are the module constants :data:`BLOCK`,
+    The Python loop's direction block size, the lock-stripe count and
+    the write-log capacity are the module constants :data:`BLOCK`,
     :data:`LOCK_STRIPES` and :data:`LOG_CAPACITY`.
     """
 

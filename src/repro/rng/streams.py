@@ -50,6 +50,13 @@ class DirectionStream:
     def stream(self) -> int:
         return self._rng.stream
 
+    @property
+    def key(self) -> np.ndarray:
+        """The Philox key (two uint32 words) of every draw: word ``j`` of
+        the stream is word ``j mod 4`` of the Philox-4x32-10 block at
+        counter ``(⌊j/4⌋ mod 2³², ⌊j/2³⁴⌋, 0, 0)``."""
+        return self._rng._key
+
     def __repr__(self) -> str:
         return f"DirectionStream(n={self.n}, seed={self._rng.seed}, stream={self._rng.stream})"
 

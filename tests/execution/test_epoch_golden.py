@@ -12,10 +12,12 @@ the per-column series, ``column_sweeps``, ``converged_columns``, the
 sweep, sync-point, update, column-update, lost-write and row-nnz counts,
 and the final iterate.
 
-The CSR product behind every residual check has two paths that round
-differently (see ``repro._native``), so each path has its own file:
-``epoch_golden.json`` pins the NumPy path and
-``epoch_golden_native.json`` the native kernel, both bitwise. The
+The CSR product behind every residual check, and the pool workers'
+row update, each have two paths that round differently (see
+``repro._native``), so each path has its own file:
+``epoch_golden.json`` pins the NumPy product and the Python worker
+loop, ``epoch_golden_native.json`` the native kernels, both bitwise
+(a pool reads the switch when it spawns, inside the forced block). The
 right-hand sides ``B = A·X*`` are computed on the path under test. The
 two files must agree exactly on every count and mask, and to
 ``rtol=1e-12`` on every float (``atol=1e-12`` on these unit-scale

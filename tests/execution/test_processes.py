@@ -529,9 +529,16 @@ class TestPersistentPool:
 class TestRealParallelism:
     def test_two_processes_overlap(self, laplace_system):
         """With two real cores, two workers must commit concurrently at
-        least once (some update sees a foreign commit mid-flight)."""
+        least once (some update sees a foreign commit mid-flight).
+
+        The run must outlast the skew between the two workers leaving
+        the start gate: tens of milliseconds on either worker path. An
+        update costs ~10 µs on the Python loop and ~40 ns on the native
+        kernel, so the native pool gets 200× the draws."""
         A, b, _ = laplace_system
-        out = ProcessAsyRGS(A, b, nproc=2).run(None, 50 * A.shape[0])
+        with ProcessAsyRGS(A, b, nproc=2) as solver:
+            sweeps = 10_000 if solver._pool.native else 50
+            out = solver.run(None, sweeps * A.shape[0])
         assert out.tau_observed.max > 0
 
 

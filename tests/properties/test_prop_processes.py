@@ -20,10 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import _native
 from repro.core.theory import nu_tau, rho_infinity, theorem2_epoch_bound
 from repro.execution import AsyRK, ProcessAsyRGS
 from repro.rng import DirectionStream
 from repro.workloads import random_unit_diagonal_spd
+
+from ..conftest import needs_native
 
 pytestmark = pytest.mark.multiprocess
 
@@ -96,82 +99,126 @@ class TestEpochSchemeBound:
             assert stats.samples.min() >= 0
 
 
+def _blas_dot(vals, xs):
+    """``vals · xs`` as the Python loop forms it (NumPy ``@``)."""
+    return float(vals @ xs)
+
+
+def _index_order_dot(vals, xs):
+    """``vals · xs`` summed entry by entry in index order, as the native
+    kernel sums (compiled with ``-ffp-contract=off``: no fused
+    multiply-adds, so each step rounds like this Python float)."""
+    total = 0.0
+    for a, xv in zip(vals.tolist(), xs.tolist()):
+        total += a * xv
+    return total
+
+
+def _asyrgs_reference(A, b, beta, rows, dot):
+    """The exact k=1 AsyRGS relaxation over ``rows``, in draw order."""
+    diag = A.diagonal()
+    x = np.zeros(A.shape[0])
+    for r in rows:
+        r = int(r)
+        s, e = int(A.indptr[r]), int(A.indptr[r + 1])
+        gamma = (b[r] - dot(A.data[s:e], x[A.indices[s:e]])) / diag[r]
+        x[r] += beta * gamma
+    return x
+
+
+def _asyrk_reference(A, b, beta, rows, dot):
+    """The exact k=1 Kaczmarz row projection over ``rows``, in draw order."""
+    norms = A.row_squared_sums()
+    x = np.zeros(A.shape[1])
+    for r in rows:
+        r = int(r)
+        s, e = int(A.indptr[r]), int(A.indptr[r + 1])
+        cols, vals = A.indices[s:e], A.data[s:e]
+        gamma = (b[r] - dot(vals, x[cols])) / norms[r]
+        x[cols] += (beta * gamma) * vals
+    return x
+
+
+def _serial_case(seed):
+    """A consistent square SPD system, the step size and draw count.
+    Kaczmarz draws over the same row space AsyRGS does, so the two
+    methods' streams align and only the update arithmetic differs."""
+    A = random_unit_diagonal_spd(18, nnz_per_row=3, offdiag_scale=0.4, seed=seed)
+    n = A.shape[0]
+    return A, A.matvec(np.linspace(-1.0, 1.0, n)), 3 * n
+
+
+def _assert_reuse_replays(solver_cls, A, b, beta, total, seed, x_ref):
+    """Two ``run()`` calls on one persistent one-worker pool both equal
+    ``x_ref`` bitwise."""
+    n = A.shape[0]
+    with solver_cls(
+        A, b, nproc=1, beta=beta, directions=DirectionStream(n, seed=seed)
+    ) as solver:
+        first = solver.run(None, total)
+        second = solver.run(None, total)
+    assert solver.spawn_count == 1  # both calls served by one pool
+    assert first.per_worker_iterations == [total]
+    assert np.array_equal(first.x, x_ref)
+    assert np.array_equal(second.x, x_ref)
+
+
 class TestSerialEquivalence:
     """A one-worker pool is bit-identical to a serial Python reference.
 
-    At ``nproc=1`` there is no concurrency, so the refactored pool core
-    (draw chunking, progress ticketing, the active-set machinery) must
-    be arithmetically invisible: the iterate after ``run()`` has to
-    equal — ``np.array_equal``, not ``allclose`` — a plain Python loop
-    consuming the same :class:`DirectionStream` prefix with the same
-    float64 update expressions. Run twice on the *same* persistent pool:
-    the generation bump rewinds each worker's stream position to 0, so
-    pool reuse must replay the exact same trajectory.
+    At ``nproc=1`` there is no concurrency, so the pool core (draw
+    chunking or the native segment, progress ticketing, the active-set
+    machinery) must be arithmetically invisible: the iterate after
+    ``run()`` has to equal — ``np.array_equal``, not ``allclose`` — a
+    plain Python loop consuming the same :class:`DirectionStream` prefix
+    with the same float64 update expressions. Run twice on the *same*
+    persistent pool: the generation bump rewinds each worker's stream
+    position to 0, so pool reuse must replay the exact same trajectory.
+
+    Each method is pinned on both worker paths. The Python loop (forced
+    with ``_native.forced(False)``) forms the row dot with NumPy's
+    ``@``, so its reference does too; the native kernel sums in index
+    order, so its twin's reference does.
     """
 
     @given(seed=st.integers(0, 5))
     @settings(max_examples=3, deadline=None, derandomize=True)
     def test_asyrgs_bit_identical_to_serial_reference_across_reuse(self, seed):
-        A = random_unit_diagonal_spd(
-            18, nnz_per_row=3, offdiag_scale=0.4, seed=seed
-        )
-        n = A.shape[0]
-        b = A.matvec(np.linspace(-1.0, 1.0, n))
-        beta, total = 0.9, 3 * n
-
-        # Serial reference: the exact k=1 AsyRGS relaxation, consuming
-        # worker 0's (== the global) stream prefix in draw order.
-        rows = DirectionStream(n, seed=seed).for_processor(0, 1).directions(0, total)
-        diag = A.diagonal()
-        x_ref = np.zeros(n)
-        for r in rows:
-            r = int(r)
-            s, e = int(A.indptr[r]), int(A.indptr[r + 1])
-            cols = A.indices[s:e]
-            gamma = (b[r] - float(A.data[s:e] @ x_ref[cols])) / diag[r]
-            x_ref[r] += beta * gamma
-
-        with ProcessAsyRGS(
-            A, b, nproc=1, beta=beta, directions=DirectionStream(n, seed=seed)
-        ) as solver:
-            first = solver.run(None, total)
-            second = solver.run(None, total)
-        assert solver.spawn_count == 1  # both calls served by one pool
-        assert first.per_worker_iterations == [total]
-        assert np.array_equal(first.x, x_ref)
-        assert np.array_equal(second.x, x_ref)
+        A, b, total = _serial_case(seed)
+        beta = 0.9
+        rows = DirectionStream(A.shape[0], seed=seed).for_processor(0, 1).directions(0, total)
+        x_ref = _asyrgs_reference(A, b, beta, rows, _blas_dot)
+        with _native.forced(False):
+            _assert_reuse_replays(ProcessAsyRGS, A, b, beta, total, seed, x_ref)
 
     @given(seed=st.integers(0, 5))
     @settings(max_examples=3, deadline=None, derandomize=True)
     def test_asyrk_bit_identical_to_serial_reference_across_reuse(self, seed):
-        # A consistent square SPD system: Kaczmarz draws over the same
-        # row space AsyRGS does, so the two methods' streams align and
-        # only the update arithmetic differs.
-        A = random_unit_diagonal_spd(
-            18, nnz_per_row=3, offdiag_scale=0.4, seed=seed
-        )
-        n = A.shape[0]
-        b = A.matvec(np.linspace(-1.0, 1.0, n))
-        beta, total = 0.8, 3 * n
+        A, b, total = _serial_case(seed)
+        beta = 0.8
+        rows = DirectionStream(A.shape[0], seed=seed).for_processor(0, 1).directions(0, total)
+        x_ref = _asyrk_reference(A, b, beta, rows, _blas_dot)
+        with _native.forced(False):
+            _assert_reuse_replays(AsyRK, A, b, beta, total, seed, x_ref)
 
-        # Serial reference: the exact k=1 Kaczmarz row projection.
-        rows = DirectionStream(n, seed=seed).for_processor(0, 1).directions(0, total)
-        norms = A.row_squared_sums()
-        x_ref = np.zeros(n)
-        for r in rows:
-            r = int(r)
-            s, e = int(A.indptr[r]), int(A.indptr[r + 1])
-            cols = A.indices[s:e]
-            vals = A.data[s:e]
-            gamma = (b[r] - float(vals @ x_ref[cols])) / norms[r]
-            x_ref[cols] += (beta * gamma) * vals
+    @needs_native
+    @given(seed=st.integers(0, 5))
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    def test_native_asyrgs_bit_identical_to_index_order_reference(self, seed):
+        A, b, total = _serial_case(seed)
+        beta = 0.9
+        rows = DirectionStream(A.shape[0], seed=seed).for_processor(0, 1).directions(0, total)
+        x_ref = _asyrgs_reference(A, b, beta, rows, _index_order_dot)
+        with _native.forced(True):
+            _assert_reuse_replays(ProcessAsyRGS, A, b, beta, total, seed, x_ref)
 
-        with AsyRK(
-            A, b, nproc=1, beta=beta, directions=DirectionStream(n, seed=seed)
-        ) as solver:
-            first = solver.run(None, total)
-            second = solver.run(None, total)
-        assert solver.spawn_count == 1
-        assert first.per_worker_iterations == [total]
-        assert np.array_equal(first.x, x_ref)
-        assert np.array_equal(second.x, x_ref)
+    @needs_native
+    @given(seed=st.integers(0, 5))
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    def test_native_asyrk_bit_identical_to_index_order_reference(self, seed):
+        A, b, total = _serial_case(seed)
+        beta = 0.8
+        rows = DirectionStream(A.shape[0], seed=seed).for_processor(0, 1).directions(0, total)
+        x_ref = _asyrk_reference(A, b, beta, rows, _index_order_dot)
+        with _native.forced(True):
+            _assert_reuse_replays(AsyRK, A, b, beta, total, seed, x_ref)
