@@ -59,9 +59,13 @@ and HTTP/1.1 via ``repro serve --http PORT``::
         -d '{"id": "r1", "b": [1.0, ...], "matrix": "lap"}'
     curl http://127.0.0.1:8080/v1/matrices
 
-``repro experiment serve`` benchmarks batched serving against
-one-shot-per-request throughput; ``repro experiment serve --adaptive``
-compares the adaptive policy against the fixed window.
+One load driver benchmarks this stack, sending every round as JSON
+lines through ``handle_line`` to a ``MatrixRegistry`` — the request
+path of ``repro serve``: ``repro experiment serve`` compares batched
+serving against one-shot-per-request throughput, ``repro experiment
+serve --adaptive`` the adaptive policy against the fixed window, and
+``repro experiment slo [--cache]`` finds the max sustainable rate under
+a p99 target and the warm-start sweep savings.
 
 Run:  python examples/serving.py
 """

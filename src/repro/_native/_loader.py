@@ -103,12 +103,13 @@ def load():
     after one logged warning, when it cannot be built or loaded."""
     try:
         return _load()
-    except Exception as exc:  # any failure means the NumPy path
+    except Exception as exc:  # any failure means both fallbacks
         import logging
 
         log = logging.getLogger(__package__)
         log.warning(
-            "native CSR product unavailable, using NumPy: %s: %s",
+            "native kernels unavailable; CSR products run on NumPy and "
+            "pool workers on the much slower Python loop: %s: %s",
             type(exc).__name__, exc,
         )
         log.debug("native module load failed", exc_info=True)

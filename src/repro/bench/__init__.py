@@ -37,13 +37,16 @@ from .fig_block import (
 )
 from .fig_multinode import MultinodeBenchResult, run_multinode
 from .fig_shard import ShardBenchResult, run_shard
-from .fig_serve import (
+from .fig_slo import (
+    SLOCacheResult,
+    SLOResult,
     ServeBenchResult,
     ServePolicyResult,
     run_serve,
     run_serve_adaptive,
+    run_slo,
+    run_slo_cache,
 )
-from .fig_slo import SLOCacheResult, SLOResult, run_slo, run_slo_cache
 from .fig_speedup import SpeedupResult, run_speedup
 from .fig3_fcg import (
     FCGRun,

@@ -107,10 +107,7 @@ Serving:
   Batching policy: --policy fixed lingers --max-wait seconds for batch
   company; --policy adaptive sizes the linger window from the measured
   queue-depth/solve-wall EWMAs (sequential traffic pays no window at
-  all, concurrent traffic lingers a fraction of a typical solve). Run
-  `repro experiment serve` to benchmark batched serving against
-  one-shot-per-request throughput on the 51-label workload, and
-  `repro experiment serve --adaptive` to compare the two policies.
+  all, concurrent traffic lingers a fraction of a typical solve).
 
   Observability & caching: every response carries a trace_id (minted
   per request, or propagated from a "trace_id" field the client sends)
@@ -121,10 +118,14 @@ Serving:
   seeds x0 for requests whose b exactly or nearly (--cache-similarity
   relative L2) repeats one — the solve still runs and judges its own
   convergence, so warm starts save sweeps but never change answers.
-  Run `repro experiment slo` for the open-loop SLO load harness (max
-  sustainable req/s under a p99 target), and `repro experiment slo
-  --cache` for the warm-vs-cold sweep savings on bursty near-duplicate
-  traffic.
+
+  Serving benchmarks: one load driver sends every round as JSON lines
+  down the wire request path to a multi-matrix registry.
+  `repro experiment serve` compares batched serving with one-shot
+  solves on the 51-label workload (--adaptive: the two batching
+  policies on burst and closed-loop traffic); `repro experiment slo`
+  finds the max sustainable req/s under a p99 target (--cache:
+  warm-vs-cold sweeps on bursty near-duplicate traffic).
 """
 
 

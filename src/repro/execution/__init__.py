@@ -55,7 +55,7 @@ from .halo import (
     split_address,
 )
 from .kaczmarz import AsyRK, LeastSquaresTracker
-from .pool import PoolSolver
+from .pool import PoolSolver, segment_bytes
 from .processes import (
     DelayStats,
     ProcessAsyRGS,
@@ -67,7 +67,6 @@ from .sharded import (
     ShardedSolver,
     balanced_partition,
     contiguous_partition,
-    segment_bytes,
 )
 from .shared_memory import AtomicWrites, LossyWrites, WriteModel
 from .simulator import AsyncSimulator, PhasedSimulator, SimulationResult

@@ -110,6 +110,7 @@ __all__ = [
     "RowUpdate",
     "available_cpus",
     "residual_weights",
+    "segment_bytes",
 ]
 
 
@@ -277,6 +278,23 @@ def _layout(geom, nproc: int):
         offsets[name] = cursor
         cursor += int(np.dtype(dtype).itemsize) * int(np.prod(shape))
     return specs, offsets, max(cursor, 1)
+
+
+def segment_bytes(
+    *,
+    n_rows: int,
+    x_rows: int,
+    b_rows: int,
+    nnz: int,
+    capacity_k: int,
+    nproc: int,
+) -> int:
+    """Exact shared-memory segment size (bytes) of one pool with this
+    geometry — the number ``shm_limit`` is checked against. The bench
+    uses it to demonstrate a system whose single-pool layout exceeds a
+    budget that every shard's layout fits."""
+    geom = (int(n_rows), int(x_rows), int(b_rows), int(nnz), int(capacity_k))
+    return int(_layout(geom, int(nproc))[2])
 
 
 def _views(

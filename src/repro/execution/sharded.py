@@ -84,7 +84,7 @@ a one-pool solve built by :func:`~repro.execution.make_solver` whose
 :class:`~repro.exceptions.ModelError` that names the sharding escape
 hatch, while each shard's rectangular segment — ``nnz/S`` CSR entries
 and ``n_s`` RHS/norm rows, though still ``n`` iterate rows — fits.
-:func:`segment_bytes` exposes the exact accounting.
+:func:`~repro.execution.pool.segment_bytes` exposes the exact accounting.
 
 One pool or many
 ----------------
@@ -127,8 +127,8 @@ from .pool import (
     PoolSolver,
     ProcessRunResult,
     RowUpdate,
-    _layout,
     resolve_directions,
+    segment_bytes,
 )
 from .simulator import _prepare_system
 
@@ -137,7 +137,6 @@ __all__ = [
     "ShardedSolver",
     "balanced_partition",
     "contiguous_partition",
-    "segment_bytes",
 ]
 
 #: Philox sub-stream base for shard direction streams: shard ``s`` draws
@@ -198,23 +197,6 @@ def contiguous_partition(n: int, nproc: int) -> list[np.ndarray]:
             f"n={n}, nproc={nproc}"
         )
     return [np.arange(bounds[p], bounds[p + 1], dtype=np.int64) for p in range(nproc)]
-
-
-def segment_bytes(
-    *,
-    n_rows: int,
-    x_rows: int,
-    b_rows: int,
-    nnz: int,
-    capacity_k: int,
-    nproc: int,
-) -> int:
-    """Exact shared-memory segment size (bytes) of one pool with this
-    geometry — the number ``shm_limit`` is checked against. The bench
-    uses it to demonstrate a system whose single-pool layout exceeds a
-    budget that every shard's layout fits."""
-    geom = (int(n_rows), int(x_rows), int(b_rows), int(nnz), int(capacity_k))
-    return int(_layout(geom, int(nproc))[2])
 
 
 class _ShardPool(PoolSolver):

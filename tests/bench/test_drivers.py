@@ -167,3 +167,46 @@ class TestFig3Driver:
         assert r.outer[4][0] < r.outer[2][0]
         assert "Figure 3" in r.table()
         assert (tmp_results / "fig3_fcg.json").exists()
+
+
+@pytest.mark.serve
+class TestServingRounds:
+    """The serving load driver's round runner (``repro.bench.fig_slo``)
+    on a tiny registry: every line goes through ``handle_line``; a
+    burst coalesces and a closed-loop round never does."""
+
+    @pytest.fixture
+    def registry(self):
+        from repro.bench.fig_slo import _serving
+        from repro.workloads import get_problem
+
+        A = get_problem("laplace2d").A
+        with _serving(
+            "laplace2d", A, nproc=1, capacity_k=4, max_batch=4, tol=1e-2,
+            max_sweeps=20, seed=0,
+        ) as reg:
+            yield reg
+
+    @staticmethod
+    def _schedule(count, n=1600):
+        rng = np.random.default_rng(0)
+        return [(0.0, rng.standard_normal(n)) for _ in range(count)]
+
+    def test_burst_coalesces(self, registry):
+        from repro.bench.fig_slo import _round
+
+        responses, wall = _round(registry, self._schedule(8))
+        assert [r["id"] for r in responses] == [f"req-{i}" for i in range(8)]
+        assert all(r["ok"] for r in responses)
+        assert wall > 0
+        stats = registry.stats()
+        assert stats.requests_served == 8
+        assert stats.batches < 8
+
+    def test_closed_loop_never_coalesces(self, registry):
+        from repro.bench.fig_slo import _round
+
+        responses, _ = _round(registry, self._schedule(4), closed_loop=True)
+        assert all(r["ok"] for r in responses)
+        assert all(r["batch_size"] == 1 for r in responses)
+        assert registry.stats().mean_batch_size == 1.0

@@ -221,7 +221,7 @@ def test_concurrent_first_loads_all_get_the_native_path(tmp_path):
 def test_failed_build_falls_back_with_one_warning(tmp_path):
     result, err = _result(_probe(tmp_path, CC="false"))
     assert not result["loaded"]
-    assert err.count("native CSR product unavailable") == 1
+    assert err.count("native kernels unavailable") == 1
     assert "Traceback" not in err
     A, X = _probe_oracle()
     assert np.array_equal(np.array(result["product"]), _oracle(A, X))
