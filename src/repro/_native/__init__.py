@@ -22,10 +22,11 @@ concurrent first loads never map a half-written file. Nothing is built or mapped
 
 Without cffi or a working compiler, or when the build or load fails
 for any other reason, one warning is logged and every product stays on
-the NumPy path, every pool on its Python loop. Tests force those paths
-by setting :data:`enabled` to ``False``, or with ``forced(False)``
-around a block; a pool reads the switch once, when it spawns its
-workers.
+the NumPy path. The pools have no other path: without the module they
+refuse to be built (``repro.execution.pool.require_kernel``). Tests
+force that state by setting :data:`enabled` to ``False``, or with
+``forced(False)`` around a block; a pool reads the switch when it is
+constructed.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ __all__ = [
 ]
 
 #: Module-level switch: ``False`` sends every product to the NumPy path
-#: and every pool spawned while it is off to the Python loop.
+#: and refuses every pool constructed while it is off.
 enabled = True
 
 _lock = threading.Lock()
@@ -67,7 +68,8 @@ def _library():
 @contextlib.contextmanager
 def forced(native: bool):
     """Set :data:`enabled` to ``native`` inside the block: ``False`` runs
-    every product on NumPy, ``True`` on the kernel where it loads."""
+    every product on NumPy and refuses pools, ``True`` runs them on the
+    kernels where they load."""
     global enabled
     saved, enabled = enabled, native
     try:
@@ -192,13 +194,18 @@ class RowSegment:
     makes the worker's draws ``done .. target−1`` on the sorted active
     columns ``act`` and returns ``target``.
 
+    ``atomic`` adds each coordinate-rule write to ``x`` with a
+    compare-exchange; the projection rule has no atomic mode.
+
     Build it with :meth:`bind`, which returns ``None`` when the module
     cannot be loaded; it does not read :data:`enabled` (the pool decided
     that).
     """
 
-    def __init__(self, module, v, *, offset, project, beta, adaptive,
-                 key, wid, nproc):
+    def __init__(self, module, v, *, offset, project, atomic, beta,
+                 adaptive, key, wid, nproc):
+        if atomic and project:
+            raise ValueError("the projection rule has no atomic mode")
         arrays = dict(v, acc=np.empty(v["x"].shape[1]))
         _check_segment(arrays, offset=offset, project=project, wid=wid,
                        nproc=nproc)
@@ -217,6 +224,7 @@ class RowSegment:
         s.offset = int(offset)
         s.project = bool(project)
         s.adaptive = bool(adaptive)
+        s.atomic = bool(atomic)
         s.wid = int(wid)
         s.nproc = int(nproc)
         s.log_capacity = arrays["delay_log"].shape[1]

@@ -38,7 +38,8 @@ struct row_segment {
     int64_t *delay_max;
     int64_t *delay_count;
     int64_t *delay_log;
-    int64_t n_rows, k, offset, project, adaptive, wid, nproc, log_capacity;
+    int64_t n_rows, k, offset, project, adaptive, atomic, wid, nproc;
+    int64_t log_capacity;
     double beta;
     uint32_t key0, key1;
 };
@@ -103,13 +104,13 @@ def load():
     after one logged warning, when it cannot be built or loaded."""
     try:
         return _load()
-    except Exception as exc:  # any failure means both fallbacks
+    except Exception as exc:  # any failure: NumPy products, no pools
         import logging
 
         log = logging.getLogger(__package__)
         log.warning(
             "native kernels unavailable; CSR products run on NumPy and "
-            "pool workers on the much slower Python loop: %s: %s",
+            "process pools refuse to start: %s: %s",
             type(exc).__name__, exc,
         )
         log.debug("native module load failed", exc_info=True)

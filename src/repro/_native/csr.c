@@ -55,8 +55,7 @@ void csr_matmat(int64_t nrows, int64_t k,
 }
 
 /* One worker's epoch segment of the pool (Algorithm 1, lines 5-7, plus
- * the pool's bookkeeping), the native twin of the Python loop in
- * repro/execution/pool.py that RowUpdate.make_updater serves.
+ * the pool's bookkeeping): the one per-draw step every pool worker runs.
  *
  * Each draw takes the worker's next direction from the Philox stream,
  * gathers row r from the live shared iterate, forms
@@ -64,10 +63,12 @@ void csr_matmat(int64_t nrows, int64_t k,
  * scatters: into iterate row offset + r (the coordinate rule, AsyRGS
  * and its shards) or into the row's support (the projection rule,
  * Kaczmarz). It then commits its progress ticket and logs how many
- * foreign commits landed during its span, exactly as the Python loop.
+ * foreign commits landed during its span.
  *
  * x is deliberately not restrict: other processes write it while this
- * one reads, and those reads are the paper's inconsistent reads.
+ * one reads, and those reads are the paper's inconsistent reads. With
+ * `atomic` set, each element the coordinate rule writes is added to by
+ * one compare-exchange (Assumption A-1); the gather stays unlocked.
  */
 
 /* The pool's shared arrays and a worker's fixed parameters, bound once
@@ -88,7 +89,8 @@ struct row_segment {
     int64_t *delay_max;     /* (nproc,) */
     int64_t *delay_count;   /* (nproc,) */
     int64_t *delay_log;     /* (nproc, log_capacity) */
-    int64_t n_rows, k, offset, project, adaptive, wid, nproc, log_capacity;
+    int64_t n_rows, k, offset, project, adaptive, atomic, wid, nproc;
+    int64_t log_capacity;
     double beta;
     uint32_t key0, key1;
 };
@@ -183,6 +185,21 @@ static int64_t committed(const struct row_segment *s)
     return total;
 }
 
+/* *xi += v as one indivisible read-modify-write: a 64-bit
+ * compare-exchange loop on the element, retried while another worker
+ * wrote it in between. The sum is the plain += of the same operands,
+ * so an exchange that succeeds at once (always, at one worker) stores
+ * the non-atomic path's bits. */
+static void add_atomic(double *xi, double v)
+{
+    double seen, sum;
+    __atomic_load(xi, &seen, __ATOMIC_RELAXED);
+    do
+        sum = seen + v;
+    while (!__atomic_compare_exchange(xi, &seen, &sum, 1, __ATOMIC_RELAXED,
+                                      __ATOMIC_RELAXED));
+}
+
 /* One update of row r on a lone column j: a register accumulator. */
 static void update_lone(const struct row_segment *s, int64_t r, int64_t j)
 {
@@ -193,7 +210,11 @@ static void update_lone(const struct row_segment *s, int64_t r, int64_t j)
         dot += s->data[p] * x[s->indices[p] * k + j];
     const double gamma = (s->b[r * k + j] - dot) / s->norms[r];
     if (!s->project) {
-        x[(s->offset + r) * k + j] += s->beta * gamma;
+        double *xg = x + (s->offset + r) * k + j;
+        if (s->atomic)
+            add_atomic(xg, s->beta * gamma);
+        else
+            *xg += s->beta * gamma;
         return;
     }
     const double step = s->beta * gamma;
@@ -244,8 +265,13 @@ static void update_block(const struct row_segment *s, int64_t r,
         acc[j] = (br[act[j]] - acc[j]) / norm;
     if (!s->project) {
         double *xg = x + (s->offset + r) * k;
-        for (int64_t j = 0; j < nact; ++j)
-            xg[act[j]] += s->beta * acc[j];
+        if (s->atomic) {
+            for (int64_t j = 0; j < nact; ++j)
+                add_atomic(xg + act[j], s->beta * acc[j]);
+        } else {
+            for (int64_t j = 0; j < nact; ++j)
+                xg[act[j]] += s->beta * acc[j];
+        }
         return;
     }
     for (int64_t p = start; p < end; ++p) {

@@ -14,13 +14,16 @@ where scipy is installed.
   in nanoseconds.
 * **The row update** (``updates``), the per-draw step of every pool
   worker: draw, gather, ``γ``, scatter, ticket and write-log. Paths: the
-  native segment kernel and the NumPy ``RowUpdate`` loop, each in a
-  real one-worker pool (AsyRGS on the square matrices, AsyRK on the
-  rectangular one) at full width, and a scipy row (a scipy product's
-  time divided by its rows: what one update would cost at compiled
-  speed). A pool cell is the best of 5 runs of a fixed number of
-  updates, less the best of 20 one-update runs (the fixed cost of an
-  epoch), per update; in nanoseconds.
+  native segment kernel in a real one-worker pool (AsyRGS on the square
+  matrices, AsyRK on the rectangular one) at full width, with plain
+  writes (``native``) and, on the square matrices, with
+  ``atomic=True`` (``atomic``: a compare-exchange per written element;
+  AsyRK has no atomic mode), and a scipy row (a scipy product's time
+  divided by its rows: what one update would cost at compiled speed).
+  A pool cell is the best of 5 runs of a fixed number of updates, less
+  the best of 20 one-update runs (the fixed cost of an epoch), per
+  update; in nanoseconds. Where the kernel cannot be built there are
+  no pools, and only the scipy rows.
 """
 
 from __future__ import annotations
@@ -69,10 +72,9 @@ KERNEL_MATRICES: dict[str, Callable[[], CSRMatrix]] = {
 WIDTHS = (1, 8, 51)
 #: Each cell is the best of this many products.
 REPEATS = 20
-#: Sweeps of updates per timed pool run, by path: on the cheapest matrix
-#: a native run still lasts several times an epoch's fixed cost (~0.1
-#: ms), and the NumPy loop, ~200x slower per update, stays a short wait.
-UPDATE_SWEEPS = {"native": 50, "numpy": 2}
+#: Sweeps of updates per timed pool run: on the cheapest matrix a run
+#: still lasts several times an epoch's fixed cost (~0.1 ms).
+UPDATE_SWEEPS = 50
 #: Timed pool runs per update cell, and one-update runs per epoch cost.
 UPDATE_REPEATS = 5
 EPOCH_REPEATS = 20
@@ -134,14 +136,13 @@ def _best_ns(product: Callable[[np.ndarray], np.ndarray], X, repeats: int) -> in
     return int(best)
 
 
-def _update_ns(A: CSRMatrix, k: int, native: bool) -> int:
+def _update_ns(A: CSRMatrix, k: int, atomic: bool) -> int:
     """Nanoseconds per update of a one-worker pool on ``A`` at width
-    ``k``, on the native kernel or the NumPy loop."""
+    ``k``, with plain or atomic writes."""
     method = "asyrgs" if A.shape[0] == A.shape[1] else "asyrk"
     B = A.matmat(np.ones((A.shape[1], k)))
-    # The pool reads the switch when it spawns its worker.
-    with _native.forced(native), make_solver(method, A, B, nproc=1) as solver:
-        updates = UPDATE_SWEEPS["native" if native else "numpy"] * solver.n_rows
+    with make_solver(method, A, B, nproc=1, atomic=atomic) as solver:
+        updates = UPDATE_SWEEPS * solver.n_rows
         solver.run(None, updates)  # warm the worker's code paths
         run = min(solver.run(None, updates).wall_time for _ in range(UPDATE_REPEATS))
         epoch = min(solver.run(None, 1).wall_time for _ in range(EPOCH_REPEATS))
@@ -150,12 +151,12 @@ def _update_ns(A: CSRMatrix, k: int, native: bool) -> int:
 
 def run_kernel(*, persist: bool = True) -> KernelResult:
     """Time ``A.matmat(X)`` on both paths, and scipy's product, for
-    every matrix and width; then the pool's row update on both paths,
-    and a scipy row.
+    every matrix and width; then the pool's row update with plain and
+    (square matrices) atomic writes, and a scipy row.
 
-    The native rows are left out where the kernel cannot be built
-    (``native`` is then ``False`` in the payload), the scipy rows where
-    scipy is not installed.
+    The native and pool rows are left out where the kernel cannot be
+    built (``native`` is then ``False`` in the payload), the scipy rows
+    where scipy is not installed.
     """
     native = _native.loaded()
     try:
@@ -183,9 +184,10 @@ def run_kernel(*, persist: bool = True) -> KernelResult:
                     "k": int(k), "path": path, "ns": ns,
                 })
             cell = {"matrix": name, "rows": A.shape[0], "nnz": A.nnz, "k": int(k)}
-            for path in ("native", "numpy") if native else ("numpy",):
-                ns = _update_ns(A, k, path == "native")
-                updates.append(dict(cell, path=path, ns=ns))
+            if native:
+                updates.append(dict(cell, path="native", ns=_update_ns(A, k, False)))
+                if A.shape[0] == A.shape[1]:
+                    updates.append(dict(cell, path="atomic", ns=_update_ns(A, k, True)))
             if sp is not None:  # the scipy product just timed, per row
                 ns = rows[-1]["ns"] / A.shape[0]
                 updates.append(dict(cell, path="scipy", ns=int(round(ns))))

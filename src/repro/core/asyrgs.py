@@ -178,8 +178,9 @@ class AsyRGS:
         A-1). ``None`` (default) picks the engine's native regime:
         ``True`` for the simulated engines (atomicity is free there) and
         ``False`` for ``engine="processes"``, where honoring A-1 costs
-        striped locks and the unlocked run is the paper's Section 9
-        non-atomic experiment (matching the ``speedup`` benchmark).
+        a compare-exchange per write and the plain run is the paper's
+        Section 9 non-atomic experiment (matching the ``speedup``
+        benchmark).
     adaptive:
         Residual-weighted direction sampling (``engine="processes"``
         only): the parent reweights the row-draw distribution by

@@ -27,7 +27,8 @@ Both process backends, and every shard of :class:`ShardedSolver`, run
 the one row kernel of the solver-agnostic pool core in
 :mod:`repro.execution.pool` (gather row ``r``, form ``γ``, scatter):
 AsyRGS scatters into coordinate ``r``, AsyRK into the row's support, a
-shard into its owned row at an offset. :func:`make_solver` is the one
+shard into its owned row at an offset. The kernel is native code; where
+it cannot be built, pools refuse to start. :func:`make_solver` is the one
 place that maps a wire-level ``method`` name (``"asyrgs"``/``"asyrk"``),
 a shard count and an optional node ring to a backend;
 :func:`check_solver` holds its rules.
@@ -55,7 +56,7 @@ from .halo import (
     split_address,
 )
 from .kaczmarz import AsyRK, LeastSquaresTracker
-from .pool import PoolSolver, segment_bytes
+from .pool import PoolSolver, require_kernel, segment_bytes
 from .processes import (
     DelayStats,
     ProcessAsyRGS,
@@ -90,7 +91,8 @@ def check_solver(method: str, shards: int = 1, nodes=None) -> int:
     list of ``"HOST:PORT"``) sets the shard count: ``shards`` defaults
     to ``len(nodes)`` and must match it otherwise, and a ring needs at
     least two nodes. More than one shard requires ``"asyrgs"`` — AsyRK
-    has no row-ownership structure to shard.
+    has no row-ownership structure to shard. Last, the pools' native
+    kernel must be available (:func:`~repro.execution.pool.require_kernel`).
     """
     if method not in SOLVER_METHODS:
         known = ", ".join(sorted(SOLVER_METHODS))
@@ -122,6 +124,7 @@ def check_solver(method: str, shards: int = 1, nodes=None) -> int:
             f"{method!r}); rectangular Kaczmarz systems have no "
             "row-ownership structure to shard on"
         )
+    require_kernel()
     return shards
 
 

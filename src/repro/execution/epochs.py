@@ -97,7 +97,7 @@ class ProcessRunResult:
         ``(cumulative_updates, metric)`` pairs recorded at epoch
         boundaries by the parent.
     atomic:
-        Whether updates went through the striped locks.
+        Whether updates were written with compare-exchange (A-1).
     sweeps_done:
         Completed sweeps of ``n_rows`` row updates — the quantity the
         epoch loop actually executed, reported identically by every

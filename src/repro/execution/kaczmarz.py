@@ -14,9 +14,8 @@ proves convergent for AsyRGS — and the expected update direction is a
 uniformly random row, so the whole pool apparatus (per-worker strided
 Philox streams, epoch/barrier scheme, write-log staleness measurement,
 per-column retirement) transfers unchanged. Even the arithmetic is
-shared: AsyRK runs the pool's one row kernel,
-:class:`~repro.execution.pool.RowUpdate`, with its projection scatter
-(``project=True``). The layout geometry differs from AsyRGS: directions
+shared: AsyRK runs the pool's one native segment kernel with its
+projection scatter (``project = True``). The layout geometry differs from AsyRGS: directions
 and the RHS live in row space (``m``), the iterate in column space
 (``n``).
 
@@ -39,13 +38,13 @@ surface. Tolerances should respect the horizon: loose ``tol`` or small
 
 No atomic mode
 --------------
-AsyRGS's optional striped locks key on the *written* coordinate ``r``;
-a Kaczmarz projection scatters into every column of row ``r``'s support,
-and two different rows overlap in arbitrary column sets, so per-row
-stripes protect nothing. ``atomic=True`` is rejected rather than
-silently downgraded — AsyRK always runs in the free (inconsistent-read,
-non-atomic-write) regime, which is exactly the regime Liu & Wright
-analyze.
+AsyRGS's atomic mode makes the one write of an update, coordinate
+``r``, one compare-exchange per column. A Kaczmarz projection scatters
+into every entry of row ``r``'s support, and Liu & Wright analyze it
+with plain writes; the kernel has no atomic projection, and
+``atomic=True`` is rejected rather than silently downgraded. AsyRK
+always runs in the free (inconsistent-read, non-atomic-write) regime,
+which is exactly the regime Liu & Wright analyze.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from ..exceptions import ModelError
 from ..sparse import CSRMatrix
 from ..validation import check_rhs
 from .epochs import ColumnFold
-from .pool import PoolSolver, RowUpdate
+from .pool import PoolSolver
 
 __all__ = ["AsyRK", "LeastSquaresTracker"]
 
@@ -124,13 +123,12 @@ class AsyRK(PoolSolver):
     and the solution have ``n`` rows. Directions are drawn over the
     ``m`` equations.
 
-    ``atomic=True`` raises: row projections scatter into overlapping
-    column sets that per-row lock stripes cannot protect (see the module
-    docstring).
+    ``atomic=True`` raises: the projection scatter has no atomic mode
+    (see the module docstring).
     """
 
     method_name = "asyrk"
-    update_method = RowUpdate(project=True)
+    project = True
 
     def __init__(self, A: CSRMatrix, b: np.ndarray, **pool):
         m, n = A.shape
@@ -139,8 +137,7 @@ class AsyRK(PoolSolver):
             raise ModelError(
                 "AsyRK does not support atomic=True: a Kaczmarz row "
                 "projection scatters into the row's whole column support, "
-                "and different rows overlap in arbitrary column sets that "
-                "per-row lock stripes cannot protect"
+                "and the kernel has no atomic projection"
             )
         norms = A.row_squared_sums()
         if np.any(norms <= 0):

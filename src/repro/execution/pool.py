@@ -9,46 +9,49 @@ write-log, per-column retirement, and the persistent-pool lifecycle
 (:class:`PoolSolver`).
 
 What a concrete solver contributes is its system geometry, its per-row
-normalizers, and a :class:`RowUpdate` — the one per-draw step, with
-two knobs ``RowUpdate(offset, project)``: gather row ``r``, form
-``γ = (b[r] − A_r·x)/norms[r]``, scatter. The pool core owns
+normalizers, and the two knobs of the one per-draw step (Algorithm 1,
+lines 5–7): gather row ``r`` from the live shared iterate (no snapshot
+— the inconsistent-read regime), form ``γ = (b[r] − A_r·x)/norms[r]``
+over the active columns, scatter. One row gather serves every active
+column (the paper's 51-RHS amortization). The pool core owns
 everything around it: direction draws, progress ticketing, the
 staleness write-log, and both barriers.
 
-Which path runs the step
-------------------------
+The step
+--------
 Each worker runs one epoch segment (its draws between a start gate and
-an end gate) per call of a runner it binds once (``_segment_runner``):
+an end gate) in one call of the native kernel (``row_segment`` in
+``repro/_native/csr.c``, bound once per worker by
+:class:`repro._native.RowSegment`): it draws, updates and logs every
+draw of the segment. The kernel is the pools' only path. Where it
+cannot be built (no cffi, no C compiler) or is switched off
+(``repro._native.enabled``), :func:`require_kernel` refuses a pool at
+construction, before any shared memory or process exists, and
+:func:`~repro.execution.check_solver` refuses it at registration.
+Workers use the module the parent loaded (inherited through ``fork``,
+read from the cache under ``spawn``).
 
-* **The native kernel** (``row_segment`` in ``repro/_native/csr.c``,
-  bound by :class:`repro._native.RowSegment`): one C call per segment
-  draws, updates and logs every draw of it. Pools run it whenever the
-  parent, before forking, finds the module switched on and loaded
-  (``_native.enabled and _native.loaded()``); a pool keeps that choice
-  for its lifetime, and its workers use the module the parent loaded
-  (inherited through ``fork``, read from the cache under ``spawn``).
-* **The Python loop** over :meth:`RowUpdate.make_updater`'s per-draw
-  closure, drawing in blocks of :data:`BLOCK`: the fallback where the
-  module cannot be built or is switched off, the oracle the kernel is
-  pinned against (``tests/execution/test_row_segment.py``), and the
-  only path for ``atomic=True``, whose striped locks are Python
-  objects. Its bits are those of the NumPy ``@`` row dot; the kernel
-  sums each column in index order, so the two agree to rounding, not
-  bitwise, and every count and draw exactly.
+With ``atomic=True`` every coordinate write is one compare-exchange per
+element (Assumption A-1); at one worker the exchange always succeeds
+at once, so the bits are those of the plain write.
 
-Three methods run it, differing only in the two knobs:
+Three methods run it, differing only in two class attributes of the
+solver: ``project`` (``False`` relaxes coordinate ``offset + r``,
+``True`` projects onto equation ``r``) and ``offset`` (the iterate row
+of draw 0):
 
-* :class:`~repro.execution.processes.ProcessAsyRGS` — ``RowUpdate()``:
+* :class:`~repro.execution.processes.ProcessAsyRGS` — the defaults:
   the paper's asynchronous randomized Gauss-Seidel relaxes coordinate
   ``r`` (square, positive-diagonal systems;
-  ``x[r] += β·(b[r] − A_r·x)/A_rr``).
-* :class:`~repro.execution.kaczmarz.AsyRK` — ``RowUpdate(project=True)``:
+  ``x[r] += β·(b[r] − A_r·x)/A_rr``; ``norms`` holds the diagonal).
+* :class:`~repro.execution.kaczmarz.AsyRK` — ``project = True``:
   asynchronous randomized Kaczmarz projects onto equation ``r``
   (rectangular least-squares systems, Liu/Wright/Sridhar arXiv
-  1401.4780; ``x += β·a_r·(b[r] − a_r·x)/‖a_r‖²``).
+  1401.4780; ``x += β·a_r·(b[r] − a_r·x)/‖a_r‖²``; ``norms`` holds
+  ``‖a_r‖²``).
 * each shard of :class:`~repro.execution.sharded.ShardedSolver` —
-  ``RowUpdate(offset=r0)``: AsyRGS on the shard's owned rows, which sit
-  at offset ``r0`` of its full-height iterate.
+  ``offset = r0``: AsyRGS on the shard's owned rows, which sit at
+  offset ``r0`` of its full-height iterate.
 
 Geometry
 --------
@@ -107,8 +110,8 @@ __all__ = [
     "DelayStats",
     "PoolSolver",
     "ProcessRunResult",
-    "RowUpdate",
     "available_cpus",
+    "require_kernel",
     "residual_weights",
     "segment_bytes",
 ]
@@ -129,13 +132,6 @@ _ALIGN = 64  # cache-line alignment for every shared array
 #: of the mean residual weight. See ``refresh_sampling``.
 _UNIFORM_BLEND = 1.0
 
-#: The Python loop gathers directions from the Philox stream in blocks
-#: of this size (hot-loop amortization; no effect on results). The
-#: native kernel draws one at a time.
-BLOCK = 512
-#: Locks in atomic mode: coordinate ``r`` maps to stripe
-#: ``r mod LOCK_STRIPES`` (fewer when the pool has fewer rows).
-LOCK_STRIPES = 64
 #: Per-worker bound on retained write-log staleness samples; the
 #: aggregate sum/max/count are always exact.
 LOG_CAPACITY = 4096
@@ -143,104 +139,16 @@ LOG_CAPACITY = 4096
 BARRIER_TIMEOUT = 300.0
 
 
-class RowUpdate:
-    """The row-action step every pool method runs per draw (in the
-    Python loop; the native kernel implements the same step in C).
-
-    Lines 5–7 of Algorithm 1: draw row ``r``, gather it from the live
-    shared iterate (no snapshot — the inconsistent-read regime), form
-    ``γ = (b[r] − A_r·x) / norms[r]`` over the active columns, scatter.
-    One row gather serves every active column (the paper's 51-RHS
-    amortization). Two knobs pick the method:
-
-    * ``offset`` — draw ``r`` names iterate row ``offset + r``: a shard's
-      owned rows inside its full-height iterate (0 for a plain pool).
-    * ``project`` — ``False`` relaxes one coordinate,
-      ``x[offset+r] += β·γ`` (AsyRGS; ``norms`` holds the diagonal).
-      ``True`` projects onto the equation, ``x[cols] += β·γ·a_r``
-      (Kaczmarz, Liu/Wright/Sridhar; ``norms`` holds ``‖a_r‖²``).
-
-    A picklable instance: it travels to the workers with the pool spawn.
-    """
-
-    def __init__(self, offset: int = 0, project: bool = False):
-        self.offset = int(offset)
-        self.project = bool(project)
-
-    def make_updater(self, v, *, k, act, locks, nlocks, beta):
-        """Bind the step to one segment's shared views and active
-        columns; returns ``update(r) -> touched_nnz``.
-
-        The Python loop calls it once per epoch segment, right after the
-        start gate, with the active-column set sampled for the segment;
-        it picks the column selection once (a lone column, a leading
-        prefix, or a mask)."""
-        indptr, indices, data = v["indptr"], v["indices"], v["data"]
-        x, b, norms = v["x"], v["b"], v["norms"]
-        offset = self.offset
-        nact = int(act.size)
-        # The column selection is fixed for the whole segment: the
-        # parent changes the active set only while it owns the segment.
-        if k == 1 or nact <= 1 or int(act[-1]) == nact - 1:
-            if k == 1 or nact == 1:
-                # A lone column (a k=1 pool, a single request on a wide
-                # pool, a block down to its last live column): 1-D
-                # views, scalar γ, no 2-D fancy indexing.
-                j = int(act[0]) if nact else 0
-                xs, bs = x[:, j], b[:, j]
-            else:
-                # The leading columns (the full block, or a narrower
-                # request before any retirement): request-width slices.
-                # With no live column the slices are empty: no writes.
-                xs, bs = x[:, :nact], b[:, :nact]
-
-            def gather(r, cols, vals):
-                return bs[r] - vals @ xs[cols]
-
-            if not self.project:
-                def scatter(g, cols, vals, gamma):
-                    xs[g] += beta * gamma
-            elif xs.ndim == 1:
-                def scatter(g, cols, vals, gamma):
-                    xs[cols] += (beta * gamma) * vals
-            else:
-                def scatter(g, cols, vals, gamma):
-                    xs[cols] += (beta * vals)[:, None] * gamma
-        else:
-            # Any other set is masked. While most columns are live, one
-            # contiguous gather of the whole row beats the 2-D masked
-            # gather; retired columns are never written either way.
-            bs = b[:, act]  # b is constant for the segment
-            if 2 * nact >= k:
-                def gather(r, cols, vals):
-                    return bs[r] - (vals @ x[cols])[act]
-            else:
-                def gather(r, cols, vals):
-                    return bs[r] - vals @ x[cols[:, None], act]
-
-            if not self.project:
-                def scatter(g, cols, vals, gamma):
-                    x[g, act] += beta * gamma
-            else:
-                def scatter(g, cols, vals, gamma):
-                    x[cols[:, None], act] += (beta * vals)[:, None] * gamma
-
-        if nlocks:
-            # Atomic mode: the write goes through stripe (offset+r) mod
-            # nlocks; the gather stays unlocked (inconsistent reads).
-            bare = scatter
-
-            def scatter(g, cols, vals, gamma):
-                with locks[g % nlocks]:
-                    bare(g, cols, vals, gamma)
-
-        def update(r: int) -> int:
-            s, e = int(indptr[r]), int(indptr[r + 1])
-            cols, vals = indices[s:e], data[s:e]
-            scatter(offset + r, cols, vals, gather(r, cols, vals) / norms[r])
-            return e - s
-
-        return update
+def require_kernel() -> None:
+    """Raise :class:`ModelError` unless pools can run here: the native
+    module is switched on (``repro._native.enabled``) and loads,
+    building it first if its cache lacks it."""
+    if not (_native.enabled and _native.loaded()):
+        raise ModelError(
+            "process pools run on the native segment kernel, which is "
+            "switched off or cannot be built here; it needs cffi and a "
+            "working C compiler"
+        )
 
 
 def _layout(geom, nproc: int):
@@ -363,13 +271,8 @@ def _worker_main(
     nproc: int,
     shm_name: str,
     geom,
-    method,
-    beta: float,
-    directions: DirectionStream,
-    adaptive: bool,
-    native: bool,
+    kernel: dict,
     barrier,
-    locks,
 ) -> None:
     """Worker entry point: attach, run the epoch loop, clean up."""
     # Workers are torn down by the parent through the control word,
@@ -387,10 +290,7 @@ def _worker_main(
         pass
     shm = _attach(shm_name)
     try:
-        _worker_loop(
-            wid, nproc, shm, geom, method, beta, directions, adaptive,
-            native, barrier, locks,
-        )
+        _worker_loop(wid, nproc, shm, geom, kernel, barrier)
     except threading.BrokenBarrierError:
         # A sibling crashed and aborted the barrier; it already reported
         # itself. Recording this secondary death would misattribute the
@@ -415,113 +315,31 @@ def _worker_main(
             pass
 
 
-@contextmanager
-def _segment_runner(
-    v, method, *, directions, wid, nproc, beta, adaptive, locks, native
-):
-    """Yield worker ``wid``'s segment runner, ``run(act, done, target)
-    -> target``: it makes the worker's draws ``done .. target−1`` on the
-    active columns ``act``, with the progress ticketing and the
-    staleness write-log around each.
-
-    With ``native`` the runner is the C kernel
-    (:class:`repro._native.RowSegment`), bound to ``v`` until the block
-    exits; otherwise, or when the module cannot be loaded here, it is
-    the Python loop over :meth:`RowUpdate.make_updater`'s per-draw
-    closure, drawing in blocks of :data:`BLOCK`: the fallback, the
-    oracle of the kernel, and the only path for atomic (locked) writes.
-    """
-    kernel = None
-    if native and not locks:
-        kernel = _native.RowSegment.bind(
-            v, offset=method.offset, project=method.project, beta=beta,
-            adaptive=adaptive, key=directions.key, wid=wid, nproc=nproc,
-        )
-    if kernel is not None:
-        try:
-            yield kernel
-        finally:
-            kernel.release()
-        return
-
-    n_rows, k = v["norms"].shape[0], v["x"].shape[1]
-    progress, row_nnz = v["progress"], v["row_nnz"]
-    col_updates, cdf = v["col_updates"], v["cdf"]
-    delay_sum, delay_max = v["delay_sum"], v["delay_max"]
-    delay_count, delay_log = v["delay_count"], v["delay_log"]
-    view = directions.for_processor(wid, nproc)
-    nlocks = len(locks) if locks else 0
-
-    def run(act, done, target):
-        nact = int(act.size)
-        update = method.make_updater(
-            v, k=k, act=act, locks=locks, nlocks=nlocks, beta=beta
-        )
-        while done < target:
-            take = min(BLOCK, target - done)
-            rows = view.directions(done, take)
-            if adaptive:
-                # Inverse-CDF through the stratified quantile of the
-                # uniform draw: same Philox words, same stream
-                # positions, only the row they name changes.
-                u = (rows.astype(np.float64) + 0.5) / n_rows
-                rows = np.minimum(
-                    np.searchsorted(cdf, u, side="right"), n_rows - 1
-                )
-            for r in rows:
-                r = int(r)
-                # Ticket before the read: everything committed after
-                # this and before our own commit raced with us.
-                before = int(progress.sum())
-                touched = update(r)
-                done += 1
-                progress[wid] = done  # single-writer slot
-                row_nnz[wid] += touched
-                col_updates[wid] += nact
-                # Write-log entry: foreign commits during our span.
-                sample = int(progress.sum()) - before - 1
-                delay_sum[wid] += sample
-                if sample > delay_max[wid]:
-                    delay_max[wid] = sample
-                j = int(delay_count[wid])
-                if j < LOG_CAPACITY:
-                    delay_log[wid, j] = sample
-                delay_count[wid] = j + 1
-        return done
-
-    yield run
-
-
 def _worker_loop(
     wid: int,
     nproc: int,
     shm: shared_memory.SharedMemory,
     geom,
-    method,
-    beta: float,
-    directions: DirectionStream,
-    adaptive: bool,
-    native: bool,
+    kernel: dict,
     barrier,
-    locks,
 ) -> None:
     """Worker body: epochs of randomized updates on the shared iterate.
 
     The loop outlives any single ``run()``/``solve()`` call: a change of
     the generation stamp at the start gate rewinds the worker's position
     in the direction stream to 0, so one pool serves many calls. Each
-    epoch segment is one call of the runner :func:`_segment_runner`
-    binds once per worker; the gates and the segment's target are
-    method independent.
+    epoch segment is one call of the native kernel, bound to the views
+    once with the solver's ``kernel`` parameters; the gates and the
+    segment's target are method independent.
     """
     v = _views(shm, geom, nproc)
     control, active = v["control"], v["active"]
+    run = _native.RowSegment.bind(v, wid=wid, nproc=nproc, **kernel)
+    if run is None:  # pragma: no cover - the parent loaded the module
+        raise RuntimeError("the native module did not load in this worker")
     done = 0
     generation = 0
-    with _segment_runner(
-        v, method, directions=directions, wid=wid, nproc=nproc, beta=beta,
-        adaptive=adaptive, locks=locks, native=native,
-    ) as run:
+    try:
         while True:
             barrier.wait()  # start gate: parent has published the control word
             if control[_CTRL_COMMAND] == _CMD_STOP:
@@ -538,6 +356,8 @@ def _worker_loop(
             # the segments just narrow.
             done = run(np.flatnonzero(active != 0), done, target)
             barrier.wait()  # end gate: all updates of the epoch are visible
+    finally:
+        run.release()  # before the shared memory under it is closed
 
 
 class _WorkerPool:
@@ -590,24 +410,15 @@ class _WorkerPool:
         backend.csr_copies += 1
         ctx = backend._ctx
         self.barrier = ctx.Barrier(P + 1)
-        # Decided once, before the fork: the parent builds or loads the
-        # module, and a pool keeps the path it was spawned on.
-        self.native = (
-            not backend.atomic and _native.enabled and _native.loaded()
-        )
-        locks = (
-            [ctx.Lock() for _ in range(min(backend.n_rows, LOCK_STRIPES))]
-            if backend.atomic
-            else []
-        )
+        kernel = {
+            "offset": backend.offset, "project": backend.project,
+            "atomic": backend.atomic, "beta": backend.beta,
+            "adaptive": backend.adaptive, "key": backend.directions.key,
+        }
         self.procs = [
             ctx.Process(
                 target=_worker_main,
-                args=(
-                    wid, P, self._shm.name, backend._geom(),
-                    backend.update_method, backend.beta, backend.directions,
-                    backend.adaptive, self.native, self.barrier, locks,
-                ),
+                args=(wid, P, self._shm.name, backend._geom(), kernel, self.barrier),
                 name=f"{backend.method_name}-proc-{wid}",
                 daemon=True,
             )
@@ -794,11 +605,13 @@ class PoolSolver:
     clears slots of the shared active mask, and the counters
     (``per_worker()``, ``sync_points``, ``wall_time``,
     ``total_row_nnz()``, ``column_updates()``, ``delay_stats()``) come
-    from the segment. A subclass sets :attr:`method_name` and
-    :attr:`update_method` (a :class:`RowUpdate`), calls ``__init__``
-    with the prepared system, and implements :meth:`_tracker`, its
-    per-column convergence measure (a
-    :class:`~repro.execution.epochs.ColumnFold`).
+    from the segment. A subclass sets :attr:`method_name`, and
+    :attr:`project` or :attr:`offset` where it differs from plain
+    AsyRGS (see the module docstring), calls ``__init__`` with the
+    prepared system, and implements :meth:`_tracker`, its per-column
+    convergence measure (a :class:`~repro.execution.epochs.ColumnFold`).
+    Construction raises :class:`ModelError` where the native kernel is
+    unavailable (:func:`require_kernel`).
 
     The pool options are declared here once; every solver built on the
     pool forwards them unchanged.
@@ -810,8 +623,9 @@ class PoolSolver:
     beta:
         Step size in ``(0, 2)``.
     atomic:
-        ``True`` routes updates through striped locks (Assumption A-1);
-        the default runs unlocked — the paper's non-atomic experiment.
+        ``True`` adds each coordinate write with a compare-exchange
+        (Assumption A-1); the default writes plainly — the paper's
+        non-atomic experiment.
     directions:
         Shared direction stream; defaults to seed 0. The union of
         directions consumed by the workers equals this stream's serial
@@ -836,13 +650,15 @@ class PoolSolver:
         the shared active set. Must be at least the constructor ``b``'s
         width.
 
-    The Python loop's direction block size, the lock-stripe count and
-    the write-log capacity are the module constants :data:`BLOCK`,
-    :data:`LOCK_STRIPES` and :data:`LOG_CAPACITY`.
+    The write-log capacity is the module constant :data:`LOG_CAPACITY`.
     """
 
     method_name = "pool"
-    update_method: RowUpdate | None = None
+    #: The scatter rule: ``False`` relaxes coordinate ``offset + r``,
+    #: ``True`` projects onto equation ``r``.
+    project = False
+    #: Iterate row of local draw 0 (a shard's first owned row).
+    offset = 0
 
     def __init__(
         self,
@@ -862,6 +678,7 @@ class PoolSolver:
         barrier_timeout: float = BARRIER_TIMEOUT,
         capacity_k: int | None = None,
     ):
+        require_kernel()
         nproc = int(nproc)
         if nproc < 1:
             raise ModelError(f"nproc must be at least 1, got {nproc}")

@@ -13,10 +13,10 @@ The machinery that is *not* specific to Gauss-Seidel — the one-segment
 generations, epochs/barriers, crash attribution), the per-worker Philox
 direction streams, per-column retirement, and the persistent-pool
 plumbing — lives in :mod:`repro.execution.pool`, and so does the per-draw
-kernel, :class:`~repro.execution.pool.RowUpdate`. This module contributes
-only the system preparation (:class:`ProcessAsyRGS`) and picks the
-kernel's coordinate scatter, ``x[r] += β·γ``. The asynchronous Kaczmarz
-method for rectangular least-squares systems
+step, which every pool runs in the native segment kernel. This module
+contributes only the system preparation (:class:`ProcessAsyRGS`), which
+keeps the step's default coordinate scatter, ``x[r] += β·γ``. The
+asynchronous Kaczmarz method for rectangular least-squares systems
 (:class:`~repro.execution.kaczmarz.AsyRK`) is a sibling on the same core
 with the projection scatter.
 
@@ -121,12 +121,15 @@ against the proven rate.
 
 Atomicity
 ---------
-Cross-process ``x[r] += δ`` is *not* atomic. By default the backend runs
-unlocked — the non-atomic regime the paper tests experimentally in
-Section 9 and finds indistinguishable. ``atomic=True`` routes updates
-through a striped lock array (Assumption A-1 honored at the cost of some
-scaling); in block mode one lock covers the write of every active
-column of row ``r``.
+Cross-process ``x[r] += δ`` is *not* atomic. By default the backend
+writes plainly — the non-atomic regime the paper tests experimentally
+in Section 9 and finds indistinguishable. ``atomic=True`` adds each
+written element with a 64-bit compare-exchange loop, retried while
+another worker wrote it in between (Assumption A-1); in block mode
+each active column of row ``r`` is one exchange. The row gather stays
+unlocked either way: atomicity is about lost writes, not stale reads.
+At one worker an exchange always succeeds at once, so an atomic pool
+gives the non-atomic pool's bits.
 """
 
 from __future__ import annotations
@@ -138,7 +141,6 @@ from .pool import (  # noqa: F401  (re-exported: the public result types live he
     DelayStats,
     PoolSolver,
     ProcessRunResult,
-    RowUpdate,
     available_cpus,
 )
 from .simulator import _prepare_system
@@ -169,7 +171,6 @@ class ProcessAsyRGS(PoolSolver):
     """
 
     method_name = "asyrgs"
-    update_method = RowUpdate()
 
     def __init__(self, A: CSRMatrix, b: np.ndarray, **pool):
         b, diag, n = _prepare_system(A, b)

@@ -28,10 +28,10 @@ agnostic layout of :mod:`repro.execution.pool`:
 
 The shard's CSR is the row slice ``A[r0:r1, :]`` with global column
 indices; its ``norms`` slot carries the owned rows' diagonal. The
-update method is the pool's row kernel with the shard's row offset,
-``RowUpdate(offset=r0)``: local draw ``r`` gathers CSR row ``r`` and
-relaxes global row ``r0 + r``, so workers scatter only into rows they
-own (the sole-updater property distributed memory needs).
+update is the pool's one kernel with the shard's row offset,
+``offset = r0``: local draw ``r`` gathers CSR row ``r`` and relaxes
+global row ``r0 + r``, so workers scatter only into rows they own (the
+sole-updater property distributed memory needs).
 
 Halo exchange (no global barrier)
 ---------------------------------
@@ -126,7 +126,6 @@ from .pool import (
     DelayStats,
     PoolSolver,
     ProcessRunResult,
-    RowUpdate,
     resolve_directions,
     segment_bytes,
 )
@@ -210,10 +209,7 @@ class _ShardPool(PoolSolver):
 
     def __init__(self, index, A_s, b_s, norms_s, *, offset, **kwargs):
         self.shard_index = int(index)
-        self.offset = int(offset)
-        # Instance attribute shadows the class-level slot: the pool
-        # spawn pickles exactly this offset-carrying method to workers.
-        self.update_method = RowUpdate(offset=offset)
+        self.offset = int(offset)  # the kernel's row offset
         super().__init__(A_s, b_s, norms_s, **kwargs)
 
 

@@ -36,7 +36,10 @@ Python's ``json`` accepts are not JSON (RFC 8259), so a line carrying
 one is unparseable; a literal too large for a double (``1e400``) in
 ``b``, ``x0``, ``tol`` or a shard verb's ``rows`` / ``x0`` / ``b`` is
 a protocol violation. A solve fed either would answer with a
-non-finite ``x`` that strict clients cannot read back.
+non-finite ``x`` that strict clients cannot read back. A solve that
+diverges from finite input is answered the same way as a failed one:
+``ok: false`` with its trace id, naming the columns whose iterate or
+residual is not finite.
 
 Control verbs
 -------------
@@ -106,7 +109,7 @@ import os
 
 import numpy as np
 
-from ..exceptions import ProtocolError
+from ..exceptions import ProtocolError, ServeError
 
 __all__ = [
     "encode_error",
@@ -552,13 +555,37 @@ def _parse_shard_verb(op: str, obj: dict, request_id, payload: dict) -> dict:
     return payload
 
 
+def _nonfinite_columns(x: np.ndarray, result) -> list[int]:
+    """The request columns whose iterate or residual is not finite."""
+    residuals = (
+        [result.residual] if result.column_residuals is None
+        else result.column_residuals
+    )
+    bad = ~np.isfinite(x.reshape(x.shape[0], -1)).all(axis=0)
+    bad |= ~np.isfinite(np.asarray(residuals, dtype=np.float64))
+    return np.flatnonzero(bad).tolist()
+
+
 def encode_result(result) -> str:
-    """One response line for a completed :class:`ServedResult`."""
+    """One response line for a completed :class:`ServedResult`: an
+    error line instead when its ``x`` or residual is not finite (a
+    diverged solve), which JSON cannot carry."""
     x = np.asarray(result.x)
+    trace_id = getattr(result, "trace_id", None)
+    bad = _nonfinite_columns(x, result)
+    if bad:
+        return encode_error(
+            result.request_id,
+            ServeError(
+                f"the solve diverged: column(s) {bad} of the iterate or "
+                "residual are not finite"
+            ),
+            trace_id,
+        )
     payload = {
         "id": result.request_id,
         "ok": True,
-        "trace_id": getattr(result, "trace_id", None),
+        "trace_id": trace_id,
         "x": x.tolist(),
         "converged": bool(result.converged),
         "sweeps": int(result.sweeps),

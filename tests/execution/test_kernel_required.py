@@ -1,0 +1,72 @@
+"""Pools refuse to start without the native kernel.
+
+The native segment kernel is the pools' only update path. With the
+module switched off, as here, or impossible to build (no cffi, no C
+compiler), every way to build a pool raises the one error of
+:func:`~repro.execution.pool.require_kernel`: constructing a pool
+solver or a sharded solver, checking a solver choice, and registering
+a matrix for serving (as a :class:`ServeError`). Each refuses before
+any shared-memory segment or worker process exists.
+"""
+
+import multiprocessing
+import os
+
+import numpy as np
+import pytest
+
+from repro import _native
+from repro.exceptions import ModelError, ServeError
+from repro.execution import AsyRK, ProcessAsyRGS, ShardedSolver, check_solver
+from repro.execution.pool import require_kernel
+from repro.serve import MatrixRegistry
+from repro.workloads import random_least_squares, random_unit_diagonal_spd
+
+A = random_unit_diagonal_spd(16, nnz_per_row=3, offdiag_scale=0.4, seed=2)
+B = A.matvec(np.ones(16))
+LSQ = random_least_squares(30, 10, nnz_per_row=3, seed=1)
+
+
+def _message() -> str:
+    with _native.forced(False), pytest.raises(ModelError) as info:
+        require_kernel()
+    return str(info.value)
+
+
+def _shm() -> set:
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
+def _children() -> set:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def test_the_message_names_what_to_install():
+    message = _message()
+    assert "cffi" in message and "C compiler" in message
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ProcessAsyRGS(A, B, nproc=2),
+    lambda: AsyRK(LSQ.A, LSQ.b, nproc=2),
+    lambda: ShardedSolver(A, B, shards=2, nproc=1),
+    lambda: check_solver("asyrgs"),
+], ids=["ProcessAsyRGS", "AsyRK", "ShardedSolver", "check_solver"])
+def test_pools_refuse_without_the_kernel(build):
+    shm, children = _shm(), _children()
+    with _native.forced(False), pytest.raises(ModelError) as info:
+        build()
+    assert str(info.value) == _message()
+    assert _shm() <= shm
+    assert _children() <= children
+
+
+def test_registration_refuses_without_the_kernel():
+    shm, children = _shm(), _children()
+    with MatrixRegistry(nproc=1) as registry:
+        with _native.forced(False), pytest.raises(ServeError) as info:
+            registry.register("m", A)
+        assert str(info.value) == _message()
+        assert registry.matrices_payload() == []
+    assert _shm() <= shm
+    assert _children() <= children

@@ -1,27 +1,28 @@
 """The native epoch-segment kernel against its references.
 
 A pool worker runs each epoch segment in one call of
-:class:`repro._native.RowSegment` where the module loads, and in the
-Python loop over :meth:`RowUpdate.make_updater` otherwise. Both are
-driven here through ``pool._segment_runner`` on the pool's own segment
-layout, held in a plain ``bytearray`` (no processes).
+:class:`repro._native.RowSegment`, the pools' only update path. It is
+driven here on the pool's own segment layout, held in a plain
+``bytearray`` (no processes).
 
-Two pins:
+Three pins:
 
 * **The draws.** ``repro._native.row_directions`` is the routine the
   kernel draws with. It must equal ``DirectionStream.for_processor``
   bitwise, and its adaptive inverse-CDF map must equal NumPy's
   ``searchsorted(side="right")`` path, ties and flat segments included.
-* **The segment.** For every column selection of ``test_row_update`` ×
-  both scatter rules × row offset 0/3 × uniform/adaptive sampling, the
-  kernel's iterate equals, bitwise, a per-entry reference that sums
-  each column in index order (what C computes under
-  ``-ffp-contract=off``) with ``RowUpdate``'s scatter expressions.
-  Draw by draw it agrees with ``RowUpdate`` to ``rtol=1e-13`` of the
-  iterate's scale: NumPy's ``@`` sums in its own order. The counters
-  and the staleness log equal the Python loop's exactly.
+* **The segment.** For every column selection × both scatter rules ×
+  row offset 0/3 × uniform/adaptive sampling, the kernel's iterate
+  equals, bitwise, a per-entry reference that sums each column in index
+  order (what C computes under ``-ffp-contract=off``). The counters and
+  the staleness log equal the values the draws determine: the other
+  workers' tickets are frozen, so every staleness sample is 0.
+* **Atomic writes.** With ``atomic`` the coordinate rule adds through a
+  compare-exchange that, with no other writer, succeeds at once: the
+  iterate and every counter equal the plain writes' bitwise.
 """
 
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,14 +30,29 @@ import pytest
 
 from repro import _native
 from repro.execution import AsyRK, ProcessAsyRGS
-from repro.execution.pool import LOG_CAPACITY, RowUpdate, _layout, _segment_runner, _views
+from repro.execution.pool import LOG_CAPACITY, _layout, _views
+from repro.execution.sharded import _ShardPool
 from repro.rng import DirectionStream
+from repro.sparse import CSRMatrix
 from repro.workloads import random_unit_diagonal_spd
 
 from ..conftest import needs_native
-from .test_row_update import BETA, DRAWS, N_ROWS, SELECTIONS, X_ROWS, _system
 
 pytestmark = needs_native
+
+N_ROWS, X_ROWS, NNZ_PER_ROW, DRAWS, BETA = 12, 20, 4, 90, 0.9
+
+#: name → (k, active columns). Every column selection the kernel
+#: distinguishes: a lone column (one register accumulator), a leading
+#: prefix (columns read without the indirection) and a masked set.
+SELECTIONS = {
+    "k1": (1, [0]),
+    "lone": (8, [5]),
+    "prefix": (8, [0, 1, 2, 3, 4]),
+    "full": (8, list(range(8))),
+    "wide-masked": (8, [0, 2, 3, 5, 6, 7]),
+    "narrow-masked": (8, [1, 6]),
+}
 
 #: A worker that is not the first of several: strided stream positions.
 WID, NPROC = 1, 3
@@ -44,8 +60,30 @@ WID, NPROC = 1, 3
 OTHER_PROGRESS = {0: 5, 2: 7}
 
 
+def _system(k: int, seed: int = 0):
+    """An ``N_ROWS × X_ROWS`` CSR triplet with sorted, distinct columns
+    per row, plus ``b``, positive per-row normalizers and a nonzero
+    starting iterate — the arrays a pool segment holds."""
+    rng = np.random.default_rng(seed)
+    cols = [
+        np.sort(rng.choice(X_ROWS, size=NNZ_PER_ROW, replace=False))
+        for _ in range(N_ROWS)
+    ]
+    indices = np.concatenate(cols).astype(np.int64)
+    indptr = np.arange(N_ROWS + 1, dtype=np.int64) * NNZ_PER_ROW
+    data = rng.standard_normal(indices.size)
+    return {
+        "indptr": indptr,
+        "indices": indices,
+        "data": data,
+        "x": rng.standard_normal((X_ROWS, k)),
+        "b": rng.standard_normal((N_ROWS, k)),
+        "norms": rng.uniform(0.5, 2.0, N_ROWS),
+    }
+
+
 def _adaptive_map(rows, cdf):
-    """The Python loop's inverse-CDF map of uniform draws."""
+    """NumPy's inverse-CDF map of uniform draws, the pool's definition."""
     n = cdf.shape[0]
     u = (rows.astype(np.float64) + 0.5) / n
     return np.minimum(np.searchsorted(cdf, u, side="right"), n - 1)
@@ -115,9 +153,9 @@ class TestDirections:
 
 def _segment(k, act, *, adaptive):
     """A pool segment's views over a ``bytearray``, holding
-    ``test_row_update``'s system at width ``k`` with columns ``act``
-    active, the other workers' tickets set, and (adaptive) a skewed
-    CDF."""
+    :func:`_system` at width ``k`` with columns ``act`` active, the
+    other workers' tickets set, the staleness log filled with ``-1`` (so
+    every entry the kernel writes shows) and (adaptive) a skewed CDF."""
     arrays = _system(k)
     geom = (N_ROWS, X_ROWS, N_ROWS, arrays["indices"].size, k)
     v = _views(SimpleNamespace(buf=bytearray(_layout(geom, NPROC)[2])), geom, NPROC)
@@ -126,6 +164,7 @@ def _segment(k, act, *, adaptive):
     v["active"][act] = 1
     for w, ticket in OTHER_PROGRESS.items():
         v["progress"][w] = ticket
+    v["delay_log"][...] = -1
     if adaptive:
         weights = np.arange(1.0, N_ROWS + 1) ** 2
         weights[3:6] = 0.0
@@ -137,19 +176,24 @@ def _segment(k, act, *, adaptive):
 STREAM = DirectionStream(N_ROWS, seed=9, stream=4)
 
 
-def _run(v, *, offset, project, adaptive, native, locks=()):
+def _run(v, *, offset, project, adaptive, atomic=False):
     """Two consecutive segments of ``DRAWS // 2`` draws each on ``v``."""
     act = np.flatnonzero(v["active"])
-    with _segment_runner(
-        v, RowUpdate(offset=offset, project=project), directions=STREAM,
-        wid=WID, nproc=NPROC, beta=BETA, adaptive=adaptive,
-        locks=list(locks), native=native,
-    ) as run:
-        assert isinstance(run, _native.RowSegment) == (native and not locks)
-        done = run(act, 0, DRAWS // 2)
+    kernel = _bind(v, offset=offset, project=project, adaptive=adaptive,
+                   atomic=atomic)
+    try:
+        done = kernel(act, 0, DRAWS // 2)
         assert done == DRAWS // 2
-        done = run(act, done, DRAWS)
+        done = kernel(act, done, DRAWS)
         assert done == DRAWS
+    finally:
+        kernel.release()
+
+
+def _draws(v, *, adaptive):
+    """The rows the worker draws over the two segments."""
+    rows = STREAM.for_processor(WID, NPROC).directions(0, DRAWS)
+    return _adaptive_map(rows, v["cdf"]) if adaptive else rows
 
 
 def _reference_x(v, act, *, offset, project, adaptive):
@@ -157,10 +201,7 @@ def _reference_x(v, act, *, offset, project, adaptive):
     column summed in index order with Python floats."""
     indptr, indices, data = v["indptr"], v["indices"], v["data"]
     b, norms, x = v["b"], v["norms"], v["x"].copy()
-    rows = STREAM.for_processor(WID, NPROC).directions(0, DRAWS)
-    if adaptive:
-        rows = _adaptive_map(rows, v["cdf"])
-    for r in rows.tolist():
+    for r in _draws(v, adaptive=adaptive).tolist():
         entries = range(int(indptr[r]), int(indptr[r + 1]))
         gamma = []
         for j in act:
@@ -186,96 +227,118 @@ COUNTERS = (
 )
 
 
+def _reference_counters(v, nact, *, adaptive):
+    """The counters after the two segments on ``v``, from the draws:
+    one ticket, the row's entries and ``nact`` column updates per draw,
+    and a staleness sample of 0 each (no other ticket moves)."""
+    want = {name: v[name].copy() for name in COUNTERS}
+    rows = _draws(v, adaptive=adaptive)
+    want["progress"][WID] = DRAWS
+    want["row_nnz"][WID] = int(np.diff(v["indptr"])[rows].sum())
+    want["col_updates"][WID] = DRAWS * nact
+    want["delay_count"][WID] = DRAWS
+    want["delay_log"][WID, :DRAWS] = 0
+    return want
+
+
+def _assert_counters(v, want):
+    for counter in COUNTERS:
+        assert np.array_equal(v[counter], want[counter]), counter
+
+
 @pytest.mark.parametrize("adaptive", [False, True], ids=["uniform", "adaptive"])
 @pytest.mark.parametrize("offset", [0, 3])
 @pytest.mark.parametrize("project", [False, True], ids=["coordinate", "projection"])
 @pytest.mark.parametrize("name", list(SELECTIONS))
 def test_segment_against_references(name, project, offset, adaptive):
     k, act = SELECTIONS[name]
-    native, python = (_segment(k, act, adaptive=adaptive) for _ in range(2))
-    start_x = native["x"].copy()
-    _run(native, offset=offset, project=project, adaptive=adaptive, native=True)
-    _run(python, offset=offset, project=project, adaptive=adaptive, native=False)
+    v = _segment(k, act, adaptive=adaptive)
+    start_x = v["x"].copy()
+    want_counters = _reference_counters(v, len(act), adaptive=adaptive)
+    _run(v, offset=offset, project=project, adaptive=adaptive)
 
     want = _reference_x(
         _segment(k, act, adaptive=adaptive), act, offset=offset,
         project=project, adaptive=adaptive,
     )
-    assert np.array_equal(native["x"], want)
-    assert not np.array_equal(native["x"], start_x)
-    for counter in COUNTERS:
-        assert np.array_equal(native[counter], python[counter]), counter
-    assert native["progress"][WID] == native["delay_count"][WID] == DRAWS
-    assert native["col_updates"][WID] == DRAWS * len(act)
+    assert np.array_equal(v["x"], want)
+    assert not np.array_equal(v["x"], start_x)
+    _assert_counters(v, want_counters)
+    assert v["progress"][WID] == v["delay_count"][WID] == DRAWS
+    assert v["row_nnz"][WID] == DRAWS * NNZ_PER_ROW
 
 
 @pytest.mark.parametrize("adaptive", [False, True], ids=["uniform", "adaptive"])
 @pytest.mark.parametrize("offset", [0, 3])
-@pytest.mark.parametrize("project", [False, True], ids=["coordinate", "projection"])
 @pytest.mark.parametrize("name", list(SELECTIONS))
-def test_each_draw_agrees_with_row_update(name, project, offset, adaptive):
-    """From the same iterate, one kernel draw and one ``RowUpdate`` step
-    on the same row agree to ``rtol=1e-13`` of the iterate's largest
-    entry: they differ only in the summation order of the row dot, whose
-    rounding scales with the entries summed, not with an entry that an
-    update happens to cancel to near zero. The projection rule gets its true
-    normalizers ``‖a_r‖²`` here, so its steps are projections and the
-    iterate stays bounded; with arbitrary ones it grows without bound
-    and cancellation swamps any relative bar. (Over a whole segment the
-    two trajectories drift apart by more, as rounding compounds.)"""
+def test_atomic_writes_give_the_same_bits(name, offset, adaptive):
+    """Alone, the compare-exchange of every coordinate write succeeds at
+    its first try and stores the plain write's sum."""
     k, act = SELECTIONS[name]
-    v = _segment(k, act, adaptive=adaptive)
-    if project:
-        v["norms"][:] = np.add.reduceat(v["data"] ** 2, v["indptr"][:-1])
-    act = np.flatnonzero(v["active"])
-    rows = STREAM.for_processor(WID, NPROC).directions(0, DRAWS)
-    if adaptive:
-        rows = _adaptive_map(rows, v["cdf"])
-    method = RowUpdate(offset=offset, project=project)
-    with _segment_runner(
-        v, method, directions=STREAM, wid=WID, nproc=NPROC, beta=BETA,
-        adaptive=adaptive, locks=[], native=True,
-    ) as run:
-        for i, r in enumerate(rows.tolist()):
-            step = dict(v, x=v["x"].copy())
-            method.make_updater(
-                step, k=k, act=act, locks=[], nlocks=0, beta=BETA
-            )(r)
-            run(act, i, i + 1)
-            scale = np.abs(step["x"]).max()
-            np.testing.assert_allclose(v["x"], step["x"], rtol=0, atol=1e-13 * scale)
+    plain, atomic = (_segment(k, act, adaptive=adaptive) for _ in range(2))
+    _run(plain, offset=offset, project=False, adaptive=adaptive)
+    _run(atomic, offset=offset, project=False, adaptive=adaptive, atomic=True)
+    assert np.array_equal(atomic["x"], plain["x"])
+    _assert_counters(atomic, {c: plain[c] for c in COUNTERS})
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_atomic_writes_lose_no_update_under_contention(k):
+    """Four threads, more than the cores, run segments on the same
+    iterate row at once (cffi releases the interpreter lock around the
+    call). The one row's entry is 0, so every draw adds exactly
+    ``β·b/norm = 1`` to each column: a lost write would leave it short."""
+    threads, draws = 4, 200_000
+    geom = (1, 1, 1, 1, k)
+    v = _views(SimpleNamespace(buf=bytearray(_layout(geom, threads)[2])), geom, threads)
+    v["indptr"][:] = [0, 1]
+    v["b"][:] = 1.0
+    v["norms"][:] = 1.0
+    stream = DirectionStream(1, seed=0)
+    kernels = [
+        _native.RowSegment.bind(
+            v, offset=0, project=False, atomic=True, beta=1.0,
+            adaptive=False, key=stream.key, wid=w, nproc=threads,
+        )
+        for w in range(threads)
+    ]
+    act = np.arange(k)
+    workers = [
+        threading.Thread(target=kernel, args=(act, 0, draws))
+        for kernel in kernels
+    ]
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+    finally:
+        for kernel in kernels:
+            kernel.release()
+    assert v["progress"].tolist() == [draws] * threads
+    assert v["x"].tolist() == [[threads * draws] * k]
 
 
 def test_no_active_column_writes_nothing_but_counts():
     for project in (False, True):
-        native, python = (_segment(8, [], adaptive=False) for _ in range(2))
-        start_x = native["x"].copy()
-        _run(native, offset=0, project=project, adaptive=False, native=True)
-        _run(python, offset=0, project=project, adaptive=False, native=False)
-        assert np.array_equal(native["x"], start_x)
-        for counter in COUNTERS:
-            assert np.array_equal(native[counter], python[counter]), counter
-
-
-def test_locked_writes_stay_on_the_python_loop():
-    """Atomic mode's striped locks are Python objects: the runner falls
-    back to the loop even when the native kernel was chosen."""
-    import threading
-
-    k, act = SELECTIONS["prefix"]
-    v = _segment(k, act, adaptive=False)
-    _run(v, offset=0, project=False, adaptive=False, native=True,
-         locks=[threading.Lock()])
+        v = _segment(8, [], adaptive=False)
+        start_x = v["x"].copy()
+        want_counters = _reference_counters(v, 0, adaptive=False)
+        _run(v, offset=0, project=project, adaptive=False)
+        assert np.array_equal(v["x"], start_x)
+        _assert_counters(v, want_counters)
 
 
 def _bind(v, **overrides):
-    params = dict(offset=0, project=False, beta=BETA, adaptive=False,
-                  key=STREAM.key, wid=WID, nproc=NPROC)
+    params = dict(offset=0, project=False, atomic=False, beta=BETA,
+                  adaptive=False, key=STREAM.key, wid=WID, nproc=NPROC)
     return _native.RowSegment.bind(v, **dict(params, **overrides))
 
 
 @pytest.mark.parametrize("spoil", [
     "x-dtype", "b-width", "short-log", "wid", "offset", "column-index",
+    "atomic-projection",
 ])
 def test_a_layout_the_kernel_cannot_trust_is_refused(spoil):
     """Every pointer the C code follows is checked before it is bound."""
@@ -292,6 +355,8 @@ def test_a_layout_the_kernel_cannot_trust_is_refused(spoil):
         overrides["wid"] = NPROC
     elif spoil == "offset":
         overrides["offset"] = X_ROWS - N_ROWS + 1
+    elif spoil == "atomic-projection":
+        overrides.update(atomic=True, project=True)
     else:
         v["indices"][5] = X_ROWS
     with pytest.raises(ValueError):
@@ -324,39 +389,54 @@ def test_a_released_kernel_refuses_to_run():
     assert v["progress"][WID] == 0
 
 
+def test_pool_methods_pick_their_scatter_rule_and_offset():
+    assert not ProcessAsyRGS.project
+    assert ProcessAsyRGS.offset == 0
+    assert AsyRK.project
+    assert AsyRK.offset == 0
+    A_s = CSRMatrix(
+        (2, 6),
+        np.array([0, 1, 2], dtype=np.int64),
+        np.array([4, 5], dtype=np.int64),
+        np.ones(2),
+    )
+    shard = _ShardPool(
+        1, A_s, np.ones(2), np.ones(2), offset=4, n_rows=2, x_rows=6,
+        b_rows=2, nproc=1,
+    )
+    assert shard.offset == 4
+    assert not shard.project
+
+
 @pytest.mark.multiprocess
-class TestPoolsPickTheirPath:
+class TestPools:
     def _system(self):
         A = random_unit_diagonal_spd(16, nnz_per_row=3, offdiag_scale=0.4, seed=2)
         return A, A.matvec(np.ones(16))
 
-    def test_the_switch_is_read_when_the_pool_spawns(self):
+    def test_atomic_pools_run_the_kernel(self):
+        """At one worker an atomic pool's iterate and counts are the
+        plain pool's, bit for bit, on a free run and on a block solve."""
         A, b = self._system()
-        for native in (False, True):
-            with _native.forced(native):
-                solver = ProcessAsyRGS(A, b, nproc=1).open()
-            try:
-                assert solver._pool.native is native
-                # Flipping the switch later does not move a live pool.
-                with _native.forced(not native):
-                    out = solver.run(None, 40)
-                    assert solver._pool.native is native
-                assert out.iterations == 40
-            finally:
-                solver.close()
-
-    def test_atomic_pools_run_the_python_loop(self):
-        A, b = self._system()
-        with _native.forced(True):
-            with ProcessAsyRGS(A, b, nproc=1, atomic=True) as solver:
-                assert solver._pool.native is False
-            with AsyRK(A, b, nproc=1) as solver:
-                assert solver._pool.native is True
+        B = A.matmat(np.random.default_rng(3).standard_normal((16, 3)))
+        runs = {}
+        for atomic in (False, True):
+            with ProcessAsyRGS(A, b, nproc=1, atomic=atomic, capacity_k=3) as solver:
+                runs[atomic] = (solver.run(None, 400),
+                                solver.solve(1e-10, 200, b=B))
+        for plain, atomic in zip(runs[False], runs[True]):
+            assert atomic.atomic and not plain.atomic
+            assert np.array_equal(atomic.x, plain.x)
+            for field in ("iterations", "per_worker_iterations",
+                          "total_row_nnz", "column_updates", "sync_points",
+                          "checkpoints", "column_checkpoints"):
+                np.testing.assert_equal(
+                    getattr(atomic, field), getattr(plain, field), field
+                )
 
     def test_log_capacity_is_the_layout_width(self):
         A, b = self._system()
-        with _native.forced(True):
-            with ProcessAsyRGS(A, b, nproc=1) as solver:
-                out = solver.run(None, LOG_CAPACITY + 100)
+        with ProcessAsyRGS(A, b, nproc=1) as solver:
+            out = solver.run(None, LOG_CAPACITY + 100)
         assert out.tau_observed.count == LOG_CAPACITY + 100
         assert out.tau_observed.samples.size == LOG_CAPACITY

@@ -23,6 +23,7 @@ from repro.serve import (
 from repro.serve.frontend import handle_line
 
 from .conftest import WAIT
+from .simtest.fakes import diagonal_system, fake_factory
 
 pytestmark = pytest.mark.serve
 
@@ -212,6 +213,58 @@ class TestNonFiniteNumbers:
             assert reply["id"] == "q"
         good = _strict_loads(handle_line(registry, request_line("ok", b))())
         assert good["ok"] and good["id"] == "ok"
+
+
+def _diverging_factory(column: int):
+    """The simtest fake pool, whose solves put ``inf`` into one column of
+    the batch's iterate."""
+    build = fake_factory()
+
+    def factory(*args, **kwargs):
+        pool = build(*args, **kwargs)
+        solve = pool.solve
+
+        def diverge(*a, **kw):
+            out = solve(*a, **kw)
+            out.x[:, column] = np.inf
+            return out
+
+        pool.solve = diverge
+        return pool
+
+    return factory
+
+
+class TestDivergedSolves:
+    """A solve that diverges from finite input answers ``ok: false``,
+    traceable and naming the non-finite columns: its ``x`` would need the
+    ``Infinity``/``NaN`` tokens that strict JSON lacks."""
+
+    N = 6
+
+    def _server(self, column):
+        return SolverServer(
+            diagonal_system(np.full(self.N, 2.0)), nproc=1, capacity_k=2,
+            max_wait=0.0, solver_factory=_diverging_factory(column),
+        )
+
+    def test_single_request(self):
+        with self._server(0) as srv:
+            line = request_line("d", np.ones(self.N), trace_id="t-div-1")
+            reply = _strict_loads(handle_line(srv, line)())
+        assert reply == {
+            "id": "d", "ok": False, "trace_id": "t-div-1",
+            "error": reply["error"],
+        }
+        assert "diverged" in reply["error"] and "[0]" in reply["error"]
+
+    def test_block_request_names_its_column(self):
+        with self._server(1) as srv:
+            line = request_line("blk", np.ones((self.N, 2)))
+            reply = _strict_loads(handle_line(srv, line)())
+            assert reply["ok"] is False
+            assert reply["trace_id"].startswith("t-")
+            assert "[1]" in reply["error"] and "[0, 1]" not in reply["error"]
 
 
 class TestEpochArguments:
