@@ -6,8 +6,9 @@ model (the GIL forbids concurrent Python threads). This example runs the
 genuine article:
 
 1. build a sparse SPD system,
-2. solve it with ``engine="processes"`` — worker processes share the
-   iterate through ``multiprocessing.shared_memory`` and race for real,
+2. solve it with :class:`~repro.execution.ProcessAsyRGS` — worker
+   processes share the iterate through ``multiprocessing.shared_memory``
+   and race for real,
 3. read the measured delay statistics (``tau_observed``) recovered from
    the shared write-log and compare them against the theory's ``2ρτ < 1``
    hypothesis,
@@ -25,7 +26,7 @@ Run:  python examples/true_parallel.py
 
 import numpy as np
 
-from repro import AsyRGS, laplacian_2d
+from repro import laplacian_2d
 from repro.bench import run_speedup
 from repro.core import rho_infinity
 from repro.execution import ProcessAsyRGS, available_cpus
@@ -42,11 +43,11 @@ def main() -> None:
     print(f"system: n = {n}, nnz = {A.nnz}, CPUs available: {available_cpus()}")
 
     # -- 2. Solve on real processes (epoch scheme of Theorem 2). -------
-    solver = AsyRGS(A, b, nproc=2, engine="processes")
+    solver = ProcessAsyRGS(A, b, nproc=2)
     result = solver.solve(tol=1e-6, max_sweeps=1500, sync_every_sweeps=25)
     print(
-        f"AsyRGS[processes]: {result.sweeps:4d} sweeps on 2 processes, "
-        f"residual {result.history.final:.2e}, "
+        f"AsyRGS[processes]: {result.sweeps_done:4d} sweeps on 2 processes, "
+        f"residual {result.checkpoints[-1][1]:.2e}, "
         f"error {np.abs(result.x - x_star).max():.2e}, "
         f"{result.sync_points} synchronization points, "
         f"{result.wall_time:.3f}s wall"

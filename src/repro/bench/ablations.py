@@ -488,7 +488,7 @@ def run_sampling_ablation(
     """Measure what residual-adaptive sampling saves over uniform draws.
 
     Solves the skewed 51-label block twice — uniform directions as the
-    control, then ``directions="adaptive"`` — with per-column retirement
+    control, then ``adaptive=True`` — with per-column retirement
     on in both runs, and reports sweeps and column-update counts. The
     adaptive weights are only as fresh as the last synchronization
     point, so the refresh cadence (``sync_every_sweeps``) is part of

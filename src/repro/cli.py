@@ -379,6 +379,98 @@ def _load_system(args):
     return A, b
 
 
+def _print_columns(result, n_rhs: int, no_retire: bool) -> None:
+    """The per-column status lines of a block solve (none for a vector,
+    or without column tracking)."""
+    if n_rhs == 1 or result.converged_columns is None:
+        return
+    n_done = int(result.converged_columns.sum())
+    retired = result.column_sweeps[result.column_sweeps >= 0]
+    mode = "kept updating (no retirement)" if no_retire else "retired"
+    spread = (
+        f"; {mode} between sweeps {int(retired.min())} and "
+        f"{int(retired.max())}"
+        if retired.size
+        else ""
+    )
+    print(
+        f"columns: {n_done}/{n_rhs} below tol{spread}; "
+        f"{result.column_updates} column updates "
+        f"(full block would be {result.iterations * n_rhs})"
+    )
+    if n_done < n_rhs:
+        worst = int(np.argmax(result.column_residuals))
+        print(
+            f"slowest column: #{worst} at relative residual "
+            f"{result.column_residuals[worst]:.3e}"
+        )
+
+
+def _solve_on_pool(args, A, b, beta, nodes):
+    """Solve on the worker pool :func:`~repro.execution.make_solver`
+    builds for ``--method``/``--shards``/``--nodes``, print its report,
+    and return ``(x, converged)``."""
+    from .core import auto_step_size
+    from .exceptions import ModelError
+    from .execution import make_solver
+    from .rng import DirectionStream
+
+    sharded = args.shards > 1 or nodes is not None
+    if beta == "auto":
+        if sharded:
+            raise ModelError(
+                "--beta auto is resolved per pool; give a numeric --beta "
+                "for a sharded solve"
+            )
+        if args.method == "asyrk":
+            raise ModelError(
+                "--beta auto is the AsyRGS spectral heuristic; give a "
+                "numeric --beta for asyrk"
+            )
+        # The nominal a-priori bound τ = P − 1 with live, inconsistent
+        # shared-memory reads; the run reports the measured τ.
+        beta = auto_step_size(A, tau=args.nproc - 1, consistent=False)
+    options = {} if nodes is None else {"node_matrix": args.node_matrix}
+    solver = make_solver(
+        args.method, A, b, shards=args.shards, nodes=nodes,
+        nproc=args.nproc, beta=beta,
+        directions=DirectionStream(A.shape[0], seed=args.seed), **options,
+    )
+    result = solver.solve(
+        tol=args.tol, max_sweeps=args.max_sweeps,
+        retire=False if args.no_retire else None,
+    )
+    n_rhs = 1 if b.ndim == 1 else b.shape[1]
+    name = "AsyRK" if args.method == "asyrk" else "AsyRGS"
+    where = f"{args.nproc} process(es)"
+    if sharded:
+        name = f"sharded {name}"
+        where = (
+            f"{solver.shards} shards" if nodes is None
+            else f"{solver.shards} node(s) [{', '.join(nodes)}]"
+        ) + f" x {where}"
+    rhs_note = f", {n_rhs} RHS columns" if n_rhs > 1 else ""
+    measure = "normal-equations residual" if args.method == "asyrk" else "residual"
+    final = result.checkpoints[-1][1] if result.checkpoints else float("nan")
+    print(
+        f"{name} ({where}, beta={beta:.4g}{rhs_note}): "
+        f"{result.sweeps_done} sweeps, {measure} {final:.3e}, "
+        f"converged={result.converged}"
+    )
+    _print_columns(result, n_rhs, args.no_retire)
+    tau = result.tau_observed
+    print(
+        f"measured delays: tau_observed={tau.max}, mean={tau.mean:.2f} "
+        f"over {tau.count} updates ({result.wall_time:.3f}s wall)"
+    )
+    if sharded:
+        print(
+            "per-shard updates: "
+            + ", ".join(f"#{s}={u}" for s, u in enumerate(result.shard_updates))
+        )
+    return result.x, result.converged
+
+
 def _cmd_solve(args) -> int:
     from .core import AsyRGS, randomized_gauss_seidel
     from .krylov import (
@@ -405,88 +497,17 @@ def _cmd_solve(args) -> int:
     nodes = None
     if args.nodes is not None:
         nodes = [a.strip() for a in args.nodes.split(",") if a.strip()]
-    if args.shards > 1 or nodes is not None:
-        from .execution import ShardedSolver
-
-        if beta == "auto":
-            print(
-                "error: --beta auto is resolved per pool; give a numeric "
-                "--beta for a sharded solve"
-            )
-            return 2
+    if (
+        args.shards > 1
+        or nodes is not None
+        or args.method == "asyrk"
+        or (args.method == "asyrgs" and args.engine == "processes")
+    ):
         try:
-            solver = ShardedSolver(
-                A, b, shards=args.shards, method=args.method,
-                nproc=args.nproc, beta=beta, seed=args.seed, nodes=nodes,
-                node_matrix=args.node_matrix,
-            )
-            result = solver.solve(
-                tol=args.tol, max_sweeps=args.max_sweeps,
-                retire=False if args.no_retire else None,
-            )
+            x, converged = _solve_on_pool(args, A, b, beta, nodes)
         except ModelError as exc:
             print(f"error: {exc}")
             return 2
-        x, converged = result.x, result.converged
-        rhs_note = f", {n_rhs} RHS columns" if n_rhs > 1 else ""
-        final = result.checkpoints[-1][1] if result.checkpoints else float("nan")
-        where = (
-            f"{solver.shards} node(s) [{', '.join(nodes)}]"
-            if nodes is not None
-            else f"{solver.shards} shards"
-        )
-        print(
-            f"sharded AsyRGS ({where} x {args.nproc} "
-            f"process(es), beta={beta:.4g}{rhs_note}): "
-            f"{result.sweeps_done} local sweeps, assembled residual "
-            f"{final:.3e}, converged={converged}"
-        )
-        print(
-            "per-shard updates: "
-            + ", ".join(
-                f"#{s}={u}" for s, u in enumerate(result.shard_updates)
-            )
-            + f" ({result.wall_time:.3f}s wall)"
-        )
-    elif args.method == "asyrk":
-        from .execution import AsyRK
-        from .rng import DirectionStream
-
-        if beta == "auto":
-            print(
-                "error: --beta auto is the AsyRGS spectral heuristic; "
-                "give a numeric --beta for asyrk"
-            )
-            return 2
-        solver = AsyRK(
-            A, b, nproc=args.nproc, beta=beta,
-            directions=DirectionStream(A.shape[0], seed=args.seed),
-        )
-        result = solver.solve(
-            tol=args.tol, max_sweeps=args.max_sweeps,
-            retire=False if args.no_retire else None,
-        )
-        x, converged = result.x, result.converged
-        residual = (
-            float(result.column_residuals.max())
-            if result.column_residuals is not None
-            else float("nan")
-        )
-        rhs_note = f", {n_rhs} RHS columns" if n_rhs > 1 else ""
-        m, ncols = A.shape
-        print(
-            f"AsyRK (nproc={args.nproc}, beta={beta:.4g}, "
-            f"{m}x{ncols} system{rhs_note}): {result.sweeps_done} sweeps, "
-            f"normal-equations residual {residual:.3e}, "
-            f"converged={converged}"
-        )
-        if result.tau_observed is not None:
-            print(
-                f"measured delays: tau_observed={result.tau_observed.max}, "
-                f"mean={result.tau_observed.mean:.2f} over "
-                f"{result.tau_observed.count} updates "
-                f"({result.wall_time:.3f}s wall in {args.nproc} processes)"
-            )
     elif args.method == "asyrgs":
         solver = AsyRGS(
             A, b, nproc=args.nproc, beta=beta, seed=args.seed, engine=args.engine
@@ -503,34 +524,7 @@ def _cmd_solve(args) -> int:
             f"{result.sweeps} sweeps, residual {result.history.final:.3e}, "
             f"converged={converged}"
         )
-        if n_rhs > 1 and result.converged_columns is not None:
-            n_done = int(result.converged_columns.sum())
-            retired = result.column_sweeps[result.column_sweeps >= 0]
-            mode = "kept updating (no retirement)" if args.no_retire else "retired"
-            spread = (
-                f"; {mode} between sweeps {int(retired.min())} and "
-                f"{int(retired.max())}"
-                if retired.size
-                else ""
-            )
-            print(
-                f"columns: {n_done}/{n_rhs} below tol{spread}; "
-                f"{result.column_updates} column updates "
-                f"(full block would be {result.iterations * n_rhs})"
-            )
-            if n_done < n_rhs:
-                worst = int(np.argmax(result.column_residuals))
-                print(
-                    f"slowest column: #{worst} at relative residual "
-                    f"{result.column_residuals[worst]:.3e}"
-                )
-        if result.tau_observed is not None:
-            print(
-                f"measured delays: tau_observed={result.tau_observed.max}, "
-                f"mean={result.tau_observed.mean:.2f} over "
-                f"{result.tau_observed.count} updates "
-                f"({result.wall_time:.3f}s wall in {args.nproc} processes)"
-            )
+        _print_columns(result, n_rhs, args.no_retire)
     elif args.method == "rgs":
         result = randomized_gauss_seidel(
             A, b, sweeps=args.max_sweeps, tol=args.tol,

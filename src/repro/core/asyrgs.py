@@ -1,10 +1,9 @@
 """AsyRGS — the paper's asynchronous randomized Gauss-Seidel solver.
 
-This module is the user-facing façade over the execution substrate. It
-packages the two simulation engines and the true-parallel multiprocess
-backend behind one solver object and implements the **epoch scheme**
-from the discussion of Theorem 2: run asynchronously for ≈ n updates,
-synchronize (a segment boundary — every processor's updates become
+This module is the user-facing façade over the simulated execution
+substrate. It packages the two simulation engines behind one solver
+object and implements the **epoch scheme** from the discussion of
+Theorem 2: run asynchronously for ≈ n updates, synchronize (a segment boundary — every processor's updates become
 visible), check the residual, repeat. The number of synchronization
 points is what the theory trades against the convergence rate, and what
 the cost model charges barriers for.
@@ -19,11 +18,10 @@ or, for explicit delay-model studies::
     solver = AsyRGS(A, b, delay_model=UniformDelay(tau=32, seed=7),
                     engine="general", beta="auto")
 
-or, on real OS processes sharing one iterate (measured delays instead of
-modeled ones)::
+The same algorithm on a real shared-memory worker pool (measured delays
+instead of modeled ones) is built by :func:`~repro.execution.make_solver`::
 
-    solver = AsyRGS(A, b, nproc=4, engine="processes")
-    result = solver.solve(tol=1e-4, max_sweeps=200)
+    result = make_solver("asyrgs", A, b, nproc=4).solve(tol=1e-4, max_sweeps=200)
     result.tau_observed.max   # empirical delay bound from the write-log
 
 Block right-hand sides are solved **column-aware**: convergence is
@@ -31,8 +29,7 @@ judged per column, and columns that reach the tolerance are retired at
 epoch boundaries so the remaining updates only refresh the shrinking
 active set (the paper's 51-label regime with skewed label difficulty)::
 
-    solver = AsyRGS(A, B51, nproc=4, engine="processes")
-    result = solver.solve(tol=1e-3, max_sweeps=600)
+    result = make_solver("asyrgs", A, B51, nproc=4).solve(tol=1e-3, max_sweeps=600)
     result.converged_columns   # per-label convergence mask (all True here)
     result.column_sweeps       # the epoch each label retired at
     result.column_updates      # work actually spent (< iterations * 51)
@@ -53,14 +50,11 @@ from ..validation import check_rhs, check_x0
 from ..execution import (
     AsyncSimulator,
     DelayModel,
-    DelayStats,
     PhasedSimulator,
-    ProcessAsyRGS,
     ProcessorPhaseDelay,
     WriteModel,
 )
 from ..execution.epochs import SimulatorEngine, solve_epochs
-from ..execution.pool import resolve_directions
 from .residuals import ColumnTracker, ConvergenceHistory, relative_residual
 from .stepsize import auto_step_size
 
@@ -78,9 +72,8 @@ class AsyRGSResult:
     iterations:
         Total coordinate updates applied.
     sweeps:
-        Epochs of ``n`` updates actually executed — reported identically
-        by every engine (simulated and real-process paths share this
-        accounting).
+        Epochs of ``n`` updates actually executed — the same accounting
+        as the pool solvers' ``sweeps_done``.
     converged:
         Whether the tolerance was reached (``False`` without a tolerance).
     history:
@@ -90,18 +83,10 @@ class AsyRGSResult:
     sync_points:
         Number of synchronization (epoch) boundaries executed.
     lost_writes:
-        Updates destroyed by write races (non-atomic simulated modes;
-        the multiprocess backend cannot observe individual lost writes
-        and reports 0).
+        Updates destroyed by write races (the non-atomic simulated
+        modes).
     beta:
         The step size actually used (useful with ``beta="auto"``).
-    tau_observed:
-        Empirical delay statistics from the multiprocess backend's
-        shared write-log (``None`` for the simulated engines, whose
-        delays are modeled rather than measured).
-    wall_time:
-        Wall-clock seconds spent in the worker pool
-        (``engine="processes"`` only).
     column_updates:
         Σ over row updates of the number of RHS columns actually
         refreshed — ``iterations · k`` without retirement, strictly
@@ -127,8 +112,6 @@ class AsyRGSResult:
     sync_points: int
     lost_writes: int
     beta: float
-    tau_observed: DelayStats | None = None
-    wall_time: float | None = None
     column_updates: int | None = None
     converged_columns: np.ndarray | None = None
     column_sweeps: np.ndarray | None = None
@@ -154,45 +137,18 @@ class AsyRGS:
     engine:
         ``"phased"`` — the vectorized round-based engine (used by the
         scaling benches); ``"general"`` — the per-update engine supporting
-        arbitrary delay and write models; ``"processes"`` — genuine OS
-        processes sharing the iterate through
-        :mod:`multiprocessing.shared_memory` (real delays, measured
-        ``tau_observed``, wall-clock speedup). Every engine accepts a
-        right-hand-side block ``(n, k)``; the processes engine solves
-        the block simultaneously — one row gather per update serves all
-        ``k`` columns, the paper's 51-label amortization — and can keep
-        a persistent worker pool across solves (see
-        :class:`~repro.execution.ProcessAsyRGS`).
+        arbitrary delay and write models. Both accept a right-hand-side
+        block ``(n, k)``.
     beta:
         Step size in ``(0, 2)``, or ``"auto"`` to use the theory-optimal
         step for the configured τ and read-consistency model
         (Section 6 / :mod:`repro.core.stepsize`).
     directions:
         Coordinate stream shared across configurations. Defaults to seed
-        0 for the simulated engines (pinning directions across
-        configurations); for ``engine="processes"`` the default stream is
-        keyed by ``seed`` — it is the only randomness that engine
-        consumes.
+        0, pinning directions across configurations.
     atomic:
         Whether the single-coordinate update is indivisible (Assumption
-        A-1). ``None`` (default) picks the engine's native regime:
-        ``True`` for the simulated engines (atomicity is free there) and
-        ``False`` for ``engine="processes"``, where honoring A-1 costs
-        a compare-exchange per write and the plain run is the paper's
-        Section 9 non-atomic experiment (matching the ``speedup``
-        benchmark).
-    adaptive:
-        Residual-weighted direction sampling (``engine="processes"``
-        only): the parent reweights the row-draw distribution by
-        per-row residual mass at every epoch boundary. Equivalent to
-        ``directions="adaptive"``; the default uniform mode is the
-        paper's sampling, bit for bit.
-    capacity_k:
-        Column capacity of the shared pool layout (``engine="processes"``
-        only): the underlying :class:`ProcessAsyRGS` allocates its
-        shared block at this width, so its per-call ``b=`` overrides of
-        any ``k ≤ capacity_k`` reuse the live pool without a respawn —
-        the serving regime (see :mod:`repro.serve`).
+        A-1) in the phased engine; ``False`` models overwrite races.
     write_model / jitter / seed:
         Forwarded to the chosen engine (see
         :mod:`repro.execution.simulator`).
@@ -207,44 +163,24 @@ class AsyRGS:
         delay_model: DelayModel | None = None,
         engine: str = "phased",
         beta: float | str = 1.0,
-        directions: DirectionStream | str | None = None,
-        atomic: bool | None = None,
-        adaptive: bool = False,
+        directions: DirectionStream | None = None,
+        atomic: bool = True,
         write_model: WriteModel | None = None,
         jitter: int = 0,
         seed: int = 0,
-        capacity_k: int | None = None,
     ):
-        if engine not in ("phased", "general", "processes"):
+        if engine not in ("phased", "general"):
             raise ModelError(
-                f"unknown engine {engine!r}; use 'phased', 'general', or 'processes'"
-            )
-        # The string forms ("uniform"/"adaptive") are resolved here so
-        # self.directions is always a real stream; the simulated engines
-        # have no adaptive mode, so the string is a processes-engine
-        # option like capacity_k.
-        directions, adaptive = resolve_directions(directions, adaptive)
-        if adaptive and engine != "processes":
-            raise ModelError(
-                "adaptive direction sampling reweights draws on the shared-"
-                "memory pool; only the 'processes' engine supports it"
+                f"unknown engine {engine!r}; use 'phased' or 'general' "
+                "(a real worker pool: repro.execution.make_solver)"
             )
         if engine != "general" and delay_model is not None:
             raise ModelError("delay_model is only supported by the 'general' engine")
-        if engine != "processes" and capacity_k is not None:
-            raise ModelError(
-                "capacity_k sizes the shared-memory pool layout; only the "
-                "'processes' engine has one"
-            )
         if engine != "general" and write_model is not None:
             raise ModelError(
-                "the phased engine models write races via atomic=False and the "
-                "processes engine races for real; write_model is only supported "
-                "by the 'general' engine"
+                "the phased engine models write races via atomic=False; "
+                "write_model is only supported by the 'general' engine"
             )
-        if engine == "processes" and jitter:
-            raise ModelError("jitter is a phased-engine knob; the processes "
-                             "engine gets its jitter from the OS scheduler")
         if not A.is_square():
             raise ShapeError(f"AsyRGS needs a square matrix, got {A.shape}")
         self.A = A
@@ -258,12 +194,9 @@ class AsyRGS:
         self.nproc = int(nproc)
         if self.nproc < 1:
             raise ModelError(f"nproc must be at least 1, got {nproc}")
-        if atomic is None:
-            atomic = engine != "processes"
-        if directions is None:
-            direction_seed = seed if engine == "processes" else 0
-            directions = DirectionStream(self.n, seed=direction_seed)
-        self.directions = directions
+        self.directions = (
+            directions if directions is not None else DirectionStream(self.n, seed=0)
+        )
         if engine == "general":
             self.delay_model = (
                 delay_model
@@ -272,12 +205,6 @@ class AsyRGS:
             )
             tau = self.delay_model.tau
             consistent = self.delay_model.is_consistent
-        elif engine == "processes":
-            # Nominal a-priori bound: the τ = O(P) reference scenario.
-            # The run itself reports the measured value (tau_observed).
-            self.delay_model = None
-            tau = self.nproc - 1
-            consistent = False  # live shared-memory reads, no snapshots
         else:
             self.delay_model = None
             tau = self.nproc + int(jitter) - 1
@@ -296,19 +223,7 @@ class AsyRGS:
             self.beta = float(beta)
             if not 0.0 < self.beta < 2.0:
                 raise ModelError(f"step size beta must lie in (0, 2), got {self.beta}")
-        if engine == "processes":
-            self._sim = ProcessAsyRGS(
-                A,
-                self.b,
-                nproc=self.nproc,
-                beta=self.beta,
-                atomic=atomic,
-                directions=self.directions,
-                adaptive=adaptive,
-                capacity_k=capacity_k,
-            )
-        else:
-            self._sim = self._make_engine(self.b)
+        self._sim = self._make_engine(self.b)
 
     # ------------------------------------------------------------------
 
@@ -378,31 +293,15 @@ class AsyRGS:
         )
         if history is not None:
             history.record(0, metric(x))
-        measured = self.engine == "processes"
-        if measured:
-            if start_iteration:
-                raise ModelError(
-                    "the processes engine always consumes the direction stream "
-                    "from position 0; start_iteration is not supported"
-                )
-            result = self._sim.run(x, sweeps * self.n)
-            # Workers cannot be observed mid-segment without synchronizing
-            # them (that is the point of this backend), so the history has
-            # endpoints only: the run is one asynchronous segment.
-            checkpoints = []
-            if record_history:
-                checkpoints.append((sweeps * self.n, metric(result.x)))
-        else:
-            result = self._sim.run(
-                x,
-                sweeps * self.n,
-                start_iteration=start_iteration,
-                checkpoint_every=self.n if record_history else None,
-                checkpoint_metric=metric if record_history else None,
-            )
-            checkpoints = result.checkpoints
+        result = self._sim.run(
+            x,
+            sweeps * self.n,
+            start_iteration=start_iteration,
+            checkpoint_every=self.n if record_history else None,
+            checkpoint_metric=metric if record_history else None,
+        )
         if history is not None:
-            for it, value in checkpoints:
+            for it, value in result.checkpoints:
                 history.record((it - start_iteration) // self.n, value)
         return AsyRGSResult(
             x=result.x,
@@ -412,11 +311,9 @@ class AsyRGS:
             history=history,
             total_row_nnz=result.total_row_nnz,
             sync_points=0,
-            lost_writes=0 if measured else result.lost_writes,
+            lost_writes=result.lost_writes,
             beta=self.beta,
-            tau_observed=result.tau_observed if measured else None,
-            wall_time=result.wall_time if measured else None,
-            column_updates=result.column_updates if measured else result.iterations * k,
+            column_updates=result.iterations * k,
         )
 
     def solve(
@@ -442,11 +339,9 @@ class AsyRGS:
         aggregate can pass while one hard label column is still far
         off). With ``retire`` (the default), a column that reaches
         ``tol`` is retired at that synchronization point — subsequent
-        updates refresh only the shrinking active set, on every engine
-        (the processes backend shrinks its shared active-column mask;
-        the simulated engines narrow the block they update). Retirement
-        never happens mid-segment, so the Theorem 2 epoch structure is
-        untouched. The result reports ``converged_columns``,
+        updates refresh only the shrinking active set (the simulated
+        engines narrow the block they update). Retirement never happens
+        mid-segment, so the Theorem 2 epoch structure is untouched. The result reports ``converged_columns``,
         ``column_sweeps`` (each column's retirement epoch), and
         ``column_updates`` (the work actually spent).
 
@@ -456,26 +351,19 @@ class AsyRGS:
         ``retire=True`` raises.
         """
         x = self._zero_like_b() if x0 is None else self._check_x0(x0)
-        epochs = dict(
-            sync_every_sweeps=sync_every_sweeps, metric=metric, retire=retire
+        engine = SimulatorEngine(self._sim, narrow=self._make_engine)
+        result = solve_epochs(
+            nullcontext(engine),
+            partial(ColumnTracker, self.A),
+            x,
+            self.b,
+            tol=tol,
+            max_sweeps=max_sweeps,
+            n_rows=self.n,
+            sync_every_sweeps=sync_every_sweeps,
+            metric=metric,
+            retire=retire,
         )
-        measured = self.engine == "processes"
-        if measured:
-            result = self._sim.solve(tol, max_sweeps, x, **epochs)
-            lost = 0
-        else:
-            engine = SimulatorEngine(self._sim, narrow=self._make_engine)
-            result = solve_epochs(
-                nullcontext(engine),
-                partial(ColumnTracker, self.A),
-                x,
-                self.b,
-                tol=tol,
-                max_sweeps=max_sweeps,
-                n_rows=self.n,
-                **epochs,
-            )
-            lost = engine.lost_writes
         history = None
         if record_history:
             history = ConvergenceHistory(
@@ -492,15 +380,10 @@ class AsyRGS:
             history=history,
             total_row_nnz=result.total_row_nnz,
             sync_points=result.sync_points,
-            lost_writes=lost,
+            lost_writes=engine.lost_writes,
             beta=self.beta,
-            # The simulators model their delays and time nothing real;
-            # with a custom metric they keep no column accounting.
-            tau_observed=result.tau_observed if measured else None,
-            wall_time=result.wall_time if measured else None,
-            column_updates=(
-                result.column_updates if measured or metric is None else None
-            ),
+            # With a custom metric the simulators keep no column accounting.
+            column_updates=result.column_updates if metric is None else None,
             converged_columns=result.converged_columns,
             column_sweeps=result.column_sweeps,
             column_residuals=result.column_residuals,

@@ -30,8 +30,10 @@ AsyRGS scatters into coordinate ``r``, AsyRK into the row's support, a
 shard into its owned row at an offset. The kernel is native code; where
 it cannot be built, pools refuse to start. :func:`make_solver` is the one
 place that maps a wire-level ``method`` name (``"asyrgs"``/``"asyrk"``),
-a shard count and an optional node ring to a backend;
-:func:`check_solver` holds its rules.
+a shard count and an optional node ring to a backend, and the way
+``repro solve`` and the serving registry build every pool;
+:func:`check_solver` holds its rules. The :class:`~repro.core.AsyRGS`
+facade runs the two simulators only.
 Every solve to a tolerance, on the simulators and the pools alike, runs
 the one epoch driver of :mod:`repro.execution.epochs`.
 """

@@ -63,12 +63,11 @@ an ``m × n`` operator they are ``m, n, m``.
 
 Adaptive direction sampling
 ---------------------------
-With ``adaptive=True`` (or ``directions="adaptive"`` on a solver), the
-parent recomputes residual-proportional row weights at every epoch
-boundary — while it owns the segment — and publishes their CDF into a
-dedicated shared slot. Workers map each uniform Philox draw ``d`` over
-``{0..n_rows−1}`` through the inverse CDF via the stratified quantile
-``u = (d + ½)/n_rows``: the strided-union determinism of the direction
+With ``adaptive=True``, the parent recomputes residual-proportional
+row weights at every epoch boundary — while it owns the segment — and
+publishes their CDF into a dedicated shared slot. Workers map each
+uniform Philox draw ``d`` over ``{0..n_rows−1}`` through the inverse
+CDF via the stratified quantile ``u = (d + ½)/n_rows``: the strided-union determinism of the direction
 streams is untouched (same words, same positions), only the *meaning*
 of a draw changes, and ``adaptive=False`` runs the exact uniform code
 path bit for bit. The quantization means a row needs roughly
@@ -233,20 +232,6 @@ def _attach(name: str) -> shared_memory.SharedMemory:
     except Exception:
         pass
     return shared_memory.SharedMemory(name=name)
-
-
-def resolve_directions(directions, adaptive: bool):
-    """Split a ``directions`` option into ``(stream or None, adaptive)``:
-    the strings ``"uniform"`` and ``"adaptive"`` name the default stream,
-    the latter with residual-weighted sampling switched on."""
-    if not isinstance(directions, str):
-        return directions, bool(adaptive)
-    if directions not in ("uniform", "adaptive"):
-        raise ModelError(
-            "directions must be a DirectionStream, 'uniform', or "
-            f"'adaptive', got {directions!r}"
-        )
-    return None, bool(adaptive) or directions == "adaptive"
 
 
 def residual_weights(A, v: dict[str, np.ndarray]) -> np.ndarray:
@@ -629,9 +614,7 @@ class PoolSolver:
     directions:
         Shared direction stream; defaults to seed 0. The union of
         directions consumed by the workers equals this stream's serial
-        prefix, epoch by epoch. The strings ``"uniform"`` (the default
-        stream) and ``"adaptive"`` (residual-weighted row selection on
-        the default stream) are also accepted.
+        prefix, epoch by epoch.
     adaptive:
         ``True`` reweights direction draws by per-row residual mass at
         every epoch boundary (composes with a custom ``directions``
@@ -672,7 +655,7 @@ class PoolSolver:
         nproc: int,
         beta: float = 1.0,
         atomic: bool = False,
-        directions: DirectionStream | str | None = None,
+        directions: DirectionStream | None = None,
         adaptive: bool = False,
         start_method: str | None = None,
         barrier_timeout: float = BARRIER_TIMEOUT,
@@ -710,7 +693,7 @@ class PoolSolver:
         if not 0.0 < self.beta < 2.0:
             raise ModelError(f"step size beta must lie in (0, 2), got {self.beta}")
         self.atomic = bool(atomic)
-        directions, self.adaptive = resolve_directions(directions, adaptive)
+        self.adaptive = bool(adaptive)
         self.directions = (
             directions if directions is not None
             else DirectionStream(self.n_rows, seed=0)

@@ -92,8 +92,8 @@ exactly (the paper's Random123 technique, Section 9). Per-epoch shares
 are cut with :func:`~repro.rng.interleave_counts` of the *cumulative*
 update budget, which keeps the union property across epoch boundaries.
 Every call served by one pool restarts the stream from position 0, so a
-reused pool answers exactly like a fresh one. ``directions="adaptive"``
-keeps the stream identical and reinterprets each draw through the
+reused pool answers exactly like a fresh one. ``adaptive=True`` keeps
+the stream identical and reinterprets each draw through the
 residual-weighted CDF the parent republishes at every epoch boundary
 (see :mod:`repro.execution.pool`); the default uniform mode is bit-for-
 bit the paper's sampling.

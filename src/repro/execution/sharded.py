@@ -126,7 +126,6 @@ from .pool import (
     DelayStats,
     PoolSolver,
     ProcessRunResult,
-    resolve_directions,
     segment_bytes,
 )
 from .simulator import _prepare_system
@@ -280,15 +279,10 @@ class ShardedSolver:
     nproc:
         Worker processes **per shard** (total workers =
         ``shards · nproc``).
-    method:
-        Must be ``"asyrgs"``: rectangular Kaczmarz systems have no
-        row-ownership structure to shard on. The rules are those of
-        :func:`~repro.execution.check_solver`.
     directions, seed:
-        A stream (its seed is reused), ``"uniform"``, or
-        ``"adaptive"``; otherwise the seed. Shard ``s`` draws from the
-        independent Philox sub-stream ``_SHARD_STREAM_BASE + s`` of
-        that seed.
+        A stream (its seed is reused), otherwise the seed. Shard ``s``
+        draws from the independent Philox sub-stream
+        ``_SHARD_STREAM_BASE + s`` of that seed.
     shm_limit:
         Optional per-pool shared-memory budget in bytes. Any shard's
         pool whose segment would exceed it refuses to spawn with a
@@ -332,8 +326,7 @@ class ShardedSolver:
         *,
         shards: int,
         nproc: int = 1,
-        method: str = "asyrgs",
-        directions: DirectionStream | str | None = None,
+        directions: DirectionStream | None = None,
         seed: int = 0,
         shm_limit: int | None = None,
         shard_factory=None,
@@ -345,7 +338,7 @@ class ShardedSolver:
     ):
         from . import check_solver  # deferred: the package imports this module
 
-        shards = check_solver(method, shards, nodes)
+        shards = check_solver("asyrgs", shards, nodes)
         if shards < 2:
             raise ModelError(
                 "a sharded solve needs at least 2 shards; build one pool "
@@ -365,11 +358,6 @@ class ShardedSolver:
         self.shm_limit = None if shm_limit is None else int(shm_limit)
         self._shards: list = []
         self._persistent = False
-        # Resolve the seed/adaptive flags the way PoolSolver does, so
-        # every shard agrees on semantics.
-        directions, pool["adaptive"] = resolve_directions(
-            directions, pool.get("adaptive")
-        )
         if directions is not None:
             seed = directions.seed
         b, diag, n = _prepare_system(A, b)

@@ -5,7 +5,12 @@ import pytest
 
 from repro.core import AsyRGS, randomized_gauss_seidel
 from repro.exceptions import ModelError, ShapeError
-from repro.execution import InconsistentUniform, LossyWrites, UniformDelay
+from repro.execution import (
+    InconsistentUniform,
+    LossyWrites,
+    ProcessAsyRGS,
+    UniformDelay,
+)
 from repro.rng import DirectionStream
 from repro.workloads import random_unit_diagonal_spd
 
@@ -17,6 +22,21 @@ def system():
     A = random_unit_diagonal_spd(45, nnz_per_row=5, offdiag_scale=0.7, seed=21)
     b, x_star = manufactured_system(A, seed=22)
     return A, b, x_star
+
+
+#: The facade's two engines, and the pool that runs the same algorithm
+#: on real processes: all three validate ``b`` and ``x0`` by one table.
+SOLVERS = {
+    "phased": lambda A, b: AsyRGS(A, b, nproc=2),
+    "general": lambda A, b: AsyRGS(A, b, engine="general", nproc=2),
+    "processes": lambda A, b: ProcessAsyRGS(A, b, nproc=2),
+}
+
+
+def _run_one_sweep(solver, x0):
+    if isinstance(solver, AsyRGS):
+        return solver.run_sweeps(1, x0=x0)
+    return solver.run(x0, solver.n_rows)
 
 
 class TestEngines:
@@ -66,6 +86,9 @@ class TestEngines:
         A, b, _ = system
         with pytest.raises(ModelError):
             AsyRGS(A, b, engine="warp")
+        # Real processes are a pool, built by make_solver, not an engine.
+        with pytest.raises(ModelError, match="make_solver"):
+            AsyRGS(A, b, engine="processes")
 
     def test_delay_model_with_phased_rejected(self, system):
         A, b, _ = system
@@ -134,32 +157,32 @@ class TestRunSweeps:
 class TestRHSValidation:
     """b is validated once, up front, identically for every engine."""
 
-    @pytest.mark.parametrize("engine", ["phased", "general", "processes"])
+    @pytest.mark.parametrize("engine", sorted(SOLVERS))
     def test_three_dim_b_rejected_at_init(self, system, engine):
         A, b, _ = system
         with pytest.raises(ShapeError, match="expected"):
-            AsyRGS(A, np.zeros((A.shape[0], 2, 2)), engine=engine, nproc=2)
+            SOLVERS[engine](A, np.zeros((A.shape[0], 2, 2)))
 
-    @pytest.mark.parametrize("engine", ["phased", "general", "processes"])
+    @pytest.mark.parametrize("engine", sorted(SOLVERS))
     def test_wrong_length_b_rejected_at_init(self, system, engine):
         A, b, _ = system
         with pytest.raises(ShapeError, match="expected"):
-            AsyRGS(A, b[:-3], engine=engine, nproc=2)
+            SOLVERS[engine](A, b[:-3])
 
     def test_error_message_uniform_across_engines(self, system):
         A, b, _ = system
         messages = set()
-        for engine in ("phased", "general", "processes"):
+        for build in SOLVERS.values():
             with pytest.raises(ShapeError) as err:
-                AsyRGS(A, b[:-3], engine=engine, nproc=2)
+                build(A, b[:-3])
             messages.add(str(err.value))
         assert len(messages) == 1
 
     def test_block_b_accepted_by_every_engine(self, system):
         A, b, _ = system
         B = np.stack([b, 2 * b], axis=1)
-        for engine in ("phased", "general", "processes"):
-            assert AsyRGS(A, B, engine=engine, nproc=2).b.shape == B.shape
+        for build in SOLVERS.values():
+            assert build(A, B).b.shape == B.shape
 
 
 class TestX0Validation:
@@ -167,34 +190,32 @@ class TestX0Validation:
     a shape-mismatched x0 used to broadcast silently or fail deep
     inside an engine with an opaque error."""
 
-    @pytest.mark.parametrize("engine", ["phased", "general", "processes"])
+    @pytest.mark.parametrize("engine", sorted(SOLVERS))
     def test_wrong_length_x0_rejected(self, system, engine):
         A, b, _ = system
-        s = AsyRGS(A, b, engine=engine, nproc=2)
+        s = SOLVERS[engine](A, b)
         with pytest.raises(ShapeError, match="x0 has shape"):
             s.solve(tol=1e-6, max_sweeps=10, x0=np.zeros(5))
         with pytest.raises(ShapeError, match="x0 has shape"):
-            s.run_sweeps(1, x0=np.zeros(5))
+            _run_one_sweep(s, np.zeros(5))
 
-    @pytest.mark.parametrize("engine", ["phased", "general", "processes"])
+    @pytest.mark.parametrize("engine", sorted(SOLVERS))
     def test_vector_x0_against_block_b_rejected(self, system, engine):
         """The silent-broadcast case: an (n,) x0 against an (n, k) b."""
         A, b, _ = system
         B = np.stack([b, 2 * b], axis=1)
-        s = AsyRGS(A, B, engine=engine, nproc=2)
+        s = SOLVERS[engine](A, B)
         with pytest.raises(ShapeError, match="x0 has shape"):
             s.solve(tol=1e-6, max_sweeps=10, x0=np.zeros(A.shape[0]))
         with pytest.raises(ShapeError, match="x0 has shape"):
-            s.run_sweeps(1, x0=np.zeros(A.shape[0]))
+            _run_one_sweep(s, np.zeros(A.shape[0]))
 
     def test_error_message_uniform_across_engines(self, system):
         A, b, _ = system
         messages = set()
-        for engine in ("phased", "general", "processes"):
+        for build in SOLVERS.values():
             with pytest.raises(ShapeError) as err:
-                AsyRGS(A, b, engine=engine, nproc=2).solve(
-                    tol=1e-6, max_sweeps=10, x0=np.zeros(5)
-                )
+                build(A, b).solve(tol=1e-6, max_sweeps=10, x0=np.zeros(5))
             messages.add(str(err.value))
         assert len(messages) == 1
 
@@ -207,8 +228,8 @@ class TestX0Validation:
 
 class TestColumnTracking:
     """Per-column convergence and early retirement on the simulated
-    engines (the processes engine's variant is tested with the
-    multiprocess suite)."""
+    engines (the pool's variant is tested with the multiprocess
+    suite)."""
 
     @pytest.fixture(scope="class")
     def block(self, system):
@@ -338,14 +359,12 @@ class TestStepSize:
 
         A, b, _ = system
         expected = optimal_beta_inconsistent(rho_two(A), 1)
-        s = AsyRGS(A, b, nproc=2, engine="processes", beta="auto")
-        assert s.tau == 1
-        assert s.beta == pytest.approx(expected)
-        s2 = AsyRGS(
+        s = AsyRGS(
             A, b, engine="general", beta="auto",
             delay_model=InconsistentUniform(1, miss_prob=0.5, seed=4),
         )
-        assert s2.beta == pytest.approx(expected)
+        assert s.tau == 1
+        assert s.beta == pytest.approx(expected)
 
     def test_explicit_beta_used(self, system):
         A, b, _ = system

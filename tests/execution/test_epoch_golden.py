@@ -1,6 +1,6 @@
 """Golden pin of the epoch scheme on every engine.
 
-Each epoch-scheme solve — AsyRGS on the phased, general and processes
+Each epoch-scheme solve — AsyRGS on the phased and general simulator
 engines, :class:`~repro.execution.ProcessAsyRGS` and
 :class:`~repro.execution.AsyRK` at ``nproc=1`` (one worker, so every
 count and every bit repeats), and :func:`owner_computes_solve` — is run
@@ -150,10 +150,8 @@ def _pool_record(res):
 
 def _run_asyrgs(engine, case):
     tol, max_sweeps, x0, kw, b = _square_kwargs(case, X_STAR)
-    options = {"nproc": 1} if engine == "processes" else {"nproc": 4}
-    if engine == "phased":
-        options["atomic"] = False  # overwrite races: lost writes to pin
-    solver = AsyRGS(A, b, engine=engine, **options)
+    # Non-atomic phased rounds race overwrites: lost writes to pin.
+    solver = AsyRGS(A, b, engine=engine, nproc=4, atomic=engine != "phased")
     return _asyrgs_record(solver.solve(tol, max_sweeps, x0, **kw))
 
 
@@ -210,7 +208,6 @@ def _runs():
     for case in CASES:
         for engine in ("phased", "general"):
             out.append((f"asyrgs-{engine}-{case}", lambda e=engine, c=case: _run_asyrgs(e, c), ()))
-        out.append((f"asyrgs-processes-{case}", lambda c=case: _run_asyrgs("processes", c), pool))
         out.append((f"process-asyrgs-{case}", lambda c=case: _run_process_asyrgs(c), pool))
         out.append((f"asyrk-{case}", lambda c=case: _run_asyrk(c), pool))
     for case in OWNER_CASES:

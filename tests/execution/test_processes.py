@@ -305,7 +305,7 @@ class TestBlockRHS:
         # And the block converges under real concurrency (the Gram
         # matrix is ill-conditioned by construction, so the tolerance
         # is modest to keep the test fast).
-        res = AsyRGS(A, B, nproc=2, engine="processes").solve(
+        res = ProcessAsyRGS(A, B, nproc=2).solve(
             tol=1e-4, max_sweeps=2000, sync_every_sweeps=50
         )
         assert res.converged
@@ -541,92 +541,53 @@ class TestRealParallelism:
 
 
 class TestAsyRGSFacade:
+    """The pool runs what the simulator facade runs: the same solve,
+    free run and block contracts, and the same sweep accounting."""
+
     def test_solve_via_engine(self, laplace_system):
         A, b, x_star = laplace_system
-        solver = AsyRGS(A, b, nproc=2, engine="processes")
+        solver = ProcessAsyRGS(A, b, nproc=2)
         res = solver.solve(tol=1e-6, max_sweeps=1500, sync_every_sweeps=25)
         assert res.converged
-        assert res.tau_observed is not None
+        assert res.tau_observed.count == res.iterations
         assert res.wall_time > 0
-        assert res.history.final < 1e-6
+        assert res.checkpoints[-1][1] < 1e-6
         assert np.abs(res.x - x_star).max() < 1e-4
 
     def test_run_sweeps_via_engine(self, system):
         A, b, _ = system
-        solver = AsyRGS(A, b, nproc=2, engine="processes")
-        res = solver.run_sweeps(5)
+        solver = ProcessAsyRGS(A, b, nproc=2)
+        res = solver.run(None, 5 * A.shape[0])
         assert res.iterations == 5 * A.shape[0]
-        assert res.sync_points == 0
-        assert res.tau_observed is not None
+        assert res.sweeps_done == 5
+        assert res.sync_points == 1  # one segment, nothing synchronized inside
+        assert res.tau_observed.count == res.iterations
 
     def test_block_solve_via_engine(self, block_system):
         A, B, X_star = block_system
-        solver = AsyRGS(A, B, nproc=2, engine="processes")
+        solver = ProcessAsyRGS(A, B, nproc=2)
         res = solver.solve(tol=1e-8, max_sweeps=400, sync_every_sweeps=10)
         assert res.converged
         assert res.x.shape == B.shape
         assert np.abs(res.x - X_star).max() < 1e-5
-        assert res.history.final < 1e-8
+        assert res.checkpoints[-1][1] < 1e-8
 
     def test_sweeps_accounting_matches_simulated(self, system):
-        """Regression: every engine reports the same sweep quantity —
-        epochs of n updates actually executed (tol=0 pins it to
-        max_sweeps on both paths)."""
+        """Regression: the pool and the simulators report the same sweep
+        quantity — epochs of n updates actually executed (tol=0 pins it
+        to max_sweeps on both paths)."""
         A, b, _ = system
         kwargs = dict(tol=0.0, max_sweeps=13, sync_every_sweeps=5)
-        res_p = AsyRGS(A, b, nproc=2, engine="processes").solve(**kwargs)
+        res_p = ProcessAsyRGS(A, b, nproc=2).solve(**kwargs)
         res_s = AsyRGS(A, b, nproc=2, engine="phased").solve(**kwargs)
-        assert res_p.sweeps == res_s.sweeps == 13
+        assert res_p.sweeps_done == res_s.sweeps == 13
         assert res_p.iterations == 13 * A.shape[0]
         # Immediate convergence reports zero sweeps on both paths too.
-        res_p0 = AsyRGS(A, b, nproc=2, engine="processes").solve(
-            tol=np.inf, max_sweeps=10
-        )
+        res_p0 = ProcessAsyRGS(A, b, nproc=2).solve(tol=np.inf, max_sweeps=10)
         res_s0 = AsyRGS(A, b, nproc=2, engine="phased").solve(
             tol=np.inf, max_sweeps=10
         )
-        assert res_p0.sweeps == res_s0.sweeps == 0
-
-    def test_auto_beta(self, system):
-        A, b, _ = system
-        solver = AsyRGS(A, b, nproc=2, engine="processes", beta="auto")
-        assert 0.0 < solver.beta < 2.0
-        assert solver.tau == 1  # nominal τ = P − 1
-
-    def test_seed_keys_default_directions(self, system):
-        """The processes engine consumes no other randomness, so the
-        facade's seed keys its default stream (unlike the simulated
-        engines, whose default stays pinned at 0 across configurations)."""
-        A, b, _ = system
-        assert AsyRGS(A, b, nproc=2, engine="processes", seed=5).directions.seed == 5
-        assert AsyRGS(A, b, nproc=2, engine="phased", seed=5).directions.seed == 0
-
-    def test_atomic_default_matches_backend(self, system):
-        """atomic=None resolves to the engine's native regime: unlocked
-        for real processes (the Section 9 non-atomic experiment, same as
-        the speedup bench), locked for the simulated engines."""
-        A, b, _ = system
-        assert AsyRGS(A, b, nproc=2, engine="processes")._sim.atomic is False
-        assert AsyRGS(A, b, nproc=2, engine="processes", atomic=True)._sim.atomic is True
-
-    def test_start_iteration_rejected(self, system):
-        A, b, _ = system
-        solver = AsyRGS(A, b, nproc=2, engine="processes")
-        with pytest.raises(ModelError):
-            solver.run_sweeps(1, start_iteration=30)
-
-    def test_jitter_rejected(self, system):
-        A, b, _ = system
-        with pytest.raises(ModelError):
-            AsyRGS(A, b, nproc=2, engine="processes", jitter=3)
-
-    def test_delay_model_rejected(self, system):
-        from repro.execution import UniformDelay
-
-        A, b, _ = system
-        with pytest.raises(ModelError):
-            AsyRGS(A, b, nproc=2, engine="processes",
-                   delay_model=UniformDelay(4, seed=1))
+        assert res_p0.sweeps_done == res_s0.sweeps == 0
 
 
 class TestCapacityLayouts:
@@ -769,15 +730,6 @@ class TestCapacityLayouts:
         assert res.column_sweeps.shape == (3,)
         assert res.column_sweeps[1] == 0
         np.testing.assert_array_equal(res.x[:, 1], X_star[:, 1])
-
-    def test_facade_forwards_capacity(self, block_system):
-        from repro.core import AsyRGS
-
-        A, B, _ = block_system
-        solver = AsyRGS(A, B[:, 0], nproc=2, engine="processes", capacity_k=5)
-        assert solver._sim.capacity_k == 5
-        with pytest.raises(ModelError, match="capacity_k"):
-            AsyRGS(A, B[:, 0], nproc=2, engine="phased", capacity_k=5)
 
 
 class TestWorkerCrashReporting:

@@ -142,7 +142,7 @@ class TestContracts:
     def test_rejects_asyrk_sharding(self, lap_system):
         A, b = lap_system
         with pytest.raises(ModelError, match="method 'asyrgs' only"):
-            ShardedSolver(A, b, shards=2, method="asyrk")
+            make_solver("asyrk", A, b, shards=2)
 
     def test_sharded_solver_needs_two_shards(self, lap_system):
         """One shard is make_solver's plain pool, never a coordinator."""

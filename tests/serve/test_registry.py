@@ -13,8 +13,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import AsyRGS
 from repro.exceptions import ServeError
+from repro.execution import ProcessAsyRGS
 from repro.serve import MatrixRegistry, ServerStats, serve_stream
 from repro.serve.metrics import fold_stats
 from repro.sparse import write_matrix_market
@@ -251,8 +251,8 @@ class TestRouting:
         (A1, b1, _), (A2, b2, _) = two_systems
         r1 = registry.solve(b1, matrix="one", timeout=WAIT)
         r2 = registry.solve(b2, matrix="two", timeout=WAIT)
-        ref1 = AsyRGS(A1, b1, nproc=1, engine="processes").solve(**SOLVE)
-        ref2 = AsyRGS(A2, b2, nproc=1, engine="processes").solve(**SOLVE)
+        ref1 = ProcessAsyRGS(A1, b1, nproc=1).solve(**SOLVE)
+        ref2 = ProcessAsyRGS(A2, b2, nproc=1).solve(**SOLVE)
         np.testing.assert_array_equal(r1.x, ref1.x)
         np.testing.assert_array_equal(r2.x, ref2.x)
 

@@ -11,8 +11,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import AsyRGS
 from repro.exceptions import ServeError, ShapeError
+from repro.execution import ProcessAsyRGS
 from repro.serve import (
     SolverServer,
     encode_error,
@@ -39,12 +39,12 @@ def server(system):
 
 class TestSingleRequests:
     def test_matches_equivalent_serial_solve(self, server, block_system):
-        """A served request must answer exactly like AsyRGS.solve on the
-        same engine/stream (nproc=1 is deterministic; the capacity pool
+        """A served request must answer exactly like ProcessAsyRGS.solve
+        on the same stream (nproc=1 is deterministic; the capacity pool
         takes the same scalar gather path for a lone active column)."""
         A, B, _ = block_system
         res = server.solve(B[:, 0], timeout=WAIT)
-        ref = AsyRGS(A, B[:, 0], nproc=1, engine="processes").solve(
+        ref = ProcessAsyRGS(A, B[:, 0], nproc=1).solve(
             tol=1e-8, max_sweeps=300, sync_every_sweeps=10
         )
         assert res.converged and ref.converged
@@ -107,7 +107,7 @@ class TestBlockRequests:
     def test_block_matches_equivalent_serial_solve(self, server, block_system):
         A, B, _ = block_system
         res = server.solve(B, timeout=WAIT)
-        ref = AsyRGS(A, B, nproc=1, engine="processes").solve(
+        ref = ProcessAsyRGS(A, B, nproc=1).solve(
             tol=1e-8, max_sweeps=300, sync_every_sweeps=10
         )
         assert res.converged and ref.converged

@@ -23,8 +23,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import AsyRGS
 from repro.exceptions import ServeError
+from repro.execution import ProcessAsyRGS
 from repro.serve import MatrixRegistry, SolverServer
 from repro.workloads import random_unit_diagonal_spd
 import repro.execution.pool as processes_module
@@ -39,18 +39,17 @@ class TestConcurrentClients:
     def test_mixed_traffic_matches_serial(self, block_system):
         """8 client threads × mixed single/block requests against one
         nproc=1 server: every result equals the same-parameter serial
-        AsyRGS.solve (deterministic engine, per-request retirement)."""
+        ProcessAsyRGS.solve (deterministic at nproc=1, per-request
+        retirement)."""
         A, B, _ = block_system
         n, k = B.shape
         kwargs = dict(tol=1e-8, max_sweeps=300, sync_every_sweeps=10)
         # One reference per distinct request payload, computed serially.
         refs = {
-            j: AsyRGS(A, B[:, j], nproc=1, engine="processes").solve(**kwargs)
+            j: ProcessAsyRGS(A, B[:, j], nproc=1).solve(**kwargs)
             for j in range(k)
         }
-        refs["block"] = AsyRGS(
-            A, B[:, :3], nproc=1, engine="processes"
-        ).solve(**kwargs)
+        refs["block"] = ProcessAsyRGS(A, B[:, :3], nproc=1).solve(**kwargs)
 
         n_threads, per_thread = 8, 6
         outcomes: dict = {}
@@ -161,7 +160,7 @@ class TestRegistryStress:
                 30, nnz_per_row=4, offdiag_scale=0.6, seed=seed
             )
             b, _ = manufactured_system(A, seed=seed + 1)
-            ref = AsyRGS(A, b, nproc=1, engine="processes").solve(**kwargs)
+            ref = ProcessAsyRGS(A, b, nproc=1).solve(**kwargs)
             assert ref.converged
             systems[name] = (A, b, ref)
 

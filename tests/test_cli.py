@@ -109,6 +109,22 @@ class TestSolve:
         )
         assert code == 0
 
+    @pytest.mark.multiprocess
+    def test_processes_engine_auto_beta(self, matrix_file, capsys):
+        """On the pool, ``--beta auto`` is the Theorem 4 step for the
+        nominal τ = P − 1 with inconsistent (live shared-memory) reads."""
+        from repro.core import auto_step_size
+
+        path, A = matrix_file
+        code = main(
+            ["solve", str(path), "--engine", "processes", "--nproc", "2",
+             "--beta", "auto", "--tol", "1e-6", "--max-sweeps", "2000"]
+        )
+        assert code == 0
+        beta = auto_step_size(A, tau=1, consistent=False)
+        assert 0.0 < beta < 2.0
+        assert f"beta={beta:.4g}" in capsys.readouterr().out
+
     def test_custom_rhs_and_output(self, matrix_file, tmp_path, capsys):
         path, A = matrix_file
         rhs = tmp_path / "b.txt"
