@@ -48,6 +48,22 @@ void row_directions(uint32_t key0, uint32_t key1, int64_t n_rows,
                     int64_t start, int64_t count, int64_t *out);
 int64_t row_segment(const struct row_segment *s, const int64_t *act,
                     int64_t nact, int64_t done, int64_t target);
+int column_residuals(int64_t nrows, int64_t k, const int64_t *indptr,
+                     const int64_t *indices, const double *data,
+                     const double *x, int64_t ldx, const double *b,
+                     int64_t ldb, const int64_t *cols, int64_t ncols,
+                     double *out);
+struct gate {
+    int64_t *error;
+    int64_t *start;
+    int64_t *arrived;
+    int64_t nproc;
+};
+void gate_open(const struct gate *g);
+int gate_wait_end(const struct gate *g, double timeout);
+int64_t gate_wait_start(const struct gate *g, int64_t seen, double timeout);
+void gate_arrive(const struct gate *g);
+void gate_fail(const struct gate *g, int64_t code);
 """
 #: A build that takes longer than this is treated as failed.
 _BUILD_TIMEOUT_S = 120.0

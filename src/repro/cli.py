@@ -757,9 +757,9 @@ def _cmd_serve(args) -> int:
     from .serve import MatrixRegistry, make_http_server, make_tcp_server, serve_stream
 
     # SIGTERM must shut the pools down like ^C does: the default handler
-    # would kill this process without cleanup, orphaning the worker
-    # processes (parked on their barrier forever) and leaking the
-    # shared-memory segments. The first TERM starts the graceful drain;
+    # would kill this process without cleanup, leaking the shared-memory
+    # segments (the orphaned workers only leave at their next look
+    # around the start gate). The first TERM starts the graceful drain;
     # repeats are ignored from then on — supervisors (and coreutils
     # `timeout`, which signals both the child and its process group)
     # routinely deliver TERM more than once, and a second KeyboardInterrupt

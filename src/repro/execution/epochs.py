@@ -23,6 +23,7 @@ bookkeeping through :class:`ColumnFold`; a caller's ``metric`` becomes a
 
 from __future__ import annotations
 
+import math
 from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 
@@ -84,13 +85,13 @@ class ProcessRunResult:
     per_worker_iterations:
         Commit counts per worker process.
     sync_points:
-        Barrier crossings executed (epoch boundaries).
+        Synchronization points crossed (epoch boundaries).
     converged:
         Whether the tolerance was reached (``False`` without one).
     wall_time:
         Wall-clock seconds spent inside the worker session (excludes
-        process startup, includes barrier waits — the honest number a
-        strong-scaling plot should use).
+        process startup, includes the waits at the epoch gates — the
+        honest number a strong-scaling plot should use).
     tau_observed:
         :class:`DelayStats` from the shared write-log.
     checkpoints:
@@ -187,7 +188,7 @@ class ColumnFold:
     def value(self) -> float:
         """``‖num‖₂`` relative to the aggregate denominator (absolute
         when that is zero)."""
-        total = float(np.linalg.norm(self.num))
+        total = math.sqrt(self.num.dot(self.num))  # np.linalg.norm's sum
         return total / self._denom_total if self._denom_total > 0 else total
 
     @property
@@ -196,19 +197,24 @@ class ColumnFold:
 
     def active(self) -> np.ndarray:
         """Indices of the columns still in the active set."""
-        return np.flatnonzero(~self.done_mask)
+        return (~self.done_mask).nonzero()[0]
 
     def fold(self, sweeps_done: int, retire: bool) -> np.ndarray:
         """Stamp columns newly below ``tol``, update the mask, and return
         the columns retired by this boundary (none when not retiring)."""
         below = self.col < self.tol
-        newly_below = np.flatnonzero(below & (self.column_sweeps < 0))
-        self.column_sweeps[newly_below] = int(sweeps_done)
         if not retire:
+            self.column_sweeps[below & (self.column_sweeps < 0)] = int(sweeps_done)
             self.done_mask = below
             return np.empty(0, dtype=np.int64)
-        newly_retired = np.flatnonzero(below & ~self.done_mask)
-        self.done_mask |= below
+        # A done column is stamped already (both branches keep that so),
+        # so every column to stamp is among those retired now: at most
+        # boundaries that is none, and this costs three NumPy calls.
+        newly_retired = (below > self.done_mask).nonzero()[0]
+        if newly_retired.size:
+            fresh = newly_retired[self.column_sweeps[newly_retired] < 0]
+            self.column_sweeps[fresh] = int(sweeps_done)
+            self.done_mask[newly_retired] = True
         return newly_retired
 
 

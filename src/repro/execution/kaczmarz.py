@@ -12,7 +12,7 @@ This is the AsyRK iteration of Liu, Wright & Sridhar (arXiv 1401.4780,
 the shared iterate inconsistently — the same regime the source paper
 proves convergent for AsyRGS — and the expected update direction is a
 uniformly random row, so the whole pool apparatus (per-worker strided
-Philox streams, epoch/barrier scheme, write-log staleness measurement,
+Philox streams, epoch gates, write-log staleness measurement,
 per-column retirement) transfers unchanged. Even the arithmetic is
 shared: AsyRK runs the pool's one native segment kernel with its
 projection scatter (``project = True``). The layout geometry differs from AsyRGS: directions

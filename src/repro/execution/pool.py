@@ -2,9 +2,9 @@
 
 This module is the method-independent half of what used to be
 ``execution/processes.py``: the one-segment ``SharedMemory`` layout and
-zero-copy views, worker attach/crash attribution, the epoch/barrier
-protocol (control word, cumulative update targets, generation stamps
-for pool reuse), per-worker Philox direction streams, the delay
+zero-copy views, worker attach/crash attribution, the epoch gates
+(control words, cumulative update targets, generation stamps for pool
+reuse), per-worker Philox direction streams, the delay
 write-log, per-column retirement, and the persistent-pool lifecycle
 (:class:`PoolSolver`).
 
@@ -15,7 +15,7 @@ lines 5–7): gather row ``r`` from the live shared iterate (no snapshot
 over the active columns, scatter. One row gather serves every active
 column (the paper's 51-RHS amortization). The pool core owns
 everything around it: direction draws, progress ticketing, the
-staleness write-log, and both barriers.
+staleness write-log, and both gates.
 
 The step
 --------
@@ -30,6 +30,25 @@ construction, before any shared memory or process exists, and
 :func:`~repro.execution.check_solver` refuses it at registration.
 Workers use the module the parent loaded (inherited through ``fork``,
 read from the cache under ``spawn``).
+
+The gates
+---------
+An epoch is bracketed by two gates on words of the segment's control
+block, bound by :class:`repro._native.Gate`: the parent opens the start
+gate (it bumps a generation word and wakes the workers), and each
+worker adds itself to an arrival word when its segment is done, the
+last one waking the parent at the end gate. On Linux both sides sleep
+on a futex of the shared word, with no spin phase; elsewhere they poll
+with short sleeps. Each wait is a native call that releases the GIL and
+returns after at most ``_GATE_SLICE`` seconds, and between slices each
+side looks around:
+
+* the parent fails the solve with :class:`ModelError` once a worker
+  reported an exception (the error flag, which also opens the end
+  gate), once a worker process is dead (killed by a signal, say), or
+  once the epoch has outlasted ``barrier_timeout``;
+* a worker parked at the start gate exits once the parent sets STOP or
+  is gone itself.
 
 With ``atomic=True`` every coordinate write is one compare-exchange per
 element (Assumption A-1); at one worker the exchange always succeeds
@@ -83,7 +102,6 @@ from __future__ import annotations
 
 import os
 import signal
-import threading
 import time
 import traceback
 from contextlib import contextmanager
@@ -95,7 +113,7 @@ import numpy as np
 
 from .. import _native
 from ..exceptions import ModelError, ShapeError
-from ..rng import DirectionStream, interleave_counts
+from ..rng import DirectionStream
 from ..validation import check_rhs, check_x0, rhs_empty_message
 from .epochs import (
     DelayStats,
@@ -117,13 +135,20 @@ __all__ = [
 
 
 # Control-word slots (int64): command, cumulative update target, error
-# flag, and the generation stamp that tells workers a new call started.
+# flag, the generation stamp that tells workers a new call started, and
+# the gate words: the start gate's generation and the end gate's count
+# of arrived workers.
 _CTRL_COMMAND = 0
 _CTRL_TARGET = 1
 _CTRL_ERROR = 2
 _CTRL_GENERATION = 3
+_CTRL_START = 4
+_CTRL_ARRIVED = 5
+_CTRL_SLOTS = 6
 _CMD_RUN = 0
 _CMD_STOP = 1
+#: Longest single gate wait (seconds) before a side looks around.
+_GATE_SLICE = 0.1
 
 _ALIGN = 64  # cache-line alignment for every shared array
 
@@ -134,7 +159,8 @@ _UNIFORM_BLEND = 1.0
 #: Per-worker bound on retained write-log staleness samples; the
 #: aggregate sum/max/count are always exact.
 LOG_CAPACITY = 4096
-#: Default seconds before a barrier wait declares a pool wedged.
+#: Default seconds before an epoch that has not reached its end gate
+#: declares the pool wedged.
 BARRIER_TIMEOUT = 300.0
 
 
@@ -172,7 +198,7 @@ def _layout(geom, nproc: int):
         "progress": (np.int64, (nproc,)),
         "row_nnz": (np.int64, (nproc,)),
         "col_updates": (np.int64, (nproc,)),
-        "control": (np.int64, (4,)),
+        "control": (np.int64, (_CTRL_SLOTS,)),
         "delay_sum": (np.int64, (nproc,)),
         "delay_max": (np.int64, (nproc,)),
         "delay_count": (np.int64, (nproc,)),
@@ -251,49 +277,44 @@ def residual_weights(A, v: dict[str, np.ndarray]) -> np.ndarray:
     return np.abs(v["b"][:, act] - A.matmat(v["x"][:, act])).sum(axis=1)
 
 
+def _gate(control: np.ndarray, nproc: int):
+    """The epoch gates on the segment's ``control`` words."""
+    return _native.Gate.bind(
+        control, error=_CTRL_ERROR, start=_CTRL_START,
+        arrived=_CTRL_ARRIVED, nproc=nproc,
+    )
+
+
 def _worker_main(
     wid: int,
     nproc: int,
     shm_name: str,
     geom,
     kernel: dict,
-    barrier,
 ) -> None:
     """Worker entry point: attach, run the epoch loop, clean up."""
     # Workers are torn down by the parent through the control word,
     # never by signals: a terminal ^C or a supervisor's TERM is
-    # delivered to the whole process group, and a signal landing inside
-    # barrier.wait() would raise past the crash handler (KeyboardInterrupt
-    # is not an Exception) without aborting the barrier — the parent
-    # would then burn its full barrier_timeout waiting on a dead
-    # worker's gate. The parent escalates to SIGKILL when a worker
-    # genuinely must die.
+    # delivered to the whole process group, and a worker that died of
+    # it would fail the solve it serves. The parent escalates to
+    # SIGKILL when a worker genuinely must die.
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.signal(signal.SIGTERM, signal.SIG_IGN)
     except ValueError:  # pragma: no cover - non-main thread (in-process use)
         pass
     shm = _attach(shm_name)
+    gate = _gate(_views(shm, geom, nproc)["control"], nproc)
     try:
-        _worker_loop(wid, nproc, shm, geom, kernel, barrier)
-    except threading.BrokenBarrierError:
-        # A sibling crashed and aborted the barrier; it already reported
-        # itself. Recording this secondary death would misattribute the
-        # crash to an innocent worker.
-        pass
+        _worker_loop(wid, nproc, shm, geom, kernel, gate)
     except Exception:  # pragma: no cover - exercised only on worker crashes
-        try:
-            # Record *which* worker crashed (wid + 1 so 0 keeps meaning
-            # "no error"). First reporter wins; two genuine crashers
-            # racing is fine — either id is attributable.
-            ctrl = _views(shm, geom, nproc)["control"]
-            if ctrl[_CTRL_ERROR] == 0:
-                ctrl[_CTRL_ERROR] = wid + 1
-        except Exception:
-            pass
         traceback.print_exc()
-        barrier.abort()  # wake the parent instead of deadlocking it
+        # Name *this* worker (wid + 1, so 0 keeps meaning "no error";
+        # the first reporter wins) and open the end gate: the parent
+        # fails the solve at once instead of waiting out its timeout.
+        gate.fail(wid + 1)
     finally:
+        gate.release()  # before the shared memory under it is closed
         try:
             shm.close()
         except BufferError:  # pragma: no cover - stray view refs at exit
@@ -306,7 +327,7 @@ def _worker_loop(
     shm: shared_memory.SharedMemory,
     geom,
     kernel: dict,
-    barrier,
+    gate,
 ) -> None:
     """Worker body: epochs of randomized updates on the shared iterate.
 
@@ -314,35 +335,59 @@ def _worker_loop(
     the generation stamp at the start gate rewinds the worker's position
     in the direction stream to 0, so one pool serves many calls. Each
     epoch segment is one call of the native kernel, bound to the views
-    once with the solver's ``kernel`` parameters; the gates and the
-    segment's target are method independent.
+    once with the solver's ``kernel`` parameters, between the start gate
+    and the worker's arrival at the end gate; the gates and the
+    segment's target are method independent. Parked at the start gate,
+    the worker looks around every ``_GATE_SLICE`` seconds and leaves once
+    the parent has stopped the pool or is gone.
     """
     v = _views(shm, geom, nproc)
     control, active = v["control"], v["active"]
     run = _native.RowSegment.bind(v, wid=wid, nproc=nproc, **kernel)
     if run is None:  # pragma: no cover - the parent loaded the module
         raise RuntimeError("the native module did not load in this worker")
+    parent = multiprocessing.parent_process()
+    seen = 0  # the start gate's generation when the pool was set up
     done = 0
     generation = 0
     try:
         while True:
-            barrier.wait()  # start gate: parent has published the control word
+            opened = gate.wait_start(seen, _GATE_SLICE)
+            if opened == seen:  # a slice without an epoch
+                if control[_CTRL_COMMAND] == _CMD_STOP or not parent.is_alive():
+                    break
+                continue
+            seen = opened
             if control[_CTRL_COMMAND] == _CMD_STOP:
                 break
             if control[_CTRL_GENERATION] != generation:
                 generation = int(control[_CTRL_GENERATION])
                 done = 0  # new call on the same pool: rewind the stream
-            target = int(interleave_counts(int(control[_CTRL_TARGET]), nproc)[wid])
+            # This worker's share of the cumulative target, as
+            # interleave_counts cuts it: the first total % nproc
+            # workers take one draw more.
+            total = int(control[_CTRL_TARGET])
+            target = total // nproc + (wid < total % nproc)
             # The active-column set and the adaptive CDF are sampled once
             # per epoch, right after the start gate: the parent changes
             # them only while it owns the segment (between the end gate
             # and the next start gate), so they never change
             # mid-segment — Theorem 2's segment structure is preserved,
             # the segments just narrow.
-            done = run(np.flatnonzero(active != 0), done, target)
-            barrier.wait()  # end gate: all updates of the epoch are visible
+            done = run(active.nonzero()[0], done, target)
+            gate.arrive()  # end gate: all updates of the epoch are visible
     finally:
         run.release()  # before the shared memory under it is closed
+
+
+def _death(exitcode: int) -> str:
+    """How a process with this ``exitcode`` ended, in words."""
+    if exitcode >= 0:
+        return f"exited with code {exitcode}"
+    try:
+        return f"killed by {signal.Signals(-exitcode).name}"
+    except ValueError:
+        return f"killed by signal {-exitcode}"
 
 
 class _WorkerPool:
@@ -352,8 +397,8 @@ class _WorkerPool:
     worker processes; :meth:`begin` then prepares the segment for one
     ``run()``/``solve()`` call (iterate, RHS, counters, generation
     stamp) without touching the processes — the persistent-pool reuse
-    path. Workers are always parked at the start-gate barrier between
-    epochs, so the parent owns the segment whenever it writes.
+    path. Workers are always parked at the start gate between epochs,
+    so the parent owns the segment whenever it writes.
     """
 
     def __init__(self, backend: "PoolSolver"):
@@ -373,15 +418,9 @@ class _WorkerPool:
         try:
             self._setup(backend, P, A)
         except BaseException:
-            # Abort before any barrier crossing so already-started workers
-            # (blocked at the start gate) wake and exit instead of hanging,
-            # then free the segment — callers install their finally only
+            # Kill the workers already started (parked at the start gate)
+            # and free the segment: callers install their finally only
             # after __init__ returns.
-            try:
-                if hasattr(self, "barrier"):
-                    self.barrier.abort()
-            except Exception:
-                pass
             self._kill()
             raise
 
@@ -394,7 +433,7 @@ class _WorkerPool:
         self.views["control"][:] = 0
         backend.csr_copies += 1
         ctx = backend._ctx
-        self.barrier = ctx.Barrier(P + 1)
+        self.gate = _gate(self.views["control"], P)
         kernel = {
             "offset": backend.offset, "project": backend.project,
             "atomic": backend.atomic, "beta": backend.beta,
@@ -403,7 +442,7 @@ class _WorkerPool:
         self.procs = [
             ctx.Process(
                 target=_worker_main,
-                args=(wid, P, self._shm.name, backend._geom(), kernel, self.barrier),
+                args=(wid, P, self._shm.name, backend._geom(), kernel),
                 name=f"{backend.method_name}-proc-{wid}",
                 daemon=True,
             )
@@ -476,31 +515,49 @@ class _WorkerPool:
         c[-1] = 1.0
         self.views["cdf"][:] = c
 
-    def _wait(self) -> None:
-        try:
-            self.barrier.wait(timeout=self.backend.barrier_timeout)
-        except threading.BrokenBarrierError:
-            # Read the flag before _kill() frees the shared views.
-            reported = int(self.views["control"][_CTRL_ERROR])
-            self._kill()
+    def _fail(self, message: str):
+        self._kill()
+        raise ModelError(message)
+
+    def _await_end(self, start: float) -> None:
+        """Wait at the end gate in slices of ``_GATE_SLICE`` seconds.
+
+        The solve fails, and the workers are killed, once a worker
+        reported an exception, once a worker process is dead, or once
+        the epoch started at ``start`` (``perf_counter`` seconds) has
+        outlasted ``barrier_timeout``.
+        """
+        control = self.views["control"]
+        while True:
+            state = self.gate.wait_end(_GATE_SLICE)
+            if state > 0:
+                return
+            reported = int(control[_CTRL_ERROR])
             if reported > 0:
-                raise ModelError(
+                self._fail(
                     f"worker process {reported - 1} crashed (reported an "
                     "exception mid-epoch)"
-                ) from None
-            raise ModelError("a worker process crashed or stalled") from None
+                )
+            for wid, proc in enumerate(self.procs):
+                if proc.exitcode is not None:
+                    self._fail(
+                        f"worker process {wid} crashed "
+                        f"({_death(proc.exitcode)} mid-epoch)"
+                    )
+            if time.perf_counter() - start > self.backend.barrier_timeout:
+                self._fail("a worker process crashed or stalled")
 
     def advance(self, additional_updates: int) -> None:
         """Run one asynchronous segment of ``additional_updates`` commits,
-        ending at a barrier (all writes visible)."""
+        from the start gate to the end gate (all writes visible)."""
         self.refresh_sampling()
         self.target += int(additional_updates)
         ctrl = self.views["control"]
         ctrl[_CTRL_COMMAND] = _CMD_RUN
         ctrl[_CTRL_TARGET] = self.target
         start = time.perf_counter()
-        self._wait()  # start gate
-        self._wait()  # end gate — the epoch's updates are all visible now
+        self.gate.open()
+        self._await_end(start)  # the epoch's updates are all visible now
         self.wall_time += time.perf_counter() - start
         self.sync_points += 1
 
@@ -543,15 +600,12 @@ class _WorkerPool:
         self._join_and_free()
 
     def stop(self) -> None:
-        """Orderly shutdown: release workers through the start gate with STOP."""
+        """Orderly shutdown: release workers through the start gate with
+        STOP (a worker still in its segment sees it when it arrives)."""
         if not self._alive:
             return
         self.views["control"][_CTRL_COMMAND] = _CMD_STOP
-        try:
-            self.barrier.wait(timeout=self.backend.barrier_timeout)
-        except Exception:
-            self._kill()
-            return
+        self.gate.open()
         self._join_and_free()
 
     def _join_and_free(self) -> None:
@@ -565,6 +619,8 @@ class _WorkerPool:
                 p.join()
         if hasattr(self, "views"):
             del self.views
+        if getattr(self, "gate", None) is not None:
+            self.gate.release()  # before the shared memory under it is closed
         try:
             self._shm.close()
         except BufferError:  # pragma: no cover - stray view refs
@@ -585,8 +641,8 @@ class PoolSolver:
     pool.
 
     The pool is an epoch engine in the driver's sense: ``begin(x0, b)``
-    arms one call, ``advance(updates)`` runs one segment between two
-    barriers, ``x()`` is the shared iterate block, ``retire_columns``
+    arms one call, ``advance(updates)`` runs one segment between the
+    start and end gates, ``x()`` is the shared iterate block, ``retire_columns``
     clears slots of the shared active mask, and the counters
     (``per_worker()``, ``sync_points``, ``wall_time``,
     ``total_row_nnz()``, ``column_updates()``, ``delay_stats()``) come
@@ -624,7 +680,9 @@ class PoolSolver:
         ``multiprocessing`` start method; default prefers ``fork`` (fast,
         POSIX) and falls back to the platform default.
     barrier_timeout:
-        Seconds before a barrier wait declares the pool wedged.
+        Seconds an epoch may take to reach its end gate before the pool
+        is declared wedged. A dead worker fails the solve sooner, within
+        one gate slice (0.1 s).
     capacity_k:
         Column capacity of the shared iterate/RHS layout (default: the
         constructor ``b``'s width). Any ``run()``/``solve()`` call may
@@ -775,7 +833,7 @@ class PoolSolver:
             return
         if failed or not pool._alive:
             # A failure can leave workers mid-epoch, out of step with the
-            # parent's barrier phase — unusable. Drop the pool; the next
+            # parent's gates — unusable. Drop the pool; the next
             # call respawns (visible through spawn_count, honestly).
             if pool is self._pool:
                 self._pool = None
@@ -818,7 +876,7 @@ class PoolSolver:
         b: np.ndarray | None = None,
     ) -> ProcessRunResult:
         """One free-running asynchronous segment of ``num_iterations``
-        commits — the regime of Theorem 2(b) (no interior barriers).
+        commits — the regime of Theorem 2(b) (no interior gates).
 
         ``b=`` overrides the right-hand side for this call only. Any
         width ``k ≤ capacity_k`` is served by the live pool without a
@@ -854,7 +912,8 @@ class PoolSolver:
     ) -> ProcessRunResult:
         """Solve to tolerance with the epoch scheme of Theorem 2's
         discussion: ``sync_every_sweeps · n_rows`` asynchronous commits,
-        a real barrier, a residual check on the shared iterate, repeat.
+        a real synchronization (the end gate), a residual check on the
+        shared iterate, repeat.
 
         Convergence is judged **per column** by the method's tracker
         (relative residual for AsyRGS, normal-equations residual for

@@ -10,7 +10,7 @@ speedup is measurable.
 
 The machinery that is *not* specific to Gauss-Seidel — the one-segment
 ``SharedMemory`` layout, the worker lifecycle (control word,
-generations, epochs/barriers, crash attribution), the per-worker Philox
+generations, the epoch gates, crash attribution), the per-worker Philox
 direction streams, per-column retirement, and the persistent-pool
 plumbing — lives in :mod:`repro.execution.pool`, and so does the per-draw
 step, which every pool runs in the native segment kernel. This module
@@ -103,10 +103,14 @@ Epochs
 :meth:`ProcessAsyRGS.solve` runs the synchronization scheme of
 Theorem 2's discussion through the shared epoch driver
 (:mod:`repro.execution.epochs`): run asynchronously for ``sync_every_sweeps · n``
-updates, meet at a barrier (every worker's writes are visible — a
+updates, meet at the end gate (every worker's writes are visible — a
 segment boundary in the paper's sense), let the parent evaluate the
-residual on the shared iterate, and either continue or stop. The number
-of barrier crossings is reported as ``sync_points``.
+residual on the shared iterate, and either continue or open the start
+gate again. The gates are words of the shared segment that the parent
+and the workers wait on with a futex (see :mod:`repro.execution.pool`);
+the residual check is one native pass over the live iterate block
+(:class:`~repro.core.residuals.ColumnTracker`). The number of epochs
+is reported as ``sync_points``.
 
 Delay measurement
 -----------------

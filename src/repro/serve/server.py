@@ -581,8 +581,8 @@ class SolverServer:
 
         If the dispatcher is still mid-batch when ``timeout`` expires,
         the pool is deliberately left running and :class:`ServeError` is
-        raised — tearing it down under a live solve would wedge two
-        parent waiters on one barrier and free the shared views mid-use.
+        raised — tearing it down under a live solve would open its gates
+        under the solve's feet and free the shared views mid-use.
         Calling ``close()`` again retries.
 
         A server whose dispatcher already died abnormally (see

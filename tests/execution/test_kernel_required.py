@@ -10,9 +10,6 @@ command line (one ``error:`` line and exit code 2). Each refuses before
 any shared-memory segment or worker process exists.
 """
 
-import multiprocessing
-import os
-
 import numpy as np
 import pytest
 
@@ -29,19 +26,15 @@ A = random_unit_diagonal_spd(16, nnz_per_row=3, offdiag_scale=0.4, seed=2)
 B = A.matvec(np.ones(16))
 LSQ = random_least_squares(30, 10, nnz_per_row=3, seed=1)
 
+#: No test here may leave a segment or a process behind (each refuses
+#: before either exists).
+pytestmark = pytest.mark.usefixtures("no_leaks")
+
 
 def _message() -> str:
     with _native.forced(False), pytest.raises(ModelError) as info:
         require_kernel()
     return str(info.value)
-
-
-def _shm() -> set:
-    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
-
-
-def _children() -> set:
-    return {p.pid for p in multiprocessing.active_children()}
 
 
 def test_the_message_names_what_to_install():
@@ -56,23 +49,17 @@ def test_the_message_names_what_to_install():
     lambda: check_solver("asyrgs"),
 ], ids=["ProcessAsyRGS", "AsyRK", "ShardedSolver", "check_solver"])
 def test_pools_refuse_without_the_kernel(build):
-    shm, children = _shm(), _children()
     with _native.forced(False), pytest.raises(ModelError) as info:
         build()
     assert str(info.value) == _message()
-    assert _shm() <= shm
-    assert _children() <= children
 
 
 def test_registration_refuses_without_the_kernel():
-    shm, children = _shm(), _children()
     with MatrixRegistry(nproc=1) as registry:
         with _native.forced(False), pytest.raises(ServeError) as info:
             registry.register("m", A)
         assert str(info.value) == _message()
         assert registry.matrices_payload() == []
-    assert _shm() <= shm
-    assert _children() <= children
 
 
 @pytest.mark.parametrize("flags", [
@@ -83,7 +70,6 @@ def test_registration_refuses_without_the_kernel():
 def test_cli_pool_solve_refuses_without_the_kernel(flags, tmp_path, capsys):
     path = tmp_path / "system.mtx"
     write_matrix_market(A, path)
-    shm, children = _shm(), _children()
     with _native.forced(False):
         code = main(["solve", str(path), *flags])
     out, err = capsys.readouterr()
@@ -92,5 +78,3 @@ def test_cli_pool_solve_refuses_without_the_kernel(flags, tmp_path, capsys):
     assert errors == [f"error: {_message()}"]
     assert "compiler" in errors[0]
     assert "Traceback" not in out + err
-    assert _shm() <= shm
-    assert _children() <= children

@@ -6,9 +6,19 @@ one genuinely hardware-conditional check skips itself when fewer than
 two CPUs are available.
 """
 
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core import AsyRGS, randomized_gauss_seidel
 from repro.exceptions import ModelError, ShapeError
 from repro.execution import ProcessAsyRGS, available_cpus
@@ -17,7 +27,7 @@ from repro.rng import DirectionStream
 from repro.sparse import CSRMatrix
 from repro.workloads import laplacian_2d, random_unit_diagonal_spd, social_media_problem
 
-from ..conftest import manufactured_system
+from ..conftest import manufactured_system, pid_alive
 
 pytestmark = pytest.mark.multiprocess
 
@@ -433,10 +443,9 @@ class TestPersistentPool:
     def test_workers_survive_group_delivered_signals(self, system):
         """A terminal ^C or a supervisor's TERM hits the whole process
         group, workers included. Workers must shrug it off — their
-        lifecycle belongs to the parent's control word; a signal dying
-        inside barrier.wait() would skip the barrier abort and leave
-        the parent burning its full barrier_timeout on a dead gate
-        (`repro serve` under coreutils `timeout` hit exactly this)."""
+        lifecycle belongs to the parent's control word; a worker dying
+        of it would fail the solve it serves (`repro serve` under
+        coreutils `timeout` hit exactly this)."""
         import os
         import signal as signal_module
         import time
@@ -737,10 +746,11 @@ class TestWorkerCrashReporting:
         "fork" not in __import__("multiprocessing").get_all_start_methods(),
         reason="fault injection rides fork inheritance",
     )
+    @pytest.mark.usefixtures("no_leaks")
     def test_crash_raises_with_worker_id(self, system, tmp_path, monkeypatch):
         """A worker that raises mid-epoch surfaces as ModelError naming
-        the *guilty* worker (not a sibling that died of the aborted
-        barrier), and the context exit stays clean."""
+        the *guilty* worker (not a sibling the parent killed after), and
+        the context exit stays clean."""
         import repro.execution.pool as processes_module
 
         A, b, _ = system
@@ -764,6 +774,73 @@ class TestWorkerCrashReporting:
             res = solver.solve(tol=1e-8, max_sweeps=400, sync_every_sweeps=10)
             assert res.converged
             assert solver.spawn_count == 2
+
+    @pytest.mark.usefixtures("no_leaks")
+    def test_killed_worker_fails_the_solve_at_once(self, system):
+        """A worker killed by a signal mid-solve fails that solve within
+        a gate slice, not after ``barrier_timeout``: the error names the
+        worker and the signal, and the next call respawns the pool."""
+        A, b, _ = system
+        with ProcessAsyRGS(A, b, nproc=2, barrier_timeout=60.0) as solver:
+            victim = solver.worker_pids()[1]
+            killed_at = []
+
+            def kill():
+                killed_at.append(time.monotonic())
+                os.kill(victim, signal.SIGKILL)
+
+            timer = threading.Timer(0.3, kill)
+            timer.start()
+            try:
+                # tol=0 never converges: the solve runs until the kill.
+                with pytest.raises(ModelError) as info:
+                    solver.solve(tol=0.0, max_sweeps=10**7)
+                failed_at = time.monotonic()
+            finally:
+                timer.join()
+            assert "worker process 1 crashed" in str(info.value)
+            assert "SIGKILL" in str(info.value)
+            assert failed_at - killed_at[0] < 5.0
+            assert not pid_alive(victim)
+            res = solver.solve(tol=1e-8, max_sweeps=400, sync_every_sweeps=10)
+            assert res.converged
+            assert solver.spawn_count == 2
+
+    @pytest.mark.usefixtures("no_leaks")
+    def test_workers_exit_when_their_parent_dies(self, tmp_path):
+        """Workers parked at the start gate leave once their parent is
+        gone, even when it was SIGKILLed and could not stop them."""
+        script = tmp_path / "parent.py"
+        script.write_text(textwrap.dedent("""
+            import time
+            import numpy as np
+            from repro.execution import ProcessAsyRGS
+            from repro.workloads import random_unit_diagonal_spd
+
+            A = random_unit_diagonal_spd(30, nnz_per_row=4, offdiag_scale=0.6, seed=8)
+            solver = ProcessAsyRGS(A, A.matvec(np.ones(30)), nproc=2).open()
+            print(*solver.worker_pids(), flush=True)
+            time.sleep(120)
+        """))
+        src = str(pathlib.Path(repro.__file__).parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        parent = subprocess.Popen(
+            [sys.executable, str(script)], env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        )
+        try:
+            workers = [int(pid) for pid in parent.stdout.readline().split()]
+        finally:
+            # The workers share the pipe: wait for the parent, not EOF.
+            parent.kill()
+            parent.wait()
+            parent.stdout.close()
+        assert len(workers) == 2
+        deadline = time.monotonic() + 5.0
+        while any(map(pid_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(pid_alive, workers))
 
 
 class TestValidation:

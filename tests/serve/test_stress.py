@@ -246,6 +246,7 @@ class TestDispatcherResilience:
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="fault injection rides fork inheritance",
 )
+@pytest.mark.usefixtures("no_leaks")
 class TestWorkerCrash:
     def test_crash_fails_only_affected_batch_with_worker_id(
         self, system, tmp_path, monkeypatch
@@ -293,7 +294,7 @@ class TestWorkerCrash:
         self, system, tmp_path, monkeypatch
     ):
         """The id in the error is the worker that *raised*, not a
-        sibling that died of the aborted barrier."""
+        sibling the parent killed after the crash."""
         A, b, _ = system
         flag = tmp_path / "crash-armed"
         flag.touch()
