@@ -55,12 +55,12 @@ failure names the dead peer, so the coordinator's crash attribution
 
 from __future__ import annotations
 
-import json
 import socket
 import threading
 
 import numpy as np
 
+from .. import wire
 from ..exceptions import ModelError
 from .epochs import DelayStats, _no_delays
 
@@ -195,7 +195,7 @@ class _JsonLineClient:
             self._sock = sock
             self._file = sock.makefile("rwb")
         try:
-            self._file.write((json.dumps(payload) + "\n").encode("utf-8"))
+            self._file.write(wire.dumps(payload) + b"\n")
             self._file.flush()
             line = self._file.readline()
         except OSError:
@@ -207,7 +207,7 @@ class _JsonLineClient:
                 f"peer {self.address} closed the connection"
             )
         try:
-            return json.loads(line.decode("utf-8"))
+            return wire.loads(line)
         except ValueError as exc:
             self.close()
             raise ConnectionError(
@@ -530,8 +530,8 @@ class NodeShard:
                 "shard": self.shard_index,
                 "shards": self.shards,
                 "bounds": [[r0, r1] for r0, r1 in self._bounds],
-                "x0": x0.tolist(),
-                "b": np.asarray(b, dtype=np.float64).tolist(),
+                "x0": np.ascontiguousarray(x0),
+                "b": np.ascontiguousarray(b, dtype=np.float64),
                 "nproc": self.nproc,
                 "capacity_k": self.capacity_k,
                 "seed": self.seed,

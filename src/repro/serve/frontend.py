@@ -40,12 +40,12 @@ them inline, one per request/response exchange.
 from __future__ import annotations
 
 import http.server
-import json
 import queue
 import socketserver
 import threading
 import urllib.parse
 
+from .. import wire
 from ..exceptions import ServeError
 from .metrics import CONTENT_TYPE as _METRICS_CONTENT_TYPE
 from .metrics import render_metrics
@@ -147,9 +147,14 @@ def handle_line(server, line: str):
         op, payload = parse_line(line)
     except Exception as exc:  # malformed JSON / protocol violation
         # ProtocolError carries the id of any line that parsed as JSON,
-        # and always a trace id (minted before parsing) — encode_error
-        # reads the latter off the exception.
-        text = encode_error(getattr(exc, "request_id", None), exc)
+        # and always a trace id (minted before parsing). Anything else
+        # (a field nested too deeply to repr in a message) gets one
+        # minted here.
+        text = encode_error(
+            getattr(exc, "request_id", None),
+            exc,
+            getattr(exc, "trace_id", None) or mint_trace_id(),
+        )
         return lambda: text
     if op == "register":
         try:
@@ -325,7 +330,7 @@ def make_http_server(server, host: str = "127.0.0.1", port: int = 0):
 
         def _respond_line(self, text: str) -> None:
             try:
-                ok = bool(json.loads(text).get("ok"))
+                ok = bool(wire.loads(text).get("ok"))
             except ValueError:  # pragma: no cover - encoder always emits JSON
                 ok = False
             self._respond(200 if ok else 400, text)
@@ -387,7 +392,7 @@ def make_http_server(server, host: str = "127.0.0.1", port: int = 0):
                     ),
                 )
                 return
-            self._respond_line(handle_line(server, json.dumps(request))())
+            self._respond_line(handle_line(server, wire.dumps(request).decode())())
 
     class _Server(http.server.ThreadingHTTPServer):
         allow_reuse_address = True

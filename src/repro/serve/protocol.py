@@ -31,6 +31,12 @@ correlate the error with the request that caused it. ``id: null`` is
 reserved for lines that could not be parsed at all (there is nothing
 trustworthy to echo); either way the stream stays alive.
 
+Lines are read and replies written by one codec, :mod:`repro.wire`.
+Replies are compact JSON (the spaces above are for reading): no
+whitespace, floats in shortest round-trip form (``1e-7``), non-ASCII
+text as UTF-8. An integer ``id`` beyond 64 bits is read, and so
+echoed, as a float.
+
 Every number must be finite. The ``NaN`` / ``Infinity`` literals that
 Python's ``json`` accepts are not JSON (RFC 8259), so a line carrying
 one is unparseable; a literal too large for a double (``1e400``) in
@@ -109,6 +115,7 @@ import os
 
 import numpy as np
 
+from .. import wire
 from ..exceptions import ProtocolError, ServeError
 
 __all__ = [
@@ -164,19 +171,36 @@ def _reject_constant(name: str):
     )
 
 
-# ``json.loads`` turns the non-JSON literals NaN / Infinity / -Infinity
-# into floats. This decoder refuses them instead; its hook runs only
-# when such a literal appears, so ordinary lines pay nothing.
+# The reference decoder, for the lines the wire codec refuses. It
+# words every rejection (the stdlib's default decoder would turn the
+# non-JSON literals NaN / Infinity / -Infinity into floats; this one
+# refuses them), and reads what strict JSON allows but the codec does
+# not: a number beyond double range (refused later by its field's
+# check) and a lone surrogate.
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _decode(line: str):
+    """The JSON value of a request line: the wire codec's parse, or the
+    reference decoder's wherever the codec refuses the line."""
+    try:
+        return wire.loads(line)
+    except json.JSONDecodeError:
+        pass
+    try:
+        return _DECODER.decode(line)
+    except json.JSONDecodeError as exc:
+        raise ProtocolError(f"request is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ProtocolError(
+            "request is not valid JSON: nested too deeply"
+        ) from None
 
 
 def _load_object(line: str) -> dict:
     """Parse a request line to a JSON object, or raise with ``id: null``
     semantics (nothing trustworthy to echo)."""
-    try:
-        obj = _DECODER.decode(line)
-    except json.JSONDecodeError as exc:
-        raise ProtocolError(f"request is not valid JSON: {exc}") from exc
+    obj = _decode(line)
     if not isinstance(obj, dict):
         raise ProtocolError(
             f"request must be a JSON object, got {type(obj).__name__}"
@@ -187,21 +211,22 @@ def _load_object(line: str) -> dict:
     return obj
 
 
-def _check_finite(value, key: str, request_id) -> None:
-    """Reject a numeric array field holding NaN or ±inf. A value that
-    does not convert to float64 is left for the consumer, whose shape
-    check words that rejection."""
+def _check_finite(value, key: str, request_id):
+    """A numeric array field as float64, rejected if it holds NaN or
+    ±inf. A value that does not convert is returned as it came, for the
+    consumer, whose shape check words that rejection."""
     try:
-        finite = np.isfinite(np.asarray(value, dtype=np.float64)).all()
+        array = np.asarray(value, dtype=np.float64)
     except OverflowError:  # an integer literal beyond double range
-        finite = False
+        array = None
     except (TypeError, ValueError):
-        return
-    if not finite:
+        return value
+    if array is None or not np.isfinite(array).all():
         raise ProtocolError(
             f'"{key}" holds a number that is not finite',
             request_id=request_id,
         )
+    return array
 
 
 def _matrix_id(obj: dict, request_id) -> str | None:
@@ -245,16 +270,17 @@ def _solve_kwargs(obj: dict, trace_id: str) -> dict:
             'request is missing the required "b" field',
             request_id=request_id,
         )
-    _check_finite(obj["b"], "b", request_id)
-    kwargs = {"b": obj["b"], "trace_id": trace_id}
+    kwargs = {
+        "b": _check_finite(obj["b"], "b", request_id),
+        "trace_id": trace_id,
+    }
     if "id" in obj:
         kwargs["request_id"] = request_id
     matrix = _matrix_id(obj, request_id)
     if matrix is not None:
         kwargs["matrix"] = matrix
     if obj.get("x0") is not None:
-        _check_finite(obj["x0"], "x0", request_id)
-        kwargs["x0"] = obj["x0"]
+        kwargs["x0"] = _check_finite(obj["x0"], "x0", request_id)
     try:
         if obj.get("tol") is not None:
             kwargs["tol"] = float(obj["tol"])
@@ -283,7 +309,9 @@ def parse_request(line: str) -> dict:
     error line and keep the stream alive; the error carries
     ``request_id`` whenever the line was valid JSON. Control verbs are
     the business of :func:`parse_line` — a non-``solve`` ``op`` is a
-    protocol violation here.
+    protocol violation here. ``b`` and ``x0`` come back as the line
+    spelled them; :func:`parse_line`, the serving path, hands the
+    server the float64 arrays the finiteness check already built.
     """
     try:
         obj = _load_object(line)
@@ -299,10 +327,11 @@ def parse_request(line: str) -> dict:
                 "(front-ends dispatch verbs via parse_line)",
                 request_id=obj.get("id"),
             )
-        return _solve_kwargs(obj, trace_id)
+        kwargs = _solve_kwargs(obj, trace_id)
     except ProtocolError as exc:
         exc.trace_id = trace_id
         raise
+    return {**kwargs, **{k: obj[k] for k in ("b", "x0") if k in kwargs}}
 
 
 def _attach_trace(obj: dict, request_id) -> str:
@@ -495,8 +524,7 @@ def _parse_shard_verb(op: str, obj: dict, request_id, payload: dict) -> dict:
                 f"{type(rows).__name__}",
                 request_id=request_id,
             )
-        _check_finite(rows, "rows", request_id)
-        payload["rows"] = rows
+        payload["rows"] = _check_finite(rows, "rows", request_id)
     elif op == "halo_pull":
         rows = obj.get("rows")
         if not isinstance(rows, list) or not all(
@@ -523,7 +551,7 @@ def _parse_shard_verb(op: str, obj: dict, request_id, payload: dict) -> dict:
                 )
             payload[key] = value
         for key in ("x0", "b"):
-            _check_finite(payload[key], key, request_id)
+            payload[key] = _check_finite(payload[key], key, request_id)
         payload["nproc"] = _int_field(
             obj, "nproc", request_id, minimum=1, default=1
         )
@@ -586,7 +614,7 @@ def encode_result(result) -> str:
         "id": result.request_id,
         "ok": True,
         "trace_id": trace_id,
-        "x": x.tolist(),
+        "x": np.ascontiguousarray(x, dtype=np.float64),
         "converged": bool(result.converged),
         "sweeps": int(result.sweeps),
         "residual": float(result.residual),
@@ -598,14 +626,14 @@ def encode_result(result) -> str:
         payload["column_converged"] = [
             bool(c) for c in result.column_converged
         ]
-    return json.dumps(payload)
+    return _line(payload)
 
 
 def encode_info(request_id, payload: dict, trace_id=None) -> str:
     """One response line for a successful control verb (``register`` /
     ``stats`` / ``matrices`` / ``metrics``): ``ok: true`` plus the
     verb's payload."""
-    return json.dumps(
+    return _line(
         {"id": request_id, "ok": True, "trace_id": trace_id, **payload}
     )
 
@@ -616,7 +644,12 @@ def encode_error(request_id, exc: BaseException, trace_id=None) -> str:
     :class:`ProtocolError` out of :func:`parse_line` carries one)."""
     if trace_id is None:
         trace_id = getattr(exc, "trace_id", None)
-    return json.dumps(
+    return _line(
         {"id": request_id, "ok": False, "trace_id": trace_id,
          "error": str(exc)}
     )
+
+
+def _line(payload: dict) -> str:
+    """One reply line, written by the wire codec (:mod:`repro.wire`)."""
+    return wire.dumps(payload).decode()

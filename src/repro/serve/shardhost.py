@@ -267,7 +267,9 @@ class ShardHost:
             return {
                 "matrix": self.name,
                 "shard": self._shard,
-                "rows": xv[r0:r1, : self._k].tolist(),
+                # A copy taken under the lock: the reply is written
+                # after it is released, when the pool may be gone.
+                "rows": xv[r0:r1, : self._k].copy(),
                 "generation": self._sweeps,
                 "stats": {
                     "per_worker": [int(c) for c in pool.per_worker()],
@@ -311,7 +313,7 @@ class ShardHost:
         values, ages = halo.read_rows(payload["rows"])
         return {
             "matrix": self.name,
-            "values": values.tolist(),
+            "values": values,
             "ages": [int(a) for a in ages],
         }
 

@@ -342,6 +342,7 @@ class TestFakeShards:
         # Non-persistent: the pools were torn down after the call.
         assert all(sh.closed >= 1 for sh in made)
 
+    @pytest.mark.usefixtures("no_leaks")
     def test_crash_names_the_guilty_shard(self):
         solver, made, _ = self._solver()
         made[1].fail_next = True
@@ -355,6 +356,7 @@ class TestFakeShards:
         # every shard, not just the guilty one.
         assert all(sh.closed >= 1 for sh in made)
 
+    @pytest.mark.usefixtures("no_leaks")
     def test_persistent_mode_respawns_all_shards_after_crash(self):
         """After a mid-solve shard death the solver stays persistent
         (the serving layer keeps it resident); the next solve respawns

@@ -265,6 +265,7 @@ class TestRegistryOverHTTP:
     reason="fault injection rides fork inheritance",
 )
 class TestWorkerCrashOverHTTP:
+    @pytest.mark.usefixtures("no_leaks")
     def test_crash_is_a_400_naming_the_worker_and_the_server_recovers(
         self, system, tmp_path, monkeypatch
     ):
