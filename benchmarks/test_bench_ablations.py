@@ -84,7 +84,7 @@ def test_ablation_direction_strategies(benchmark):
     assert all(np.isfinite(v) and v < 1.0 for v in errs.values())
 
 
-@pytest.mark.multiprocess
+@pytest.mark.pool
 def test_ablation_sampling_smoke(benchmark):
     """Residual-adaptive direction sampling vs the uniform control on
     the skewed 51-label block: steering draws toward rows with residual

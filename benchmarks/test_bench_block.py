@@ -14,7 +14,7 @@ from repro.bench import run_block, run_block_retirement
 from conftest import persist_and_print
 
 
-@pytest.mark.multiprocess
+@pytest.mark.pool
 def test_block_smoke(benchmark):
     result = benchmark.pedantic(
         run_block,
@@ -34,7 +34,7 @@ def test_block_smoke(benchmark):
     assert result.spawns_oneshot == result.repeats
 
 
-@pytest.mark.multiprocess
+@pytest.mark.pool
 def test_block_retirement_smoke(benchmark):
     """Per-column retirement on the paper's 51-label regime: label
     difficulty on ``social-labels`` is skewed, so retiring converged

@@ -16,7 +16,7 @@ from repro.bench import run_multinode
 from conftest import persist_and_print
 
 
-@pytest.mark.multiprocess
+@pytest.mark.pool
 @pytest.mark.shard
 @pytest.mark.serve
 def test_multinode_smoke(benchmark):

@@ -16,7 +16,7 @@ from repro.bench import run_shard
 from conftest import persist_and_print
 
 
-@pytest.mark.multiprocess
+@pytest.mark.pool
 @pytest.mark.shard
 def test_shard_smoke(benchmark):
     result = benchmark.pedantic(

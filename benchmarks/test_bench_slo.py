@@ -31,7 +31,7 @@ from repro.bench import run_serve, run_serve_adaptive, run_slo, run_slo_cache
 from conftest import persist_and_print
 
 
-@pytest.mark.multiprocess
+@pytest.mark.pool
 def test_slo_smoke(benchmark):
     result = benchmark.pedantic(
         run_slo,
@@ -51,7 +51,7 @@ def test_slo_smoke(benchmark):
         assert 0.0 < row[3] <= row[4]  # p50 <= p99
 
 
-@pytest.mark.multiprocess
+@pytest.mark.pool
 def test_slo_cache_savings_smoke(benchmark):
     """Warm starts must save sweeps on bursty near-duplicate traffic:
     identical rhs sequence, identical arrival schedule, the only
@@ -78,7 +78,7 @@ def test_slo_cache_savings_smoke(benchmark):
     assert result.sweeps_savings >= 1.5
 
 
-@pytest.mark.multiprocess
+@pytest.mark.pool
 def test_serve_smoke(benchmark):
     result = benchmark.pedantic(
         run_serve,
@@ -95,7 +95,6 @@ def test_serve_smoke(benchmark):
     assert result.batched_speedup >= 2.0
     # One pool, zero respawns, across a k=1 request and the k=51 block.
     assert result.capacity_spawns == 1
-    assert result.capacity_pids_stable
     # The widest batch regime really coalesced: far fewer batches than
     # requests, and exactly one pool spawn per server.
     widest = result.rows_data[-1]
@@ -103,7 +102,7 @@ def test_serve_smoke(benchmark):
     assert widest[4] == 1
 
 
-@pytest.mark.multiprocess
+@pytest.mark.pool
 def test_serve_adaptive_smoke(benchmark):
     """Adaptive batching must at least match the fixed linger window on
     both traffic shapes: on the loaded burst the backlog fills batches

@@ -1,9 +1,9 @@
-"""Benchmark: wall-clock strong scaling of the real-process backend.
+"""Benchmark: wall-clock strong scaling of the worker pool.
 
 Unlike the fig2 scaling benches (modeled time from the cost model), the
-numbers here are genuine wall-clock seconds from OS processes sharing
+numbers here are genuine wall-clock seconds from worker threads sharing
 one iterate. Shape claims are hardware-conditional: near-linear speedup
-needs as many physical cores as processes, so the assertions only check
+needs as many physical cores as workers, so the assertions only check
 hardware-independent invariants (identical work, sane delay statistics)
 and gate the speedup check on the available CPU count.
 """
@@ -16,7 +16,7 @@ from repro.execution import available_cpus
 from conftest import persist_and_print
 
 
-@pytest.mark.multiprocess
+@pytest.mark.pool
 def test_speedup_smoke(benchmark):
     result = benchmark.pedantic(
         run_speedup,
@@ -34,5 +34,5 @@ def test_speedup_smoke(benchmark):
     # is the only difference between the rows).
     assert result.residual[1] < 10 * result.residual[0] + 1e-12
     if available_cpus() >= 2:
-        # With real cores the second process must buy wall-clock time.
+        # With real cores the second worker must buy wall-clock time.
         assert result.speedup[1] > 1.1

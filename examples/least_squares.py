@@ -8,7 +8,7 @@ This example walks the rectangular path end to end:
 1. generate a sparse, overdetermined, *inconsistent* system
    (``Ax = b`` has no solution — only a least-squares minimizer),
 2. serial baseline: randomized coordinate descent on the columns,
-3. AsyRK on real OS processes: row projections from every worker into
+3. AsyRK on real worker threads: row projections from every worker into
    one shared iterate, convergence judged by the normal-equations
    residual (the plain residual plateaus at the noise floor and can
    never pass a tolerance),
@@ -55,7 +55,7 @@ def main() -> None:
         f"normal-equations residual {normal_equations_residual(A, rcd.x, b):.2e}"
     )
 
-    # -- 3. AsyRK: real processes sharing one iterate. ------------------
+    # -- 3. AsyRK: real worker threads sharing one iterate. -------------
     tol = 2e-2
     solver = AsyRK(A, b, nproc=2, beta=0.8, directions=DirectionStream(m, seed=0))
     res = solver.solve(tol=tol, max_sweeps=200)

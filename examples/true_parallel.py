@@ -1,18 +1,18 @@
 #!/usr/bin/env python
-"""True parallelism: AsyRGS on real OS processes sharing one iterate.
+"""True parallelism: AsyRGS on real worker threads sharing one iterate.
 
 Everything else in this library *simulates* the paper's asynchronous
-model (the GIL forbids concurrent Python threads). This example runs the
-genuine article:
+model. This example runs the genuine article:
 
 1. build a sparse SPD system,
 2. solve it with :class:`~repro.execution.ProcessAsyRGS` — worker
-   processes share the iterate through ``multiprocessing.shared_memory``
-   and race for real,
+   threads update one iterate in one address space, each running the
+   native segment kernel with the interpreter lock released, and race
+   for real,
 3. read the measured delay statistics (``tau_observed``) recovered from
    the shared write-log and compare them against the theory's ``2ρτ < 1``
    hypothesis,
-4. time a fixed update budget on 1 and 2 processes (strong scaling),
+4. time a fixed update budget on 1 and 2 workers (strong scaling),
 5. replay the paper's headline regime: the social-media Gram system
    solved for 51 label right-hand sides *simultaneously* on a
    persistent worker pool — one row gather per update serves all 51
@@ -42,11 +42,11 @@ def main() -> None:
     b = A.matvec(x_star)
     print(f"system: n = {n}, nnz = {A.nnz}, CPUs available: {available_cpus()}")
 
-    # -- 2. Solve on real processes (epoch scheme of Theorem 2). -------
+    # -- 2. Solve on real workers (epoch scheme of Theorem 2). ---------
     solver = ProcessAsyRGS(A, b, nproc=2)
     result = solver.solve(tol=1e-6, max_sweeps=1500, sync_every_sweeps=25)
     print(
-        f"AsyRGS[processes]: {result.sweeps_done:4d} sweeps on 2 processes, "
+        f"AsyRGS[processes]: {result.sweeps_done:4d} sweeps on 2 workers, "
         f"residual {result.checkpoints[-1][1]:.2e}, "
         f"error {np.abs(result.x - x_star).max():.2e}, "
         f"{result.sync_points} synchronization points, "
@@ -68,7 +68,7 @@ def main() -> None:
         f"{verdict}"
     )
 
-    # -- 4. Strong scaling: the same update budget on 1 and 2 procs. ---
+    # -- 4. Strong scaling: the same update budget on 1 and 2 workers. -
     scaling = run_speedup("laplace2d", nprocs=[1, 2], sweeps=10, persist=False)
     print()
     print(scaling.table())
@@ -82,7 +82,7 @@ def main() -> None:
     # remaining row gathers only refresh the still-active labels
     # (result.converged_columns / column_sweeps record who finished
     # when). The pool is persistent: the second solve reuses the live
-    # workers and the shared CSR.
+    # workers.
     prob = get_problem("social-labels")
     k = prob.B.shape[1]
     print()
@@ -107,9 +107,8 @@ def main() -> None:
             f"({100.0 * (1.0 - first.column_updates / (first.iterations * k)):.0f}% saved)"
         )
         print(
-            f"pool reuse: second solve served by the same {len(block_solver.worker_pids())} "
-            f"worker(s) ({block_solver.spawn_count} pool spawn(s), "
-            f"{block_solver.csr_copies} CSR copy(ies)), "
+            f"pool reuse: second solve served by the same {block_solver.nproc} "
+            f"worker(s) ({block_solver.spawn_count} pool spawn(s)), "
             f"{again.wall_time:.3f}s wall"
         )
 

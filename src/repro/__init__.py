@@ -19,7 +19,7 @@ Package map (the README's "Layout" section maps the source tree):
 * :mod:`repro.core` — randomized Gauss-Seidel, AsyRGS, least squares,
   step-size control, and the computable convergence theory;
 * :mod:`repro.execution` — delay models, the bounded-delay simulators,
-  the real-process (shared-memory) pool backends, and the machine cost
+  the in-process worker-thread pools, and the machine cost
   model;
 * :mod:`repro.sparse` — the CSR sparse-matrix substrate;
 * :mod:`repro.rng` — counter-based (Philox) random numbers;

@@ -271,11 +271,11 @@ def _check_segment(a, *, offset, project, wid, nproc):
 class RowSegment:
     """``row_segment`` bound to one pool worker's shared arrays.
 
-    ``v`` holds the pool segment's arrays by their layout names (see
-    ``repro.execution.pool._layout``). They are checked and their
-    buffers bound once, here, and held until :meth:`release`, which
-    must run before the shared memory under them is closed. Calling the
-    instance runs one epoch segment: ``segment(act, done, target)``
+    ``v`` holds the worker's arrays by their layout names (see
+    ``repro.execution.pool._layout``) plus the CSR arrays ``indptr``,
+    ``indices`` and ``data`` of the pool's matrix. They are checked and
+    their buffers bound once, here, and held until :meth:`release`.
+    Calling the instance runs one epoch segment: ``segment(act, done, target)``
     makes the worker's draws ``done .. target−1`` on the sorted active
     columns ``act`` and returns ``target``.
 
@@ -353,9 +353,8 @@ class Gate:
     then :meth:`arrive`, or :meth:`fail` when it cannot go on. Each wait
     returns after at most ``timeout`` seconds and releases the GIL
     meanwhile; callers wait in slices and look around in between. Hold
-    the binding until :meth:`release`, which must run before the shared
-    memory under it is closed. Build it with :meth:`bind`, which returns
-    ``None`` when the module cannot be loaded.
+    the binding until :meth:`release`. Build it with :meth:`bind`, which
+    returns ``None`` when the module cannot be loaded.
     """
 
     def __init__(self, module, control, *, error, start, arrived, nproc):

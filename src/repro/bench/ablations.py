@@ -391,7 +391,7 @@ class SamplingAblationResult:
     """Uniform vs residual-adaptive direction sampling on a skewed block.
 
     Both runs solve the same ``(n, k)`` label block to the same
-    per-column tolerance with retirement on, on the multiprocess pool,
+    per-column tolerance with retirement on, on the worker pool,
     from the same direction stream; the adaptive run remaps every draw
     through the residual-weighted CDF the parent republishes at each
     synchronization point. ``reduction`` is the fraction of column
@@ -445,7 +445,7 @@ class SamplingAblationResult:
                 f"Ablation — adaptive direction sampling ({self.problem}, "
                 f"n={self.n}, k={self.labels} labels, tol={self.tol:g}, "
                 f"weights refreshed every {self.sync_every_sweeps} "
-                f"sweep(s) on {self.nproc} process(es)): "
+                f"sweep(s) on {self.nproc} worker(s)): "
                 f"{100.0 * self.reduction:.1f}% fewer column updates"
             ),
         )

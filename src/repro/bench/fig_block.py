@@ -9,11 +9,11 @@ single-RHS, spawn-per-call backend could not make:
   single-RHS runs. Both process exactly ``k · sweeps · n`` column
   updates, so the wall-clock ratio is the pure amortization factor.
 * **pool reuse** — ``repeats`` consecutive solves served by one
-  persistent worker pool (processes spawned once, CSR copied into
-  shared memory once) versus the same solves each paying spawn + copy.
+  persistent worker pool (workers started once) versus the same
+  solves each paying a pool start.
   This is the serving regime: many requests against one matrix.
 
-All timings are end-to-end wall clock including process startup — the
+All timings are end-to-end wall clock including pool startup — the
 honest number for a serving workload, unlike the in-pool ``wall_time``
 the strong-scaling bench reports.
 
@@ -99,7 +99,7 @@ class BlockBenchResult:
     def table(self) -> str:
         title = (
             f"Block AsyRGS — {self.problem} (n={self.n}, k={self.labels} labels), "
-            f"{self.sweeps} sweeps/column on {self.nproc} process(es), "
+            f"{self.sweeps} sweeps/column on {self.nproc} worker(s), "
             f"{self.cpus} CPU(s); block amortization {self.block_speedup:.2f}x, "
             f"pool reuse {self.reuse_speedup:.2f}x"
         )
@@ -271,7 +271,7 @@ class BlockRetirementResult:
         title = (
             f"Column retirement — {self.problem} (n={self.n}, "
             f"k={self.labels} labels) to tol={self.tol:g} on {self.nproc} "
-            f"process(es): {100.0 * self.savings:.1f}% fewer column updates, "
+            f"worker(s): {100.0 * self.savings:.1f}% fewer column updates, "
             f"columns retired between sweeps {self.first_retirement} and "
             f"{self.last_retirement}, worst final column residual "
             f"{self.max_col_residual:.2e}, aggregate reduction {reduction}"

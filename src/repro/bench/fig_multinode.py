@@ -92,7 +92,7 @@ class MultinodeBenchResult:
             title=(
                 f"Multi-node AsyRGS — {self.nx}x{self.nx} Laplacian "
                 f"(n={self.n}, nnz={self.nnz}) over {self.nodes} shard "
-                f"hosts x {self.nproc} process(es) on 127.0.0.1, "
+                f"hosts x {self.nproc} worker(s) on 127.0.0.1, "
                 f"tol={self.tol:g}: halos ride best-effort halo_push "
                 f"links, so a staler cadence pays sweeps and saves "
                 f"round-trips, never correctness"

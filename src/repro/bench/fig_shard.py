@@ -2,8 +2,8 @@
 
 ``repro experiment shard`` demonstrates the row-partitioned multi-pool
 path end to end on a 2-D Laplacian sized so that **one pool's
-shared-memory segment does not fit the configured budget** while each
-of the N shards' rectangular segments does:
+buffer does not fit the configured budget** while each of the N
+shards' rectangular layouts does:
 
 1. *The refusal*: building the single-pool solver under ``shm_limit``
    (:func:`~repro.execution.make_solver` at ``shards=1``) raises
@@ -59,7 +59,7 @@ class ShardBenchResult:
     tol: float
     max_sweeps: int
     seed: int
-    #: The per-pool shared-memory budget (bytes) the run was gated on.
+    #: The per-pool memory budget (bytes) the run was gated on.
     shm_limit: int
     #: What one pool spanning the whole system would need.
     single_pool_bytes: int
@@ -104,7 +104,7 @@ class ShardBenchResult:
             title=(
                 f"Sharded AsyRGS — {self.nx}x{self.nx} Laplacian "
                 f"(n={self.n}, nnz={self.nnz}) over {self.shards} pools "
-                f"x {self.nproc} process(es), tol={self.tol:g}: single "
+                f"x {self.nproc} worker(s), tol={self.tol:g}: single "
                 f"pool needs {self.single_pool_bytes} B, budget "
                 f"{self.shm_limit} B (each shard <= "
                 f"{max(self.shard_bytes)} B); staler halos pay sweeps, "
@@ -155,10 +155,10 @@ def run_shard(
     seed: int = 0,
     persist: bool = True,
 ) -> ShardBenchResult:
-    """Solve a Laplacian that exceeds one pool's shm budget, sharded.
+    """Solve a Laplacian that exceeds one pool's memory budget, sharded.
 
     ``shm_limit`` is derived, not configured: strictly between the
-    largest shard's segment and the single pool's segment, so the same
+    largest shard's layout and the single pool's layout, so the same
     budget that refuses the unsharded solver admits every shard — the
     "too big for one box" regime by construction at any size. The
     staleness sweep then solves the same system once per halo-exchange

@@ -152,7 +152,7 @@ class SLOResult(_Rows):
             rate = f"≥ {rate} (no offered rate breached)"
         return (
             f"SLO load harness — {self.problem} (n={self.n}), open-loop "
-            f"ramp on {self.nproc} process(es), {self.cpus} CPU(s), "
+            f"ramp on {self.nproc} worker(s), {self.cpus} CPU(s), "
             f"p99 target {1e3 * self.target_p99:.1f} ms (probe solve "
             f"{1e3 * self.probe_latency:.1f} ms); max sustainable rate "
             f"{rate}"
@@ -191,7 +191,7 @@ class SLOCacheResult(_Rows):
             f"Warm-start caching — {self.problem} (n={self.n}), "
             f"{self.bases} base rhs × {self.repeats} bursty "
             f"repeats/perturbations (ε={self.perturbation:g}) on "
-            f"{self.nproc} process(es), {self.cpus} CPU(s), identical "
+            f"{self.nproc} worker(s), {self.cpus} CPU(s), identical "
             f"arrival schedules; cache-off mean sweeps is "
             f"{self.sweeps_savings:.2f}x cache-on"
         )
@@ -218,7 +218,6 @@ class ServeBenchResult(_Rows):
     rows_data: list = field(default_factory=list)
     all_converged: bool = True
     capacity_spawns: int = 0
-    capacity_pids_stable: bool = False
 
     @property
     def oneshot_rps(self) -> float:
@@ -239,7 +238,7 @@ class ServeBenchResult(_Rows):
         return (
             f"Solver serving — {self.problem} (n={self.n}), "
             f"{self.requests} single-RHS requests to tol={self.tol:g} on "
-            f"{self.nproc} process(es), {self.cpus} CPU(s); best batched "
+            f"{self.nproc} worker(s), {self.cpus} CPU(s); best batched "
             f"throughput {self.batched_speedup:.2f}x one-shot; capacity-k "
             f"pool served k=1 and k={self.requests} with "
             f"{self.capacity_spawns} spawn(s)"
@@ -286,7 +285,7 @@ class ServePolicyResult(_Rows):
         return (
             f"Adaptive batching — {self.problem} (n={self.n}), "
             f"{self.requests} single-RHS requests to tol={self.tol:g} on "
-            f"{self.nproc} process(es), {self.cpus} CPU(s), "
+            f"{self.nproc} worker(s), {self.cpus} CPU(s), "
             f"max_batch={self.max_batch}, fixed window "
             f"{1e3 * self.fixed_wait:g} ms; adaptive is "
             f"{self.adaptive_speedup:.2f}x fixed on closed-loop traffic, "
@@ -591,13 +590,11 @@ def run_serve(
         )
 
     # Capacity-k check: one pool serves a k=1 request and the full
-    # k-label block with zero respawns and stable worker PIDs.
+    # k-label block with zero respawns.
     with _serving(problem, A, capacity_k=k, **options) as registry:
         _round(registry, burst[:1])
-        pids = registry.stats().worker_pids
         _round(registry, [(0.0, B)])
         stats = registry.stats()
-    out.capacity_pids_stable = stats.worker_pids == pids
     out.capacity_spawns = stats.spawn_count
 
     if persist:

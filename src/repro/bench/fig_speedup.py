@@ -1,9 +1,10 @@
-"""Benchmark: wall-clock strong scaling of the multiprocess backend.
+"""Benchmark: wall-clock strong scaling of the worker pool.
 
 This is the experiment the simulators structurally cannot provide: a
 fixed update budget (``sweeps · n`` commits of Algorithm 1) executed by
-1, 2, … real OS processes sharing one iterate through
-``multiprocessing.shared_memory``, timed on the wall clock. Alongside
+1, 2, … worker threads updating one iterate in one address space, each
+running the native segment kernel with the interpreter lock released,
+timed on the wall clock. Alongside
 the timings it reports the *measured* delay bound ``tau_observed`` per
 processor count — the empirical counterpart of the ``τ = O(P)``
 reference scenario — and the final residual, so the speedup numbers can
@@ -11,7 +12,7 @@ be checked against the theory's ``2ρτ < 1`` hypothesis on the same run.
 
 Shape claims (Liu, Wright & Sridhar's lock-free regime, and the paper's
 Section 9 machine runs): with ≥ P physical cores the speedup at P
-processes is near-linear; on fewer cores than processes the wall-clock
+workers is near-linear; on fewer cores than workers the wall-clock
 flattens while ``tau_observed`` inflates (oversubscription turns
 scheduling gaps into genuine staleness).
 """
@@ -66,7 +67,7 @@ class SpeedupResult:
         block_note = f", {self.labels}-label block" if self.labels > 1 else ""
         title = (
             f"Strong scaling — {self.problem} (n={self.n}{block_note}), "
-            f"{self.sweeps} sweeps of real-process AsyRGS, "
+            f"{self.sweeps} sweeps of pool AsyRGS, "
             f"{self.cpus} CPU(s) available"
         )
         return render_table(
@@ -103,7 +104,7 @@ def run_speedup(
     labels: int = 1,
     persist: bool = True,
 ) -> SpeedupResult:
-    """Time a fixed update budget on 1..P real processes (strong scaling).
+    """Time a fixed update budget on 1..P pool workers (strong scaling).
 
     Every configuration consumes the identical direction sequence (one
     Philox stream split round-robin), so the *work* is pinned and only
@@ -135,7 +136,7 @@ def run_speedup(
             p *= 2
     nprocs = [int(p) for p in nprocs]
     if not nprocs:
-        raise ValueError("nprocs must name at least one process count")
+        raise ValueError("nprocs must name at least one worker count")
 
     wall, taus, tau_means, residuals = [], [], [], []
     budget = int(sweeps) * n

@@ -5,7 +5,7 @@ Commands
 ``solve``
     Solve a MatrixMarket SPD system with AsyRGS, RGS, CG, or FCG+AsyRGS.
     A multi-column ``--rhs`` file is solved as one simultaneous block
-    (AsyRGS/RGS; every engine, including real processes); AsyRGS judges
+    (AsyRGS/RGS; every engine, including the worker pool); AsyRGS judges
     convergence per column, retires columns that reach the tolerance
     (``--no-retire`` disables), and prints the per-column status.
 ``estimate``
@@ -16,14 +16,14 @@ Commands
     fig2-left/center/right, fig3, table1, and the ablations) and print
     its table.
 ``speedup``
-    Wall-clock strong scaling of the real-process backend: a fixed
-    update budget on 1..P OS processes sharing one iterate, with
+    Wall-clock strong scaling of the worker pool: a fixed
+    update budget on 1..P pool workers sharing one iterate, with
     measured delay statistics per configuration. ``--labels k`` times
     the same budget on a k-column RHS block (the paper's 51-label
     amortization regime).
 ``serve``
     Run the solver gateway: resident matrices on persistent
-    shared-memory pools (one matrix, or several with repeated
+    worker pools (one matrix, or several with repeated
     ``--matrix NAME=SPEC`` routed by the request's ``matrix`` field),
     JSON solve requests on stdin, TCP (``--port``), or HTTP/1.1
     (``--http``: ``POST /v1/solve``, ``GET /v1/stats``,
@@ -50,8 +50,7 @@ __all__ = ["main", "build_parser"]
 _SERVING_EPILOG = """\
 Serving:
   `repro serve` multiplexes many solve requests over persistent
-  shared-memory worker pools: each matrix is copied into shared memory
-  once, compatible single-RHS requests are coalesced into block solves
+  worker pools: each matrix's workers are started once, compatible single-RHS requests are coalesced into block solves
   (each request converges and retires independently), and the
   capacity-k pool layout serves any request width k <= --capacity
   without respawning workers. Requests are JSON lines on stdin —
@@ -78,9 +77,9 @@ Serving:
 
   Sharding: a trailing ,shards=N on a --matrix SPEC (or a "shards"
   field on the register verb) backs that matrix with N row-partitioned
-  worker pools (--nproc processes each) exchanging boundary entries of
+  worker pools (--nproc workers each) exchanging boundary entries of
   the iterate asynchronously at their own epoch boundaries — for one
-  matrix too big for a single pool's shared-memory segment.
+  matrix too big for a single pool's memory budget.
   Convergence is judged on the assembled global residual; a sharded
   matrix counts as N pools against --max-live-pools and its shards are
   always evicted together. Run `repro experiment shard` for the
@@ -150,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="asyrgs",
         help="asyrgs/rgs/cg/fcg solve a square SPD system; asyrk runs "
         "asynchronous randomized Kaczmarz on a (possibly rectangular) "
-        "least-squares system over the shared-memory process pool",
+        "least-squares system over the worker pool",
     )
     p_solve.add_argument("--rhs", default=None, help="optional whitespace RHS file")
     p_solve.add_argument(
@@ -162,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["phased", "general", "processes"],
         default="phased",
         help="AsyRGS execution engine: simulated rounds, per-update "
-        "simulation, or genuine shared-memory OS processes",
+        "simulation, or a real pool of worker threads",
     )
     p_solve.add_argument("--beta", default="1.0", help="step size or 'auto'")
     p_solve.add_argument("--tol", type=float, default=1e-8)
@@ -176,9 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--shards", type=int, default=1,
         help="row-partition the system across this many worker pools "
-        "(--nproc processes each) coordinated by asynchronous halo "
+        "(--nproc workers each) coordinated by asynchronous halo "
         "exchange; convergence is judged on the assembled global "
-        "residual (asyrgs only, real OS processes)",
+        "residual (asyrgs only, real worker pools)",
     )
     p_solve.add_argument(
         "--nodes", default=None, metavar="HOST:PORT,...",
@@ -234,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_speed = sub.add_parser(
-        "speedup", help="wall-clock strong scaling on real OS processes"
+        "speedup", help="wall-clock strong scaling on real pool workers"
     )
     p_speed.add_argument("--problem", default="laplace2d", help="named problem")
     p_speed.add_argument(
@@ -253,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve solve requests over one persistent worker pool",
         description="Solver serving: JSON-lines requests multiplexed "
-        "over one persistent shared-memory pool (see `repro --help` for "
+        "over one persistent worker pool (see `repro --help` for "
         "the protocol).",
     )
     p_serve.add_argument(
@@ -276,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="soft cap on simultaneously live worker pools (idle pools "
         "past the cap are LRU-evicted; the next request respawns)",
     )
-    p_serve.add_argument("--nproc", type=int, default=2, help="worker processes")
+    p_serve.add_argument("--nproc", type=int, default=2, help="worker threads per pool")
     p_serve.add_argument(
         "--capacity", type=int, default=8,
         help="pool layout capacity: widest block request and largest "
@@ -442,7 +441,7 @@ def _solve_on_pool(args, A, b, beta, nodes):
     )
     n_rhs = 1 if b.ndim == 1 else b.shape[1]
     name = "AsyRK" if args.method == "asyrk" else "AsyRGS"
-    where = f"{args.nproc} process(es)"
+    where = f"{args.nproc} worker(s)"
     if sharded:
         name = f"sharded {name}"
         where = (
@@ -757,9 +756,8 @@ def _cmd_serve(args) -> int:
     from .serve import MatrixRegistry, make_http_server, make_tcp_server, serve_stream
 
     # SIGTERM must shut the pools down like ^C does: the default handler
-    # would kill this process without cleanup, leaking the shared-memory
-    # segments (the orphaned workers only leave at their next look
-    # around the start gate). The first TERM starts the graceful drain;
+    # would kill this process without draining the requests in flight.
+    # The first TERM starts the graceful drain;
     # repeats are ignored from then on — supervisors (and coreutils
     # `timeout`, which signals both the child and its process group)
     # routinely deliver TERM more than once, and a second KeyboardInterrupt
@@ -825,7 +823,7 @@ def _cmd_serve(args) -> int:
             for name, A, label, overrides in sources
         )
         pool_note = (
-            f"{args.nproc} worker process(es)/pool, capacity "
+            f"{args.nproc} worker(s)/pool, capacity "
             f"k={args.capacity}, {args.policy} batching"
         )
         if args.port is not None:

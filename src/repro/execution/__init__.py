@@ -1,7 +1,7 @@
 """Asynchronous execution substrate.
 
 Delay models (the paper's ``k(j)``/``K(j)`` schedules), write-race models,
-the per-update and vectorized phased simulators, the real-process pool
+the per-update and vectorized phased simulators, the worker-thread pool
 backends, execution traces, and the machine cost model that converts
 measured operation counts into modeled wall-clock shapes.
 
@@ -12,12 +12,12 @@ backend                concurrency                 demonstrates
 =====================  ==========================  =========================
 :class:`AsyncSimulator`   simulated (per update)   arbitrary delay models
 :class:`PhasedSimulator`  simulated (rounds of P)  vectorized scaling runs
-:class:`ProcessAsyRGS`    real OS processes        wall-clock speedup,
+:class:`ProcessAsyRGS`    real worker threads      wall-clock speedup,
                                                    measured ``tau_observed``,
                                                    block (n, k) right-hand
                                                    sides on a persistent
                                                    worker pool
-:class:`AsyRK`            real OS processes        asynchronous randomized
+:class:`AsyRK`            real worker threads      asynchronous randomized
                                                    Kaczmarz on rectangular
                                                    least-squares systems,
                                                    same pool core
@@ -138,8 +138,8 @@ def make_solver(method: str, A, b, *, shards=1, nodes=None, shm_limit=None, **po
     One shard is the plain pool of ``method`` (``"asyrgs"`` for square,
     positive-diagonal systems; ``"asyrk"`` for rectangular
     least-squares systems); two or more, or ``nodes``, a
-    :class:`ShardedSolver`. ``shm_limit`` bounds any one pool's shared
-    segment in bytes: a single pool over budget refuses, naming the
+    :class:`ShardedSolver`. ``shm_limit`` bounds any one pool's buffer
+    in bytes (:func:`segment_bytes`): a single pool over budget refuses, naming the
     sharding escape hatch. Every other kwarg is a pool option (see
     :class:`PoolSolver`), forwarded unchanged.
     """
@@ -160,7 +160,7 @@ def make_solver(method: str, A, b, *, shards=1, nodes=None, shm_limit=None, **po
         )
         if need > shm_limit:
             raise ModelError(
-                f"single-pool layout needs {need} bytes of shared "
+                f"single-pool layout needs {need} bytes of pool "
                 f"memory, over the {shm_limit}-byte budget; "
                 "partition the matrix across pools with shards > 1"
             )

@@ -83,7 +83,7 @@ class ProcessRunResult:
         Total row updates committed across all workers (a block update
         of all ``k`` columns counts once, as in the simulators).
     per_worker_iterations:
-        Commit counts per worker process.
+        Commit counts per worker.
     sync_points:
         Synchronization points crossed (epoch boundaries).
     converged:

@@ -466,7 +466,6 @@ class NodeShard:
         )
         self._client = factory(self.address)
         self.spawn_count = 0
-        self._workers: list[int] = []
         self._began = False
         self._x: np.ndarray | None = None
         self._pending_retire: list[int] = []
@@ -518,9 +517,6 @@ class NodeShard:
     def pool_active(self) -> bool:
         return self._began
 
-    def worker_pids(self) -> list[int]:
-        return list(self._workers)
-
     def begin(self, x0: np.ndarray, b: np.ndarray) -> None:
         x0 = np.asarray(x0, dtype=np.float64)
         reply = self._request(
@@ -540,7 +536,6 @@ class NodeShard:
         )
         self._began = True
         self.spawn_count = int(reply.get("spawn_count", 1))
-        self._workers = [int(p) for p in reply.get("workers", [])]
         self._x = x0.copy()
         self._pending_retire = []
 

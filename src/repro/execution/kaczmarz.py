@@ -1,4 +1,4 @@
-"""AsyRK — asynchronous randomized Kaczmarz on the shared-memory pool.
+"""AsyRK — asynchronous randomized Kaczmarz on the worker pool.
 
 Where AsyRGS relaxes *coordinates* of a square positive-diagonal system,
 randomized Kaczmarz projects onto *equations* of a rectangular system
@@ -112,7 +112,7 @@ class LeastSquaresTracker(ColumnFold):
 
 
 class AsyRK(PoolSolver):
-    """Asynchronous randomized Kaczmarz on real OS processes.
+    """Asynchronous randomized Kaczmarz on a pool of worker threads.
 
     Parameters mirror :class:`~repro.execution.ProcessAsyRGS` — the two
     solvers share the pool core, the persistent-pool lifecycle, the

@@ -1,12 +1,11 @@
-"""Solver-agnostic shared-memory worker-pool core.
+"""Solver-agnostic in-process worker-pool core.
 
-This module is the method-independent half of what used to be
-``execution/processes.py``: the one-segment ``SharedMemory`` layout and
-zero-copy views, worker attach/crash attribution, the epoch gates
-(control words, cumulative update targets, generation stamps for pool
-reuse), per-worker Philox direction streams, the delay
-write-log, per-column retirement, and the persistent-pool lifecycle
-(:class:`PoolSolver`).
+This module is the method-independent half of every pool: one aligned
+in-process buffer laid out for the pool's shared arrays, the worker
+threads and their crash attribution, the epoch gates (control words,
+cumulative update targets, generation stamps for pool reuse),
+per-worker Philox direction streams, the delay write-log, per-column
+retirement, and the persistent-pool lifecycle (:class:`PoolSolver`).
 
 What a concrete solver contributes is its system geometry, its per-row
 normalizers, and the two knobs of the one per-draw step (Algorithm 1,
@@ -17,38 +16,52 @@ column (the paper's 51-RHS amortization). The pool core owns
 everything around it: direction draws, progress ticketing, the
 staleness write-log, and both gates.
 
-The step
---------
-Each worker runs one epoch segment (its draws between a start gate and
-an end gate) in one call of the native kernel (``row_segment`` in
-``repro/_native/csr.c``, bound once per worker by
-:class:`repro._native.RowSegment`): it draws, updates and logs every
-draw of the segment. The kernel is the pools' only path. Where it
-cannot be built (no cffi, no C compiler) or is switched off
+The workers
+-----------
+The paper's Algorithm 1 is a shared-memory method: P processors update
+one iterate in one address space. A pool runs it that way, as P worker
+threads of the calling process, all reading and writing the one
+iterate block of the pool's buffer. Each worker runs one epoch segment
+(its draws between a start gate and an end gate) in one call of the
+native kernel (``row_segment`` in ``repro/_native/csr.c``, bound once
+per worker by :class:`repro._native.RowSegment` to the pool's views
+and to the matrix's own CSR arrays, which are not copied). cffi
+releases the interpreter lock for every such call, so the workers run
+in parallel. The kernel is the pools' only path. Where it cannot be
+built (no cffi, no C compiler) or is switched off
 (``repro._native.enabled``), :func:`require_kernel` refuses a pool at
-construction, before any shared memory or process exists, and
+construction, before any buffer or thread exists, and
 :func:`~repro.execution.check_solver` refuses it at registration.
-Workers use the module the parent loaded (inherited through ``fork``,
-read from the cache under ``spawn``).
+
+The kernel's inputs are checked when it is bound (every array's dtype,
+contiguity and shape, and every column index of the CSR) and its
+active columns on every call, so a bad layout is a ``ValueError``, not
+a stray write. A fault inside the C code itself, though, would take
+down the calling process, the server included.
 
 The gates
 ---------
-An epoch is bracketed by two gates on words of the segment's control
+An epoch is bracketed by two gates on words of the buffer's control
 block, bound by :class:`repro._native.Gate`: the parent opens the start
 gate (it bumps a generation word and wakes the workers), and each
 worker adds itself to an arrival word when its segment is done, the
 last one waking the parent at the end gate. On Linux both sides sleep
-on a futex of the shared word, with no spin phase; elsewhere they poll
-with short sleeps. Each wait is a native call that releases the GIL and
-returns after at most ``_GATE_SLICE`` seconds, and between slices each
-side looks around:
+on a futex of the word, with no spin phase; elsewhere they poll with
+short sleeps. Each wait is a native call that releases the interpreter
+lock and returns after at most ``_GATE_SLICE`` seconds, and between
+slices each side looks around:
 
 * the parent fails the solve with :class:`ModelError` once a worker
   reported an exception (the error flag, which also opens the end
-  gate), once a worker process is dead (killed by a signal, say), or
-  once the epoch has outlasted ``barrier_timeout``;
-* a worker parked at the start gate exits once the parent sets STOP or
-  is gone itself.
+  gate), or once the epoch has outlasted ``barrier_timeout``;
+* a worker parked at the start gate leaves once the parent set STOP.
+
+A failed or closed pool is stopped the same way: STOP, one more open of
+the start gate, and a join bounded by ``barrier_timeout``. A segment is
+a bounded number of draws, so every worker returns to its start gate,
+sees STOP and ends. Each worker holds its own references to the views
+and its own kernel and gate bindings, so no buffer is freed under a C
+call that is still running.
 
 With ``atomic=True`` every coordinate write is one compare-exchange per
 element (Assumption A-1); at one worker the exchange always succeeds
@@ -74,7 +87,7 @@ of draw 0):
 
 Geometry
 --------
-The layout is parameterized by ``(n_rows, x_rows, b_rows, nnz, k)``:
+The layout is parameterized by ``(n_rows, x_rows, b_rows, k)``:
 ``n_rows`` is the number of CSR rows (the direction space — every draw
 picks a row), ``x_rows``/``b_rows`` the row counts of the shared
 iterate and RHS blocks. For AsyRGS all three equal ``n``; for AsyRK on
@@ -83,8 +96,8 @@ an ``m × n`` operator they are ``m, n, m``.
 Adaptive direction sampling
 ---------------------------
 With ``adaptive=True``, the parent recomputes residual-proportional
-row weights at every epoch boundary — while it owns the segment — and
-publishes their CDF into a dedicated shared slot. Workers map each
+row weights at every epoch boundary — while it owns the buffer — and
+publishes their CDF into a dedicated slot. Workers map each
 uniform Philox draw ``d`` over ``{0..n_rows−1}`` through the inverse
 CDF via the stratified quantile ``u = (d + ½)/n_rows``: the strided-union determinism of the direction
 streams is untouched (same words, same positions), only the *meaning*
@@ -101,13 +114,9 @@ residual-weighted sampling of Patel–Jahangoshahi–Maldonado (arXiv
 from __future__ import annotations
 
 import os
-import signal
+import threading
 import time
-import traceback
 from contextlib import contextmanager
-
-import multiprocessing
-from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -152,6 +161,9 @@ _GATE_SLICE = 0.1
 
 _ALIGN = 64  # cache-line alignment for every shared array
 
+#: Name prefix of every pool worker thread.
+THREAD_NAME = "repro-pool"
+
 #: Uniform mass added to every adaptive sampling weight, as a multiple
 #: of the mean residual weight. See ``refresh_sampling``.
 _UNIFORM_BLEND = 1.0
@@ -170,26 +182,24 @@ def require_kernel() -> None:
     building it first if its cache lacks it."""
     if not (_native.enabled and _native.loaded()):
         raise ModelError(
-            "process pools run on the native segment kernel, which is "
+            "worker pools run on the native segment kernel, which is "
             "switched off or cannot be built here; it needs cffi and a "
             "working C compiler"
         )
 
 
 def _layout(geom, nproc: int):
-    """Offsets and dtypes of every shared array inside the one segment.
+    """Offsets and dtypes of every shared array inside the pool buffer.
 
-    ``geom`` is ``(n_rows, x_rows, b_rows, nnz, k)`` — see the module
+    ``geom`` is ``(n_rows, x_rows, b_rows, k)`` — see the module
     docstring. ``norms`` holds the method's per-row normalizers (the
     diagonal for AsyRGS, squared row norms for AsyRK) and ``cdf`` the
     adaptive-sampling CDF (written only in adaptive mode, always
-    allocated: 8 bytes per row keeps the layout uniform).
+    allocated: 8 bytes per row keeps the layout uniform). The CSR is
+    not in the layout: the kernel reads the matrix's own arrays.
     """
-    n_rows, x_rows, b_rows, nnz, k = geom
+    n_rows, x_rows, b_rows, k = geom
     specs = {
-        "data": (np.float64, (nnz,)),
-        "indices": (np.int64, (nnz,)),
-        "indptr": (np.int64, (n_rows + 1,)),
         "b": (np.float64, (b_rows, k)),
         "norms": (np.float64, (n_rows,)),
         "x": (np.float64, (x_rows, k)),
@@ -222,54 +232,43 @@ def segment_bytes(
     capacity_k: int,
     nproc: int,
 ) -> int:
-    """Exact shared-memory segment size (bytes) of one pool with this
-    geometry — the number ``shm_limit`` is checked against. The bench
+    """Exact size (bytes) of the buffer one pool with this geometry
+    allocates — the number ``shm_limit`` is checked against. The bench
     uses it to demonstrate a system whose single-pool layout exceeds a
-    budget that every shard's layout fits."""
-    geom = (int(n_rows), int(x_rows), int(b_rows), int(nnz), int(capacity_k))
+    budget that every shard's layout fits. ``nnz`` adds nothing: the
+    pool reads the matrix's own CSR arrays."""
+    del nnz
+    geom = (int(n_rows), int(x_rows), int(b_rows), int(capacity_k))
     return int(_layout(geom, int(nproc))[2])
 
 
-def _views(
-    shm: shared_memory.SharedMemory, geom, nproc: int
-) -> dict[str, np.ndarray]:
-    """Zero-copy NumPy views of every shared array in the segment."""
+def _views(buf, geom, nproc: int) -> dict[str, np.ndarray]:
+    """Zero-copy NumPy views of every shared array in the buffer ``buf``
+    (any writable object of the layout's size)."""
     specs, offsets, _ = _layout(geom, nproc)
     return {
-        name: np.ndarray(shape, dtype=dtype, buffer=shm.buf, offset=offsets[name])
+        name: np.ndarray(shape, dtype=dtype, buffer=buf, offset=offsets[name])
         for name, (dtype, shape) in specs.items()
     }
 
 
-def _attach(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without registering it for cleanup.
-
-    Until Python 3.13 (``track=False``) every attach re-registers the
-    segment with the shared resource tracker, which then sees more
-    unregisters than registers once several workers attach the same
-    name. Only the parent owns the segment's lifetime, so workers
-    suppress tracker registration entirely (worker processes never
-    create shared resources of their own).
-    """
-    try:  # pragma: no cover - depends on interpreter internals
-        from multiprocessing import resource_tracker
-
-        resource_tracker.register = lambda name, rtype: None
-    except Exception:
-        pass
-    return shared_memory.SharedMemory(name=name)
+def _buffer(size: int) -> np.ndarray:
+    """A zeroed byte buffer of ``size`` bytes starting on a cache line."""
+    raw = np.zeros(size + _ALIGN, dtype=np.uint8)
+    start = -raw.ctypes.data % _ALIGN
+    return raw[start:start + size]
 
 
 def residual_weights(A, v: dict[str, np.ndarray]) -> np.ndarray:
-    """Per-row adaptive sampling weights from the live shared segment
-    (``A`` is the pool's operator, whose CSR the segment holds).
+    """Per-row adaptive sampling weights from the live pool views
+    (``A`` is the pool's operator).
 
     The weight of row ``r`` is ``Σ_j |b[r,j] − (A x_j)[r]|`` over the
     active columns — the residual mass a draw of ``r`` can remove. The
     formula is geometry-agnostic: for AsyRGS rows are coordinates, for
     AsyRK rows are equations, and in both layouts ``b`` has one row per
     direction. Called by the parent only (between an end gate and the
-    next start gate, when it owns the segment).
+    next start gate, when it owns the buffer).
     """
     act = np.flatnonzero(v["active"] != 0)
     if act.size == 0:
@@ -278,178 +277,137 @@ def residual_weights(A, v: dict[str, np.ndarray]) -> np.ndarray:
 
 
 def _gate(control: np.ndarray, nproc: int):
-    """The epoch gates on the segment's ``control`` words."""
+    """The epoch gates on the buffer's ``control`` words."""
     return _native.Gate.bind(
         control, error=_CTRL_ERROR, start=_CTRL_START,
         arrived=_CTRL_ARRIVED, nproc=nproc,
     )
 
 
-def _worker_main(
-    wid: int,
-    nproc: int,
-    shm_name: str,
-    geom,
-    kernel: dict,
-) -> None:
-    """Worker entry point: attach, run the epoch loop, clean up."""
-    # Workers are torn down by the parent through the control word,
-    # never by signals: a terminal ^C or a supervisor's TERM is
-    # delivered to the whole process group, and a worker that died of
-    # it would fail the solve it serves. The parent escalates to
-    # SIGKILL when a worker genuinely must die.
+def _worker_main(wid: int, run, gate, views, errors: list) -> None:
+    """Worker thread body: the epoch loop, then release the bindings.
+
+    An exception is kept in ``errors[wid]`` and reported through the
+    error flag as ``wid + 1`` (0 keeps meaning "no error"; the first
+    reporter wins), which opens the end gate: the parent fails the
+    solve at once instead of waiting out its timeout. It then ends the
+    thread, whose hook prints the traceback."""
     try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    except ValueError:  # pragma: no cover - non-main thread (in-process use)
-        pass
-    shm = _attach(shm_name)
-    gate = _gate(_views(shm, geom, nproc)["control"], nproc)
-    try:
-        _worker_loop(wid, nproc, shm, geom, kernel, gate)
-    except Exception:  # pragma: no cover - exercised only on worker crashes
-        traceback.print_exc()
-        # Name *this* worker (wid + 1, so 0 keeps meaning "no error";
-        # the first reporter wins) and open the end gate: the parent
-        # fails the solve at once instead of waiting out its timeout.
+        _worker_loop(wid, run, gate, views)
+    except BaseException as exc:
+        errors[wid] = exc
         gate.fail(wid + 1)
+        raise
     finally:
-        gate.release()  # before the shared memory under it is closed
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - stray view refs at exit
-            pass
+        run.release()
+        gate.release()
 
 
-def _worker_loop(
-    wid: int,
-    nproc: int,
-    shm: shared_memory.SharedMemory,
-    geom,
-    kernel: dict,
-    gate,
-) -> None:
-    """Worker body: epochs of randomized updates on the shared iterate.
+def _worker_loop(wid: int, run, gate, views) -> None:
+    """Epochs of randomized updates on the shared iterate.
 
     The loop outlives any single ``run()``/``solve()`` call: a change of
     the generation stamp at the start gate rewinds the worker's position
     in the direction stream to 0, so one pool serves many calls. Each
-    epoch segment is one call of the native kernel, bound to the views
-    once with the solver's ``kernel`` parameters, between the start gate
-    and the worker's arrival at the end gate; the gates and the
-    segment's target are method independent. Parked at the start gate,
-    the worker looks around every ``_GATE_SLICE`` seconds and leaves once
-    the parent has stopped the pool or is gone.
+    epoch segment is one call of the worker's bound kernel ``run``
+    between the start gate and the worker's arrival at the end gate;
+    the gates and the segment's target are method independent. Parked
+    at the start gate, the worker looks around every ``_GATE_SLICE``
+    seconds and leaves once the parent has stopped the pool.
     """
-    v = _views(shm, geom, nproc)
-    control, active = v["control"], v["active"]
-    run = _native.RowSegment.bind(v, wid=wid, nproc=nproc, **kernel)
-    if run is None:  # pragma: no cover - the parent loaded the module
-        raise RuntimeError("the native module did not load in this worker")
-    parent = multiprocessing.parent_process()
+    control, active = views["control"], views["active"]
+    nproc = views["progress"].shape[0]
     seen = 0  # the start gate's generation when the pool was set up
     done = 0
     generation = 0
-    try:
-        while True:
-            opened = gate.wait_start(seen, _GATE_SLICE)
-            if opened == seen:  # a slice without an epoch
-                if control[_CTRL_COMMAND] == _CMD_STOP or not parent.is_alive():
-                    break
-                continue
-            seen = opened
+    while True:
+        opened = gate.wait_start(seen, _GATE_SLICE)
+        if opened == seen:  # a slice without an epoch
             if control[_CTRL_COMMAND] == _CMD_STOP:
-                break
-            if control[_CTRL_GENERATION] != generation:
-                generation = int(control[_CTRL_GENERATION])
-                done = 0  # new call on the same pool: rewind the stream
-            # This worker's share of the cumulative target, as
-            # interleave_counts cuts it: the first total % nproc
-            # workers take one draw more.
-            total = int(control[_CTRL_TARGET])
-            target = total // nproc + (wid < total % nproc)
-            # The active-column set and the adaptive CDF are sampled once
-            # per epoch, right after the start gate: the parent changes
-            # them only while it owns the segment (between the end gate
-            # and the next start gate), so they never change
-            # mid-segment — Theorem 2's segment structure is preserved,
-            # the segments just narrow.
-            done = run(active.nonzero()[0], done, target)
-            gate.arrive()  # end gate: all updates of the epoch are visible
-    finally:
-        run.release()  # before the shared memory under it is closed
-
-
-def _death(exitcode: int) -> str:
-    """How a process with this ``exitcode`` ended, in words."""
-    if exitcode >= 0:
-        return f"exited with code {exitcode}"
-    try:
-        return f"killed by {signal.Signals(-exitcode).name}"
-    except ValueError:
-        return f"killed by signal {-exitcode}"
+                return
+            continue
+        seen = opened
+        if control[_CTRL_COMMAND] == _CMD_STOP:
+            return
+        if control[_CTRL_GENERATION] != generation:
+            generation = int(control[_CTRL_GENERATION])
+            done = 0  # new call on the same pool: rewind the stream
+        # This worker's share of the cumulative target, as
+        # interleave_counts cuts it: the first total % nproc
+        # workers take one draw more.
+        total = int(control[_CTRL_TARGET])
+        target = total // nproc + (wid < total % nproc)
+        # The active-column set and the adaptive CDF are sampled once
+        # per epoch, right after the start gate: the parent changes
+        # them only while it owns the buffer (between the end gate
+        # and the next start gate), so they never change
+        # mid-segment — Theorem 2's segment structure is preserved,
+        # the segments just narrow.
+        done = run(active.nonzero()[0], done, target)
+        gate.arrive()  # end gate: all updates of the epoch are visible
 
 
 class _WorkerPool:
-    """A live worker pool over one shared segment (epoch-stepped).
+    """A live worker pool over one in-process buffer (epoch-stepped).
 
-    Spawning the pool copies the CSR into shared memory and starts the
-    worker processes; :meth:`begin` then prepares the segment for one
-    ``run()``/``solve()`` call (iterate, RHS, counters, generation
-    stamp) without touching the processes — the persistent-pool reuse
-    path. Workers are always parked at the start gate between epochs,
-    so the parent owns the segment whenever it writes.
+    Spawning the pool allocates the buffer, binds one kernel and one
+    gate per worker, and starts the worker threads; :meth:`begin` then
+    prepares the buffer for one ``run()``/``solve()`` call (iterate,
+    RHS, counters, generation stamp) without touching the threads — the
+    persistent-pool reuse path. Workers are always parked at the start
+    gate between epochs, so the parent owns the buffer whenever it
+    writes.
     """
 
     def __init__(self, backend: "PoolSolver"):
         self.backend = backend
         P = backend.nproc
         A = backend.A
-        self._shm = shared_memory.SharedMemory(
-            create=True,
-            size=_layout(backend._geom(), P)[2],
-        )
+        geom = backend._geom()
+        self.views = _views(_buffer(_layout(geom, P)[2]), geom, P)
+        self.views["norms"][:] = backend._norms
+        self.gate = _gate(self.views["control"], P)
         self.target = 0
         self.generation = 0
         self.sync_points = 0
         self.wall_time = 0.0
-        self.procs = []
-        self._alive = True
-        try:
-            self._setup(backend, P, A)
-        except BaseException:
-            # Kill the workers already started (parked at the start gate)
-            # and free the segment: callers install their finally only
-            # after __init__ returns.
-            self._kill()
-            raise
-
-    def _setup(self, backend: "PoolSolver", P: int, A) -> None:
-        self.views = _views(self._shm, backend._geom(), P)
-        self.views["data"][:] = A.data
-        self.views["indices"][:] = A.indices
-        self.views["indptr"][:] = A.indptr
-        self.views["norms"][:] = backend._norms
-        self.views["control"][:] = 0
-        backend.csr_copies += 1
-        ctx = backend._ctx
-        self.gate = _gate(self.views["control"], P)
+        self._errors: list = [None] * P
+        # The kernel reads A's own CSR arrays (CSRMatrix stores them as
+        # contiguous int64/float64), and each worker gets its own
+        # binding of them and of the views; a bad layout raises here,
+        # before any thread exists.
+        arrays = dict(
+            self.views, indptr=A.indptr, indices=A.indices,
+            data=np.ascontiguousarray(A.data, dtype=np.float64),
+        )
         kernel = {
             "offset": backend.offset, "project": backend.project,
             "atomic": backend.atomic, "beta": backend.beta,
             "adaptive": backend.adaptive, "key": backend.directions.key,
         }
-        self.procs = [
-            ctx.Process(
-                target=_worker_main,
-                args=(wid, P, self._shm.name, backend._geom(), kernel),
-                name=f"{backend.method_name}-proc-{wid}",
-                daemon=True,
-            )
+        bindings = [
+            (_native.RowSegment.bind(arrays, wid=wid, nproc=P, **kernel),
+             _gate(self.views["control"], P))
             for wid in range(P)
         ]
-        for p in self.procs:
-            p.start()
+        self.threads = []
+        self._alive = True
+        try:
+            for wid, (run, gate) in enumerate(bindings):
+                thread = threading.Thread(
+                    target=_worker_main,
+                    args=(wid, run, gate, self.views, self._errors),
+                    name=f"{THREAD_NAME}-{backend.method_name}-{wid}",
+                    daemon=True,
+                )
+                thread.start()
+                self.threads.append(thread)
+        except BaseException:
+            # Stop the workers already started (parked at the start
+            # gate): callers install their finally only after __init__
+            # returns.
+            self.stop()
+            raise
         backend.spawn_count += 1
 
     def begin(self, x0: np.ndarray, b: np.ndarray) -> None:
@@ -489,7 +447,7 @@ class _WorkerPool:
     def refresh_sampling(self) -> None:
         """Recompute and publish the adaptive-sampling CDF.
 
-        Called only while the parent owns the segment (between gates);
+        Called only while the parent owns the buffer (between gates);
         no-op for uniform pools. The weights are the residual weights
         plus ``_UNIFORM_BLEND`` times their mean on every row, so every
         row keeps strictly positive mass however concentrated the
@@ -515,37 +473,34 @@ class _WorkerPool:
         c[-1] = 1.0
         self.views["cdf"][:] = c
 
-    def _fail(self, message: str):
-        self._kill()
-        raise ModelError(message)
+    def _fail(self, message: str, cause: BaseException | None = None):
+        self.stop()
+        raise ModelError(message) from cause
 
     def _await_end(self, start: float) -> None:
         """Wait at the end gate in slices of ``_GATE_SLICE`` seconds.
 
-        The solve fails, and the workers are killed, once a worker
-        reported an exception, once a worker process is dead, or once
-        the epoch started at ``start`` (``perf_counter`` seconds) has
-        outlasted ``barrier_timeout``.
+        The solve fails, and the pool is stopped, once a worker reported
+        an exception or once the epoch started at ``start``
+        (``perf_counter`` seconds) has outlasted ``barrier_timeout``.
         """
         control = self.views["control"]
+        timeout = self.backend.barrier_timeout
         while True:
             state = self.gate.wait_end(_GATE_SLICE)
             if state > 0:
                 return
             reported = int(control[_CTRL_ERROR])
             if reported > 0:
+                exc = self._errors[reported - 1]
                 self._fail(
-                    f"worker process {reported - 1} crashed (reported an "
-                    "exception mid-epoch)"
+                    f"worker {reported - 1} crashed mid-epoch ({exc!r})", exc
                 )
-            for wid, proc in enumerate(self.procs):
-                if proc.exitcode is not None:
-                    self._fail(
-                        f"worker process {wid} crashed "
-                        f"({_death(proc.exitcode)} mid-epoch)"
-                    )
-            if time.perf_counter() - start > self.backend.barrier_timeout:
-                self._fail("a worker process crashed or stalled")
+            if time.perf_counter() - start > timeout:
+                self._fail(
+                    f"an epoch outlasted barrier_timeout ({timeout:g} s): "
+                    "a worker stalled"
+                )
 
     def advance(self, additional_updates: int) -> None:
         """Run one asynchronous segment of ``additional_updates`` commits,
@@ -566,7 +521,7 @@ class _WorkerPool:
 
     def retire_columns(self, cols: np.ndarray) -> None:
         """Drop columns from the active set. Must only be called between
-        an end gate and the next start gate (the parent owns the segment
+        an end gate and the next start gate (the parent owns the buffer
         there), so workers never observe a mid-segment change."""
         self.views["active"][cols] = 0
 
@@ -593,39 +548,21 @@ class _WorkerPool:
     def total_row_nnz(self) -> int:
         return int(self.views["row_nnz"].sum())
 
-    def _kill(self) -> None:
-        for p in self.procs:
-            if p.is_alive():
-                p.kill()  # workers ignore SIGTERM; escalation is SIGKILL
-        self._join_and_free()
-
     def stop(self) -> None:
-        """Orderly shutdown: release workers through the start gate with
-        STOP (a worker still in its segment sees it when it arrives)."""
-        if not self._alive:
-            return
-        self.views["control"][_CTRL_COMMAND] = _CMD_STOP
-        self.gate.open()
-        self._join_and_free()
-
-    def _join_and_free(self) -> None:
+        """Shut the pool down (idempotent): release the workers through
+        the start gate with STOP (a worker still in its segment sees it
+        when it arrives) and join them, for at most ``barrier_timeout``
+        in all. A worker that outlives the join ends at its next gate
+        on its own bindings."""
         if not self._alive:
             return
         self._alive = False
-        for p in self.procs:
-            p.join(timeout=self.backend.barrier_timeout)
-            if p.is_alive():  # pragma: no cover
-                p.kill()  # workers ignore SIGTERM; escalation is SIGKILL
-                p.join()
-        if hasattr(self, "views"):
-            del self.views
-        if getattr(self, "gate", None) is not None:
-            self.gate.release()  # before the shared memory under it is closed
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover - stray view refs
-            pass
-        self._shm.unlink()
+        self.views["control"][_CTRL_COMMAND] = _CMD_STOP
+        self.gate.open()
+        deadline = time.monotonic() + self.backend.barrier_timeout
+        for thread in self.threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
+        self.gate.release()
 
 
 class PoolSolver:
@@ -646,7 +583,7 @@ class PoolSolver:
     clears slots of the shared active mask, and the counters
     (``per_worker()``, ``sync_points``, ``wall_time``,
     ``total_row_nnz()``, ``column_updates()``, ``delay_stats()``) come
-    from the segment. A subclass sets :attr:`method_name`, and
+    from the buffer. A subclass sets :attr:`method_name`, and
     :attr:`project` or :attr:`offset` where it differs from plain
     AsyRGS (see the module docstring), calls ``__init__`` with the
     prepared system, and implements :meth:`_tracker`, its per-column
@@ -660,7 +597,7 @@ class PoolSolver:
     Parameters
     ----------
     nproc:
-        Number of worker processes sharing the iterate.
+        Number of worker threads sharing the iterate.
     beta:
         Step size in ``(0, 2)``.
     atomic:
@@ -676,13 +613,10 @@ class PoolSolver:
         every epoch boundary (composes with a custom ``directions``
         stream); the default uniform mode is the paper's sampling,
         bit for bit.
-    start_method:
-        ``multiprocessing`` start method; default prefers ``fork`` (fast,
-        POSIX) and falls back to the platform default.
     barrier_timeout:
         Seconds an epoch may take to reach its end gate before the pool
-        is declared wedged. A dead worker fails the solve sooner, within
-        one gate slice (0.1 s).
+        is declared wedged (the pool is stopped and the next call
+        respawns it). A worker that raised fails the solve at once.
     capacity_k:
         Column capacity of the shared iterate/RHS layout (default: the
         constructor ``b``'s width). Any ``run()``/``solve()`` call may
@@ -715,7 +649,6 @@ class PoolSolver:
         atomic: bool = False,
         directions: DirectionStream | None = None,
         adaptive: bool = False,
-        start_method: str | None = None,
         barrier_timeout: float = BARRIER_TIMEOUT,
         capacity_k: int | None = None,
     ):
@@ -758,17 +691,13 @@ class PoolSolver:
         )
         if self.directions.n != self.n_rows:
             raise ModelError("direction stream dimension mismatch")
-        if start_method is None:
-            start_method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-        self._ctx = multiprocessing.get_context(start_method)
         self.barrier_timeout = float(barrier_timeout)
         self._pool: _WorkerPool | None = None
         self._persistent = False
         self.spawn_count = 0  # pools spawned over this solver's lifetime
-        self.csr_copies = 0  # CSR copies into shared memory (once per pool)
 
     def _geom(self):
-        return (self.n_rows, self.x_rows, self.b_rows, self.A.nnz, self.capacity_k)
+        return (self.n_rows, self.x_rows, self.b_rows, self.capacity_k)
 
     def _tracker(self, x0: np.ndarray, b: np.ndarray, tol: float):
         raise NotImplementedError  # pragma: no cover - subclass contract
@@ -781,8 +710,8 @@ class PoolSolver:
         return self
 
     def open(self):
-        """Enter persistent-pool mode without a ``with`` block: spawn the
-        workers and copy the CSR now, serve every subsequent call from
+        """Enter persistent-pool mode without a ``with`` block: start the
+        workers now, serve every subsequent call from
         the live pool. Pair with :meth:`close` — long-lived owners (the
         solver server) cannot scope the pool to a lexical block."""
         return self.__enter__()
@@ -803,18 +732,6 @@ class PoolSolver:
         """Whether a persistent pool is currently alive."""
         pool = self._pool  # one read: _release_pool may null it concurrently
         return pool is not None and pool._alive
-
-    def worker_pids(self) -> list[int]:
-        """PIDs of the live persistent pool's workers (empty when none).
-
-        Safe to call from any thread: the pool reference is read once,
-        so a concurrent failure-path ``_release_pool`` (which nulls
-        ``_pool``) yields ``[]`` or the old PIDs, never a crash.
-        """
-        pool = self._pool
-        if pool is None or not pool._alive:
-            return []
-        return [p.pid for p in pool.procs]
 
     def _ensure_pool(self) -> _WorkerPool:
         if self._pool is None or not self._pool._alive:

@@ -1,16 +1,17 @@
-"""True shared-memory multiprocess backend for AsyRGS.
+"""Shared-memory AsyRGS on a pool of worker threads.
 
-This executes Algorithm 1 of the paper on genuine OS *processes* — each
-with its own CPython interpreter and therefore its own GIL — sharing one
-iterate through :mod:`multiprocessing.shared_memory`. It is the backend
-the simulators structurally cannot replace: they model delays instead of
-incurring them, and CPython threads would be serialized by the GIL. Here
-delays are real, reads are genuinely inconsistent, and wall-clock
-speedup is measurable.
+This executes Algorithm 1 of the paper as the paper states it: P
+workers update one iterate in one address space. Each worker is a
+thread of the calling process that runs its epoch segments in the
+native kernel with the interpreter lock released, so the workers run in
+parallel. It is the backend the simulators structurally cannot
+replace: they model delays instead of incurring them. Here delays are
+real, reads are genuinely inconsistent, and wall-clock speedup is
+measurable.
 
-The machinery that is *not* specific to Gauss-Seidel — the one-segment
-``SharedMemory`` layout, the worker lifecycle (control word,
-generations, the epoch gates, crash attribution), the per-worker Philox
+The machinery that is *not* specific to Gauss-Seidel — the pool's
+buffer layout, the worker lifecycle (control word, generations, the
+epoch gates, crash attribution), the per-worker Philox
 direction streams, per-column retirement, and the persistent-pool
 plumbing — lives in :mod:`repro.execution.pool`, and so does the per-draw
 step, which every pool runs in the native segment kernel. This module
@@ -28,7 +29,7 @@ the run finishes only when all of them sit below ``tol`` — a single
 Frobenius aggregate can pass while one hard label is still far off.
 Columns that reach ``tol`` are *retired* (``retire=True``, the
 default): the parent clears their slot in the shared active-column
-mask while it owns the segment, and from the next epoch on every
+mask while it owns the buffer, and from the next epoch on every
 worker's row gather scatters only into the surviving columns. The
 direction sequence, the epoch structure, and the delay measurement are
 unchanged — segments just narrow — so the Theorem 2 synchronization
@@ -55,8 +56,8 @@ The worker pool is persistent. Used as a context manager::
         again = solver.solve(tol=1e-6, max_sweeps=200)       # no respawn
         other = solver.solve(tol=1e-6, max_sweeps=200, b=B2)  # same A, new b
 
-the processes are spawned once and the CSR is copied into shared memory
-once; each call resets the iterate, the counters, and a *generation*
+the workers are started once; each call resets the iterate, the
+counters, and a *generation*
 stamp in the control word that tells workers to rewind their direction
 streams. Outside a ``with`` block every ``run()``/``solve()`` call
 spawns and tears down its own pool (the original one-shot behavior).
@@ -67,7 +68,7 @@ The shared block is allocated at ``capacity_k`` columns (default: the
 constructor ``b``'s width). Any later ``run()``/``solve()`` call may
 pass a ``b=`` of *any* width ``k ≤ capacity_k`` — a vector, a narrower
 block, or the full block — and the live pool serves it without
-respawning workers or re-copying the CSR: the parent writes the request
+respawning workers: the parent writes the request
 into the first ``k`` columns and clears the remaining slots of the
 shared active-column mask, so workers simply never touch the spare
 columns. This is the serving regime (one resident matrix, varying RHS
@@ -79,7 +80,7 @@ traffic)::
         assert s.spawn_count == 1
 
 A request wider than ``capacity_k`` raises :class:`ShapeError` — the
-segment cannot grow without a respawn, and growing silently would hide
+layout cannot grow without a respawn, and growing silently would hide
 the cost.
 
 Randomness
@@ -87,7 +88,7 @@ Randomness
 Worker ``p`` of ``P`` draws its coordinates from
 ``DirectionStream.for_processor(p, P)`` — the strided view
 ``r_p, r_{p+P}, …`` of one global Philox stream — so the union of
-directions consumed by ``P`` processes equals the serial sequence
+directions consumed by ``P`` workers equals the serial sequence
 exactly (the paper's Random123 technique, Section 9). Per-epoch shares
 are cut with :func:`~repro.rng.interleave_counts` of the *cumulative*
 update budget, which keeps the union property across epoch boundaries.
@@ -106,7 +107,7 @@ Theorem 2's discussion through the shared epoch driver
 updates, meet at the end gate (every worker's writes are visible — a
 segment boundary in the paper's sense), let the parent evaluate the
 residual on the shared iterate, and either continue or open the start
-gate again. The gates are words of the shared segment that the parent
+gate again. The gates are words of the pool's buffer that the parent
 and the workers wait on with a futex (see :mod:`repro.execution.pool`);
 the residual check is one native pass over the live iterate block
 (:class:`~repro.core.residuals.ColumnTracker`). The number of epochs
@@ -125,7 +126,7 @@ against the proven rate.
 
 Atomicity
 ---------
-Cross-process ``x[r] += δ`` is *not* atomic. By default the backend
+Cross-thread ``x[r] += δ`` is *not* atomic. By default the backend
 writes plainly — the non-atomic regime the paper tests experimentally
 in Section 9 and finds indistinguishable. ``atomic=True`` adds each
 written element with a 64-bit compare-exchange loop, retried while
@@ -153,7 +154,7 @@ __all__ = ["ProcessAsyRGS", "ProcessRunResult", "DelayStats"]
 
 
 class ProcessAsyRGS(PoolSolver):
-    """Asynchronous randomized Gauss-Seidel on real OS processes.
+    """Asynchronous randomized Gauss-Seidel on a pool of worker threads.
 
     Parameters
     ----------
@@ -161,15 +162,14 @@ class ProcessAsyRGS(PoolSolver):
         The system (positive diagonal required). ``b`` may be a vector
         ``(n,)`` or a block of right-hand sides ``(n, k)`` — the block
         is solved simultaneously, one row gather serving all columns.
-    nproc, beta, atomic, directions, adaptive, start_method,
-    barrier_timeout, capacity_k:
+    nproc, beta, atomic, directions, adaptive, barrier_timeout,
+    capacity_k:
         The pool options, declared and documented on
         :class:`~repro.execution.pool.PoolSolver` and forwarded
         unchanged.
 
     Used as a context manager, the worker pool persists across calls:
-    processes are spawned once and the CSR is copied into shared memory
-    once, then every ``run()``/``solve()`` (optionally with a different
+    the workers are started once, then every ``run()``/``solve()`` (optionally with a different
     ``b=`` of the same shape) reuses them. Outside a ``with`` block each
     call manages its own short-lived pool.
     """

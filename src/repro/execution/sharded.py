@@ -45,7 +45,7 @@ is driven by its own parent-side thread::
     begin → [ advance(epoch) → publish owned block → pull halo → … ]
 
 At a shard's epoch boundary (its pool's end gate — the parent owns
-*that shard's* segment there, nobody else's), the driver copies the
+*that shard's* buffer there, nobody else's), the driver copies the
 shard's owned rows to the board and copies the *latest published*
 foreign blocks into the shard's halo rows. Publishes are serialized by
 a short mutex (a memcpy, not a barrier: no shard ever waits for
@@ -76,14 +76,15 @@ the guilty shard id. The serving layer's batch containment then fails
 only that matrix's in-flight requests, exactly like a single-pool
 crash.
 
-Shared-memory budget
---------------------
-``shm_limit`` (bytes) bounds the segment any single pool may allocate:
+Pool-memory budget
+------------------
+``shm_limit`` (bytes) bounds the buffer any single pool may allocate:
 a one-pool solve built by :func:`~repro.execution.make_solver` whose
 ``(n, k)`` layout exceeds the limit refuses with a
 :class:`~repro.exceptions.ModelError` that names the sharding escape
-hatch, while each shard's rectangular segment — ``nnz/S`` CSR entries
-and ``n_s`` RHS/norm rows, though still ``n`` iterate rows — fits.
+hatch, while each shard's rectangular layout — ``n_s`` RHS, norm and
+CDF rows, though still ``n`` iterate rows — fits. The CSR is not part
+of it: every pool reads its matrix's own arrays.
 :func:`~repro.execution.pool.segment_bytes` exposes the exact accounting.
 
 One pool or many
@@ -102,10 +103,9 @@ Fake shards
 it is called as ``factory(index, A_s, b_s, norms_s, offset=r0,
 **pool_kwargs)`` and must return an object with ``open()``/``close()``,
 ``_ensure_pool()`` returning an engine of the epoch driver's protocol
-(:mod:`repro.execution.epochs`), ``spawn_count``, ``worker_pids()``,
-and ``n_rows``. The simulation-test harness drives
-the coordinator through scripted shard deaths this way without
-spawning a single OS process.
+(:mod:`repro.execution.epochs`), ``spawn_count`` and ``n_rows``. The
+simulation-test harness drives the coordinator through scripted shard
+deaths this way without starting a single worker.
 """
 
 from __future__ import annotations
@@ -265,7 +265,7 @@ class ShardedSolver:
     assembled global residual. See the module docstring for the
     architecture; the public surface matches the single-pool solvers
     (``open``/``close``/context manager, :meth:`solve`,
-    ``spawn_count``, ``worker_pids``) so the serving layer treats a
+    ``spawn_count``) so the serving layer treats a
     sharded matrix like any other.
 
     Parameters
@@ -277,15 +277,15 @@ class ShardedSolver:
         :func:`~repro.execution.make_solver`'s ``shards=1``). With
         ``nodes`` it defaults to ``len(nodes)``.
     nproc:
-        Worker processes **per shard** (total workers =
+        Worker threads **per shard** (total workers =
         ``shards · nproc``).
     directions, seed:
         A stream (its seed is reused), otherwise the seed. Shard ``s``
         draws from the independent Philox sub-stream
         ``_SHARD_STREAM_BASE + s`` of that seed.
     shm_limit:
-        Optional per-pool shared-memory budget in bytes. Any shard's
-        pool whose segment would exceed it refuses to spawn with a
+        Optional per-pool memory budget in bytes. Any shard's
+        pool whose buffer would exceed it refuses to spawn with a
         :class:`ModelError` naming the overrun — the bench's "one
         matrix too big for one box" gate.
     shard_factory:
@@ -312,7 +312,7 @@ class ShardedSolver:
         :class:`~repro.execution.halo.LocalBoard`).
     **pool:
         The remaining pool options (``beta``, ``atomic``, ``adaptive``,
-        ``start_method``, ``barrier_timeout``, ``capacity_k``), as on
+        ``barrier_timeout``, ``capacity_k``), as on
         :class:`~repro.execution.pool.PoolSolver`, forwarded to every
         shard.
     """
@@ -382,7 +382,7 @@ class ShardedSolver:
         for s, (r0, r1) in enumerate(self._bounds):
             A_s = _row_slice(A, r0, r1)
             n_s = r1 - r0
-            # Node-backed shards budget shared memory on their own
+            # Node-backed shards budget pool memory on their own
             # hosts; shm_limit bounds *local* pools only.
             if self.shm_limit is not None and self.nodes is None:
                 need = segment_bytes(
@@ -396,7 +396,7 @@ class ShardedSolver:
                 if need > self.shm_limit:
                     raise ModelError(
                         f"shard {s} of {shards} needs {need} bytes of "
-                        f"shared memory, over the {self.shm_limit}-byte "
+                        f"pool memory, over the {self.shm_limit}-byte "
                         "budget; raise shards (or the budget)"
                     )
                 budget_note.append(need)
@@ -452,10 +452,6 @@ class ShardedSolver:
     def spawn_count(self) -> int:
         """Pool spawns summed over shards (``shards`` per cold start)."""
         return sum(sh.spawn_count for sh in self._shards)
-
-    def worker_pids(self) -> list[int]:
-        """Live worker PIDs across every shard's pool."""
-        return [pid for sh in self._shards for pid in sh.worker_pids()]
 
     @property
     def pool_active(self) -> bool:
@@ -589,7 +585,7 @@ class ShardedSolver:
                     pool.advance(take * sh.n_rows)
                     local += take
                     # Boundary: this shard's workers are parked at their
-                    # start gate — the parent owns *this* segment, and
+                    # start gate — the parent owns *this* buffer, and
                     # only this one.
                     xv = pool.x()
                     transport.publish(s, xv[r0:r1, :kreq], local)

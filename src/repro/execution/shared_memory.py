@@ -13,7 +13,7 @@ models both:
   ``δ_t``. This is exactly the failure mode hardware atomics prevent.
 
 The simulators consume these models (Figure 2's non-atomic panel). On
-real cores the same two regimes are the multiprocess backend's
+real cores the same two regimes are the worker pool's
 ``atomic=True|False`` modes (:mod:`repro.execution.processes`).
 """
 

@@ -1,8 +1,8 @@
 """Bounded-delay simulation of asynchronous randomized Gauss-Seidel.
 
-The CPython GIL forbids genuinely concurrent shared-memory stores, so this
-library reproduces the paper's asynchronous executions by *simulating the
-formal model directly*: the objects analyzed in the paper are the update
+Real runs cannot choose their delays, so this library also reproduces
+the paper's asynchronous executions by *simulating the formal model
+directly*: the objects analyzed in the paper are the update
 sequences of iterations (8) and (9), and those sequences are exactly what
 the simulators generate.
 

@@ -6,7 +6,7 @@ coordinate indices ``r_0, r_1, …`` (the directions ``d_j = e^{(r_j)}``).
 ``(key, j)``, which is exactly how the paper's experiments pin the
 direction sequence across thread counts (Section 9, via Random123).
 
-Per-worker streams for the multiprocess pool are derived with
+Per-worker streams for the worker pool are derived with
 :meth:`DirectionStream.for_processor`, which interleaves the global
 sequence round-robin so that the union over processors of the first
 ``m/P`` draws equals the first ``m`` draws of the global stream.

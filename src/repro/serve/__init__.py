@@ -1,8 +1,8 @@
 """Solver serving: request queues, batchers, and routing over
 persistent pools.
 
-The paper's serving story end to end: resident matrices (each copied
-into shared memory once, workers spawned once), many independent solve
+The paper's serving story end to end: resident matrices (each pool's
+workers started once), many independent solve
 requests. :class:`SolverServer` coalesces compatible single-RHS
 requests into block solves — the Section 9 multi-label amortization
 applied to live traffic — with per-request retirement, latency stats,

@@ -55,6 +55,7 @@ from .protocol import (
     encode_result,
     mint_trace_id,
     parse_line,
+    result_ok,
 )
 
 __all__ = [
@@ -127,9 +128,30 @@ def _run_verb(server, op: str, payload: dict) -> str:
     )
 
 
+class _Reply:
+    """The callable :func:`handle_line` returns: calling it produces the
+    response text and sets :attr:`ok` to that reply's ``ok`` field, so a
+    transport can pick a status without parsing the reply again."""
+
+    __slots__ = ("_produce", "ok")
+
+    def __init__(self, produce):
+        self._produce = produce  # () -> (ok, text)
+        self.ok = None
+
+    @classmethod
+    def ready(cls, ok: bool, text: str) -> "_Reply":
+        return cls(lambda: (ok, text))
+
+    def __call__(self) -> str:
+        self.ok, text = self._produce()
+        return text
+
+
 def handle_line(server, line: str):
     """Parse one protocol line, act on it, and return a zero-argument
-    callable producing the response text.
+    callable producing the response text; once called, its ``ok`` is
+    the reply's ``ok`` field.
 
     This is the single submission path of all three transports. Solve
     requests are submitted *before* this function returns (so a burst of
@@ -155,26 +177,11 @@ def handle_line(server, line: str):
             exc,
             getattr(exc, "trace_id", None) or mint_trace_id(),
         )
-        return lambda: text
+        return _Reply.ready(False, text)
     if op == "register":
-        try:
-            text = _run_verb(server, op, payload)
-        except Exception as exc:  # unknown problem, single-matrix server
-            text = encode_error(
-                payload.get("request_id"), exc, payload.get("trace_id")
-            )
-        return lambda: text
+        return _Reply.ready(*_verb_reply(server, op, payload))
     if op != "solve":
-
-        def _query() -> str:
-            try:
-                return _run_verb(server, op, payload)
-            except Exception as exc:  # unknown matrix, closed registry
-                return encode_error(
-                    payload.get("request_id"), exc, payload.get("trace_id")
-                )
-
-        return _query
+        return _Reply(lambda: _verb_reply(server, op, payload))
     try:
         handle = server.submit(**payload)
     except Exception as exc:  # shape/dtype violations, closed server
@@ -183,17 +190,30 @@ def handle_line(server, line: str):
         text = encode_error(
             payload.get("request_id"), exc, payload.get("trace_id")
         )
-        return lambda: text
+        return _Reply.ready(False, text)
 
-    def _resolve() -> str:
+    def _resolve() -> tuple[bool, str]:
         try:
-            return encode_result(handle.result())
+            result = handle.result()
         except ServeError as exc:
             # Crash containment: the batch failed but the request's
             # identity survives on its handle.
-            return encode_error(handle.request_id, exc, handle.trace_id)
+            return False, encode_error(handle.request_id, exc, handle.trace_id)
+        return result_ok(result), encode_result(result)
 
-    return _resolve
+    return _Reply(_resolve)
+
+
+def _verb_reply(server, op: str, payload: dict) -> tuple[bool, str]:
+    """``(ok, text)`` of one control verb; a failure (an unknown problem
+    or matrix, a single-matrix server, a closed registry) is an error
+    reply."""
+    try:
+        return True, _run_verb(server, op, payload)
+    except Exception as exc:
+        return False, encode_error(
+            payload.get("request_id"), exc, payload.get("trace_id")
+        )
 
 
 def _pump(server, lines, out) -> int:
@@ -328,12 +348,9 @@ def make_http_server(server, host: str = "127.0.0.1", port: int = 0):
             self.end_headers()
             self.wfile.write(body)
 
-        def _respond_line(self, text: str) -> None:
-            try:
-                ok = bool(wire.loads(text).get("ok"))
-            except ValueError:  # pragma: no cover - encoder always emits JSON
-                ok = False
-            self._respond(200 if ok else 400, text)
+        def _respond_line(self, reply) -> None:
+            text = reply()
+            self._respond(200 if reply.ok else 400, text)
 
         def _respond_metrics(self) -> None:
             # The one non-JSON route: raw Prometheus text, trace id in a
@@ -368,7 +385,7 @@ def make_http_server(server, host: str = "127.0.0.1", port: int = 0):
                     ),
                 )
                 return
-            self._respond_line(handle_line(server, body)())
+            self._respond_line(handle_line(server, body))
 
         def do_GET(self):
             split = urllib.parse.urlsplit(self.path)
@@ -392,7 +409,7 @@ def make_http_server(server, host: str = "127.0.0.1", port: int = 0):
                     ),
                 )
                 return
-            self._respond_line(handle_line(server, wire.dumps(request).decode())())
+            self._respond_line(handle_line(server, wire.dumps(request).decode()))
 
     class _Server(http.server.ThreadingHTTPServer):
         allow_reuse_address = True

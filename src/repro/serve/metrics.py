@@ -102,10 +102,6 @@ def _served_mean(values, served):
     return sum(v * n for v, n in zip(values, served)) / total if total else 0.0
 
 
-def _concat(values, served):
-    return [item for value in values for item in value]
-
-
 def _elementwise(values, served):
     return [sum(column) for column in zip_longest(*values, fillvalue=0)]
 
@@ -142,8 +138,8 @@ class ServerStats:
     several by :func:`fold_stats`. A gateway aggregate over matrices
     that differ reports ``policy``, ``method`` and ``shards`` as
     ``"mixed"`` breakdowns. ``max_queue_depth`` counts the request
-    stashed between batches too; ``worker_pids`` lists live workers
-    only; ``shard_updates`` is empty at ``shards=1``."""
+    stashed between batches too; ``shard_updates`` is empty at
+    ``shards=1``."""
 
     requests_submitted: int = _stat(
         "repro_requests_submitted_total",
@@ -187,7 +183,6 @@ class ServerStats:
         "Worker-pool spawns over the matrix's lifetime (>1 means respawn "
         "after a crash or eviction).", _sum,
     )
-    worker_pids: list[int] = _stat(fold=_concat, default=[], live=True)
     policy: dict = _stat(
         fold=_tally("policy", "policies"), default={}, live=True
     )

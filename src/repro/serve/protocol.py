@@ -60,8 +60,7 @@ default ``"solve"``:
     least-squares systems served by asynchronous randomized Kaczmarz.
     An optional ``"shards"`` field (integer ≥ 1) backs the matrix with
     that many row-partitioned pools coordinated by asynchronous halo
-    exchange — for matrices too big for one pool's shared-memory
-    segment. Answers ``{"ok": true, "registered": "lap", "n": ...,
+    exchange — for matrices too big for one pool's memory budget. Answers ``{"ok": true, "registered": "lap", "n": ...,
     "nnz": ..., "method": ..., "shards": ...}``.
 ``{"op": "stats"}`` (optionally ``"matrix": "lap"``)
     A JSON snapshot of the serving counters.
@@ -592,6 +591,12 @@ def _nonfinite_columns(x: np.ndarray, result) -> list[int]:
     bad = ~np.isfinite(x.reshape(x.shape[0], -1)).all(axis=0)
     bad |= ~np.isfinite(np.asarray(residuals, dtype=np.float64))
     return np.flatnonzero(bad).tolist()
+
+
+def result_ok(result) -> bool:
+    """Whether :func:`encode_result` answers ``result`` with an ``ok:
+    true`` line: its iterate and residuals are finite."""
+    return not _nonfinite_columns(np.asarray(result.x), result)
 
 
 def encode_result(result) -> str:

@@ -12,7 +12,7 @@ without an id go to the **default matrix** (the first registered, or
 the one named ``default=``), which is what keeps the single-matrix wire
 format from before multi-matrix serving working unchanged.
 
-Pools are expensive (process spawn + a CSR copy into shared memory), so
+Pools hold worker threads and a per-pool buffer sized by the matrix, so
 they are **lazily spawned** — registering a matrix costs nothing until
 its first request — and **LRU-evicted**: at most ``max_live_pools``
 pools are live at once, and spawning a new one shuts down the
@@ -36,7 +36,7 @@ eviction races impossible).
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from ..exceptions import ModelError, ServeError
 from ..execution import check_solver
@@ -82,7 +82,7 @@ class MatrixRegistry:
     Parameters
     ----------
     nproc, capacity_k, tol, max_sweeps, sync_every_sweeps, max_batch,
-    max_wait, policy, beta, atomic, seed, start_method, barrier_timeout:
+    max_wait, policy, beta, atomic, seed, barrier_timeout:
         Defaults forwarded to every matrix's
         :class:`~repro.serve.SolverServer`; :meth:`register` accepts
         per-matrix overrides of any of them.
@@ -321,11 +321,11 @@ class MatrixRegistry:
     def _retire(self, entry: _Entry, server: SolverServer) -> None:
         """Fold a closed pool into its matrix's history and drop it.
         Under the registry lock, so a concurrent :meth:`stats` counts
-        the pool exactly once: live, or retired. A retired pool has no
-        workers; its counters and last policy state stay."""
+        the pool exactly once: live, or retired. Its counters and last
+        policy state stay."""
         with self._lock:
             if entry.server is server:
-                entry.history = replace(entry.stats(), worker_pids=[])
+                entry.history = entry.stats()
                 entry.server = None
 
     def _ensure_live(self, entry: _Entry) -> SolverServer:

@@ -225,10 +225,10 @@ class SolverServer:
     Parameters
     ----------
     A:
-        The resident system matrix (positive diagonal required). It is
-        copied into shared memory exactly once, at construction.
+        The resident system matrix (positive diagonal required). The
+        pool's workers read its CSR arrays in place.
     nproc:
-        Worker processes in the pool.
+        Worker threads in the pool.
     capacity_k:
         Column capacity of the pool layout: the widest block request
         and the largest coalesced batch the server can carry.
@@ -266,7 +266,7 @@ class SolverServer:
         its own persistent pool (``nproc`` workers *per shard*),
         coordinated by the asynchronous halo-exchange loop of
         :class:`~repro.execution.ShardedSolver` — for matrices whose
-        single-pool shared-memory segment is too big for one box.
+        single-pool layout is too big for one pool's memory budget.
         Sharding requires ``method="asyrgs"``; the pools live and die
         together on eviction and crash. A ``(method, shards, nodes)``
         choice that :func:`~repro.execution.check_solver` refuses
@@ -281,7 +281,7 @@ class SolverServer:
         and judges convergence on the assembled global residual. A
         dead peer fails only the requests of the batch that hit it,
         naming the peer's ``HOST:PORT``.
-    beta, atomic, directions, seed, start_method, barrier_timeout:
+    beta, atomic, directions, seed, barrier_timeout:
         Forwarded to the pool solver (see
         :func:`~repro.execution.make_solver`). The direction stream
         restarts from position 0 for every batch, so a request's
@@ -307,12 +307,12 @@ class SolverServer:
         Builds the backing pool; defaults to
         :func:`~repro.execution.make_solver`, with its signature:
         ``factory(method, A, zeros_block, shards=..., nproc=...,
-        beta=..., atomic=..., directions=..., start_method=...,
-        barrier_timeout=..., capacity_k=...)``, plus ``nodes`` and
+        beta=..., atomic=..., directions=..., barrier_timeout=...,
+        capacity_k=...)``, plus ``nodes`` and
         ``node_matrix`` for a node-backed matrix. The simulation
         harness substitutes an in-process fake so dispatcher/gather/
-        eviction logic runs under seeded schedules without spawning
-        worker processes.
+        eviction logic runs under seeded schedules without starting
+        pool workers.
 
     Use as a context manager, or call :meth:`close` explicitly.
     """
@@ -336,7 +336,6 @@ class SolverServer:
         atomic: bool = False,
         directions: DirectionStream | None = None,
         seed: int = 0,
-        start_method: str | None = None,
         barrier_timeout: float = 300.0,
         cache=None,
         cache_key=None,
@@ -392,7 +391,6 @@ class SolverServer:
             beta=beta,
             atomic=atomic,
             directions=directions,
-            start_method=start_method,
             barrier_timeout=barrier_timeout,
             capacity_k=capacity_k,
             **node_kwargs,
@@ -519,7 +517,6 @@ class SolverServer:
             return replace(
                 self._counts,
                 spawn_count=self._solver.spawn_count,
-                worker_pids=self._solver.worker_pids(),
                 policy=self.policy.snapshot(),
                 shard_updates=[int(c) for c in shard_counts()],
             )
@@ -569,10 +566,6 @@ class SolverServer:
     def spawn_count(self) -> int:
         """Worker-pool spawns over the server's lifetime (1 = no respawn)."""
         return self._solver.spawn_count
-
-    def worker_pids(self) -> list[int]:
-        """PIDs of the live pool's workers."""
-        return self._solver.worker_pids()
 
     def close(self, timeout: float = 60.0) -> None:
         """Stop accepting requests, drain in-flight work, shut the pool

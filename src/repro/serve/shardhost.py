@@ -59,11 +59,8 @@ class ShardHost:
         The *other* hosts of the ring, as ``"HOST:PORT"`` strings —
         where this host pushes its owned rows after each epoch.
     nproc:
-        Default worker processes for the shard's pool (the
+        Default worker threads for the shard's pool (the
         coordinator's ``shard_begin`` may override).
-    start_method:
-        Multiprocessing start method for the pool, as on
-        :class:`~repro.execution.ProcessAsyRGS`.
     shard_factory, client_factory:
         Test seams: the pool builder (the ``shard_factory`` surface of
         :mod:`repro.execution.sharded`) and the wire-client builder
@@ -77,7 +74,6 @@ class ShardHost:
         name: str = "default",
         peers: list[str] = (),
         nproc: int = 1,
-        start_method: str | None = None,
         shard_factory=None,
         client_factory=None,
     ):
@@ -85,7 +81,6 @@ class ShardHost:
         self.name = str(name)
         self.peers = [str(p) for p in peers]
         self.nproc = int(nproc)
-        self.start_method = start_method
         self._factory = (
             shard_factory if shard_factory is not None else _default_shard_factory
         )
@@ -168,10 +163,8 @@ class ShardHost:
                 f"{b.shape} against rows [{r0}, {r1}) of an "
                 f"n={self.n} system"
             )
-        # The pool options, forwarded as given; the host's own start
-        # method fills in when the coordinator names none.
+        # The pool options, forwarded as given.
         params = dict(payload.get("params") or {})
-        params["start_method"] = params.get("start_method") or self.start_method
         nproc = int(payload.get("nproc") or self.nproc)
         capacity_k = int(payload.get("capacity_k") or x0.shape[1])
         seed = int(payload.get("seed") or 0)
@@ -232,7 +225,6 @@ class ShardHost:
             "shards": shards,
             "rows": [r0, r1],
             "halo_rows": int(self._halo_rows.size),
-            "workers": [int(p) for p in solver.worker_pids()],
             "spawn_count": int(solver.spawn_count),
             "peers": list(self.peers),
         }

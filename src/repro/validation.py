@@ -1,6 +1,6 @@
 """Shared shape/dtype validation for right-hand sides and iterates.
 
-Every engine (the two simulators, the multiprocess pool backends, and
+Every engine (the two simulators, the worker pools, and
 the :class:`~repro.core.asyrgs.AsyRGS` façade) accepts the
 same ``b``/``x0`` contract, so the checks and — importantly — the error
 *wording* live in exactly one place. Before this module each path failed

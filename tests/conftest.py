@@ -6,8 +6,7 @@ from-scratch sparse substrate — the library itself never imports it.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
+import threading
 import time
 
 import numpy as np
@@ -33,6 +32,7 @@ def pytest_addoption(parser):
     )
 
 from repro import _native
+from repro.execution.pool import THREAD_NAME
 from repro.rng import CounterRNG
 from repro.sparse import CSRMatrix
 from repro.workloads import (
@@ -57,66 +57,29 @@ needs_native = pytest.mark.skipif(
 )
 
 
-def _shm_entries() -> set:
-    """Names in ``/dev/shm`` (empty where there is no such directory)."""
-    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+def _pool_threads() -> set:
+    """The live pool worker threads of this process."""
+    return {
+        t for t in threading.enumerate()
+        if t.name.startswith(THREAD_NAME) and t.is_alive()
+    }
 
 
-def _live_children() -> set:
-    """PIDs of this process's children that have not exited: read from
-    ``/proc`` where it exists (every child, however started, zombies
-    left out), else the live ``multiprocessing`` children."""
-    task = f"/proc/{os.getpid()}/task"
-    if not os.path.isdir(task):
-        return {p.pid for p in multiprocessing.active_children()}
-    pids = set()
-    for tid in os.listdir(task):
-        try:
-            with open(f"{task}/{tid}/children") as f:
-                pids.update(int(pid) for pid in f.read().split())
-        except OSError:
-            continue
-    return {pid for pid in pids if pid_alive(pid)}
-
-
-def pid_alive(pid: int) -> bool:
-    """Whether process ``pid`` exists and is not a zombie (without
-    ``/proc``, whether it exists)."""
-    if not os.path.isdir("/proc"):
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return False
-        except PermissionError:
-            pass
-        return True
-    try:
-        with open(f"/proc/{pid}/stat") as f:
-            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except FileNotFoundError:
-        return False
-
-
-#: Seconds a leak check waits for segments and processes to go away
-#: (a reaper or a resource tracker can lag the test by a moment).
+#: Seconds a leak check waits for pool worker threads to end (a worker
+#: of a failed pool may still be finishing its segment).
 LEAK_GRACE_S = 5.0
 
 
 @pytest.fixture
 def no_leaks():
-    """Fail the test if a ``/dev/shm`` entry or a child process it
-    created outlives it (after a grace of :data:`LEAK_GRACE_S`)."""
-    shm, children = _shm_entries(), _live_children()
+    """Fail the test if a pool worker thread it started is still alive
+    after a grace of :data:`LEAK_GRACE_S`."""
+    before = _pool_threads()
     yield
     deadline = time.monotonic() + LEAK_GRACE_S
-    while True:
-        new_shm = _shm_entries() - shm
-        new_children = _live_children() - children
-        if not (new_shm or new_children) or time.monotonic() > deadline:
-            break
+    while (left := _pool_threads() - before) and time.monotonic() < deadline:
         time.sleep(0.05)
-    assert not new_shm, f"shared-memory segments left behind: {sorted(new_shm)}"
-    assert not new_children, f"child processes left behind: {sorted(new_children)}"
+    assert not left, f"pool worker threads left behind: {sorted(t.name for t in left)}"
 
 
 def random_dense(nrows: int, ncols: int, seed: int = 0, density: float = 0.4):

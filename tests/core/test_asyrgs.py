@@ -25,7 +25,7 @@ def system():
 
 
 #: The facade's two engines, and the pool that runs the same algorithm
-#: on real processes: all three validate ``b`` and ``x0`` by one table.
+#: on real worker threads: all three validate ``b`` and ``x0`` by one table.
 SOLVERS = {
     "phased": lambda A, b: AsyRGS(A, b, nproc=2),
     "general": lambda A, b: AsyRGS(A, b, engine="general", nproc=2),
@@ -228,7 +228,7 @@ class TestX0Validation:
 
 class TestColumnTracking:
     """Per-column convergence and early retirement on the simulated
-    engines (the pool's variant is tested with the multiprocess
+    engines (the pool's variant is tested with the ``pool``
     suite)."""
 
     @pytest.fixture(scope="class")

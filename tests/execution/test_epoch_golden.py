@@ -202,8 +202,8 @@ def _run_owner(case):
 
 def _runs():
     """``(id, runner, marks)`` for every pinned solve; a pool run is
-    marked ``multiprocess``."""
-    pool = (pytest.mark.multiprocess,)
+    marked ``pool``."""
+    pool = (pytest.mark.pool,)
     out = []
     for case in CASES:
         for engine in ("phased", "general"):

@@ -18,7 +18,7 @@ from repro.rng import DirectionStream
 from repro.sparse import CSRMatrix
 from repro.workloads import random_least_squares
 
-pytestmark = pytest.mark.multiprocess
+pytestmark = pytest.mark.pool
 
 
 def normal_equations_residual(A, x, b):

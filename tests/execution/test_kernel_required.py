@@ -7,7 +7,7 @@ compiler), every way to build a pool raises the one error of
 solver or a sharded solver, checking a solver choice, registering a
 matrix for serving (as a :class:`ServeError`), and a pool solve on the
 command line (one ``error:`` line and exit code 2). Each refuses before
-any shared-memory segment or worker process exists.
+any pool buffer or worker thread exists.
 """
 
 import numpy as np
@@ -26,8 +26,8 @@ A = random_unit_diagonal_spd(16, nnz_per_row=3, offdiag_scale=0.4, seed=2)
 B = A.matvec(np.ones(16))
 LSQ = random_least_squares(30, 10, nnz_per_row=3, seed=1)
 
-#: No test here may leave a segment or a process behind (each refuses
-#: before either exists).
+#: No test here may leave a worker thread behind (each refuses before
+#: any exists).
 pytestmark = pytest.mark.usefixtures("no_leaks")
 
 

@@ -1,24 +1,17 @@
-"""Tests for the true shared-memory multiprocess backend.
+"""Tests for the in-process worker pool behind ``ProcessAsyRGS``.
 
 Everything here must hold on any machine, including single-CPU boxes
-(processes still exist and race there — they just don't speed up); the
+(the worker threads still race there — they just don't speed up); the
 one genuinely hardware-conditional check skips itself when fewer than
 two CPUs are available.
 """
 
-import os
-import pathlib
-import signal
-import subprocess
 import sys
-import textwrap
-import threading
-import time
 
 import numpy as np
 import pytest
 
-import repro
+from repro import _native
 from repro.core import AsyRGS, randomized_gauss_seidel
 from repro.exceptions import ModelError, ShapeError
 from repro.execution import ProcessAsyRGS, available_cpus
@@ -27,9 +20,9 @@ from repro.rng import DirectionStream
 from repro.sparse import CSRMatrix
 from repro.workloads import laplacian_2d, random_unit_diagonal_spd, social_media_problem
 
-from ..conftest import manufactured_system, pid_alive
+from ..conftest import manufactured_system
 
-pytestmark = pytest.mark.multiprocess
+pytestmark = pytest.mark.pool
 
 
 @pytest.fixture(scope="module")
@@ -156,13 +149,6 @@ class TestConvergence:
         assert res.converged
         assert res.atomic
 
-    def test_spawn_start_method(self, system):
-        A, b, _ = system
-        res = ProcessAsyRGS(A, b, nproc=2, start_method="spawn").solve(
-            tol=1e-6, max_sweeps=200, sync_every_sweeps=20
-        )
-        assert res.converged
-
 
 class TestEpochs:
     def test_sync_points_follow_epoch_schedule(self, system):
@@ -179,6 +165,30 @@ class TestEpochs:
         # One checkpoint per sync point plus the initial metric.
         assert len(res.checkpoints) == 4
         assert res.checkpoints[-1][0] == 20 * n
+
+    def test_more_workers_than_cores_keep_every_epoch_exact(self, block_system):
+        """Eight worker threads, more than the cores, with the
+        interpreter switching threads every 10 µs: every one of 300
+        one-sweep epochs still commits exactly its share of draws and
+        counts it before the parent reads the counters at the end gate."""
+        from repro.rng import interleave_counts
+
+        A, B, _ = block_system
+        n = A.shape[0]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ProcessAsyRGS(A, B, nproc=8, barrier_timeout=60.0) as solver:
+                res = solver.solve(tol=0.0, max_sweeps=300, sync_every_sweeps=1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert res.sync_points == 300
+        assert res.iterations == 300 * n
+        assert res.column_updates == 300 * n * B.shape[1]
+        np.testing.assert_array_equal(
+            res.per_worker_iterations, interleave_counts(300 * n, 8)
+        )
+        assert res.tau_observed.count == 300 * n
 
     def test_checkpoints_decrease(self, system):
         A, b, _ = system
@@ -423,14 +433,13 @@ class TestColumnRetirement:
 class TestPersistentPool:
     def test_reused_pool_matches_oneshot_exactly(self, block_system):
         """nproc=1 is deterministic: two solves on one pool must equal
-        two one-shot solves bit for bit, with one spawn and one CSR copy."""
+        two one-shot solves bit for bit, with one spawn."""
         A, B, _ = block_system
         with ProcessAsyRGS(A, B, nproc=1) as solver:
             assert solver.pool_active
             r1 = solver.solve(tol=1e-10, max_sweeps=200, sync_every_sweeps=10)
             r2 = solver.solve(tol=1e-10, max_sweeps=200, sync_every_sweeps=10)
             assert solver.spawn_count == 1
-            assert solver.csr_copies == 1
         assert not solver.pool_active
         one = ProcessAsyRGS(A, B, nproc=1).solve(
             tol=1e-10, max_sweeps=200, sync_every_sweeps=10
@@ -440,40 +449,12 @@ class TestPersistentPool:
         assert r1.iterations == r2.iterations == one.iterations
         assert r1.sweeps_done == one.sweeps_done
 
-    def test_workers_survive_group_delivered_signals(self, system):
-        """A terminal ^C or a supervisor's TERM hits the whole process
-        group, workers included. Workers must shrug it off — their
-        lifecycle belongs to the parent's control word; a worker dying
-        of it would fail the solve it serves (`repro serve` under
-        coreutils `timeout` hit exactly this)."""
-        import os
-        import signal as signal_module
-        import time
-
-        A, b, x_star = system
-        with ProcessAsyRGS(A, b, nproc=2) as solver:
-            pids = solver.worker_pids()
-            r1 = solver.solve(tol=1e-8, max_sweeps=400, sync_every_sweeps=10)
-            for pid in pids:
-                os.kill(pid, signal_module.SIGTERM)
-                os.kill(pid, signal_module.SIGINT)
-            time.sleep(0.2)  # give a (wrongly) dying worker time to die
-            assert solver.worker_pids() == pids
-            r2 = solver.solve(tol=1e-8, max_sweeps=400, sync_every_sweeps=10)
-            assert solver.spawn_count == 1
-        assert r1.converged and r2.converged
-        assert np.abs(r2.x - x_star).max() < 1e-5
-
     def test_workers_spawned_once_across_solves(self, system):
         A, b, x_star = system
         with ProcessAsyRGS(A, b, nproc=2) as solver:
-            pids_before = solver.worker_pids()
-            assert len(pids_before) == 2
             r1 = solver.solve(tol=1e-8, max_sweeps=400, sync_every_sweeps=10)
             r2 = solver.solve(tol=1e-8, max_sweeps=400, sync_every_sweeps=10)
-            assert solver.worker_pids() == pids_before
             assert solver.spawn_count == 1
-            assert solver.csr_copies == 1
         assert r1.converged and r2.converged
         assert np.abs(r1.x - x_star).max() < 1e-5
         assert np.abs(r2.x - x_star).max() < 1e-5
@@ -515,7 +496,6 @@ class TestPersistentPool:
         backend.run(None, 10)
         backend.run(None, 10)
         assert backend.spawn_count == 2
-        assert backend.csr_copies == 2
         assert not backend.pool_active
 
     def test_close_is_idempotent(self, system):
@@ -609,11 +589,10 @@ class TestCapacityLayouts:
         ShapeError ("this pool's layout is fixed"); the pool could only
         be escaped by building a new solver. With the layout allocated
         at ``capacity_k``, a narrower request now *reuses* the live
-        pool — no respawn, no CSR re-copy, stable worker PIDs."""
+        pool — no respawn."""
         A, B, _ = block_system
         n, k = B.shape
         with ProcessAsyRGS(A, B, nproc=2, capacity_k=k) as solver:
-            pids = solver.worker_pids()
             r_block = solver.solve(tol=1e-8, max_sweeps=400, sync_every_sweeps=10)
             r_one = solver.solve(
                 tol=1e-8, max_sweeps=400, sync_every_sweeps=10, b=B[:, 0]
@@ -622,8 +601,6 @@ class TestCapacityLayouts:
                 tol=1e-8, max_sweeps=400, sync_every_sweeps=10, b=B[:, :2]
             )
             assert solver.spawn_count == 1
-            assert solver.csr_copies == 1
-            assert solver.worker_pids() == pids
         assert r_block.converged and r_one.converged and r_two.converged
         assert r_block.x.shape == (n, k)
         assert r_one.x.shape == (n,)
@@ -742,10 +719,6 @@ class TestCapacityLayouts:
 
 
 class TestWorkerCrashReporting:
-    @pytest.mark.skipif(
-        "fork" not in __import__("multiprocessing").get_all_start_methods(),
-        reason="fault injection rides fork inheritance",
-    )
     @pytest.mark.usefixtures("no_leaks")
     def test_crash_raises_with_worker_id(self, system, tmp_path, monkeypatch):
         """A worker that raises mid-epoch surfaces as ModelError naming
@@ -764,10 +737,8 @@ class TestWorkerCrashReporting:
             return real_loop(wid, *args, **kwargs)
 
         monkeypatch.setattr(processes_module, "_worker_loop", crashing_loop)
-        with ProcessAsyRGS(
-            A, b, nproc=3, start_method="fork", barrier_timeout=60.0
-        ) as solver:
-            with pytest.raises(ModelError, match="worker process 1 crashed"):
+        with ProcessAsyRGS(A, b, nproc=3, barrier_timeout=60.0) as solver:
+            with pytest.raises(ModelError, match="worker 1 crashed"):
                 solver.solve(tol=1e-8, max_sweeps=100, sync_every_sweeps=10)
             # The broken pool was dropped; the next call respawns.
             flag.unlink()
@@ -776,71 +747,47 @@ class TestWorkerCrashReporting:
             assert solver.spawn_count == 2
 
     @pytest.mark.usefixtures("no_leaks")
-    def test_killed_worker_fails_the_solve_at_once(self, system):
-        """A worker killed by a signal mid-solve fails that solve within
-        a gate slice, not after ``barrier_timeout``: the error names the
-        worker and the signal, and the next call respawns the pool."""
-        A, b, _ = system
-        with ProcessAsyRGS(A, b, nproc=2, barrier_timeout=60.0) as solver:
-            victim = solver.worker_pids()[1]
-            killed_at = []
-
-            def kill():
-                killed_at.append(time.monotonic())
-                os.kill(victim, signal.SIGKILL)
-
-            timer = threading.Timer(0.3, kill)
-            timer.start()
-            try:
-                # tol=0 never converges: the solve runs until the kill.
-                with pytest.raises(ModelError) as info:
-                    solver.solve(tol=0.0, max_sweeps=10**7)
-                failed_at = time.monotonic()
-            finally:
-                timer.join()
-            assert "worker process 1 crashed" in str(info.value)
-            assert "SIGKILL" in str(info.value)
-            assert failed_at - killed_at[0] < 5.0
-            assert not pid_alive(victim)
-            res = solver.solve(tol=1e-8, max_sweeps=400, sync_every_sweeps=10)
+    def test_barrier_timeout_stops_the_pool_and_the_next_call_respawns(
+        self, laplace_system
+    ):
+        """An epoch that outlasts ``barrier_timeout`` fails its call and
+        stops the pool; its workers end once their segment is done, and
+        the next call runs on a fresh pool."""
+        A, b, x_star = laplace_system
+        with ProcessAsyRGS(A, b, nproc=2, barrier_timeout=0.05) as solver:
+            # 2·10⁷ updates take far longer than 50 ms at any speed.
+            with pytest.raises(ModelError, match="barrier_timeout"):
+                solver.run(None, 20_000_000)
+            assert not solver.pool_active
+            solver.barrier_timeout = 60.0  # let the next call finish
+            res = solver.solve(tol=1e-8, max_sweeps=2000, sync_every_sweeps=10)
             assert res.converged
             assert solver.spawn_count == 2
+        assert np.abs(res.x - x_star).max() < 1e-5
 
-    @pytest.mark.usefixtures("no_leaks")
-    def test_workers_exit_when_their_parent_dies(self, tmp_path):
-        """Workers parked at the start gate leave once their parent is
-        gone, even when it was SIGKILLed and could not stop them."""
-        script = tmp_path / "parent.py"
-        script.write_text(textwrap.dedent("""
-            import time
-            import numpy as np
-            from repro.execution import ProcessAsyRGS
-            from repro.workloads import random_unit_diagonal_spd
 
-            A = random_unit_diagonal_spd(30, nnz_per_row=4, offdiag_scale=0.6, seed=8)
-            solver = ProcessAsyRGS(A, A.matvec(np.ones(30)), nproc=2).open()
-            print(*solver.worker_pids(), flush=True)
-            time.sleep(120)
-        """))
-        src = str(pathlib.Path(repro.__file__).parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        parent = subprocess.Popen(
-            [sys.executable, str(script)], env=env, text=True,
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-        )
-        try:
-            workers = [int(pid) for pid in parent.stdout.readline().split()]
-        finally:
-            # The workers share the pipe: wait for the parent, not EOF.
-            parent.kill()
-            parent.wait()
-            parent.stdout.close()
-        assert len(workers) == 2
-        deadline = time.monotonic() + 5.0
-        while any(map(pid_alive, workers)) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not any(map(pid_alive, workers))
+class TestNoCopy:
+    def test_kernel_reads_the_matrix_arrays_in_place(self, system, monkeypatch):
+        """Every worker's kernel is bound to ``A``'s own CSR arrays: the
+        pool copies no part of the matrix."""
+        A, b, _ = system
+        bound = []
+        real_bind = _native.RowSegment.bind
+
+        def spy(v, **params):
+            kernel = real_bind(v, **params)
+            bound.append((v, kernel))
+            return kernel
+
+        monkeypatch.setattr(_native.RowSegment, "bind", spy)
+        with ProcessAsyRGS(A, b, nproc=2) as solver:
+            assert solver.run(None, 100).iterations == 100
+            assert len(bound) == 2
+            for v, kernel in bound:
+                for name in ("indptr", "indices", "data"):
+                    assert np.shares_memory(v[name], getattr(A, name)), name
+                pointer = kernel._ffi.cast("intptr_t", kernel._s.indices)
+                assert int(pointer) == A.indices.ctypes.data
 
 
 class TestValidation:

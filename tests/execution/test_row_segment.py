@@ -2,8 +2,8 @@
 
 A pool worker runs each epoch segment in one call of
 :class:`repro._native.RowSegment`, the pools' only update path. It is
-driven here on the pool's own segment layout, held in a plain
-``bytearray`` (no processes).
+driven here on the pool's own buffer layout, held in a plain
+``bytearray``, with the CSR arrays beside it (no pool threads).
 
 Three pins:
 
@@ -23,7 +23,6 @@ Three pins:
 """
 
 import threading
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -152,15 +151,18 @@ class TestDirections:
 
 
 def _segment(k, act, *, adaptive):
-    """A pool segment's views over a ``bytearray``, holding
+    """A pool's views over a ``bytearray`` plus the CSR arrays, holding
     :func:`_system` at width ``k`` with columns ``act`` active, the
     other workers' tickets set, the staleness log filled with ``-1`` (so
     every entry the kernel writes shows) and (adaptive) a skewed CDF."""
     arrays = _system(k)
-    geom = (N_ROWS, X_ROWS, N_ROWS, arrays["indices"].size, k)
-    v = _views(SimpleNamespace(buf=bytearray(_layout(geom, NPROC)[2])), geom, NPROC)
+    geom = (N_ROWS, X_ROWS, N_ROWS, k)
+    v = _views(bytearray(_layout(geom, NPROC)[2]), geom, NPROC)
     for name, value in arrays.items():
-        v[name][...] = value
+        if name in v:
+            v[name][...] = value
+        else:  # the CSR: the kernel reads the matrix's own arrays
+            v[name] = value
     v["active"][act] = 1
     for w, ticket in OTHER_PROGRESS.items():
         v["progress"][w] = ticket
@@ -289,9 +291,10 @@ def test_atomic_writes_lose_no_update_under_contention(k):
     call). The one row's entry is 0, so every draw adds exactly
     ``β·b/norm = 1`` to each column: a lost write would leave it short."""
     threads, draws = 4, 200_000
-    geom = (1, 1, 1, 1, k)
-    v = _views(SimpleNamespace(buf=bytearray(_layout(geom, threads)[2])), geom, threads)
-    v["indptr"][:] = [0, 1]
+    geom = (1, 1, 1, k)
+    v = _views(bytearray(_layout(geom, threads)[2]), geom, threads)
+    v.update(indptr=np.array([0, 1]), indices=np.zeros(1, dtype=np.int64),
+             data=np.zeros(1))
     v["b"][:] = 1.0
     v["norms"][:] = 1.0
     stream = DirectionStream(1, seed=0)
@@ -378,7 +381,7 @@ def test_active_columns_outside_the_layout_are_refused():
 
 def test_a_released_kernel_refuses_to_run():
     """After ``release()`` the kernel holds no pointer into the segment
-    (a worker releases it before closing the shared memory)."""
+    (a worker releases it when it ends)."""
     k, act = SELECTIONS["full"]
     v = _segment(k, act, adaptive=False)
     kernel = _bind(v)
@@ -408,7 +411,7 @@ def test_pool_methods_pick_their_scatter_rule_and_offset():
     assert not shard.project
 
 
-@pytest.mark.multiprocess
+@pytest.mark.pool
 class TestPools:
     def _system(self):
         A = random_unit_diagonal_spd(16, nnz_per_row=3, offdiag_scale=0.4, seed=2)

@@ -7,8 +7,8 @@ Split by cost, not by topic:
   bookkeeping — runs fake shards in-process and stays in tier-1.
 * The properties that only mean anything against real pools — the
   bit-identity of ``make_solver(..., shards=1)`` with the plain pool and
-  sharded convergence to the direct solution across pool reuse — spawn
-  OS workers and carry the ``multiprocess`` marker.
+  sharded convergence to the direct solution across pool reuse — start
+  pool workers and carry the ``pool`` marker.
 
 Both halves carry the ``shard`` marker (CI's sharded slice).
 """
@@ -97,13 +97,15 @@ class TestSegmentBytes:
             capacity_k=4, nproc=2,
         )
         ref = segment_bytes(**base)
-        for key in ("n_rows", "x_rows", "b_rows", "nnz", "capacity_k"):
+        for key in ("n_rows", "x_rows", "b_rows", "capacity_k"):
             grown = dict(base, **{key: base[key] * 2})
             assert segment_bytes(**grown) > ref, key
+        # The kernel reads the matrix's own CSR: no copy to budget for.
+        assert segment_bytes(**dict(base, nnz=10 * base["nnz"])) == ref
 
     def test_rectangular_shard_is_cheaper_than_the_square_pool(self):
-        """A shard keeps all n iterate rows but only its slice of CSR,
-        RHS, and norms — its segment must be strictly smaller."""
+        """A shard keeps all n iterate rows but only its slice of RHS,
+        norms and CDF — its buffer must be strictly smaller."""
         full = segment_bytes(
             n_rows=400, x_rows=400, b_rows=400, nnz=2000,
             capacity_k=4, nproc=2,
@@ -302,9 +304,6 @@ class _FakeShard:
             self.spawn_count += 1
         return self._pool
 
-    def worker_pids(self):
-        return [self.index]
-
 
 def fake_shard_factory(solution, made):
     def factory(index, A_s, b_s, norms_s, *, offset, n_rows, **kwargs):
@@ -389,7 +388,7 @@ class TestFakeShards:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.multiprocess
+@pytest.mark.pool
 class TestRealPools:
     def test_shards1_is_bit_identical_to_the_plain_pool(self):
         """make_solver builds the plain pool at shards=1, so at nproc=1

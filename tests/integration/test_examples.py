@@ -55,7 +55,7 @@ class TestExamples:
         assert "price of asynchrony" in out
         assert "block CG" in out
 
-    @pytest.mark.multiprocess
+    @pytest.mark.pool
     def test_least_squares(self, capsys):
         out = run_example("least_squares.py", capsys)
         assert "no solution" in out  # the system is inconsistent…
@@ -64,7 +64,7 @@ class TestExamples:
         assert "RCD" in out and "AsyRK" in out and "converged=True" in out
         assert "adaptive sampling saved" in out  # the ablation's headline
 
-    @pytest.mark.multiprocess
+    @pytest.mark.pool
     def test_true_parallel(self, capsys):
         out = run_example("true_parallel.py", capsys)
         assert "AsyRGS[processes]" in out
@@ -73,7 +73,7 @@ class TestExamples:
         assert "51 labels" in out  # the paper's headline block regime
         assert "per-column retirement: 51/51" in out  # every label converged
         assert "update-count savings" in out  # retirement did real work
-        assert "1 pool spawn(s), 1 CSR copy(ies)" in out  # persistent pool
+        assert "1 pool spawn(s)" in out  # persistent pool
 
     @pytest.mark.serve
     def test_serving(self, capsys):
@@ -81,7 +81,6 @@ class TestExamples:
         assert "51 requests answered" in out
         assert "51/51 converged" in out
         assert "zero respawns" in out
-        assert "worker PIDs stable: True" in out
         assert "max queue depth" in out
         # The multi-matrix gateway: routing, lazy pools, LRU eviction.
         assert "gateway: matrices ['social', 'lap'], live pools []" in out

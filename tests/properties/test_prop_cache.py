@@ -102,7 +102,7 @@ def plain_server(system):
     server.close()
 
 
-@pytest.mark.multiprocess
+@pytest.mark.pool
 class TestWarmEqualsCold:
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=6, deadline=None, derandomize=True)

@@ -1,4 +1,4 @@
-"""Property-based tests: real-process runs vs the paper's theory.
+"""Property-based tests: real pool runs vs the paper's theory.
 
 For random unit-diagonal SPD systems, the final relative residual after
 the epoch scheme must sit below the Theorem 2/3 envelope evaluated with
@@ -28,7 +28,7 @@ from repro.workloads import random_unit_diagonal_spd
 
 from ..conftest import needs_native
 
-pytestmark = pytest.mark.multiprocess
+pytestmark = pytest.mark.pool
 
 # Markov: P(X > 100·E[X]) < 1%. Applied in the squared-A-norm domain.
 SLACK = 100.0

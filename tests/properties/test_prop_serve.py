@@ -86,8 +86,6 @@ class TestCapacityPoolDeterminism:
         self, ks, setting, pool, oneshot_reference
     ):
         A, B = setting
-        pids = pool.worker_pids()
-        assert len(pids) == 1
         spawns_before = pool.spawn_count
         seen: dict = {}
         for k in ks:
@@ -109,8 +107,7 @@ class TestCapacityPoolDeterminism:
             ref = oneshot_reference(k)
             np.testing.assert_allclose(res.x, ref.x, rtol=1e-9, atol=1e-12)
             assert res.sweeps_done == ref.sweeps_done
-        # Worker PIDs never change across requests; zero respawns.
-        assert pool.worker_pids() == pids
+        # Zero respawns across requests.
         assert pool.spawn_count == spawns_before
 
     @given(
@@ -124,7 +121,6 @@ class TestCapacityPoolDeterminism:
         scales the deterministic iterate)."""
         A, B = setting
         spawns_before = pool.spawn_count
-        pids = pool.worker_pids()
         for k in ks:
             b = (B[:, 0] if k == 1 else B[:, :k]) * scale
             res = pool.solve(**SOLVE, b=b)
@@ -134,4 +130,3 @@ class TestCapacityPoolDeterminism:
                 res.x, base.x * scale, rtol=1e-9, atol=1e-12
             )
         assert pool.spawn_count == spawns_before
-        assert pool.worker_pids() == pids

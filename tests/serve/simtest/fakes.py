@@ -1,11 +1,11 @@
-"""In-process stand-ins for the multiprocess solver pool.
+"""In-process stand-ins for the worker-thread solver pool.
 
 The simulation harness tests the *serving* logic — dispatch, gather,
 stash, eviction, policy feedback — not the numerical engine, so the
 pool behind the server is replaced by :class:`FakePool`: an in-process
 object with the exact :class:`~repro.execution.ProcessAsyRGS` surface
-the server touches (``open``/``close``/``solve``/``spawn_count``/
-``worker_pids``) whose "solves" are exact, instantaneous algebra on a
+the server touches (``open``/``close``/``solve``/``spawn_count``)
+whose "solves" are exact, instantaneous algebra on a
 **diagonal** system.
 
 Diagonal systems make every routing bug visible: for ``A = diag(d)``
@@ -36,7 +36,7 @@ which has no such attribute). ``fail_shard_on`` scripts a *shard*
 death: ``{call_index: shard_id}`` raises the coordinator's own failure
 shape — :class:`~repro.exceptions.ModelError` naming the guilty shard
 — from the N-th solve call, so drivers can assert the gateway
-attributes the crash without spawning a single OS process.
+attributes the crash without starting a single pool worker.
 """
 
 from __future__ import annotations
@@ -149,9 +149,6 @@ class FakePool:
 
     def close(self) -> None:
         self._open = False
-
-    def worker_pids(self) -> list[int]:
-        return list(range(self.nproc * self.shards))
 
     def shard_update_counts(self) -> list[int]:
         """Per-shard load, the real coordinator's shape: every shard

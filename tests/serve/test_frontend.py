@@ -267,6 +267,37 @@ class TestDivergedSolves:
             assert "[1]" in reply["error"] and "[0, 1]" not in reply["error"]
 
 
+class TestReplyOk:
+    """``handle_line``'s callable reports its reply's ``ok`` field, so
+    the HTTP front-end picks the status without parsing the reply."""
+
+    def test_ok_matches_the_reply_of_every_kind(self):
+        rows = np.ones(4)
+        with MatrixRegistry(
+            nproc=1, capacity_k=2, max_wait=0.0, solver_factory=fake_factory()
+        ) as reg:
+            reg.register("diag", diagonal_system(np.full(4, 2.0)))
+            lines = [
+                request_line("good", rows),
+                request_line("bad-shape", np.ones(3)),
+                request_line("ghost", rows, matrix="ghost"),
+                "not json",
+                '{"op": "stats"}',
+                '{"op": "stats", "matrix": "ghost"}',
+                '{"op": "matrices"}',
+                '{"op": "register", "matrix": "x", "problem": "no-such"}',
+            ]
+            for line in lines:
+                reply = handle_line(reg, line)
+                assert reply.ok is None  # not answered yet
+                text = reply()
+                assert reply.ok is json.loads(text)["ok"], line
+        with TestDivergedSolves()._server(0) as srv:
+            reply = handle_line(srv, request_line("d", np.ones(TestDivergedSolves.N)))
+            assert json.loads(reply())["ok"] is False
+            assert reply.ok is False
+
+
 class TestEpochArguments:
     """An out-of-range epoch argument is refused at submission: the
     reply names the parameter, and the request is never counted,

@@ -11,7 +11,6 @@ over a web request).
 
 import http.client
 import json
-import multiprocessing
 import threading
 
 import numpy as np
@@ -260,16 +259,12 @@ class TestRegistryOverHTTP:
         assert "unknown matrix" in resp["error"]
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="fault injection rides fork inheritance",
-)
 class TestWorkerCrashOverHTTP:
     @pytest.mark.usefixtures("no_leaks")
     def test_crash_is_a_400_naming_the_worker_and_the_server_recovers(
         self, system, tmp_path, monkeypatch
     ):
-        """The stress suite's fork-inherited fault injection, replayed
+        """The stress suite's monkeypatched fault injection, replayed
         over a web request: a worker dying mid-solve answers this
         request ``ok: false`` with the guilty worker id, and the next
         request respawns the pool and succeeds."""
@@ -286,7 +281,7 @@ class TestWorkerCrashOverHTTP:
         monkeypatch.setattr(processes_module, "_worker_loop", crashing_loop)
         with SolverServer(
             A, nproc=2, capacity_k=2, tol=1e-8, max_sweeps=200,
-            sync_every_sweeps=10, max_wait=0.0, start_method="fork",
+            sync_every_sweeps=10, max_wait=0.0,
             barrier_timeout=60.0,
         ) as srv:
             httpd = make_http_server(srv, "127.0.0.1", 0)
@@ -300,7 +295,7 @@ class TestWorkerCrashOverHTTP:
                 )
                 assert status == 400
                 assert resp["ok"] is False and resp["id"] == "doomed"
-                assert "worker process 1 crashed" in resp["error"]
+                assert "worker 1 crashed" in resp["error"]
 
                 flag.unlink()  # heal: the respawned pool is clean
                 status, resp = client.request(

@@ -132,7 +132,7 @@ class TestVerbValidation:
             h.shard_begin(_begin_payload(A.shape[0]))
 
 
-@pytest.mark.multiprocess
+@pytest.mark.pool
 class TestHostEpochLoop:
     """One host, real nproc=1 pool, no sockets: the verb sequence a
     coordinator drives, with the monitoring payloads along the way."""
@@ -208,7 +208,7 @@ def ring(system):
             h.close()
 
 
-@pytest.mark.multiprocess
+@pytest.mark.pool
 class TestTwoNodeRing:
     def test_coordinated_solve_converges_with_halo_traffic(
         self, ring, system

@@ -87,7 +87,6 @@ def _matrix_stats(**overrides):
         "latency_mean": _CLOCK,
         "latency_max": _CLOCK,
         "spawn_count": 1,
-        "worker_pids": [0],
         "policy": {"policy": "fixed", "max_wait": 0.0},
         "method": "asyrgs",
         "shards": 1,
@@ -168,7 +167,7 @@ GATEWAY_MATRICES = {
         requests_submitted=2, requests_served=2, batches=2,
     ),
     "big": _matrix_stats(
-        spawn_count=3, worker_pids=[0, 1, 2], shards=3,
+        spawn_count=3, shards=3,
         shard_updates=[1, 1, 1],
     ),
     "rk": _matrix_stats(
@@ -189,7 +188,6 @@ GATEWAY_AGGREGATE = _matrix_stats(
     requests_served=4,
     batches=4,
     spawn_count=5,
-    worker_pids=[0, 0, 1, 2, 0],
     policy={
         "policy": "mixed",
         "pools": 3,
@@ -290,7 +288,6 @@ class TestBareServer:
             _mask(bare["stats"]),
             _matrix_stats(
                 requests_submitted=2, requests_served=2, batches=2,
-                worker_pids=[0, 1],
             ),
         )
 

@@ -13,11 +13,10 @@ Four stories the serving subsystem must survive:
 * a worker crash mid-batch — only the affected requests fail, with the
   worker id in the error, and the server recovers by respawning the
   pool for the next batch (extends PR 3's poisoned-matrix pattern with
-  a fork-inherited fault injection, so the *parent's* residual checks
+  a monkeypatched fault injection, so the *parent's* residual checks
   stay healthy while a worker dies).
 """
 
-import multiprocessing
 import threading
 
 import numpy as np
@@ -242,10 +241,6 @@ class TestDispatcherResilience:
             assert srv.solve(b, timeout=WAIT).converged  # still serving
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="fault injection rides fork inheritance",
-)
 @pytest.mark.usefixtures("no_leaks")
 class TestWorkerCrash:
     def test_crash_fails_only_affected_batch_with_worker_id(
@@ -268,13 +263,13 @@ class TestWorkerCrash:
         monkeypatch.setattr(processes_module, "_worker_loop", crashing_loop)
         with SolverServer(
             A, nproc=2, capacity_k=2, tol=1e-8, max_sweeps=200,
-            sync_every_sweeps=10, max_wait=2.0, start_method="fork",
+            sync_every_sweeps=10, max_wait=2.0,
             barrier_timeout=60.0,
         ) as srv:
             doomed = [srv.submit(b), srv.submit(b * 2.0)]
             for h in doomed:
                 with pytest.raises(
-                    ServeError, match=r"worker process \d+ crashed"
+                    ServeError, match=r"worker \d+ crashed"
                 ):
                     h.result(WAIT)
             stats_mid = srv.stats()
@@ -308,8 +303,8 @@ class TestWorkerCrash:
         monkeypatch.setattr(processes_module, "_worker_loop", crashing_loop)
         with SolverServer(
             A, nproc=3, capacity_k=2, tol=1e-8, max_sweeps=200,
-            sync_every_sweeps=10, max_wait=0.0, start_method="fork",
+            sync_every_sweeps=10, max_wait=0.0,
             barrier_timeout=60.0,
         ) as srv:
-            with pytest.raises(ServeError, match="worker process 2 crashed"):
+            with pytest.raises(ServeError, match="worker 2 crashed"):
                 srv.solve(b, timeout=WAIT)

@@ -398,9 +398,6 @@ class _FakeShard:
     def _ensure_pool(self):
         return self._pool
 
-    def worker_pids(self):
-        return [0]
-
 
 @pytest.fixture(scope="module")
 def front_doors():

@@ -61,7 +61,7 @@ class TestSpeedup:
         assert args.problem == "laplace2d"
         assert args.labels == 1
 
-    @pytest.mark.multiprocess
+    @pytest.mark.pool
     def test_reports_wallclock_scaling(self, capsys):
         code = main(["speedup", "--nproc", "2", "--sweeps", "2"])
         assert code == 0
@@ -69,7 +69,7 @@ class TestSpeedup:
         assert "Strong scaling" in out
         assert "tau_obs" in out
 
-    @pytest.mark.multiprocess
+    @pytest.mark.pool
     def test_block_scaling_with_labels(self, capsys):
         code = main(["speedup", "--nproc", "2", "--sweeps", "2", "--labels", "3"])
         assert code == 0
@@ -78,7 +78,7 @@ class TestSpeedup:
 
 
 class TestSolve:
-    @pytest.mark.multiprocess
+    @pytest.mark.pool
     def test_processes_engine(self, matrix_file, capsys):
         path, _ = matrix_file
         code = main(
@@ -109,7 +109,7 @@ class TestSolve:
         )
         assert code == 0
 
-    @pytest.mark.multiprocess
+    @pytest.mark.pool
     def test_processes_engine_auto_beta(self, matrix_file, capsys):
         """On the pool, ``--beta auto`` is the Theorem 4 step for the
         nominal τ = P − 1 with inconsistent (live shared-memory) reads."""
@@ -177,7 +177,7 @@ class TestSolveMultiRHS:
         assert X.shape == X_star.shape
         np.testing.assert_allclose(X, X_star, atol=1e-7)
 
-    @pytest.mark.multiprocess
+    @pytest.mark.pool
     def test_block_rhs_processes_engine(self, matrix_file, block_rhs_file, capsys):
         path, _ = matrix_file
         rhs, _ = block_rhs_file
@@ -285,7 +285,7 @@ class TestExperimentAndProblems:
         assert code == 0
         assert "banded" in capsys.readouterr().out
 
-    @pytest.mark.multiprocess
+    @pytest.mark.pool
     def test_block_retire_mode_runs(self, capsys):
         code = main(["experiment", "block", "--retire", "--problem", "social-small"])
         assert code == 0

@@ -5,7 +5,7 @@ with the *same* error text — the table is the contract. These tests pin
 the wording identity across entry points and the two negative cases the
 engines historically leaked NumPy internals for: wrong-dtype ``b`` and
 (the positive case) non-contiguous ``b`` blocks, which must simply
-work. The multiprocess variants live in
+work. The pool variants live in
 ``tests/execution/test_processes.py``; everything here is tier-1.
 """
 
