@@ -43,13 +43,6 @@ concurrently, like traffic — are multiplexed onto it by
    family included) in the Prometheus text format that
    ``GET /v1/metrics`` serves.
 
-9. go multi-node: boot two *shard hosts* (the engine behind
-   ``repro serve --shard-of``) on local TCP ports, wire them into a
-   peer ring, and drive the solve from a coordinator via
-   ``nodes=[...]`` — the halo exchange of step 7 now crosses sockets
-   as best-effort ``halo_push`` traffic, and each host counts it for
-   its own ``repro_halo_*`` scrape.
-
 The same servers speak JSON lines on stdin or TCP via ``repro serve``,
 and HTTP/1.1 via ``repro serve --http PORT``::
 
@@ -243,52 +236,6 @@ def main() -> None:
         for ln in cache_lines:
             print(f"  {ln}")
         print()
-
-    # -- 9. Multi-node: the ring over real sockets. --------------------
-    # Step 7's halo exchange, with each shard behind its own TCP
-    # listener — in production these are two `repro serve --shard-of`
-    # processes on two machines; here they share this process but all
-    # shard verbs and halo pushes genuinely cross sockets. Peers are
-    # read at shard_begin, so the ring can be wired after the ephemeral
-    # ports are known.
-    from repro.execution import ShardedSolver
-    from repro.serve import ShardHost, make_tcp_server
-
-    lap2 = laplacian_2d(16, 16)
-    n2 = lap2.shape[0]
-    x_star = np.sin(np.linspace(0.0, 2.0 * np.pi, n2))
-    hosts = [ShardHost(lap2, name="lap", nproc=1) for _ in range(2)]
-    servers = [make_tcp_server(h, "127.0.0.1", 0) for h in hosts]
-    for srv in servers:
-        threading.Thread(target=srv.serve_forever, daemon=True).start()
-    addrs = [f"{s.server_address[0]}:{s.server_address[1]}" for s in servers]
-    hosts[0].peers, hosts[1].peers = [addrs[1]], [addrs[0]]
-    print(f"shard hosts up: {addrs[0]} <-> {addrs[1]} (peer ring)")
-    try:
-        res = ShardedSolver(
-            lap2, lap2.matvec(x_star), shards=2, nproc=1, seed=0,
-            nodes=addrs, node_matrix="lap", barrier_timeout=60.0,
-        ).solve(tol=1e-6, max_sweeps=20000, sync_every_sweeps=2)
-        err = float(np.max(np.abs(res.x - x_star)))
-        print(
-            f"multi-node: converged={res.converged} in "
-            f"{res.sweeps_done} epochs, max|x - x*| = {err:.1e}"
-        )
-        for host, addr, peer in zip(hosts, addrs, reversed(addrs)):
-            halo = host.stats_payload()["halo"]
-            print(
-                f"  host {addr}: pushed {halo['pushes'][peer]} halo "
-                f"block(s) to {peer}, received {halo['received']}, "
-                f"stale-dropped {halo['stale_drops']} — "
-                "`repro serve --shard-of lap=... --http` scrapes these "
-                "as repro_halo_*"
-            )
-    finally:
-        for srv in servers:
-            srv.shutdown()
-            srv.server_close()
-        for h in hosts:
-            h.close()
 
 
 if __name__ == "__main__":

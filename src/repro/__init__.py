@@ -31,66 +31,35 @@ Package map (the README's "Layout" section maps the source tree):
 * :mod:`repro.bench` — the experiment drivers behind ``benchmarks/``.
 """
 
-from .core import (
-    AsyRGS,
-    AsyRGSResult,
-    AsyncLeastSquares,
-    ConvergenceHistory,
-    randomized_gauss_seidel,
-    rcd_least_squares,
-    relative_residual,
-)
+from .core import AsyRGS, randomized_gauss_seidel
 from .execution import (
     AsyRK,
     AsyncSimulator,
     MachineModel,
     PhasedSimulator,
     ProcessAsyRGS,
-    make_solver,
 )
 from .krylov import (
     AsyRGSPreconditioner,
-    block_conjugate_gradient,
     conjugate_gradient,
     flexible_conjugate_gradient,
 )
-from .sparse import COOBuilder, CSRMatrix
-from .rng import CounterRNG, DirectionStream
-from .estimation import condest, spectrum_estimate
-from .workloads import (
-    get_problem,
-    laplacian_2d,
-    social_media_problem,
-)
+from .workloads import laplacian_2d, social_media_problem
 
 __version__ = "1.0.0"
 
 __all__ = [
     "AsyRGS",
     "AsyRGSPreconditioner",
-    "AsyRGSResult",
     "AsyRK",
-    "AsyncLeastSquares",
     "AsyncSimulator",
-    "COOBuilder",
-    "CSRMatrix",
-    "ConvergenceHistory",
-    "CounterRNG",
-    "DirectionStream",
     "MachineModel",
     "PhasedSimulator",
     "ProcessAsyRGS",
-    "block_conjugate_gradient",
-    "condest",
     "conjugate_gradient",
     "flexible_conjugate_gradient",
-    "get_problem",
     "laplacian_2d",
-    "make_solver",
     "randomized_gauss_seidel",
-    "rcd_least_squares",
-    "relative_residual",
     "social_media_problem",
-    "spectrum_estimate",
     "__version__",
 ]

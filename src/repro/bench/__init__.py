@@ -35,7 +35,6 @@ from .fig_block import (
     run_block,
     run_block_retirement,
 )
-from .fig_multinode import MultinodeBenchResult, run_multinode
 from .fig_shard import ShardBenchResult, run_shard
 from .fig_slo import (
     SLOCacheResult,
@@ -92,8 +91,6 @@ __all__ = [
     "run_fig2_right",
     "run_fig3",
     "run_kernel",
-    "run_multinode",
-    "MultinodeBenchResult",
     "run_serve",
     "run_serve_adaptive",
     "run_shard",

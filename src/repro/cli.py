@@ -85,24 +85,6 @@ Serving:
   always evicted together. Run `repro experiment shard` for the
   convergence-vs-staleness bench behind this design.
 
-  Multi-node sharding: shards can live on separate `repro serve`
-  instances. Start one shard host per machine —
-    repro serve --shard-of lap=laplace2d --port 7101 \\
-        --peers HOST2:7102 [--http 8101]
-  — each loading the same matrix, peered with the others, and drive
-  the solve from any coordinator: `repro solve --nodes
-  HOST1:7101,HOST2:7102 ...` (or register a gateway matrix with a
-  "nodes" field on the register verb). The coordinator scatters the
-  row partition, drives per-node epochs, and judges convergence on
-  the assembled global residual; between epochs the hosts push owned
-  rows directly to their peers (halo_push/halo_pull on the same TCP
-  listener) — best effort, so a slow or partitioned peer costs
-  staleness, never an epoch, and a dead peer fails the solve naming
-  its HOST:PORT. Each host's --http listener exposes the exchange as
-  repro_halo_* Prometheus families on GET /v1/metrics. Run `repro
-  experiment multinode` for the convergence-vs-halo-cadence bench
-  across two local nodes.
-
   Batching policy: --policy fixed lingers --max-wait seconds for batch
   company; --policy adaptive sizes the linger window from the measured
   queue-depth/solve-wall EWMAs (sequential traffic pays no window at
@@ -179,21 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
         "exchange; convergence is judged on the assembled global "
         "residual (asyrgs only, real worker pools)",
     )
-    p_solve.add_argument(
-        "--nodes", default=None, metavar="HOST:PORT,...",
-        help="run each shard on a remote `repro serve --shard-of` host "
-        "(comma-separated, one per shard; --shards defaults to the node "
-        "count): this coordinator scatters the row partition, drives "
-        "per-node epochs, and judges convergence on the assembled "
-        "global residual while the hosts exchange halo rows directly "
-        "on their peer ring (asyrgs only)",
-    )
-    p_solve.add_argument(
-        "--node-matrix", default="default", metavar="NAME",
-        help="the matrix name the shard hosts were started with "
-        "(`repro serve --shard-of NAME=...`); halo and shard traffic "
-        "is addressed to it",
-    )
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--output", default=None, help="write solution vector here")
 
@@ -210,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
             "fig1", "fig2-left", "fig2-center", "fig2-right", "fig3", "table1",
             "tau-sweep", "beta-sweep", "consistency-gap", "delay-schedules",
             "theory-envelope", "direction-strategies", "motivation", "extensions",
-            "block", "serve", "ablation", "shard", "slo", "multinode",
+            "block", "serve", "ablation", "shard", "slo",
         ],
     )
     p_exp.add_argument("--problem", default=None, help="named problem override")
@@ -330,20 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         "ephemeral port)",
     )
     p_serve.add_argument("--host", default="127.0.0.1", help="TCP/HTTP bind address")
-    p_serve.add_argument(
-        "--shard-of", default=None, metavar="NAME[=SPEC]",
-        help="run as one shard host of matrix NAME instead of a solve "
-        "gateway: load SPEC (a named problem or an .mtx file; bare "
-        "NAME doubles as its own SPEC), answer the shard_begin/"
-        "shard_advance/halo_push/halo_pull verbs on --port, and push "
-        "owned rows to --peers after each epoch; a remote coordinator "
-        "(`repro solve --nodes ...`) drives the solve",
-    )
-    p_serve.add_argument(
-        "--peers", default=None, metavar="HOST:PORT,...",
-        help="with --shard-of: the other shard hosts of the ring "
-        "(comma-separated) this host pushes its owned rows to",
-    )
     p_serve.add_argument("--seed", type=int, default=0)
 
     sub.add_parser("problems", help="list the named workload registry")
@@ -405,16 +358,16 @@ def _print_columns(result, n_rhs: int, no_retire: bool) -> None:
         )
 
 
-def _solve_on_pool(args, A, b, beta, nodes):
+def _solve_on_pool(args, A, b, beta):
     """Solve on the worker pool :func:`~repro.execution.make_solver`
-    builds for ``--method``/``--shards``/``--nodes``, print its report,
+    builds for ``--method``/``--shards``, print its report,
     and return ``(x, converged)``."""
     from .core import auto_step_size
     from .exceptions import ModelError
     from .execution import make_solver
     from .rng import DirectionStream
 
-    sharded = args.shards > 1 or nodes is not None
+    sharded = args.shards > 1
     if beta == "auto":
         if sharded:
             raise ModelError(
@@ -429,11 +382,10 @@ def _solve_on_pool(args, A, b, beta, nodes):
         # The nominal a-priori bound τ = P − 1 with live, inconsistent
         # shared-memory reads; the run reports the measured τ.
         beta = auto_step_size(A, tau=args.nproc - 1, consistent=False)
-    options = {} if nodes is None else {"node_matrix": args.node_matrix}
     solver = make_solver(
-        args.method, A, b, shards=args.shards, nodes=nodes,
+        args.method, A, b, shards=args.shards,
         nproc=args.nproc, beta=beta,
-        directions=DirectionStream(A.shape[0], seed=args.seed), **options,
+        directions=DirectionStream(A.shape[0], seed=args.seed),
     )
     result = solver.solve(
         tol=args.tol, max_sweeps=args.max_sweeps,
@@ -444,10 +396,7 @@ def _solve_on_pool(args, A, b, beta, nodes):
     where = f"{args.nproc} worker(s)"
     if sharded:
         name = f"sharded {name}"
-        where = (
-            f"{solver.shards} shards" if nodes is None
-            else f"{solver.shards} node(s) [{', '.join(nodes)}]"
-        ) + f" x {where}"
+        where = f"{solver.shards} shards x {where}"
     rhs_note = f", {n_rhs} RHS columns" if n_rhs > 1 else ""
     measure = "normal-equations residual" if args.method == "asyrk" else "residual"
     final = result.checkpoints[-1][1] if result.checkpoints else float("nan")
@@ -493,17 +442,13 @@ def _cmd_solve(args) -> int:
         )
         return 2
     beta = args.beta if args.beta == "auto" else float(args.beta)
-    nodes = None
-    if args.nodes is not None:
-        nodes = [a.strip() for a in args.nodes.split(",") if a.strip()]
     if (
         args.shards > 1
-        or nodes is not None
         or args.method == "asyrk"
         or (args.method == "asyrgs" and args.engine == "processes")
     ):
         try:
-            x, converged = _solve_on_pool(args, A, b, beta, nodes)
+            x, converged = _solve_on_pool(args, A, b, beta)
         except ModelError as exc:
             print(f"error: {exc}")
             return 2
@@ -658,97 +603,6 @@ def _serve_sources(args):
     return out
 
 
-def _serve_shard_host(args) -> int:
-    """``repro serve --shard-of``: one shard host of a multi-node solve.
-
-    The TCP listener (``--port``, required) answers the shard verbs and
-    carries the peer ring's halo traffic; an optional ``--http``
-    listener serves the monitoring surface (``GET /v1/metrics`` with
-    the ``repro_halo_*`` families) — the one serve mode that runs both
-    transports at once, because the ring and the scrape are different
-    consumers."""
-    import threading
-
-    from .exceptions import ReproError
-    from .execution import split_address
-    from .serve import ShardHost, make_http_server, make_tcp_server
-    from .sparse import read_matrix_market
-    from .workloads import available_problems, get_problem
-
-    if args.matrix is not None or args.problem is not None or args.matrices:
-        print(
-            "error: --shard-of is its own matrix source; drop the "
-            "matrix file, --problem, and --matrix arguments"
-        )
-        return 2
-    if args.port is None:
-        print(
-            "error: --shard-of needs --port for the shard verbs and "
-            "the peer ring (0 picks an ephemeral port)"
-        )
-        return 2
-    name, sep, spec = args.shard_of.partition("=")
-    if not sep:
-        name = spec = args.shard_of
-    if not name or not spec:
-        print(f"error: --shard-of expects NAME[=SPEC], got {args.shard_of!r}")
-        return 2
-    peers = [p.strip() for p in (args.peers or "").split(",") if p.strip()]
-    try:
-        for peer in peers:
-            split_address(peer)
-        if spec in available_problems():
-            A, label = get_problem(spec).A, f"problem {spec!r}"
-        else:
-            A, label = read_matrix_market(spec), spec
-    except (OSError, ReproError) as exc:
-        print(f"error: {exc}")
-        return 2
-    with ShardHost(A, name=name, peers=peers, nproc=args.nproc) as shard_host:
-        tcp = make_tcp_server(shard_host, args.host, args.port)
-        host, port = tcp.server_address
-        httpd = None
-        http_note = ""
-        if args.http is not None:
-            httpd = make_http_server(shard_host, args.host, args.http)
-            http_host, http_port = httpd.server_address[:2]
-            http_note = (
-                f", metrics on http://{http_host}:{http_port}/v1/metrics"
-            )
-            threading.Thread(
-                target=httpd.serve_forever, daemon=True,
-                name="shard-host-http",
-            ).start()
-        ring = ", ".join(peers) if peers else "none (single-host ring)"
-        print(
-            f"shard host for {name}={label} (n={A.shape[0]}, "
-            f"nnz={A.nnz}) on {host}:{port}, peers: {ring}{http_note} "
-            "— ^C to stop",
-            file=sys.stderr,
-        )
-        try:
-            tcp.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            tcp.shutdown()
-            tcp.server_close()
-            if httpd is not None:
-                httpd.shutdown()
-                httpd.server_close()
-        payload = shard_host.stats_payload()
-    halo = payload["halo"]
-    pushed = sum((halo.get("pushes") or {}).values())
-    print(
-        f"shard host stopping: {payload['begins']} begin(s), "
-        f"{payload['epochs']} epoch(s), {pushed} halo push(es), "
-        f"{halo.get('received', 0)} push(es) received, "
-        f"{halo.get('pull_serves', 0)} pull(s) served",
-        file=sys.stderr,
-    )
-    return 0
-
-
 def _cmd_serve(args) -> int:
     import signal
 
@@ -771,11 +625,6 @@ def _cmd_serve(args) -> int:
     except ValueError:  # not the main thread (in-process tests)
         pass
 
-    if args.shard_of is not None:
-        return _serve_shard_host(args)
-    if args.peers is not None:
-        print("error: --peers only applies with --shard-of")
-        return 2
     if args.port is not None and args.http is not None:
         print("error: choose one transport: --port (TCP) or --http")
         return 2
@@ -899,7 +748,6 @@ _EXPERIMENTS = {
     "ablation": ("run_sampling_ablation", {}),
     "shard": ("run_shard", {}),
     "slo": ("run_slo", {}),
-    "multinode": ("run_multinode", {}),
 }
 
 

@@ -29,8 +29,8 @@ the one row kernel of the solver-agnostic pool core in
 AsyRGS scatters into coordinate ``r``, AsyRK into the row's support, a
 shard into its owned row at an offset. The kernel is native code; where
 it cannot be built, pools refuse to start. :func:`make_solver` is the one
-place that maps a wire-level ``method`` name (``"asyrgs"``/``"asyrk"``),
-a shard count and an optional node ring to a backend, and the way
+place that maps a wire-level ``method`` name (``"asyrgs"``/``"asyrk"``)
+and a shard count to a backend, and the way
 ``repro solve`` and the serving registry build every pool;
 :func:`check_solver` holds its rules. The :class:`~repro.core.AsyRGS`
 facade runs the two simulators only.
@@ -50,29 +50,12 @@ from .delays import (
     UniformDelay,
     ZeroDelay,
 )
-from .halo import (
-    HaloTransport,
-    LocalBoard,
-    NodeShard,
-    WireHalo,
-    split_address,
-)
-from .kaczmarz import AsyRK, LeastSquaresTracker
-from .pool import PoolSolver, require_kernel, segment_bytes
-from .processes import (
-    DelayStats,
-    ProcessAsyRGS,
-    ProcessRunResult,
-    available_cpus,
-)
-from .sharded import (
-    ShardedRunResult,
-    ShardedSolver,
-    balanced_partition,
-    contiguous_partition,
-)
+from .kaczmarz import AsyRK
+from .pool import require_kernel, segment_bytes
+from .processes import ProcessAsyRGS, available_cpus
+from .sharded import ShardedSolver, balanced_partition, contiguous_partition
 from .shared_memory import AtomicWrites, LossyWrites, WriteModel
-from .simulator import AsyncSimulator, PhasedSimulator, SimulationResult
+from .simulator import AsyncSimulator, PhasedSimulator
 from .trace import ExecutionTrace, replay_trace
 
 #: Wire-level method names → pool-backed solver classes, the table
@@ -84,16 +67,14 @@ SOLVER_METHODS = {
 }
 
 
-def check_solver(method: str, shards: int = 1, nodes=None) -> int:
-    """Check a ``(method, shards, nodes)`` choice and return its shard
-    count — every rule :func:`make_solver` builds by, in one place, so a
+def check_solver(method: str, shards: int = 1) -> int:
+    """Check a ``(method, shards)`` choice and return its shard count —
+    every rule :func:`make_solver` builds by, in one place, so a
     registry can refuse at registration what could never serve.
 
-    The method must be known and ``shards`` at least 1. ``nodes`` (a
-    list of ``"HOST:PORT"``) sets the shard count: ``shards`` defaults
-    to ``len(nodes)`` and must match it otherwise, and a ring needs at
-    least two nodes. More than one shard requires ``"asyrgs"`` — AsyRK
-    has no row-ownership structure to shard. Last, the pools' native
+    The method must be known and ``shards`` at least 1. More than one
+    shard requires ``"asyrgs"`` — AsyRK has no row-ownership structure
+    to shard. Last, the pools' native
     kernel must be available (:func:`~repro.execution.pool.require_kernel`).
     """
     if method not in SOLVER_METHODS:
@@ -104,22 +85,6 @@ def check_solver(method: str, shards: int = 1, nodes=None) -> int:
     shards = int(shards)
     if shards < 1:
         raise ModelError(f"shards must be at least 1, got {shards}")
-    if nodes is not None:
-        for address in nodes:
-            split_address(address)  # fail fast on malformed rings
-        if shards == 1:
-            shards = len(nodes)
-        if shards != len(nodes):
-            raise ModelError(
-                f"shards={shards} does not match the {len(nodes)} "
-                "node(s) given; with nodes=[...] every shard lives "
-                "on exactly one peer"
-            )
-        if shards < 2:
-            raise ModelError(
-                "a single-node solve has nothing to distribute; "
-                "run the pool locally or pass 2+ nodes"
-            )
     if shards > 1 and method != "asyrgs":
         raise ModelError(
             f"sharded solves support method 'asyrgs' only (got "
@@ -130,24 +95,22 @@ def check_solver(method: str, shards: int = 1, nodes=None) -> int:
     return shards
 
 
-def make_solver(method: str, A, b, *, shards=1, nodes=None, shm_limit=None, **pool):
+def make_solver(method: str, A, b, *, shards=1, shm_limit=None, **pool):
     """Build the solver backing ``A`` — the one place that turns
-    ``(method, shards, nodes)`` into a solver, by the rules of
+    ``(method, shards)`` into a solver, by the rules of
     :func:`check_solver`.
 
     One shard is the plain pool of ``method`` (``"asyrgs"`` for square,
     positive-diagonal systems; ``"asyrk"`` for rectangular
-    least-squares systems); two or more, or ``nodes``, a
+    least-squares systems); two or more shards, a
     :class:`ShardedSolver`. ``shm_limit`` bounds any one pool's buffer
     in bytes (:func:`segment_bytes`): a single pool over budget refuses, naming the
     sharding escape hatch. Every other kwarg is a pool option (see
-    :class:`PoolSolver`), forwarded unchanged.
+    :class:`~repro.execution.pool.PoolSolver`), forwarded unchanged.
     """
-    shards = check_solver(method, shards, nodes)
+    shards = check_solver(method, shards)
     if shards > 1:
-        return ShardedSolver(
-            A, b, shards=shards, nodes=nodes, shm_limit=shm_limit, **pool
-        )
+        return ShardedSolver(A, b, shards=shards, shm_limit=shm_limit, **pool)
     solver = SOLVER_METHODS[method](A, b, **pool)
     if shm_limit is not None:
         need = segment_bytes(
@@ -173,26 +136,16 @@ __all__ = [
     "AsyncSimulator",
     "AtomicWrites",
     "DelayModel",
-    "DelayStats",
     "ExecutionTrace",
     "FixedDelay",
-    "HaloTransport",
     "InconsistentAdversarial",
     "InconsistentUniform",
-    "LocalBoard",
-    "NodeShard",
-    "WireHalo",
-    "LeastSquaresTracker",
     "LossyWrites",
     "MachineModel",
     "PhasedSimulator",
-    "PoolSolver",
     "ProcessAsyRGS",
-    "ProcessRunResult",
     "ProcessorPhaseDelay",
-    "ShardedRunResult",
     "ShardedSolver",
-    "SimulationResult",
     "UniformDelay",
     "WriteModel",
     "ZeroDelay",
@@ -202,7 +155,6 @@ __all__ = [
     "contiguous_partition",
     "make_solver",
     "segment_bytes",
-    "split_address",
     "replay_trace",
     "round_robin_imbalance",
 ]

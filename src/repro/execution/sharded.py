@@ -35,12 +35,10 @@ sole-updater property distributed memory needs).
 
 Halo exchange (no global barrier)
 ---------------------------------
-The exchange itself lives behind the :class:`~repro.execution.halo.
-HaloTransport` seam (``publish``/``pull``/``snapshot`` — see
-:mod:`repro.execution.halo`). In-process the transport is a
-:class:`~repro.execution.halo.LocalBoard`: an ``(n, k)`` array holding
-the most recently **published** owned block of every shard. Each shard
-is driven by its own parent-side thread::
+The exchange goes through one :class:`~repro.execution.halo.LocalBoard`
+(``publish``/``pull``/``snapshot`` — see :mod:`repro.execution.halo`):
+an ``(n, k)`` array holding the most recently **published** owned block
+of every shard. Each shard is driven by its own parent-side thread::
 
     begin → [ advance(epoch) → publish owned block → pull halo → … ]
 
@@ -95,7 +93,7 @@ place that picks the backing: at ``shards=1`` it builds the plain
 single-pool solver (:class:`ProcessAsyRGS` / :class:`AsyRK`) itself,
 which is therefore **bit-identical** to the unsharded solver by
 construction — the property the serving layer's serial-equivalence
-tests pin — and at two or more shards, or with ``nodes``, this class.
+tests pin — and at two or more shards this class.
 
 Fake shards
 -----------
@@ -120,7 +118,7 @@ from ..rng import DirectionStream
 from ..sparse import CSRMatrix
 from ..validation import check_rhs, check_x0
 from .epochs import EpochRecord, check_epoch_args
-from .halo import LocalBoard, NodeShard
+from .halo import LocalBoard
 from .pool import (
     BARRIER_TIMEOUT,
     DelayStats,
@@ -274,8 +272,7 @@ class ShardedSolver:
         The square system (positive diagonal — the AsyRGS requirement).
     shards:
         Number of contiguous row shards, at least 2 (one pool is
-        :func:`~repro.execution.make_solver`'s ``shards=1``). With
-        ``nodes`` it defaults to ``len(nodes)``.
+        :func:`~repro.execution.make_solver`'s ``shards=1``).
     nproc:
         Worker threads **per shard** (total workers =
         ``shards · nproc``).
@@ -291,25 +288,6 @@ class ShardedSolver:
     shard_factory:
         Test seam replacing per-shard pool construction (see module
         docstring).
-    nodes:
-        ``["HOST:PORT", ...]`` — one peer ``repro serve --shard-of``
-        instance per shard (``shards`` must equal ``len(nodes)``).
-        Shards become :class:`~repro.execution.halo.NodeShard` wire
-        proxies: each host runs its own pool and exchanges halos
-        node-to-node over its peer ring, while this coordinator
-        scatters the partition, drives per-node epochs, and judges
-        convergence on the assembled global residual. A dead peer
-        surfaces as ``shard s of S failed mid-solve`` naming its
-        ``HOST:PORT``.
-    node_matrix:
-        The matrix name the shard hosts were started with
-        (``repro serve --shard-of NAME``); halo and shard traffic is
-        addressed to it.
-    node_client_factory, transport_factory:
-        Test seams: the wire-client builder for node proxies, and the
-        :class:`~repro.execution.halo.HaloTransport` builder for the
-        coordinator's board (default
-        :class:`~repro.execution.halo.LocalBoard`).
     **pool:
         The remaining pool options (``beta``, ``atomic``, ``adaptive``,
         ``barrier_timeout``, ``capacity_k``), as on
@@ -330,30 +308,16 @@ class ShardedSolver:
         seed: int = 0,
         shm_limit: int | None = None,
         shard_factory=None,
-        nodes: list[str] | None = None,
-        node_matrix: str = "default",
-        node_client_factory=None,
-        transport_factory=None,
         **pool,
     ):
         from . import check_solver  # deferred: the package imports this module
 
-        shards = check_solver("asyrgs", shards, nodes)
+        shards = check_solver("asyrgs", shards)
         if shards < 2:
             raise ModelError(
                 "a sharded solve needs at least 2 shards; build one pool "
                 "with make_solver(..., shards=1)"
             )
-        if nodes is not None and shard_factory is not None:
-            raise ModelError(
-                "shard_factory and nodes are mutually exclusive: "
-                "node-backed shards build their own wire proxies"
-            )
-        self.nodes = None if nodes is None else [str(a) for a in nodes]
-        self.node_matrix = str(node_matrix)
-        self._transport_factory = (
-            transport_factory if transport_factory is not None else LocalBoard
-        )
         self.shards = shards
         self.shm_limit = None if shm_limit is None else int(shm_limit)
         self._shards: list = []
@@ -375,16 +339,12 @@ class ShardedSolver:
             (int(blk[0]), int(blk[-1]) + 1) for blk in blocks
         ]
         factory = shard_factory if shard_factory is not None else _default_shard_factory
-        if self.nodes is not None:
-            factory = self._node_factory(self.nodes, node_client_factory)
         self._halos: list[np.ndarray] = []
         budget_note = []
         for s, (r0, r1) in enumerate(self._bounds):
             A_s = _row_slice(A, r0, r1)
             n_s = r1 - r0
-            # Node-backed shards budget pool memory on their own
-            # hosts; shm_limit bounds *local* pools only.
-            if self.shm_limit is not None and self.nodes is None:
+            if self.shm_limit is not None:
                 need = segment_bytes(
                     n_rows=n_s,
                     x_rows=n,
@@ -463,35 +423,6 @@ class ShardedSolver:
         stats breakdown."""
         return list(self._shard_total_updates)
 
-    def _node_factory(self, nodes: list[str], client_factory):
-        """A ``shard_factory`` building :class:`NodeShard` wire proxies:
-        shard ``s`` lives on ``nodes[s]``, a ``repro serve --shard-of``
-        host whose peer ring exchanges halos node-to-node. The
-        coordinator keeps its own :class:`LocalBoard` purely for
-        residual assembly. The pool options travel to the host as the
-        ``shard_begin`` params."""
-
-        def build(
-            s, A_s, b_s, norms_s, *, offset, n_rows, x_rows, b_rows,
-            nproc, directions, capacity_k, **pool,
-        ):
-            return NodeShard(
-                s,
-                address=nodes[s],
-                matrix=self.node_matrix,
-                bounds=self._bounds,
-                shards=self.shards,
-                n=self.n,
-                nproc=nproc,
-                capacity_k=capacity_k,
-                seed=directions.seed,
-                params=pool,
-                timeout=self.barrier_timeout,
-                client_factory=client_factory,
-            )
-
-        return build
-
     # -- the coordinated solve ------------------------------------------
 
     def solve(
@@ -543,14 +474,7 @@ class ShardedSolver:
                 shard_sweeps=[0] * S,
             )
         kreq = 1 if b.ndim == 1 else int(b.shape[1])
-        # The halo seam: publishes/pulls/snapshots go through the
-        # transport (a LocalBoard unless a test substitutes one). With
-        # node-backed shards the real exchange happens node-to-node on
-        # the hosts' own WireHalo rings; this board then only feeds the
-        # coordinator's residual assembly.
-        transport = self._transport_factory(
-            x0.reshape(self.n, kreq), self._bounds
-        )
+        board = LocalBoard(x0.reshape(self.n, kreq), self._bounds)
         cond = threading.Condition()
         stop = threading.Event()
         epochs = [0] * S  # completed local sweeps per shard (cond-guarded)
@@ -588,13 +512,13 @@ class ShardedSolver:
                     # start gate — the parent owns *this* buffer, and
                     # only this one.
                     xv = pool.x()
-                    transport.publish(s, xv[r0:r1, :kreq], local)
-                    # Halo pull: served from whatever snapshot the
-                    # transport has — racing a foreign publish yields a
-                    # torn, stale mix of that shard's epochs.
-                    # Inconsistent reads by design.
+                    board.publish(s, xv[r0:r1, :kreq], local)
+                    # Halo pull: served from whatever the board holds —
+                    # racing a foreign publish yields a torn, stale mix
+                    # of that shard's epochs. Inconsistent reads by
+                    # design.
                     if halo.size:
-                        values, _ages = transport.pull(halo)
+                        values, _ages = board.pull(halo)
                         xv[halo, :kreq] = values
                     with cond:
                         newly = retired_cols[applied:]
@@ -633,7 +557,7 @@ class ShardedSolver:
                     break
                 if esum > seen:
                     seen = esum
-                    snap = transport.snapshot()
+                    snap = board.snapshot()
                     xg = snap[:, 0].copy() if b.ndim == 1 else snap
                     updates = sum(e * w for e, w in zip(epochs, sizes))
                     newly = record.boundary(xg, max(epochs), updates)
@@ -661,7 +585,7 @@ class ShardedSolver:
             # re-measure honestly (later epochs may have landed after
             # the checkpoint that declared convergence; retired columns
             # are frozen in the tracker and cannot un-converge).
-            snap = transport.snapshot()
+            snap = board.snapshot()
             xg = snap[:, 0].copy() if b.ndim == 1 else snap
             updates = sum(e * w for e, w in zip(epochs, sizes))
             record.boundary(xg, max(epochs), updates)
@@ -691,7 +615,6 @@ class ShardedSolver:
             failed = False
         finally:
             stop.set()
-            transport.close()
             if failed or not self._persistent:
                 # The shards' pools live and die together: any failure
                 # (even one shard's) tears all of them down; the next

@@ -76,31 +76,12 @@ def _registry_only(server, verb: str):
     )
 
 
-#: The machine-to-machine verbs only a shard host answers.
-_SHARD_VERBS = (
-    "halo_push",
-    "halo_pull",
-    "shard_begin",
-    "shard_advance",
-    "shard_stop",
-)
-
-
 def _run_verb(server, op: str, payload: dict) -> str:
     """Execute one control verb against the server (a bare
     :class:`SolverServer` or a :class:`MatrixRegistry` — duck-typed on
     the handful of methods the verbs need)."""
     request_id = payload.get("request_id")
     trace_id = payload.get("trace_id")
-    if op in _SHARD_VERBS:
-        handler = getattr(server, op, None)
-        if handler is None:
-            raise ServeError(
-                f"the {op!r} verb needs a shard host, but this server "
-                "is not one (run `repro serve --shard-of NAME "
-                "--peers HOST:PORT,...`)"
-            )
-        return encode_info(request_id, handler(payload), trace_id)
     if op == "register":
         register = getattr(server, "register_spec", None)
         if register is None:
@@ -111,7 +92,6 @@ def _run_verb(server, op: str, payload: dict) -> str:
             path=payload.get("path"),
             method=payload.get("method"),
             shards=payload.get("shards"),
-            nodes=payload.get("nodes"),
         )
         return encode_info(request_id, info, trace_id)
     if op == "stats":

@@ -22,11 +22,7 @@ Gateway gauges (``repro_matrices_registered``, ``repro_live_pools``)
 and the ``repro_cache_*`` families are unlabeled by matrix: there is
 one registry and one cache per process. ``repro_matrix_info`` carries
 the update method and batching policy as labels on a constant ``1``,
-the standard info-metric idiom. A shard host (``repro serve
---shard-of``) renders the ``repro_halo_*`` exchange families instead
-(pushes/failures/reconnects per peer, pulls and pull serves per shard,
-the ``repro_halo_age`` staleness gauge), plus its epoch and pool-spawn
-counters and a ``repro_shard_host_info`` identity metric.
+the standard info-metric idiom.
 
 Everything is rendered from one consistent snapshot per section: the
 registry's ``stats_payload`` snapshots every matrix under its lock, so
@@ -317,107 +313,15 @@ def _add_declared(out: _Families, cls, record: dict, labels: dict) -> None:
                 out.add(*family, item, {**labels, meta["per"]: str(i)})
 
 
-def _shard_host_section(out: _Families, payload: dict) -> None:
-    """The shard-host families: one ``repro serve --shard-of`` node's
-    halo-exchange counters, labeled by matrix and shard (push/failure/
-    reconnect series additionally by peer), plus the epoch counter and
-    the staleness gauge the multi-node bench and the CI e2e scrape."""
-    matrix = payload.get("matrix", "default")
-    shard = payload.get("shard")
-    labels = {
-        "matrix": matrix,
-        "shard": "none" if shard is None else str(shard),
-    }
-    halo = payload.get("halo") or {}
-    for peer, count in (halo.get("pushes") or {}).items():
-        out.add(
-            "repro_halo_pushes_total", "counter",
-            "Owned-row blocks this shard pushed to each peer.",
-            count, {**labels, "peer": peer},
-        )
-    for peer, count in (halo.get("push_failures") or {}).items():
-        out.add(
-            "repro_halo_push_failures_total", "counter",
-            "Halo pushes dropped because the peer was unreachable "
-            "(best effort: a dead peer costs staleness, never an epoch).",
-            count, {**labels, "peer": peer},
-        )
-    for peer, count in (halo.get("reconnects") or {}).items():
-        out.add(
-            "repro_halo_reconnects_total", "counter",
-            "Pushes that landed after at least one failure to the same "
-            "peer — the ring healing.",
-            count, {**labels, "peer": peer},
-        )
-    out.add(
-        "repro_halo_pulls_total", "counter",
-        "Halo reads this shard's own solve made from its mirror.",
-        halo.get("pulls", 0), labels,
-    )
-    out.add(
-        "repro_halo_pull_serves_total", "counter",
-        "halo_pull requests served to peers from the last snapshot.",
-        halo.get("pull_serves", 0), labels,
-    )
-    out.add(
-        "repro_halo_received_total", "counter",
-        "Peer pushes applied to the mirror.",
-        halo.get("received", 0), labels,
-    )
-    out.add(
-        "repro_halo_stale_drops_total", "counter",
-        "Peer pushes dropped for rewinding a generation (reordered or "
-        "duplicated deliveries).",
-        halo.get("stale_drops", 0), labels,
-    )
-    out.add(
-        "repro_halo_age", "gauge",
-        "Own generation minus the stalest foreign generation in the "
-        "mirror — how far behind the slowest peer looks from here.",
-        halo.get("age", 0), labels,
-    )
-    out.add(
-        "repro_shard_epochs_total", "counter",
-        "Local epochs (sweeps over the owned block) this shard ran.",
-        payload.get("epochs", 0), labels,
-    )
-    out.add(
-        "repro_shard_begins_total", "counter",
-        "shard_begin calls accepted (each rebuilds the shard's pool).",
-        payload.get("begins", 0), {"matrix": matrix},
-    )
-    (spawns,) = [
-        f.metadata["family"]
-        for f in fields(ServerStats)
-        if f.name == "spawn_count"
-    ]
-    out.add(*spawns, payload.get("spawn_count", 0), {"matrix": matrix})
-    out.add(
-        "repro_shard_host_info", "gauge",
-        "Constant 1; the shard host's identity (matrix, shard index, "
-        "ring size) rides as labels.",
-        1,
-        {
-            "matrix": matrix,
-            "shard": labels["shard"],
-            "shards": str(payload.get("shards") or "none"),
-        },
-    )
-
-
 def render_metrics(server) -> str:
     """Render one Prometheus text snapshot of ``server`` — a
     :class:`~repro.serve.MatrixRegistry` (per-matrix series plus
-    gateway gauges), a bare :class:`~repro.serve.SolverServer` (its
-    single matrix reported as ``matrix="default"``), or a
-    :class:`~repro.serve.ShardHost` (the ``repro_halo_*`` exchange
-    families). Includes the ``repro_cache_*`` families whenever
-    warm-start caching is enabled."""
+    gateway gauges) or a bare :class:`~repro.serve.SolverServer` (its
+    single matrix reported as ``matrix="default"``). Includes the
+    ``repro_cache_*`` families whenever warm-start caching is
+    enabled."""
     out = _Families()
     payload = server.stats_payload()
-    if payload.get("role") == "shard_host":
-        _shard_host_section(out, payload)
-        return out.render()
     if "aggregate" in payload:  # a MatrixRegistry snapshot
         matrices = payload["matrices"]
         out.add(

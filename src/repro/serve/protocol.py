@@ -40,12 +40,11 @@ echoed, as a float.
 Every number must be finite. The ``NaN`` / ``Infinity`` literals that
 Python's ``json`` accepts are not JSON (RFC 8259), so a line carrying
 one is unparseable; a literal too large for a double (``1e400``) in
-``b``, ``x0``, ``tol`` or a shard verb's ``rows`` / ``x0`` / ``b`` is
-a protocol violation. A solve fed either would answer with a
-non-finite ``x`` that strict clients cannot read back. A solve that
-diverges from finite input is answered the same way as a failed one:
-``ok: false`` with its trace id, naming the columns whose iterate or
-residual is not finite.
+``b``, ``x0`` or ``tol`` is a protocol violation. A solve fed either
+would answer with a non-finite ``x`` that strict clients cannot read
+back. A solve that diverges from finite input is answered the same way
+as a failed one: ``ok: false`` with its trace id, naming the columns
+whose iterate or residual is not finite.
 
 Control verbs
 -------------
@@ -71,27 +70,6 @@ default ``"solve"``:
     The same counters rendered in Prometheus text format (the payload
     the HTTP front-end serves raw on ``GET /v1/metrics``), wrapped in
     the JSON envelope as ``{"ok": true, "metrics": "..."}``.
-
-Shard-host verbs
-----------------
-Multi-node sharding adds machine-to-machine verbs. A ``repro serve
---shard-of NAME --peers ...`` instance (a *shard host*) answers all
-five; any other server rejects them with a clear error:
-
-``{"op": "halo_push", "matrix": ..., "shard": s, "r0": ..., "r1": ...,
-"generation": g, "rows": [[...], ...]}``
-    A peer shard publishing its owned iterate rows at its epoch
-    boundary — best-effort traffic the sender never blocks on.
-``{"op": "halo_pull", "matrix": ..., "rows": [i, ...]}``
-    The last published snapshot of the requested global rows plus
-    their generation stamps (stale data is served, never awaited).
-``{"op": "shard_begin", ...}`` / ``{"op": "shard_advance", "count":
-..., "retire": [...]}`` / ``{"op": "shard_stop"}``
-    The coordinator (``repro solve --nodes`` or a registry matrix
-    registered with ``nodes=[...]``) scattering the partition, driving
-    one epoch per call, and tearing the shard down. ``register`` also
-    accepts a ``"nodes"`` field (a list of ``"HOST:PORT"`` strings) to
-    back a registry matrix with node-hosted shards.
 
 Tracing
 -------
@@ -123,7 +101,6 @@ __all__ = [
     "encode_result",
     "mint_trace_id",
     "parse_line",
-    "parse_request",
 ]
 
 _ALLOWED_KEYS = {
@@ -136,11 +113,6 @@ _OPS = (
     "stats",
     "matrices",
     "metrics",
-    "halo_push",
-    "halo_pull",
-    "shard_begin",
-    "shard_advance",
-    "shard_stop",
 )
 
 # Per-process trace prefix + a monotone counter: ids are unique within
@@ -299,40 +271,6 @@ def _solve_kwargs(obj: dict, trace_id: str) -> dict:
     return kwargs
 
 
-def parse_request(line: str) -> dict:
-    """Parse one solve-request line into :meth:`SolverServer.submit`
-    kwargs.
-
-    Raises :class:`ProtocolError` (never a bare ``json`` or
-    ``KeyError``) on malformed input, so front-ends can answer with an
-    error line and keep the stream alive; the error carries
-    ``request_id`` whenever the line was valid JSON. Control verbs are
-    the business of :func:`parse_line` — a non-``solve`` ``op`` is a
-    protocol violation here. ``b`` and ``x0`` come back as the line
-    spelled them; :func:`parse_line`, the serving path, hands the
-    server the float64 arrays the finiteness check already built.
-    """
-    try:
-        obj = _load_object(line)
-    except ProtocolError as exc:
-        exc.trace_id = mint_trace_id()
-        raise
-    trace_id = _attach_trace(obj, obj.get("id"))
-    try:
-        op = obj.get("op", "solve")
-        if op != "solve":
-            raise ProtocolError(
-                f'non-solve "op" {op!r} is not a solve request '
-                "(front-ends dispatch verbs via parse_line)",
-                request_id=obj.get("id"),
-            )
-        kwargs = _solve_kwargs(obj, trace_id)
-    except ProtocolError as exc:
-        exc.trace_id = trace_id
-        raise
-    return {**kwargs, **{k: obj[k] for k in ("b", "x0") if k in kwargs}}
-
-
 def _attach_trace(obj: dict, request_id) -> str:
     """Resolve the request's trace id, stamping any trace-field
     violation with a freshly minted one (the error response must be
@@ -348,9 +286,7 @@ def parse_line(line: str) -> tuple[str, dict]:
     """Parse one protocol line into ``(op, payload)``.
 
     ``op`` is one of ``solve`` / ``register`` / ``stats`` /
-    ``matrices`` / ``metrics`` or a shard-host verb (``halo_push`` /
-    ``halo_pull`` / ``shard_begin`` / ``shard_advance`` /
-    ``shard_stop``); for ``solve`` the payload is the
+    ``matrices`` / ``metrics``; for ``solve`` the payload is the
     :meth:`SolverServer.submit` kwargs, for the control verbs it is
     ``{"request_id": ..., "trace_id": ..., ...verb fields...}``. This
     is the one parsing entry point the three transports share. A trace
@@ -382,13 +318,10 @@ def _parse_verb(obj: dict, request_id, trace_id: str) -> tuple[str, dict]:
     if op == "solve":
         return op, _solve_kwargs(obj, trace_id)
     payload: dict = {"request_id": request_id, "trace_id": trace_id}
-    if op in ("halo_push", "halo_pull", "shard_begin", "shard_advance",
-              "shard_stop"):
-        return op, _parse_shard_verb(op, obj, request_id, payload)
     if op == "register":
         allowed = {
             "op", "id", "trace_id", "matrix", "problem", "path", "method",
-            "shards", "nodes",
+            "shards",
         }
         unknown = set(obj) - allowed
         if unknown:
@@ -432,17 +365,6 @@ def _parse_verb(obj: dict, request_id, trace_id: str) -> tuple[str, dict]:
                     request_id=request_id,
                 )
             payload["shards"] = shards
-        nodes = obj.get("nodes")
-        if nodes is not None:
-            if not isinstance(nodes, list) or not all(
-                isinstance(a, str) and a for a in nodes
-            ):
-                raise ProtocolError(
-                    '"nodes" must be a list of "HOST:PORT" strings, '
-                    f"got {nodes!r}",
-                    request_id=request_id,
-                )
-            payload["nodes"] = nodes
         payload["matrix"] = matrix
         payload[sources[0]] = str(obj[sources[0]])
     elif op == "stats":
@@ -465,121 +387,6 @@ def _parse_verb(obj: dict, request_id, trace_id: str) -> tuple[str, dict]:
                 request_id=request_id,
             )
     return op, payload
-
-
-def _int_field(obj, key, request_id, *, minimum=0, default=None, required=False):
-    value = obj.get(key)
-    if value is None:
-        if required:
-            raise ProtocolError(
-                f'missing required field "{key}"', request_id=request_id
-            )
-        return default
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ProtocolError(
-            f'"{key}" must be an integer >= {minimum}, got {value!r}',
-            request_id=request_id,
-        )
-    return value
-
-
-_SHARD_VERB_KEYS = {
-    "halo_push": {"matrix", "shard", "r0", "r1", "generation", "rows"},
-    "halo_pull": {"matrix", "rows"},
-    "shard_begin": {
-        "matrix", "shard", "shards", "bounds", "x0", "b", "nproc",
-        "capacity_k", "seed", "params", "retire",
-    },
-    "shard_advance": {"matrix", "count", "retire"},
-    "shard_stop": {"matrix"},
-}
-
-
-def _parse_shard_verb(op: str, obj: dict, request_id, payload: dict) -> dict:
-    """Validate one shard-host verb (machine-to-machine traffic: type
-    checks on the load-bearing fields, the rest passed through for the
-    shard host to interpret)."""
-    allowed = _SHARD_VERB_KEYS[op] | {"op", "id", "trace_id"}
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ProtocolError(
-            f"unknown {op} field(s) {sorted(unknown)}; "
-            f"allowed: {sorted(allowed)}",
-            request_id=request_id,
-        )
-    matrix = _matrix_id(obj, request_id)
-    payload["matrix"] = matrix if matrix is not None else "default"
-    if op == "halo_push":
-        payload["shard"] = _int_field(obj, "shard", request_id, required=True)
-        payload["r0"] = _int_field(obj, "r0", request_id, required=True)
-        payload["r1"] = _int_field(obj, "r1", request_id, required=True)
-        payload["generation"] = _int_field(
-            obj, "generation", request_id, required=True
-        )
-        rows = obj.get("rows")
-        if not isinstance(rows, list):
-            raise ProtocolError(
-                '"rows" must be a list of row values, got '
-                f"{type(rows).__name__}",
-                request_id=request_id,
-            )
-        payload["rows"] = _check_finite(rows, "rows", request_id)
-    elif op == "halo_pull":
-        rows = obj.get("rows")
-        if not isinstance(rows, list) or not all(
-            isinstance(i, int) and not isinstance(i, bool) and i >= 0
-            for i in rows
-        ):
-            raise ProtocolError(
-                '"rows" must be a list of row indices (integers >= 0)',
-                request_id=request_id,
-            )
-        payload["rows"] = rows
-    elif op == "shard_begin":
-        payload["shard"] = _int_field(obj, "shard", request_id, required=True)
-        payload["shards"] = _int_field(
-            obj, "shards", request_id, minimum=1, required=True
-        )
-        for key in ("bounds", "x0", "b"):
-            value = obj.get(key)
-            if not isinstance(value, list):
-                raise ProtocolError(
-                    f'missing or ill-typed required field "{key}" '
-                    "(a list)",
-                    request_id=request_id,
-                )
-            payload[key] = value
-        for key in ("x0", "b"):
-            payload[key] = _check_finite(payload[key], key, request_id)
-        payload["nproc"] = _int_field(
-            obj, "nproc", request_id, minimum=1, default=1
-        )
-        payload["capacity_k"] = _int_field(
-            obj, "capacity_k", request_id, minimum=1, default=1
-        )
-        payload["seed"] = _int_field(obj, "seed", request_id, default=0)
-        params = obj.get("params")
-        if params is not None and not isinstance(params, dict):
-            raise ProtocolError(
-                f'"params" must be an object, got {type(params).__name__}',
-                request_id=request_id,
-            )
-        payload["params"] = params or {}
-        payload["retire"] = obj.get("retire") or []
-    elif op == "shard_advance":
-        payload["count"] = _int_field(
-            obj, "count", request_id, minimum=1, required=True
-        )
-        retire = obj.get("retire")
-        if retire is not None and not isinstance(retire, list):
-            raise ProtocolError(
-                f'"retire" must be a list of column indices, got '
-                f"{type(retire).__name__}",
-                request_id=request_id,
-            )
-        payload["retire"] = retire or []
-    # shard_stop carries the matrix id only.
-    return payload
 
 
 def _nonfinite_columns(x: np.ndarray, result) -> list[int]:

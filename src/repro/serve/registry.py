@@ -100,7 +100,7 @@ class MatrixRegistry:
     cache_solutions:
         Enable warm-start solution caching (``repro serve
         --cache-solutions``): one shared
-        :class:`~repro.serve.SolutionCache` across all matrices, keyed
+        :class:`~repro.serve.cache.SolutionCache` across all matrices, keyed
         by matrix id, seeding ``x0`` for requests whose right-hand side
         exactly or nearly repeats a recently served one. The cache is
         invalidated per matrix on (re-)registration and on pool
@@ -108,7 +108,7 @@ class MatrixRegistry:
         system than the one its pool holds.
     cache_max_entries, cache_similarity:
         The cache's LRU bound and relative-L2 near-hit threshold (see
-        :class:`~repro.serve.SolutionCache`); ignored unless
+        :class:`~repro.serve.cache.SolutionCache`); ignored unless
         ``cache_solutions`` is set.
     runtime:
         Source of concurrency primitives (see
@@ -162,8 +162,8 @@ class MatrixRegistry:
         """Register matrix ``A`` under ``name``. Costs nothing until the
         first request routed to it spawns the pool. ``overrides`` adjust
         this matrix's :class:`SolverServer` construction (``capacity_k``,
-        ``tol``, ``policy``, ``method``, ``shards``, ``nodes``, ...).
-        The ``(method, shards, nodes)`` backing is checked here, by
+        ``tol``, ``policy``, ``method``, ``shards``, ...).
+        The ``(method, shards)`` backing is checked here, by
         :func:`~repro.execution.check_solver`, so a registration that
         could never serve raises :class:`ServeError` now rather than
         failing every later solve."""
@@ -174,9 +174,7 @@ class MatrixRegistry:
         options = {**self._defaults, **overrides}
         method = options.get("method", "asyrgs")
         try:
-            shards = check_solver(
-                method, options.get("shards", 1), options.get("nodes")
-            )
+            shards = check_solver(method, options.get("shards", 1))
         except ModelError as exc:
             raise ServeError(str(exc)) from exc
         with self._lock:
@@ -205,18 +203,14 @@ class MatrixRegistry:
         path: str | None = None,
         method: str | None = None,
         shards: int | None = None,
-        nodes: list[str] | None = None,
     ) -> dict:
         """The wire-protocol ``register`` verb: resolve a named workload
         problem or a MatrixMarket file and register it. ``method``
         selects the matrix's update method (``"asyrgs"``/``"asyrk"``),
         ``shards`` the number of row-partitioned pools backing it
-        (``None`` inherits the registry default for either), and
-        ``nodes`` a list of ``"HOST:PORT"`` shard hosts backing the
-        matrix remotely (one per shard; ``shards`` then defaults to
-        ``len(nodes)`` and must match it otherwise); :meth:`register`
-        checks the three together. Returns the info payload echoed to
-        the client."""
+        (``None`` inherits the registry default for either);
+        :meth:`register` checks the two together. Returns the info
+        payload echoed to the client."""
         if (problem is None) == (path is None):
             raise ServeError(
                 "register requires exactly one of a named problem or a "
@@ -238,8 +232,6 @@ class MatrixRegistry:
             overrides["method"] = method
         if shards is not None:
             overrides["shards"] = shards
-        if nodes is not None:
-            overrides["nodes"] = list(nodes)
         self.register(name, A, **overrides)
         entry = self._entries[name]
         info = {
@@ -250,8 +242,6 @@ class MatrixRegistry:
             "method": entry.method,
             "shards": entry.shards,
         }
-        if nodes is not None:
-            info["nodes"] = list(nodes)
         return info
 
     # -- routing --------------------------------------------------------
@@ -291,7 +281,7 @@ class MatrixRegistry:
         pools live and die as one (closing some shards of a live solve
         would wedge the halo exchange)."""
         live = [e for e in self._entries.values() if e.server is not None]
-        pools = sum(self._pool_weight_of(e) for e in live)
+        pools = sum(e.shards for e in live)
         if pools < self.max_live_pools:
             return
         idle = []
@@ -308,7 +298,7 @@ class MatrixRegistry:
             server = entry.server
             server.close()
             self._retire(entry, server)
-            pools -= self._pool_weight_of(entry)
+            pools -= entry.shards
             if self._cache is not None:
                 # LRU eviction is the memory-pressure signal: a matrix
                 # cold enough to lose its pool gives its cache capacity
@@ -343,7 +333,7 @@ class MatrixRegistry:
     def submit(self, b, *, matrix: str | None = None, **kwargs):
         """Route one request by ``matrix`` id (``None`` → the default
         matrix), lazily spawning or LRU-swapping its pool, and return
-        the per-matrix server's :class:`~repro.serve.RequestHandle`."""
+        the per-matrix server's :class:`~repro.serve.server.RequestHandle`."""
         with self._lock:
             if self._closed:
                 raise ServeError("registry is closed; no new requests accepted")
@@ -410,15 +400,6 @@ class MatrixRegistry:
             return None
         return self._cache.stats()
 
-    def _pool_weight_of(self, entry: _Entry) -> int:
-        """What ``entry`` weighs against ``max_live_pools``. A local
-        sharded matrix really holds N pools; a node-backed one holds no
-        local workers at all — its shards are remote hosts' pools — so
-        it weighs 1 (a dispatcher thread and a few sockets)."""
-        if entry.overrides.get("nodes") is not None:
-            return 1
-        return entry.shards
-
     def matrices_payload(self) -> list[dict]:
         """The ``matrices`` verb / ``GET /v1/matrices`` payload; each
         entry carries the matrix's update ``method`` so clients can see
@@ -445,11 +426,6 @@ class MatrixRegistry:
                     "requests_failed": stats.requests_failed,
                     "spawn_count": stats.spawn_count,
                 }
-                nodes = entry.overrides.get("nodes")
-                if nodes is not None:
-                    # Node-backed matrices list their shard hosts, so
-                    # clients can see where each shard actually runs.
-                    listing["nodes"] = list(nodes)
                 out.append(listing)
             return out
 

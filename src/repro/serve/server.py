@@ -268,19 +268,9 @@ class SolverServer:
         :class:`~repro.execution.ShardedSolver` — for matrices whose
         single-pool layout is too big for one pool's memory budget.
         Sharding requires ``method="asyrgs"``; the pools live and die
-        together on eviction and crash. A ``(method, shards, nodes)``
+        together on eviction and crash. A ``(method, shards)``
         choice that :func:`~repro.execution.check_solver` refuses
         raises :class:`ServeError` here, before any pool exists.
-    nodes:
-        ``["HOST:PORT", ...]`` — back each shard with a remote
-        ``repro serve --shard-of`` host instead of a local pool (see
-        :class:`~repro.execution.ShardedSolver`'s ``nodes``). When
-        given, ``shards`` defaults to ``len(nodes)`` and must match it
-        otherwise. The hosts exchange halos node-to-node on their own
-        peer ring; this server scatters the partition, drives epochs,
-        and judges convergence on the assembled global residual. A
-        dead peer fails only the requests of the batch that hit it,
-        naming the peer's ``HOST:PORT``.
     beta, atomic, directions, seed, barrier_timeout:
         Forwarded to the pool solver (see
         :func:`~repro.execution.make_solver`). The direction stream
@@ -288,7 +278,7 @@ class SolverServer:
         trajectory is a pure function of the batch it rides in —
         repeated identical traffic is deterministic.
     cache, cache_key:
-        An optional shared :class:`~repro.serve.SolutionCache`. When
+        An optional shared :class:`~repro.serve.cache.SolutionCache`. When
         present, a request submitted without ``x0`` is seeded from the
         cache's nearest same-matrix solution (``cache_key`` names this
         server's matrix in the shared cache — a
@@ -308,8 +298,7 @@ class SolverServer:
         :func:`~repro.execution.make_solver`, with its signature:
         ``factory(method, A, zeros_block, shards=..., nproc=...,
         beta=..., atomic=..., directions=..., barrier_timeout=...,
-        capacity_k=...)``, plus ``nodes`` and
-        ``node_matrix`` for a node-backed matrix. The simulation
+        capacity_k=...)``. The simulation
         harness substitutes an in-process fake so dispatcher/gather/
         eviction logic runs under seeded schedules without starting
         pool workers.
@@ -331,7 +320,6 @@ class SolverServer:
         policy="fixed",
         method: str = "asyrgs",
         shards: int = 1,
-        nodes: list[str] | None = None,
         beta: float = 1.0,
         atomic: bool = False,
         directions: DirectionStream | None = None,
@@ -344,10 +332,9 @@ class SolverServer:
     ):
         capacity_k = int(capacity_k)
         try:
-            shards = check_solver(method, shards, nodes)
+            shards = check_solver(method, shards)
         except ModelError as exc:
             raise ServeError(str(exc)) from exc
-        self.nodes = None if nodes is None else [str(a) for a in nodes]
         self._runtime = THREAD_RUNTIME if runtime is None else runtime
         self._clock = self._runtime.monotonic
         self.method = method
@@ -373,15 +360,6 @@ class SolverServer:
         self._cache = cache
         self._cache_key = "default" if cache_key is None else cache_key
         factory = make_solver if solver_factory is None else solver_factory
-        # Node-backed matrices address their shard hosts by the matrix
-        # name (the registry's entry name doubles as the cache key);
-        # the kwargs only exist when nodes are given, so custom
-        # factories (the simulation fakes included) never see them.
-        node_kwargs = (
-            {"nodes": self.nodes, "node_matrix": self._cache_key}
-            if nodes is not None
-            else {}
-        )
         self._solver = factory(
             method,
             A,
@@ -393,7 +371,6 @@ class SolverServer:
             directions=directions,
             barrier_timeout=barrier_timeout,
             capacity_k=capacity_k,
-            **node_kwargs,
         )
         self._queue = self._runtime.queue()
         self._lock = self._runtime.lock()

@@ -1,10 +1,8 @@
-"""The one JSON codec of the wire: serving replies and shard traffic.
+"""The one JSON codec of the wire: every request line and reply.
 
-Both the serving protocol (:mod:`repro.serve.protocol`) and the shard
-transport (:mod:`repro.execution.halo`) encode and decode through this
-module, so every line on every socket is written and read the same way.
-It lives at the package root because ``execution`` does not import
-``serve``.
+The serving protocol (:mod:`repro.serve.protocol`) and the front-ends
+(:mod:`repro.serve.frontend`) encode and decode through this module, so
+every line on every socket is written and read the same way.
 
 The codec is orjson: it reads floats several times faster than the
 standard library's ``json``, and prints a float64 array straight from

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ModelError
-from repro.execution import AsyRK, LeastSquaresTracker, make_solver
+from repro.execution import AsyRK, make_solver
+from repro.execution.kaczmarz import LeastSquaresTracker
 from repro.rng import DirectionStream
 from repro.sparse import CSRMatrix
 from repro.workloads import random_least_squares

@@ -20,7 +20,6 @@ from repro.exceptions import ModelError
 from repro.execution import (
     AsyRK,
     ProcessAsyRGS,
-    ShardedRunResult,
     ShardedSolver,
     balanced_partition,
     contiguous_partition,
@@ -28,6 +27,7 @@ from repro.execution import (
     segment_bytes,
 )
 from repro.execution.pool import DelayStats
+from repro.execution.sharded import ShardedRunResult
 from repro.rng import DirectionStream
 from repro.sparse import CSRMatrix
 from repro.workloads import laplacian_2d
@@ -158,9 +158,8 @@ class TestContracts:
             ("asyrgs", {}, ProcessAsyRGS),
             ("asyrk", {}, AsyRK),
             ("asyrgs", {"shards": 2}, ShardedSolver),
-            ("asyrgs", {"nodes": ["h:1", "h:2"]}, ShardedSolver),
         ],
-        ids=["asyrgs", "asyrk", "shards", "nodes"],
+        ids=["asyrgs", "asyrk", "shards"],
     )
     def test_make_solver_picks_the_backing(self, lap_system, method, kwargs, cls):
         A, b = lap_system

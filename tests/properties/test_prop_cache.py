@@ -20,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve import SolutionCache, SolverServer, rhs_fingerprint
+from repro.serve import SolverServer
+from repro.serve.cache import SolutionCache, rhs_fingerprint
 from repro.workloads import random_unit_diagonal_spd
 
 pytestmark = pytest.mark.serve

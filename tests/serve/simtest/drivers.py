@@ -19,7 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ServeError
-from repro.serve import FixedWait, MatrixRegistry, SolutionCache, SolverServer
+from repro.serve import MatrixRegistry, SolverServer
+from repro.serve.batching import FixedWait
+from repro.serve.cache import SolutionCache
 
 from .fakes import FakePool, diagonal_system, fake_factory
 from .scheduler import SimScheduler
@@ -32,9 +34,6 @@ __all__ = [
     "run_cache_dedupe",
     "run_cache_eviction_race",
     "run_dispatcher_death",
-    "run_halo_partition",
-    "run_halo_reconnect",
-    "run_halo_slow_peer",
     "run_mixed_methods",
     "run_registry_policies",
     "run_registry_traffic",
@@ -949,258 +948,3 @@ def run_cache_crash(seed: int):
     assert cs["invalidations"] == 0
     assert not sched.daemon_failures
     return {"cache": cs, "error": outcome["error"], "steps": sched.steps}
-
-
-# ---------------------------------------------------------------------------
-# Halo-ring scenarios (multi-node shard hosts; see test_halo_ring.py)
-# ---------------------------------------------------------------------------
-
-
-class _RingLink:
-    """One scripted wire link of a shard-host peer ring.
-
-    Stands in for the ``_JsonLineClient`` a :class:`WireHalo` pushes
-    through: delivers ``halo_push`` payloads straight into the
-    destination mirror's ``receive()``, with the link behaviors the
-    multi-node scenarios need — failure windows (partition, flapping),
-    delivery buffering (a slow peer lags ``delay`` pushes behind), and
-    one scripted reordering (the push at ``reorder_at`` arrives *after*
-    its successor, which the receiver must drop as stale)."""
-
-    def __init__(self, target, *, fail_when=None, delay=0, reorder_at=None):
-        self._target = target  # () -> destination WireHalo
-        self._fail_when = fail_when if fail_when is not None else lambda g: False
-        self._delay = int(delay)
-        self._reorder_at = reorder_at
-        self._held = None
-        self._queue: list[dict] = []
-        self.delivered = 0
-        self.failed = 0
-
-    def request(self, payload: dict) -> dict:
-        assert payload["op"] == "halo_push"
-        generation = int(payload["generation"])
-        if self._fail_when(generation):
-            self.failed += 1
-            raise ConnectionError(f"link down at generation {generation}")
-        if generation == self._reorder_at:
-            self._held = payload  # overtaken by the next push
-            return {"ok": True}
-        self._queue.append(payload)
-        if self._held is not None:
-            self._queue.append(self._held)  # the late, stale arrival
-            self._held = None
-        while len(self._queue) > self._delay:
-            self._deliver(self._queue.pop(0))
-        return {"ok": True}
-
-    def _deliver(self, payload: dict) -> None:
-        self._target().receive(
-            shard=payload["shard"],
-            r0=payload["r0"],
-            r1=payload["r1"],
-            rows=payload["rows"],
-            generation=payload["generation"],
-        )
-        self.delivered += 1
-
-    def flush(self) -> None:
-        """Drain the lag buffer — the slow peer finally catching up."""
-        while self._queue:
-            self._deliver(self._queue.pop(0))
-
-    def close(self) -> None:
-        pass
-
-
-def _run_halo_ring(seed: int, *, epochs: int, link_opts):
-    """Two WireHalo mirrors exchanging over scripted links under a
-    seeded schedule.
-
-    Each shard's task runs ``epochs`` local epochs: publish the owned
-    block (every entry stamped with the epoch number), then pull the
-    foreign half and assert the two properties that must hold under
-    every schedule and every link pathology:
-
-    * **stale, never torn** — each pulled foreign row's value equals its
-      generation stamp exactly (a row can lag, but can never mix two
-      epochs of its owner);
-    * **monotone** — observed foreign generations never rewind, even
-      when the link delivers out of order (the receiver drops the
-      stale push instead).
-
-    ``link_opts[(src, dst)]`` are :class:`_RingLink` kwargs per
-    direction. Returns both mirrors' counters plus the links.
-    """
-    from repro.execution import WireHalo
-
-    sched = SimScheduler(seed)
-    bounds = [(0, N // 2), (N // 2, N)]
-    addrs = ["sim-host-0:1", "sim-host-1:1"]
-    halos: dict[int, WireHalo] = {}
-    links: dict[tuple[int, int], _RingLink] = {}
-
-    def factory_for(src: int):
-        def factory(addr: str):
-            dst = addrs.index(addr)
-            link = _RingLink(
-                lambda: halos[dst], **link_opts.get((src, dst), {})
-            )
-            links[(src, dst)] = link
-            return link
-
-        return factory
-
-    x0 = np.zeros((N, 1))
-    for s in range(2):
-        halos[s] = WireHalo(
-            x0, bounds, shard=s, peers=[addrs[1 - s]], matrix="sim",
-            client_factory=factory_for(s),
-        )
-
-    def shard_task(s: int):
-        r0, r1 = bounds[s]
-        foreign = np.arange(*bounds[1 - s], dtype=np.int64)
-
-        def work():
-            last_ages = np.zeros(foreign.size, dtype=np.int64)
-            for epoch in range(1, epochs + 1):
-                sched.sleep(0.001)  # a yield point: schedules interleave
-                halo = halos[s]
-                halo.publish(
-                    s, np.full((r1 - r0, 1), float(epoch)), epoch
-                )
-                values, ages = halo.pull(foreign)
-                assert np.all(values[:, 0] == ages), (
-                    f"shard {s} pulled a torn halo row at epoch {epoch}: "
-                    "a value must always match its generation stamp"
-                )
-                assert np.all(ages >= last_ages), (
-                    f"shard {s} observed a foreign generation rewind at "
-                    f"epoch {epoch}"
-                )
-                last_ages = ages
-
-        return work
-
-    tasks = [
-        sched.task(shard_task(s), name=f"shard-{s}") for s in range(2)
-    ]
-
-    def closer():
-        for h in tasks:
-            h.join()
-
-    sched.task(closer, name="closer")
-    sched.run()
-    assert not sched.daemon_failures
-    counters = {s: halos[s].counters() for s in range(2)}
-    # Every epoch completed on both sides whatever the links did: a
-    # dead/slow/partitioned peer costs staleness, never local progress.
-    for s in range(2):
-        assert counters[s]["generation"] == epochs
-    return {
-        "counters": counters,
-        "links": links,
-        "halos": halos,
-        "addrs": addrs,
-        "steps": sched.steps,
-    }
-
-
-def run_halo_partition(
-    seed: int, *, epochs: int = 12, window: tuple[int, int] = (4, 9)
-):
-    """A one-way partition mid-epoch: pushes 0→1 fail for generations
-    in ``window`` and the ring heals afterwards. Shard 0 must complete
-    every epoch regardless (best-effort pushes), count each failed push
-    and exactly one reconnect, and the receiver's view of shard 0 must
-    heal to the final generation — the partition cost staleness only."""
-    lo, hi = window
-    out = _run_halo_ring(
-        seed,
-        epochs=epochs,
-        link_opts={(0, 1): {"fail_when": lambda g: lo <= g < hi}},
-    )
-    addr1 = out["addrs"][1]
-    dropped = hi - lo
-    c0 = out["counters"][0]
-    assert c0["push_failures"][addr1] == dropped
-    assert c0["pushes"][addr1] == epochs - dropped
-    assert c0["reconnects"][addr1] == 1
-    c1 = out["counters"][1]
-    assert c1["received"] == epochs - dropped
-    assert c1["stale_drops"] == 0
-    # The ring healed: shard 1's mirror holds shard 0's final epoch.
-    _, ages = out["halos"][1].pull(np.arange(N // 2, dtype=np.int64))
-    assert np.all(ages == epochs)
-    # The reverse link never failed.
-    assert out["counters"][1]["push_failures"][out["addrs"][0]] == 0
-    return out
-
-
-def run_halo_slow_peer(
-    seed: int, *, epochs: int = 10, lag: int = 3
-):
-    """A slow peer serving stale halos: deliveries 1→0 run ``lag``
-    pushes behind, and one push 0→1 is overtaken by its successor.
-    Shard 0 keeps pulling exact-but-stale rows (the in-task stale-
-    never-torn and monotonicity asserts), the receiver drops the one
-    reordered push instead of rewinding, and an end-of-run flush heals
-    the lag completely."""
-    out = _run_halo_ring(
-        seed,
-        epochs=epochs,
-        link_opts={
-            (1, 0): {"delay": lag},
-            (0, 1): {"reorder_at": epochs // 2},
-        },
-    )
-    addr0, addr1 = out["addrs"]
-    c0, c1 = out["counters"][0], out["counters"][1]
-    # The slow link buffered exactly `lag` undelivered pushes; every
-    # send still counted as a success for the (non-blocking) sender.
-    assert c1["pushes"][addr0] == epochs
-    assert c0["received"] == epochs - lag
-    assert c0["stale_drops"] == 0  # delayed in order: stale, never dropped
-    # The reordered push 0→1 arrived after its successor: the receiver
-    # dropped it (one stale drop) instead of rewinding the generation.
-    assert c1["stale_drops"] == 1
-    assert c1["received"] == epochs - 1
-    slow_link = out["links"][(1, 0)]
-    assert slow_link.delivered + len(slow_link._queue) == epochs
-    slow_link.flush()
-    _, ages = out["halos"][0].pull(
-        np.arange(N // 2, N, dtype=np.int64)
-    )
-    assert np.all(ages == epochs), "the flush must heal the lag"
-    return out
-
-
-def run_halo_reconnect(
-    seed: int,
-    *,
-    epochs: int = 15,
-    outages: tuple = ((3, 5), (8, 11)),
-):
-    """A flapping peer: the 0→1 link dies and recovers twice. Each
-    recovery must count exactly one reconnect, every failed push is
-    accounted, and the final state is fully healed — the receiver's
-    view of shard 0 reaches the last generation."""
-    def down(g: int) -> bool:
-        return any(lo <= g < hi for lo, hi in outages)
-
-    out = _run_halo_ring(
-        seed, epochs=epochs, link_opts={(0, 1): {"fail_when": down}}
-    )
-    addr1 = out["addrs"][1]
-    dropped = sum(hi - lo for lo, hi in outages)
-    c0 = out["counters"][0]
-    assert c0["push_failures"][addr1] == dropped
-    assert c0["pushes"][addr1] == epochs - dropped
-    assert c0["reconnects"][addr1] == len(outages)
-    c1 = out["counters"][1]
-    assert c1["received"] == epochs - dropped
-    _, ages = out["halos"][1].pull(np.arange(N // 2, dtype=np.int64))
-    assert np.all(ages == epochs)
-    return out

@@ -19,7 +19,8 @@ from dataclasses import fields
 import numpy as np
 
 from repro.exceptions import ServeError
-from repro.serve import AdaptiveWait, FixedWait, SolverServer
+from repro.serve import SolverServer
+from repro.serve.batching import AdaptiveWait, FixedWait
 from repro.serve.server import RequestHandle, ServerStats, _BatchKey, _Pending
 from repro.validation import check_rhs, check_x0
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 import repro.serve.registry as registry_mod
-from repro.serve import make_policy
+from repro.serve.batching import make_policy
 
 from .drivers import (
     run_adaptive_linger,

@@ -10,11 +10,11 @@ once concurrency shows up in the measurements.
 import pytest
 
 from repro.exceptions import ServeError
-from repro.serve import (
+from repro.serve import SolverServer
+from repro.serve.batching import (
     AdaptiveWait,
     BatchingPolicy,
     FixedWait,
-    SolverServer,
     make_policy,
 )
 

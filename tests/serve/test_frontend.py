@@ -194,14 +194,12 @@ class TestNonFiniteNumbers:
             "huge-int-in-b": '{"id": "q", "b": %s}'
             % _list_with_first(b, "1" + "0" * 400),
             "nan-tol": '{"id": "q", "b": %s, "tol": NaN}' % b_json,
-            "nan-in-halo-rows": '{"id": "q", "op": "halo_push", "shard": 0, '
-            '"r0": 0, "r1": 1, "generation": 1, "rows": [[NaN]]}',
         }
 
     @pytest.mark.parametrize(
         "case",
         ["nan-in-b", "infinity-in-x0", "overflow-in-b", "huge-int-in-b",
-         "nan-tol", "nan-in-halo-rows"],
+         "nan-tol"],
     )
     def test_rejected_with_strict_json_reply(self, registry, system, case):
         _, b, _ = system

@@ -17,12 +17,12 @@ import numpy as np
 import pytest
 
 from repro.serve import (
-    METRICS_CONTENT_TYPE,
     MatrixRegistry,
     SolverServer,
     handle_line,
     render_metrics,
 )
+from repro.serve.metrics import CONTENT_TYPE as METRICS_CONTENT_TYPE
 
 from .simtest.fakes import FakePool, diagonal_system, fake_factory
 

@@ -15,8 +15,8 @@ import pytest
 
 from repro.exceptions import ServeError
 from repro.execution import ProcessAsyRGS
-from repro.serve import MatrixRegistry, ServerStats, serve_stream
-from repro.serve.metrics import fold_stats
+from repro.serve import MatrixRegistry, serve_stream
+from repro.serve.metrics import ServerStats, fold_stats
 from repro.sparse import write_matrix_market
 from repro.workloads import random_least_squares, random_unit_diagonal_spd
 
@@ -204,17 +204,16 @@ class TestRegistration:
 #: Backings that could never serve, and the rule each one breaks.
 UNSERVABLE = [
     ({"method": "asyrk", "shards": 2}, "'asyrgs' only"),
-    ({"nodes": ["127.0.0.1:1"]}, "nothing to distribute"),
 ]
 
 
 class TestUnservableBackingRefused:
-    """A ``(method, shards, nodes)`` backing that could never serve is
+    """A ``(method, shards)`` backing that could never serve is
     refused at registration — on the wire and through ``register`` —
     instead of failing every later solve on that matrix."""
 
     @pytest.mark.parametrize(
-        "fields, message", UNSERVABLE, ids=["asyrk-sharded", "one-node"]
+        "fields, message", UNSERVABLE, ids=["asyrk-sharded"]
     )
     def test_wire_register_fails_with_a_trace_id(self, registry, fields, message):
         lines = [
@@ -234,7 +233,7 @@ class TestUnservableBackingRefused:
         assert {m["matrix"] for m in mx["matrices"]} == {"one", "two"}
 
     @pytest.mark.parametrize(
-        "fields, message", UNSERVABLE, ids=["asyrk-sharded", "one-node"]
+        "fields, message", UNSERVABLE, ids=["asyrk-sharded"]
     )
     def test_register_raises_serve_error(
         self, registry, two_systems, fields, message

@@ -13,13 +13,12 @@ import pytest
 
 from repro.exceptions import ServeError, ShapeError
 from repro.execution import ProcessAsyRGS
-from repro.serve import (
-    SolverServer,
+from repro.serve import SolverServer
+from repro.serve.protocol import (
     encode_error,
     encode_info,
     encode_result,
     parse_line,
-    parse_request,
 )
 
 from .conftest import WAIT
@@ -259,21 +258,26 @@ class TestStats:
 
 class TestProtocol:
     def test_parse_minimal_request(self):
-        kwargs = parse_request('{"b": [1.0, 2.0]}')
+        op, kwargs = parse_line('{"b": [1.0, 2.0]}')
+        assert op == "solve"
         trace = kwargs.pop("trace_id")
         assert trace.startswith("t-")  # minted at the parse seam
-        assert kwargs == {"b": [1.0, 2.0]}
+        b = kwargs.pop("b")
+        assert b.dtype == np.float64 and b.tolist() == [1.0, 2.0]
+        assert kwargs == {}
 
     def test_parse_full_request(self):
-        kwargs = parse_request(
+        op, kwargs = parse_line(
             '{"id": "r1", "b": [1, 2], "tol": 0.5, "max_sweeps": 7, '
             '"sync_every_sweeps": 3, "x0": [0, 0]}'
         )
+        assert op == "solve"
         assert kwargs["request_id"] == "r1"
         assert kwargs["tol"] == 0.5
         assert kwargs["max_sweeps"] == 7
         assert kwargs["sync_every_sweeps"] == 3
-        assert kwargs["x0"] == [0, 0]
+        assert kwargs["x0"].dtype == np.float64
+        assert kwargs["x0"].tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize(
         "line, match",
@@ -289,7 +293,7 @@ class TestProtocol:
     )
     def test_parse_rejects_malformed(self, line, match):
         with pytest.raises(ServeError, match=match):
-            parse_request(line)
+            parse_line(line)
 
     def test_encode_roundtrip(self, server, system):
         _, b, _ = system
@@ -324,11 +328,12 @@ class TestProtocol:
         }
 
     def test_parse_matrix_field(self):
-        kwargs = parse_request('{"b": [1.0], "matrix": "lap"}')
+        _, kwargs = parse_line('{"b": [1.0], "matrix": "lap"}')
         kwargs.pop("trace_id")
-        assert kwargs == {"b": [1.0], "matrix": "lap"}
+        assert kwargs.pop("b").tolist() == [1.0]
+        assert kwargs == {"matrix": "lap"}
         with pytest.raises(ServeError, match="string id"):
-            parse_request('{"b": [1.0], "matrix": 7}')
+            parse_line('{"b": [1.0], "matrix": 7}')
 
     def test_protocol_errors_carry_the_id_when_json_parsed(self):
         """The id-echo contract: valid JSON => the error names the
@@ -343,7 +348,7 @@ class TestProtocol:
         ]
         for line, expected_id in cases:
             with pytest.raises(ProtocolError) as err:
-                parse_request(line)
+                parse_line(line)
             assert err.value.request_id == expected_id
 
     def test_parse_line_dispatches_verbs(self):
@@ -358,6 +363,8 @@ class TestProtocol:
         assert payload == {"request_id": "r", "matrix": "m", "problem": "p"}
         op, payload = parse_line('{"op": "stats", "matrix": "m"}')
         assert (op, payload["matrix"]) == ("stats", "m")
+        op, payload = parse_line('{"op": "stats", "id": "q"}')
+        assert (op, payload["request_id"]) == ("stats", "q")
         op, payload = parse_line('{"op": "matrices"}')
         assert op == "matrices"
         assert payload["request_id"] is None
@@ -383,6 +390,3 @@ class TestProtocol:
         with pytest.raises(ServeError, match=match):
             parse_line(line)
 
-    def test_parse_request_rejects_non_solve_ops(self):
-        with pytest.raises(ServeError, match="not a solve request"):
-            parse_request('{"op": "stats", "id": "q"}')

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ProtocolError, ServeError
-from repro.serve import MatrixRegistry, ServerStats, SolverServer, serve_stream
-from repro.serve.metrics import fold_stats
+from repro.serve import MatrixRegistry, SolverServer, serve_stream
+from repro.serve.metrics import ServerStats, fold_stats
 from repro.serve.protocol import parse_line
 from repro.workloads import laplacian_2d
 

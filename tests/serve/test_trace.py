@@ -29,10 +29,9 @@ from repro.serve import (
     SolverServer,
     make_http_server,
     make_tcp_server,
-    mint_trace_id,
     serve_stream,
 )
-from repro.serve.protocol import encode_error, parse_line, parse_request
+from repro.serve.protocol import encode_error, mint_trace_id, parse_line
 
 from .conftest import WAIT
 from .simtest.fakes import diagonal_system, fake_factory
@@ -78,8 +77,10 @@ class TestMinting:
     def test_client_trace_is_adopted_not_replaced(self):
         _, payload = parse_line('{"b": [1.0], "trace_id": "t-mine-7"}')
         assert payload["trace_id"] == "t-mine-7"
-        kwargs = parse_request('{"b": [1.0], "trace_id": "t-mine-8"}')
-        assert kwargs["trace_id"] == "t-mine-8"
+        _, payload = parse_line(
+            '{"op": "stats", "trace_id": "t-mine-8"}'
+        )
+        assert payload["trace_id"] == "t-mine-8"
 
     @pytest.mark.parametrize("bad", ["7", '""', "[1]"])
     def test_ill_typed_trace_fails_with_a_minted_trace(self, bad):

@@ -27,10 +27,8 @@ from hypothesis import strategies as st
 
 from repro import wire
 from repro.exceptions import ProtocolError
-from repro.execution.pool import DelayStats
 from repro.serve import (
     MatrixRegistry,
-    ShardHost,
     SolverServer,
     make_http_server,
     make_tcp_server,
@@ -246,19 +244,7 @@ FIELDS = {
     "tol": finite | scalar,
     "max_sweeps": small_int,
     "sync_every_sweeps": small_int,
-    "shard": small_int,
     "shards": small_int,
-    "r0": small_int,
-    "r1": small_int,
-    "generation": small_int,
-    "rows": array | st.lists(st.integers(-1, N), max_size=N),
-    "count": small_int,
-    "retire": st.lists(st.integers(0, 1), max_size=2) | json_value,
-    "bounds": st.just([[0, N]]) | json_value,
-    "nproc": small_int,
-    "capacity_k": small_int,
-    "seed": small_int,
-    "params": st.just({}) | json_value,
     "problem": scalar,
     "op": st.sampled_from(protocol._OPS) | scalar,
     "bogus": json_value,
@@ -270,14 +256,6 @@ def _bases(b):
     return {
         "solve": {"id": "q", "b": b},
         "block": {"id": "q", "b": [[v, -v] for v in b]},
-        "halo_push": {"op": "halo_push", "matrix": "m", "shard": 0, "r0": 0,
-                      "r1": N, "generation": 1, "rows": [[v] for v in b]},
-        "halo_pull": {"op": "halo_pull", "matrix": "m", "rows": [0, N - 1]},
-        "shard_begin": {"op": "shard_begin", "matrix": "m", "shard": 0,
-                        "shards": 1, "bounds": [[0, N]], "x0": [0.0] * N,
-                        "b": b, "nproc": 1, "seed": 3, "params": {}},
-        "shard_advance": {"op": "shard_advance", "matrix": "m", "count": N},
-        "shard_stop": {"op": "shard_stop", "matrix": "m"},
         "stats": {"op": "stats", "id": 7},
         "matrices": {"op": "matrices"},
         "metrics": {"op": "metrics"},
@@ -348,67 +326,15 @@ def _reference(line: str):
         return DEEP
 
 
-class _FakeShardPool:
-    """The pool surface a shard host drives: each epoch lands the owned
-    rows on ``b / 2`` (the diagonal test system's solution)."""
-
-    def __init__(self, offset, b):
-        self._offset, self._b = offset, np.asarray(b, dtype=np.float64)
-        self.sync_points, self.wall_time, self._x = 0, 0.0, None
-
-    def begin(self, x0, b):
-        self._x = np.array(x0, dtype=np.float64)
-
-    def retire_columns(self, cols):
-        pass
-
-    def advance(self, count):
-        r0 = self._offset
-        self._x[r0 : r0 + self._b.shape[0]] = self._b / 2.0
-        self.sync_points += 1
-
-    def x(self):
-        return self._x
-
-    def per_worker(self):
-        return [self.sync_points]
-
-    def column_updates(self):
-        return 0
-
-    def total_row_nnz(self):
-        return 0
-
-    def delay_stats(self):
-        return DelayStats(0, 0.0, 0, np.empty(0, dtype=np.int64))
-
-
-class _FakeShard:
-    spawn_count = 1
-
-    def __init__(self, index, A_s, b, norms, *, offset, **kwargs):
-        self._pool = _FakeShardPool(offset, b)
-
-    def open(self):
-        pass
-
-    def close(self):
-        pass
-
-    def _ensure_pool(self):
-        return self._pool
-
-
 @pytest.fixture(scope="module")
-def front_doors():
-    """A solve server on the fake pool, and a shard host on a fake
-    shard: every verb reaches its handler, with no process or socket."""
-    A = diagonal_system(np.full(N, 2.0))
+def front_door():
+    """A solve server on the fake pool: every verb reaches its handler,
+    with no worker or socket."""
     with SolverServer(
-        A, nproc=1, capacity_k=2, max_wait=0.0,
-        solver_factory=fake_factory(),
-    ) as server, ShardHost(A, name="m", shard_factory=_FakeShard) as host:
-        yield server, host
+        diagonal_system(np.full(N, 2.0)), nproc=1, capacity_k=2,
+        max_wait=0.0, solver_factory=fake_factory(),
+    ) as server:
+        yield server
 
 
 FUZZ = settings(
@@ -447,34 +373,26 @@ class TestFuzzedLines:
     @FUZZ
     @given(data=st.data())
     def test_every_reply_is_strict_json_with_a_trace(
-        self, front_doors, verb, data
+        self, front_door, verb, data
     ):
         line = data.draw(request_lines(verb))
-        if verb in ("halo_pull", "halo_push", "shard_advance"):
-            # Give the host an active shard, so the verb reaches past
-            # the before-begin refusal.
-            begin = _bases([1.0] * N)["shard_begin"]
-            assert _strict_loads(
-                handle_line(front_doors[1], json.dumps(begin))()
-            )["ok"]
         try:
             op, payload = parse_line(line)
         except ProtocolError as exc:
             assert isinstance(exc.trace_id, str) and exc.trace_id
             op, payload = None, None
-        for door in front_doors:
-            reply = _strict_loads(handle_line(door, line)())
-            assert isinstance(reply["trace_id"], str) and reply["trace_id"]
-            assert reply["ok"] in (True, False)
-            if not reply["ok"]:
-                assert isinstance(reply["error"], str) and reply["error"]
-            elif op == "solve":
-                x = np.asarray(reply["x"], dtype=np.float64)
-                assert x.shape == np.shape(payload["b"])
-                assert np.isfinite(x).all()
-                np.testing.assert_array_equal(x, payload["b"] / 2.0)
-            else:
-                assert op is not None and op != "solve"
+        reply = _strict_loads(handle_line(front_door, line)())
+        assert isinstance(reply["trace_id"], str) and reply["trace_id"]
+        assert reply["ok"] in (True, False)
+        if not reply["ok"]:
+            assert isinstance(reply["error"], str) and reply["error"]
+        elif op == "solve":
+            x = np.asarray(reply["x"], dtype=np.float64)
+            assert x.shape == np.shape(payload["b"])
+            assert np.isfinite(x).all()
+            np.testing.assert_array_equal(x, payload["b"] / 2.0)
+        else:
+            assert op is not None and op != "solve"
 
 
 def test_nesting_beyond_any_limit_is_answered():
@@ -496,33 +414,60 @@ def test_nesting_beyond_any_limit_is_answered():
 def test_fuzz_bases_are_answered():
     """The unperturbed lines reach their handlers and succeed where a
     success is possible, so the fuzz starts from live paths."""
-    A = diagonal_system(np.full(N, 2.0))
     b = [1.0, 2.0, 3.0, 4.0]
     with SolverServer(
-        A, nproc=1, capacity_k=2, max_wait=0.0,
-        solver_factory=fake_factory(),
-    ) as server, ShardHost(A, name="m", shard_factory=_FakeShard) as host:
+        diagonal_system(np.full(N, 2.0)), nproc=1, capacity_k=2,
+        max_wait=0.0, solver_factory=fake_factory(),
+    ) as server:
         lines = {k: json.dumps(v) for k, v in _bases(b).items()}
         for name in ("solve", "block", "stats", "matrices", "metrics"):
             assert _strict_loads(handle_line(server, lines[name])())["ok"], name
-        for name in ("shard_begin", "halo_push", "shard_advance",
-                     "halo_pull", "shard_stop"):
-            reply = _strict_loads(handle_line(host, lines[name])())
-            assert reply["ok"], (name, reply)
-        assert reply["stopped"] is True
         solved = _strict_loads(handle_line(server, lines["solve"])())
         assert solved["x"] == [0.5, 1.0, 1.5, 2.0]
 
 
+#: Well-formed lines of the removed multi-node surface: the five
+#: verbs shard hosts answered and a ``register`` naming shard hosts.
+#: Each is now an unknown verb or field, refused like any other.
+RETIRED = {
+    "halo_push": {"id": "h", "op": "halo_push", "matrix": "m", "shard": 0,
+                  "r0": 0, "r1": N, "generation": 1, "rows": [[1.0]] * N},
+    "halo_pull": {"id": "h", "op": "halo_pull", "matrix": "m", "rows": [0]},
+    "shard_begin": {"id": "h", "op": "shard_begin", "matrix": "m",
+                    "shard": 0, "shards": 1, "bounds": [[0, N]],
+                    "x0": [0.0] * N, "b": [1.0] * N},
+    "shard_advance": {"id": "h", "op": "shard_advance", "matrix": "m",
+                      "count": N},
+    "shard_stop": {"id": "h", "op": "shard_stop", "matrix": "m"},
+    "register-nodes": {"id": "h", "op": "register", "matrix": "x",
+                       "problem": "laplace2d",
+                       "nodes": ["127.0.0.1:7101", "127.0.0.1:7102"]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(RETIRED))
+def test_retired_multinode_lines_are_refused(front_door, name):
+    reply = _strict_loads(handle_line(front_door, json.dumps(RETIRED[name]))())
+    assert reply["ok"] is False and reply["id"] == "h"
+    assert reply["trace_id"].startswith("t-")
+    expected = "unknown register field" if name == "register-nodes" else (
+        'unknown "op"'
+    )
+    assert expected in reply["error"], reply
+
+
 def _hostile_lines() -> list[bytes]:
     """Each literal spliced into a solve line, a good line cut short at
-    several points and invalid UTF-8; last, the good line itself."""
+    several points, invalid UTF-8 and the retired multi-node lines;
+    last, the good line itself."""
     good = json.dumps({"id": "good", "b": [1.0, 2.0, 3.0, 4.0]})
     template = json.dumps({"id": "q", "b": [1.0, SENTINEL, 3.0, 4.0]})
     lines = [template.replace(f'"{SENTINEL}"', lit) for lit in LITERALS]
     lines += [good[:cut] for cut in range(1, len(good), 7)]
     return [line.encode("utf-8", "surrogatepass") for line in lines] + [
-        b'{"id": "\xff\xfe", "b": [1]}', good.encode()
+        b'{"id": "\xff\xfe", "b": [1]}',
+        *(json.dumps(RETIRED[name]).encode() for name in sorted(RETIRED)),
+        good.encode(),
     ]
 
 

@@ -53,6 +53,31 @@ class TestParser:
         args = build_parser().parse_args(["solve", "m.mtx", "--no-retire"])
         assert args.no_retire is True
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["solve", "m.mtx", "--nodes", "h:1,h:2"], "--nodes"),
+            (["solve", "m.mtx", "--node-matrix", "lap"], "--node-matrix"),
+            (["serve", "--shard-of", "lap=laplace2d", "--port", "0"],
+             "--shard-of"),
+            (["serve", "--peers", "h:1"], "--peers"),
+            (["experiment", "multinode"], "multinode"),
+        ],
+        ids=["solve-nodes", "solve-node-matrix", "serve-shard-of",
+             "serve-peers", "experiment-multinode"],
+    )
+    def test_removed_multinode_options_are_usage_errors(
+        self, argv, option, capsys
+    ):
+        """The multi-node options are gone: argparse refuses each with a
+        usage error (exit 2), naming it, and no traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro")
+        assert option in err and "Traceback" not in err
+
 
 class TestSpeedup:
     def test_parser_defaults(self):
