@@ -512,14 +512,13 @@ class ShardedSolver:
                     # start gate — the parent owns *this* buffer, and
                     # only this one.
                     xv = pool.x()
-                    board.publish(s, xv[r0:r1, :kreq], local)
+                    board.publish(s, xv[r0:r1, :kreq])
                     # Halo pull: served from whatever the board holds —
                     # racing a foreign publish yields a torn, stale mix
                     # of that shard's epochs. Inconsistent reads by
                     # design.
                     if halo.size:
-                        values, _ages = board.pull(halo)
-                        xv[halo, :kreq] = values
+                        xv[halo, :kreq] = board.pull(halo)
                     with cond:
                         newly = retired_cols[applied:]
                         applied = len(retired_cols)

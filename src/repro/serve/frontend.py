@@ -45,7 +45,7 @@ import socketserver
 import threading
 import urllib.parse
 
-from .. import wire
+from . import wire
 from ..exceptions import ServeError
 from .metrics import CONTENT_TYPE as _METRICS_CONTENT_TYPE
 from .metrics import render_metrics

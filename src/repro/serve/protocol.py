@@ -31,7 +31,7 @@ correlate the error with the request that caused it. ``id: null`` is
 reserved for lines that could not be parsed at all (there is nothing
 trustworthy to echo); either way the stream stays alive.
 
-Lines are read and replies written by one codec, :mod:`repro.wire`.
+Lines are read and replies written by one codec, :mod:`repro.serve.wire`.
 Replies are compact JSON (the spaces above are for reading): no
 whitespace, floats in shortest round-trip form (``1e-7``), non-ASCII
 text as UTF-8. An integer ``id`` beyond 64 bits is read, and so
@@ -92,7 +92,7 @@ import os
 
 import numpy as np
 
-from .. import wire
+from . import wire
 from ..exceptions import ProtocolError, ServeError
 
 __all__ = [
@@ -463,5 +463,6 @@ def encode_error(request_id, exc: BaseException, trace_id=None) -> str:
 
 
 def _line(payload: dict) -> str:
-    """One reply line, written by the wire codec (:mod:`repro.wire`)."""
+    """One reply line, written by the wire codec
+    (:mod:`repro.serve.wire`)."""
     return wire.dumps(payload).decode()

@@ -37,14 +37,12 @@ class _ReferenceBoard:
     def __init__(self, x0, bounds):
         self._board = np.array(x0, dtype=np.float64, copy=True)
         self._bounds = [(int(r0), int(r1)) for r0, r1 in bounds]
-        self._gen = np.zeros(len(self._bounds), dtype=np.int64)
         self._lock = threading.Lock()
 
-    def publish(self, shard, rows, generation):
+    def publish(self, shard, rows):
         r0, r1 = self._bounds[shard]
         with self._lock:
             self._board[r0:r1] = rows
-            self._gen[shard] = generation
 
     def pull(self, halo_rows):
         return self._board[halo_rows]
@@ -72,37 +70,25 @@ class TestLocalBoardExtraction:
         """Any interleaving of publishes and pulls observes the same
         floats through the extracted board as through the inline one."""
         board, ref, rng = self._pair(k, seed)
-        gens = [0, 0, 0]
         for _ in range(200):
             op = rng.integers(0, 3)
             if op == 0:
                 s = int(rng.integers(0, 3))
                 r0, r1 = self.BOUNDS[s]
                 rows = rng.standard_normal((r1 - r0, k))
-                gens[s] += 1
-                board.publish(s, rows, gens[s])
-                ref.publish(s, rows, gens[s])
+                board.publish(s, rows)
+                ref.publish(s, rows)
             elif op == 1:
                 halo = np.unique(rng.integers(0, 16, size=6))
-                got, _ages = board.pull(halo)
-                assert np.array_equal(got, ref.pull(halo))
+                assert np.array_equal(board.pull(halo), ref.pull(halo))
             else:
                 assert np.array_equal(board.snapshot(), ref.snapshot())
         assert np.array_equal(board.snapshot(), ref.snapshot())
 
-    def test_pull_reports_publisher_generation(self):
-        board, _, rng = self._pair(1, 1)
-        board.publish(1, np.zeros((6, 1)), 4)
-        _values, ages = board.pull(np.array([0, 6, 12]))
-        # Row 0 owned by shard 0 (never published), row 6 by shard 1
-        # (generation 4), row 12 by shard 2 (never published).
-        assert list(ages) == [0, 4, 0]
-        assert list(board.generations()) == [0, 4, 0]
-
     def test_snapshot_is_a_copy(self):
         board, _, _ = self._pair(1, 2)
         snap = board.snapshot()
-        board.publish(0, np.full((5, 1), 9.0), 1)
+        board.publish(0, np.full((5, 1), 9.0))
         assert not np.array_equal(board.snapshot()[:5], snap[:5])
 
 
@@ -138,19 +124,19 @@ class _MirrorTransport:
         self._lock = threading.Lock()
         _MirrorTransport.instances.append(self)
 
-    def publish(self, shard, rows, generation):
+    def publish(self, shard, rows):
         # One mutex around the pair so both boards always see publishes
         # in the same order; each pull compares a locked joint read.
         with self._lock:
-            self.board.publish(shard, rows, generation)
-            self.ref.publish(shard, rows, generation)
+            self.board.publish(shard, rows)
+            self.ref.publish(shard, rows)
 
     def pull(self, halo_rows):
         with self._lock:
-            values, ages = self.board.pull(halo_rows)
+            values = self.board.pull(halo_rows)
             assert np.array_equal(values, self.ref.pull(halo_rows))
             self.observations += 1
-        return values, ages
+        return values
 
     def snapshot(self):
         with self._lock:

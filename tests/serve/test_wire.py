@@ -1,6 +1,6 @@
 """The wire codec: exact float round trips out, and fuzzed lines in.
 
-Replies are written by :mod:`repro.wire` (orjson) straight from the
+Replies are written by :mod:`repro.serve.wire` (orjson) straight from the
 result array. The standard library's ``json`` is the reference reader:
 every float it reads back must carry the iterate's exact bits, whatever
 the array's layout.
@@ -25,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import wire
+from repro.serve import wire
 from repro.exceptions import ProtocolError
 from repro.serve import (
     MatrixRegistry,
