@@ -1,12 +1,12 @@
-"""Benchmark: sharded solves under a shared-memory budget.
+"""Benchmark: sharded solves against the one-pool control.
 
-``repro experiment shard`` claims a precise shape: one pool's segment
-exceeds the derived budget while every shard's fits, the sharded solve
-converges anyway, staler halo exchange (longer epochs) costs sweeps but
-never correctness, and ``shards=1`` stays bit-identical to the plain
-pool. Wall-clocks are hardware noise; everything asserted here is the
-budget arithmetic and the convergence bookkeeping any machine must
-reproduce.
+``repro experiment shard`` claims a precise shape: the sharded solve
+converges at every halo-exchange cadence, staler halo exchange (longer
+epochs) costs sweeps but never correctness, a single pool with the
+same total worker count converges on the same system as the control,
+and ``shards=1`` stays bit-identical to the plain pool. Wall-clocks are
+hardware noise; everything asserted here is the convergence
+bookkeeping any machine must reproduce.
 """
 
 import pytest
@@ -30,9 +30,10 @@ def test_shard_smoke(benchmark):
     )
     persist_and_print("fig_shard", result.table())
 
-    # The "too big for one box" regime really held.
-    assert max(result.shard_bytes) < result.shm_limit < result.single_pool_bytes
-    assert "shards > 1" in result.refusal
+    # The one-pool control (same total workers) converged on the same system.
+    assert result.single_pool["nproc"] == result.shards * result.nproc
+    assert result.single_pool["converged"]
+    assert result.single_pool["final_residual"] < result.tol
     # Sharding is a refactor, not a new solver: shards=1 is bit-equal.
     assert result.serial_equivalent
     # Every staleness setting converged, with honest per-shard books.

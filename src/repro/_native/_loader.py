@@ -126,7 +126,7 @@ def load():
         log = logging.getLogger(__package__)
         log.warning(
             "native kernels unavailable; CSR products run on NumPy and "
-            "process pools refuse to start: %s: %s",
+            "pools refuse to start: %s: %s",
             type(exc).__name__, exc,
         )
         log.debug("native module load failed", exc_info=True)

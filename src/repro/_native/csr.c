@@ -140,10 +140,11 @@ int column_residuals(int64_t nrows, int64_t k,
  * Kaczmarz). It then commits its progress ticket and logs how many
  * foreign commits landed during its span.
  *
- * x is deliberately not restrict: other processes write it while this
- * one reads, and those reads are the paper's inconsistent reads. With
- * `atomic` set, each element the coordinate rule writes is added to by
- * one compare-exchange (Assumption A-1); the gather stays unlocked.
+ * x is deliberately not restrict: the pool's other worker threads write
+ * it while this one reads, and those reads are the paper's inconsistent
+ * reads. With `atomic` set, each element the coordinate rule writes is
+ * added to by one compare-exchange (Assumption A-1); the gather stays
+ * unlocked.
  */
 
 /* The pool's shared arrays and a worker's fixed parameters, bound once
@@ -407,10 +408,11 @@ int64_t row_segment(const struct row_segment *s, const int64_t *act,
  * every worker; each worker adds itself to the arrivals at the end of
  * its segment, and the last one wakes the parent.
  *
- * Sleeping is a futex on the low 32 bits of the word, without
- * FUTEX_PRIVATE_FLAG, so it works across the processes that map the
- * segment. There is no spin phase: on one CPU a spin only delays the
- * process it waits for. Every wait returns after at most `timeout`
+ * Sleeping is a futex on the low 32 bits of the word, with
+ * FUTEX_PRIVATE_FLAG: the workers and the parent are threads of one
+ * process, so the kernel keys the wait on that process's address space
+ * alone. There is no spin phase: on one CPU a spin only delays the
+ * thread it waits for. Every wait returns after at most `timeout`
  * seconds, so the caller can look around (a dead peer, a stop) between
  * slices. Elsewhere the wait is a poll with short sleeps. */
 
@@ -445,7 +447,7 @@ static void word_wait(uint32_t *word, uint32_t seen, double timeout)
     struct timespec t;
     t.tv_sec = (time_t)timeout;
     t.tv_nsec = (long)((timeout - (double)t.tv_sec) * 1e9);
-    syscall(SYS_futex, word, FUTEX_WAIT, seen, &t, NULL, 0);
+    syscall(SYS_futex, word, FUTEX_WAIT_PRIVATE, seen, &t, NULL, 0);
 #else
     (void)word;
     (void)seen;
@@ -459,7 +461,7 @@ static void word_wait(uint32_t *word, uint32_t seen, double timeout)
 static void word_wake(uint32_t *word, int count)
 {
 #ifdef __linux__
-    syscall(SYS_futex, word, FUTEX_WAKE, count, NULL, NULL, 0);
+    syscall(SYS_futex, word, FUTEX_WAKE_PRIVATE, count, NULL, NULL, 0);
 #else
     (void)word;
     (void)count;

@@ -54,7 +54,7 @@ class BlockBenchResult:
     ``block_speedup = loop_wall / block_wall`` is the amortization won
     by updating all columns from one row gather; ``reuse_speedup =
     oneshot_wall / pooled_wall`` is what the persistent pool saves by
-    not respawning workers and re-copying the CSR per call.
+    not restarting worker threads and rebuilding the pool buffer per call.
     """
 
     problem: str
@@ -188,7 +188,8 @@ def run_block(
         spawns_pooled = pooled.spawn_count
     pooled_wall = time.perf_counter() - start
 
-    # …versus `repeats` one-shot calls, each paying spawn + CSR copy.
+    # …versus `repeats` one-shot calls, each paying thread start + buffer
+    # setup.
     start = time.perf_counter()
     spawns_oneshot = 0
     for _ in range(repeats):

@@ -1,33 +1,27 @@
-"""Sharded-solve bench: one matrix too big for one box.
+"""Sharded-solve bench: staleness cadence, and the one-pool control.
 
-``repro experiment shard`` demonstrates the row-partitioned multi-pool
-path end to end on a 2-D Laplacian sized so that **one pool's
-buffer does not fit the configured budget** while each of the N
-shards' rectangular layouts does:
+``repro experiment shard`` runs the row-partitioned multi-pool path
+end to end on a 2-D Laplacian:
 
-1. *The refusal*: building the single-pool solver under ``shm_limit``
-   (:func:`~repro.execution.make_solver` at ``shards=1``) raises
-   :class:`~repro.exceptions.ModelError` naming the overrun and the
-   sharding escape hatch. The bench records the exact byte
-   accounting (:func:`~repro.execution.segment_bytes` per layout).
-2. *The sharded solve*: the same system under the same budget, split
-   across ``shards`` pools, converges below ``tol`` on the assembled
-   global residual.
-3. *The staleness curve*: halo entries are only exchanged at each
+1. *The staleness curve*: halo entries are only exchanged at each
    shard's epoch boundaries, so the epoch length (``sync_every_sweeps``)
    is the staleness knob — longer epochs mean fewer exchanges and
    staler boundary reads. The bench sweeps it and records each
    setting's convergence trajectory (cumulative updates vs. assembled
    residual, straight from the coordinator's checkpoints) plus
    per-shard update counts and measured in-pool delays.
-4. *The control*: :func:`~repro.execution.make_solver` at ``shards=1``
-   (without the budget) is run against the plain single-pool solver on
-   the same stream and verified bit-identical — the serial-equivalence
-   invariant of the one solver factory, asserted in the payload, not
-   just in the test suite.
+2. *The one-pool control*: a single pool with the same total worker
+   count (``nproc · shards``) solves the same system to the same
+   ``tol`` from the same seed, and its wall time and updates sit next
+   to the cadence curves — the comparison sharding is kept for (one
+   pool at ``nproc > 1`` shares one iterate; shards keep private ones).
+3. *Serial equivalence*: :func:`~repro.execution.make_solver` at
+   ``shards=1`` is run against the plain single-pool solver on the
+   same stream and verified bit-identical — the invariant of the one
+   solver factory, asserted in the payload, not just in the test suite.
 
-The payload lands in ``results/BENCH_shard.json`` (the first serve-side
-BENCH artifact; CI uploads it from the benchmarks job).
+The payload lands in ``results/BENCH_shard.json`` (CI uploads it from
+the benchmarks job).
 """
 
 from __future__ import annotations
@@ -37,8 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..exceptions import ModelError
-from ..execution import ProcessAsyRGS, ShardedSolver, make_solver, segment_bytes
+from ..execution import ProcessAsyRGS, ShardedSolver, make_solver
 from ..rng import DirectionStream
 from ..workloads import laplacian_2d
 from .reporting import render_table, save_json
@@ -59,14 +52,8 @@ class ShardBenchResult:
     tol: float
     max_sweeps: int
     seed: int
-    #: The per-pool memory budget (bytes) the run was gated on.
-    shm_limit: int
-    #: What one pool spanning the whole system would need.
-    single_pool_bytes: int
-    #: What each shard's rectangular layout needs.
-    shard_bytes: list[int]
-    #: The single-pool refusal message under ``shm_limit``.
-    refusal: str
+    #: The one-pool control: ``nproc · shards`` workers on one iterate.
+    single_pool: dict
     #: ``make_solver(shards=1)`` vs the plain pool: bitwise-equal iterates.
     serial_equivalent: bool
     #: One entry per ``sync_every_sweeps`` setting.
@@ -104,11 +91,11 @@ class ShardBenchResult:
             title=(
                 f"Sharded AsyRGS — {self.nx}x{self.nx} Laplacian "
                 f"(n={self.n}, nnz={self.nnz}) over {self.shards} pools "
-                f"x {self.nproc} worker(s), tol={self.tol:g}: single "
-                f"pool needs {self.single_pool_bytes} B, budget "
-                f"{self.shm_limit} B (each shard <= "
-                f"{max(self.shard_bytes)} B); staler halos pay sweeps, "
-                f"never correctness{balance}"
+                f"x {self.nproc} worker(s), tol={self.tol:g}: one pool "
+                f"x {self.single_pool['nproc']} workers took "
+                f"{self.single_pool['wall_s']:.2f} s and "
+                f"{self.single_pool['updates']} updates; staler halos "
+                f"pay sweeps, never correctness{balance}"
             ),
         )
 
@@ -123,10 +110,7 @@ class ShardBenchResult:
             "tol": self.tol,
             "max_sweeps": self.max_sweeps,
             "seed": self.seed,
-            "shm_limit": self.shm_limit,
-            "single_pool_bytes": self.single_pool_bytes,
-            "shard_bytes": self.shard_bytes,
-            "refusal": self.refusal,
+            "single_pool": self.single_pool,
             "serial_equivalent": self.serial_equivalent,
             "curves": self.curves,
         }
@@ -155,14 +139,9 @@ def run_shard(
     seed: int = 0,
     persist: bool = True,
 ) -> ShardBenchResult:
-    """Solve a Laplacian that exceeds one pool's memory budget, sharded.
-
-    ``shm_limit`` is derived, not configured: strictly between the
-    largest shard's layout and the single pool's layout, so the same
-    budget that refuses the unsharded solver admits every shard — the
-    "too big for one box" regime by construction at any size. The
-    staleness sweep then solves the same system once per halo-exchange
-    cadence in ``cadences``. The payload lands in
+    """Solve a Laplacian sharded, once per halo-exchange cadence in
+    ``cadences``, and once on a single pool of ``nproc · shards``
+    workers as the control. The payload lands in
     ``results/BENCH_shard.json``.
     """
     A = laplacian_2d(int(nx))
@@ -170,43 +149,11 @@ def run_shard(
     rng = np.random.default_rng(seed)
     b = rng.standard_normal(n)
 
-    single_need = segment_bytes(
-        n_rows=n, x_rows=n, b_rows=n, nnz=A.nnz,
-        capacity_k=capacity_k, nproc=nproc,
-    )
-    # Shard needs, from a throwaway coordinator (it computes the exact
-    # per-shard layouts on construction).
-    probe = ShardedSolver(
-        A, b, shards=shards, nproc=nproc, capacity_k=capacity_k,
-        seed=seed, shm_limit=single_need,
-    )
-    shard_need = list(probe.segment_bytes_per_shard)
-    shm_limit = (max(shard_need) + single_need) // 2
-    if not max(shard_need) < shm_limit < single_need:
-        raise ModelError(
-            f"bench geometry cannot exhibit the budget gap: shards need "
-            f"{shard_need} B, one pool {single_need} B — raise nx or "
-            "shards"
-        )
-
-    try:
-        make_solver(
-            "asyrgs", A, b, shards=1, nproc=nproc, capacity_k=capacity_k,
-            directions=DirectionStream(n, seed=seed), shm_limit=shm_limit,
-        )
-        refusal = ""
-    except ModelError as exc:
-        refusal = str(exc)
-    if not refusal:
-        raise ModelError(
-            "single-pool layout unexpectedly fit the shard-sized budget"
-        )
-
     curves: list[dict] = []
     for cadence in cadences:
         solver = ShardedSolver(
             A, b, shards=shards, nproc=nproc, capacity_k=capacity_k,
-            seed=seed, shm_limit=shm_limit,
+            seed=seed,
         )
         start = time.perf_counter()
         res = solver.solve(tol=tol, max_sweeps=max_sweeps,
@@ -234,6 +181,22 @@ def run_shard(
             }
         )
 
+    # The control: one pool, the same total worker count, one iterate.
+    single = make_solver(
+        "asyrgs", A, b, nproc=nproc * shards, capacity_k=capacity_k,
+        directions=DirectionStream(n, seed=seed),
+    )
+    start = time.perf_counter()
+    res = single.solve(tol=tol, max_sweeps=max_sweeps)
+    single_pool = {
+        "nproc": int(nproc * shards),
+        "converged": bool(res.converged),
+        "sweeps": int(res.sweeps_done),
+        "updates": int(res.iterations),
+        "final_residual": float(res.checkpoints[-1][1]),
+        "wall_s": float(time.perf_counter() - start),
+    }
+
     # Serial equivalence: the factory's one shard is the classic pool.
     small = laplacian_2d(12)
     bs = np.arange(1.0, small.shape[0] + 1.0)
@@ -257,10 +220,7 @@ def run_shard(
         tol=float(tol),
         max_sweeps=int(max_sweeps),
         seed=int(seed),
-        shm_limit=int(shm_limit),
-        single_pool_bytes=int(single_need),
-        shard_bytes=[int(v) for v in shard_need],
-        refusal=refusal,
+        single_pool=single_pool,
         serial_equivalent=serial_equivalent,
         curves=curves,
     )

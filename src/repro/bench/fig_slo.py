@@ -30,7 +30,7 @@ Four experiments drive it:
   ``max_batch=1`` (pool reuse alone) and at ``max_batch=m`` (one row
   gather serving the whole batch). A capacity check then sends a
   ``k=1`` request and the full block to one pool, which must serve both
-  with one spawn and stable worker PIDs.
+  with one spawn.
 * ``repro experiment serve --adaptive`` (:func:`run_serve_adaptive`)
   compares the fixed linger window against the adaptive policy on a
   burst and on a closed-loop round.
@@ -556,7 +556,8 @@ def run_serve(
     options = dict(nproc=nproc, tol=tol, max_sweeps=max_sweeps,
                    sync_every_sweeps=sync_every_sweeps, seed=seed)
 
-    # One-shot baseline: a fresh solver (spawn + CSR copy) per request.
+    # One-shot baseline: a fresh solver (thread start + buffer setup) per
+    # request.
     start = time.perf_counter()
     converged, spawns = True, 0
     for _, b in burst:

@@ -78,12 +78,16 @@ Serving:
   Sharding: a trailing ,shards=N on a --matrix SPEC (or a "shards"
   field on the register verb) backs that matrix with N row-partitioned
   worker pools (--nproc workers each) exchanging boundary entries of
-  the iterate asynchronously at their own epoch boundaries — for one
-  matrix too big for a single pool's memory budget.
+  the iterate asynchronously at their own epoch boundaries. Each shard
+  keeps a private copy of the iterate, which sidesteps the slowdown of
+  one pool's workers sharing one (ROADMAP item 1): on 2 vCPUs, 2 shards
+  x 1 worker beat one pool on the dense social-small Gram system at
+  every block width, and did not beat one 1-worker pool on the
+  laplace2d Laplacian.
   Convergence is judged on the assembled global residual; a sharded
   matrix counts as N pools against --max-live-pools and its shards are
-  always evicted together. Run `repro experiment shard` for the
-  convergence-vs-staleness bench behind this design.
+  always evicted together. `repro experiment shard` runs the
+  convergence-vs-staleness bench next to its one-pool control.
 
   Batching policy: --policy fixed lingers --max-wait seconds for batch
   company; --policy adaptive sizes the linger window from the measured

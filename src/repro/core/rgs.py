@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ModelError, ShapeError
+from ..execution.simulator import serial_updates
 from ..rng import DirectionStream
 from ..sparse import CSRMatrix
 from .residuals import ConvergenceHistory, relative_residual
@@ -52,31 +53,6 @@ class RGSResult:
     converged: bool
     history: ConvergenceHistory | None
     total_row_nnz: int
-
-
-def _run_updates(A, b, x, diag, beta, directions, start, count):
-    """Apply ``count`` sequential updates in place; returns Σ nnz(row)."""
-    indptr, indices, data = A.indptr, A.indices, A.data
-    multi = x.ndim == 2
-    total_nnz = 0
-    block = 8192
-    done = 0
-    while done < count:
-        take = min(block, count - done)
-        rows = directions.directions(start + done, take)
-        for r in rows:
-            r = int(r)
-            s, e = indptr[r], indptr[r + 1]
-            cols = indices[s:e]
-            vals = data[s:e]
-            total_nnz += e - s
-            if multi:
-                gamma = (b[r] - vals @ x[cols]) / diag[r]
-            else:
-                gamma = (b[r] - float(vals @ x[cols])) / diag[r]
-            x[r] += beta * gamma
-        done += take
-    return total_nnz
 
 
 def randomized_gauss_seidel(
@@ -172,7 +148,7 @@ def randomized_gauss_seidel(
     sweep_no = 0
     while done < total_updates:
         take = min(n, total_updates - done)
-        total_nnz += _run_updates(
+        total_nnz += serial_updates(
             A, b, x, diag, float(beta), directions, start_iteration + done, take
         )
         done += take
@@ -216,4 +192,4 @@ def rgs_sweep(
     diag = A.diagonal()
     if np.any(diag <= 0):
         raise ModelError("matrix diagonal must be positive")
-    return _run_updates(A, b, x, diag, float(beta), directions, start_iteration, n)
+    return serial_updates(A, b, x, diag, float(beta), directions, start_iteration, n)

@@ -95,7 +95,7 @@ def check_solver(method: str, shards: int = 1) -> int:
     return shards
 
 
-def make_solver(method: str, A, b, *, shards=1, shm_limit=None, **pool):
+def make_solver(method: str, A, b, *, shards=1, **pool):
     """Build the solver backing ``A`` — the one place that turns
     ``(method, shards)`` into a solver, by the rules of
     :func:`check_solver`.
@@ -103,31 +103,13 @@ def make_solver(method: str, A, b, *, shards=1, shm_limit=None, **pool):
     One shard is the plain pool of ``method`` (``"asyrgs"`` for square,
     positive-diagonal systems; ``"asyrk"`` for rectangular
     least-squares systems); two or more shards, a
-    :class:`ShardedSolver`. ``shm_limit`` bounds any one pool's buffer
-    in bytes (:func:`segment_bytes`): a single pool over budget refuses, naming the
-    sharding escape hatch. Every other kwarg is a pool option (see
+    :class:`ShardedSolver`. Every other kwarg is a pool option (see
     :class:`~repro.execution.pool.PoolSolver`), forwarded unchanged.
     """
     shards = check_solver(method, shards)
     if shards > 1:
-        return ShardedSolver(A, b, shards=shards, shm_limit=shm_limit, **pool)
-    solver = SOLVER_METHODS[method](A, b, **pool)
-    if shm_limit is not None:
-        need = segment_bytes(
-            n_rows=solver.n_rows,
-            x_rows=solver.x_rows,
-            b_rows=solver.b_rows,
-            nnz=A.nnz,
-            capacity_k=solver.capacity_k,
-            nproc=solver.nproc,
-        )
-        if need > shm_limit:
-            raise ModelError(
-                f"single-pool layout needs {need} bytes of pool "
-                f"memory, over the {shm_limit}-byte budget; "
-                "partition the matrix across pools with shards > 1"
-            )
-    return solver
+        return ShardedSolver(A, b, shards=shards, **pool)
+    return SOLVER_METHODS[method](A, b, **pool)
 
 
 __all__ = [

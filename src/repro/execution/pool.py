@@ -233,10 +233,8 @@ def segment_bytes(
     nproc: int,
 ) -> int:
     """Exact size (bytes) of the buffer one pool with this geometry
-    allocates — the number ``shm_limit`` is checked against. The bench
-    uses it to demonstrate a system whose single-pool layout exceeds a
-    budget that every shard's layout fits. ``nnz`` adds nothing: the
-    pool reads the matrix's own CSR arrays."""
+    allocates. ``nnz`` adds nothing: the pool reads the matrix's own
+    CSR arrays."""
     del nnz
     geom = (int(n_rows), int(x_rows), int(b_rows), int(capacity_k))
     return int(_layout(geom, int(nproc))[2])

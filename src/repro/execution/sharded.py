@@ -74,16 +74,16 @@ the guilty shard id. The serving layer's batch containment then fails
 only that matrix's in-flight requests, exactly like a single-pool
 crash.
 
-Pool-memory budget
-------------------
-``shm_limit`` (bytes) bounds the buffer any single pool may allocate:
-a one-pool solve built by :func:`~repro.execution.make_solver` whose
-``(n, k)`` layout exceeds the limit refuses with a
-:class:`~repro.exceptions.ModelError` that names the sharding escape
-hatch, while each shard's rectangular layout — ``n_s`` RHS, norm and
-CDF rows, though still ``n`` iterate rows — fits. The CSR is not part
-of it: every pool reads its matrix's own arrays.
-:func:`~repro.execution.pool.segment_bytes` exposes the exact accounting.
+Why shard on one box
+--------------------
+Not for memory: every shard's pool keeps the full ``n``-row iterate, so
+N shards allocate more than one pool does. Sharding is for speed: the
+shards' workers write private iterates instead of one pool's shared
+one, whose workers slow each other down (ROADMAP item 1). On a 2-vCPU
+box, two one-worker shards beat one pool at either worker count on the
+dense ``social-small`` Gram matrix at every block width (README's
+table), and do not beat one single-worker pool on the 5-point
+``laplace2d`` Laplacian.
 
 One pool or many
 ----------------
@@ -124,7 +124,6 @@ from .pool import (
     DelayStats,
     PoolSolver,
     ProcessRunResult,
-    segment_bytes,
 )
 from .simulator import _prepare_system
 
@@ -280,11 +279,6 @@ class ShardedSolver:
         A stream (its seed is reused), otherwise the seed. Shard ``s``
         draws from the independent Philox sub-stream
         ``_SHARD_STREAM_BASE + s`` of that seed.
-    shm_limit:
-        Optional per-pool memory budget in bytes. Any shard's
-        pool whose buffer would exceed it refuses to spawn with a
-        :class:`ModelError` naming the overrun — the bench's "one
-        matrix too big for one box" gate.
     shard_factory:
         Test seam replacing per-shard pool construction (see module
         docstring).
@@ -306,7 +300,6 @@ class ShardedSolver:
         nproc: int = 1,
         directions: DirectionStream | None = None,
         seed: int = 0,
-        shm_limit: int | None = None,
         shard_factory=None,
         **pool,
     ):
@@ -319,7 +312,6 @@ class ShardedSolver:
                 "with make_solver(..., shards=1)"
             )
         self.shards = shards
-        self.shm_limit = None if shm_limit is None else int(shm_limit)
         self._shards: list = []
         self._persistent = False
         if directions is not None:
@@ -340,26 +332,9 @@ class ShardedSolver:
         ]
         factory = shard_factory if shard_factory is not None else _default_shard_factory
         self._halos: list[np.ndarray] = []
-        budget_note = []
         for s, (r0, r1) in enumerate(self._bounds):
             A_s = _row_slice(A, r0, r1)
             n_s = r1 - r0
-            if self.shm_limit is not None:
-                need = segment_bytes(
-                    n_rows=n_s,
-                    x_rows=n,
-                    b_rows=n_s,
-                    nnz=A_s.nnz,
-                    capacity_k=self.capacity_k,
-                    nproc=nproc,
-                )
-                if need > self.shm_limit:
-                    raise ModelError(
-                        f"shard {s} of {shards} needs {need} bytes of "
-                        f"pool memory, over the {self.shm_limit}-byte "
-                        "budget; raise shards (or the budget)"
-                    )
-                budget_note.append(need)
             # Halo: the foreign iterate rows this shard's gathers read —
             # exactly the column indices outside its owned range.
             cols = A_s.indices
@@ -383,7 +358,6 @@ class ShardedSolver:
                     **pool,
                 )
             )
-        self.segment_bytes_per_shard = budget_note
         self._shard_total_updates = [0] * shards
 
     # -- lifecycle ------------------------------------------------------

@@ -104,6 +104,34 @@ def _prepare_system(A: CSRMatrix, b: np.ndarray):
     return b, diag, n
 
 
+def serial_updates(A, b, x, diag, beta, directions, start, count) -> int:
+    """Apply ``count`` sequential RGS updates to ``x`` in place, drawing
+    rows ``start, start + 1, …`` of ``directions``; returns Σ nnz(row).
+
+    The one serial loop: synchronous RGS (:mod:`repro.core.rgs`) and
+    :class:`PhasedSimulator` at ``P = 1`` both run it."""
+    indptr, indices, data = A.indptr, A.indices, A.data
+    multi = x.ndim == 2
+    total_nnz = 0
+    done = 0
+    while done < count:
+        take = min(8192, count - done)
+        rows = directions.directions(start + done, take)
+        for r in rows:
+            r = int(r)
+            s, e = indptr[r], indptr[r + 1]
+            cols = indices[s:e]
+            vals = data[s:e]
+            total_nnz += e - s
+            if multi:
+                gamma = (b[r] - vals @ x[cols]) / diag[r]
+            else:
+                gamma = (b[r] - float(vals @ x[cols])) / diag[r]
+            x[r] += beta * gamma
+        done += take
+    return total_nnz
+
+
 class AsyncSimulator:
     """General per-update simulator of iterations (8) and (9).
 
@@ -351,30 +379,6 @@ class PhasedSimulator:
         """The delay bound realized by this engine: max round size − 1."""
         return self.nproc + self.jitter - 1
 
-    def _run_serial(self, x: np.ndarray, count: int, start: int) -> int:
-        """Tight sequential loop for the P = 1 case (synchronous RGS)."""
-        A, b, beta, diag = self.A, self.b, self.beta, self._diag
-        indptr, indices, data = A.indptr, A.indices, A.data
-        multi = self._multi
-        total = 0
-        done = 0
-        while done < count:
-            take = min(8192, count - done)
-            rows = self.directions.directions(start + done, take)
-            for r in rows:
-                r = int(r)
-                s, e = indptr[r], indptr[r + 1]
-                cols = indices[s:e]
-                vals = data[s:e]
-                total += e - s
-                if multi:
-                    gamma = (b[r] - vals @ x[cols]) / diag[r]
-                else:
-                    gamma = (b[r] - float(vals @ x[cols])) / diag[r]
-                x[r] += beta * gamma
-            done += take
-        return total
-
     def run(
         self,
         x0: np.ndarray,
@@ -398,8 +402,12 @@ class PhasedSimulator:
             and checkpoint_every is None
         ):
             # A round of size 1 is exactly one synchronous update; the
-            # dedicated serial loop avoids per-round NumPy overhead.
-            total = self._run_serial(x, num_iterations, int(start_iteration))
+            # serial loop (synchronous RGS's own) avoids per-round NumPy
+            # overhead.
+            total = serial_updates(
+                A, b, x, self._diag, beta, self.directions,
+                int(start_iteration), num_iterations,
+            )
             return SimulationResult(
                 x=x, iterations=num_iterations, total_row_nnz=total,
                 lost_writes=0, checkpoints=[],

@@ -314,12 +314,15 @@ class SolutionCache:
         self._tick += 1
         entry.tick = self._tick
 
-    def lookup(self, matrix, b) -> np.ndarray | None:
+    def lookup(self, matrix, b, fingerprint=None) -> np.ndarray | None:
         """The ``x0`` seed for a request: the exact-fingerprint entry,
         else the nearest same-shaped entry under the similarity
-        threshold, else ``None`` (solve cold)."""
+        threshold, else ``None`` (solve cold). A caller that stores the
+        same ``b`` afterwards passes its :func:`rhs_fingerprint` to
+        both calls, so the request is hashed once."""
         arr = np.ascontiguousarray(np.asarray(b, dtype=np.float64))
-        fingerprint = rhs_fingerprint(arr)
+        if fingerprint is None:
+            fingerprint = rhs_fingerprint(arr)
         with self._lock:
             entry = self._entries.get((matrix, fingerprint))
             if entry is not None:
@@ -336,13 +339,16 @@ class SolutionCache:
             self._counts.hits_near += 1
             return entry.x.copy()
 
-    def store(self, matrix, b, x) -> None:
+    def store(self, matrix, b, x, fingerprint=None) -> None:
         """Record a served solution. An existing fingerprint is
         replaced in place (concurrent identical requests collapse to
-        one entry); a new one may LRU-evict the coldest entry."""
+        one entry); a new one may LRU-evict the coldest entry.
+        ``fingerprint``, when given, is ``rhs_fingerprint(b)``."""
         arr = np.ascontiguousarray(np.asarray(b, dtype=np.float64))
         x = np.array(x, dtype=np.float64)
-        key = (matrix, rhs_fingerprint(arr))
+        if fingerprint is None:
+            fingerprint = rhs_fingerprint(arr)
+        key = (matrix, fingerprint)
         with self._lock:
             self._counts.stores += 1
             entry = self._entries.get(key)

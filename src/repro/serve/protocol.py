@@ -59,8 +59,10 @@ default ``"solve"``:
     least-squares systems served by asynchronous randomized Kaczmarz.
     An optional ``"shards"`` field (integer ≥ 1) backs the matrix with
     that many row-partitioned pools coordinated by asynchronous halo
-    exchange — for matrices too big for one pool's memory budget. Answers ``{"ok": true, "registered": "lap", "n": ...,
-    "nnz": ..., "method": ..., "shards": ...}``.
+    exchange (private iterates per shard: faster than one shared-iterate
+    pool on dense systems, no faster on the 2-D Laplacian). Answers
+    ``{"ok": true, "registered": "lap", "n": ..., "nnz": ...,
+    "method": ..., "shards": ...}``.
 ``{"op": "stats"}`` (optionally ``"matrix": "lap"``)
     A JSON snapshot of the serving counters.
 ``{"op": "matrices"}``

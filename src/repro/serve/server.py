@@ -3,7 +3,7 @@
 This is the subsystem that completes the paper's serving story. The
 headline workload (Section 9) amortizes one Gram matrix across 51 label
 right-hand sides; the persistent :class:`~repro.execution.ProcessAsyRGS`
-pool already amortizes process spawn and the CSR copy across *calls*,
+pool already amortizes worker-thread start and buffer setup across *calls*,
 and the capacity-k layout lets one pool serve any request width
 ``k ≤ capacity_k``. What was missing is the front door: something that
 accepts *many independent requests* — single vectors and blocks, from
@@ -55,8 +55,8 @@ high-water mark, latency mean/max) in one
 :class:`~repro.serve.metrics.ServerStats` record, written under the
 lock it already takes per request and per batch.
 :meth:`SolverServer.stats` copies that record and adds the live pool's
-state: spawn count, worker PIDs, batching-policy snapshot and
-per-shard updates. Each field is declared once, in
+state: spawn count, batching-policy snapshot and per-shard
+updates. Each field is declared once, in
 :mod:`repro.serve.metrics`, together with how snapshots fold and how
 ``GET /v1/metrics`` renders it.
 
@@ -87,6 +87,7 @@ from ..rng import DirectionStream
 from ..sparse import CSRMatrix
 from ..validation import check_rhs, check_x0
 from .batching import make_policy
+from .cache import rhs_fingerprint
 from .metrics import ServerStats
 from .protocol import mint_trace_id
 from .runtime import THREAD_RUNTIME
@@ -115,11 +116,11 @@ class _Pending:
 
     __slots__ = (
         "request_id", "b", "x0", "key", "event", "result", "error",
-        "enqueued_at", "trace_id", "warm",
+        "enqueued_at", "trace_id", "warm", "fingerprint",
     )
 
     def __init__(self, request_id, b, x0, key, event, now, trace_id,
-                 warm=False):
+                 warm=False, fingerprint=None):
         self.request_id = request_id
         self.b = b
         self.x0 = x0
@@ -130,6 +131,7 @@ class _Pending:
         self.enqueued_at = now
         self.trace_id = trace_id
         self.warm = warm  # x0 seeded from the solution cache?
+        self.fingerprint = fingerprint  # rhs_fingerprint(b), if cached
 
 
 @dataclass
@@ -265,8 +267,10 @@ class SolverServer:
         ``N > 1`` splits the matrix into N contiguous row blocks, each
         its own persistent pool (``nproc`` workers *per shard*),
         coordinated by the asynchronous halo-exchange loop of
-        :class:`~repro.execution.ShardedSolver` — for matrices whose
-        single-pool layout is too big for one pool's memory budget.
+        :class:`~repro.execution.ShardedSolver`. Each shard writes a
+        private iterate instead of one shared one, which is faster on
+        dense systems and no faster on the 2-D Laplacian (see
+        :mod:`repro.execution.sharded`).
         Sharding requires ``method="asyrgs"``; the pools live and die
         together on eviction and crash. A ``(method, shards)``
         choice that :func:`~repro.execution.check_solver` refuses
@@ -382,7 +386,7 @@ class SolverServer:
         self._ids = itertools.count()
         # The counters, written under the lock; stats() copies them.
         self._counts = ServerStats(method=method, shards=shards)
-        self._solver.open()  # spawn workers + copy the CSR exactly once
+        self._solver.open()  # start the worker threads exactly once
         self._dispatcher = self._runtime.spawn(
             self._loop, name="asyrgs-serve-dispatch"
         )
@@ -452,9 +456,12 @@ class SolverServer:
         # own. The cache lock is a leaf — taken here, outside the server
         # lock, never the other way around.
         warm = False
-        if x0 is None and self._cache is not None:
-            x0 = self._cache.lookup(self._cache_key, b)
-            warm = x0 is not None
+        fingerprint = None
+        if self._cache is not None:
+            fingerprint = rhs_fingerprint(b)  # once: lookup and store share it
+            if x0 is None:
+                x0 = self._cache.lookup(self._cache_key, b, fingerprint)
+                warm = x0 is not None
         key = _BatchKey(
             tol=tol, max_sweeps=max_sweeps, sync_every_sweeps=sync_every
         )
@@ -467,7 +474,7 @@ class SolverServer:
                 request_id = next(self._ids)
             pending = _Pending(
                 request_id, b, x0, key, self._runtime.event(),
-                self._clock(), trace_id, warm,
+                self._clock(), trace_id, warm, fingerprint,
             )
             self._counts.requests_submitted += 1
             # `_stash` itself is dispatcher-private; `_stashed` is its
@@ -487,7 +494,7 @@ class SolverServer:
 
     def stats(self) -> ServerStats:
         """A consistent snapshot: the counters plus the live pool's
-        spawn count, workers, policy state and per-shard updates (kept
+        spawn count, policy state and per-shard updates (kept
         by the sharded coordinator; other pools report none)."""
         shard_counts = getattr(self._solver, "shard_update_counts", list)
         with self._lock:
@@ -775,7 +782,9 @@ class SolverServer:
             # a crash is simply not recorded, and the entry that seeded
             # it stays valid for the respawned pool.
             for r, out in zip(batch, results):
-                self._cache.store(self._cache_key, r.b, out.x)
+                self._cache.store(
+                    self._cache_key, r.b, out.x, r.fingerprint
+                )
                 self._cache.record_outcome(warm=r.warm, sweeps=out.sweeps)
         for r, out in zip(batch, results):
             r.result = out

@@ -3,7 +3,7 @@
 Split by cost, not by topic:
 
 * Everything driven through the ``shard_factory`` seam — partition
-  regressions, budget refusals, crash attribution, coordinator
+  regressions, argument checks, crash attribution, coordinator
   bookkeeping — runs fake shards in-process and stays in tier-1.
 * The properties that only mean anything against real pools — the
   bit-identity of ``make_solver(..., shards=1)`` with the plain pool and
@@ -100,7 +100,7 @@ class TestSegmentBytes:
         for key in ("n_rows", "x_rows", "b_rows", "capacity_k"):
             grown = dict(base, **{key: base[key] * 2})
             assert segment_bytes(**grown) > ref, key
-        # The kernel reads the matrix's own CSR: no copy to budget for.
+        # The kernel reads the matrix's own CSR: nnz adds no bytes.
         assert segment_bytes(**dict(base, nnz=10 * base["nnz"])) == ref
 
     def test_rectangular_shard_is_cheaper_than_the_square_pool(self):
@@ -179,31 +179,6 @@ class TestContracts:
         solver = ShardedSolver(A, b, shards=2)
         with pytest.raises(ModelError, match="sync_every_sweeps"):
             solver.solve(1e-6, 10, sync_every_sweeps=0)
-
-    def test_single_pool_refusal_names_the_escape_hatch(self, lap_system):
-        A, b = lap_system
-        need = segment_bytes(
-            n_rows=A.shape[0], x_rows=A.shape[1], b_rows=A.shape[0],
-            nnz=A.nnz, capacity_k=1, nproc=1,
-        )
-        with pytest.raises(ModelError) as err:
-            make_solver("asyrgs", A, b, shards=1, nproc=1, shm_limit=need - 1)
-        msg = str(err.value)
-        assert f"needs {need} bytes" in msg
-        assert "shards > 1" in msg
-
-    def test_per_shard_refusal_names_the_shard(self, lap_system):
-        A, b = lap_system
-        with pytest.raises(
-            ModelError, match=r"shard 0 of 2 needs \d+ bytes"
-        ):
-            ShardedSolver(A, b, shards=2, shm_limit=16)
-
-    def test_budget_that_fits_records_per_shard_bytes(self, lap_system):
-        A, b = lap_system
-        solver = ShardedSolver(A, b, shards=2, shm_limit=10**9)
-        assert len(solver.segment_bytes_per_shard) == 2
-        assert all(v > 0 for v in solver.segment_bytes_per_shard)
 
     def test_early_exit_on_converged_start(self, lap_system):
         """A zero RHS converges at x0 = 0 before any shard opens: the

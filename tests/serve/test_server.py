@@ -6,6 +6,7 @@ serial solver, the batching policy, per-request overrides, lifecycle,
 stats, and the JSON-lines protocol.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from repro.exceptions import ServeError, ShapeError
 from repro.execution import ProcessAsyRGS
 from repro.serve import SolverServer
+from repro.serve import cache as cache_module
 from repro.serve.protocol import (
     encode_error,
     encode_info,
@@ -254,6 +256,30 @@ class TestStats:
         assert stats.latency_max >= stats.latency_mean
         assert stats.spawn_count == 1
         assert stats.mean_batch_size == 1.0
+
+
+class TestCache:
+    def test_a_cache_miss_hashes_its_rhs_once(self, system, monkeypatch):
+        """The miss's lookup and the store after its solve share one
+        SHA-1 fingerprint of ``b``."""
+        A, b, _ = system
+        digests = []
+
+        class CountingHashlib:
+            @staticmethod
+            def sha1():
+                digests.append(1)
+                return hashlib.sha1()
+
+        monkeypatch.setattr(cache_module, "hashlib", CountingHashlib)
+        cache = cache_module.SolutionCache()
+        with SolverServer(
+            A, nproc=1, tol=1e-8, max_sweeps=300, max_wait=0.0, cache=cache
+        ) as srv:
+            assert srv.solve(b, timeout=WAIT).converged
+        stats = cache.stats()
+        assert (stats["misses"], stats["stores"]) == (1, 1)
+        assert len(digests) == 1
 
 
 class TestProtocol:
