@@ -25,9 +25,9 @@ concurrently, like traffic — are multiplexed onto it by
 6. scale out to a *gateway*: a :class:`repro.serve.MatrixRegistry`
    hosting several named matrices — requests route by matrix id, pools
    spawn lazily on first use and idle ones are LRU-evicted past the
-   live-pool cap (invisible in results *and* counters), and the
-   adaptive batching policy sizes the linger window from the measured
-   traffic instead of a knob,
+   live-pool cap (invisible in results *and* counters), and every
+   matrix's dispatcher lingers at most ``max_wait`` seconds for batch
+   company,
 
 7. shard a matrix across pools: ``shards=2`` row-partitions a Laplacian
    into two capacity-k pools that exchange halo rows at their own epoch
@@ -47,7 +47,7 @@ The same servers speak JSON lines on stdin or TCP via ``repro serve``,
 and HTTP/1.1 via ``repro serve --http PORT``::
 
     repro serve --matrix labels=social-labels --matrix lap=laplace2d \\
-        --policy adaptive --http 8080 &
+        --max-wait 0.005 --http 8080 &
     curl -X POST http://127.0.0.1:8080/v1/solve \\
         -d '{"id": "r1", "b": [1.0, ...], "matrix": "lap"}'
     curl http://127.0.0.1:8080/v1/matrices
@@ -55,9 +55,8 @@ and HTTP/1.1 via ``repro serve --http PORT``::
 One load driver benchmarks this stack, sending every round as JSON
 lines through ``handle_line`` to a ``MatrixRegistry`` — the request
 path of ``repro serve``: ``repro experiment serve`` compares batched
-serving against one-shot-per-request throughput, ``repro experiment
-serve --adaptive`` the adaptive policy against the fixed window, and
-``repro experiment slo [--cache]`` finds the max sustainable rate under
+serving against one-shot-per-request throughput, and ``repro
+experiment slo [--cache]`` finds the max sustainable rate under
 a p99 target and the warm-start sweep savings.
 
 Run:  python examples/serving.py
@@ -141,13 +140,12 @@ def main() -> None:
 
     # -- 6. The multi-matrix gateway. ----------------------------------
     # Two named matrices behind one front door, a deliberately tight
-    # live-pool cap to show LRU eviction, and the adaptive batching
-    # policy measuring the traffic.
+    # live-pool cap to show LRU eviction, and a 5 ms linger window.
     small = get_problem("social-small")
     lap = laplacian_2d(10, 10)
     with MatrixRegistry(
         nproc=1, capacity_k=4, max_live_pools=1, tol=1e-4,
-        max_sweeps=800, policy="adaptive",
+        max_sweeps=800, max_wait=0.005,
     ) as gateway:
         gateway.register("social", small.A)
         gateway.register("lap", lap)

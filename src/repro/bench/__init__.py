@@ -40,9 +40,7 @@ from .fig_slo import (
     SLOCacheResult,
     SLOResult,
     ServeBenchResult,
-    ServePolicyResult,
     run_serve,
-    run_serve_adaptive,
     run_slo,
     run_slo_cache,
 )
@@ -92,12 +90,10 @@ __all__ = [
     "run_fig3",
     "run_kernel",
     "run_serve",
-    "run_serve_adaptive",
     "run_shard",
     "run_slo",
     "run_slo_cache",
     "ServeBenchResult",
-    "ServePolicyResult",
     "ShardBenchResult",
     "SLOCacheResult",
     "SLOResult",

@@ -8,7 +8,7 @@ One round runner, :func:`_round`, submits a schedule of ``(arrival,
 rhs)`` pairs, **open-loop** (each request at its arrival time, never
 waiting on a completion) or **closed-loop** (each response resolved
 before the next submit, the shape of blocking one-at-a-time clients).
-Four experiments drive it:
+Three experiments drive it:
 
 * ``repro experiment slo`` (:func:`run_slo`) ramps an open-loop arrival
   rate geometrically and records p50/p99 latency per rate; the **max
@@ -31,9 +31,6 @@ Four experiments drive it:
   gather serving the whole batch). A capacity check then sends a
   ``k=1`` request and the full block to one pool, which must serve both
   with one spawn.
-* ``repro experiment serve --adaptive`` (:func:`run_serve_adaptive`)
-  compares the fixed linger window against the adaptive policy on a
-  burst and on a closed-loop round.
 
 The SLO drivers calibrate themselves against a probe solve, so the same
 code exercises a laptop and a loaded CI box without hand-tuned rates.
@@ -60,9 +57,7 @@ __all__ = [
     "SLOCacheResult",
     "SLOResult",
     "ServeBenchResult",
-    "ServePolicyResult",
     "run_serve",
-    "run_serve_adaptive",
     "run_slo",
     "run_slo_cache",
 ]
@@ -242,54 +237,6 @@ class ServeBenchResult(_Rows):
             f"throughput {self.batched_speedup:.2f}x one-shot; capacity-k "
             f"pool served k=1 and k={self.requests} with "
             f"{self.capacity_spawns} spawn(s)"
-        )
-
-
-@dataclass
-class ServePolicyResult(_Rows):
-    """Adaptive-vs-fixed batching: one row per (traffic shape, policy).
-    ``adaptive_speedup`` is the adaptive policy's throughput over the
-    fixed policy's on **closed-loop** traffic, where the linger window
-    is a pure per-request tax only a measuring policy can decline;
-    ``burst_ratio`` is the same ratio on the burst, where batching pays
-    and the policy must give nothing back.
-    """
-
-    COLUMNS: ClassVar[tuple] = (
-        ("traffic", "traffic"), ("policy", "policy"), ("wall [s]", "wall"),
-        ("req/s", "rps"), ("batches", "batches"),
-        ("mean batch", "mean_batch_size"), ("mean lat [s]", "latency_mean"),
-    )
-    ROWS_KEY: ClassVar[str] = "regimes"
-    HEADLINES: ClassVar[tuple] = ("adaptive_speedup", "burst_ratio")
-
-    requests: int
-    max_batch: int
-    fixed_wait: float
-    rows_data: list = field(default_factory=list)
-    all_converged: bool = True
-
-    def _speedup(self, shape: str) -> float:
-        return _ratio(self._cell(3, shape, "adaptive"),
-                      self._cell(3, shape, "fixed"))
-
-    @property
-    def adaptive_speedup(self) -> float:
-        return self._speedup("closed-loop")
-
-    @property
-    def burst_ratio(self) -> float:
-        return self._speedup("burst")
-
-    def title(self) -> str:
-        return (
-            f"Adaptive batching — {self.problem} (n={self.n}), "
-            f"{self.requests} single-RHS requests to tol={self.tol:g} on "
-            f"{self.nproc} worker(s), {self.cpus} CPU(s), "
-            f"max_batch={self.max_batch}, fixed window "
-            f"{1e3 * self.fixed_wait:g} ms; adaptive is "
-            f"{self.adaptive_speedup:.2f}x fixed on closed-loop traffic, "
-            f"{self.burst_ratio:.2f}x on the loaded burst"
         )
 
 
@@ -546,7 +493,7 @@ def run_serve(
 
     Every regime answers the same burst of single-RHS label requests to
     the same per-request tolerance; only the pool lifecycle and the
-    batching policy differ.
+    batch cap differ.
     """
     A, B, burst = _label_burst(problem, labels)
     n, k = B.shape
@@ -600,63 +547,4 @@ def run_serve(
 
     if persist:
         save_json("fig_serve", out.payload())
-    return out
-
-
-def run_serve_adaptive(
-    problem: str = "social-labels",
-    *,
-    nproc: int = 1,
-    labels: int | None = None,
-    max_batch: int = 8,
-    fixed_wait: float = 0.25,
-    tol: float = 1e-2,
-    max_sweeps: int = 600,
-    sync_every_sweeps: int = 10,
-    seed: int = 0,
-    persist: bool = True,
-) -> ServePolicyResult:
-    """Compare the adaptive batching policy against the fixed window.
-
-    The label requests arrive as a **burst** (the queue is deep, both
-    policies fill batches from the backlog, and adaptive must give
-    nothing back) and as a **closed-loop** round (one request in flight
-    at a time: the fixed policy stalls every batch for the full window
-    waiting for company that cannot arrive, while the adaptive policy
-    measures the empty queue and collapses the window). ``nproc=1``
-    makes the engine deterministic, so both policies solve identical
-    trajectories and the walls differ only by window behavior;
-    ``fixed_wait`` is a sizable fraction of a typical solve, the window
-    an operator tuning for straggler coalescing plausibly picks and the
-    adaptive policy's seed.
-    """
-    A, B, burst = _label_burst(problem, labels)
-    n, k = B.shape
-    max_batch = min(int(max_batch), k)
-
-    out = ServePolicyResult(
-        problem=problem, n=n, nproc=int(nproc), cpus=available_cpus(),
-        tol=float(tol), max_sweeps=int(max_sweeps), requests=k,
-        max_batch=max_batch, fixed_wait=float(fixed_wait),
-    )
-    for traffic in ("burst", "closed-loop"):
-        for policy in ("fixed", "adaptive"):
-            with _serving(
-                problem, A, nproc=nproc, capacity_k=max_batch,
-                max_batch=max_batch, max_wait=fixed_wait, policy=policy,
-                tol=tol, max_sweeps=max_sweeps,
-                sync_every_sweeps=sync_every_sweeps, seed=seed,
-            ) as registry:
-                responses, wall = _round(
-                    registry, burst, closed_loop=(traffic == "closed-loop")
-                )
-                stats = registry.stats()
-            out.all_converged &= _converged(responses)
-            out.rows_data.append(
-                [traffic, policy, wall, _ratio(k, wall), stats.batches,
-                 stats.mean_batch_size, stats.latency_mean]
-            )
-
-    if persist:
-        save_json("fig_serve_adaptive", out.payload())
     return out

@@ -27,9 +27,9 @@ Commands
     ``--matrix NAME=SPEC`` routed by the request's ``matrix`` field),
     JSON solve requests on stdin, TCP (``--port``), or HTTP/1.1
     (``--http``: ``POST /v1/solve``, ``GET /v1/stats``,
-    ``GET /v1/matrices``); compatible single-RHS requests coalesce into
-    block solves under a fixed or adaptive batching policy
-    (``--policy``). See the parser epilog for the protocol.
+    ``GET /v1/matrices``); compatible single-RHS requests that arrive
+    within one linger window (``--max-wait``) coalesce into block
+    solves. See the parser epilog for the protocol.
 ``problems``
     List the named workload registry.
 
@@ -89,10 +89,9 @@ Serving:
   always evicted together. `repro experiment shard` runs the
   convergence-vs-staleness bench next to its one-pool control.
 
-  Batching policy: --policy fixed lingers --max-wait seconds for batch
-  company; --policy adaptive sizes the linger window from the measured
-  queue-depth/solve-wall EWMAs (sequential traffic pays no window at
-  all, concurrent traffic lingers a fraction of a typical solve).
+  Batching: once a request starts a batch, the dispatcher lingers at
+  most --max-wait seconds (default 0.005; 0 disables lingering) for
+  compatible requests to share its block solve.
 
   Observability & caching: every response carries a trace_id (minted
   per request, or propagated from a "trace_id" field the client sends)
@@ -107,8 +106,7 @@ Serving:
   Serving benchmarks: one load driver sends every round as JSON lines
   down the wire request path to a multi-matrix registry.
   `repro experiment serve` compares batched serving with one-shot
-  solves on the 51-label workload (--adaptive: the two batching
-  policies on burst and closed-loop traffic); `repro experiment slo`
+  solves on the 51-label workload; `repro experiment slo`
   finds the max sustainable req/s under a p99 target (--cache:
   warm-vs-cold sweeps on bursty near-duplicate traffic).
 """
@@ -192,11 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         "throughput",
     )
     p_exp.add_argument(
-        "--adaptive", action="store_true",
-        help="for 'serve': compare the adaptive batching policy against "
-        "the fixed linger window on burst and closed-loop traffic",
-    )
-    p_exp.add_argument(
         "--cache", action="store_true",
         help="for 'slo': replay a bursty near-duplicate arrival schedule "
         "with warm-start caching on vs. off and compare mean sweeps per "
@@ -259,14 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--max-wait", type=float, default=0.005,
-        help="seconds to linger for batch company once a request arrived "
-        "(the adaptive policy's seed window)",
-    )
-    p_serve.add_argument(
-        "--policy", choices=["fixed", "adaptive"], default="fixed",
-        help="batching policy: a fixed --max-wait linger window, or a "
-        "window sized adaptively from the measured queue-depth/"
-        "solve-wall EWMAs",
+        help="linger window: seconds the dispatcher waits for compatible "
+        "requests to share a batch once one arrived (0 disables "
+        "lingering)",
     )
     p_serve.add_argument(
         "--cache-solutions", action="store_true",
@@ -637,21 +625,25 @@ def _cmd_serve(args) -> int:
     except (OSError, ReproError) as exc:
         print(f"error: {exc}")
         return 2
-    with MatrixRegistry(
-        nproc=args.nproc,
-        max_live_pools=args.max_live_pools,
-        capacity_k=args.capacity,
-        tol=args.tol,
-        max_sweeps=args.max_sweeps,
-        sync_every_sweeps=args.sync_every,
-        max_batch=args.max_batch,
-        max_wait=args.max_wait,
-        policy=args.policy,
-        cache_solutions=args.cache_solutions,
-        cache_max_entries=args.cache_max_entries,
-        cache_similarity=args.cache_similarity,
-        seed=args.seed,
-    ) as server:
+    try:
+        registry = MatrixRegistry(
+            nproc=args.nproc,
+            max_live_pools=args.max_live_pools,
+            capacity_k=args.capacity,
+            tol=args.tol,
+            max_sweeps=args.max_sweeps,
+            sync_every_sweeps=args.sync_every,
+            max_batch=args.max_batch,
+            max_wait=args.max_wait,
+            cache_solutions=args.cache_solutions,
+            cache_max_entries=args.cache_max_entries,
+            cache_similarity=args.cache_similarity,
+            seed=args.seed,
+        )
+    except ReproError as exc:
+        print(f"error: {exc}")
+        return 2
+    with registry as server:
         try:
             # Registration checks each matrix's (method, shards)
             # backing, so one that could never serve stops here.
@@ -677,7 +669,7 @@ def _cmd_serve(args) -> int:
         )
         pool_note = (
             f"{args.nproc} worker(s)/pool, capacity "
-            f"k={args.capacity}, {args.policy} batching"
+            f"k={args.capacity}, {1e3 * args.max_wait:g} ms linger window"
         )
         if args.port is not None:
             tcp = make_tcp_server(server, args.host, args.port)
@@ -766,11 +758,6 @@ def _cmd_experiment(args) -> int:
             print("--retire is a mode of the 'block' experiment")
             return 2
         fn_name = "run_block_retirement"
-    if getattr(args, "adaptive", False):
-        if args.name != "serve":
-            print("--adaptive is a mode of the 'serve' experiment")
-            return 2
-        fn_name = "run_serve_adaptive"
     if getattr(args, "cache", False):
         if args.name != "slo":
             print("--cache is a mode of the 'slo' experiment")

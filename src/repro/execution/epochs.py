@@ -15,10 +15,16 @@ block; a request occupies its leading columns), ``retire_columns(cols)``
 :class:`SimulatorEngine` wraps the simulators.
 
 A tracker judges convergence at each boundary: ``value``,
-``converged``, ``done_mask`` and ``update(x, sweeps_done, retire)``
-returning the columns to retire. The per-column trackers share their
-bookkeeping through :class:`ColumnFold`; a caller's ``metric`` becomes a
-:class:`MetricTracker`.
+``converged``, ``finished``, ``done_mask`` and ``update(x, sweeps_done,
+retire)`` returning the columns to retire. The per-column trackers share
+their bookkeeping through :class:`ColumnFold`; a caller's ``metric``
+becomes a :class:`MetricTracker`.
+
+A solve ends once every column is converged or non-finite. NaN and Inf
+never leave an iterate column once they enter it (every update adds a
+multiple of the row's residual to it), so a column whose residual is
+not finite can never converge: it leaves the active set like a
+converged column and is reported unconverged.
 """
 
 from __future__ import annotations
@@ -168,9 +174,12 @@ class ColumnFold:
 
     Holds the per-column residuals ``col`` and their numerators ``num``,
     the epoch each column first went below ``tol`` (``column_sweeps``,
-    ``-1`` until then), the converged/retired ``done_mask``, and the
-    aggregate ``value`` derived from ``num``. A subclass's ``update``
-    re-measures ``col``/``num`` and ends with :meth:`fold`.
+    ``-1`` until then), the converged ``done_mask``, the ``out_mask``
+    of columns out of the active set (converged, or with a residual
+    that is not finite), and the aggregate ``value`` derived from
+    ``num``. A subclass's ``update``
+    re-measures the columns of :meth:`active` (every column when not
+    retiring) and ends with :meth:`fold`.
     """
 
     per_column = True
@@ -182,45 +191,63 @@ class ColumnFold:
         self.k = int(col.shape[0])
         self._denom_total = float(denom_total)
         self.done_mask = col < self.tol
+        self.out_mask = self.done_mask | ~np.isfinite(col)
+        self._sq = float(num.dot(num))
         self.column_sweeps = np.where(self.done_mask, 0, -1).astype(np.int64)
 
     @property
     def value(self) -> float:
         """``‖num‖₂`` relative to the aggregate denominator (absolute
         when that is zero)."""
-        total = math.sqrt(self.num.dot(self.num))  # np.linalg.norm's sum
+        total = math.sqrt(self._sq)
         return total / self._denom_total if self._denom_total > 0 else total
 
     @property
     def converged(self) -> bool:
         return bool(self.done_mask.all())
 
+    @property
+    def finished(self) -> bool:
+        """Whether every column is converged or non-finite: no further
+        epoch can change the verdict."""
+        return bool(self.out_mask.all())
+
     def active(self) -> np.ndarray:
         """Indices of the columns still in the active set."""
-        return (~self.done_mask).nonzero()[0]
+        return (~self.out_mask).nonzero()[0]
 
     def fold(self, sweeps_done: int, retire: bool) -> np.ndarray:
-        """Stamp columns newly below ``tol``, update the mask, and return
-        the columns retired by this boundary (none when not retiring)."""
-        below = self.col < self.tol
+        """Stamp columns newly below ``tol``, update the masks, and return
+        the columns retired by this boundary (none when not retiring).
+        A column whose residual is not finite leaves the active set
+        unconverged."""
+        below = out = self.col < self.tol
+        # The squared norm behind ``value`` is finite unless a column's
+        # residual is not (or it overflowed): only then check each one.
+        self._sq = float(self.num.dot(self.num))
+        if not math.isfinite(self._sq):
+            out = below | ~np.isfinite(self.col)
         if not retire:
             self.column_sweeps[below & (self.column_sweeps < 0)] = int(sweeps_done)
             self.done_mask = below
+            self.out_mask = out.copy()  # never an alias of done_mask
             return np.empty(0, dtype=np.int64)
         # A done column is stamped already (both branches keep that so),
         # so every column to stamp is among those retired now: at most
-        # boundaries that is none, and this costs three NumPy calls.
-        newly_retired = (below > self.done_mask).nonzero()[0]
+        # boundaries that is none, and this costs four NumPy calls.
+        newly_retired = (out > self.out_mask).nonzero()[0]
         if newly_retired.size:
-            fresh = newly_retired[self.column_sweeps[newly_retired] < 0]
-            self.column_sweeps[fresh] = int(sweeps_done)
-            self.done_mask[newly_retired] = True
+            conv = newly_retired[below[newly_retired]]
+            self.column_sweeps[conv[self.column_sweeps[conv] < 0]] = int(sweeps_done)
+            self.done_mask[conv] = True
+            self.out_mask[newly_retired] = True
         return newly_retired
 
 
 class MetricTracker:
     """A caller's aggregate ``metric(x) < tol`` as a one-column tracker
-    that never retires and reports no per-column detail."""
+    that never retires and reports no per-column detail. It is finished
+    once converged or once the metric is not finite."""
 
     per_column = False
 
@@ -233,6 +260,10 @@ class MetricTracker:
     @property
     def converged(self) -> bool:
         return bool(self.done_mask[0])
+
+    @property
+    def finished(self) -> bool:
+        return self.converged or not math.isfinite(self.value)
 
     def update(self, x, sweeps_done: int, retire: bool) -> np.ndarray:
         self.value = self.metric(x)
@@ -322,8 +353,9 @@ def solve_epochs(
     when an epoch runs: a start that is already converged, or
     ``max_sweeps == 0``, costs no pool. ``column_tracker(x0, b, tol)``
     builds the method's per-column tracker unless a ``metric`` is given.
-    With ``retire``, columns leave the active set at the boundary where
-    they converge, and converged columns never enter it."""
+    The solve ends once every column is converged or non-finite. With
+    ``retire``, columns leave the active set at the boundary where they
+    converge or go non-finite, and such columns never enter it."""
     tol, max_sweeps, sync_every, retire = check_epoch_args(
         tol, max_sweeps, sync_every_sweeps, metric=metric, retire=retire
     )
@@ -332,24 +364,25 @@ def solve_epochs(
     else:
         tracker = column_tracker(x0, b, tol)
     record = EpochRecord(tracker, retire)
-    if tracker.converged or max_sweeps == 0:
+    if tracker.finished or max_sweeps == 0:
         return record.result(
             x0.copy(), per_worker_iterations=[0] * workers, atomic=atomic
         )
     with engine as live:
         live.begin(x0, b)
-        if retire and tracker.done_mask.any():
-            # Columns converged before the first epoch never enter the
-            # active set at all.
-            live.retire_columns(np.flatnonzero(tracker.done_mask))
+        if retire and tracker.out_mask.any():
+            # Columns converged or non-finite before the first epoch
+            # never enter the active set at all.
+            live.retire_columns(np.flatnonzero(tracker.out_mask))
         sweeps_done = 0
-        while not tracker.converged and sweeps_done < max_sweeps:
+        while not tracker.finished and sweeps_done < max_sweeps:
             take = min(sync_every, max_sweeps - sweeps_done)
             live.advance(take * n_rows)
             sweeps_done += take
             # The boundary just crossed is a paper-sense sync point: the
             # read below sees every update of the epoch. Newly converged
-            # columns leave the active set while no segment runs.
+            # or non-finite columns leave the active set while no
+            # segment runs.
             newly_retired = record.boundary(
                 request_view(live.x(), b), sweeps_done, sweeps_done * n_rows
             )

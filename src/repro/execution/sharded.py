@@ -437,7 +437,7 @@ class ShardedSolver:
         tracker = ColumnTracker(self.A, x0, b, tol)
         record = EpochRecord(tracker, retire)
         S = self.shards
-        if tracker.converged or max_sweeps == 0:
+        if tracker.finished or max_sweeps == 0:
             return record.result(
                 x0.copy(),
                 per_worker_iterations=[0] * (S * self.nproc),
@@ -471,12 +471,13 @@ class ShardedSolver:
             applied = 0
             try:
                 pool.begin(x0.reshape(self.n, kreq), b.reshape(self.n, kreq)[r0:r1])
-                if retire and tracker.done_mask.any():
-                    # Columns converged before the first epoch never
-                    # enter this shard's active set at all (the tracker
-                    # is not mutated after this point except under cond,
-                    # and begin() happens before any coordinator update).
-                    pool.retire_columns(np.flatnonzero(tracker.done_mask))
+                if retire and tracker.out_mask.any():
+                    # Columns converged or non-finite before the first
+                    # epoch never enter this shard's active set at all
+                    # (the tracker is not mutated after this point except
+                    # under cond, and begin() happens before any
+                    # coordinator update).
+                    pool.retire_columns(np.flatnonzero(tracker.out_mask))
                 local = 0
                 while local < max_sweeps:
                     take = min(sync_every, max_sweeps - local)
@@ -537,7 +538,7 @@ class ShardedSolver:
                     if newly.size:
                         with cond:
                             retired_cols.extend(int(c) for c in newly)
-                    if tracker.converged:
+                    if tracker.finished:
                         stop.set()
                         break
                 if not alive:

@@ -6,9 +6,8 @@ workers started once), many independent solve
 requests. :class:`SolverServer` coalesces compatible single-RHS
 requests into block solves — the Section 9 multi-label amortization
 applied to live traffic — with per-request retirement, latency stats,
-crash containment, and a pluggable batching policy
-(:mod:`repro.serve.batching`: fixed window, or adaptive from the
-measured queue-depth/solve-wall EWMAs). :class:`MatrixRegistry` routes
+crash containment, and one linger window (``max_wait``) deciding which
+requests share a block. :class:`MatrixRegistry` routes
 requests across several named resident matrices with lazily-spawned,
 LRU-evicted per-matrix pools. :mod:`repro.serve.frontend` exposes
 either over stdin JSON-lines, TCP, and HTTP/1.1 (``repro serve``).

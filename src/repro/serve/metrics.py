@@ -3,10 +3,9 @@
 Every number the serving stack reports is a field of
 :class:`ServerStats` (one matrix's pools) or :class:`CacheStats` (the
 warm-start cache), and the field's metadata holds everything done with
-it: its Prometheus family and help text, its ``fold`` (how
+it: its Prometheus family and help text and its ``fold`` (how
 :func:`fold_stats` combines snapshots across a matrix's pool lifetimes
-and across a gateway's matrices), and whether it is ``live`` state of
-the running pool rather than history. A new serving counter is
+and across a gateway's matrices). A new serving counter is
 therefore one field: the server counts it, ``/v1/stats`` carries it,
 the registry folds it and ``/v1/metrics`` exports it.
 
@@ -21,8 +20,8 @@ list-valued fields render one sample per element (``shard="0"``, ...).
 Gateway gauges (``repro_matrices_registered``, ``repro_live_pools``)
 and the ``repro_cache_*`` families are unlabeled by matrix: there is
 one registry and one cache per process. ``repro_matrix_info`` carries
-the update method and batching policy as labels on a constant ``1``,
-the standard info-metric idiom.
+the update method as a label on a constant ``1``, the standard
+info-metric idiom.
 
 Everything is rendered from one consistent snapshot per section: the
 registry's ``stats_payload`` snapshots every matrix under its lock, so
@@ -65,19 +64,18 @@ def _format_value(value) -> str:
 
 
 def _stat(
-    family=None, help_text=None, fold=None, *, default=0, live=False,
-    per=None, **labels,
+    family=None, help_text=None, fold=None, *, default=0, per=None,
+    **labels,
 ):
     """Declare one serving number: its Prometheus family and help text
     (constant ``labels``, or one sample per list element labeled
-    ``per``), its fold rule, its liveness and its zero value (copied
-    per record, so no two records share a list)."""
+    ``per``), its fold rule and its zero value (copied per record, so
+    no two records share a list)."""
     if family is not None:
         kind = "counter" if family.endswith("_total") else "gauge"
         family = (family, kind, help_text)
     return field(default_factory=lambda: copy(default), metadata={
-        "family": family, "fold": fold, "live": live, "per": per,
-        "labels": labels,
+        "family": family, "fold": fold, "per": per, "labels": labels,
     })
 
 
@@ -105,25 +103,16 @@ def _elementwise(values, served):
 def _tally(key: str, plural: str):
     """The breakdown rule. One value passes through, and a value every
     pool agrees on stays a plain scalar (a method name, a shard count).
-    Otherwise the fold names the value, or ``"mixed"`` with a per-value
-    pool tally under ``plural``. A dict value is one pool's state (the
-    batching policy's EWMAs), which does not fold: several pools report
-    only its name and the pool count."""
+    Otherwise the fold reports ``"mixed"`` with a per-value pool tally
+    under ``plural``."""
 
     def fold(values, served):
         if len(values) == 1:
             return values[0]
-        state = isinstance(values[0], dict)
-        names = [v.get(key, "?") if state else v for v in values]
-        counts = dict(Counter(names))
-        if len(counts) == 1 and not state:
-            return names[0]
-        out = {key: names[0] if len(counts) == 1 else "mixed"}
-        if state:
-            out["pools"] = len(values)
-        if len(counts) > 1:
-            out[plural] = counts
-        return out
+        counts = dict(Counter(values))
+        if len(counts) == 1:
+            return values[0]
+        return {key: "mixed", plural: counts}
 
     return fold
 
@@ -132,8 +121,8 @@ def _tally(key: str, plural: str):
 class ServerStats:
     """One matrix's serving counters: a pool's snapshot, or a fold of
     several by :func:`fold_stats`. A gateway aggregate over matrices
-    that differ reports ``policy``, ``method`` and ``shards`` as
-    ``"mixed"`` breakdowns. ``max_queue_depth`` counts the request
+    that differ reports ``method`` and ``shards`` as ``"mixed"``
+    breakdowns. ``max_queue_depth`` counts the request
     stashed between batches too; ``shard_updates`` is empty at
     ``shards=1``."""
 
@@ -179,9 +168,6 @@ class ServerStats:
         "Worker-pool spawns over the matrix's lifetime (>1 means respawn "
         "after a crash or eviction).", _sum,
     )
-    policy: dict = _stat(
-        fold=_tally("policy", "policies"), default={}, live=True
-    )
     method: str | dict = _stat(
         fold=_tally("method", "methods"), default="asyrgs"
     )
@@ -202,23 +188,20 @@ class ServerStats:
         return done / self.batches if self.batches else float("nan")
 
 
-def fold_stats(snapshots, *, lifetimes: bool = False) -> ServerStats:
+def fold_stats(snapshots) -> ServerStats:
     """Fold :class:`ServerStats` snapshots into one, each field by its
-    declared rule; no snapshots fold to the zero record.
-    ``lifetimes=True`` folds one matrix's pool lifetimes, oldest first:
-    its ``live`` fields come from the newest snapshot alone."""
+    declared rule: one matrix's pool lifetimes, or a gateway's
+    matrices. No snapshots fold to the zero record."""
     snapshots = list(snapshots)
     if not snapshots:
         return ServerStats()
     served = [s.requests_served for s in snapshots]
-    folded = {}
-    for f in fields(ServerStats):
-        values = [getattr(s, f.name) for s in snapshots]
-        if lifetimes and f.metadata["live"]:
-            folded[f.name] = values[-1]
-        else:
-            folded[f.name] = f.metadata["fold"](values, served)
-    return ServerStats(**folded)
+    return ServerStats(**{
+        f.name: f.metadata["fold"](
+            [getattr(s, f.name) for s in snapshots], served
+        )
+        for f in fields(ServerStats)
+    })
 
 
 _HITS = (
@@ -342,14 +325,9 @@ def render_metrics(server) -> str:
         _add_declared(out, ServerStats, stats, {"matrix": name})
         out.add(
             "repro_matrix_info", "gauge",
-            "Constant 1; the matrix's update method and batching policy "
-            "ride as labels.",
+            "Constant 1; the matrix's update method rides as a label.",
             1,
-            {
-                "matrix": name,
-                "method": stats["method"],
-                "policy": stats["policy"].get("policy", "?"),
-            },
+            {"matrix": name, "method": stats["method"]},
         )
     cache_stats = getattr(server, "cache_stats", lambda: None)()
     if cache_stats is not None:

@@ -43,7 +43,7 @@ from ..execution import check_solver
 from .cache import SolutionCache
 from .runtime import THREAD_RUNTIME
 from .metrics import ServerStats, fold_stats
-from .server import SolverServer
+from .server import SolverServer, check_max_wait
 
 __all__ = ["MatrixRegistry"]
 
@@ -73,7 +73,7 @@ class _Entry:
     def stats(self) -> ServerStats:
         """Lifetime stats: the retired pools' total plus the live pool."""
         live = [] if self.server is None else [self.server.stats()]
-        return fold_stats([self.history, *live], lifetimes=True)
+        return fold_stats([self.history, *live])
 
 
 class MatrixRegistry:
@@ -82,10 +82,12 @@ class MatrixRegistry:
     Parameters
     ----------
     nproc, capacity_k, tol, max_sweeps, sync_every_sweeps, max_batch,
-    max_wait, policy, beta, atomic, seed, barrier_timeout:
+    max_wait, beta, atomic, seed, barrier_timeout:
         Defaults forwarded to every matrix's
         :class:`~repro.serve.SolverServer`; :meth:`register` accepts
-        per-matrix overrides of any of them.
+        per-matrix overrides of any of them. A ``max_wait`` the server
+        would refuse raises :class:`ServeError` here and in
+        :meth:`register`, before any pool exists.
     max_live_pools:
         Soft cap on simultaneously live worker pools. Spawning past the
         cap first LRU-evicts an idle pool; busy pools are never torn
@@ -137,6 +139,8 @@ class MatrixRegistry:
             raise ServeError(
                 f"max_live_pools must be at least 1, got {max_live_pools}"
             )
+        if "max_wait" in server_kwargs:
+            check_max_wait(server_kwargs["max_wait"])
         self._runtime = THREAD_RUNTIME if runtime is None else runtime
         self._defaults = dict(
             server_kwargs, nproc=nproc, runtime=self._runtime
@@ -162,15 +166,17 @@ class MatrixRegistry:
         """Register matrix ``A`` under ``name``. Costs nothing until the
         first request routed to it spawns the pool. ``overrides`` adjust
         this matrix's :class:`SolverServer` construction (``capacity_k``,
-        ``tol``, ``policy``, ``method``, ``shards``, ...).
+        ``tol``, ``max_wait``, ``method``, ``shards``, ...).
         The ``(method, shards)`` backing is checked here, by
-        :func:`~repro.execution.check_solver`, so a registration that
-        could never serve raises :class:`ServeError` now rather than
-        failing every later solve."""
+        :func:`~repro.execution.check_solver`, and so is ``max_wait``,
+        so a registration that could never serve raises
+        :class:`ServeError` now rather than failing every later solve."""
         if not isinstance(name, str) or not name:
             raise ServeError(
                 f"matrix id must be a non-empty string, got {name!r}"
             )
+        if "max_wait" in overrides:
+            check_max_wait(overrides["max_wait"])
         options = {**self._defaults, **overrides}
         method = options.get("method", "asyrgs")
         try:
@@ -311,8 +317,7 @@ class MatrixRegistry:
     def _retire(self, entry: _Entry, server: SolverServer) -> None:
         """Fold a closed pool into its matrix's history and drop it.
         Under the registry lock, so a concurrent :meth:`stats` counts
-        the pool exactly once: live, or retired. Its counters and last
-        policy state stay."""
+        the pool exactly once: live, or retired. Its counters stay."""
         with self._lock:
             if entry.server is server:
                 entry.history = entry.stats()

@@ -4,7 +4,7 @@ The serving layer is concurrent code — dispatcher threads, request
 queues, completion events, linger deadlines — and concurrent code is
 only as testable as its scheduler is controllable. This module is the
 seam that makes it controllable: :class:`SolverServer`,
-:class:`~repro.serve.MatrixRegistry` and the batching policies never
+:class:`~repro.serve.MatrixRegistry` and the solution cache never
 touch :mod:`time`, :mod:`queue` or :mod:`threading` directly; they ask
 a *runtime* for a clock reading, a queue, an event, a lock, or a thread.
 
@@ -50,7 +50,7 @@ class ThreadRuntime:
     """The real-world runtime: thin pass-throughs to the stdlib.
 
     Stateless — one shared instance (:data:`THREAD_RUNTIME`) serves
-    every server, registry and policy that was not handed a substitute.
+    every server, registry and cache that was not handed a substitute.
     """
 
     @staticmethod

@@ -26,18 +26,14 @@ request pays nothing for a slow-converging neighbor beyond sharing the
 batch's wall clock, and its reported ``sweeps`` is its own retirement
 epoch.
 
-Batching policy
----------------
+Batching
+--------
 ``max_batch`` bounds how many singles one solve may carry (at most the
-pool's ``capacity_k``); how long the dispatcher lingers for stragglers
-once a batch has an occupant is decided per batch by a
-:class:`~repro.serve.batching.BatchingPolicy` — ``policy="fixed"`` (the
-default) keeps the constant ``max_wait`` window, ``policy="adaptive"``
-sizes the window from the measured queue-depth/solve-wall EWMAs (see
-:mod:`repro.serve.batching`). Block requests (``b`` with ``k > 1``
-columns) run as their own batch. FIFO order plus the bounded batch
-means no request starves: an incompatible request simply starts the
-next batch.
+pool's ``capacity_k``); once a batch has an occupant the dispatcher
+lingers at most ``max_wait`` seconds for stragglers (0 disables
+lingering). Block requests (``b`` with ``k > 1`` columns) run as their
+own batch. FIFO order plus the bounded batch means no request starves:
+an incompatible request simply starts the next batch.
 
 Failure containment
 -------------------
@@ -55,9 +51,8 @@ high-water mark, latency mean/max) in one
 :class:`~repro.serve.metrics.ServerStats` record, written under the
 lock it already takes per request and per batch.
 :meth:`SolverServer.stats` copies that record and adds the live pool's
-state: spawn count, batching-policy snapshot and per-shard
-updates. Each field is declared once, in
-:mod:`repro.serve.metrics`, together with how snapshots fold and how
+state: spawn count and per-shard updates. Each field is declared once,
+in :mod:`repro.serve.metrics`, together with how snapshots fold and how
 ``GET /v1/metrics`` renders it.
 
 Testability
@@ -76,6 +71,7 @@ from __future__ import annotations
 
 import itertools
 import queue
+import threading
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -86,7 +82,6 @@ from ..execution.epochs import check_epoch_args
 from ..rng import DirectionStream
 from ..sparse import CSRMatrix
 from ..validation import check_rhs, check_x0
-from .batching import make_policy
 from .cache import rhs_fingerprint
 from .metrics import ServerStats
 from .protocol import mint_trace_id
@@ -95,6 +90,20 @@ from .runtime import THREAD_RUNTIME
 __all__ = ["SolverServer", "RequestHandle", "ServedResult", "ServerStats"]
 
 _SHUTDOWN = object()
+
+
+def check_max_wait(max_wait) -> float:
+    """The linger window as a float, refused with :class:`ServeError`
+    unless ``queue.get`` can wait that long: NaN, negative and
+    above-``threading.TIMEOUT_MAX`` windows (``inf`` among them) would
+    otherwise kill the dispatcher mid-gather."""
+    value = float(max_wait)
+    if not 0.0 <= value <= threading.TIMEOUT_MAX:  # False for NaN too
+        raise ServeError(
+            f"max_wait must be between 0 and {threading.TIMEOUT_MAX:g} "
+            f"seconds, got {max_wait!r}"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -241,18 +250,10 @@ class SolverServer:
     max_batch:
         Cap on coalesced singles per solve (default: ``capacity_k``).
     max_wait:
-        Seconds the dispatcher waits for additional compatible requests
-        once a batch has its first occupant. 0 disables lingering under
-        **both** policies — an adaptive server with ``max_wait=0``
-        never stalls a request, measurements or not. With
-        ``policy="adaptive"`` a nonzero value seeds the window used
-        until the first measurement lands (and raises the adaptive cap
-        when it exceeds the default).
-    policy:
-        Batching policy: ``"fixed"`` (constant ``max_wait`` window, the
-        default), ``"adaptive"`` (window sized from the measured
-        queue-depth/solve-wall EWMAs), or a ready-made
-        :class:`~repro.serve.batching.BatchingPolicy` instance.
+        The linger window: seconds the dispatcher waits for additional
+        compatible requests once a batch has its first occupant. 0
+        disables lingering. NaN, negative values and values above
+        ``threading.TIMEOUT_MAX`` raise :class:`ServeError`.
     method:
         The pool's update method: ``"asyrgs"`` (the default — square
         systems with a positive diagonal) or ``"asyrk"`` (asynchronous
@@ -321,7 +322,6 @@ class SolverServer:
         sync_every_sweeps: int = 10,
         max_batch: int | None = None,
         max_wait: float = 0.005,
-        policy="fixed",
         method: str = "asyrgs",
         shards: int = 1,
         beta: float = 1.0,
@@ -356,8 +356,7 @@ class SolverServer:
         self.max_batch = capacity_k if max_batch is None else min(int(max_batch), capacity_k)
         if self.max_batch < 1:
             raise ServeError(f"max_batch must be at least 1, got {max_batch}")
-        self.max_wait = float(max_wait)
-        self.policy = make_policy(policy, self.max_wait, runtime=self._runtime)
+        self.max_wait = check_max_wait(max_wait)
         self.nnz = A.nnz
         if directions is None:
             directions = DirectionStream(self.n, seed=seed)
@@ -494,14 +493,13 @@ class SolverServer:
 
     def stats(self) -> ServerStats:
         """A consistent snapshot: the counters plus the live pool's
-        spawn count, policy state and per-shard updates (kept
-        by the sharded coordinator; other pools report none)."""
+        spawn count and per-shard updates (kept by the sharded
+        coordinator; other pools report none)."""
         shard_counts = getattr(self._solver, "shard_update_counts", list)
         with self._lock:
             return replace(
                 self._counts,
                 spawn_count=self._solver.spawn_count,
-                policy=self.policy.snapshot(),
                 shard_updates=[int(c) for c in shard_counts()],
             )
 
@@ -590,18 +588,20 @@ class SolverServer:
                     item = self._queue.get()
                 if item is _SHUTDOWN:
                     break
-                batch = self._gather(item)
+                batch = [item]
                 try:
+                    self._gather(batch)
                     self._run_batch(batch)
                 except BaseException as exc:
                     # Only this batch fails. A worker crash surfaces as
                     # the backend's ModelError naming the worker id; the
                     # backend already dropped the broken pool, and the
                     # next batch respawns it (spawn_count records that
-                    # honestly). Batch assembly and result slicing fail
-                    # here too. The waiters must be released — a client
-                    # blocked in result() with no timeout would hang
-                    # forever — and the dispatcher must survive.
+                    # honestly). Gathering, batch assembly and result
+                    # slicing fail here too. The waiters must be
+                    # released — a client blocked in result() with no
+                    # timeout would hang forever — and the dispatcher
+                    # must survive.
                     self._fail_batch(batch, exc)
                     if not isinstance(exc, Exception):
                         raise  # KeyboardInterrupt/SystemExit and kin
@@ -664,15 +664,17 @@ class SolverServer:
             r.error = err
             r.event.set()
 
-    def _gather(self, first: _Pending) -> list[_Pending]:
-        """FIFO coalescing: collect compatible single-RHS requests behind
-        ``first`` until the batch is full, the policy's linger window
+    def _gather(self, batch: list[_Pending]) -> None:
+        """FIFO coalescing: append compatible single-RHS requests behind
+        the batch's first occupant until the batch is full, ``max_wait``
         elapses, or an incompatible request arrives (it is stashed,
-        preserving order, and starts the next batch)."""
-        batch = [first]
+        preserving order, and starts the next batch). ``batch`` is
+        extended in place, so a failure here fails every request already
+        taken off the queue with its batch."""
+        first = batch[0]
         if first.b.ndim != 1:
-            return batch  # block requests run alone
-        deadline = self._clock() + self.policy.linger(self._queue.qsize())
+            return  # block requests run alone
+        deadline = self._clock() + self.max_wait
         while len(batch) < self.max_batch:
             remaining = deadline - self._clock()
             try:
@@ -692,7 +694,6 @@ class SolverServer:
                 with self._lock:
                     self._stashed = 1
                 break
-        return batch
 
     def _run_batch(self, batch: list[_Pending]) -> None:
         started = self._clock()
@@ -720,14 +721,6 @@ class SolverServer:
         )
         finish = self._clock()
         wall = finish - started
-        # Feedback for adaptive policies: the queue depth left behind a
-        # batch is the concurrency signal (closed-loop clients keep it
-        # at 0; open-loop traffic piles up while the solve runs).
-        self.policy.observe(
-            batch_size=len(batch),
-            queue_depth=self._queue.qsize(),
-            solve_wall=wall,
-        )
         results = []
         for i, r in enumerate(batch):
             if block:

@@ -2,8 +2,8 @@
 
 Each driver builds a :class:`~tests.serve.simtest.scheduler.SimScheduler`
 around the *real* serving code — :class:`~repro.serve.SolverServer`,
-:class:`~repro.serve.MatrixRegistry`, the real batching policies — with
-only the pool faked (:mod:`.fakes`), runs one seeded schedule to
+:class:`~repro.serve.MatrixRegistry`, the real dispatcher and its linger
+window — with only the pool faked (:mod:`.fakes`), runs one seeded schedule to
 completion, asserts the invariants that must hold under **every**
 interleaving (exact results, conserved counters, no hung requests), and
 returns what the calling test wants to inspect.
@@ -20,22 +20,19 @@ import numpy as np
 
 from repro.exceptions import ServeError
 from repro.serve import MatrixRegistry, SolverServer
-from repro.serve.batching import FixedWait
 from repro.serve.cache import SolutionCache
 
 from .fakes import FakePool, diagonal_system, fake_factory
 from .scheduler import SimScheduler
 
 __all__ = [
-    "GatePolicy",
     "explore",
-    "run_adaptive_linger",
     "run_cache_crash",
     "run_cache_dedupe",
     "run_cache_eviction_race",
     "run_dispatcher_death",
+    "run_lone_linger",
     "run_mixed_methods",
-    "run_registry_policies",
     "run_registry_traffic",
     "run_server_traffic",
     "run_shard_crash",
@@ -75,20 +72,6 @@ def explore(scenario, seeds, check=None, **kwargs):
     return outcomes
 
 
-class GatePolicy(FixedWait):
-    """FixedWait that signals an event when the dispatcher first calls
-    :meth:`linger` — scenario plumbing to hold client submissions until
-    a batch's first occupant is being gathered."""
-
-    def __init__(self, max_wait: float, gate):
-        super().__init__(max_wait)
-        self._gate = gate
-
-    def linger(self, queue_depth: int) -> float:
-        self._gate.set()
-        return self.max_wait
-
-
 # ---------------------------------------------------------------------------
 # Generic traffic scenarios (the exploration workhorses)
 # ---------------------------------------------------------------------------
@@ -100,7 +83,6 @@ def run_server_traffic(
     server_cls=SolverServer,
     n_clients: int = 3,
     per_client: int = 2,
-    policy="fixed",
     max_wait: float = 0.002,
     capacity_k: int = 4,
     solve_time: float = 0.01,
@@ -119,7 +101,6 @@ def run_server_traffic(
         nproc=2,
         capacity_k=capacity_k,
         max_wait=max_wait,
-        policy=policy,
         runtime=sched.runtime,
         solver_factory=fake_factory(
             sleep=sched.sleep, solve_time=solve_time, made=pools
@@ -314,14 +295,12 @@ def run_stash_depth(seed: int, *, server_cls=SolverServer):
     ``submit()`` can double-count r2 (once in the queue snapshot, once
     in the stash) and report 3."""
     sched = SimScheduler(seed)
-    gate = sched.runtime.event()
     second_in = sched.runtime.event()
     server = server_cls(
         diagonal_system(_DIAG),
         nproc=1,
         capacity_k=2,
         max_wait=5.0,
-        policy=GatePolicy(5.0, gate),
         runtime=sched.runtime,
         solver_factory=fake_factory(sleep=sched.sleep, solve_time=0.005),
     )
@@ -332,7 +311,9 @@ def run_stash_depth(seed: int, *, server_cls=SolverServer):
         assert np.array_equal(res.x, _rhs(0) / _DIAG)
 
     def second():
-        gate.wait()  # r1 is in-gather: its linger window is open
+        # Virtual time only moves once every task is blocked, so by now
+        # the dispatcher has taken r1 and is 1 s into its 5 s window.
+        sched.sleep(1.0)
         h = server.submit(_rhs(1), tol=1e-3)  # incompatible -> stashed
         second_in.set()
         res = h.result()
@@ -364,22 +345,17 @@ def run_stash_depth(seed: int, *, server_cls=SolverServer):
     return stats.max_queue_depth
 
 
-def run_adaptive_linger(
-    seed: int, *, policy="adaptive", max_wait: float = 0.0, burst: int = 6
-):
-    """An open-loop burst trains the adaptive EWMAs (deep queue, slow
-    solves), then one request arrives alone. With ``max_wait=0`` the
-    operator disabled lingering, so the lone request's queue wait must
-    be scheduling noise only; the pre-fix ``make_policy`` cap of
-    ``max(0.05, max_wait)`` stalls it ~50 ms of simulated time once the
-    measurements land. Returns ``(lone_queue_wait, policy_snapshot)``."""
+def run_lone_linger(seed: int, *, max_wait: float = 0.0, burst: int = 6):
+    """An open-loop burst with slow solves, then one request that
+    arrives alone. Returns the lone request's queue wait: scheduling
+    noise with ``max_wait=0`` ("0 disables lingering"), the whole
+    window otherwise."""
     sched = SimScheduler(seed)
     server = SolverServer(
         diagonal_system(_DIAG),
         nproc=1,
         capacity_k=2,
         max_wait=max_wait,
-        policy=policy,
         runtime=sched.runtime,
         solver_factory=fake_factory(sleep=sched.sleep, solve_time=0.2),
     )
@@ -392,6 +368,7 @@ def run_adaptive_linger(
             assert np.array_equal(res.x, _rhs(t) / _DIAG)
         res = server.submit(_rhs(burst)).result()
         assert np.array_equal(res.x, _rhs(burst) / _DIAG)
+        assert res.batch_size == 1
         lone["queue_wait"] = res.queue_wait
 
     h = sched.task(client, name="client")
@@ -404,47 +381,7 @@ def run_adaptive_linger(
     sched.run()
 
     assert not sched.daemon_failures
-    return lone["queue_wait"], server.policy.snapshot()
-
-
-def run_registry_policies(seed: int):
-    """Two matrices running *different* batching policies behind one
-    registry; returns the ``/v1/stats`` payload. Pre-fix,
-    the stats fold stamped the whole aggregate with whichever pool's
-    snapshot came last."""
-    sched = SimScheduler(seed)
-    registry = MatrixRegistry(
-        nproc=1,
-        capacity_k=2,
-        max_wait=0.002,
-        runtime=sched.runtime,
-        solver_factory=fake_factory(sleep=sched.sleep, solve_time=0.01),
-    )
-    registry.register("fx", diagonal_system(_DIAG), policy="fixed")
-    registry.register("ad", diagonal_system(2.0 * _DIAG), policy="adaptive")
-
-    def client(name: str, scale: float, tag: int):
-        def work():
-            res = registry.submit(_rhs(tag), matrix=name).result()
-            assert np.array_equal(res.x, _rhs(tag) / (scale * _DIAG))
-
-        return work
-
-    tasks = [
-        sched.task(client("fx", 1.0, 0), name="client-fx"),
-        sched.task(client("ad", 2.0, 1), name="client-ad"),
-    ]
-
-    def closer():
-        for h in tasks:
-            h.join()
-        registry.close()
-
-    sched.task(closer, name="closer")
-    sched.run()
-
-    assert not sched.daemon_failures
-    return registry.stats_payload()
+    return lone["queue_wait"]
 
 
 def run_shard_crash(seed: int, *, shards: int = 3):

@@ -1,4 +1,4 @@
-"""Pre-fix replicas of the four concurrency bugs this PR fixed.
+"""Pre-fix replicas of two concurrency bugs the simulation harness found.
 
 The agentbus simtest discipline: a deterministic harness is only
 trusted once it is shown to *detect* known bugs. Each class/function
@@ -14,22 +14,14 @@ intentionally frozen at their pre-fix state.
 
 from __future__ import annotations
 
-from dataclasses import fields
-
 import numpy as np
 
 from repro.exceptions import ServeError
 from repro.serve import SolverServer
-from repro.serve.batching import AdaptiveWait, FixedWait
-from repro.serve.server import RequestHandle, ServerStats, _BatchKey, _Pending
+from repro.serve.server import RequestHandle, _BatchKey, _Pending
 from repro.validation import check_rhs, check_x0
 
-__all__ = [
-    "RacyDepthServer",
-    "WedgingServer",
-    "buggy_make_policy",
-    "buggy_fold_stats",
-]
+__all__ = ["RacyDepthServer", "WedgingServer"]
 
 
 class WedgingServer(SolverServer):
@@ -107,41 +99,3 @@ class RacyDepthServer(SolverServer):
             )
             self._queue.put(pending)
         return RequestHandle(pending)
-
-
-def buggy_make_policy(policy, max_wait, runtime=None):
-    """Pre-fix ``make_policy``: the adaptive cap is unconditionally
-    ``max(0.05, max_wait)``, so an explicit ``max_wait=0`` ("0 disables
-    lingering") still lingers up to 50 ms once measurements land."""
-    if isinstance(policy, FixedWait) or isinstance(policy, AdaptiveWait):
-        return policy
-    max_wait = float(max_wait)
-    if policy == "fixed":
-        return FixedWait(max_wait)
-    if policy == "adaptive":
-        return AdaptiveWait(
-            initial_wait=max_wait,
-            max_wait=max(0.05, max_wait),  # THE BUG
-            runtime=runtime,
-        )
-    raise ServeError(f"unknown batching policy {policy!r}")
-
-
-def buggy_fold_stats(snapshots, *, lifetimes=False) -> ServerStats:
-    """Pre-fix stats fold: the aggregate's ``policy`` field is
-    ``snapshots[-1].policy`` — whichever pool's snapshot happened to
-    come last, even when the pools run different policies. Otherwise
-    :func:`repro.serve.metrics.fold_stats` line for line."""
-    snapshots = list(snapshots)
-    if not snapshots:
-        return ServerStats()
-    served = [s.requests_served for s in snapshots]
-    folded = {}
-    for f in fields(ServerStats):
-        values = [getattr(s, f.name) for s in snapshots]
-        if lifetimes and f.metadata["live"]:
-            folded[f.name] = values[-1]
-        else:
-            folded[f.name] = f.metadata["fold"](values, served)
-    folded["policy"] = snapshots[-1].policy  # THE BUG
-    return ServerStats(**folded)

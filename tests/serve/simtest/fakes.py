@@ -1,7 +1,7 @@
 """In-process stand-ins for the worker-thread solver pool.
 
 The simulation harness tests the *serving* logic — dispatch, gather,
-stash, eviction, policy feedback — not the numerical engine, so the
+stash, linger, eviction — not the numerical engine, so the
 pool behind the server is replaced by :class:`FakePool`: an in-process
 object with the exact :class:`~repro.execution.ProcessAsyRGS` surface
 the server touches (``open``/``close``/``solve``/``spawn_count``)

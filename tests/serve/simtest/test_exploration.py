@@ -17,9 +17,8 @@ import pytest
 
 from .drivers import (
     explore,
-    run_adaptive_linger,
     run_dispatcher_death,
-    run_registry_policies,
+    run_lone_linger,
     run_registry_traffic,
     run_server_traffic,
     run_stash_depth,
@@ -28,17 +27,12 @@ from .drivers import (
 pytestmark = pytest.mark.simtest
 
 
-def test_server_traffic_fixed_policy(sim_seeds):
+def test_server_traffic(sim_seeds):
     explore(run_server_traffic, sim_seeds(10_000, 300))
 
 
-def test_server_traffic_adaptive_policy(sim_seeds):
-    explore(
-        run_server_traffic,
-        sim_seeds(20_000, 150),
-        policy="adaptive",
-        max_wait=0.01,
-    )
+def test_server_traffic_without_lingering(sim_seeds):
+    explore(run_server_traffic, sim_seeds(20_000, 150), max_wait=0.0)
 
 
 def test_registry_traffic_with_eviction(sim_seeds):
@@ -71,27 +65,10 @@ def test_dispatcher_death_fails_fast(sim_seeds):
     explore(run_dispatcher_death, sim_seeds(50_000, 100), check=check)
 
 
-def test_adaptive_zero_max_wait_never_lingers(sim_seeds):
+def test_zero_max_wait_never_lingers(sim_seeds):
     # max_wait=0 disables lingering: under every schedule the lone
     # trailing request's queue wait is scheduling noise, not a window.
-    def check(out):
-        queue_wait, snapshot = out
+    def check(queue_wait):
         assert queue_wait < 0.02
-        # Guard against vacuity: the EWMAs must actually have crossed
-        # the depth gate, or the policy never had a window to withhold.
-        assert snapshot["ewma_queue_depth"] >= 0.5
 
-    explore(run_adaptive_linger, sim_seeds(60_000, 60), check=check)
-
-
-def test_registry_aggregate_policy_breakdown(sim_seeds):
-    def check(payload):
-        assert payload["aggregate"]["policy"] == {
-            "policy": "mixed",
-            "pools": 2,
-            "policies": {"fixed": 1, "adaptive": 1},
-        }
-        assert payload["matrices"]["fx"]["policy"]["policy"] == "fixed"
-        assert payload["matrices"]["ad"]["policy"]["policy"] == "adaptive"
-
-    explore(run_registry_policies, sim_seeds(70_000, 60), check=check)
+    explore(run_lone_linger, sim_seeds(60_000, 60), check=check)

@@ -1,5 +1,6 @@
-"""Regression tests for the four concurrency bugs this harness flushed
-out, each paired with its pre-fix exemplar (:mod:`.exemplars`).
+"""Regression tests for concurrency bugs this harness flushed out, each
+paired with its pre-fix exemplar (:mod:`.exemplars`), plus the linger
+window's "0 disables lingering" contract.
 
 Every pair runs the *same scenario on the same recorded seed* against
 the fixed code and the pre-fix replica: the fixed code passes, the
@@ -12,21 +13,8 @@ from __future__ import annotations
 
 import pytest
 
-import repro.serve.registry as registry_mod
-from repro.serve.batching import make_policy
-
-from .drivers import (
-    run_adaptive_linger,
-    run_dispatcher_death,
-    run_registry_policies,
-    run_stash_depth,
-)
-from .exemplars import (
-    RacyDepthServer,
-    WedgingServer,
-    buggy_make_policy,
-    buggy_fold_stats,
-)
+from .drivers import run_dispatcher_death, run_lone_linger, run_stash_depth
+from .exemplars import RacyDepthServer, WedgingServer
 from .scheduler import SimDeadlock
 
 pytestmark = pytest.mark.simtest
@@ -55,39 +43,23 @@ class TestDispatcherDeath:
             run_dispatcher_death(self.SEED, server_cls=WedgingServer)
 
 
-class TestAdaptiveZeroMaxWait:
-    """Bugfix 2: ``policy="adaptive"`` with an explicit ``max_wait=0``
-    must never linger ("0 disables lingering")."""
+class TestZeroMaxWait:
+    """``max_wait=0`` never lingers: a request arriving alone after a
+    burst runs at once, while an open window holds it."""
 
     SEED = 0
 
-    def test_fixed_policy_honors_zero(self):
-        queue_wait, snapshot = run_adaptive_linger(self.SEED)
-        assert queue_wait < 0.02
-        assert snapshot["ewma_queue_depth"] >= 0.5  # the gate was crossed
-        assert snapshot["current_window"] == 0.0
+    def test_zero_window_never_lingers(self):
+        assert run_lone_linger(self.SEED) < 0.02
 
-    def test_prefix_policy_stalls_the_lone_request(self):
-        # Pre-fix make_policy raised the cap to max(0.05, 0) = 50 ms:
-        # once the EWMAs land, the lone request pays the full window.
-        queue_wait, _ = run_adaptive_linger(
-            self.SEED, policy=buggy_make_policy("adaptive", 0.0)
-        )
-        assert queue_wait >= 0.04
-
-    def test_make_policy_contract_both_policies(self):
-        # The non-simulated contract check: an explicit 0 collapses the
-        # adaptive cap; the fixed policy already honored it.
-        adaptive = make_policy("adaptive", 0.0)
-        assert adaptive.max_wait == 0.0
-        adaptive.observe(batch_size=1, queue_depth=6, solve_wall=0.4)
-        adaptive.observe(batch_size=1, queue_depth=6, solve_wall=0.4)
-        assert adaptive.linger(6) == 0.0
-        assert make_policy("fixed", 0.0).linger(6) == 0.0
+    def test_open_window_holds_the_lone_request(self):
+        # The check above has teeth: a server that lingers 50 ms is
+        # caught by the same scenario.
+        assert run_lone_linger(self.SEED, max_wait=0.05) >= 0.04
 
 
 class TestStashDepthRace:
-    """Bugfix 3: ``submit()`` computed the queue-depth high-water mark
+    """Bugfix 2: ``submit()`` computed the queue-depth high-water mark
     from an unsynchronized read of the dispatcher-private ``_stash``."""
 
     # Found by sweeping seeds 0..399 against the pre-fix replica: the
@@ -100,25 +72,3 @@ class TestStashDepthRace:
 
     def test_prefix_server_double_counts(self):
         assert run_stash_depth(self.SEED, server_cls=RacyDepthServer) == 3
-
-
-class TestMergeStatsPolicy:
-    """Bugfix 4: the registry aggregate stamped the whole fleet with
-    whichever pool's snapshot came last."""
-
-    SEED = 0
-
-    def test_fixed_aggregate_reports_the_breakdown(self):
-        payload = run_registry_policies(self.SEED)
-        assert payload["aggregate"]["policy"] == {
-            "policy": "mixed",
-            "pools": 2,
-            "policies": {"fixed": 1, "adaptive": 1},
-        }
-
-    def test_prefix_aggregate_misreports_one_pool(self, monkeypatch):
-        monkeypatch.setattr(registry_mod, "fold_stats", buggy_fold_stats)
-        payload = run_registry_policies(self.SEED)
-        # Pre-fix: the last-registered pool ("ad", adaptive) speaks for
-        # the whole registry even though half the pools run "fixed".
-        assert payload["aggregate"]["policy"]["policy"] == "adaptive"

@@ -511,6 +511,22 @@ class TestCLI:
         assert len(errors) == 1 and "asyrgs" in errors[0]
         assert "Traceback" not in captured.out + captured.err
 
+    @pytest.mark.parametrize("max_wait", ["inf", "nan", "1e300"])
+    def test_unwaitable_max_wait_is_a_clean_error(
+        self, max_wait, monkeypatch, capsys
+    ):
+        """A linger window the dispatcher could not wait is refused at
+        startup: one ``error:`` line and exit code 2."""
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        rc = main([
+            "serve", "--problem", "social-small", "--max-wait", max_wait,
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2
+        errors = [ln for ln in captured.out.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and "max_wait" in errors[0]
+        assert "Traceback" not in captured.out + captured.err
+
     def test_duplicate_matrix_name_is_a_clean_error(self, capsys):
         rc = main([
             "serve", "--matrix", "a=social-small",

@@ -164,7 +164,7 @@ class TestSolveRoute:
         status, resp = client.request("GET", "/v1/stats")
         assert status == 200 and resp["ok"]
         assert resp["requests_served"] == 1
-        assert resp["policy"]["policy"] == "fixed"
+        assert "policy" not in resp
 
     def test_get_matrices(self, http_front, system):
         client, _ = http_front

@@ -130,7 +130,7 @@ class TestBareServer:
         assert value_of(families, "repro_max_batch_size") >= 1
         info = value_of(
             families, "repro_matrix_info",
-            matrix="default", method="asyrgs", policy="fixed",
+            matrix="default", method="asyrgs",
         )
         assert info == 1
         # No cache attached -> no cache family in the scrape.

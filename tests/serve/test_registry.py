@@ -53,7 +53,7 @@ def registry(two_systems):
 
 
 def _snapshot(
-    policy: dict,
+    method: str = "asyrgs",
     served: int = 1,
     latency_mean: float = 0.5,
     latency_max: float = 1.0,
@@ -70,41 +70,36 @@ def _snapshot(
         latency_mean=latency_mean,
         latency_max=latency_max,
         spawn_count=1,
-        policy=policy,
+        method=method,
     )
 
 
 class TestMergeStats:
-    """The aggregate's ``policy`` field must describe the fleet, not
+    """The aggregate's ``method`` field must describe the fleet, not
     whichever pool's snapshot happened to come last."""
 
-    def test_single_snapshot_policy_passes_through(self):
-        policy = {"policy": "adaptive", "batches_observed": 3}
-        merged = fold_stats([_snapshot(policy)])
-        assert merged.policy == policy
+    def test_single_snapshot_passes_through(self):
+        # Even an already-folded breakdown: re-folding one aggregate
+        # returns it unchanged.
+        mixed = {"method": "mixed", "methods": {"asyrgs": 1, "asyrk": 1}}
+        assert fold_stats([_snapshot("asyrk")]).method == "asyrk"
+        assert fold_stats([_snapshot(mixed)]).method == mixed
 
-    def test_unanimous_fleet_reports_name_and_pool_count(self):
-        merged = fold_stats(
-            [_snapshot({"policy": "fixed", "max_wait": 0.01}) for _ in range(3)]
-        )
-        assert merged.policy == {"policy": "fixed", "pools": 3}
+    def test_unanimous_fleet_reports_the_name(self):
+        merged = fold_stats([_snapshot("asyrk") for _ in range(3)])
+        assert merged.method == "asyrk"
 
     def test_mixed_fleet_reports_the_breakdown(self):
         merged = fold_stats(
-            [
-                _snapshot({"policy": "fixed", "max_wait": 0.01}),
-                _snapshot({"policy": "adaptive", "batches_observed": 2}),
-                _snapshot({"policy": "fixed", "max_wait": 0.05}),
-            ]
+            [_snapshot("asyrgs"), _snapshot("asyrk"), _snapshot("asyrgs")]
         )
-        assert merged.policy == {
-            "policy": "mixed",
-            "pools": 3,
-            "policies": {"fixed": 2, "adaptive": 1},
+        assert merged.method == {
+            "method": "mixed",
+            "methods": {"asyrgs": 2, "asyrk": 1},
         }
 
-    def test_empty_merge_has_empty_policy(self):
-        assert fold_stats([]).policy == {}
+    def test_empty_merge_is_the_zero_record(self):
+        assert fold_stats([]) == ServerStats()
 
 
 class TestMergeLatency:
@@ -114,13 +109,11 @@ class TestMergeLatency:
     the fleet number; these pin the exact arithmetic the metrics
     endpoint and ``/v1/stats`` report."""
 
-    _policy = {"policy": "fixed", "max_wait": 0.01}
-
     def test_mean_is_served_weighted(self):
         merged = fold_stats(
             [
-                _snapshot(self._policy, served=9, latency_mean=0.1),
-                _snapshot(self._policy, served=1, latency_mean=1.1),
+                _snapshot(served=9, latency_mean=0.1),
+                _snapshot(served=1, latency_mean=1.1),
             ]
         )
         # (9*0.1 + 1*1.1) / 10, not (0.1 + 1.1) / 2.
@@ -130,9 +123,9 @@ class TestMergeLatency:
     def test_max_is_max_over_pools(self):
         merged = fold_stats(
             [
-                _snapshot(self._policy, latency_max=0.3),
-                _snapshot(self._policy, latency_max=2.5),
-                _snapshot(self._policy, latency_max=0.9),
+                _snapshot(latency_max=0.3),
+                _snapshot(latency_max=2.5),
+                _snapshot(latency_max=0.9),
             ]
         )
         assert merged.latency_max == 2.5
@@ -143,15 +136,15 @@ class TestMergeLatency:
         division error."""
         merged = fold_stats(
             [
-                _snapshot(self._policy, served=4, latency_mean=0.25),
-                _snapshot(self._policy, served=0, latency_mean=0.0),
+                _snapshot(served=4, latency_mean=0.25),
+                _snapshot(served=0, latency_mean=0.0),
             ]
         )
         assert merged.latency_mean == pytest.approx(0.25)
         idle = fold_stats(
             [
-                _snapshot(self._policy, served=0, latency_mean=0.0),
-                _snapshot(self._policy, served=0, latency_mean=0.0),
+                _snapshot(served=0, latency_mean=0.0),
+                _snapshot(served=0, latency_mean=0.0),
             ]
         )
         assert idle.latency_mean == 0.0
@@ -312,12 +305,9 @@ class TestEviction:
             assert reg.stats("two").spawn_count == 1
             assert reg.stats().requests_served == 3
 
-    def test_eviction_history_stays_out_of_live_state(self):
-        """Counters accumulate across a matrix's pool lifetimes, but
-        the live-state field describes the running pool only: the
-        policy is the latest pool's own snapshot, not a fleet
-        breakdown."""
-        fixed = {"policy": "fixed", "max_wait": 0.0}
+    def test_counters_accumulate_across_evictions(self):
+        """Each matrix's counters sum over its pool lifetimes and never
+        mix with another matrix's."""
         with MatrixRegistry(
             nproc=2, capacity_k=2, max_live_pools=1, max_wait=0.0,
             solver_factory=fake_factory(),
@@ -327,9 +317,7 @@ class TestEviction:
             for name in ("one", "two", "one"):
                 reg.solve(np.ones(4), matrix=name, timeout=WAIT)
             one, two = reg.stats("one"), reg.stats("two")
-        assert one.policy == fixed
         assert (one.requests_served, one.spawn_count) == (2, 2)
-        assert two.policy == fixed
         assert (two.requests_served, two.spawn_count) == (1, 1)
 
     def test_busy_pools_are_never_evicted(self, two_systems):

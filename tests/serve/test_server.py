@@ -2,19 +2,20 @@
 
 The concurrency/stress side lives in ``test_stress.py``; this file pins
 the per-feature contracts: request/response correctness against the
-serial solver, the batching policy, per-request overrides, lifecycle,
-stats, and the JSON-lines protocol.
+serial solver, batching and the linger window, per-request overrides,
+lifecycle, stats, and the JSON-lines protocol.
 """
 
 import hashlib
 import json
+import queue
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ServeError, ShapeError
 from repro.execution import ProcessAsyRGS
-from repro.serve import SolverServer
+from repro.serve import MatrixRegistry, SolverServer
 from repro.serve import cache as cache_module
 from repro.serve.protocol import (
     encode_error,
@@ -23,7 +24,10 @@ from repro.serve.protocol import (
     parse_line,
 )
 
+from repro.serve.runtime import ThreadRuntime
+
 from .conftest import WAIT
+from .simtest.fakes import diagonal_system, fake_factory
 
 pytestmark = pytest.mark.serve
 
@@ -198,6 +202,62 @@ class TestBatching:
             assert srv.max_batch == 3
         finally:
             srv.close()
+
+
+class _OverflowingQueue(queue.Queue):
+    """A queue whose first timed ``get`` raises what ``queue.get``
+    raises for a timeout it cannot wait."""
+
+    def __init__(self):
+        super().__init__()
+        self.fault = True
+
+    def get(self, block=True, timeout=None):
+        if timeout is not None and self.fault:
+            self.fault = False
+            raise OverflowError("timeout value is too large")
+        return super().get(block, timeout)
+
+
+class _OverflowRuntime(ThreadRuntime):
+    @staticmethod
+    def queue():
+        return _OverflowingQueue()
+
+
+class TestLingerWindow:
+    @pytest.mark.parametrize(
+        "max_wait", [float("nan"), -0.1, float("inf"), 1e300]
+    )
+    def test_unwaitable_window_refused(self, max_wait):
+        """A window ``queue.get`` cannot wait is refused up front, by the
+        server, the registry and a registration override alike."""
+        A = diagonal_system(np.ones(4))
+        with pytest.raises(ServeError, match="max_wait"):
+            SolverServer(
+                A, nproc=1, max_wait=max_wait, solver_factory=fake_factory()
+            )
+        with pytest.raises(ServeError, match="max_wait"):
+            MatrixRegistry(nproc=1, max_wait=max_wait)
+        with MatrixRegistry(nproc=1, solver_factory=fake_factory()) as reg:
+            with pytest.raises(ServeError, match="max_wait"):
+                reg.register("a", A, max_wait=max_wait)
+            assert reg.matrices() == []
+
+    def test_gather_failure_fails_its_batch(self):
+        """A fault while lingering fails the request being gathered,
+        like a crashed solve, and the dispatcher keeps serving."""
+        with SolverServer(
+            diagonal_system(2.0 * np.ones(4)), nproc=1, max_wait=0.05,
+            runtime=_OverflowRuntime(), solver_factory=fake_factory(),
+        ) as srv:
+            handle = srv.submit(np.ones(4))
+            with pytest.raises(ServeError, match="batch of 1 request"):
+                handle.result(timeout=10.0)
+            res = srv.solve(np.ones(4), timeout=10.0)
+            np.testing.assert_array_equal(res.x, np.full(4, 0.5))
+            stats = srv.stats()
+        assert (stats.requests_failed, stats.requests_served) == (1, 1)
 
 
 class TestLifecycle:

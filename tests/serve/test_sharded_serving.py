@@ -40,7 +40,6 @@ def _snapshot(shards=1, shard_updates=(), served: int = 1) -> ServerStats:
         latency_mean=0.5,
         latency_max=1.0,
         spawn_count=1,
-        policy={"policy": "fixed"},
         shards=shards,
         shard_updates=list(shard_updates),
     )

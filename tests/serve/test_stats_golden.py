@@ -1,16 +1,14 @@
 """Golden pin of every serving-stats surface.
 
 One fixed scenario on fake pools, driven sequentially so every count is
-exact: a gateway with three matrices (asyrgs under the ``fixed``
-policy, a ``shards=3`` matrix, asyrk under the ``adaptive`` policy),
-the solution cache on with one exact hit, no eviction; and a bare
+exact: a gateway with three matrices (asyrgs, a ``shards=3``
+matrix, asyrk), the solution cache on with one exact hit, no eviction; and a bare
 :class:`~repro.serve.SolverServer`. The whole ``stats_payload()`` and
 ``matrices_payload()`` and the parsed ``render_metrics`` scrape are
 compared with literal expectations, so a refactor of how the counters
 are kept, folded or rendered cannot move a value, a key or a type.
 
-Latency (and the adaptive policy's solve-wall EWMA) is wall clock:
-only its type and sign are checked.
+Latency is wall clock: only its type and sign are checked.
 """
 
 import json
@@ -30,7 +28,7 @@ DIAG = 1.0 + np.arange(N) % 3
 B = np.arange(1.0, N + 1.0)
 
 #: Wall-clock values: payload keys and metric families.
-_CLOCK_KEYS = {"latency_mean", "latency_max", "ewma_solve_wall"}
+_CLOCK_KEYS = {"latency_mean", "latency_max"}
 _CLOCK_FAMILIES = {"repro_latency_mean_seconds", "repro_latency_max_seconds"}
 _CLOCK = "<wall clock>"
 
@@ -87,7 +85,6 @@ def _matrix_stats(**overrides):
         "latency_mean": _CLOCK,
         "latency_max": _CLOCK,
         "spawn_count": 1,
-        "policy": {"policy": "fixed", "max_wait": 0.0},
         "method": "asyrgs",
         "shards": 1,
         "shard_updates": [],
@@ -127,12 +124,9 @@ def gateway():
         cache_solutions=True,
         solver_factory=fake_factory(),
     ) as reg:
-        reg.register("rgs", diagonal_system(DIAG), policy="fixed")
+        reg.register("rgs", diagonal_system(DIAG))
         reg.register("big", diagonal_system(2.0 * DIAG), shards=3)
-        reg.register(
-            "rk", diagonal_system(4.0 * DIAG), method="asyrk",
-            policy="adaptive",
-        )
+        reg.register("rk", diagonal_system(4.0 * DIAG), method="asyrk")
         reg.solve(B, matrix="rgs")
         reg.solve(B, matrix="rgs")  # the exact cache hit
         reg.solve(B, matrix="big")
@@ -170,17 +164,7 @@ GATEWAY_MATRICES = {
         spawn_count=3, shards=3,
         shard_updates=[1, 1, 1],
     ),
-    "rk": _matrix_stats(
-        method="asyrk",
-        policy={
-            "policy": "adaptive",
-            "batches_observed": 1,
-            "ewma_queue_depth": 0.0,
-            "ewma_solve_wall": _CLOCK,
-            "ewma_batch_size": 1.0,
-            "current_window": 0.0,
-        },
-    ),
+    "rk": _matrix_stats(method="asyrk"),
 }
 
 GATEWAY_AGGREGATE = _matrix_stats(
@@ -188,11 +172,6 @@ GATEWAY_AGGREGATE = _matrix_stats(
     requests_served=4,
     batches=4,
     spawn_count=5,
-    policy={
-        "policy": "mixed",
-        "pools": 3,
-        "policies": {"fixed": 2, "adaptive": 1},
-    },
     method={"method": "mixed", "methods": {"asyrgs": 2, "asyrk": 1}},
     shards={"shards": "mixed", "counts": {1: 2, 3: 1}},
     shard_updates=[1, 1, 1],
@@ -254,12 +233,9 @@ class TestGateway:
             "repro_matrix_info": (
                 "gauge",
                 [
-                    ((("matrix", "big"), ("method", "asyrgs"),
-                      ("policy", "fixed")), 1.0),
-                    ((("matrix", "rgs"), ("method", "asyrgs"),
-                      ("policy", "fixed")), 1.0),
-                    ((("matrix", "rk"), ("method", "asyrk"),
-                      ("policy", "adaptive")), 1.0),
+                    ((("matrix", "big"), ("method", "asyrgs")), 1.0),
+                    ((("matrix", "rgs"), ("method", "asyrgs")), 1.0),
+                    ((("matrix", "rk"), ("method", "asyrk")), 1.0),
                 ],
             ),
             "repro_cache_hits_total": (
@@ -324,7 +300,6 @@ class TestBareServer:
             "repro_matrix_shards": ("gauge", _per_matrix(one)),
             "repro_matrix_info": (
                 "gauge",
-                [((("matrix", "default"), ("method", "asyrgs"),
-                   ("policy", "fixed")), 1.0)],
+                [((("matrix", "default"), ("method", "asyrgs")), 1.0)],
             ),
         }

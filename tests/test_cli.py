@@ -79,6 +79,27 @@ class TestParser:
         assert option in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["serve", "--problem", "laplace2d", "--policy", "adaptive"],
+             "--policy"),
+            (["experiment", "serve", "--adaptive"], "--adaptive"),
+        ],
+        ids=["serve-policy", "experiment-serve-adaptive"],
+    )
+    def test_removed_batching_policy_options_are_usage_errors(
+        self, argv, option, capsys
+    ):
+        """The batching policies are gone: argparse refuses their options
+        with a usage error (exit 2), naming it, and no traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro")
+        assert option in err and "Traceback" not in err
+
 class TestSpeedup:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["speedup"])
