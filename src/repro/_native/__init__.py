@@ -6,10 +6,13 @@ boundary, summing every row in index order, built with
 
 * ``csr_matmat``, the CSR × dense block product behind
   :meth:`~repro.sparse.CSRMatrix.matmat` and ``matvec``;
-* ``column_residuals``, the epoch-boundary residual check: per column,
-  ``Σ_i (b_ij − A_i·x_j)²`` in one pass over the live iterate block,
-  read in place with its row stride (:func:`column_residuals`, bound to
-  one system ``(A, b)``);
+* ``column_residuals``, AsyRGS's epoch-boundary residual check: per
+  column, ``Σ_i (b_ij − A_i·x_j)²`` in one pass over the live iterate
+  block, read in place with its row stride (:func:`column_residuals`,
+  bound to one system ``(A, b)``);
+* ``normal_residuals``, AsyRK's: the block ``Aᵀ(b − A·x)`` of the
+  listed columns in one pass over ``A``'s rows, with no transpose and
+  no copy of the iterate (:func:`normal_residuals`, bound the same way);
 * ``row_segment``, a pool worker's whole epoch segment (draw the row
   from the Philox stream, gather, form ``γ``, scatter, commit the
   progress ticket and log the staleness sample), bound to the worker's
@@ -29,11 +32,11 @@ concurrent first loads never map a half-written file. Nothing is built or mapped
 
 Without cffi or a working compiler, or when the build or load fails
 for any other reason, one warning is logged and every product and
-residual check stays on the NumPy path. The pools have no other path:
-without the module they refuse to be built
-(``repro.execution.pool.require_kernel``). Tests force that state by
-setting :data:`enabled` to ``False``, or with ``forced(False)`` around
-a block; a pool reads the switch when it is constructed, a residual
+AsyRGS residual check stays on the NumPy path. The pools, and AsyRK's
+normal-equations check, have no other path: without the module they
+refuse to be built (``repro.execution.pool.require_kernel``). Tests
+force that state by setting :data:`enabled` to ``False``, or with
+``forced(False)`` around a block; a pool reads the switch when it is constructed, a residual
 tracker when it binds its operator.
 """
 
@@ -52,6 +55,7 @@ __all__ = [
     "enabled",
     "forced",
     "loaded",
+    "normal_residuals",
     "row_directions",
 ]
 
@@ -142,34 +146,44 @@ def _rows_view(a, rows: int):
     return a, max(a.strides[0] // a.itemsize, 1)
 
 
-class _ColumnResiduals:
-    """``column_residuals`` bound to one system; see
-    :func:`column_residuals`."""
+class _Residuals:
+    """A residual routine of ``csr.c`` bound to one system; see
+    :func:`column_residuals` and :func:`normal_residuals`."""
 
-    def __init__(self, module, A, b):
+    def __init__(self, module, A, b, *, normal):
         ffi = module.ffi
-        self._lib, self._ffi = module.lib, ffi
+        self._ffi = ffi
         self._shape = A.shape
+        self._normal = normal
+        self._routine = (module.lib.normal_residuals if normal
+                         else module.lib.column_residuals)
         b, self._ldb = _rows_view(b, A.shape[0])
         self.k = b.shape[1]
+        data = np.ascontiguousarray(A.data, dtype=np.float64)
         # The arrays stay referenced while their pointers are in use.
-        self._arrays = (A.indptr, A.indices, A.data, b)
+        self._arrays = (A.indptr, A.indices, data, b)
         self._csr = (
             ffi.from_buffer("int64_t[]", A.indptr),
             ffi.from_buffer("int64_t[]", A.indices),
-            ffi.from_buffer("double[]", A.data),
+            ffi.from_buffer("double[]", data),
         )
         self._b = ffi.cast("const double *", b.ctypes.data)
 
     def __call__(self, x, cols):
-        x, ldx = _rows_view(x, self._shape[1])
+        m, n = self._shape
+        x, ldx = _rows_view(x, n)
         if x.shape[1] != self.k:
             raise ValueError(f"x has {x.shape[1]} columns, b has {self.k}")
         cols = np.ascontiguousarray(cols, dtype=np.int64)
-        out = np.empty(cols.size)
         ffi = self._ffi
-        failed = self._lib.column_residuals(
-            self._shape[0], self.k, *self._csr,
+        if self._normal:
+            out = np.empty((n, cols.size))
+            head = (m, n, self.k)
+        else:
+            out = np.empty(cols.size)
+            head = (m, self.k)
+        failed = self._routine(
+            *head, *self._csr,
             ffi.cast("const double *", x.ctypes.data), ldx, self._b, self._ldb,
             ffi.from_buffer("int64_t[]", cols), cols.size,
             ffi.from_buffer("double[]", out),
@@ -179,10 +193,18 @@ class _ColumnResiduals:
         return out
 
 
+def _bind_residuals(A, b, *, normal):
+    if not enabled or not np.can_cast(A.data.dtype, np.float64):
+        return None
+    module = _module if _module is not None else _library()
+    return _Residuals(module, A, b, normal=normal) if module else None
+
+
 def column_residuals(A, b):
     """The per-column residual routine bound to the system ``(A, b)``,
     or ``None`` when the check must run on NumPy: the switch is off, the
-    module cannot be loaded, or ``A``'s data is not float64.
+    module cannot be loaded, or ``A``'s data does not cast to float64
+    under NumPy's "safe" rule (narrower floats are converted once, here).
 
     ``A`` is a :class:`~repro.sparse.CSRMatrix`, whose constructor checks
     the invariants that make the pointers safe, and ``b`` a vector or a
@@ -194,10 +216,22 @@ def column_residuals(A, b):
     block) is read in place with its row stride; anything else is
     copied first.
     """
-    if not enabled or A.data.dtype != np.float64:
-        return None
-    module = _module if _module is not None else _library()
-    return _ColumnResiduals(module, A, b) if module else None
+    return _bind_residuals(A, b, normal=False)
+
+
+def normal_residuals(A, b):
+    """The normal-equations residual routine bound to the rectangular
+    system ``(A, b)``, or ``None`` under the conditions of
+    :func:`column_residuals`, whose arguments it takes.
+
+    Calling the result, ``g = residuals(x, cols)``, returns the
+    ``(A.shape[1], len(cols))`` block ``Aᵀ(b[:, cols] − A·x[:, cols])``
+    from one pass over ``A``'s rows, bit for bit
+    ``Aᵀ.matmat(b[:, cols] − A.matmat(x[:, cols]))`` (each entry sums in
+    the order of the transpose's row). ``x`` is read as
+    :func:`column_residuals` reads it.
+    """
+    return _bind_residuals(A, b, normal=True)
 
 
 def row_directions(key, n_rows, wid, nproc, start, count, cdf=None):

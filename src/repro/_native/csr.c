@@ -1,4 +1,11 @@
-/* The native kernels of the pools and of the epoch-boundary check.
+/* The native kernels of the pools and of their epoch boundaries:
+ *
+ *   csr_matmat        the CSR x dense block product;
+ *   column_residuals  AsyRGS's per-column residual check;
+ *   normal_residuals  AsyRK's normal-equations residual A^T (b - A x);
+ *   row_segment       a pool worker's whole epoch segment (and
+ *                     row_directions, its draws on their own);
+ *   gate_*            the pools' start and end gates.
  *
  * CSR x dense block product.
  *
@@ -124,6 +131,71 @@ int column_residuals(int64_t nrows, int64_t k,
                 s += data[p] * x[indices[p] * ldx + c];
             const double r = br[c] - s;
             out[q] += r * r;
+        }
+    }
+    return 0;
+}
+
+/* AsyRK's epoch-boundary check, the normal-equations residual: for
+ * each listed column c = cols[q], g[j, q] = sum over rows i of
+ * A[i, j] * (b[i, c] - A_i x_c), into the row-major (n, ncols) block g,
+ * which this routine zeroes first. x (n rows) and b (nrows rows) are
+ * read in place with their row strides, as in column_residuals. Each
+ * row's residual is formed in index order, four columns at a time in
+ * registers, then scattered over the row's support. Rows are visited in
+ * order, so g[j, q] sums in the order of row j of the transpose:
+ * g equals csr_matmat(A^T, b - csr_matmat(A, x)) bit for bit, with no
+ * transpose and no copy of x. Returns -1, computing nothing, when a
+ * listed column is not in [0, k); else 0. */
+int normal_residuals(int64_t nrows, int64_t n, int64_t k,
+                     const int64_t *restrict indptr,
+                     const int64_t *restrict indices,
+                     const double *restrict data,
+                     const double *restrict x, int64_t ldx,
+                     const double *restrict b, int64_t ldb,
+                     const int64_t *restrict cols, int64_t ncols,
+                     double *restrict g)
+{
+    for (int64_t q = 0; q < ncols; ++q)
+        if (cols[q] < 0 || cols[q] >= k)
+            return -1;
+    for (int64_t t = 0; t < n * ncols; ++t)
+        g[t] = 0.0;
+    for (int64_t i = 0; i < nrows; ++i) {
+        const int64_t start = indptr[i], end = indptr[i + 1];
+        const double *br = b + i * ldb;
+        int64_t q = 0;
+        for (; q + 4 <= ncols; q += 4) {
+            const int64_t c0 = cols[q], c1 = cols[q + 1];
+            const int64_t c2 = cols[q + 2], c3 = cols[q + 3];
+            double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+            for (int64_t p = start; p < end; ++p) {
+                const double a = data[p];
+                const double *xr = x + indices[p] * ldx;
+                s0 += a * xr[c0];
+                s1 += a * xr[c1];
+                s2 += a * xr[c2];
+                s3 += a * xr[c3];
+            }
+            const double r0 = br[c0] - s0, r1 = br[c1] - s1;
+            const double r2 = br[c2] - s2, r3 = br[c3] - s3;
+            for (int64_t p = start; p < end; ++p) {
+                const double a = data[p];
+                double *gr = g + indices[p] * ncols + q;
+                gr[0] += a * r0;
+                gr[1] += a * r1;
+                gr[2] += a * r2;
+                gr[3] += a * r3;
+            }
+        }
+        for (; q < ncols; ++q) {
+            const int64_t c = cols[q];
+            double s = 0.0;
+            for (int64_t p = start; p < end; ++p)
+                s += data[p] * x[indices[p] * ldx + c];
+            const double r = br[c] - s;
+            for (int64_t p = start; p < end; ++p)
+                g[indices[p] * ncols + q] += data[p] * r;
         }
     }
     return 0;

@@ -5,10 +5,8 @@ doors and ``perfbench/`` take — so parsing, routing, batching and
 encoding are all in the measured path.
 
 One round runner, :func:`_round`, submits a schedule of ``(arrival,
-rhs)`` pairs, **open-loop** (each request at its arrival time, never
-waiting on a completion) or **closed-loop** (each response resolved
-before the next submit, the shape of blocking one-at-a-time clients).
-Three experiments drive it:
+rhs)`` pairs **open-loop**: each request at its arrival time, never
+waiting on a completion. Three experiments drive it:
 
 * ``repro experiment slo`` (:func:`run_slo`) ramps an open-loop arrival
   rate geometrically and records p50/p99 latency per rate; the **max
@@ -248,14 +246,13 @@ def _serving(problem: str, A, **options):
         yield registry
 
 
-def _round(registry, schedule, *, closed_loop: bool = False):
+def _round(registry, schedule):
     """Send one round of solve requests through :func:`handle_line`.
 
     ``schedule`` is a list of ``(arrival seconds, rhs)`` pairs; a rhs
-    may be a vector or an ``(n, k)`` block. Open-loop (the default),
+    may be a vector or an ``(n, k)`` block. The round is open-loop:
     each request is submitted at its arrival time and every response
-    resolved at the end; ``closed_loop`` resolves each response before
-    the next submit. Lines are encoded before the clock starts, so the
+    resolved at the end. Lines are encoded before the clock starts, so the
     generator's own encoding never delays an arrival. Returns the
     parsed responses in submission order and the round's wall time.
     """
@@ -269,9 +266,8 @@ def _round(registry, schedule, *, closed_loop: bool = False):
         delay = arrival - (time.perf_counter() - t0)
         if delay > 0:
             time.sleep(delay)
-        reply = handle_line(registry, line)
-        replies.append(reply() if closed_loop else reply)
-    texts = [r if closed_loop else r() for r in replies]
+        replies.append(handle_line(registry, line))
+    texts = [reply() for reply in replies]
     wall = time.perf_counter() - t0
     return [json.loads(text) for text in texts], wall
 

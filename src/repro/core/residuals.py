@@ -21,7 +21,7 @@ import numpy as np
 
 from .. import _native
 from ..exceptions import ShapeError
-from ..execution.epochs import ColumnFold
+from ..execution.epochs import ColumnFold, checked_norms, column_norms, vector_norm
 from ..sparse import CSRMatrix
 
 __all__ = [
@@ -76,10 +76,7 @@ def column_residual_norms(
         x = x[:, None]
         b = b[:, None]
     R = b - A.matmat(x)
-    return (
-        np.linalg.norm(R, axis=0),
-        np.linalg.norm(b, axis=0),
-    )
+    return column_norms(R), column_norms(b)
 
 
 def block_residual_state(
@@ -131,7 +128,9 @@ class ColumnTracker(ColumnFold):
     here. Where the module is off or cannot load,
     :func:`block_residual_state` measures instead: it is the fallback
     and the oracle of the native pass, which agrees with it to
-    ``rtol=1e-12``.
+    ``rtol=1e-12``. Either way a column whose squared sum over- or
+    underflows is measured again, scaled
+    (:func:`~repro.execution.epochs.checked_norms`).
     """
 
     def __init__(self, A: CSRMatrix, x0: np.ndarray, b: np.ndarray, tol: float):
@@ -141,12 +140,25 @@ class ColumnTracker(ColumnFold):
         if self._residuals is None:
             col, num, denom = block_residual_state(A, x0, b)
         else:
-            denom = np.linalg.norm(b.reshape(b.shape[0], -1), axis=0)
+            denom = column_norms(b.reshape(b.shape[0], -1))
             # A zero column of b is judged on its absolute residual.
             self._denom = np.where(denom > 0, denom, 1.0)
-            num = np.sqrt(self._residuals(x0, np.arange(denom.size)))
+            num = self._measure(x0, np.arange(denom.size))
             col = num / self._denom
-        super().__init__(col, num, np.linalg.norm(denom), tol)
+        super().__init__(col, num, vector_norm(denom), tol)
+
+    def _measure(self, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """``‖b_c − A x_c‖`` for the columns ``cols``, by the native
+        pass; a column whose squared sum over- or underflows is measured
+        again, scaled, from its residual computed on NumPy."""
+
+        def residuals(i):
+            sub = cols[i]
+            x2 = x if x.ndim == 2 else x[:, None]
+            b2 = self.b if self.b.ndim == 2 else self.b[:, None]
+            return b2[:, sub] - self.A.matmat(x2[:, sub])
+
+        return checked_norms(self._residuals(x, cols), residuals)
 
     def update(self, x: np.ndarray, sweeps_done: int, retire: bool) -> np.ndarray:
         """Fold one synchronization point into the masks.
@@ -158,7 +170,7 @@ class ColumnTracker(ColumnFold):
         """
         recheck = self.active() if retire else np.arange(self.k)
         if recheck.size and self._residuals is not None:
-            num = np.sqrt(self._residuals(x, recheck))
+            num = self._measure(x, recheck)
             self.num[recheck] = num
             self.col[recheck] = num / self._denom[recheck]
         elif recheck.size:

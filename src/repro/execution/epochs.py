@@ -45,9 +45,13 @@ __all__ = [
     "ProcessRunResult",
     "SimulatorEngine",
     "check_epoch_args",
+    "checked_norms",
+    "column_norms",
     "engine_counts",
     "request_view",
+    "scaled_norms",
     "solve_epochs",
+    "vector_norm",
 ]
 
 
@@ -169,6 +173,55 @@ def check_epoch_args(
     return tol, max_sweeps, sync_every, bool(retire)
 
 
+_FLOAT = np.finfo(np.float64)
+#: A squared sum below this may have lost digits to underflow (LAPACK
+#: ``dnrm2``'s threshold); one above ``_FLOAT.max`` overflowed.
+_TINY_SQ = float(_FLOAT.tiny / _FLOAT.eps)
+_HUGE_SQ = float(_FLOAT.max)
+
+
+def scaled_norms(block: np.ndarray) -> np.ndarray:
+    """The 2-norm of each column of a 2-D ``block``, each column scaled
+    by a power of two near its largest entry before squaring, so no
+    square overflows or underflows (as LAPACK's ``dnrm2`` avoids it).
+    The scaling is exact; the result is inf or NaN only where the norm
+    is, or a column holds one."""
+    peak = np.abs(block).max(axis=0, initial=0.0)
+    _, exp = np.frexp(peak)
+    scaled = np.ldexp(block, -exp)
+    norms = np.ldexp(np.sqrt((scaled * scaled).sum(axis=0)), exp)
+    return np.where(np.isfinite(peak), norms, peak)
+
+
+def checked_norms(sq: np.ndarray, columns) -> np.ndarray:
+    """``√sq`` for the per-column squared sums ``sq``, except that a
+    column whose sum is not finite or is below ``tiny/eps`` is
+    re-measured by :func:`scaled_norms`: ``columns(i)`` returns the 2-D
+    block of the columns at indices ``i``. A healthy ``sq`` costs two
+    reductions on top of the square root."""
+    norms = np.sqrt(sq)
+    if sq.size and not (_TINY_SQ <= sq.min() and sq.max() <= _HUGE_SQ):
+        redo = (~((sq >= _TINY_SQ) & (sq <= _HUGE_SQ))).nonzero()[0]
+        norms[redo] = scaled_norms(columns(redo))
+    return norms
+
+
+def column_norms(block: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(block, axis=0)`` of a 2-D ``block`` (the same
+    floats), with :func:`checked_norms`' rescue of broken sums."""
+    return checked_norms((block * block).sum(axis=0), lambda i: block[:, i])
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)`` of a 1-D ``v`` (the same float where its
+    squared sum is finite and at least ``tiny/eps``), else
+    :func:`scaled_norms` of it."""
+    sq = float(v.dot(v))
+    if _TINY_SQ <= sq <= _HUGE_SQ:
+        return math.sqrt(sq)
+    return float(scaled_norms(v[:, None])[0])
+
+
 class ColumnFold:
     """The measure-independent half of a per-column tracker.
 
@@ -199,7 +252,10 @@ class ColumnFold:
     def value(self) -> float:
         """``‖num‖₂`` relative to the aggregate denominator (absolute
         when that is zero)."""
-        total = math.sqrt(self._sq)
+        if _TINY_SQ <= self._sq <= _HUGE_SQ:
+            total = math.sqrt(self._sq)
+        else:  # the squared sum over- or underflowed
+            total = vector_norm(self.num)
         return total / self._denom_total if self._denom_total > 0 else total
 
     @property

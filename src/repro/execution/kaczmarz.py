@@ -32,8 +32,10 @@ Convergence is therefore judged on the *normal-equations* residual
 rectangle), per column of the RHS block, by
 :class:`LeastSquaresTracker` — the rectangular counterpart of
 :class:`~repro.core.residuals.ColumnTracker`, with the same retirement
-surface. Tolerances should respect the horizon: loose ``tol`` or small
-``noise_scale`` workloads (see
+surface. ``Aᵀ(b − Ax)`` is formed in one native pass over ``A``'s rows
+(each row's residual scattered into its support), so AsyRK keeps no
+transpose of ``A`` and copies no iterate columns. Tolerances should
+respect the horizon: loose ``tol`` or small ``noise_scale`` workloads (see
 :func:`repro.workloads.least_squares.random_least_squares`).
 
 No atomic mode
@@ -51,11 +53,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import _native
 from ..exceptions import ModelError
 from ..sparse import CSRMatrix
 from ..validation import check_rhs
-from .epochs import ColumnFold
-from .pool import PoolSolver
+from .epochs import ColumnFold, column_norms, vector_norm
+from .pool import PoolSolver, require_kernel
 
 __all__ = ["AsyRK", "LeastSquaresTracker"]
 
@@ -71,32 +74,32 @@ class LeastSquaresTracker(ColumnFold):
     denominator is zero). The plain residual ``‖b_j − A x_j‖`` cannot
     reach zero on an inconsistent system; the normal-equations residual
     vanishes exactly at the least-squares solution.
+
+    ``Aᵀ(b − A x)`` runs in one native pass over ``A``'s rows
+    (``repro._native``'s ``normal_residuals``, bound to ``(A, b)`` once
+    per tracker) that reads the live iterate block in place. There is
+    no NumPy path: like the pools it serves, the tracker refuses to be
+    built without the module (:func:`~repro.execution.pool.require_kernel`).
     """
 
-    def __init__(self, A: CSRMatrix, At: CSRMatrix, x0, b, tol: float):
-        self.A = A
-        self.At = At
-        b2 = b if b.ndim == 2 else b[:, None]
-        self._b2 = b2
-        denom_block = At.matmat(b2)
-        self._denom = np.sqrt((denom_block * denom_block).sum(axis=0))
-        x2 = x0 if x0.ndim == 2 else x0[:, None]
-        num = self._measure(x2, np.arange(b2.shape[1]))
+    def __init__(self, A: CSRMatrix, x0, b, tol: float):
+        require_kernel()
+        self._normal = _native.normal_residuals(A, b)
+        if self._normal is None:
+            raise ModelError(
+                f"the normal-equations check needs real matrix data, got {A.data.dtype}"
+            )
+        cols = np.arange(self._normal.k)
+        g = self._normal(x0, cols)
+        # At x0 = 0, every served request, Aᵀ(b − A x0) is Aᵀb bit for bit.
+        denom_g = g if not x0.any() else self._normal(np.zeros_like(x0), cols)
+        denom = column_norms(denom_g)
+        num = denom.copy() if denom_g is g else column_norms(g)
+        # A column with Aᵀb = 0 is judged on its absolute residual.
+        self._denom = np.where(denom > 0, denom, 1.0)
         super().__init__(
-            self._relative(num, self._denom), num,
-            np.linalg.norm(denom_block), tol,
+            num / self._denom, num, vector_norm(denom_g.ravel()), tol
         )
-
-    def _measure(self, x2: np.ndarray, which: np.ndarray) -> np.ndarray:
-        """``‖Aᵀ(b_j − A x_j)‖`` for the requested columns (``x2`` holds
-        exactly those columns)."""
-        R = self._b2[:, which] - self.A.matmat(x2)
-        G = self.At.matmat(R)
-        return np.sqrt((G * G).sum(axis=0))
-
-    @staticmethod
-    def _relative(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
-        return np.where(denom > 0, num / np.where(denom > 0, denom, 1.0), num)
 
     def update(self, x, sweeps_done: int, retire: bool) -> np.ndarray:
         """Re-measure, stamp newly converged columns, return the ones to
@@ -104,10 +107,9 @@ class LeastSquaresTracker(ColumnFold):
         last measured residual — they are frozen in the pool too."""
         recheck = self.active() if retire else np.arange(self.k)
         if recheck.size:
-            x2 = x if x.ndim == 2 else x[:, None]
-            num = self._measure(x2[:, recheck], recheck)
+            num = column_norms(self._normal(x, recheck))
             self.num[recheck] = num
-            self.col[recheck] = self._relative(num, self._denom[recheck])
+            self.col[recheck] = num / self._denom[recheck]
         return self.fold(sweeps_done, retire)
 
 
@@ -149,12 +151,6 @@ class AsyRK(PoolSolver):
         super().__init__(A, b, norms, n_rows=m, x_rows=n, b_rows=m, **pool)
         self.m = m
         self.n = n  # unknown count — the solution/iterate row count
-        self._at: CSRMatrix | None = None
-
-    def _transpose(self) -> CSRMatrix:
-        if self._at is None:
-            self._at = self.A.transpose()
-        return self._at
 
     def _tracker(self, x0: np.ndarray, b: np.ndarray, tol: float):
-        return LeastSquaresTracker(self.A, self._transpose(), x0, b, tol)
+        return LeastSquaresTracker(self.A, x0, b, tol)

@@ -35,6 +35,7 @@ eviction races impossible).
 
 from __future__ import annotations
 
+import inspect
 import itertools
 from dataclasses import asdict
 
@@ -46,6 +47,25 @@ from .metrics import ServerStats, fold_stats
 from .server import SolverServer, check_max_wait
 
 __all__ = ["MatrixRegistry"]
+
+#: What a registration may set of a matrix's :class:`SolverServer`:
+#: every constructor parameter but the matrix and the cache wiring,
+#: which the registry supplies itself.
+_SERVER_OPTIONS = frozenset(inspect.signature(SolverServer).parameters) - {
+    "A", "cache", "cache_key",
+}
+
+
+def _check_options(options) -> None:
+    """Refuse, with :class:`ServeError`, a server option no
+    :class:`SolverServer` takes: it would otherwise fail every request
+    for the matrix once the first one spawns its pool."""
+    unknown = sorted(set(options) - _SERVER_OPTIONS)
+    if unknown:
+        raise ServeError(
+            f"unknown server option {', '.join(map(repr, unknown))}; "
+            f"expected one of {', '.join(sorted(_SERVER_OPTIONS))}"
+        )
 
 
 class _Entry:
@@ -139,6 +159,7 @@ class MatrixRegistry:
             raise ServeError(
                 f"max_live_pools must be at least 1, got {max_live_pools}"
             )
+        _check_options(server_kwargs)
         if "max_wait" in server_kwargs:
             check_max_wait(server_kwargs["max_wait"])
         self._runtime = THREAD_RUNTIME if runtime is None else runtime
@@ -167,14 +188,16 @@ class MatrixRegistry:
         first request routed to it spawns the pool. ``overrides`` adjust
         this matrix's :class:`SolverServer` construction (``capacity_k``,
         ``tol``, ``max_wait``, ``method``, ``shards``, ...).
-        The ``(method, shards)`` backing is checked here, by
-        :func:`~repro.execution.check_solver`, and so is ``max_wait``,
-        so a registration that could never serve raises
-        :class:`ServeError` now rather than failing every later solve."""
+        The override keys are checked here against the server's
+        parameters, the ``(method, shards)`` backing by
+        :func:`~repro.execution.check_solver`, and ``max_wait``, so a
+        registration that could never serve raises :class:`ServeError`
+        now rather than failing every later solve."""
         if not isinstance(name, str) or not name:
             raise ServeError(
                 f"matrix id must be a non-empty string, got {name!r}"
             )
+        _check_options(overrides)
         if "max_wait" in overrides:
             check_max_wait(overrides["max_wait"])
         options = {**self._defaults, **overrides}

@@ -130,11 +130,10 @@ class TestTracker:
         origin it does not."""
         prob = inconsistent
         x_ls, *_ = np.linalg.lstsq(prob.A.to_dense(), prob.b, rcond=None)
-        At = prob.A.transpose()
-        done = LeastSquaresTracker(prob.A, At, x_ls, prob.b, tol=1e-8)
+        done = LeastSquaresTracker(prob.A, x_ls, prob.b, tol=1e-8)
         assert done.done_mask.all()
         cold = LeastSquaresTracker(
-            prob.A, At, np.zeros(prob.A.shape[1]), prob.b, tol=1e-8
+            prob.A, np.zeros(prob.A.shape[1]), prob.b, tol=1e-8
         )
         assert not cold.done_mask.any()
 

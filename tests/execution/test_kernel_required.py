@@ -4,7 +4,8 @@ The native segment kernel is the pools' only update path. With the
 module switched off, as here, or impossible to build (no cffi, no C
 compiler), every way to build a pool raises the one error of
 :func:`~repro.execution.pool.require_kernel`: constructing a pool
-solver or a sharded solver, checking a solver choice, registering a
+solver, a sharded solver or AsyRK's normal-equations residual
+tracker, checking a solver choice, registering a
 matrix for serving (as a :class:`ServeError`), and a pool solve on the
 command line (one ``error:`` line and exit code 2). Each refuses before
 any pool buffer or worker thread exists.
@@ -17,6 +18,7 @@ from repro import _native
 from repro.cli import main
 from repro.exceptions import ModelError, ServeError
 from repro.execution import AsyRK, ProcessAsyRGS, ShardedSolver, check_solver
+from repro.execution.kaczmarz import LeastSquaresTracker
 from repro.execution.pool import require_kernel
 from repro.serve import MatrixRegistry
 from repro.sparse import write_matrix_market
@@ -51,6 +53,14 @@ def test_the_message_names_what_to_install():
 def test_pools_refuse_without_the_kernel(build):
     with _native.forced(False), pytest.raises(ModelError) as info:
         build()
+    assert str(info.value) == _message()
+
+
+def test_normal_equations_check_refuses_without_the_kernel():
+    """AsyRK's convergence check runs on the native pass only."""
+    x0 = np.zeros(LSQ.A.shape[1])
+    with _native.forced(False), pytest.raises(ModelError) as info:
+        LeastSquaresTracker(LSQ.A, x0, LSQ.b, 1e-6)
     assert str(info.value) == _message()
 
 

@@ -170,6 +170,18 @@ class TestRegistration:
             with pytest.raises(ServeError, match="non-empty string"):
                 registry.register(bad, A1)
 
+    def test_unknown_override_refused(self, registry, two_systems):
+        """A key no server takes is refused at ``register``, not by every
+        later request for the matrix."""
+        (A1, _, _), _ = two_systems
+        with pytest.raises(ServeError, match="unknown server option 'polcy'"):
+            registry.register("typo", A1, polcy="typo")
+        assert registry.matrices() == ["one", "two"]
+
+    def test_unknown_default_refused(self):
+        with pytest.raises(ServeError, match="unknown server option 'polcy'"):
+            MatrixRegistry(nproc=1, polcy="typo")
+
     def test_register_spec_problem(self, registry):
         info = registry.register_spec("lap", problem="laplace2d")
         assert info["registered"] == "lap"
