@@ -6,7 +6,6 @@ from .directions import (
     CyclicDirections,
     PermutedCyclicDirections,
     UniformDirections,
-    WeightedDirections,
 )
 from .jacobi import (
     JacobiResult,
@@ -31,8 +30,7 @@ from .residuals import (
     relative_residual,
     residual_norm,
 )
-from .rates import RateFit, fit_linear_rate, observed_nu, sweeps_to_tolerance
-from .rgs import RGSResult, randomized_gauss_seidel, rgs_sweep
+from .rgs import RGSResult, randomized_gauss_seidel
 from .stepsize import (
     auto_step_size,
     max_beta_consistent,
@@ -43,19 +41,15 @@ from .stepsize import (
 from .theory import (
     BoundReport,
     bound_report,
-    chi,
     epoch_length,
     iterations_for_accuracy,
     nu_tau,
     omega_tau,
-    psi,
     rho_infinity,
     rho_two,
     synchronous_bound,
     theorem2_epoch_bound,
-    theorem2_free_bound,
     theorem4_epoch_bound,
-    theorem4_free_bound,
 )
 
 __all__ = [
@@ -69,17 +63,11 @@ __all__ = [
     "LSResult",
     "PermutedCyclicDirections",
     "RGSResult",
-    "RateFit",
-    "fit_linear_rate",
-    "observed_nu",
-    "sweeps_to_tolerance",
     "UniformDirections",
-    "WeightedDirections",
     "a_norm",
     "a_norm_error",
     "auto_step_size",
     "bound_report",
-    "chi",
     "column_squared_norms",
     "epoch_length",
     "iterations_for_accuracy",
@@ -90,7 +78,6 @@ __all__ = [
     "omega_tau",
     "optimal_beta_consistent",
     "optimal_beta_inconsistent",
-    "psi",
     "randomized_gauss_seidel",
     "rcd_least_squares",
     "relative_a_norm_error",
@@ -98,12 +85,9 @@ __all__ = [
     "column_residual_norms",
     "relative_residual",
     "residual_norm",
-    "rgs_sweep",
     "rho_infinity",
     "rho_two",
     "synchronous_bound",
     "theorem2_epoch_bound",
-    "theorem2_free_bound",
     "theorem4_epoch_bound",
-    "theorem4_free_bound",
 ]

@@ -52,7 +52,6 @@ from ..execution import (
     DelayModel,
     PhasedSimulator,
     ProcessorPhaseDelay,
-    WriteModel,
 )
 from ..execution.epochs import SimulatorEngine, solve_epochs
 from .residuals import ColumnTracker, ConvergenceHistory, relative_residual
@@ -136,9 +135,10 @@ class AsyRGS:
         ``nproc``'s default model.
     engine:
         ``"phased"`` — the vectorized round-based engine (used by the
-        scaling benches); ``"general"`` — the per-update engine supporting
-        arbitrary delay and write models. Both accept a right-hand-side
-        block ``(n, k)``.
+        scaling benches, and the one that models write races);
+        ``"general"`` — the per-update engine supporting arbitrary delay
+        models, with atomic writes. Both accept a right-hand-side block
+        ``(n, k)``.
     beta:
         Step size in ``(0, 2)``, or ``"auto"`` to use the theory-optimal
         step for the configured τ and read-consistency model
@@ -148,10 +148,14 @@ class AsyRGS:
         0, pinning directions across configurations.
     atomic:
         Whether the single-coordinate update is indivisible (Assumption
-        A-1) in the phased engine; ``False`` models overwrite races.
-    write_model / jitter / seed:
-        Forwarded to the chosen engine (see
-        :mod:`repro.execution.simulator`).
+        A-1); ``False`` models overwrite races and needs the phased
+        engine.
+    jitter:
+        The phased engine's round-size jitter (see
+        :class:`~repro.execution.PhasedSimulator`).
+    seed:
+        Seeds the phased engine's jitter, or the general engine's
+        default delay model.
     """
 
     def __init__(
@@ -165,7 +169,6 @@ class AsyRGS:
         beta: float | str = 1.0,
         directions: DirectionStream | None = None,
         atomic: bool = True,
-        write_model: WriteModel | None = None,
         jitter: int = 0,
         seed: int = 0,
     ):
@@ -176,10 +179,10 @@ class AsyRGS:
             )
         if engine != "general" and delay_model is not None:
             raise ModelError("delay_model is only supported by the 'general' engine")
-        if engine != "general" and write_model is not None:
+        if engine == "general" and not atomic:
             raise ModelError(
-                "the phased engine models write races via atomic=False; "
-                "write_model is only supported by the 'general' engine"
+                "the general engine writes atomically; atomic=False is "
+                "only supported by the 'phased' engine"
             )
         if not A.is_square():
             raise ShapeError(f"AsyRGS needs a square matrix, got {A.shape}")
@@ -213,7 +216,6 @@ class AsyRGS:
         self._atomic = bool(atomic)
         self._jitter = int(jitter)
         self._seed = int(seed)
-        self._write_model = write_model
         if beta == "auto":
             # Pass neither coefficient: auto_step_size computes exactly
             # the one the read model needs (ρ for consistent reads, ρ₂
@@ -260,7 +262,6 @@ class AsyRGS:
             delay_model=self.delay_model,
             directions=self.directions,
             beta=self.beta,
-            write_model=self._write_model,
         )
 
     def run_sweeps(

@@ -3,8 +3,7 @@
 The iteration ``x_{j+1} = x_j + βγ_j d_j`` is parameterized by the choice
 of direction vectors ``d_j = e^{(r_j)}``. The paper's method draws ``r_j``
 i.i.d. uniform (Section 3, Leventhal–Lewis); classical Gauss-Seidel cycles
-through coordinates; the general Leventhal–Lewis scheme for non-unit
-diagonals samples proportionally to ``A_rr``. All three are provided
+through coordinates, in a fixed or a per-sweep random order. All are provided
 behind one protocol so solvers and simulators are strategy-agnostic:
 
 ``direction(j) -> int`` and ``directions(start, count) -> int64 array``,
@@ -22,7 +21,6 @@ __all__ = [
     "UniformDirections",
     "CyclicDirections",
     "PermutedCyclicDirections",
-    "WeightedDirections",
 ]
 
 
@@ -92,36 +90,3 @@ class PermutedCyclicDirections:
 
     def __repr__(self) -> str:
         return f"PermutedCyclicDirections(n={self.n})"
-
-
-class WeightedDirections:
-    """Sample coordinate ``r`` with probability proportional to ``weights[r]``.
-
-    The general Leventhal–Lewis scheme samples ``r`` proportionally to
-    ``A_rr`` when the diagonal is not rescaled to one; uniform weights
-    reduce to the paper's scheme. Sampling uses inverse-CDF lookup on a
-    random-access uniform stream, so the sequence remains a pure function
-    of ``(seed, j)``.
-    """
-
-    def __init__(self, weights: np.ndarray, seed: int = 0):
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.ndim != 1 or weights.size == 0:
-            raise ValueError("weights must be a non-empty vector")
-        if np.any(weights < 0) or weights.sum() <= 0:
-            raise ValueError("weights must be non-negative with positive sum")
-        self.n = int(weights.size)
-        self._cdf = np.cumsum(weights / weights.sum())
-        self._cdf[-1] = 1.0  # guard rounding
-        self._rng = CounterRNG(seed, stream=0x37ED)
-
-    def direction(self, j: int) -> int:
-        u = self._rng.uniform(int(j), 1)[0]
-        return int(np.searchsorted(self._cdf, u, side="right"))
-
-    def directions(self, start: int, count: int) -> np.ndarray:
-        u = self._rng.uniform(int(start), int(count))
-        return np.searchsorted(self._cdf, u, side="right").astype(np.int64)
-
-    def __repr__(self) -> str:
-        return f"WeightedDirections(n={self.n})"

@@ -221,7 +221,6 @@ class AsyncLeastSquares:
         ring = max(tau, 1)
         ring_coord = np.full(ring, -1, dtype=np.int64)
         ring_delta = np.zeros(ring, dtype=np.float64)
-        ring_alive = np.zeros(ring, dtype=bool)
         history = ConvergenceHistory(
             label="AsyLS", unit="update", metric="checkpoint_metric"
         )
@@ -243,7 +242,7 @@ class AsyncLeastSquares:
             for t in model.missed(j):
                 t = int(t)
                 slot = t % ring
-                if not ring_alive[slot] or ring_coord[slot] < 0:
+                if ring_coord[slot] < 0:
                     continue
                 coeff = self._gram_entry(c, int(ring_coord[slot]))
                 if coeff != 0.0:
@@ -254,7 +253,6 @@ class AsyncLeastSquares:
             slot = j % ring
             ring_coord[slot] = c
             ring_delta[slot] = delta
-            ring_alive[slot] = True
             if (
                 checkpoint_every
                 and checkpoint_metric is not None

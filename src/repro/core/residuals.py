@@ -39,13 +39,14 @@ __all__ = [
 
 
 def residual_norm(A: CSRMatrix, x: np.ndarray, b: np.ndarray) -> float:
-    """``‖b − Ax‖`` — Euclidean for vectors, Frobenius for RHS blocks."""
+    """``‖b − Ax‖`` — Euclidean for vectors, Frobenius for RHS blocks;
+    finite and nonzero wherever the true norm is (:func:`vector_norm`)."""
     x = np.asarray(x, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if x.shape != b.shape:
         raise ShapeError(f"x {x.shape} and b {b.shape} must have matching shapes")
     r = b - (A.matvec(x) if x.ndim == 1 else A.matmat(x))
-    return float(np.linalg.norm(r))
+    return vector_norm(r.ravel(order="K"))
 
 
 def relative_residual(A: CSRMatrix, x: np.ndarray, b: np.ndarray) -> float:
@@ -53,7 +54,7 @@ def relative_residual(A: CSRMatrix, x: np.ndarray, b: np.ndarray) -> float:
 
     A zero right-hand side returns the absolute residual norm.
     """
-    denom = float(np.linalg.norm(b))
+    denom = vector_norm(np.asarray(b, dtype=np.float64).ravel(order="K"))
     num = residual_norm(A, x, b)
     return num / denom if denom > 0 else num
 

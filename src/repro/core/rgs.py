@@ -26,7 +26,7 @@ from ..rng import DirectionStream
 from ..sparse import CSRMatrix
 from .residuals import ConvergenceHistory, relative_residual
 
-__all__ = ["RGSResult", "randomized_gauss_seidel", "rgs_sweep"]
+__all__ = ["RGSResult", "randomized_gauss_seidel"]
 
 
 @dataclass
@@ -170,26 +170,3 @@ def randomized_gauss_seidel(
         history=history,
         total_row_nnz=total_nnz,
     )
-
-
-def rgs_sweep(
-    A: CSRMatrix,
-    b: np.ndarray,
-    x: np.ndarray,
-    *,
-    beta: float = 1.0,
-    directions: DirectionStream | None = None,
-    start_iteration: int = 0,
-) -> int:
-    """Apply one in-place sweep (``n`` updates) and return Σ nnz(row).
-
-    The building block used by preconditioners, which manage their own
-    iterate and stream offsets.
-    """
-    n = A.shape[0]
-    if directions is None:
-        directions = DirectionStream(n, seed=0)
-    diag = A.diagonal()
-    if np.any(diag <= 0):
-        raise ModelError("matrix diagonal must be positive")
-    return serial_updates(A, b, x, diag, float(beta), directions, start_iteration, n)

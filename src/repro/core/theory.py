@@ -9,12 +9,10 @@ measured error envelopes against the proven bounds:
   ``ρ₂ ≥ 1/n``;
 * rate factors ``ν_τ(β) = 2β − β² − 2ρτβ²`` and
   ``ω_τ(β) = 2β(1 − β − ρ₂τ²β/2)``;
-* the residual terms ``χ(β)`` and ``ψ(β)`` of the never-synchronizing
-  bounds (assertion (b) of each theorem);
 * the epoch length ``T₀ = ⌈log(1/2)/log(1 − λ_max/n)⌉ ≈ 0.693 n/λ_max``;
-* full bound curves ``E_m/E_0`` for the synchronous iteration (bound (2)),
-  the epoch-synchronized asynchronous iteration (assertion (a) applied per
-  epoch), and the free-running asynchronous iteration (assertion (b));
+* full bound curves ``E_m/E_0`` for the synchronous iteration (bound (2))
+  and the epoch-synchronized asynchronous iteration (assertion (a)
+  applied per epoch);
 * the least-squares translations of Theorem 5 (κ², σ_max on ``AᵀA``).
 
 The theorems' hypotheses (e.g. ``2ρτ < 1`` for Theorem 2) are checked and
@@ -38,14 +36,10 @@ __all__ = [
     "rho_two",
     "nu_tau",
     "omega_tau",
-    "chi",
-    "psi",
     "epoch_length",
     "synchronous_bound",
     "theorem2_epoch_bound",
-    "theorem2_free_bound",
     "theorem4_epoch_bound",
-    "theorem4_free_bound",
     "iterations_for_accuracy",
     "BoundReport",
     "bound_report",
@@ -91,28 +85,6 @@ def omega_tau(beta: float, rho2: float, tau: int) -> float:
     beta = float(beta)
     t = float(int(tau))
     return 2.0 * beta * (1.0 - beta - float(rho2) * t * t * beta / 2.0)
-
-
-def chi(beta: float, rho: float, tau: int, lambda_max: float, n: int) -> float:
-    """``χ(β) = ρτ²β²λ_max(1 − λ_max/n)^{−2τ} / n`` (Theorem 3(b))."""
-    n = int(n)
-    tau = int(tau)
-    lam = float(lambda_max)
-    if not 0.0 < lam < n:
-        raise ModelError(f"need 0 < lambda_max < n for the bound, got {lam} (n={n})")
-    decay = 1.0 - lam / n
-    return float(rho) * tau * tau * float(beta) ** 2 * lam * decay ** (-2 * tau) / n
-
-
-def psi(beta: float, rho2: float, tau: int, lambda_max: float, n: int) -> float:
-    """``ψ(β) = ρ₂τ³β²λ_max(1 − λ_max/n)^{−2τ} / n`` (Theorem 4(b))."""
-    n = int(n)
-    tau = int(tau)
-    lam = float(lambda_max)
-    if not 0.0 < lam < n:
-        raise ModelError(f"need 0 < lambda_max < n for the bound, got {lam} (n={n})")
-    decay = 1.0 - lam / n
-    return float(rho2) * tau**3 * float(beta) ** 2 * lam * decay ** (-2 * tau) / n
 
 
 def epoch_length(lambda_max: float, n: int) -> int:
@@ -168,28 +140,6 @@ def theorem2_epoch_bound(
     return np.power(factor, np.asarray(epochs, dtype=np.float64))
 
 
-def theorem2_free_bound(
-    r: np.ndarray | int,
-    beta: float,
-    rho: float,
-    tau: int,
-    lambda_min: float,
-    lambda_max: float,
-    n: int,
-) -> np.ndarray:
-    """Theorem 2(b)/3(b): after ``m ≥ rT`` free-running updates,
-    ``E_m/E_0 ≤ (1 − ν/2κ)(1 − ν(1−λ_max/n)^τ/2κ + χ)^{r−1}``."""
-    kappa = _kappa(lambda_min, lambda_max)
-    nu = nu_tau(beta, rho, tau)
-    lam = float(lambda_max)
-    n = int(n)
-    decay = (1.0 - lam / n) ** int(tau)
-    lead = 1.0 - nu / (2.0 * kappa)
-    repeat = 1.0 - nu * decay / (2.0 * kappa) + chi(beta, rho, tau, lam, n)
-    r_arr = np.asarray(r, dtype=np.float64)
-    return lead * np.power(repeat, np.maximum(r_arr - 1.0, 0.0))
-
-
 def theorem4_epoch_bound(
     epochs: np.ndarray | int,
     beta: float,
@@ -203,27 +153,6 @@ def theorem4_epoch_bound(
     omega = omega_tau(beta, rho2, tau)
     factor = 1.0 - omega / (2.0 * kappa)
     return np.power(factor, np.asarray(epochs, dtype=np.float64))
-
-
-def theorem4_free_bound(
-    r: np.ndarray | int,
-    beta: float,
-    rho2: float,
-    tau: int,
-    lambda_min: float,
-    lambda_max: float,
-    n: int,
-) -> np.ndarray:
-    """Theorem 4(b): the free-running inconsistent-read bound with ψ."""
-    kappa = _kappa(lambda_min, lambda_max)
-    omega = omega_tau(beta, rho2, tau)
-    lam = float(lambda_max)
-    n = int(n)
-    decay = (1.0 - lam / n) ** int(tau)
-    lead = 1.0 - omega / (2.0 * kappa)
-    repeat = 1.0 - omega * decay / (2.0 * kappa) + psi(beta, rho2, tau, lam, n)
-    r_arr = np.asarray(r, dtype=np.float64)
-    return lead * np.power(repeat, np.maximum(r_arr - 1.0, 0.0))
 
 
 def iterations_for_accuracy(

@@ -1,17 +1,15 @@
 """Spectral estimation: power iteration, Lanczos, condition numbers."""
 
-from .condest import SpectrumEstimate, condest, spectrum_estimate
+from .condest import SpectrumEstimate, spectrum_estimate
 from .lanczos import LanczosResult, lanczos, tridiagonal_eigenvalues
-from .power import PowerResult, power_iteration, shifted_power_iteration
+from .power import PowerResult, power_iteration
 
 __all__ = [
     "LanczosResult",
     "PowerResult",
     "SpectrumEstimate",
-    "condest",
     "lanczos",
     "power_iteration",
-    "shifted_power_iteration",
     "spectrum_estimate",
     "tridiagonal_eigenvalues",
 ]

@@ -1,33 +1,26 @@
 """Condition-number estimation (the paper's κ diagnostics).
 
 The paper verifies its test matrix is highly ill-conditioned "using an
-iterative condition-number estimator" (Avron–Druinsky–Toledo). This module
-provides the same capability with two estimators:
+iterative condition-number estimator" (Avron–Druinsky–Toledo).
+:func:`spectrum_estimate` provides the same capability with one Lanczos
+run: fast and slightly inner (both Ritz edges approach the true edges
+from inside, so κ is *under*-estimated — the safe direction for a
+diagnostic).
 
-* :func:`spectrum_estimate` — one Lanczos run; fast, slightly inner
-  (both Ritz edges approach the true edges from inside, so κ is
-  *under*-estimated — the safe direction for a diagnostic).
-* :func:`condest` — Lanczos for λ_max plus CG-based inverse power
-  iteration for λ_min; tighter on the hard lower edge at the cost of a
-  few inner solves.
-
-All estimates feed :mod:`repro.core.theory`, where κ appears in every
-rate, and the bench reports, where κ contextualizes measured convergence.
+``repro estimate`` prints its edges next to the theory's coefficients
+(ρ, ρ₂, the epoch length T₀), and the ablation benches put its κ into
+the Theorem 2 epoch factor ``1 − ν_τ/2κ``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..exceptions import ConvergenceError, NotPositiveDefiniteError, ShapeError
-from ..rng import CounterRNG
+from ..exceptions import NotPositiveDefiniteError, ShapeError
 from ..sparse import CSRMatrix
 from .lanczos import lanczos
-from .power import power_iteration
 
-__all__ = ["SpectrumEstimate", "spectrum_estimate", "condest"]
+__all__ = ["SpectrumEstimate", "spectrum_estimate"]
 
 
 @dataclass(frozen=True)
@@ -54,55 +47,3 @@ def spectrum_estimate(
         raise ShapeError(f"spectrum estimation needs a square matrix, got {A.shape}")
     result = lanczos(A, steps=steps, seed=seed)
     return SpectrumEstimate(lambda_min=result.ritz_min, lambda_max=result.ritz_max)
-
-
-def condest(
-    A: CSRMatrix,
-    *,
-    lanczos_steps: int = 60,
-    inverse_iterations: int = 8,
-    cg_tol: float = 1e-10,
-    seed: int = 0,
-) -> SpectrumEstimate:
-    """Refined condition-number estimate.
-
-    λ_max comes from power iteration (cheap, reliable on the dominant
-    edge). λ_min starts from the Lanczos Ritz value and is refined by
-    inverse power iteration, each step solving ``A w = v`` with CG — the
-    inverse iteration converges to the *smallest* eigenvalue at the rate
-    of the inverse spectrum's dominance, which is fast precisely when the
-    matrix is ill-conditioned.
-    """
-    if not A.is_square():
-        raise ShapeError(f"condest needs a square matrix, got {A.shape}")
-    n = A.shape[0]
-    if n == 0:
-        return SpectrumEstimate(lambda_min=0.0, lambda_max=0.0)
-    from ..krylov import conjugate_gradient  # local import: avoid cycle at import time
-
-    lam_max = power_iteration(A, tol=1e-8, seed=seed).value
-    lz = lanczos(A, steps=lanczos_steps, seed=seed)
-    lam_min = lz.ritz_min
-    if lam_min <= 0:
-        raise NotPositiveDefiniteError(
-            f"Lanczos found a non-positive Ritz value ({lam_min:g}); "
-            "the matrix is not positive definite"
-        )
-    v = CounterRNG(seed, stream=0xC0DE).normal(0, n)
-    v /= np.linalg.norm(v)
-    lam = lam_min
-    for _ in range(int(inverse_iterations)):
-        try:
-            sol = conjugate_gradient(
-                A, v, tol=cg_tol, max_iterations=20 * n, raise_on_stall=True
-            )
-        except ConvergenceError:
-            break  # keep the best estimate so far
-        w = sol.x
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0:
-            break
-        v = w / nrm
-        lam = float(v @ A.matvec(v))
-    lam_min = min(lam_min, lam) if lam > 0 else lam_min
-    return SpectrumEstimate(lambda_min=lam_min, lambda_max=lam_max)

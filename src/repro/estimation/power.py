@@ -1,9 +1,7 @@
-"""Power iteration for extreme eigenvalues of SPD matrices.
+"""Power iteration for the largest eigenvalue of an SPD matrix.
 
-``λ_max`` feeds the theory module (the epoch length T₀ and the decay
-factors ``(1 − λ_max/n)^τ``); shifted power iteration on ``λ_max·I − A``
-gives ``λ_min``, and together they estimate the condition number κ that
-governs every rate in the paper.
+``λ_max`` feeds the theory module: the epoch length T₀ and, with
+``λ_min``, the condition number κ that governs every rate in the paper.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from ..exceptions import ConvergenceError, ShapeError
 from ..rng import CounterRNG
 from ..sparse import CSRMatrix
 
-__all__ = ["PowerResult", "power_iteration", "shifted_power_iteration"]
+__all__ = ["PowerResult", "power_iteration"]
 
 
 @dataclass
@@ -80,40 +78,3 @@ def power_iteration(
             residual=residual,
         )
     return PowerResult(lam, v, it, residual, False)
-
-
-def shifted_power_iteration(
-    A: CSRMatrix,
-    shift: float,
-    *,
-    tol: float = 1e-6,
-    max_iterations: int = 5000,
-    seed: int = 0,
-) -> PowerResult:
-    """Extreme eigenvalue of ``A`` *farthest from* ``shift``: runs power
-    iteration on ``shift·I − A`` and maps the estimate back.
-
-    With ``shift ≥ λ_max`` this converges to ``λ_min`` — the standard
-    two-pass estimate of the spectrum's lower edge without any solves.
-    """
-    if not A.is_square():
-        raise ShapeError(f"power iteration needs a square matrix, got {A.shape}")
-    n = A.shape[0]
-    if n == 0:
-        return PowerResult(0.0, np.zeros(0), 0, 0.0, True)
-    shift = float(shift)
-    v = _start_vector(n, seed + 1)
-    mu = 0.0
-    residual = np.inf
-    it = 0
-    for it in range(1, int(max_iterations) + 1):
-        w = shift * v - A.matvec(v)
-        mu = float(v @ w)
-        residual = float(np.linalg.norm(w - mu * v))
-        if residual <= tol * max(abs(mu), 1e-300):
-            return PowerResult(shift - mu, v, it, residual, True)
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0:
-            return PowerResult(shift, v, it, 0.0, True)
-        v = w / nrm
-    return PowerResult(shift - mu, v, it, residual, False)

@@ -26,10 +26,6 @@ class StructureError(ReproError, ValueError):
     """
 
 
-class NotSymmetricError(StructureError):
-    """An operation requiring a symmetric matrix received an unsymmetric one."""
-
-
 class NotPositiveDefiniteError(ReproError, ValueError):
     """An operation requiring positive definiteness detected a violation.
 

@@ -1,9 +1,10 @@
 """Asynchronous execution substrate.
 
-Delay models (the paper's ``k(j)``/``K(j)`` schedules), write-race models,
-the per-update and vectorized phased simulators, the worker-thread pool
-backends, execution traces, and the machine cost model that converts
-measured operation counts into modeled wall-clock shapes.
+Delay models (the paper's ``k(j)``/``K(j)`` schedules), the per-update
+and vectorized phased simulators, the worker-thread pool backends,
+execution traces, and the machine cost model that converts measured
+operation counts into modeled wall-clock shapes. Write races are
+modeled by the phased simulator's ``atomic=False`` mode only.
 
 Backends at a glance:
 
@@ -39,7 +40,7 @@ the one epoch driver of :mod:`repro.execution.epochs`.
 """
 
 from ..exceptions import ModelError
-from .cost_model import MachineModel, round_robin_imbalance
+from .cost_model import MachineModel
 from .delays import (
     AdversarialDelay,
     DelayModel,
@@ -54,7 +55,6 @@ from .kaczmarz import AsyRK
 from .pool import require_kernel, segment_bytes
 from .processes import ProcessAsyRGS, available_cpus
 from .sharded import ShardedSolver, balanced_partition, contiguous_partition
-from .shared_memory import AtomicWrites, LossyWrites, WriteModel
 from .simulator import AsyncSimulator, PhasedSimulator
 from .trace import ExecutionTrace, replay_trace
 
@@ -116,20 +116,17 @@ __all__ = [
     "AdversarialDelay",
     "AsyRK",
     "AsyncSimulator",
-    "AtomicWrites",
     "DelayModel",
     "ExecutionTrace",
     "FixedDelay",
     "InconsistentAdversarial",
     "InconsistentUniform",
-    "LossyWrites",
     "MachineModel",
     "PhasedSimulator",
     "ProcessAsyRGS",
     "ProcessorPhaseDelay",
     "ShardedSolver",
     "UniformDelay",
-    "WriteModel",
     "ZeroDelay",
     "available_cpus",
     "balanced_partition",
@@ -138,5 +135,4 @@ __all__ = [
     "make_solver",
     "segment_bytes",
     "replay_trace",
-    "round_robin_imbalance",
 ]

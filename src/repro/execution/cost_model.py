@@ -40,31 +40,7 @@ import numpy as np
 from ..exceptions import ModelError
 from ..sparse import CSRMatrix
 
-__all__ = ["MachineModel", "round_robin_imbalance"]
-
-
-def round_robin_imbalance(A: CSRMatrix, nproc: int) -> float:
-    """Load imbalance of distributing rows round-robin over ``nproc``
-    threads: max thread load / mean thread load, measured in row nnz.
-
-    This is the distribution the paper uses for its SIMD CG ("indices are
-    assigned to threads in a round-robin manner") because the matrix has
-    no usable structure; with skewed row sizes the thread holding the
-    heaviest rows dominates each synchronous matvec.
-    """
-    nproc = int(nproc)
-    if nproc < 1:
-        raise ModelError(f"nproc must be at least 1, got {nproc}")
-    counts = A.row_nnz().astype(np.float64)
-    if counts.sum() == 0:
-        return 1.0
-    loads = np.zeros(nproc)
-    for p in range(nproc):
-        loads[p] = counts[p::nproc].sum()
-    mean = loads.mean()
-    if mean == 0:
-        return 1.0
-    return float(loads.max() / mean)
+__all__ = ["MachineModel"]
 
 
 @dataclass(frozen=True)
@@ -240,7 +216,13 @@ class MachineModel:
         reductions.
         """
         nproc = int(nproc)
-        imbalance = round_robin_imbalance(A, nproc)
+        if nproc < 1:
+            raise ModelError(f"nproc must be at least 1, got {nproc}")
+        # Round-robin rows, as the paper's SIMD CG assigns them: the
+        # thread holding the heaviest rows (in nnz) paces each matvec.
+        counts = A.row_nnz().astype(np.float64)
+        loads = np.array([counts[p::nproc].sum() for p in range(nproc)])
+        imbalance = float(loads.max() / loads.mean()) if loads.any() else 1.0
         matvec = (
             self.t_nnz * A.nnz * max(1, int(nrhs))
             / (nproc * self.async_efficiency(nproc, nrhs))

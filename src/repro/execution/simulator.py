@@ -11,10 +11,10 @@ Two engines are provided:
 :class:`AsyncSimulator`
     The general engine. One update at a time, arbitrary
     :class:`~repro.execution.delays.DelayModel` (consistent or
-    inconsistent), arbitrary :class:`~repro.execution.shared_memory.WriteModel`,
-    optional execution trace. The stale view ``x_{k(j)}`` / ``x_{K(j)}`` is
-    never materialized: the engine keeps a ring buffer of the last τ writes
-    ``(coordinate, δ)`` and corrects the fresh residual entry,
+    inconsistent), atomic writes, optional execution trace. The stale
+    view ``x_{k(j)}`` / ``x_{K(j)}`` is never materialized: the engine
+    keeps a ring buffer of the last τ writes ``(coordinate, δ)`` and
+    corrects the fresh residual entry,
 
     ``γ_j = (b − A x)_{r_j} + Σ_{t ∈ missed(j)} A[r_j, c_t] · δ_t``,
 
@@ -46,7 +46,6 @@ from ..rng import CounterRNG, DirectionStream
 from ..sparse import CSRMatrix
 from ..validation import check_rhs
 from .delays import DelayModel, ZeroDelay
-from .shared_memory import AtomicWrites, WriteModel
 from .trace import ExecutionTrace
 
 __all__ = ["AsyncSimulator", "PhasedSimulator", "SimulationResult"]
@@ -68,7 +67,8 @@ class SimulationResult:
         Σ over updates of ``nnz(A_{r_j})`` — the operation count the cost
         model converts into modeled wall-clock time.
     lost_writes:
-        Number of updates destroyed by write races.
+        Number of updates destroyed by write races (the phased engine's
+        ``atomic=False`` mode; always 0 on the general engine).
     trace:
         The :class:`ExecutionTrace`, when recording was requested.
     checkpoints:
@@ -150,8 +150,6 @@ class AsyncSimulator:
         Step size ``β``; the admissible range depends on the delay model
         and is *not* enforced here (the theory module provides the bounds;
         experiments intentionally explore divergence).
-    write_model:
-        Atomic (default) or lossy writes (Assumption A-1 relaxation).
     record_trace:
         Keep a full :class:`ExecutionTrace` (single-RHS only).
     """
@@ -164,7 +162,6 @@ class AsyncSimulator:
         delay_model: DelayModel | None = None,
         directions: DirectionStream | None = None,
         beta: float = 1.0,
-        write_model: WriteModel | None = None,
         record_trace: bool = False,
     ):
         b, diag, n = _prepare_system(A, b)
@@ -181,7 +178,6 @@ class AsyncSimulator:
         self.beta = float(beta)
         if not 0.0 < self.beta < 2.0:
             raise ModelError(f"step size beta must lie in (0, 2), got {self.beta}")
-        self.write_model = write_model if write_model is not None else AtomicWrites()
         self._multi = b.ndim == 2
         self._record_trace = bool(record_trace)
         if self._record_trace and self._multi:
@@ -235,9 +231,7 @@ class AsyncSimulator:
             ring_delta = np.zeros((ring, b.shape[1]), dtype=np.float64)
         else:
             ring_delta = np.zeros(ring, dtype=np.float64)
-        ring_alive = np.zeros(ring, dtype=bool)
         trace = ExecutionTrace() if self._record_trace else None
-        lost_total = 0
         total_row_nnz = 0
         checkpoints: list[tuple[int, float]] = []
 
@@ -268,32 +262,22 @@ class AsyncSimulator:
             for t in missed:
                 t = int(t)
                 slot = t % ring
-                if not ring_alive[slot] or ring_coord[slot] < 0:
+                if ring_coord[slot] < 0:
                     # Update t predates this run segment (segment boundaries
-                    # act as synchronization points) or was destroyed.
+                    # act as synchronization points).
                     continue
-                c_t = int(ring_coord[slot])
-                coeff = self._lookup(r, c_t)
+                coeff = self._lookup(r, int(ring_coord[slot]))
                 if coeff != 0.0:
                     gamma = gamma + coeff * ring_delta[slot]
-                # Write-race resolution: update j raced with t on the same
-                # coordinate; the write model may destroy t's delta.
-                if c_t == r and self.write_model.lost(j, t):
-                    x[c_t] = x[c_t] - ring_delta[slot]
-                    ring_alive[slot] = False
-                    lost_total += 1
-                    if trace is not None and t >= start_iteration:
-                        trace.mark_lost(t - start_iteration)
             gamma = gamma / self._diag[r]
             delta = beta * gamma
             x[r] = x[r] + delta
             slot = j % ring
             ring_coord[slot] = r
             ring_delta[slot] = delta
-            ring_alive[slot] = True
             if trace is not None:
                 g_scalar = float(gamma) if not self._multi else float(np.linalg.norm(gamma))
-                trace.append(r, n_missed, g_scalar, False)
+                trace.append(r, n_missed, g_scalar)
             if (
                 checkpoint_every
                 and checkpoint_metric is not None
@@ -304,7 +288,6 @@ class AsyncSimulator:
             x=x,
             iterations=num_iterations,
             total_row_nnz=total_row_nnz,
-            lost_writes=lost_total,
             trace=trace,
             checkpoints=checkpoints,
         )

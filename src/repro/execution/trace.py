@@ -1,8 +1,7 @@
 """Execution traces: a compact record of an asynchronous run.
 
 A trace stores, for every update ``j``: the coordinate ``r_j``, the number
-of missed window updates, the computed step ``γ_j``, and whether the write
-survived (lost-write modeling). Traces make asynchronous executions
+of missed window updates and the computed step ``γ_j``. Traces make asynchronous executions
 *replayable* — applying a trace to the same initial vector reproduces the
 final iterate bit-for-bit — and are the raw material for delay-distribution
 diagnostics.
@@ -26,7 +25,6 @@ class ExecutionTrace:
         self._coord = np.empty(_GROW, dtype=np.int64)
         self._missed = np.empty(_GROW, dtype=np.int32)
         self._gamma = np.empty(_GROW, dtype=np.float64)
-        self._lost = np.empty(_GROW, dtype=bool)
         self._n = 0
 
     def __len__(self) -> int:
@@ -38,23 +36,13 @@ class ExecutionTrace:
             self._coord = np.resize(self._coord, cap)
             self._missed = np.resize(self._missed, cap)
             self._gamma = np.resize(self._gamma, cap)
-            self._lost = np.resize(self._lost, cap)
 
-    def append(self, coord: int, missed: int, gamma: float, lost: bool = False) -> None:
+    def append(self, coord: int, missed: int, gamma: float) -> None:
         self._reserve()
         self._coord[self._n] = coord
         self._missed[self._n] = missed
         self._gamma[self._n] = gamma
-        self._lost[self._n] = lost
         self._n += 1
-
-    def mark_lost(self, index: int) -> None:
-        """Retroactively flag the ``index``-th recorded update as destroyed
-        by a write race (the loss is only discovered at the racing update)."""
-        index = int(index)
-        if not 0 <= index < self._n:
-            raise IndexError(f"trace index {index} out of range (n={self._n})")
-        self._lost[index] = True
 
     # ------------------------------------------------------------------
     # Views
@@ -75,11 +63,6 @@ class ExecutionTrace:
         """Computed step ``γ_j`` per iteration (pre step-size)."""
         return self._gamma[: self._n]
 
-    @property
-    def lost_writes(self) -> np.ndarray:
-        """Whether update ``j``'s write was destroyed by a race."""
-        return self._lost[: self._n]
-
     def delay_histogram(self) -> dict[int, int]:
         """Counts of observed missed-update counts across the run."""
         values, counts = np.unique(self.missed_counts, return_counts=True)
@@ -93,8 +76,8 @@ class ExecutionTrace:
 def replay_trace(trace: ExecutionTrace, x0: np.ndarray, beta: float = 1.0) -> np.ndarray:
     """Re-apply a recorded execution to ``x0`` and return the final iterate.
 
-    Every surviving update ``j`` contributes ``β·γ_j`` to coordinate
-    ``r_j``; lost writes contribute nothing. Because γ values were recorded
+    Every update ``j`` contributes ``β·γ_j`` to coordinate ``r_j``.
+    Because γ values were recorded
     *after* the stale-view computation, the replay is exact regardless of
     the delay model that produced the trace.
     """
@@ -102,9 +85,5 @@ def replay_trace(trace: ExecutionTrace, x0: np.ndarray, beta: float = 1.0) -> np
     if x0.ndim != 1:
         raise ShapeError("replay_trace currently replays single-RHS traces")
     x = x0.copy()
-    coords = trace.coords
-    gammas = trace.gammas
-    lost = trace.lost_writes
-    deltas = np.where(lost, 0.0, beta * gammas)
-    np.add.at(x, coords, deltas)
+    np.add.at(x, trace.coords, beta * trace.gammas)
     return x

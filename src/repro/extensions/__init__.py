@@ -11,20 +11,12 @@ from .block_partitioned import (
     OwnerComputesResult,
     owner_computes_solve,
 )
-from .fault_injection import (
-    DeadProcessorDirections,
-    DeadProcessorStudy,
-    dead_processor_study,
-)
 from .probabilistic_delays import RowCostDelay, effective_tau
 
 __all__ = [
     "BlockPartitionedDirections",
-    "DeadProcessorDirections",
-    "DeadProcessorStudy",
     "OwnerComputesResult",
     "RowCostDelay",
-    "dead_processor_study",
     "effective_tau",
     "owner_computes_solve",
 ]

@@ -9,11 +9,9 @@ from .csr import CSRMatrix
 from .io import read_matrix_market, write_matrix_market
 from .ops import (
     add,
-    apply_unit_diagonal_map,
     gram,
     matmul,
     max_abs_difference,
-    permute_symmetric,
     row_nnz_statistics,
     symmetric_rescale,
 )
@@ -24,11 +22,9 @@ __all__ = [
     "read_matrix_market",
     "write_matrix_market",
     "add",
-    "apply_unit_diagonal_map",
     "gram",
     "matmul",
     "max_abs_difference",
-    "permute_symmetric",
     "row_nnz_statistics",
     "symmetric_rescale",
 ]

@@ -19,17 +19,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..exceptions import NotPositiveDefiniteError, ShapeError, StructureError
+from ..exceptions import NotPositiveDefiniteError, ShapeError
 from .csr import CSRMatrix
 
 __all__ = [
     "symmetric_rescale",
-    "apply_unit_diagonal_map",
     "gram",
     "matmul",
     "add",
     "max_abs_difference",
-    "permute_symmetric",
     "row_nnz_statistics",
 ]
 
@@ -40,8 +38,7 @@ def symmetric_rescale(B: CSRMatrix) -> tuple[CSRMatrix, np.ndarray]:
     Returns ``(A, d)`` where ``d[i] = sqrt(B[i, i])`` and
     ``A[i, j] = B[i, j] / (d[i] d[j])`` has unit diagonal. The paper's
     Section 3 shows solving ``B y = z`` is equivalent to solving
-    ``A x = D⁻¹ z`` with ``y = D⁻¹ x`` — see
-    :func:`apply_unit_diagonal_map`.
+    ``A x = D⁻¹ z`` with ``y = D⁻¹ x``.
 
     Raises
     ------
@@ -62,29 +59,6 @@ def symmetric_rescale(B: CSRMatrix) -> tuple[CSRMatrix, np.ndarray]:
     inv = 1.0 / d
     A = B.scale_rows(inv).scale_cols(inv)
     return A, d
-
-
-def apply_unit_diagonal_map(d: np.ndarray, *, x=None, b=None):
-    """Translate between the original system ``B y = z`` and its
-    unit-diagonal rescaling ``A x = b`` with ``A = D⁻¹BD⁻¹``, ``D = diag(d)``.
-
-    * Given a right-hand side ``z`` for ``B``, the rescaled right-hand side
-      is ``b = D⁻¹ z`` (pass ``b=z``).
-    * Given a solution ``x`` of the rescaled system, the solution of the
-      original system is ``y = D⁻¹ x`` (pass ``x=x``).
-
-    Exactly one of ``x`` / ``b`` must be given; the mapped vector is
-    returned.
-    """
-    d = np.asarray(d, dtype=np.float64)
-    if (x is None) == (b is None):
-        raise ValueError("pass exactly one of x= or b=")
-    v = np.asarray(x if x is not None else b, dtype=np.float64)
-    if v.shape[0] != d.shape[0]:
-        raise ShapeError(f"vector has shape {v.shape}, expected leading dim {d.shape[0]}")
-    if v.ndim == 1:
-        return v / d
-    return v / d[:, None]
 
 
 def gram(A: CSRMatrix, *, shift: float = 0.0) -> CSRMatrix:
@@ -176,28 +150,6 @@ def max_abs_difference(A: CSRMatrix, B: CSRMatrix) -> float:
     if diff.nnz == 0:
         return 0.0
     return float(np.max(np.abs(diff.data)))
-
-
-def permute_symmetric(A: CSRMatrix, perm: np.ndarray) -> CSRMatrix:
-    """Symmetric permutation ``P A Pᵀ`` (rows and columns by ``perm``).
-
-    ``perm[i]`` gives the *old* index placed at new position ``i``.
-    """
-    if not A.is_square():
-        raise ShapeError("permute_symmetric requires a square matrix")
-    perm = np.asarray(perm, dtype=np.int64)
-    n = A.shape[0]
-    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
-        raise StructureError("perm must be a permutation of 0..n-1")
-    inv = np.empty(n, dtype=np.int64)
-    inv[perm] = np.arange(n, dtype=np.int64)
-    from .coo import COOBuilder
-
-    builder = COOBuilder(n, n)
-    entry_rows = np.repeat(np.arange(n, dtype=np.int64), A.row_nnz())
-    if A.nnz:
-        builder.add_batch(inv[entry_rows], inv[A.indices], A.data)
-    return builder.to_csr()
 
 
 def row_nnz_statistics(A: CSRMatrix) -> dict[str, float]:

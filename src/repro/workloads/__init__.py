@@ -1,13 +1,7 @@
 """Problem generators: synthetic social-media Gram, Laplacians, random
 SPD families, least-squares instances, and the named registry."""
 
-from .laplacian import (
-    graph_laplacian,
-    laplacian_1d,
-    laplacian_2d,
-    laplacian_3d,
-    unit_diagonal,
-)
+from .laplacian import laplacian_1d, laplacian_2d, laplacian_3d
 from .least_squares import LeastSquaresProblem, random_least_squares
 from .random_spd import (
     banded_spd,
@@ -31,7 +25,6 @@ __all__ = [
     "diagonally_dominant",
     "equicorrelation_blocks",
     "get_problem",
-    "graph_laplacian",
     "laplacian_1d",
     "laplacian_2d",
     "laplacian_3d",
@@ -40,5 +33,4 @@ __all__ = [
     "register_problem",
     "social_media_problem",
     "term_document_matrix",
-    "unit_diagonal",
 ]

@@ -1,28 +1,20 @@
-"""Grid and graph Laplacians — the paper's "reference scenario" matrices.
+"""Grid Laplacians — the paper's "reference scenario" matrices.
 
 The analysis targets large sparse SPD matrices whose row counts lie in a
 narrow band ``[C₁, C₂]`` (Section 1, "reference scenario"); discretized
-Laplacians are the canonical family. Provided here:
-
-* 1D/2D/3D Dirichlet grid Laplacians (5-/7-point stencils),
-* graph Laplacians of arbitrary (networkx-compatible) edge lists with a
-  regularization shift making them SPD,
-* optional symmetric unit-diagonal rescaling (the paper's normalization).
+Laplacians are the canonical family. Provided here: 1D/2D/3D
+Dirichlet grid Laplacians (3-/5-/7-point stencils).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..exceptions import ModelError
-from ..sparse import COOBuilder, CSRMatrix, symmetric_rescale
+from ..sparse import COOBuilder, CSRMatrix
 
 __all__ = [
     "laplacian_1d",
     "laplacian_2d",
     "laplacian_3d",
-    "graph_laplacian",
-    "unit_diagonal",
 ]
 
 
@@ -87,56 +79,3 @@ def laplacian_3d(nx: int, ny: int | None = None, nz: int | None = None) -> CSRMa
                 if k + 1 < nz:
                     b.add_symmetric(p, idx(i, j, k + 1), -1.0)
     return b.to_csr()
-
-
-def graph_laplacian(edges, n: int, *, shift: float = 1e-3, weights=None) -> CSRMatrix:
-    """Regularized graph Laplacian ``L + shift·I`` from an edge list.
-
-    Parameters
-    ----------
-    edges:
-        Iterable of ``(u, v)`` pairs with ``0 <= u, v < n`` (self-loops are
-        ignored); a ``networkx.Graph`` also works via ``G.edges()``.
-    n:
-        Number of vertices.
-    shift:
-        Diagonal shift; the pure Laplacian is only positive
-        *semi*-definite (constant null space), so a positive shift is
-        required for SPD.
-    weights:
-        Optional per-edge weights (default 1).
-    """
-    n = int(n)
-    if n < 1:
-        raise ModelError(f"need at least one vertex, got {n}")
-    if shift <= 0:
-        raise ModelError(f"shift must be positive for SPD, got {shift}")
-    if hasattr(edges, "edges"):
-        edges = list(edges.edges())
-    edges = list(edges)
-    if weights is None:
-        weights = np.ones(len(edges))
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (len(edges),):
-        raise ModelError(
-            f"weights has shape {weights.shape}, expected ({len(edges)},)"
-        )
-    if np.any(weights < 0):
-        raise ModelError("edge weights must be non-negative")
-    b = COOBuilder(n, n)
-    for (u, v), w in zip(edges, weights):
-        u, v = int(u), int(v)
-        if u == v:
-            continue
-        b.add_symmetric(u, v, -w)
-        b.add(u, u, w)
-        b.add(v, v, w)
-    for i in range(n):
-        b.add(i, i, float(shift))
-    return b.to_csr()
-
-
-def unit_diagonal(A: CSRMatrix) -> CSRMatrix:
-    """Symmetric rescale to unit diagonal (drops the diagonal map)."""
-    rescaled, _ = symmetric_rescale(A)
-    return rescaled

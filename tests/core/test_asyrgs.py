@@ -7,7 +7,6 @@ from repro.core import AsyRGS, randomized_gauss_seidel
 from repro.exceptions import ModelError, ShapeError
 from repro.execution import (
     InconsistentUniform,
-    LossyWrites,
     ProcessAsyRGS,
     UniformDelay,
 )
@@ -95,10 +94,13 @@ class TestEngines:
         with pytest.raises(ModelError):
             AsyRGS(A, b, engine="phased", delay_model=UniformDelay(2))
 
-    def test_write_model_with_phased_rejected(self, system):
+    def test_nonatomic_with_general_rejected(self, system):
+        # Only the phased engine models write races; the general engine
+        # must not run atomically while the caller asked for races.
         A, b, _ = system
-        with pytest.raises(ModelError):
-            AsyRGS(A, b, engine="phased", write_model=LossyWrites(0.5))
+        with pytest.raises(ModelError, match="atomic=False"):
+            AsyRGS(A, b, engine="general", atomic=False)
+        AsyRGS(A, b, engine="general", atomic=True)
 
 
 class TestEpochScheme:

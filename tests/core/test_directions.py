@@ -6,7 +6,6 @@ import pytest
 from repro.core import (
     CyclicDirections,
     PermutedCyclicDirections,
-    WeightedDirections,
 )
 from repro.core.rgs import randomized_gauss_seidel
 from repro.workloads import random_unit_diagonal_spd
@@ -64,51 +63,6 @@ class TestPermutedCyclic:
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
             PermutedCyclicDirections(-1)
-
-
-class TestWeighted:
-    def test_uniform_weights_cover_all(self):
-        w = WeightedDirections(np.ones(6), seed=1)
-        d = w.directions(0, 6000)
-        assert set(np.unique(d).tolist()) == set(range(6))
-
-    def test_zero_weight_never_sampled(self):
-        weights = np.array([1.0, 0.0, 1.0])
-        w = WeightedDirections(weights, seed=2)
-        d = w.directions(0, 5000)
-        assert 1 not in set(d.tolist())
-
-    def test_proportional_sampling(self):
-        weights = np.array([1.0, 3.0])
-        w = WeightedDirections(weights, seed=3)
-        d = w.directions(0, 40000)
-        frac = np.mean(d == 1)
-        assert abs(frac - 0.75) < 0.01
-
-    def test_single_matches_batch(self):
-        w = WeightedDirections(np.array([0.2, 0.5, 0.3]), seed=4)
-        batch = w.directions(11, 20)
-        singles = [w.direction(11 + k) for k in range(20)]
-        np.testing.assert_array_equal(batch, singles)
-
-    def test_invalid_weights(self):
-        with pytest.raises(ValueError):
-            WeightedDirections(np.array([]))
-        with pytest.raises(ValueError):
-            WeightedDirections(np.array([-1.0, 2.0]))
-        with pytest.raises(ValueError):
-            WeightedDirections(np.zeros(3))
-
-    def test_diag_weighted_rgs_converges(self):
-        """Leventhal–Lewis general sampling (∝ A_rr) on a non-unit
-        diagonal matrix."""
-        from repro.workloads import laplacian_2d
-
-        A = laplacian_2d(5, 5)
-        b, x_star = manufactured_system(A, seed=7)
-        w = WeightedDirections(A.diagonal(), seed=8)
-        r = randomized_gauss_seidel(A, b, sweeps=300, directions=w, record_history=False)
-        assert np.abs(r.x - x_star).max() < 1e-6
 
 
 class TestSORCorrespondence:

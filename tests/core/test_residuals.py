@@ -61,6 +61,38 @@ class TestResidualNorms:
         with pytest.raises(ShapeError):
             residual_norm(A, np.ones(3), np.ones(A.shape[0]))
 
+    # Squares of entries near 2**±530 overflow, or fall below the
+    # smallest normal float and lose their digits; scaling by a power of
+    # two is exact, so neither measure may move.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("power", [530, -530, 600, -600])
+    def test_power_of_two_scaling_leaves_the_measures_unchanged(self, power):
+        A = laplacian_2d(8, 8)
+        n = A.shape[0]
+        b = A.matvec(np.ones(n))
+        x = np.cos(np.arange(n, dtype=float))
+        s = 2.0**power
+        zero = np.zeros(n)
+        assert relative_residual(A, zero, s * b) == pytest.approx(
+            relative_residual(A, zero, b), rel=1e-15, abs=0
+        )
+        assert relative_residual(A, s * x, s * b) == pytest.approx(
+            relative_residual(A, x, b), rel=1e-14, abs=0
+        )
+        assert residual_norm(A, s * x, s * b) == pytest.approx(
+            s * residual_norm(A, x, b), rel=1e-14, abs=0
+        )
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_far_scaled_rhs_from_zero_reads_one(self, scale):
+        A = laplacian_2d(8, 8)
+        n = A.shape[0]
+        b = scale * A.matvec(np.ones(n))
+        assert relative_residual(A, np.zeros(n), b) == pytest.approx(1.0, rel=1e-15)
+        B = np.column_stack([b, 2.0 * b])
+        assert relative_residual(A, np.zeros_like(B), B) == pytest.approx(1.0, rel=1e-15)
+
 
 class TestColumnResiduals:
     def test_matches_per_column_relative_residual(self, A):

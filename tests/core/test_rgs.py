@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import randomized_gauss_seidel, rgs_sweep
+from repro.core import randomized_gauss_seidel
 from repro.exceptions import ModelError, ShapeError
 from repro.rng import DirectionStream
 from repro.workloads import laplacian_2d, random_unit_diagonal_spd
@@ -133,19 +133,29 @@ class TestAccounting:
 
 
 class TestSweepHelper:
+    """One sweep is ``n`` updates on the drawn rows."""
+
     def test_sweep_applies_n_updates(self, system):
         A, b, _ = system
         n = A.shape[0]
-        x = np.zeros(n)
-        nnz = rgs_sweep(A, b, x, directions=DirectionStream(n, seed=11))
-        assert nnz > 0
-        assert np.any(x != 0)
+        r = randomized_gauss_seidel(
+            A, b, sweeps=1, directions=DirectionStream(n, seed=11),
+            record_history=False,
+        )
+        rows = DirectionStream(n, seed=11).directions(0, n)
+        assert r.iterations == n
+        assert r.total_row_nnz == int(A.row_nnz()[rows].sum())
+        assert np.any(r.x != 0)
 
     def test_sweep_matches_solver(self, system):
+        # The update of Section 3, one row at a time, as the slow oracle.
         A, b, _ = system
         n = A.shape[0]
+        diag = A.diagonal()
         x = np.zeros(n)
-        rgs_sweep(A, b, x, directions=DirectionStream(n, seed=12))
+        for row in DirectionStream(n, seed=12).directions(0, n):
+            cols, vals = A.row(row)
+            x[row] += (b[row] - float(vals @ x[cols])) / diag[row]
         r = randomized_gauss_seidel(
             A, b, sweeps=1, directions=DirectionStream(n, seed=12),
             record_history=False,

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import (
     bound_report,
-    chi,
     epoch_length,
     iterations_for_accuracy,
     nu_tau,
@@ -14,14 +13,11 @@ from repro.core import (
     optimal_beta_inconsistent,
     max_beta_consistent,
     max_beta_inconsistent,
-    psi,
     rho_infinity,
     rho_two,
     synchronous_bound,
     theorem2_epoch_bound,
-    theorem2_free_bound,
     theorem4_epoch_bound,
-    theorem4_free_bound,
 )
 from repro.exceptions import ModelError, ShapeError
 from repro.sparse import CSRMatrix
@@ -157,33 +153,14 @@ class TestBoundCurves:
         large = theorem2_epoch_bound(5, 1.0, 0.002, 64, 0.3, 1.9)
         assert float(large) > float(small)
 
-    def test_free_bound_above_epoch_bound(self):
-        """Assertion (b)'s rate is never better than assertion (a)'s —
-        the cost of never synchronizing."""
-        args = (1.0, 0.001, 8, 0.3, 1.9)
-        epoch = theorem2_epoch_bound(6, *args)
-        free = theorem2_free_bound(6, *args, 100)
-        assert float(free) >= float(epoch) - 1e-12
-
     def test_theorem4_bounds_decay(self):
         curve = theorem4_epoch_bound(np.arange(8), 0.3, 0.0005, 6, 0.3, 1.9)
         assert np.all(np.diff(curve) < 0)
-        free = theorem4_free_bound(np.arange(1, 8), 0.3, 0.0005, 6, 0.3, 1.9, 100)
-        assert np.all(free > 0)
-
-    def test_chi_and_psi_positive(self):
-        assert chi(1.0, 0.01, 5, 1.5, 100) > 0
-        assert psi(0.5, 0.01, 5, 1.5, 100) > 0
-
-    def test_psi_has_extra_tau_factor(self):
-        """ψ = τ·χ at matched coefficients (ρ₂τ³ vs ρτ²)."""
-        c = chi(0.5, 0.01, 5, 1.5, 100)
-        p = psi(0.5, 0.01, 5, 1.5, 100)
-        assert p == pytest.approx(5 * c)
+        assert np.all(curve > 0)
 
     def test_lambda_max_range_validated(self):
         with pytest.raises(ModelError):
-            chi(1.0, 0.01, 5, 200.0, 100)
+            epoch_length(200.0, 100)
         with pytest.raises(ModelError):
             epoch_length(0.0, 100)
 

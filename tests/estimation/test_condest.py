@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.estimation import condest, spectrum_estimate
+from repro.estimation import spectrum_estimate
 from repro.exceptions import NotPositiveDefiniteError, ShapeError
 from repro.sparse import CSRMatrix
-from repro.workloads import laplacian_1d, laplacian_2d, social_media_problem
+from repro.workloads import laplacian_1d, laplacian_2d
 
 
 def true_kappa(A):
@@ -36,23 +36,3 @@ class TestSpectrumEstimate:
     def test_rectangular_rejected(self):
         with pytest.raises(ShapeError):
             spectrum_estimate(CSRMatrix.from_dense(np.ones((2, 3))))
-
-
-class TestCondest:
-    def test_refines_toward_true_kappa(self):
-        A = laplacian_1d(50)
-        est = condest(A, lanczos_steps=15, inverse_iterations=10, seed=3)
-        assert est.kappa == pytest.approx(true_kappa(A), rel=0.05)
-
-    def test_social_matrix_is_ill_conditioned(self):
-        """The paper verifies its social matrix is highly ill-conditioned;
-        our synthetic analogue must be too (relative to its size)."""
-        prob = social_media_problem(n_terms=100, n_docs=500, n_labels=1,
-                                    ridge=0.05, seed=6)
-        est = condest(prob.G, lanczos_steps=40, inverse_iterations=4, seed=4)
-        assert est.kappa > 1e3
-
-    def test_diagonal_exact(self):
-        A = CSRMatrix.from_diagonal(np.linspace(0.1, 10.0, 20))
-        est = condest(A, lanczos_steps=20, inverse_iterations=6, seed=5)
-        assert est.kappa == pytest.approx(100.0, rel=0.02)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.estimation import power_iteration, shifted_power_iteration
+from repro.estimation import power_iteration
 from repro.exceptions import ConvergenceError, ShapeError
 from repro.sparse import CSRMatrix
 from repro.workloads import laplacian_1d, laplacian_2d
@@ -52,21 +52,3 @@ class TestPowerIteration:
         A = CSRMatrix.from_dense(np.zeros((4, 4)))
         r = power_iteration(A)
         assert r.value == pytest.approx(0.0, abs=1e-12)
-
-
-class TestShiftedPower:
-    def test_finds_lambda_min(self):
-        A = laplacian_1d(25)
-        lam_min, lam_max = eig_extremes(A)
-        r = shifted_power_iteration(A, shift=lam_max * 1.01, tol=1e-9,
-                                    max_iterations=50000)
-        assert r.value == pytest.approx(lam_min, rel=1e-4)
-
-    def test_diagonal_exact(self):
-        A = CSRMatrix.from_diagonal([0.5, 2.0, 7.0])
-        r = shifted_power_iteration(A, shift=8.0, tol=1e-12)
-        assert r.value == pytest.approx(0.5, rel=1e-8)
-
-    def test_rectangular_rejected(self):
-        with pytest.raises(ShapeError):
-            shifted_power_iteration(CSRMatrix.from_dense(np.ones((2, 3))), 1.0)

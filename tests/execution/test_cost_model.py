@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ModelError
-from repro.execution import MachineModel, round_robin_imbalance
+from repro.execution import MachineModel
 from repro.sparse import CSRMatrix
 from repro.workloads import laplacian_2d, social_media_problem
 
@@ -19,30 +19,37 @@ def social():
     return social_media_problem(n_terms=120, n_docs=600, n_labels=2, seed=6).G
 
 
-class TestImbalance:
-    def test_uniform_rows_balanced(self):
-        A = laplacian_2d(12, 12)  # nearly uniform row sizes
-        assert round_robin_imbalance(A, 4) < 1.15
+def imbalance(model, A, nproc):
+    """The round-robin load-imbalance factor ``cg_iteration_time``
+    charges its matvec: max thread load / mean, in row nnz."""
+    matvec = model.cg_iteration_time(A, nproc, reductions=0, vector_ops=0)
+    return matvec * nproc * model.async_efficiency(nproc) / (model.t_nnz * A.nnz)
 
-    def test_skewed_rows_imbalanced(self, social):
+
+class TestImbalance:
+    def test_uniform_rows_balanced(self, model):
+        A = laplacian_2d(12, 12)  # nearly uniform row sizes
+        assert imbalance(model, A, 4) < 1.15
+
+    def test_skewed_rows_imbalanced(self, model, social):
         """The social Gram's skewed rows must create measurable imbalance
         at high thread counts — the paper's CG scaling bottleneck."""
-        assert round_robin_imbalance(social, 32) > round_robin_imbalance(social, 2)
+        assert imbalance(model, social, 32) > imbalance(model, social, 2)
 
-    def test_single_thread_balanced(self, social):
-        assert round_robin_imbalance(social, 1) == pytest.approx(1.0)
+    def test_single_thread_balanced(self, model, social):
+        assert imbalance(model, social, 1) == pytest.approx(1.0)
 
-    def test_at_least_one(self, social):
+    def test_at_least_one(self, model, social):
         for p in (1, 2, 4, 16):
-            assert round_robin_imbalance(social, p) >= 1.0 - 1e-12
+            assert imbalance(model, social, p) >= 1.0 - 1e-12
 
-    def test_empty_matrix(self):
+    def test_empty_matrix(self, model):
         A = CSRMatrix.from_dense(np.zeros((4, 4)))
-        assert round_robin_imbalance(A, 2) == 1.0
+        assert np.isfinite(model.cg_iteration_time(A, 2))
 
-    def test_invalid_nproc(self, social):
+    def test_invalid_nproc(self, model, social):
         with pytest.raises(ModelError):
-            round_robin_imbalance(social, 0)
+            model.cg_iteration_time(social, 0)
 
 
 class TestPrimitives:

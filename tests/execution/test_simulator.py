@@ -16,10 +16,8 @@ from repro.core import randomized_gauss_seidel
 from repro.exceptions import ModelError, NotPositiveDefiniteError, ShapeError
 from repro.execution import (
     AsyncSimulator,
-    AtomicWrites,
     FixedDelay,
     InconsistentUniform,
-    LossyWrites,
     PhasedSimulator,
     UniformDelay,
     ZeroDelay,
@@ -251,19 +249,6 @@ class TestAccounting:
 
 
 class TestWriteModels:
-    def test_lossy_writes_lose_updates(self, system):
-        A, b, _ = system
-        n = A.shape[0]
-        sim = AsyncSimulator(
-            A,
-            b,
-            delay_model=FixedDelay(8),
-            directions=DirectionStream(n, seed=11),
-            write_model=LossyWrites(loss_prob=1.0, seed=1),
-        )
-        out = sim.run(np.zeros(n), 30 * n)
-        assert out.lost_writes > 0
-
     def test_atomic_writes_lose_nothing(self, system):
         A, b, _ = system
         n = A.shape[0]
@@ -272,25 +257,9 @@ class TestWriteModels:
             b,
             delay_model=FixedDelay(8),
             directions=DirectionStream(n, seed=11),
-            write_model=AtomicWrites(),
         )
         out = sim.run(np.zeros(n), 10 * n)
         assert out.lost_writes == 0
-
-    def test_lossy_still_converges(self, system):
-        """The paper's experimental finding: non-atomic writes do not
-        noticeably break convergence."""
-        A, b, x_star = system
-        n = A.shape[0]
-        sim = AsyncSimulator(
-            A,
-            b,
-            delay_model=FixedDelay(4),
-            directions=DirectionStream(n, seed=11),
-            write_model=LossyWrites(loss_prob=0.5, seed=2),
-        )
-        out = sim.run(np.zeros(n), 80 * n)
-        assert np.abs(out.x - x_star).max() < 1e-5
 
     def test_phased_nonatomic_counts_collisions(self, system):
         A, b, _ = system

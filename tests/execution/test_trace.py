@@ -6,8 +6,6 @@ import pytest
 from repro.execution import (
     AsyncSimulator,
     ExecutionTrace,
-    FixedDelay,
-    LossyWrites,
     UniformDelay,
     replay_trace,
 )
@@ -21,12 +19,11 @@ class TestTraceBasics:
     def test_append_and_views(self):
         t = ExecutionTrace()
         t.append(3, 1, 0.5)
-        t.append(7, 0, -0.25, lost=True)
+        t.append(7, 0, -0.25)
         assert len(t) == 2
         np.testing.assert_array_equal(t.coords, [3, 7])
         np.testing.assert_array_equal(t.missed_counts, [1, 0])
         np.testing.assert_array_equal(t.gammas, [0.5, -0.25])
-        np.testing.assert_array_equal(t.lost_writes, [False, True])
 
     def test_growth(self):
         t = ExecutionTrace()
@@ -34,17 +31,6 @@ class TestTraceBasics:
             t.append(i % 7, 0, float(i))
         assert len(t) == 5000
         assert t.gammas[-1] == 4999.0
-
-    def test_mark_lost(self):
-        t = ExecutionTrace()
-        t.append(0, 0, 1.0)
-        t.mark_lost(0)
-        assert t.lost_writes[0]
-
-    def test_mark_lost_out_of_range(self):
-        t = ExecutionTrace()
-        with pytest.raises(IndexError):
-            t.mark_lost(0)
 
     def test_delay_histogram(self):
         t = ExecutionTrace()
@@ -76,20 +62,6 @@ class TestReplay:
         out = sim.run(np.zeros(n), 500)
         replayed = replay_trace(out.trace, np.zeros(n))
         np.testing.assert_array_equal(replayed, out.x)
-
-    def test_replay_with_lost_writes(self, system):
-        A, b = system
-        n = A.shape[0]
-        sim = AsyncSimulator(
-            A, b, delay_model=FixedDelay(6),
-            directions=DirectionStream(n, seed=3),
-            write_model=LossyWrites(loss_prob=0.8, seed=4),
-            record_trace=True,
-        )
-        out = sim.run(np.zeros(n), 800)
-        assert out.lost_writes > 0
-        replayed = replay_trace(out.trace, np.zeros(n))
-        np.testing.assert_allclose(replayed, out.x, rtol=1e-12, atol=1e-14)
 
     def test_replay_respects_beta(self, system):
         A, b = system

@@ -5,14 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    chi,
     epoch_length,
     nu_tau,
     omega_tau,
-    psi,
     synchronous_bound,
     theorem2_epoch_bound,
-    theorem2_free_bound,
     theorem4_epoch_bound,
 )
 
@@ -82,32 +79,6 @@ class TestBoundCurveProperties:
         curve = synchronous_bound(np.arange(30), beta, lam_min, n)
         assert np.all(curve > 0)
         assert np.all(np.diff(curve) <= 1e-15)
-
-    @given(
-        st.floats(0.2, 1.0),
-        st.floats(0.0001, 0.01),
-        st.integers(1, 12),
-        st.integers(100, 2000),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_free_bound_dominates_epoch_bound(self, beta, rho, tau, n):
-        """Never synchronizing is never better than the epoch scheme in
-        the bounds (the trade-off Theorem 2's discussion prices)."""
-        lam_min, lam_max = 0.2, 1.8
-        for r in (1, 3, 7):
-            free = float(theorem2_free_bound(r, beta, rho, tau, lam_min, lam_max, n))
-            epoch = float(theorem2_epoch_bound(r, beta, rho, tau, lam_min, lam_max))
-            assert free >= epoch - 1e-12
-
-    @given(st.floats(0.05, 1.0), st.floats(0.0001, 0.01), st.integers(1, 15))
-    @settings(max_examples=100, deadline=None)
-    def test_chi_psi_relation(self, beta, rho, tau):
-        """ψ carries one extra factor of τ relative to χ at matched
-        coefficients."""
-        n, lam = 500, 1.5
-        c = chi(beta, rho, tau, lam, n)
-        p = psi(beta, rho, tau, lam, n)
-        assert p == (tau * c) or abs(p - tau * c) < 1e-12 * max(1.0, abs(p))
 
     @given(st.floats(0.01, 10.0), st.integers(20, 10**6))
     @settings(max_examples=100, deadline=None)

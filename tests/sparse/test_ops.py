@@ -1,17 +1,15 @@
-"""Unit tests for sparse algebra: rescale, gram, matmul, add, permute."""
+"""Unit tests for sparse algebra: rescale, gram, matmul, add."""
 
 import numpy as np
 import pytest
 
-from repro.exceptions import NotPositiveDefiniteError, ShapeError, StructureError
+from repro.exceptions import NotPositiveDefiniteError, ShapeError
 from repro.sparse import (
     CSRMatrix,
     add,
-    apply_unit_diagonal_map,
     gram,
     matmul,
     max_abs_difference,
-    permute_symmetric,
     row_nnz_statistics,
     symmetric_rescale,
 )
@@ -62,26 +60,9 @@ class TestSymmetricRescale:
         z = np.linspace(1, 2, 6)
         y_direct = np.linalg.solve(dense, z)
         A, d = symmetric_rescale(B)
-        b = apply_unit_diagonal_map(d, b=z)
-        x = np.linalg.solve(A.to_dense(), b)
-        y = apply_unit_diagonal_map(d, x=x)
+        x = np.linalg.solve(A.to_dense(), z / d)
+        y = x / d
         np.testing.assert_allclose(y, y_direct, atol=1e-10)
-
-    def test_map_requires_exactly_one_argument(self):
-        with pytest.raises(ValueError):
-            apply_unit_diagonal_map(np.ones(2))
-        with pytest.raises(ValueError):
-            apply_unit_diagonal_map(np.ones(2), x=np.ones(2), b=np.ones(2))
-
-    def test_map_shape_check(self):
-        with pytest.raises(ShapeError):
-            apply_unit_diagonal_map(np.ones(2), x=np.ones(3))
-
-    def test_map_matrix_rhs(self):
-        d = np.array([2.0, 4.0])
-        X = np.ones((2, 3))
-        out = apply_unit_diagonal_map(d, x=X)
-        np.testing.assert_allclose(out, X / d[:, None])
 
 
 class TestGram:
@@ -169,34 +150,6 @@ class TestAdd:
     def test_max_abs_difference_identical(self):
         a = random_dense(5, 5, seed=17)
         assert max_abs_difference(make(a), make(a)) <= 1e-15
-
-
-class TestPermute:
-    def test_permutation_matches_dense(self):
-        a = spd_dense(6, seed=18)
-        perm = np.array([3, 1, 5, 0, 2, 4])
-        P = np.eye(6)[perm]  # rows of identity in old order
-        # permute_symmetric places old index perm[i] at new position i.
-        expected = a[np.ix_(perm, perm)]
-        np.testing.assert_allclose(
-            permute_symmetric(make(a), perm).to_dense(), expected, atol=1e-13
-        )
-        assert P is not None  # silence linter on intermediate
-
-    def test_identity_permutation(self):
-        a = spd_dense(4, seed=19)
-        np.testing.assert_allclose(
-            permute_symmetric(make(a), np.arange(4)).to_dense(), a, atol=1e-14
-        )
-
-    def test_invalid_permutation_rejected(self):
-        a = make(spd_dense(3, seed=20))
-        with pytest.raises(StructureError):
-            permute_symmetric(a, np.array([0, 0, 1]))
-
-    def test_rectangular_rejected(self):
-        with pytest.raises(ShapeError):
-            permute_symmetric(make(random_dense(2, 3, seed=1)), np.array([0, 1]))
 
 
 class TestRowStats:

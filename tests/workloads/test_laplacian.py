@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ModelError
-from repro.workloads import (
-    graph_laplacian,
-    laplacian_1d,
-    laplacian_2d,
-    laplacian_3d,
-    unit_diagonal,
-)
+from repro.workloads import laplacian_1d, laplacian_2d, laplacian_3d
 
 
 class TestGridLaplacians:
@@ -68,61 +62,3 @@ class TestGridLaplacians:
             laplacian_2d(0, 3)
         with pytest.raises(ModelError):
             laplacian_3d(2, 2, 0)
-
-
-class TestGraphLaplacian:
-    def test_path_graph_matches_1d(self):
-        edges = [(i, i + 1) for i in range(4)]
-        L = graph_laplacian(edges, 5, shift=0.0 + 1e-9)
-        expected = laplacian_1d(5).to_dense()
-        expected[0, 0] = 1.0 + 1e-9
-        expected[4, 4] = 1.0 + 1e-9
-        expected[1, 1] = 2.0 + 1e-9
-        expected[2, 2] = 2.0 + 1e-9
-        expected[3, 3] = 2.0 + 1e-9
-        np.testing.assert_allclose(L.to_dense(), expected, atol=1e-12)
-
-    def test_networkx_graph_accepted(self):
-        import networkx as nx
-
-        G = nx.cycle_graph(6)
-        L = graph_laplacian(G, 6, shift=0.01)
-        assert L.is_symmetric()
-        np.testing.assert_allclose(L.diagonal(), np.full(6, 2.01))
-
-    def test_weighted_edges(self):
-        L = graph_laplacian([(0, 1)], 2, shift=0.1, weights=[2.5])
-        np.testing.assert_allclose(
-            L.to_dense(), [[2.6, -2.5], [-2.5, 2.6]], atol=1e-12
-        )
-
-    def test_self_loops_ignored(self):
-        L = graph_laplacian([(0, 0), (0, 1)], 2, shift=0.1)
-        assert L.get(0, 0) == pytest.approx(1.1)
-
-    def test_spd_with_shift(self):
-        import networkx as nx
-
-        G = nx.random_regular_graph(3, 12, seed=1)
-        L = graph_laplacian(G, 12, shift=0.05)
-        np.linalg.cholesky(L.to_dense())
-
-    def test_validation(self):
-        with pytest.raises(ModelError):
-            graph_laplacian([], 0)
-        with pytest.raises(ModelError):
-            graph_laplacian([(0, 1)], 2, shift=0.0)
-        with pytest.raises(ModelError):
-            graph_laplacian([(0, 1)], 2, weights=[1.0, 2.0])
-        with pytest.raises(ModelError):
-            graph_laplacian([(0, 1)], 2, weights=[-1.0])
-
-
-class TestUnitDiagonal:
-    def test_rescales_to_unit(self):
-        A = unit_diagonal(laplacian_2d(4, 4))
-        assert A.has_unit_diagonal(tol=1e-12)
-
-    def test_preserves_spd(self):
-        A = unit_diagonal(laplacian_2d(4, 4))
-        np.linalg.cholesky(A.to_dense())
