@@ -37,3 +37,4 @@ def test_kernel_smoke(benchmark):
             for k in WIDTHS:
                 for path in pool_paths:
                     assert result.ns(name, k, path, kernel="updates") >= 0
+        assert result.ns("labels-block", 51, "native-stride2", kernel="updates") >= 0

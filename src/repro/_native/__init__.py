@@ -22,6 +22,17 @@ boundary, summing every row in index order, built with
   control words (a futex on Linux, a short-sleep poll elsewhere), bound
   by :class:`Gate`.
 
+The product, both residual checks and the segment's update form every
+row product ``A_r·x`` through one gather: over a run of adjacent
+columns, eight a pass, in four 16-byte registers (GCC/Clang generic
+vectors, no flag beyond ``-O2``), each column summed in index order by a
+separate multiply and add, so its bits are the plain scalar loop's.
+Columns that are not adjacent (a block's active set once columns
+retire, the columns a check re-measures) are gathered over their span,
+first to last, while that span is at most three times their count: the
+columns between are computed and dropped, never written. Sparser sets
+are gathered one column at a time.
+
 The first use builds the module in a child interpreter (cffi API
 mode), so the calling process never imports setuptools. The shared
 object is cached under ``$XDG_CACHE_HOME/repro/native/`` (else
@@ -176,21 +187,25 @@ class _Residuals:
             raise ValueError(f"x has {x.shape[1]} columns, b has {self.k}")
         cols = np.ascontiguousarray(cols, dtype=np.int64)
         ffi = self._ffi
+        buf = ffi.from_buffer
+        # The routines add into zeroed outputs; work holds one row's sums.
+        sq = np.zeros(cols.size)
         if self._normal:
-            out = np.empty((n, cols.size))
+            g = np.zeros((n, cols.size))
             head = (m, n, self.k)
+            outs = (buf("double[]", g), buf("double[]", sq))
         else:
-            out = np.empty(cols.size)
             head = (m, self.k)
+            outs = (buf("double[]", sq),)
         failed = self._routine(
             *head, *self._csr,
             ffi.cast("const double *", x.ctypes.data), ldx, self._b, self._ldb,
-            ffi.from_buffer("int64_t[]", cols), cols.size,
-            ffi.from_buffer("double[]", out),
+            buf("int64_t[]", cols), cols.size, *outs,
+            buf("double[]", np.empty(self.k)),
         )
         if failed:
             raise ValueError(f"columns must lie in [0, {self.k})")
-        return out
+        return (g, sq) if self._normal else sq
 
 
 def _bind_residuals(A, b, *, normal):
@@ -224,12 +239,13 @@ def normal_residuals(A, b):
     system ``(A, b)``, or ``None`` under the conditions of
     :func:`column_residuals`, whose arguments it takes.
 
-    Calling the result, ``g = residuals(x, cols)``, returns the
-    ``(A.shape[1], len(cols))`` block ``Aᵀ(b[:, cols] − A·x[:, cols])``
+    Calling the result, ``g, sq = residuals(x, cols)``, returns the
+    ``(A.shape[1], len(cols))`` block ``g = Aᵀ(b[:, cols] − A·x[:, cols])``
     from one pass over ``A``'s rows, bit for bit
     ``Aᵀ.matmat(b[:, cols] − A.matmat(x[:, cols]))`` (each entry sums in
-    the order of the transpose's row). ``x`` is read as
-    :func:`column_residuals` reads it.
+    the order of the transpose's row), and each column's ``Σ g²``
+    summed in row order. ``x`` is read as :func:`column_residuals`
+    reads it.
     """
     return _bind_residuals(A, b, normal=True)
 

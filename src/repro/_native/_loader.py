@@ -52,12 +52,12 @@ int column_residuals(int64_t nrows, int64_t k, const int64_t *indptr,
                      const int64_t *indices, const double *data,
                      const double *x, int64_t ldx, const double *b,
                      int64_t ldb, const int64_t *cols, int64_t ncols,
-                     double *out);
+                     double *out, double *work);
 int normal_residuals(int64_t nrows, int64_t n, int64_t k,
                      const int64_t *indptr, const int64_t *indices,
                      const double *data, const double *x, int64_t ldx,
                      const double *b, int64_t ldb, const int64_t *cols,
-                     int64_t ncols, double *g);
+                     int64_t ncols, double *g, double *sq, double *work);
 struct gate {
     int64_t *error;
     int64_t *start;

@@ -7,14 +7,11 @@
  *                     row_directions, its draws on their own);
  *   gate_*            the pools' start and end gates.
  *
- * CSR x dense block product.
- *
- * out[i, j] = sum over p in row i of data[p] * X[indices[p], j], for a
- * row-major (ncols, k) operand X and a row-major (nrows, k) result.
- * Each row is summed in index order, one accumulator per column, so
- * column j of the result depends on column j of X only: the product of
- * a column subset equals that subset of the full product, bit for bit.
- * Built with -ffp-contract=off so no a*x+s is fused into an FMA.
+ * The product, both checks and the segment's block update form their
+ * row products A_r x_c through one gather, gather(): each column summed
+ * in index order, one accumulator per column, so column c of a product
+ * depends on column c of x only. The sums are the plain loop's, bit for
+ * bit: built with -ffp-contract=off, no a*x+s is fused into an FMA.
  */
 
 #include <stdint.h>
@@ -26,6 +23,120 @@
 #include <unistd.h>
 #endif
 
+/* Two adjacent columns of one row in one 16-byte register (GCC and
+ * Clang generic vectors: SSE2 on x86-64, NEON on AArch64). */
+typedef double lanes2 __attribute__((vector_size(16)));
+
+/* Columns i and i + 1 of the row xr, or column i and a zero lane when
+ * i + 1 is not below w. An unaligned load; each lane is one aligned
+ * double, so a load never tears an element another thread writes. */
+static inline lanes2 load_lanes(const double *xr, int i, int w)
+{
+    lanes2 v = {xr[i], 0.0};
+    if (i + 1 < w)
+        __builtin_memcpy(&v, xr + i, sizeof v);
+    return v;
+}
+
+/* out[j] = sum over p in start..end-1 of data[p] * x[indices[p] * ldx + j]
+ * for j < w <= 8, in four registers. Each lane is a separate multiply
+ * and add, in index order: the scalar loop's bits. Inlined with a
+ * constant w; lanes past w are zero and never stored. */
+static inline __attribute__((always_inline)) void
+gather_pass(const int64_t *restrict indices, const double *restrict data,
+            int64_t start, int64_t end, const double *x, int64_t ldx,
+            int w, double *restrict out)
+{
+    if (w == 1) {  /* one column: a scalar register, fewer instructions */
+        double s = 0.0;
+        for (int64_t p = start; p < end; ++p)
+            s += data[p] * x[indices[p] * ldx];
+        *out = s;
+        return;
+    }
+    lanes2 s0 = {0.0, 0.0}, s1 = s0, s2 = s0, s3 = s0;
+    for (int64_t p = start; p < end; ++p) {
+        const double *xr = x + indices[p] * ldx;
+        const lanes2 a = {data[p], data[p]};
+        s0 += a * load_lanes(xr, 0, w);
+        if (w > 2)
+            s1 += a * load_lanes(xr, 2, w);
+        if (w > 4)
+            s2 += a * load_lanes(xr, 4, w);
+        if (w > 6)
+            s3 += a * load_lanes(xr, 6, w);
+    }
+    const double sums[8] = {s0[0], s0[1], s1[0], s1[1],
+                            s2[0], s2[1], s3[0], s3[1]};
+    for (int j = 0; j < w; ++j)
+        out[j] = sums[j];
+}
+
+/* out[j] = A_r x[:, j] for the w adjacent columns j < w of x (row
+ * stride ldx), over the row's entries start..end-1: eight columns a
+ * pass, the last pass (one to eight) by its width. Inlined, as is
+ * gather_listed: a call a row cost a third of AsyRK's check on 5-entry
+ * rows. x is not restrict: pool workers write it while others read. */
+static inline __attribute__((always_inline)) void
+gather(const int64_t *restrict indices, const double *restrict data,
+       int64_t start, int64_t end, const double *x, int64_t ldx, int64_t w,
+       double *restrict out)
+{
+    int64_t j = 0;
+    for (; w - j > 8; j += 8)
+        gather_pass(indices, data, start, end, x + j, ldx, 8, out + j);
+#define REST(n) \
+    case n: gather_pass(indices, data, start, end, x + j, ldx, n, out + j); break
+    switch (w - j) {
+    REST(8); REST(7); REST(6); REST(5); REST(4); REST(3); REST(2); REST(1);
+    }
+#undef REST
+}
+
+/* Listed columns are gathered over their span lo..hi (the columns
+ * between computed and dropped) while it is at most this many times
+ * their count, else one at a time: on 300-entry rows the span wins at
+ * 17 columns in 49 and loses at 13 in 49. */
+#define SPAN_LIMIT 3
+
+/* out[c - lo] = A_r x[:, c] for each listed column c = cols[q], q < n,
+ * all in lo..hi: over the span in one gather, or one gather a column
+ * (see SPAN_LIMIT). Only out[c - lo] of listed columns is defined. */
+static inline __attribute__((always_inline)) void
+gather_listed(const int64_t *restrict indices, const double *restrict data,
+              int64_t start, int64_t end, const double *x, int64_t ldx,
+              const int64_t *restrict cols, int64_t n, int64_t lo,
+              int64_t hi, double *restrict out)
+{
+    if (hi - lo + 1 <= SPAN_LIMIT * n) {
+        gather(indices, data, start, end, x + lo, ldx, hi - lo + 1, out);
+        return;
+    }
+    for (int64_t q = 0; q < n; ++q)
+        gather(indices, data, start, end, x + cols[q], ldx, 1,
+               out + cols[q] - lo);
+}
+
+/* The smallest and largest of n listed columns (hi < lo when n = 0,
+ * so nothing is gathered), or -1 when one is not in [0, k); else 0. */
+static int listed_span(const int64_t *cols, int64_t n, int64_t k,
+                       int64_t *lo, int64_t *hi)
+{
+    *lo = k;
+    *hi = -1;
+    for (int64_t q = 0; q < n; ++q) {
+        if (cols[q] < 0 || cols[q] >= k)
+            return -1;
+        *lo = cols[q] < *lo ? cols[q] : *lo;
+        *hi = cols[q] > *hi ? cols[q] : *hi;
+    }
+    return 0;
+}
+
+/* CSR x dense block product: out[i, j] = sum over p in row i of
+ * data[p] * X[indices[p], j], for a row-major (ncols, k) operand X and
+ * a row-major (nrows, k) result. The product of a column subset equals
+ * that subset of the full product, bit for bit. */
 void csr_matmat(int64_t nrows, int64_t k,
                 const int64_t *restrict indptr,
                 const int64_t *restrict indices,
@@ -33,55 +144,22 @@ void csr_matmat(int64_t nrows, int64_t k,
                 const double *restrict X,
                 double *restrict out)
 {
-    for (int64_t i = 0; i < nrows; ++i) {
-        const int64_t start = indptr[i], end = indptr[i + 1];
-        if (k == 1) {
-            /* One column (every matvec): a register accumulator instead
-             * of a load and store of out[i] per entry. Same sum in the
-             * same order, so bitwise the general loop's result, but 3-4x
-             * faster (labels-block matvec 354 -> 87 us, best of 200, one
-             * pinned x86-64 server core). */
-            double s = 0.0;
-            for (int64_t p = start; p < end; ++p)
-                s += data[p] * X[indices[p]];
-            out[i] = s;
-            continue;
-        }
-        double *restrict row = out + i * k;
-        for (int64_t j = 0; j < k; ++j)
-            row[j] = 0.0;
-        for (int64_t p = start; p < end; ++p) {
-            const double a = data[p];
-            const double *restrict xr = X + indices[p] * k;
-            /* Four columns per step: -O2 vectorizes this straight-line
-             * body but not the plain loop (2.4x faster at k = 51 on an
-             * x86-64 server core). Each column still sums in index
-             * order, so the result is bitwise that of the plain loop. */
-            int64_t j = 0;
-            for (; j + 4 <= k; j += 4) {
-                row[j] += a * xr[j];
-                row[j + 1] += a * xr[j + 1];
-                row[j + 2] += a * xr[j + 2];
-                row[j + 3] += a * xr[j + 3];
-            }
-            for (; j < k; ++j)
-                row[j] += a * xr[j];
-        }
-    }
+    for (int64_t i = 0; i < nrows; ++i)
+        gather(indices, data, indptr[i], indptr[i + 1], X, k, k, out + i * k);
 }
 
 /* The epoch-boundary residual check: for each listed column c =
- * cols[q], out[q] = sum over rows i of (b[i, c] - A_i x_c)^2, for the
- * (ncols, k) operand x and the (nrows, k) right-hand side b, each read
- * in place with its row stride (ldx, ldb elements) and unit column
- * stride: the live iterate block needs no copy of its request columns.
- * The rows are visited in order, each product summed in index order as
- * in csr_matmat. NumPy's norm of B - A X along axis 0 picks its own
- * order (row order on the few-hundred-row blocks measured at two or
- * more columns, where the sums agree bit for bit; pairwise on a lone
- * contiguous column), so the two agree to rounding, not bitwise.
- * Returns -1, computing nothing, when a listed column is not in [0, k);
- * else 0. */
+ * cols[q], out[q] += sum over rows i of (b[i, c] - A_i x_c)^2 into the
+ * caller's zeroed out, for the (ncols, k) operand x and the (nrows, k)
+ * right-hand side b, each read in place with its row stride (ldx, ldb
+ * elements) and unit column stride: the live iterate block needs no
+ * copy of its request columns. work holds k doubles. The rows are
+ * visited in order, each product summed in index order as in
+ * csr_matmat. NumPy's norm of B - A X along axis 0 picks its own order
+ * (row order at two or more columns, where the sums agree bit for bit;
+ * pairwise on a lone contiguous column), so the two agree to rounding,
+ * not bitwise. Returns -1, computing nothing, when a listed column is
+ * not in [0, k); else 0. */
 int column_residuals(int64_t nrows, int64_t k,
                      const int64_t *restrict indptr,
                      const int64_t *restrict indices,
@@ -89,47 +167,17 @@ int column_residuals(int64_t nrows, int64_t k,
                      const double *restrict x, int64_t ldx,
                      const double *restrict b, int64_t ldb,
                      const int64_t *restrict cols, int64_t ncols,
-                     double *restrict out)
+                     double *restrict out, double *restrict work)
 {
-    for (int64_t q = 0; q < ncols; ++q) {
-        if (cols[q] < 0 || cols[q] >= k)
-            return -1;
-        out[q] = 0.0;
-    }
+    int64_t lo, hi;
+    if (listed_span(cols, ncols, k, &lo, &hi))
+        return -1;
     for (int64_t i = 0; i < nrows; ++i) {
-        const int64_t start = indptr[i], end = indptr[i + 1];
         const double *br = b + i * ldb;
-        int64_t q = 0;
-        /* Four columns per pass over the row, their sums in registers:
-         * on a 300-row matrix with ~7.5 entries a row, at k = 8, this
-         * is 7.6 us against 11.8 us for update_block's scratch-array
-         * sums (best of 200, one pinned x86-64 core), and each column
-         * still sums in index order. */
-        for (; q + 4 <= ncols; q += 4) {
-            const int64_t c0 = cols[q], c1 = cols[q + 1];
-            const int64_t c2 = cols[q + 2], c3 = cols[q + 3];
-            double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-            for (int64_t p = start; p < end; ++p) {
-                const double a = data[p];
-                const double *xr = x + indices[p] * ldx;
-                s0 += a * xr[c0];
-                s1 += a * xr[c1];
-                s2 += a * xr[c2];
-                s3 += a * xr[c3];
-            }
-            const double r0 = br[c0] - s0, r1 = br[c1] - s1;
-            const double r2 = br[c2] - s2, r3 = br[c3] - s3;
-            out[q] += r0 * r0;
-            out[q + 1] += r1 * r1;
-            out[q + 2] += r2 * r2;
-            out[q + 3] += r3 * r3;
-        }
-        for (; q < ncols; ++q) {
-            const int64_t c = cols[q];
-            double s = 0.0;
-            for (int64_t p = start; p < end; ++p)
-                s += data[p] * x[indices[p] * ldx + c];
-            const double r = br[c] - s;
+        gather_listed(indices, data, indptr[i], indptr[i + 1], x, ldx, cols,
+                      ncols, lo, hi, work);
+        for (int64_t q = 0; q < ncols; ++q) {
+            const double r = br[cols[q]] - work[cols[q] - lo];
             out[q] += r * r;
         }
     }
@@ -138,13 +186,14 @@ int column_residuals(int64_t nrows, int64_t k,
 
 /* AsyRK's epoch-boundary check, the normal-equations residual: for
  * each listed column c = cols[q], g[j, q] = sum over rows i of
- * A[i, j] * (b[i, c] - A_i x_c), into the row-major (n, ncols) block g,
- * which this routine zeroes first. x (n rows) and b (nrows rows) are
- * read in place with their row strides, as in column_residuals. Each
- * row's residual is formed in index order, four columns at a time in
- * registers, then scattered over the row's support. Rows are visited in
- * order, so g[j, q] sums in the order of row j of the transpose:
- * g equals csr_matmat(A^T, b - csr_matmat(A, x)) bit for bit, with no
+ * A[i, j] * (b[i, c] - A_i x_c) and sq[q] = sum over j of g[j, q]^2 in
+ * row order, into the caller's zeroed row-major (n, ncols) block g and
+ * sq. x (n rows) and b (nrows rows) are read in place with their row
+ * strides, as in column_residuals; work holds k doubles. Each row's
+ * residual is formed by the gather, then scattered over the row's
+ * support four columns at a time in registers. Rows are visited in
+ * order, so g[j, q] sums in the order of row j of the transpose: g
+ * equals csr_matmat(A^T, b - csr_matmat(A, x)) bit for bit, with no
  * transpose and no copy of x. Returns -1, computing nothing, when a
  * listed column is not in [0, k); else 0. */
 int normal_residuals(int64_t nrows, int64_t n, int64_t k,
@@ -154,31 +203,23 @@ int normal_residuals(int64_t nrows, int64_t n, int64_t k,
                      const double *restrict x, int64_t ldx,
                      const double *restrict b, int64_t ldb,
                      const int64_t *restrict cols, int64_t ncols,
-                     double *restrict g)
+                     double *restrict g, double *restrict sq,
+                     double *restrict work)
 {
-    for (int64_t q = 0; q < ncols; ++q)
-        if (cols[q] < 0 || cols[q] >= k)
-            return -1;
-    for (int64_t t = 0; t < n * ncols; ++t)
-        g[t] = 0.0;
+    int64_t lo, hi;
+    if (listed_span(cols, ncols, k, &lo, &hi))
+        return -1;
     for (int64_t i = 0; i < nrows; ++i) {
         const int64_t start = indptr[i], end = indptr[i + 1];
         const double *br = b + i * ldb;
+        gather_listed(indices, data, start, end, x, ldx, cols, ncols, lo, hi,
+                      work);
         int64_t q = 0;
-        for (; q + 4 <= ncols; q += 4) {
-            const int64_t c0 = cols[q], c1 = cols[q + 1];
-            const int64_t c2 = cols[q + 2], c3 = cols[q + 3];
-            double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-            for (int64_t p = start; p < end; ++p) {
-                const double a = data[p];
-                const double *xr = x + indices[p] * ldx;
-                s0 += a * xr[c0];
-                s1 += a * xr[c1];
-                s2 += a * xr[c2];
-                s3 += a * xr[c3];
-            }
-            const double r0 = br[c0] - s0, r1 = br[c1] - s1;
-            const double r2 = br[c2] - s2, r3 = br[c3] - s3;
+        for (; q + 4 <= ncols; q += 4) {  /* four residuals in registers */
+            const double r0 = br[cols[q]] - work[cols[q] - lo];
+            const double r1 = br[cols[q + 1]] - work[cols[q + 1] - lo];
+            const double r2 = br[cols[q + 2]] - work[cols[q + 2] - lo];
+            const double r3 = br[cols[q + 3]] - work[cols[q + 3] - lo];
             for (int64_t p = start; p < end; ++p) {
                 const double a = data[p];
                 double *gr = g + indices[p] * ncols + q;
@@ -189,15 +230,14 @@ int normal_residuals(int64_t nrows, int64_t n, int64_t k,
             }
         }
         for (; q < ncols; ++q) {
-            const int64_t c = cols[q];
-            double s = 0.0;
-            for (int64_t p = start; p < end; ++p)
-                s += data[p] * x[indices[p] * ldx + c];
-            const double r = br[c] - s;
+            const double r = br[cols[q]] - work[cols[q] - lo];
             for (int64_t p = start; p < end; ++p)
                 g[indices[p] * ncols + q] += data[p] * r;
         }
     }
+    for (int64_t j = 0; j < n; ++j)
+        for (int64_t q = 0; q < ncols; ++q)
+            sq[q] += g[j * ncols + q] * g[j * ncols + q];
     return 0;
 }
 
@@ -348,85 +388,47 @@ static void add_atomic(double *xi, double v)
                                       __ATOMIC_RELAXED));
 }
 
-/* One update of row r on a lone column j: a register accumulator. */
-static void update_lone(const struct row_segment *s, int64_t r, int64_t j)
-{
-    const int64_t start = s->indptr[r], end = s->indptr[r + 1], k = s->k;
-    double *x = s->x;
-    double dot = 0.0;
-    for (int64_t p = start; p < end; ++p)
-        dot += s->data[p] * x[s->indices[p] * k + j];
-    const double gamma = (s->b[r * k + j] - dot) / s->norms[r];
-    if (!s->project) {
-        double *xg = x + (s->offset + r) * k + j;
-        if (s->atomic)
-            add_atomic(xg, s->beta * gamma);
-        else
-            *xg += s->beta * gamma;
-        return;
-    }
-    const double step = s->beta * gamma;
-    for (int64_t p = start; p < end; ++p)
-        x[s->indices[p] * k + j] += step * s->data[p];
-}
-
-/* One update of row r on nact >= 2 active columns act[0..nact): the
- * row entries outside, the columns inside, one accumulator per column
- * in acc. Each column still sums in index order. `prefix` says act is
- * 0..nact-1, so column j is read at j without the indirection. */
+/* One update of row r on nact >= 1 active columns act[0..nact), all
+ * in lo..hi: the gather leaves column c's sum in acc[c - lo], which
+ * then holds its gamma. */
 static void update_block(const struct row_segment *s, int64_t r,
-                         const int64_t *act, int64_t nact, int prefix)
+                         const int64_t *act, int64_t nact, int64_t lo,
+                         int64_t hi)
 {
     const int64_t start = s->indptr[r], end = s->indptr[r + 1], k = s->k;
     double *x = s->x;
     double *restrict acc = s->acc;
-    for (int64_t j = 0; j < nact; ++j)
-        acc[j] = 0.0;
-    for (int64_t p = start; p < end; ++p) {
-        const double a = s->data[p];
-        const double *xr = x + s->indices[p] * k;
-        int64_t j = 0;
-        /* Four columns per step, as in csr_matmat. */
-        if (prefix) {
-            for (; j + 4 <= nact; j += 4) {
-                acc[j] += a * xr[j];
-                acc[j + 1] += a * xr[j + 1];
-                acc[j + 2] += a * xr[j + 2];
-                acc[j + 3] += a * xr[j + 3];
-            }
-            for (; j < nact; ++j)
-                acc[j] += a * xr[j];
-        } else {
-            for (; j + 4 <= nact; j += 4) {
-                acc[j] += a * xr[act[j]];
-                acc[j + 1] += a * xr[act[j + 1]];
-                acc[j + 2] += a * xr[act[j + 2]];
-                acc[j + 3] += a * xr[act[j + 3]];
-            }
-            for (; j < nact; ++j)
-                acc[j] += a * xr[act[j]];
-        }
-    }
+    if (nact == 1)  /* one column: the scalar pass, inlined */
+        gather_pass(s->indices, s->data, start, end, x + lo, k, 1, acc);
+    else
+        gather_listed(s->indices, s->data, start, end, x, k, act, nact, lo,
+                      hi, acc);
     const double *br = s->b + r * k;
     const double norm = s->norms[r];
     for (int64_t j = 0; j < nact; ++j)
-        acc[j] = (br[act[j]] - acc[j]) / norm;
+        acc[act[j] - lo] = (br[act[j]] - acc[act[j] - lo]) / norm;
     if (!s->project) {
         double *xg = x + (s->offset + r) * k;
         if (s->atomic) {
             for (int64_t j = 0; j < nact; ++j)
-                add_atomic(xg + act[j], s->beta * acc[j]);
+                add_atomic(xg + act[j], s->beta * acc[act[j] - lo]);
         } else {
             for (int64_t j = 0; j < nact; ++j)
-                xg[act[j]] += s->beta * acc[j];
+                xg[act[j]] += s->beta * acc[act[j] - lo];
         }
+        return;
+    }
+    if (nact == 1) {  /* a lone column's step is beta * gamma */
+        const double step = s->beta * acc[0];
+        for (int64_t p = start; p < end; ++p)
+            x[s->indices[p] * k + lo] += step * s->data[p];
         return;
     }
     for (int64_t p = start; p < end; ++p) {
         const double step = s->beta * s->data[p];
         double *xr = x + s->indices[p] * k;
         for (int64_t j = 0; j < nact; ++j)
-            xr[act[j]] += step * acc[j];
+            xr[act[j]] += step * acc[act[j] - lo];
     }
 }
 
@@ -438,13 +440,12 @@ static void update_block(const struct row_segment *s, int64_t r,
 int64_t row_segment(const struct row_segment *s, const int64_t *act,
                     int64_t nact, int64_t done, int64_t target)
 {
-    for (int64_t j = 0; j < nact; ++j)
-        if (act[j] < 0 || act[j] >= s->k)
-            return -1;
+    int64_t lo, hi;
+    if (listed_span(act, nact, s->k, &lo, &hi))
+        return -1;
     struct philox_block blk = {-1, {0, 0, 0, 0}};
     const double *cdf = s->adaptive ? s->cdf : NULL;
     const int64_t wid = s->wid;
-    const int prefix = nact > 0 && act[nact - 1] == nact - 1;
     int64_t *log = s->delay_log + wid * s->log_capacity;
     for (; done < target; ) {
         const int64_t r = draw_row(&blk, s->key0, s->key1, s->n_rows, wid,
@@ -452,10 +453,8 @@ int64_t row_segment(const struct row_segment *s, const int64_t *act,
         /* Ticket before the read: everything committed after this and
          * before our own commit raced with us. */
         const int64_t before = committed(s);
-        if (nact == 1)
-            update_lone(s, r, act[0]);
-        else if (nact > 1)
-            update_block(s, r, act, nact, prefix);
+        if (nact > 0)
+            update_block(s, r, act, nact, lo, hi);
         ++done;
         __atomic_store_n(&s->progress[wid], done, __ATOMIC_RELAXED);
         s->row_nnz[wid] += s->indptr[r + 1] - s->indptr[r];

@@ -22,8 +22,10 @@ where scipy is installed.
   divided by its rows: what one update would cost at compiled speed).
   A pool cell is the best of 5 runs of a fixed number of updates, less
   the best of 20 one-update runs (the fixed cost of an epoch), per
-  update; in nanoseconds. Where the kernel cannot be built there are
-  no pools, and only the scipy rows.
+  update; in nanoseconds. One more cell (``native-stride2``) runs
+  ``labels-block`` at width 51 with every other column active, the
+  scattered layout retirement leaves. Where the kernel cannot be built
+  there are no pools, and only the scipy rows.
 """
 
 from __future__ import annotations
@@ -136,17 +138,31 @@ def _best_ns(product: Callable[[np.ndarray], np.ndarray], X, repeats: int) -> in
     return int(best)
 
 
-def _update_ns(A: CSRMatrix, k: int, atomic: bool) -> int:
+#: The scattered cell: matrix, width and active columns.
+STRIDE2 = ("labels-block", 51, np.arange(0, 51, 2))
+
+
+def _update_ns(A: CSRMatrix, k: int, atomic: bool, active=None) -> int:
     """Nanoseconds per update of a one-worker pool on ``A`` at width
-    ``k``, with plain or atomic writes."""
+    ``k``, with plain or atomic writes, on the columns ``active`` (all
+    by default; the others are retired before the run)."""
     method = "asyrgs" if A.shape[0] == A.shape[1] else "asyrk"
     B = A.matmat(np.ones((A.shape[1], k)))
+    retired = [] if active is None else np.setdiff1d(np.arange(k), active)
     with make_solver(method, A, B, nproc=1, atomic=atomic) as solver:
+
+        def run(updates: int) -> float:
+            with solver._engine() as pool:
+                pool.begin(np.zeros((solver.x_rows, k)), B)
+                pool.retire_columns(retired)
+                pool.advance(updates)
+                return pool.wall_time
+
         updates = UPDATE_SWEEPS * solver.n_rows
-        solver.run(None, updates)  # warm the worker's code paths
-        run = min(solver.run(None, updates).wall_time for _ in range(UPDATE_REPEATS))
-        epoch = min(solver.run(None, 1).wall_time for _ in range(EPOCH_REPEATS))
-    return int(round(max(run - epoch, 0.0) / (updates - 1) * 1e9))
+        run(updates)  # warm the worker's code paths
+        best = min(run(updates) for _ in range(UPDATE_REPEATS))
+        epoch = min(run(1) for _ in range(EPOCH_REPEATS))
+    return int(round(max(best - epoch, 0.0) / (updates - 1) * 1e9))
 
 
 def run_kernel(*, persist: bool = True) -> KernelResult:
@@ -188,6 +204,9 @@ def run_kernel(*, persist: bool = True) -> KernelResult:
                 updates.append(dict(cell, path="native", ns=_update_ns(A, k, False)))
                 if A.shape[0] == A.shape[1]:
                     updates.append(dict(cell, path="atomic", ns=_update_ns(A, k, True)))
+                if (name, k) == STRIDE2[:2]:
+                    ns = _update_ns(A, k, False, STRIDE2[2])
+                    updates.append(dict(cell, path="native-stride2", ns=ns))
             if sp is not None:  # the scipy product just timed, per row
                 ns = rows[-1]["ns"] / A.shape[0]
                 updates.append(dict(cell, path="scipy", ns=int(round(ns))))

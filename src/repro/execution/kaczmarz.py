@@ -57,10 +57,20 @@ from .. import _native
 from ..exceptions import ModelError
 from ..sparse import CSRMatrix
 from ..validation import check_rhs
-from .epochs import ColumnFold, column_norms, vector_norm
+from .epochs import ColumnFold, checked_norms, column_norms, vector_norm
 from .pool import PoolSolver, require_kernel
 
 __all__ = ["AsyRK", "LeastSquaresTracker"]
+
+
+def _norms(g: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """:func:`~repro.execution.epochs.column_norms` of the block ``g``
+    from the native pass's squared sums ``sq``, summed in row order as
+    NumPy sums two or more columns along axis 0. NumPy sums a lone
+    column pairwise, so that one is summed there."""
+    if g.shape[1] == 1:
+        return column_norms(g)
+    return checked_norms(sq, lambda i: g[:, i])
 
 
 class LeastSquaresTracker(ColumnFold):
@@ -90,11 +100,13 @@ class LeastSquaresTracker(ColumnFold):
                 f"the normal-equations check needs real matrix data, got {A.data.dtype}"
             )
         cols = np.arange(self._normal.k)
-        g = self._normal(x0, cols)
+        g, sq = self._normal(x0, cols)
         # At x0 = 0, every served request, Aᵀ(b − A x0) is Aᵀb bit for bit.
-        denom_g = g if not x0.any() else self._normal(np.zeros_like(x0), cols)
-        denom = column_norms(denom_g)
-        num = denom.copy() if denom_g is g else column_norms(g)
+        denom_g, denom_sq = (
+            (g, sq) if not x0.any() else self._normal(np.zeros_like(x0), cols)
+        )
+        denom = _norms(denom_g, denom_sq)
+        num = denom.copy() if denom_g is g else _norms(g, sq)
         # A column with Aᵀb = 0 is judged on its absolute residual.
         self._denom = np.where(denom > 0, denom, 1.0)
         super().__init__(
@@ -107,7 +119,7 @@ class LeastSquaresTracker(ColumnFold):
         last measured residual — they are frozen in the pool too."""
         recheck = self.active() if retire else np.arange(self.k)
         if recheck.size:
-            num = column_norms(self._normal(x, recheck))
+            num = _norms(*self._normal(x, recheck))
             self.num[recheck] = num
             self.col[recheck] = num / self._denom[recheck]
         return self.fold(sweeps_done, retire)

@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 from repro import _native
-from repro.execution.kaczmarz import LeastSquaresTracker
+from repro.execution.epochs import column_norms
+from repro.execution.kaczmarz import LeastSquaresTracker, _norms
 from repro.workloads import random_least_squares
 
 from ..conftest import needs_native
+from ..execution.test_row_segment import SELECTIONS as SEGMENT_SELECTIONS
 
 pytestmark = needs_native
 
@@ -46,8 +48,9 @@ def _system(k: int, capacity: int, seed: int = 0):
     return rng.standard_normal((M, k)), rng.standard_normal((N, capacity))[:, :k]
 
 
-#: ``(k, listed columns)``: whole blocks, prefix and gapped subsets (four
-#: columns at a time and the remainder), a lone column, one column in all.
+#: ``(k, listed columns)``: whole blocks, prefix and gapped subsets, a
+#: lone column, one column in all, and every column set the gather the
+#: kernels share distinguishes (those of the segment kernel's test).
 SELECTIONS = {
     "k8-all": (8, list(range(8))),
     "k8-prefix": (8, [0, 1, 2, 3, 4]),
@@ -55,6 +58,7 @@ SELECTIONS = {
     "k8-lone": (8, [5]),
     "k1": (1, [0]),
     "k13-all": (13, list(range(13))),
+    **SEGMENT_SELECTIONS,
 }
 
 
@@ -65,14 +69,29 @@ def test_pass_is_the_formula_bit_for_bit(name, extra):
     ``capacity_k`` block, read in place with its row stride."""
     k, cols = SELECTIONS[name]
     b, x = _system(k, k + extra)
-    g = _native.normal_residuals(A, b)(x, np.asarray(cols))
+    g, _ = _native.normal_residuals(A, b)(x, np.asarray(cols))
     assert g.shape == (N, len(cols))
     np.testing.assert_array_equal(g, oracle(b, x, cols))
 
 
+@pytest.mark.parametrize("name", list(SELECTIONS))
+def test_squared_sums_give_numpy_s_norms(name):
+    """The pass also returns each column's ``Σ g²``, in row order: at
+    two or more columns NumPy's axis-0 sum, bit for bit. The tracker's
+    norms from it equal ``column_norms(g)``, the formula it replaced, on
+    every selection (a lone column, which NumPy sums pairwise, is summed
+    there)."""
+    k, cols = SELECTIONS[name]
+    b, x = _system(k, k + 3)
+    g, sq = _native.normal_residuals(A, b)(x, np.asarray(cols))
+    if len(cols) > 1:
+        np.testing.assert_array_equal(sq, (g * g).sum(axis=0))
+    np.testing.assert_array_equal(_norms(g, sq), column_norms(g))
+
+
 def test_vector_b_is_a_one_column_block():
     b, x = _system(1, 3)
-    g = _native.normal_residuals(A, b[:, 0])(x[:, 0], np.array([0]))
+    g, _ = _native.normal_residuals(A, b[:, 0])(x[:, 0], np.array([0]))
     want = AT.matvec(b[:, 0] - A.matvec(np.ascontiguousarray(x[:, 0])))
     np.testing.assert_array_equal(g[:, 0], want)
 
@@ -81,9 +100,9 @@ def test_zero_b_column():
     b, x = _system(5, 8)
     b[:, 2] = 0.0
     cols = np.arange(5)
-    g = _native.normal_residuals(A, b)(x, cols)
+    g, _ = _native.normal_residuals(A, b)(x, cols)
     np.testing.assert_array_equal(g, oracle(b, x, cols))
-    assert not np.any(_native.normal_residuals(A, b)(np.zeros((N, 5)), cols)[:, 2])
+    assert not np.any(_native.normal_residuals(A, b)(np.zeros((N, 5)), cols)[0][:, 2])
 
 
 def test_columns_outside_the_block_are_refused():

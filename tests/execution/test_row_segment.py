@@ -5,7 +5,7 @@ A pool worker runs each epoch segment in one call of
 driven here on the pool's own buffer layout, held in a plain
 ``bytearray``, with the CSR arrays beside it (no pool threads).
 
-Three pins:
+Four pins:
 
 * **The draws.** ``repro._native.row_directions`` is the routine the
   kernel draws with. It must equal ``DirectionStream.for_processor``
@@ -20,6 +20,11 @@ Three pins:
 * **Atomic writes.** With ``atomic`` the coordinate rule adds through a
   compare-exchange that, with no other writer, succeeds at once: the
   iterate and every counter equal the plain writes' bitwise.
+* **The gather.** Every selection is one case of the gather all the
+  kernels share. Retired columns inside a gathered span that hold NaN
+  and inf leave every other bit of the iterate as it was, and AsyRGS's
+  residual check (``column_residuals``) sums each selection to the bits
+  of an index-order Python-float reference.
 """
 
 import threading
@@ -41,9 +46,14 @@ pytestmark = needs_native
 
 N_ROWS, X_ROWS, NNZ_PER_ROW, DRAWS, BETA = 12, 20, 4, 90, 0.9
 
-#: name → (k, active columns). Every column selection the kernel
-#: distinguishes: a lone column (one register accumulator), a leading
-#: prefix (columns read without the indirection) and a masked set.
+#: name → (k, active columns). Every case of the kernels' one gather
+#: (``gather`` in ``csr.c``, eight adjacent columns a pass): a lone
+#: column (its scalar pass); adjacent runs of less than a pass, of whole
+#: passes and of passes plus a remainder (full widths 9, 17 and 51, a
+#: prefix one column past a pass); scattered sets whose span is at most
+#: ``SPAN_LIMIT`` (3) times their count, gathered over the span with the
+#: columns between computed and dropped ("narrow-masked" at the limit);
+#: and scattered sets beyond it, gathered one column at a time.
 SELECTIONS = {
     "k1": (1, [0]),
     "lone": (8, [5]),
@@ -51,7 +61,19 @@ SELECTIONS = {
     "full": (8, list(range(8))),
     "wide-masked": (8, [0, 2, 3, 5, 6, 7]),
     "narrow-masked": (8, [1, 6]),
+    "full9": (9, list(range(9))),
+    "full17": (17, list(range(17))),
+    "full51": (51, list(range(51))),
+    "prefix-past-pass": (17, list(range(9))),
+    "in-span": (17, [2, 3, 5, 8, 9, 12, 13]),
+    "in-span-stride2": (51, list(range(0, 51, 2))),  # retirement's layout
+    "past-span": (17, [0, 8, 16]),
+    "past-span-wide": (51, [1, 4, 20, 21, 22, 40, 50]),
 }
+
+#: A scattered set inside the span rule whose retired columns 4 and 10,
+#: inside the gathered span, hold NaN and inf.
+POISONED = (17, [2, 3, 5, 8, 9, 12, 13], {4: np.nan, 10: np.inf})
 
 #: A worker that is not the first of several: strided stream positions.
 WID, NPROC = 1, 3
@@ -268,6 +290,60 @@ def test_segment_against_references(name, project, offset, adaptive):
     _assert_counters(v, want_counters)
     assert v["progress"][WID] == v["delay_count"][WID] == DRAWS
     assert v["row_nnz"][WID] == DRAWS * NNZ_PER_ROW
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("project", [False, True], ids=["coordinate", "projection"])
+def test_retired_columns_inside_the_span_are_dropped(project):
+    """The lanes of retired columns inside a gathered span are computed
+    and dropped: NaN and inf there change no active column's bits, and
+    the retired columns keep theirs."""
+    k, act, poison = POISONED
+    v = _segment(k, act, adaptive=False)
+    want = _reference_x(_segment(k, act, adaptive=False), act, offset=0,
+                        project=project, adaptive=False)
+    for c, value in poison.items():
+        v["x"][:, c] = want[:, c] = value
+    _run(v, offset=0, project=project, adaptive=False)
+    assert np.array_equal(_bits(v["x"]), _bits(want))
+
+
+def _reference_residuals(v, cols):
+    """``Σ_i (b[i, c] − A_i·x[:, c])²`` for each column ``c`` of
+    ``cols``, rows in order and each product in index order, with
+    Python floats."""
+    indptr, indices, data = v["indptr"], v["indices"], v["data"]
+    out = []
+    for c in cols:
+        total = 0.0
+        for i in range(N_ROWS):
+            dot = 0.0
+            for p in range(int(indptr[i]), int(indptr[i + 1])):
+                dot += float(data[p]) * float(v["x"][indices[p], c])
+            r = float(v["b"][i, c]) - dot
+            total += r * r
+        out.append(total)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("extra", [0, 5], ids=["contiguous", "request-view"])
+@pytest.mark.parametrize("name", [*SELECTIONS, "poisoned"])
+def test_column_residuals_bit_for_bit(name, extra):
+    """AsyRGS's residual check runs the same gather: on every selection
+    its sums are the index-order reference's bits, read in place from
+    the leading columns of a wider block when ``extra > 0``."""
+    k, cols, poison = POISONED if name == "poisoned" else (*SELECTIONS[name], {})
+    v = _segment(k, cols, adaptive=False)
+    for c, value in poison.items():
+        v["x"][:, c] = value
+    block = np.zeros((X_ROWS, k + extra))
+    block[:, :k] = v["x"]
+    A = CSRMatrix((N_ROWS, X_ROWS), v["indptr"], v["indices"], v["data"])
+    got = _native.column_residuals(A, v["b"])(block[:, :k], np.asarray(cols))
+    assert np.array_equal(_bits(got), _bits(_reference_residuals(v, cols)))
 
 
 @pytest.mark.parametrize("adaptive", [False, True], ids=["uniform", "adaptive"])

@@ -99,9 +99,12 @@ def test_column_tracker_norms_are_exact(native):
 
 
 @needs_native
+@pytest.mark.filterwarnings("error:overflow encountered in multiply:RuntimeWarning")
 def test_least_squares_tracker_norms_are_exact():
     """On ``A = [I; I]`` and ``b = [B; B]``: ``Aᵀb = 2B``, and at
-    ``x = B/2`` the normal-equations residual is ``B`` exactly."""
+    ``x = B/2`` the normal-equations residual is ``B`` exactly. Each
+    column's ``Σ g²`` comes from the native pass, so NumPy squares no
+    overflowing ``g``."""
     A = CSRMatrix.from_dense(np.vstack([np.eye(N), np.eye(N)]))
     b = np.vstack([B, B])
     tracker = LeastSquaresTracker(A, np.zeros_like(B), b, 1e-6)
