@@ -43,8 +43,9 @@ concurrently, like traffic — are multiplexed onto it by
    family included) in the Prometheus text format that
    ``GET /v1/metrics`` serves.
 
-The same servers speak JSON lines on stdin or TCP via ``repro serve``,
-and HTTP/1.1 via ``repro serve --http PORT``::
+``repro serve`` puts the gateway of step 6 behind JSON lines on stdin
+or TCP, and HTTP/1.1 with ``--http PORT`` (a lone ``--problem`` is
+registered as the matrix ``"default"``)::
 
     repro serve --matrix labels=social-labels --matrix lap=laplace2d \\
         --max-wait 0.005 --http 8080 &

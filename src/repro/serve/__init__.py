@@ -9,8 +9,10 @@ applied to live traffic — with per-request retirement, latency stats,
 crash containment, and one linger window (``max_wait``) deciding which
 requests share a block. :class:`MatrixRegistry` routes
 requests across several named resident matrices with lazily-spawned,
-LRU-evicted per-matrix pools. :mod:`repro.serve.frontend` exposes
-either over stdin JSON-lines, TCP, and HTTP/1.1 (``repro serve``).
+LRU-evicted per-matrix pools, one :class:`SolverServer` each.
+:mod:`repro.serve.frontend` exposes a registry over stdin JSON-lines,
+TCP, and HTTP/1.1 (``repro serve``, which registers a lone matrix as
+``"default"``).
 
 Observability and caching: every response carries a ``trace_id``
 (minted per request at :func:`~repro.serve.protocol.parse_line` or

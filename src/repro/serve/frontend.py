@@ -1,8 +1,8 @@
-"""Front-ends for :class:`~repro.serve.SolverServer` and
-:class:`~repro.serve.MatrixRegistry`.
+"""The front door of a :class:`~repro.serve.MatrixRegistry`.
 
 Three transports, one protocol (:mod:`repro.serve.protocol`), one
-submission path (:func:`handle_line`):
+submission path (:func:`handle_line`), one server: the registry.
+``repro serve`` registers even a lone matrix, as ``"default"``.
 
 * :func:`serve_stream` — JSON-lines on any readable/writable text pair
   (``repro serve`` wires it to stdin/stdout). Requests are submitted the
@@ -11,9 +11,9 @@ submission path (:func:`handle_line`):
   order while the reader keeps feeding the queue.
 * :func:`make_tcp_server` — the same per-connection loop on a threading
   TCP server (``repro serve --port``). Each connection gets its own
-  reader/writer pair; all connections share the one solver pool, so
+  reader/writer pair; all connections share the registry's pools, so
   concurrent clients batch together exactly like concurrent threads
-  calling :meth:`SolverServer.submit`.
+  calling :meth:`MatrixRegistry.submit`.
 * :func:`make_http_server` — the same payloads over HTTP/1.1
   (``repro serve --http``): ``POST /v1/solve`` carries one request
   object per body, ``GET /v1/stats`` and ``GET /v1/matrices`` expose
@@ -68,44 +68,23 @@ __all__ = [
 _EOF = object()
 
 
-def _registry_only(server, verb: str):
-    raise ServeError(
-        f"the {verb!r} verb needs a matrix registry front door, but this "
-        "server hosts a single resident matrix (run `repro serve "
-        "--matrix NAME=SPEC` or serve a MatrixRegistry)"
-    )
-
-
-def _run_verb(server, op: str, payload: dict) -> str:
-    """Execute one control verb against the server (a bare
-    :class:`SolverServer` or a :class:`MatrixRegistry` — duck-typed on
-    the handful of methods the verbs need)."""
-    request_id = payload.get("request_id")
-    trace_id = payload.get("trace_id")
+def _run_verb(registry, op: str, payload: dict) -> str:
+    """Execute one control verb against the registry."""
     if op == "register":
-        register = getattr(server, "register_spec", None)
-        if register is None:
-            _registry_only(server, op)
-        info = register(
+        info = registry.register_spec(
             payload["matrix"],
             problem=payload.get("problem"),
             path=payload.get("path"),
             method=payload.get("method"),
             shards=payload.get("shards"),
         )
-        return encode_info(request_id, info, trace_id)
-    if op == "stats":
-        return encode_info(
-            request_id, server.stats_payload(payload.get("matrix")), trace_id
-        )
-    if op == "metrics":
-        return encode_info(
-            request_id, {"metrics": render_metrics(server)}, trace_id
-        )
-    # matrices
-    return encode_info(
-        request_id, {"matrices": server.matrices_payload()}, trace_id
-    )
+    elif op == "stats":
+        info = registry.stats_payload(payload.get("matrix"))
+    elif op == "metrics":
+        info = {"metrics": render_metrics(registry)}
+    else:  # matrices
+        info = {"matrices": registry.matrices_payload()}
+    return encode_info(payload.get("request_id"), info, payload.get("trace_id"))
 
 
 class _Reply:
@@ -128,7 +107,7 @@ class _Reply:
         return text
 
 
-def handle_line(server, line: str):
+def handle_line(registry, line: str):
     """Parse one protocol line, act on it, and return a zero-argument
     callable producing the response text; once called, its ``ok`` is
     the reply's ``ok`` field.
@@ -159,11 +138,11 @@ def handle_line(server, line: str):
         )
         return _Reply.ready(False, text)
     if op == "register":
-        return _Reply.ready(*_verb_reply(server, op, payload))
+        return _Reply.ready(*_verb_reply(registry, op, payload))
     if op != "solve":
-        return _Reply(lambda: _verb_reply(server, op, payload))
+        return _Reply(lambda: _verb_reply(registry, op, payload))
     try:
-        handle = server.submit(**payload)
+        handle = registry.submit(**payload)
     except Exception as exc:  # shape/dtype violations, closed server
         # The line parsed, so its id and trace are trustworthy — echo
         # them (this is the broken-server fast-fail path, among others).
@@ -184,22 +163,21 @@ def handle_line(server, line: str):
     return _Reply(_resolve)
 
 
-def _verb_reply(server, op: str, payload: dict) -> tuple[bool, str]:
+def _verb_reply(registry, op: str, payload: dict) -> tuple[bool, str]:
     """``(ok, text)`` of one control verb; a failure (an unknown problem
-    or matrix, a single-matrix server, a closed registry) is an error
-    reply."""
+    or matrix, a closed registry) is an error reply."""
     try:
-        return True, _run_verb(server, op, payload)
+        return True, _run_verb(registry, op, payload)
     except Exception as exc:
         return False, encode_error(
             payload.get("request_id"), exc, payload.get("trace_id")
         )
 
 
-def _pump(server, lines, out) -> int:
-    """The shared JSON-lines loop: submit each line immediately via
-    :func:`handle_line`, emit responses in submission order from a
-    writer thread.
+def serve_stream(registry, in_stream, out_stream) -> int:
+    """Serve JSON-lines requests from ``in_stream`` until EOF: submit
+    each line immediately via :func:`handle_line`, emit responses on
+    ``out_stream`` in submission order from a writer thread.
 
     Submitting before the previous result is written is what lets a
     burst of lines coalesce into one batch. Returns the number of lines
@@ -225,8 +203,8 @@ def _pump(server, lines, out) -> int:
             if broken:
                 continue
             try:
-                out.write(line + "\n")
-                out.flush()
+                out_stream.write(line + "\n")
+                out_stream.flush()
             except (OSError, ValueError):
                 broken = True
 
@@ -234,35 +212,25 @@ def _pump(server, lines, out) -> int:
     writer.start()
     handled = 0
     try:
-        for raw in lines:
+        for raw in in_stream:
             line = raw.strip()
             if not line:
                 continue
             handled += 1
-            fifo.put(handle_line(server, line))
+            fifo.put(handle_line(registry, line))
     finally:
         fifo.put(_EOF)
         writer.join()
     return handled
 
 
-def serve_stream(server, in_stream, out_stream) -> int:
-    """Serve JSON-lines requests from ``in_stream`` until EOF.
-
-    Returns the number of request lines handled. Responses appear on
-    ``out_stream`` in submission order; the stream stays open across
-    malformed lines (they get ``ok: false`` responses).
-    """
-    return _pump(server, in_stream, out_stream)
-
-
-def make_tcp_server(server, host: str = "127.0.0.1", port: int = 0):
+def make_tcp_server(registry, host: str = "127.0.0.1", port: int = 0):
     """A threading TCP server speaking the JSON-lines protocol.
 
     Returns the ``socketserver.ThreadingTCPServer``; the caller runs
     ``serve_forever()`` (and ``shutdown()``/``server_close()`` to stop).
     ``port=0`` binds an ephemeral port — read ``server_address`` for the
-    actual one. Every connection shares the one solver pool.
+    actual one. Every connection shares the registry's pools.
     """
 
     class _Handler(socketserver.StreamRequestHandler):
@@ -277,7 +245,7 @@ def make_tcp_server(server, host: str = "127.0.0.1", port: int = 0):
             )
             out = _SocketWriter(self.wfile)
             try:
-                _pump(server, reader, out)
+                serve_stream(registry, reader, out)
             except (BrokenPipeError, ConnectionResetError):
                 pass  # client went away mid-stream; nothing to answer
 
@@ -288,7 +256,7 @@ def make_tcp_server(server, host: str = "127.0.0.1", port: int = 0):
     return _Server((host, int(port)), _Handler)
 
 
-def make_http_server(server, host: str = "127.0.0.1", port: int = 0):
+def make_http_server(registry, host: str = "127.0.0.1", port: int = 0):
     """An HTTP/1.1 front-end speaking the same JSON payloads.
 
     Routes:
@@ -306,6 +274,11 @@ def make_http_server(server, host: str = "127.0.0.1", port: int = 0):
       scrape job straight at it. The response carries the request's
       trace id in an ``X-Trace-Id`` header (the body is not JSON).
 
+    Every other reply, the standard library's own refusals (a garbled
+    request line, an unknown method) included, is the JSON error
+    envelope with a trace id. An unreadable ``Content-Length`` is a 400
+    that closes the connection.
+
     Returns the ``http.server.ThreadingHTTPServer``; the caller runs
     ``serve_forever()`` (and ``shutdown()``/``server_close()`` to
     stop). ``port=0`` binds an ephemeral port. Handler threads submit
@@ -316,9 +289,27 @@ def make_http_server(server, host: str = "127.0.0.1", port: int = 0):
     class _Handler(http.server.BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         server_version = "repro-serve"
+        error_content_type = "application/json"
 
         def log_message(self, format, *args):  # noqa: A002 - stdlib name
             pass  # the CLI's stderr is the server's log, not access lines
+
+        def send_error(self, code, message=None, explain=None):
+            # The library's own error replies carry the JSON envelope as
+            # their whole "format"; the library keeps its rules for
+            # which replies have a body and for closing the connection.
+            text = encode_error(
+                None,
+                ServeError(message or self.responses[code][0]),
+                mint_trace_id(),
+            )
+            self.error_message_format = text.replace("%", "%%")
+            super().send_error(code, message, explain)
+
+        def _refuse(self, status: int, message: str) -> None:
+            self._respond(
+                status, encode_error(None, ServeError(message), mint_trace_id())
+            )
 
         def _respond(self, status: int, text: str) -> None:
             body = text.encode("utf-8")
@@ -337,7 +328,7 @@ def make_http_server(server, host: str = "127.0.0.1", port: int = 0):
             # header since there is no JSON envelope to echo it in.
             trace_id = mint_trace_id()
             try:
-                text = render_metrics(server)
+                text = render_metrics(registry)
             except Exception as exc:  # snapshot failure: JSON error body
                 self._respond(500, encode_error(None, exc, trace_id))
                 return
@@ -352,20 +343,23 @@ def make_http_server(server, host: str = "127.0.0.1", port: int = 0):
         def do_POST(self):
             # Drain the body before any response: unread bytes would be
             # parsed as the next request line on a keep-alive connection.
-            length = int(self.headers.get("Content-Length") or 0)
-            body = self.rfile.read(length).decode("utf-8", errors="replace")
+            length = self.headers.get("Content-Length", "0").strip()
+            try:
+                if not (length.isascii() and length.isdigit()):
+                    raise ValueError(length)
+                body = self.rfile.read(int(length))
+            except (ValueError, OverflowError, MemoryError):
+                # send_error closes the connection: with the body's
+                # extent unknown, the next request cannot be found.
+                self.send_error(400, f"unreadable Content-Length {length!r}")
+                return
             path = urllib.parse.urlsplit(self.path).path
             if path != "/v1/solve":
-                self._respond(
-                    404,
-                    encode_error(
-                        None,
-                        ServeError(f"no such route {path!r}"),
-                        mint_trace_id(),
-                    ),
-                )
+                self._refuse(404, f"no such route {path!r}")
                 return
-            self._respond_line(handle_line(server, body))
+            self._respond_line(
+                handle_line(registry, body.decode("utf-8", errors="replace"))
+            )
 
         def do_GET(self):
             split = urllib.parse.urlsplit(self.path)
@@ -380,16 +374,9 @@ def make_http_server(server, host: str = "127.0.0.1", port: int = 0):
             elif split.path == "/v1/matrices":
                 request = {"op": "matrices"}
             else:
-                self._respond(
-                    404,
-                    encode_error(
-                        None,
-                        ServeError(f"no such route {split.path!r}"),
-                        mint_trace_id(),
-                    ),
-                )
+                self._refuse(404, f"no such route {split.path!r}")
                 return
-            self._respond_line(handle_line(server, wire.dumps(request).decode()))
+            self._respond_line(handle_line(registry, wire.dumps(request).decode()))
 
     class _Server(http.server.ThreadingHTTPServer):
         allow_reuse_address = True
@@ -399,7 +386,7 @@ def make_http_server(server, host: str = "127.0.0.1", port: int = 0):
 
 
 class _SocketWriter:
-    """Adapt a binary socket file to the text writer `_pump` expects."""
+    """Adapt a binary socket file to a text writer."""
 
     def __init__(self, wfile):
         self._wfile = wfile

@@ -14,8 +14,8 @@ the registry folds it and ``/v1/metrics`` exports it.
 samples), which ``GET /v1/metrics`` and the ``metrics`` wire verb
 return. Every family is ``repro_``-prefixed; counters are
 ``_total``-suffixed, everything else is a gauge. Per-matrix families
-are labeled by resident matrix (``matrix="lap"``; a bare
-:class:`~repro.serve.SolverServer` reports ``matrix="default"``), and
+are labeled by resident matrix (``matrix="lap"``; ``repro serve
+--problem`` registers its one matrix as ``matrix="default"``), and
 list-valued fields render one sample per element (``shard="0"``, ...).
 Gateway gauges (``repro_matrices_registered``, ``repro_live_pools``)
 and the ``repro_cache_*`` families are unlabeled by matrix: there is
@@ -296,31 +296,24 @@ def _add_declared(out: _Families, cls, record: dict, labels: dict) -> None:
                 out.add(*family, item, {**labels, meta["per"]: str(i)})
 
 
-def render_metrics(server) -> str:
-    """Render one Prometheus text snapshot of ``server`` — a
-    :class:`~repro.serve.MatrixRegistry` (per-matrix series plus
-    gateway gauges) or a bare :class:`~repro.serve.SolverServer` (its
-    single matrix reported as ``matrix="default"``). Includes the
-    ``repro_cache_*`` families whenever warm-start caching is
-    enabled."""
+def render_metrics(registry) -> str:
+    """Render one Prometheus text snapshot of a
+    :class:`~repro.serve.MatrixRegistry`: the gateway gauges, the
+    per-matrix series, and the ``repro_cache_*`` families whenever
+    warm-start caching is enabled."""
     out = _Families()
-    payload = server.stats_payload()
-    if "aggregate" in payload:  # a MatrixRegistry snapshot
-        matrices = payload["matrices"]
-        out.add(
-            "repro_matrices_registered", "gauge",
-            "Matrices registered with the gateway.",
-            len(matrices),
-        )
-        live = server.live_pools() if hasattr(server, "live_pools") else []
-        out.add(
-            "repro_live_pools", "gauge",
-            "Matrices whose worker pool is currently live (spawned, "
-            "not evicted).",
-            len(live),
-        )
-    else:
-        matrices = {"default": payload}
+    matrices = registry.stats_payload()["matrices"]
+    out.add(
+        "repro_matrices_registered", "gauge",
+        "Matrices registered with the gateway.",
+        len(matrices),
+    )
+    out.add(
+        "repro_live_pools", "gauge",
+        "Matrices whose worker pool is currently live (spawned, "
+        "not evicted).",
+        len(registry.live_pools()),
+    )
     for name, stats in matrices.items():
         _add_declared(out, ServerStats, stats, {"matrix": name})
         out.add(
@@ -329,7 +322,7 @@ def render_metrics(server) -> str:
             1,
             {"matrix": name, "method": stats["method"]},
         )
-    cache_stats = getattr(server, "cache_stats", lambda: None)()
+    cache_stats = registry.cache_stats()
     if cache_stats is not None:
         _add_declared(out, CacheStats, cache_stats, {})
     return out.render()

@@ -11,10 +11,10 @@ side, or a list of ``n`` rows of ``k`` numbers for a block (rows are
 matrix rows, columns are independent right-hand sides). ``id`` defaults
 to the request's arrival index; ``tol`` / ``max_sweeps`` /
 ``sync_every_sweeps`` / ``x0`` override the server defaults per
-request. ``matrix`` names the resident matrix to solve against when the
-server is a :class:`~repro.serve.MatrixRegistry`; omitting it routes to
-the registry's default matrix, so the single-matrix wire format from
-before multi-matrix serving keeps working unchanged.
+request. ``matrix`` names the :class:`~repro.serve.MatrixRegistry`'s
+resident matrix to solve against; omitting it routes to the registry's
+default matrix, so the single-matrix wire format from before
+multi-matrix serving keeps working unchanged.
 
 A response echoes the id::
 
@@ -66,8 +66,8 @@ default ``"solve"``:
 ``{"op": "stats"}`` (optionally ``"matrix": "lap"``)
     A JSON snapshot of the serving counters.
 ``{"op": "matrices"}``
-    The list of registered matrices (one anonymous entry for a bare
-    single-matrix server).
+    The list of registered matrices, the default one flagged
+    ``"default": true``.
 ``{"op": "metrics"}``
     The same counters rendered in Prometheus text format (the payload
     the HTTP front-end serves raw on ``GET /v1/metrics``), wrapped in

@@ -5,9 +5,12 @@ headline workload (Section 9) amortizes one Gram matrix across 51 label
 right-hand sides; the persistent :class:`~repro.execution.ProcessAsyRGS`
 pool already amortizes worker-thread start and buffer setup across *calls*,
 and the capacity-k layout lets one pool serve any request width
-``k ≤ capacity_k``. What was missing is the front door: something that
-accepts *many independent requests* — single vectors and blocks, from
-many client threads — and multiplexes them onto that one pool.
+``k ≤ capacity_k``. What was missing is something that accepts *many
+independent requests* — single vectors and blocks, from many client
+threads — and multiplexes them onto that one pool. The wire front
+doors (:mod:`repro.serve.frontend`) reach it through a
+:class:`~repro.serve.MatrixRegistry`, which builds one server per
+resident matrix.
 
 Architecture
 ------------
@@ -72,7 +75,7 @@ from __future__ import annotations
 import itertools
 import queue
 import threading
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -286,9 +289,9 @@ class SolverServer:
         An optional shared :class:`~repro.serve.cache.SolutionCache`. When
         present, a request submitted without ``x0`` is seeded from the
         cache's nearest same-matrix solution (``cache_key`` names this
-        server's matrix in the shared cache — a
-        :class:`~repro.serve.MatrixRegistry` passes each entry's name;
-        a bare server defaults to ``"default"``), and every
+        server's matrix in the shared cache: the
+        :class:`~repro.serve.MatrixRegistry` passes each entry's name,
+        and ``None`` means ``"default"``), and every
         successfully served solution is stored back. The cache only
         seeds ``x0`` — the solve still runs and judges its own
         convergence, so a hit saves sweeps but can never change an
@@ -341,8 +344,6 @@ class SolverServer:
             raise ServeError(str(exc)) from exc
         self._runtime = THREAD_RUNTIME if runtime is None else runtime
         self._clock = self._runtime.monotonic
-        self.method = method
-        self.shards = shards
         # Request geometry: a right-hand side always has one entry per
         # *row* of A; the iterate has one entry per *column*. For AsyRGS
         # the matrix is square so the two coincide; for AsyRK they are
@@ -357,7 +358,6 @@ class SolverServer:
         if self.max_batch < 1:
             raise ServeError(f"max_batch must be at least 1, got {max_batch}")
         self.max_wait = check_max_wait(max_wait)
-        self.nnz = A.nnz
         if directions is None:
             directions = DirectionStream(self.n, seed=seed)
         self._cache = cache
@@ -408,7 +408,6 @@ class SolverServer:
         sync_every_sweeps: int | None = None,
         x0: np.ndarray | None = None,
         request_id=None,
-        matrix: str | None = None,
         trace_id=None,
     ) -> RequestHandle:
         """Enqueue one solve request (thread-safe) and return its handle.
@@ -418,11 +417,8 @@ class SolverServer:
         ``max_sweeps`` / ``sync_every_sweeps`` override the server
         defaults for this request; ``x0`` is the request's warm start
         (when omitted and a solution cache is attached, the cache may
-        seed one). ``matrix`` exists for wire-protocol symmetry with
-        :class:`~repro.serve.MatrixRegistry`: a bare server hosts a
-        single anonymous matrix, so any non-``None`` id is rejected.
-        ``trace_id`` is the request's trace id — minted here when the
-        caller (wire traffic mints at
+        seed one). ``trace_id`` is the request's trace id — minted here
+        when the caller (wire traffic mints at
         :func:`~repro.serve.protocol.parse_line`) did not supply one.
 
         ``b``, ``x0`` and the epoch arguments are checked here, with the
@@ -433,12 +429,6 @@ class SolverServer:
         until its batch launches (possibly much later), and a caller
         reusing its buffer must not retroactively change what is solved.
         """
-        if matrix is not None:
-            raise ServeError(
-                f"unknown matrix {matrix!r}: this server hosts a single "
-                "resident matrix (run a MatrixRegistry front door — "
-                "`repro serve --matrix NAME=SPEC` — to route by id)"
-            )
         if trace_id is None:
             trace_id = mint_trace_id()
         b = np.array(check_rhs(b, self.n, capacity=self.capacity_k))
@@ -502,47 +492,6 @@ class SolverServer:
                 spawn_count=self._solver.spawn_count,
                 shard_updates=[int(c) for c in shard_counts()],
             )
-
-    def stats_payload(self, matrix: str | None = None) -> dict:
-        """The :meth:`stats` snapshot as a JSON-ready dict (the shape
-        the front-ends' ``stats`` verb and ``GET /v1/stats`` emit)."""
-        if matrix is not None:
-            raise ServeError(
-                f"unknown matrix {matrix!r}: this server hosts a single "
-                "resident matrix"
-            )
-        return asdict(self.stats())
-
-    def matrices_payload(self) -> list[dict]:
-        """The single resident matrix as a one-entry listing (the shape
-        the front-ends' ``matrices`` verb and ``GET /v1/matrices``
-        emit; a :class:`~repro.serve.MatrixRegistry` returns one entry
-        per registered id)."""
-        stats = self.stats()
-        return [
-            {
-                "matrix": None,
-                "default": True,
-                "n": self.n,
-                "nnz": self.nnz,
-                "capacity_k": self.capacity_k,
-                "method": self.method,
-                "shards": self.shards,
-                "live": True,
-                "requests_submitted": stats.requests_submitted,
-                "requests_served": stats.requests_served,
-                "requests_failed": stats.requests_failed,
-                "spawn_count": stats.spawn_count,
-            }
-        ]
-
-    def cache_stats(self) -> dict | None:
-        """The attached solution cache's counter snapshot, or ``None``
-        when no cache is attached (the shape the metrics renderer and
-        the stats verbs report)."""
-        if self._cache is None:
-            return None
-        return self._cache.stats()
 
     @property
     def spawn_count(self) -> int:

@@ -90,7 +90,12 @@ def system():
 
 
 @pytest.fixture(scope="module")
-def cached_server(system):
+def cache():
+    return SolutionCache(similarity=0.05)
+
+
+@pytest.fixture(scope="module")
+def cached_server(system, cache):
     server = SolverServer(
         system,
         nproc=1,
@@ -98,7 +103,7 @@ def cached_server(system):
         max_wait=0.0,
         tol=1e-8,
         max_sweeps=400,
-        cache=SolutionCache(similarity=0.05),
+        cache=cache,
     )
     yield server
     server.close()
@@ -147,10 +152,10 @@ class TestWarmEqualsCold:
         assert cold.converged and warm.converged
         np.testing.assert_allclose(warm.x, cold.x, rtol=0, atol=1e-6)
 
-    def test_the_suite_really_warm_started(self, cached_server):
+    def test_the_suite_really_warm_started(self, cache):
         """Guard against vacuity: the properties above must have driven
         both hit paths, and every hit warm-started a served request."""
-        stats = cached_server.cache_stats()
+        stats = cache.stats()
         assert stats["hits_exact"] > 0
         assert stats["hits_near"] > 0
         assert stats["warm_requests"] == (

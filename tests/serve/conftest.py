@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.rng import DirectionStream
+from repro.serve import MatrixRegistry
 from repro.workloads import random_unit_diagonal_spd
 
 from ..conftest import manufactured_system
@@ -18,6 +19,15 @@ from ..conftest import manufactured_system
 # Generous but bounded: far above any healthy solve on these sizes,
 # far below the CI hard timeout.
 WAIT = 120.0
+
+
+def one_matrix(A, **options) -> MatrixRegistry:
+    """A registry serving ``A`` alone, registered as ``"default"``: the
+    gateway ``repro serve --problem`` builds. ``options`` are the
+    registry's (server defaults, ``solver_factory`` among them)."""
+    registry = MatrixRegistry(**options)
+    registry.register("default", A)
+    return registry
 
 
 @pytest.fixture(scope="session")

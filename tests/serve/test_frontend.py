@@ -14,15 +14,10 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.serve import (
-    MatrixRegistry,
-    SolverServer,
-    make_tcp_server,
-    serve_stream,
-)
+from repro.serve import MatrixRegistry, make_tcp_server, serve_stream
 from repro.serve.frontend import handle_line
 
-from .conftest import WAIT
+from .conftest import WAIT, one_matrix
 from .simtest.fakes import diagonal_system, fake_factory
 
 pytestmark = pytest.mark.serve
@@ -31,7 +26,7 @@ pytestmark = pytest.mark.serve
 @pytest.fixture()
 def server(system):
     A, _, _ = system
-    with SolverServer(
+    with one_matrix(
         A, nproc=1, capacity_k=4, tol=1e-8, max_sweeps=300,
         sync_every_sweeps=10, max_wait=0.05,
     ) as srv:
@@ -241,7 +236,7 @@ class TestDivergedSolves:
     N = 6
 
     def _server(self, column):
-        return SolverServer(
+        return one_matrix(
             diagonal_system(np.full(self.N, 2.0)), nproc=1, capacity_k=2,
             max_wait=0.0, solver_factory=_diverging_factory(column),
         )
@@ -416,7 +411,7 @@ class TestTCP:
         finally:
             tcp.shutdown()
             tcp.server_close()
-        assert server.spawn_count == 1
+        assert server.stats().spawn_count == 1
 
 
 class TestCLI:

@@ -1,5 +1,6 @@
 """HTTP front-end tests: the same protocol over ``POST /v1/solve``,
-``GET /v1/stats``, and ``GET /v1/matrices``.
+``GET /v1/stats``, and ``GET /v1/matrices``, and a traced JSON error
+for every request the handler cannot read.
 
 The HTTP handler submits through the same :func:`handle_line` seam as
 the JSON-lines transports, so everything the stream tests pin —
@@ -11,15 +12,18 @@ over a web request).
 
 import http.client
 import json
+import socket
 import threading
 
 import numpy as np
 import pytest
 
 import repro.execution.pool as processes_module
-from repro.serve import MatrixRegistry, SolverServer, make_http_server
+from repro.serve import MatrixRegistry, make_http_server
 
-from .conftest import WAIT
+from .conftest import WAIT, one_matrix
+from .simtest.fakes import diagonal_system, fake_factory
+from .test_frontend import _strict_loads
 
 pytestmark = pytest.mark.serve
 
@@ -27,7 +31,7 @@ pytestmark = pytest.mark.serve
 @pytest.fixture()
 def server(system):
     A, _, _ = system
-    with SolverServer(
+    with one_matrix(
         A, nproc=1, capacity_k=4, tol=1e-8, max_sweeps=300,
         sync_every_sweeps=10, max_wait=0.05,
     ) as srv:
@@ -108,7 +112,7 @@ class TestSolveRoute:
         HTTP clients batch together exactly like TCP ones."""
         A, b, _ = system
         n_clients = 6
-        with SolverServer(
+        with one_matrix(
             A, nproc=1, capacity_k=n_clients, tol=1e-8, max_sweeps=300,
             sync_every_sweeps=10, max_wait=2.0,
         ) as srv:
@@ -163,15 +167,17 @@ class TestSolveRoute:
         )
         status, resp = client.request("GET", "/v1/stats")
         assert status == 200 and resp["ok"]
-        assert resp["requests_served"] == 1
-        assert "policy" not in resp
+        assert list(resp["matrices"]) == ["default"]
+        assert resp["aggregate"]["requests_served"] == 1
+        assert resp["matrices"]["default"]["requests_served"] == 1
+        assert "policy" not in resp["aggregate"]
 
     def test_get_matrices(self, http_front, system):
         client, _ = http_front
         status, resp = client.request("GET", "/v1/matrices")
         assert status == 200 and resp["ok"]
         (entry,) = resp["matrices"]
-        assert entry["default"] is True
+        assert entry["matrix"] == "default" and entry["default"] is True
         assert entry["n"] == 30
 
 
@@ -279,7 +285,7 @@ class TestWorkerCrashOverHTTP:
             return real_loop(wid, *args, **kwargs)
 
         monkeypatch.setattr(processes_module, "_worker_loop", crashing_loop)
-        with SolverServer(
+        with one_matrix(
             A, nproc=2, capacity_k=2, tol=1e-8, max_sweeps=200,
             sync_every_sweeps=10, max_wait=0.0,
             barrier_timeout=60.0,
@@ -308,4 +314,62 @@ class TestWorkerCrashOverHTTP:
                 client.close()
                 httpd.shutdown()
                 httpd.server_close()
-        assert srv.spawn_count == 2  # the one honest respawn
+        assert srv.stats().spawn_count == 2  # the one honest respawn
+
+
+class TestUnreadableRequests:
+    """A request the handler cannot read is answered, never met with a
+    traceback, an HTML page or silence: strict JSON, ``ok: false``, a
+    trace id, and nothing on stderr. Each request is the whole of what
+    the client sends, and it keeps its side open, as a client awaiting
+    its reply does."""
+
+    REQUESTS = {
+        "length-not-digits": (
+            b"POST /v1/solve HTTP/1.1\r\nContent-Length: abc\r\n\r\n"
+        ),
+        "length-overflows": (
+            b"POST /v1/solve HTTP/1.1\r\n"
+            b"Content-Length: 99999999999999999999\r\n\r\n"
+        ),
+        "length-negative": (
+            b"POST /v1/solve HTTP/1.1\r\nContent-Length: -1\r\n\r\n"
+        ),
+        "unknown-method": (
+            b"PUT /v1/solve HTTP/1.1\r\nContent-Length: 0\r\n\r\n"
+        ),
+        "garbled-request-line": b"GARBAGE\r\n",
+    }
+
+    @pytest.fixture()
+    def address(self):
+        with one_matrix(
+            diagonal_system(np.full(4, 2.0)), nproc=1, capacity_k=2,
+            max_wait=0.0, solver_factory=fake_factory(),
+        ) as registry:
+            httpd = make_http_server(registry, "127.0.0.1", 0)
+            threading.Thread(target=httpd.serve_forever, daemon=True).start()
+            try:
+                yield httpd.server_address[:2]
+            finally:
+                httpd.shutdown()
+                httpd.server_close()
+
+    @pytest.mark.parametrize("name", sorted(REQUESTS))
+    def test_answered_with_a_traced_json_error(self, address, capfd, name):
+        with socket.create_connection(address, timeout=WAIT) as sock:
+            sock.sendall(self.REQUESTS[name])
+            raw = b""
+            while chunk := sock.recv(65536):  # the server closes
+                raw += chunk
+        if raw.startswith(b"HTTP/"):
+            head, _, body = raw.partition(b"\r\n\r\n")
+            status = int(head.split()[1])
+            assert 400 <= status < 600, head
+            assert b"Content-Type: application/json" in head, head
+        else:  # a request line without a version is answered HTTP/0.9
+            body = raw
+        reply = _strict_loads(body.decode("utf-8"))
+        assert reply["ok"] is False and reply["error"], reply
+        assert reply["trace_id"].startswith("t-"), reply
+        assert capfd.readouterr().err == ""

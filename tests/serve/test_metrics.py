@@ -16,14 +16,10 @@ import re
 import numpy as np
 import pytest
 
-from repro.serve import (
-    MatrixRegistry,
-    SolverServer,
-    handle_line,
-    render_metrics,
-)
+from repro.serve import MatrixRegistry, handle_line, render_metrics
 from repro.serve.metrics import CONTENT_TYPE as METRICS_CONTENT_TYPE
 
+from .conftest import one_matrix
 from .simtest.fakes import FakePool, diagonal_system, fake_factory
 
 pytestmark = pytest.mark.serve
@@ -99,7 +95,7 @@ def value_of(families, name, **labels):
 
 @pytest.fixture()
 def fake_server():
-    with SolverServer(
+    with one_matrix(
         diagonal_system(DIAG),
         nproc=1,
         capacity_k=2,
@@ -110,6 +106,10 @@ def fake_server():
 
 
 class TestBareServer:
+    """One matrix behind the front door with nothing else registered:
+    the registry ``repro serve --problem`` builds, its series labeled
+    ``matrix="default"``."""
+
     def test_valid_exposition_with_default_matrix_label(self, fake_server):
         b = np.arange(1.0, N + 1.0)
         for _ in range(3):

@@ -461,22 +461,6 @@ class TestWireProtocol:
         assert mx["ok"]
         assert {m["matrix"] for m in mx["matrices"]} == {"one", "two", "soc"}
 
-    def test_register_verb_on_single_matrix_server_is_clean(self, system):
-        from repro.serve import SolverServer
-
-        A, _, _ = system
-        with SolverServer(A, nproc=1, capacity_k=2) as srv:
-            out = io.StringIO()
-            serve_stream(
-                srv,
-                iter([json.dumps({"op": "register", "id": "r",
-                                  "matrix": "m", "problem": "laplace2d"})]),
-                out,
-            )
-        (resp,) = [json.loads(ln) for ln in out.getvalue().splitlines()]
-        assert resp["ok"] is False and resp["id"] == "r"
-        assert "registry front door" in resp["error"]
-
 
 class TestAsyRKOverTheWire:
     """The acceptance path for per-matrix update methods: a rectangular

@@ -2,8 +2,9 @@
 
 One fixed scenario on fake pools, driven sequentially so every count is
 exact: a gateway with three matrices (asyrgs, a ``shards=3``
-matrix, asyrk), the solution cache on with one exact hit, no eviction; and a bare
-:class:`~repro.serve.SolverServer`. The whole ``stats_payload()`` and
+matrix, asyrk), the solution cache on with one exact hit, no eviction; and a
+one-matrix registry, its matrix registered as ``"default"`` (the gateway
+``repro serve --problem`` builds). The whole ``stats_payload()`` and
 ``matrices_payload()`` and the parsed ``render_metrics`` scrape are
 compared with literal expectations, so a refactor of how the counters
 are kept, folded or rendered cannot move a value, a key or a type.
@@ -16,8 +17,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.serve import MatrixRegistry, SolverServer, render_metrics
+from repro.serve import MatrixRegistry, render_metrics
 
+from .conftest import one_matrix
 from .simtest.fakes import diagonal_system, fake_factory
 from .test_metrics import parse_exposition
 
@@ -139,8 +141,8 @@ def gateway():
 
 
 @pytest.fixture(scope="module")
-def bare():
-    with SolverServer(
+def lone():
+    with one_matrix(
         diagonal_system(DIAG),
         nproc=2,
         capacity_k=2,
@@ -258,31 +260,39 @@ class TestGateway:
         }
 
 
-class TestBareServer:
-    def test_stats_payload(self, bare):
+LONE_MATRIX = _matrix_stats(
+    requests_submitted=2, requests_served=2, batches=2,
+)
+
+
+class TestOneMatrix:
+    """The counts a lone served matrix reports, under the registry's
+    snapshot shape."""
+
+    def test_stats_payload(self, lone):
         _assert_pinned(
-            _mask(bare["stats"]),
-            _matrix_stats(
-                requests_submitted=2, requests_served=2, batches=2,
-            ),
+            _mask(lone["stats"]),
+            {"aggregate": LONE_MATRIX, "matrices": {"default": LONE_MATRIX}},
         )
 
-    def test_matrices_payload(self, bare):
+    def test_matrices_payload(self, lone):
         _assert_pinned(
-            bare["matrices"],
+            lone["matrices"],
             [
                 _listing(
-                    None, default=True, requests_submitted=2,
+                    "default", default=True, requests_submitted=2,
                     requests_served=2,
                 )
             ],
         )
 
-    def test_metrics(self, bare):
+    def test_metrics(self, lone):
         one = {"default": 1}
         two = {"default": 2}
         zero = {"default": 0}
-        assert _families(bare["metrics"]) == {
+        assert _families(lone["metrics"]) == {
+            "repro_matrices_registered": ("gauge", [((), 1.0)]),
+            "repro_live_pools": ("gauge", [((), 1.0)]),
             "repro_requests_submitted_total": ("counter", _per_matrix(two)),
             "repro_requests_served_total": ("counter", _per_matrix(two)),
             "repro_requests_failed_total": ("counter", _per_matrix(zero)),

@@ -9,7 +9,8 @@ id must be read off whatever the failure left standing — the
 :class:`~repro.exceptions.ProtocolError`, the parsed payload, or the
 handle — across all three transports (stdin JSON-lines, TCP, HTTP).
 
-The pool behind every server here is the simtest
+Every transport here serves a one-matrix registry, the shape ``repro
+serve --problem`` builds. The pool behind it is the simtest
 :class:`~tests.serve.simtest.fakes.FakePool` under the *real* threading
 runtime: exact diagonal solves and scripted crashes with zero worker
 processes and zero sleeps (coordination is joins and scripted failure
@@ -25,15 +26,10 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ProtocolError, ServeError
-from repro.serve import (
-    SolverServer,
-    make_http_server,
-    make_tcp_server,
-    serve_stream,
-)
+from repro.serve import make_http_server, make_tcp_server, serve_stream
 from repro.serve.protocol import encode_error, mint_trace_id, parse_line
 
-from .conftest import WAIT
+from .conftest import WAIT, one_matrix
 from .simtest.fakes import diagonal_system, fake_factory
 
 pytestmark = pytest.mark.serve
@@ -43,7 +39,7 @@ DIAG = 2.0 ** (np.arange(N) % 3)
 
 
 def _fake_server(fail_on=None, **kwargs):
-    return SolverServer(
+    return one_matrix(
         diagonal_system(DIAG),
         nproc=1,
         capacity_k=2,
@@ -187,7 +183,8 @@ class TestStdinErrorPaths:
                 iter([_solve_line(trace="t-first-1", request_id="first")]),
                 first,
             )
-            server._dispatcher.join()  # the death is now fully landed
+            # The death is now fully landed.
+            server._entries["default"].server._dispatcher.join()
             out = io.StringIO()
             serve_stream(
                 server,

@@ -11,7 +11,10 @@ the codec refuses and as the oracle here: both must yield the same
 object, or both refuse. And whatever a line holds — ill-typed fields,
 mis-shaped or ragged arrays, ``NaN``/``Infinity``/``1e400`` literals,
 huge integers, lone surrogates, truncation — the reply is strict JSON
-with a trace id, answering ``ok: false`` or a valid result.
+with a trace id, answering ``ok: false`` or a valid result. The lines are
+served by a one-matrix registry, the front door ``repro serve
+--problem`` builds, so every verb reaches its real handler; drawn lines
+also go down real TCP and HTTP connections.
 """
 
 import http.client
@@ -27,12 +30,7 @@ from hypothesis import strategies as st
 
 from repro.serve import wire
 from repro.exceptions import ProtocolError
-from repro.serve import (
-    MatrixRegistry,
-    SolverServer,
-    make_http_server,
-    make_tcp_server,
-)
+from repro.serve import MatrixRegistry, make_http_server, make_tcp_server
 from repro.serve import protocol
 from repro.serve.frontend import handle_line
 from repro.serve.protocol import (
@@ -43,7 +41,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.server import ServedResult
 
-from .conftest import WAIT
+from .conftest import WAIT, one_matrix
 from .simtest.fakes import diagonal_system, fake_factory
 from .test_frontend import _strict_loads
 
@@ -326,15 +324,19 @@ def _reference(line: str):
         return DEEP
 
 
-@pytest.fixture(scope="module")
-def front_door():
-    """A solve server on the fake pool: every verb reaches its handler,
-    with no worker or socket."""
-    with SolverServer(
+def _front_door():
+    """One matrix, ``diag(2)``, served as ``"default"`` on the fake
+    pool: every verb reaches its handler, with no worker thread."""
+    return one_matrix(
         diagonal_system(np.full(N, 2.0)), nproc=1, capacity_k=2,
         max_wait=0.0, solver_factory=fake_factory(),
-    ) as server:
-        yield server
+    )
+
+
+@pytest.fixture(scope="module")
+def front_door():
+    with _front_door() as registry:
+        yield registry
 
 
 FUZZ = settings(
@@ -384,6 +386,10 @@ class TestFuzzedLines:
         reply = _strict_loads(handle_line(front_door, line)())
         assert isinstance(reply["trace_id"], str) and reply["trace_id"]
         assert reply["ok"] in (True, False)
+        if op in ("matrices", "metrics") or (
+            op == "stats" and payload["matrix"] in (None, "default")
+        ):
+            assert reply["ok"] is True, (line, reply)
         if not reply["ok"]:
             assert isinstance(reply["error"], str) and reply["error"]
         elif op == "solve":
@@ -400,10 +406,7 @@ def test_nesting_beyond_any_limit_is_answered():
     reply is strict JSON with a trace id (an id is echoed up to the
     depth orjson writes, then ``null``)."""
     deep = "[" * 3000 + "]" * 3000
-    with SolverServer(
-        diagonal_system(np.full(N, 2.0)), nproc=1, capacity_k=2,
-        max_wait=0.0, solver_factory=fake_factory(),
-    ) as server:
+    with _front_door() as server:
         for field in ("id", "trace_id", "op", "b", "tol", "bogus"):
             line = '{"b": [1, 2, 3, 4], "%s": %s}' % (field, deep)
             reply = _strict_loads(handle_line(server, line)())
@@ -415,12 +418,9 @@ def test_fuzz_bases_are_answered():
     """The unperturbed lines reach their handlers and succeed where a
     success is possible, so the fuzz starts from live paths."""
     b = [1.0, 2.0, 3.0, 4.0]
-    with SolverServer(
-        diagonal_system(np.full(N, 2.0)), nproc=1, capacity_k=2,
-        max_wait=0.0, solver_factory=fake_factory(),
-    ) as server:
+    with _front_door() as server:
         lines = {k: json.dumps(v) for k, v in _bases(b).items()}
-        for name in ("solve", "block", "stats", "matrices", "metrics"):
+        for name in VERBS:
             assert _strict_loads(handle_line(server, lines[name])())["ok"], name
         solved = _strict_loads(handle_line(server, lines["solve"])())
         assert solved["x"] == [0.5, 1.0, 1.5, 2.0]
@@ -471,30 +471,22 @@ def _hostile_lines() -> list[bytes]:
     ]
 
 
-def _over_tcp(server, lines):
+def _over_tcp(address, lines):
     """All lines down one connection; ``(None, reply)`` per reply line."""
-    tcp = make_tcp_server(server, "127.0.0.1", 0)
-    threading.Thread(target=tcp.serve_forever, daemon=True).start()
-    try:
-        with socket.create_connection(tcp.server_address, timeout=WAIT) as sock:
-            sock.settimeout(WAIT)
-            sock.sendall(b"".join(line + b"\n" for line in lines))
-            sock.shutdown(socket.SHUT_WR)
-            return [
-                (None, _strict_loads(raw.decode("utf-8")))
-                for raw in sock.makefile("rb")
-            ]
-    finally:
-        tcp.shutdown()
-        tcp.server_close()
+    with socket.create_connection(address, timeout=WAIT) as sock:
+        sock.settimeout(WAIT)
+        sock.sendall(b"".join(line + b"\n" for line in lines))
+        sock.shutdown(socket.SHUT_WR)
+        return [
+            (None, _strict_loads(raw.decode("utf-8")))
+            for raw in sock.makefile("rb")
+        ]
 
 
-def _over_http(server, lines):
+def _over_http(address, lines):
     """One POST per line on one keep-alive connection; ``(status,
     reply)`` per request."""
-    httpd = make_http_server(server, "127.0.0.1", 0)
-    threading.Thread(target=httpd.serve_forever, daemon=True).start()
-    conn = http.client.HTTPConnection(*httpd.server_address[:2], timeout=WAIT)
+    conn = http.client.HTTPConnection(*address, timeout=WAIT)
     try:
         replies = []
         for body in lines:
@@ -504,24 +496,66 @@ def _over_http(server, lines):
         return replies
     finally:
         conn.close()
-        httpd.shutdown()
-        httpd.server_close()
 
 
-@pytest.mark.parametrize("transport", [_over_tcp, _over_http], ids=["tcp", "http"])
-def test_hostile_lines_keep_one_connection_serving(transport):
+OVER = {"tcp": _over_tcp, "http": _over_http}
+TRANSPORTS = pytest.mark.parametrize("transport", ["tcp", "http"])
+
+
+@pytest.fixture(scope="module")
+def addresses(front_door):
+    """The front door behind a TCP and an HTTP server: their addresses,
+    by transport."""
+    servers = {
+        "tcp": make_tcp_server(front_door, "127.0.0.1", 0),
+        "http": make_http_server(front_door, "127.0.0.1", 0),
+    }
+    for server in servers.values():
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        yield {name: srv.server_address[:2] for name, srv in servers.items()}
+    finally:
+        for server in servers.values():
+            server.shutdown()
+            server.server_close()
+
+
+def _check_replies(replies, lines):
+    """One strict-JSON reply per line, traceable, its HTTP status (if
+    any) matching its ``ok``."""
+    assert len(replies) == len(lines)
+    for status, reply in replies:
+        assert isinstance(reply["trace_id"], str) and reply["trace_id"]
+        assert status in (None, 200 if reply["ok"] else 400)
+
+
+@TRANSPORTS
+def test_hostile_lines_keep_one_connection_serving(addresses, transport):
     """One strict-JSON reply per hostile line, in order and traceable,
     on one connection that still answers the good line at the end."""
     lines = _hostile_lines()
-    with SolverServer(
-        diagonal_system(np.full(N, 2.0)), nproc=1, capacity_k=2,
-        max_wait=0.0, solver_factory=fake_factory(),
-    ) as server:
-        replies = transport(server, lines)
-    assert len(replies) == len(lines)
-    for status, reply in replies:
-        assert reply["trace_id"].startswith("t-")
-        assert status in (None, 200 if reply["ok"] else 400)
+    replies = OVER[transport](addresses[transport], lines)
+    _check_replies(replies, lines)
+    assert all(reply["trace_id"].startswith("t-") for _, reply in replies)
     assert replies[-1][1]["id"] == "good"
     assert replies[-1][1]["x"] == [0.5, 1.0, 1.5, 2.0]
     assert not any(reply["ok"] for _, reply in replies[len(LITERALS) : -1])
+
+
+@TRANSPORTS
+@FUZZ
+@given(data=st.data())
+def test_drawn_lines_keep_one_connection_serving(addresses, transport, data):
+    """A drawn line of every verb, in drawn order, down one connection.
+    Each is followed by a numbered solve, whose reply must come back
+    right after the drawn line's: one reply per line, in order."""
+    lines = []
+    for i, verb in enumerate(data.draw(st.permutations(VERBS))):
+        line = data.draw(request_lines(verb))
+        lines.append(line.encode("utf-8", "surrogatepass"))
+        lines.append(json.dumps({"id": f"seq-{i}", "b": [i] * N}).encode())
+    replies = OVER[transport](addresses[transport], lines)
+    _check_replies(replies, lines)
+    for i in range(len(VERBS)):
+        marker = replies[2 * i + 1][1]
+        assert marker["id"] == f"seq-{i}" and marker["x"] == [i / 2.0] * N
